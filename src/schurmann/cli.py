@@ -127,6 +127,36 @@ def _violation_json(violations) -> list:
 # -- validate ---------------------------------------------------------------
 
 
+def _functional_checks(psi):
+    """(violated relations, hermitian) for a functional loaded from JSON."""
+    violations = [
+        (lbl, val)
+        for lbl, r in psi.presentation.relations
+        if not (val := evaluate_functional(psi, r)).is_zero()
+    ]
+    return violations, psi.star_values == psi.values.conj()
+
+
+def _functional_problem_lines(violations, hermitian) -> list:
+    lines = []
+    if violations:
+        lines.append("violated relations:")
+        lines.extend(_violation_lines(violations))
+    if not hermitian:
+        lines.append("letter values are not hermitian (star_values != conj(values))")
+    return lines
+
+
+def _valid_functional(obj):
+    """The functional in obj, refused with an InputError unless it validates."""
+    psi = functional_from_json(obj)
+    violations, hermitian = _functional_checks(psi)
+    if violations or not hermitian:
+        lines = _functional_problem_lines(violations, hermitian)
+        raise InputError("invalid functional, no verdict computed\n" + "\n".join(lines))
+    return psi
+
+
 def cmd_validate(args):
     obj = _load(args.input)
     shape = _detect(obj)
@@ -156,20 +186,10 @@ def cmd_validate(args):
         return 0, lines, data
     if shape == "functional":
         psi = functional_from_json(obj)
-        pres = psi.cocycle.presentation
-        violations = [
-            (lbl, val)
-            for lbl, r in pres.relations
-            if not (val := evaluate_functional(psi, r)).is_zero()
-        ]
-        hermitian = psi.star_values == psi.values.conj()
+        violations, hermitian = _functional_checks(psi)
         ok = not violations and hermitian
-        lines = [f"functional: {pres.kind} d={psi.d}"]
-        if violations:
-            lines.append("violated relations:")
-            lines.extend(_violation_lines(violations))
-        if not hermitian:
-            lines.append("letter values are not hermitian (star_values != conj(values))")
+        lines = [f"functional: {psi.presentation.kind} d={psi.d}"]
+        lines.extend(_functional_problem_lines(violations, hermitian))
         lines.append("valid" if ok else "INVALID")
         data = {
             "object": shape,
@@ -266,7 +286,7 @@ def _check_gf(args):
 def _check_lk(args):
     obj = _load(args.input)
     _expect(obj, "functional")
-    psi = functional_from_json(obj)
+    psi = _valid_functional(obj)
     lk = lk_decomposition(psi)
     lines = [
         f"gaussian subspace dimension: {lk.gaussian_dim}",
@@ -349,7 +369,7 @@ def _check_h1(args):
 def _check_psd(args):
     obj = _load(args.input)
     _expect(obj, "functional")
-    psi = functional_from_json(obj)
+    psi = _valid_functional(obj)
     max_len = args.max_word_len if args.max_word_len is not None else 2
     ok = gram_psd_check(psi, max_len=max_len)
     lines = [f"gram matrix over words of length <= {max_len}: psd {str(ok).lower()}"]

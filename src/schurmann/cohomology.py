@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import add
 
 from .algebra import Element, Letter, Presentation, counit, letters
 from .cocycle import Cocycle, scalar_gaussian_cocycle, cocycle_general, _eta_word
 from .errors import ObstructionError, RelationViolation
-from .linalg import QMatrix, QVector, inner_product
+from .linalg import QMatrix, QVector, dot, inner_product
 from .representation import sign_rep
-from .scalars import I, ONE, ZERO, Qi, rational
+from .scalars import I, ONE, ZERO, Qi
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -259,7 +260,8 @@ def defect_unitary(c: TwoCocycle) -> QMatrix:
             row.append(acc)
         rows.append(row)
     m = QMatrix(rows, cols=d)
-    assert m.trace().is_zero()
+    if not m.trace().is_zero():
+        raise ArithmeticError("unitary defect with nonzero trace", m)
     return m
 
 
@@ -280,7 +282,8 @@ def defect_orthogonal(c: TwoCocycle) -> QMatrix:
             row.append(acc)
         rows.append(row)
     m = QMatrix(rows, cols=d)
-    assert (m + m.transpose()).is_zero()
+    if not (m + m.transpose()).is_zero():
+        raise ArithmeticError("orthogonal defect that is not antisymmetric", m)
     return m
 
 
@@ -546,189 +549,72 @@ def _primitive_witness(phi: Primitive, aw, bw):
     return (aw, bw, got, phi.two_cocycle.word_value(aw, bw))
 
 
+def _rho_layer(prev, eps_prev, images, letter_values):
+    """eta(h w) = rho(h) eta(w) + counit(w) eta(h) for every letter h and
+    every tabulated w, in code order h * len(prev) + code(w)."""
+    out = []
+    for img, add_h in zip(images, letter_values):
+        for v, ep in zip(prev, eps_prev):
+            moved = tuple(dot(row, v) for row in img)
+            out.append(tuple(map(add, moved, add_h)) if ep else moved)
+    return out
+
+
 def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     """Check d(phi) = c on every pair of words of length <= max_len.
 
     Words of length m are coded as integers in base len(alphabet) with the
     first letter most significant, so the code of a concatenation is
-    code(a) * base**len(b) + code(b) and all tables are flat lists of
-    (re, im) rational pairs.  Only pairing 2-cocycles are supported since
-    the tabulation leans on their vector recursion.  Returns (number of
-    pairs checked, first violating pair or None); a violation carries the
-    two words as letter tuples plus the values of d(phi) and c there.
+    code(a) * base**len(b) + code(b) and all tables are flat lists.  Only
+    pairing 2-cocycles are supported since the tabulation leans on their
+    vector recursion.  Returns (number of pairs checked, first violating
+    pair or None); a violation carries the two words as letter tuples plus
+    the values of d(phi) and c there.
     """
     c = phi.two_cocycle
     if not isinstance(c, KPairCocycle):
         raise TypeError("exhaustive verification expects a pairing 2-cocycle")
     d = phi.d
     eta1, eta2 = c.eta1, c.eta2
-    rep = eta2.rep
-    n = eta2.n
     alpha = letters(d)
     base = len(alpha)
     index = {l: i for i, l in enumerate(alpha)}
     diag = [l.row == l.col for l in alpha]
-    r0 = rational(0)
-    zero = (r0, r0)
-
-    def as_pair(x):
-        return (x.re, x.im)
-
-    def as_vec(v):
-        return tuple((x.re, x.im) for x in v)
-
-    eta2_letter = [as_vec(eta2.letter_value(l)) for l in alpha]
-    eta1_letter = [as_vec(eta1.letter_value(l)) for l in alpha]
-    phi_letter = [as_pair(phi.letter_value(l)) for l in alpha]
-    images = [
-        tuple(tuple(as_pair(x) for x in row) for row in rep.image(*l).data)
-        for l in alpha
-    ]
+    eta2_letter = [eta2.letter_value(l).entries for l in alpha]
+    eta1_letter = [eta1.letter_value(l).entries for l in alpha]
+    phi_letter = [phi.letter_value(l) for l in alpha]
+    images = [eta2.rep.image(*l).data for l in alpha]
     # eta1 enters only through -<eta1(h*), .>; premerging the conjugation and
-    # the sign turns that pairing into a plain complex product
-    neg1_star = [
-        tuple((-x.re, x.im) for x in eta1.letter_value(l.adjoint()))
-        for l in alpha
-    ]
-
-    scalar = n == 1
-    two = n == 2
-    if scalar:
-        eta2_letter = [v[0] for v in eta2_letter]
-        eta1_letter = [v[0] for v in eta1_letter]
-        neg1_star = [v[0] for v in neg1_star]
-        images = [m[0][0] for m in images]
-        zero_vec = zero
-    else:
-        zero_vec = tuple(zero for _ in range(n))
+    # the sign turns that pairing into a plain product
+    neg1_star = [tuple(-x.conj() for x in eta1.letter_value(l.adjoint())) for l in alpha]
 
     # tables indexed by [length][code]
+    zero_vec = (ZERO,) * eta2.n
     eps = [[True]]
-    phi_tab = [[zero]]
+    phi_tab = [[ZERO]]
     eta1_tab = [[zero_vec]]
     eta2_tab = [[zero_vec]]
     top = 2 * max_len
     for length in range(1, top + 1):
-        size = base ** (length - 1)
         eps_prev, phi_prev, eta2_prev = eps[-1], phi_tab[-1], eta2_tab[-1]
-        eps_new = [False] * (size * base)
-        phi_new = [None] * (size * base)
-        for h in range(base):
-            off = h * size
-            h_diag = diag[h]
-            plr, pli = phi_letter[h]
-            if scalar:
-                nr, ni = neg1_star[h]
-                for t, ((yr, yi), (qr, qi), ep) in enumerate(
-                    zip(eta2_prev, phi_prev, eps_prev)
-                ):
-                    pr = nr * yr - ni * yi
-                    pi = nr * yi + ni * yr
-                    if h_diag:
-                        pr += qr
-                        pi += qi
-                    if ep:
-                        pr += plr
-                        pi += pli
-                        eps_new[off + t] = h_diag
-                    phi_new[off + t] = (pr, pi)
-            elif two:
-                (n1r, n1i), (n2r, n2i) = neg1_star[h]
-                for t, (((y1r, y1i), (y2r, y2i)), (qr, qi), ep) in enumerate(
-                    zip(eta2_prev, phi_prev, eps_prev)
-                ):
-                    pr = n1r * y1r - n1i * y1i + n2r * y2r - n2i * y2i
-                    pi = n1r * y1i + n1i * y1r + n2r * y2i + n2i * y2r
-                    if h_diag:
-                        pr += qr
-                        pi += qi
-                    if ep:
-                        pr += plr
-                        pi += pli
-                        eps_new[off + t] = h_diag
-                    phi_new[off + t] = (pr, pi)
-            else:
-                v1n = neg1_star[h]
-                for t, (v2, (qr, qi), ep) in enumerate(
-                    zip(eta2_prev, phi_prev, eps_prev)
-                ):
-                    pr = pi = r0
-                    for (xr, xi), (yr, yi) in zip(v1n, v2):
-                        pr += xr * yr - xi * yi
-                        pi += xr * yi + xi * yr
-                    if h_diag:
-                        pr += qr
-                        pi += qi
-                    if ep:
-                        pr += plr
-                        pi += pli
-                        eps_new[off + t] = h_diag
-                    phi_new[off + t] = (pr, pi)
+        eps_new, phi_new = [], []
+        for h_diag, ph, nh in zip(diag, phi_letter, neg1_star):
+            for v2, q, ep in zip(eta2_prev, phi_prev, eps_prev):
+                p = dot(nh, v2)
+                if h_diag:
+                    p = p + q
+                if ep:
+                    p = p + ph
+                phi_new.append(p)
+                eps_new.append(ep and h_diag)
         eps.append(eps_new)
         phi_tab.append(phi_new)
         # eta2 feeds both the next length and the sweep's right factors
         if length < top:
-            new2 = [None] * (size * base)
-            for h in range(base):
-                off = h * size
-                if scalar:
-                    mr, mi = images[h]
-                    er, ei = eta2_letter[h]
-                    for t, ((yr, yi), ep) in enumerate(zip(eta2_prev, eps_prev)):
-                        br = mr * yr - mi * yi
-                        bi = mr * yi + mi * yr
-                        if ep:
-                            br += er
-                            bi += ei
-                        new2[off + t] = (br, bi)
-                else:
-                    img = images[h]
-                    add = eta2_letter[h]
-                    for t, (v2, ep) in enumerate(zip(eta2_prev, eps_prev)):
-                        out = []
-                        for mrow, (er, ei) in zip(img, add):
-                            br = bi = r0
-                            for (xr, xi), (yr, yi) in zip(mrow, v2):
-                                br += xr * yr - xi * yi
-                                bi += xr * yi + xi * yr
-                            if ep:
-                                br += er
-                                bi += ei
-                            out.append((br, bi))
-                        new2[off + t] = tuple(out)
-            eta2_tab.append(new2)
+            eta2_tab.append(_rho_layer(eta2_prev, eps_prev, images, eta2_letter))
         # eta1 only appears through the left factors of the sweep
         if length <= max_len:
-            eta1_prev = eta1_tab[length - 1]
-            new1 = [None] * (size * base)
-            for h in range(base):
-                off = h * size
-                if scalar:
-                    mr, mi = images[h]
-                    er, ei = eta1_letter[h]
-                    for t, ((yr, yi), ep) in enumerate(zip(eta1_prev, eps_prev)):
-                        br = mr * yr - mi * yi
-                        bi = mr * yi + mi * yr
-                        if ep:
-                            br += er
-                            bi += ei
-                        new1[off + t] = (br, bi)
-                else:
-                    img = images[h]
-                    add = eta1_letter[h]
-                    for t, (v1, ep) in enumerate(zip(eta1_prev, eps_prev)):
-                        out = []
-                        for mrow, (er, ei) in zip(img, add):
-                            br = bi = r0
-                            for (xr, xi), (yr, yi) in zip(mrow, v1):
-                                br += xr * yr - xi * yi
-                                bi += xr * yi + xi * yr
-                            if ep:
-                                br += er
-                                bi += ei
-                            out.append((br, bi))
-                        new1[off + t] = tuple(out)
-            eta1_tab.append(new1)
+            eta1_tab.append(_rho_layer(eta1_tab[-1], eps_prev, images, eta1_letter))
 
     def decode(length, code):
         out = []
@@ -747,78 +633,25 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     # the identity rearranged: phi(ab) = phi(a) eps(b) + eps(a) phi(b) - c(a, b)
     checked = 0
     for la in range(max_len + 1):
-        tab1 = eta1_tab[la]
-        eps_a = eps[la]
-        phi_a = phi_tab[la]
         for ca in range(base ** la):
-            ea = eps_a[ca]
-            par, pai = phi_a[ca]
-            if scalar:
-                xr, xi = tab1[star_code(la, ca)]
-                nr, ni = -xr, xi
-            else:
-                v1n = tuple((-xr, xi) for xr, xi in tab1[star_code(la, ca)])
-                if two:
-                    (n1r, n1i), (n2r, n2i) = v1n
+            ea = eps[la][ca]
+            pa = phi_tab[la][ca]
+            v1n = tuple(-x.conj() for x in eta1_tab[la][star_code(la, ca)])
             for lb in range(max_len + 1):
                 sz = base ** lb
                 seg = phi_tab[la + lb][ca * sz : (ca + 1) * sz]
-                eps_b = eps[lb]
-                phi_b = phi_tab[lb]
-                eta2_b = eta2_tab[lb]
-                if scalar:
-                    for cb, ((lr, li), (yr, yi), ep, (qr, qi)) in enumerate(
-                        zip(seg, eta2_b, eps_b, phi_b)
-                    ):
-                        rr = nr * yr - ni * yi
-                        ri = nr * yi + ni * yr
-                        if ep:
-                            rr += par
-                            ri += pai
-                        if ea:
-                            rr += qr
-                            ri += qi
-                        if lr != rr or li != ri:
-                            return checked + cb + 1, _primitive_witness(
-                                phi, decode(la, ca), decode(lb, cb)
-                            )
-                elif two:
-                    for cb, (
-                        (lr, li),
-                        ((y1r, y1i), (y2r, y2i)),
-                        ep,
-                        (qr, qi),
-                    ) in enumerate(zip(seg, eta2_b, eps_b, phi_b)):
-                        rr = n1r * y1r - n1i * y1i + n2r * y2r - n2i * y2i
-                        ri = n1r * y1i + n1i * y1r + n2r * y2i + n2i * y2r
-                        if ep:
-                            rr += par
-                            ri += pai
-                        if ea:
-                            rr += qr
-                            ri += qi
-                        if lr != rr or li != ri:
-                            return checked + cb + 1, _primitive_witness(
-                                phi, decode(la, ca), decode(lb, cb)
-                            )
-                else:
-                    for cb, ((lr, li), v2, ep, (qr, qi)) in enumerate(
-                        zip(seg, eta2_b, eps_b, phi_b)
-                    ):
-                        rr = ri = r0
-                        for (xr, xi), (yr, yi) in zip(v1n, v2):
-                            rr += xr * yr - xi * yi
-                            ri += xr * yi + xi * yr
-                        if ep:
-                            rr += par
-                            ri += pai
-                        if ea:
-                            rr += qr
-                            ri += qi
-                        if lr != rr or li != ri:
-                            return checked + cb + 1, _primitive_witness(
-                                phi, decode(la, ca), decode(lb, cb)
-                            )
+                for cb, (lhs, v2, eb, pb) in enumerate(
+                    zip(seg, eta2_tab[lb], eps[lb], phi_tab[lb])
+                ):
+                    rhs = dot(v1n, v2)
+                    if eb:
+                        rhs = rhs + pa
+                    if ea:
+                        rhs = rhs + pb
+                    if lhs != rhs:
+                        return checked + cb + 1, _primitive_witness(
+                            phi, decode(la, ca), decode(lb, cb)
+                        )
                 checked += sz
     return checked, None
 
@@ -874,5 +707,6 @@ def class_coordinates(c: TwoCocycle) -> ClassCoordinates:
     dmap = defect_unitary if flavor == "unitary" else defect_orthogonal
     for name, coeff in coeffs.items():
         rebuilt = rebuilt + dmap(basis[name]).scale(coeff)
-    assert rebuilt == defect
+    if rebuilt != defect:
+        raise ArithmeticError("basis combination does not rebuild the defect", rebuilt, defect)
     return ClassCoordinates(flavor, coeffs, defect)

@@ -11,6 +11,7 @@ requires psi(r) = 0 on every relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Sequence
 
 from .algebra import Element, Letter, Presentation, all_permutations, letters
@@ -21,9 +22,9 @@ from .cocycle import (
     _eta_word,
 )
 from .errors import RelationViolation
-from .linalg import QMatrix, inner_product, psd_check, project_onto_span
+from .linalg import QMatrix, dot, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
-from .scalars import I, ZERO, Qi, rational
+from .scalars import I, ZERO, Qi
 
 
 @dataclass(frozen=True)
@@ -192,127 +193,82 @@ def default_word_pool(d: int, max_len: int = 2) -> list:
 
 def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len: int = 2) -> bool:
     """Conditional positivity on a word pool: psd of (psi(a_i* a_j)) with
-    a_i = w_i - counit(w_i) 1.
-
-    Every entry needs psi(w_i* w_j), so the build replays the defining
-    recursion on plain rational pairs: a state (eta(w), psi(w), counit(w)) is
-    kept per pool word and the letters of w_i* are peeled onto it from the
-    left.  States for shared peel prefixes are computed once, which leaves a
-    single inner product per Gram entry.
-    """
+    a_i = w_i - counit(w_i) 1."""
     if pool is None:
         pool = default_word_pool(psi.d, max_len)
+    return psd_check(pool_gram_matrix(psi, pool))
+
+
+def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> QMatrix:
+    """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool.
+
+    Every entry needs psi(w_i* w_j), so the build replays the defining
+    recursion: a state (eta(w), psi(w), counit(w)) is kept per pool word and
+    the letters of w_i* are peeled onto it from the left.  States for shared
+    peel prefixes are computed once, which leaves a single inner product per
+    entry.
+    """
     eta = psi.cocycle
-    n = eta.n
-    r0 = rational(0)
-    zero_vec = ((r0, r0),) * n
     alpha = letters(psi.d)
     index = {l: k for k, l in enumerate(alpha)}
     diag = [l.row == l.col for l in alpha]
-    star_c = [
-        tuple((x.re, -x.im) for x in eta.letter_value(l.adjoint())) for l in alpha
-    ]
-    eta_letter = [tuple((x.re, x.im) for x in eta.letter_value(l)) for l in alpha]
-    images = [
-        tuple(tuple((x.re, x.im) for x in row) for row in eta.rep.image(*l).data)
-        for l in alpha
-    ]
-    psi_letter = [(v.re, v.im) for v in (psi.letter_value(l) for l in alpha)]
+    star_c = [eta.letter_value(l.adjoint()).conj().entries for l in alpha]
+    eta_letter = [eta.letter_value(l).entries for l in alpha]
+    images = [eta.rep.image(*l).data for l in alpha]
+    psi_letter = [psi.letter_value(l) for l in alpha]
+
+    def psi_of(k, state):
+        # psi(letter_k . w) from the state of w
+        vec, p, e = state
+        v = dot(star_c[k], vec)
+        if diag[k]:
+            v = v + p
+        if e:
+            v = v + psi_letter[k]
+        return v
 
     def extend(k, state):
         # state for w -> state for letter_k . w
-        vec, pr, pi, e = state
-        ar = ai = r0
-        for (xr, xi), (yr, yi) in zip(star_c[k], vec):
-            ar += xr * yr - xi * yi
-            ai += xr * yi + xi * yr
-        if diag[k]:
-            ar += pr
-            ai += pi
+        vec, _, e = state
+        new = tuple(dot(row, vec) for row in images[k])
         if e:
-            plr, pli = psi_letter[k]
-            ar += plr
-            ai += pli
-        new = []
-        for mrow in images[k]:
-            br = bi = r0
-            for (xr, xi), (yr, yi) in zip(mrow, vec):
-                br += xr * yr - xi * yi
-                bi += xr * yi + xi * yr
-            new.append((br, bi))
-        if e:
-            new = [
-                (br + er, bi + ei)
-                for (br, bi), (er, ei) in zip(new, eta_letter[k])
-            ]
-        return tuple(new), ar, ai, e and diag[k]
+            new = tuple(map(add, new, eta_letter[k]))
+        return new, psi_of(k, state), e and diag[k]
 
     def state_for(w):
-        st = (zero_vec, r0, r0, True)
+        st = ((ZERO,) * eta.n, ZERO, True)
         for l in reversed(w):
             st = extend(index[l], st)
         return st
 
-    size = len(pool)
-    stars = [tuple(l.adjoint() for l in reversed(w)) for w in pool]
     base = [state_for(w) for w in pool]
-    psi_ws = [state_for(s)[1:3] for s in stars]
+    psi_ws = [state_for(tuple(l.adjoint() for l in reversed(w)))[1] for w in pool]
     # peeling w_i* from the left visits the adjoints of w_i's letters in order
-    peel_seqs = [tuple(index[l.adjoint()] for l in w) for w in pool]
     peeled: dict[tuple, list] = {(): base}
 
     def peeled_states(seq):
         st = peeled.get(seq)
         if st is None:
-            prev = peeled_states(seq[:-1])
             k = seq[-1]
-            st = [extend(k, s) for s in prev]
+            st = [extend(k, s) for s in peeled_states(seq[:-1])]
             peeled[seq] = st
         return st
 
     m = []
-    for i in range(size):
-        seq = peel_seqs[i]
-        wsr, wsi = psi_ws[i]
-        eps_i = base[i][3]
-        row = []
+    for w, wsi, (_, _, eps_i) in zip(pool, psi_ws, base):
+        seq = tuple(index[l.adjoint()] for l in w)
         if seq:
-            states = peeled_states(seq[:-1])
             k = seq[-1]
-            cs = star_c[k]
-            dk = diag[k]
-            plr, pli = psi_letter[k]
-            for j in range(size):
-                vec, pr, pi, e = states[j]
-                ar = ai = r0
-                for (xr, xi), (yr, yi) in zip(cs, vec):
-                    ar += xr * yr - xi * yi
-                    ai += xr * yi + xi * yr
-                if dk:
-                    ar += pr
-                    ai += pi
-                if e:
-                    ar += plr
-                    ai += pli
-                if base[j][3]:
-                    ar -= wsr
-                    ai -= wsi
-                if eps_i:
-                    ar -= base[j][1]
-                    ai -= base[j][2]
-                row.append(Qi(ar, ai))
+            row = [psi_of(k, s) for s in peeled_states(seq[:-1])]
         else:
-            for j in range(size):
-                ar, ai = base[j][1], base[j][2]
-                if base[j][3]:
-                    ar -= wsr
-                    ai -= wsi
-                if eps_i:
-                    ar -= base[j][1]
-                    ai -= base[j][2]
-                row.append(Qi(ar, ai))
+            row = [p for _, p, _ in base]
+        for j, (_, pj, eps_j) in enumerate(base):
+            if eps_j:
+                row[j] = row[j] - wsi
+            if eps_i:
+                row[j] = row[j] - pj
         m.append(row)
-    return psd_check(QMatrix(m, cols=size))
+    return QMatrix(m, cols=len(pool))
 
 
 @dataclass(frozen=True)

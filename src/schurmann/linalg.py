@@ -7,6 +7,7 @@ and every routine below is exact; a pivot is zero iff it equals 0 in Q(i).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Qi
@@ -74,13 +75,15 @@ def _same_length(x: QVector, y: QVector) -> None:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
+def dot(xs: Sequence[Qi], ys: Sequence[Qi]) -> Qi:
+    """sum x_i y_i over two scalar sequences of equal length, no conjugation."""
+    return sum(map(mul, xs, ys), ZERO)
+
+
 def inner_product(x: QVector, y: QVector) -> Qi:
     """<x, y> = sum conj(x_i) y_i, conjugate-linear in the first argument."""
     _same_length(x, y)
-    acc = ZERO
-    for a, b in zip(x.entries, y.entries):
-        acc = acc + a.conj() * b
-    return acc
+    return dot(map(Qi.conj, x.entries), y.entries)
 
 
 class QMatrix:
@@ -158,13 +161,7 @@ class QMatrix:
     def apply(self, v: QVector) -> QVector:
         if self.cols != len(v):
             raise ValueError(f"shape mismatch: {self.shape} applied to len {len(v)}")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            for k in range(self.cols):
-                acc = acc + self.data[i][k] * v[k]
-            out.append(acc)
-        return QVector(out)
+        return QVector(dot(row, v.entries) for row in self.data)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(

@@ -1,85 +1,117 @@
-"""Gaussian rationals: exact scalars re + im*i with re, im arbitrary-precision rationals.
+"""Gaussian rationals: exact scalars (a + b*i) / den with Python integers.
 
 All arithmetic in this package happens in the field Q(i).  Equality is exact,
-there is no tolerance anywhere.  The rational backend is gmpy2.mpq when
-available (much faster), otherwise fractions.Fraction; both expose
-numerator/denominator and accept "p/q" strings.
+there is no tolerance anywhere.  A scalar is stored fraction-free as two
+Gaussian-integer numerators over one positive denominator, kept in lowest
+terms (gcd(a, b, den) = 1), so each operation costs a few integer products
+and at most one gcd; `re` and `im` are derived `Rational` views for display
+and the wire format.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _rational
+from fractions import Fraction
+from math import gcd, lcm
 
-Rational = _rational
+Rational = Fraction
 
 
 def rational(value) -> Rational:
-    """Coerce an int, backend rational or 'p/q' string to the rational backend."""
-    if isinstance(value, str):
-        return _rational(value)
-    return _rational(value)
+    """Coerce an int, rational or 'p/q' string to a Rational."""
+    return Fraction(value)
 
 
-_R0 = _rational(0)
-_R1 = _rational(1)
+_new = object.__new__
+
+
+def _qi(a: int, b: int, den: int) -> "Qi":
+    """The scalar (a + b*i) / den; den > 0, not yet reduced."""
+    if den != 1:
+        g = gcd(a, b, den)
+        if g != 1:
+            a //= g
+            b //= g
+            den //= g
+    z = _new(Qi)
+    z.a = a
+    z.b = b
+    z.den = den
+    return z
 
 
 class Qi:
-    """An element of Q(i), immutable."""
+    """An element of Q(i); no method changes an instance once it is built."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is type(_R0) else rational(re))
-        object.__setattr__(self, "im", im if type(im) is type(_R0) else rational(im))
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.den = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        den = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (den // re.denominator)
+        self.b = im.numerator * (den // im.denominator)
+        self.den = den
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Qi is immutable")
+    @property
+    def re(self) -> Rational:
+        return Fraction(self.a, self.den)
+
+    @property
+    def im(self) -> Rational:
+        return Fraction(self.b, self.den)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Qi") -> "Qi":
-        return Qi(self.re + other.re, self.im + other.im)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _qi(self.a + other.a, self.b + other.b, d1)
+        return _qi(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other: "Qi") -> "Qi":
-        return Qi(self.re - other.re, self.im - other.im)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _qi(self.a - other.a, self.b - other.b, d1)
+        return _qi(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self) -> "Qi":
-        return Qi(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.den)
 
     def __mul__(self, other: "Qi") -> "Qi":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Qi(a * c - b * d, a * d + b * c)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return _qi(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def __truediv__(self, other: "Qi") -> "Qi":
-        c, d = other.re, other.im
+        c, d = other.a, other.b
         n = c * c + d * d
-        if n == _R0:
+        if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        a, b = self.re, self.im
-        return Qi((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b, f = self.a, self.b, other.den
+        return _qi((a * c + b * d) * f, (b * c - a * d) * f, self.den * n)
 
     def conj(self) -> "Qi":
-        return Qi(self.re, -self.im)
+        return _qi(self.a, -self.b, self.den)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == _R0 and self.im == _R0
+        return self.a == 0 and self.b == 0
 
     def is_real(self) -> bool:
-        return self.im == _R0
+        return self.b == 0
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Qi) and self.re == other.re and self.im == other.im
+            isinstance(other, Qi)
+            and self.a == other.a
+            and self.b == other.b
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -87,9 +119,9 @@ class Qi:
     # -- display ----------------------------------------------------------
 
     def __repr__(self) -> str:
-        if self.im == _R0:
+        if self.b == 0:
             return str(self.re)
-        if self.re == _R0:
+        if self.a == 0:
             return f"{self.im}*i"
         im = str(self.im)
         sign = "+" if not im.startswith("-") else ""

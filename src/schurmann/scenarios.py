@@ -13,7 +13,6 @@ command line runner and the acceptance tests.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import Element, build_presentation, letters
@@ -73,7 +72,6 @@ class RunConfig:
 
     seed: int = 0
     max_word_len: int = 3
-    parallelism: int = 1
 
 
 @dataclass(frozen=True)
@@ -740,10 +738,9 @@ SCENARIOS = (
 )
 
 
-def _run_one(sid, fn, config, registry=None):
-    registry = Registry() if registry is None else registry
+def _run_one(sid, fn, config, registry):
     try:
-        return fn(config, registry), registry
+        return fn(config, registry)
     except Exception as exc:  # a failing scenario must not halt the suite
         failure = ScenarioResult(
             sid,
@@ -752,33 +749,20 @@ def _run_one(sid, fn, config, registry=None):
             f"{type(exc).__name__}: {exc}",
             False,
         )
-        return [failure], registry
+        return [failure]
 
 
 def run_all(config: RunConfig | None = None) -> list[ScenarioResult]:
-    """Run every scenario in order; deterministic for a fixed config.
+    """Run every scenario in table order; deterministic for a fixed config.
 
-    With parallelism > 1 the independent scenarios run concurrently; results
-    and registries are merged in table order, so the output is identical to
-    a sequential run.  The structural scenario always runs last because it
-    consumes the merged registry.
+    All scenarios register into one registry.  The structural scenario
+    comes last in the table because it consumes that registry.
     """
     config = config or RunConfig()
-    main = [(sid, fn) for sid, fn in SCENARIOS if sid != "C14"]
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [(sid, pool.submit(_run_one, sid, fn, config)) for sid, fn in main]
-            outcomes = {sid: fut.result() for sid, fut in futures}
-    else:
-        outcomes = {sid: _run_one(sid, fn, config) for sid, fn in main}
     registry = Registry()
     results = []
-    for sid, _ in main:
-        part_results, part_registry = outcomes[sid]
-        results.extend(part_results)
-        registry.two_cocycles.extend(part_registry.two_cocycles)
-        registry.functionals.extend(part_registry.functionals)
-    results.extend(_run_one("C14", scenario_c14, config, registry)[0])
+    for sid, fn in SCENARIOS:
+        results.extend(_run_one(sid, fn, config, registry))
     return results
 
 

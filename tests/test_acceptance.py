@@ -17,9 +17,9 @@ from schurmann import RunConfig, format_results, run_all
 CRITERIA = {
     "C01": "canonical generating functionals for random cocycles on the "
     "reference representations, with and without selfadjoint offsets",
-    "C02": "diagonal Gaussian cocycles of the 3-dim orthogonal algebra: "
+    "C02": "diagonal Gaussian cocycles of U_Q+ with Q = diag(1,2,3): "
     "dimension, diagonality and psi(u_kk) = -|eta(u_kk)|^2 / 2",
-    "C03": "the (2,1)-twisted unitary algebra at d = 2: dimension 1, "
+    "C03": "O_F+ with F = [[0,1/2],[2,0]] at d = 2: dimension 1, "
     "trace-free diagonal and a validating functional",
     "C04": "the twisted determinant algebra at d = 3: a relation-vanishing "
     "eta whose obstruction constants differ, so the construction rejects it",

@@ -48,6 +48,10 @@ def files(write, u2, o3, eta_sym_u2, eta_asym_u2):
             "kpair.json", two_cocycle_to_json(KPairCocycle(eta_asym_u2, eta_asym_u2))
         ),
     }
+    tampered = functional_to_json(schurmann_functional(eta_sym_u2))
+    for grid in ("values", "star_values"):
+        tampered[grid][0][0] = {"re": "5", "im": "0"}
+    out["tampered_psi"] = write("tampered_psi.json", tampered)
     bad = cocycle_to_json(eta_asym_u2)
     bad["W"] = [[bad["V"][j][k] for j in range(2)] for k in range(2)]
     out["badW"] = write("badw.json", bad)
@@ -148,6 +152,26 @@ def test_check_psd(run, files):
     code, out, _ = run("check", "psd", "--input", files["psi"])
     assert code == 0
     assert "psd true" in out
+
+
+def test_validate_rejects_tampered_functional(run, files):
+    code, out, _ = run("validate", "--input", files["tampered_psi"])
+    assert code == 1
+    assert "violated relations" in out
+    assert out.strip().endswith("INVALID")
+
+
+@pytest.mark.parametrize("what", ["psd", "lk"])
+def test_checks_refuse_tampered_functional(run, files, what):
+    # the letter values no longer vanish on the relations, so no verdict
+    # may be printed: psd would read true and lk decomposable
+    code, out, err = run("check", what, "--input", files["tampered_psi"])
+    assert code == 2
+    assert out == ""
+    assert "invalid functional" in err
+    assert "violated relations" in err
+    assert "uu*(1,1)" in err
+    assert "Traceback" not in err
 
 
 def test_check_defect(run, files):

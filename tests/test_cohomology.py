@@ -14,6 +14,7 @@ from schurmann import (
     ObstructionError,
     Primitive,
     QMatrix,
+    QVector,
     Qi,
     ZERO,
     basis_orthogonal,
@@ -27,6 +28,7 @@ from schurmann import (
     counit_rep,
     defect_orthogonal,
     defect_unitary,
+    gaussian_cocycle,
     is_normalized,
     letters,
     primitive,
@@ -36,6 +38,7 @@ from schurmann import (
     sum_identity_defects,
     verify_primitive_exhaustive,
 )
+from schurmann import cohomology
 from schurmann.cocycle import Cocycle
 from schurmann.representation import Representation
 
@@ -237,20 +240,28 @@ def test_exhaustive_verifier_needs_a_pairing(eta_sym_u2):
         verify_primitive_exhaustive(phi)
 
 
+def _broken_star_sweep(u2, clean_eta, broken):
+    """Sweep the clean primitive against the pairing on a carrier whose
+    starred image at grid position `broken` is multiplied by i."""
+    clean = primitive(KPairCocycle(clean_eta, clean_eta))
+    good = clean_eta.rep
+    bad_star = [list(row) for row in good.R_star]
+    j, k = broken
+    bad_star[j][k] = bad_star[j][k].scale(I)
+    rep = Representation(u2, good.n, good.R, tuple(tuple(r) for r in bad_star))
+    eta = Cocycle(rep, clean_eta.V, clean_eta.W)
+    c = KPairCocycle(eta, eta)
+    return verify_primitive_exhaustive(
+        Primitive(c, clean.values, clean.star_values), max_len=2
+    )
+
+
 def test_exhaustive_verifier_catches_broken_star_structure(u2, eta_sym_u2):
     # letter-value corruptions extend to counit derivations and cancel in
     # the coboundary, so the only way to manufacture a violation is to break
     # the *-compatibility of the representation underneath the pairing
-    clean = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
-    good = counit_rep(u2)
-    bad_star = [list(row) for row in good.R_star]
-    bad_star[0][0] = bad_star[0][0].scale(I)
-    rep = Representation(u2, 1, good.R, tuple(tuple(r) for r in bad_star))
-    eta = Cocycle(rep, eta_sym_u2.V, eta_sym_u2.W)
-    c = KPairCocycle(eta, eta)
-    checked, witness = verify_primitive_exhaustive(
-        Primitive(c, clean.values, clean.star_values), max_len=2
-    )
+    assert eta_sym_u2.rep == counit_rep(u2)
+    checked, witness = _broken_star_sweep(u2, eta_sym_u2, (0, 0))
     assert witness is not None
     aw, bw, got, want = witness
     assert checked == 659
@@ -259,6 +270,53 @@ def test_exhaustive_verifier_catches_broken_star_structure(u2, eta_sym_u2):
     assert got != want
     assert got == Qi(rational(-2))
     assert want == Qi(rational(-1), rational(1))
+
+
+# the same corruption on wider counit carriers, one scalar grid per
+# coordinate; the expected witnesses were computed by the earlier sweep,
+# which had separate n = 1, n = 2 and general branches
+@pytest.mark.parametrize(
+    "grids, broken, expected",
+    [
+        (
+            ([[ONE, I], [I, ONE]], [[ONE, ZERO], [ZERO, -ONE]]),
+            (0, 0),
+            (659, ((1, 1), (1, 1)), ((1, 1),), Qi(-4), Qi(-2, 2)),
+        ),
+        (
+            (
+                [[ONE, I], [I, ONE]],
+                [[ONE, ZERO], [ZERO, -ONE]],
+                [[Qi(2), ONE], [ONE, ZERO]],
+            ),
+            (1, 1),
+            (878, ((1, 1), (2, 2)), ((1, 1),), Qi(-6), Qi(0, 6)),
+        ),
+    ],
+    ids=["n2", "n3"],
+)
+def test_exhaustive_verifier_catches_broken_star_structure_wide(u2, grids, broken, expected):
+    V = [[QVector(tuple(g[j][k] for g in grids)) for k in range(2)] for j in range(2)]
+    checked, witness = _broken_star_sweep(u2, gaussian_cocycle(u2, V), broken)
+    want_checked, aw, bw, got, want = expected
+    assert checked == want_checked
+    assert witness == (
+        tuple(Letter(*rc, False) for rc in aw),
+        tuple(Letter(*rc, False) for rc in bw),
+        got,
+        want,
+    )
+
+
+def test_class_coordinates_rebuild_is_enforced(monkeypatch, eta_asym_u2):
+    # a wrong K_p sign no longer rebuilds the defect; the check is not an
+    # assert, so it also holds under python -O
+    monkeypatch.setattr(cohomology, "KP_DEFECT_SIGN", +1)
+    with pytest.raises(ArithmeticError) as exc:
+        class_coordinates(KPairCocycle(eta_asym_u2, eta_asym_u2))
+    rebuilt, defect = exc.value.args[1:]
+    assert defect == QMatrix([[-ONE, ZERO], [ZERO, ONE]])
+    assert rebuilt == -defect
 
 
 def test_check_primitive_passes_on_construction(eta_rot_o3):

@@ -15,6 +15,7 @@ from schurmann import (
     ZERO,
     admits_generating_functional,
     build_presentation,
+    counit,
     counit_rep,
     evaluate_functional,
     gaussian_cocycle,
@@ -25,7 +26,8 @@ from schurmann import (
     schurmann_functional,
     su_q3_obstruction,
 )
-from schurmann.functional import Functional
+from schurmann import functional
+from schurmann.functional import Functional, default_word_pool
 from schurmann.representation import Representation
 
 
@@ -67,6 +69,32 @@ def test_gram_psd_on_examples(eta_sym_u2, eta_rot_o3):
     assert gram_psd_check(schurmann_functional(eta_sym_u2))
     assert gram_psd_check(schurmann_functional(eta_rot_o3))
     assert gram_psd_check(schurmann_functional(eta_sym_u2), max_len=3)
+
+
+@pytest.mark.parametrize("name", ["eta_sym_u2", "eta_rot_o3"])
+def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
+    # every entry psd_check receives is psi(a_i* a_j), a_i = w_i - counit(w_i) 1,
+    # evaluated through the element algebra and the memoised recursion
+    psi = schurmann_functional(request.getfixturevalue(name))
+    d = psi.d
+    pool = default_word_pool(2)
+    assert len(pool) == 41
+    pool_calls, fed = [], []
+    monkeypatch.setattr(
+        functional, "default_word_pool", lambda *args: pool_calls.append(args) or pool
+    )
+    monkeypatch.setattr(functional, "psd_check", lambda m: fed.append(m) or True)
+    assert gram_psd_check(psi)
+    assert pool_calls == [(d, 2)]
+    [m] = fed
+    assert m.shape == (41, 41)
+    shifted = []
+    for w in pool:
+        e = Element.from_word(d, w)
+        shifted.append(e - Element.one(d).scale(counit(e)))
+    for i, ai in enumerate(shifted):
+        for j, aj in enumerate(shifted):
+            assert m[i][j] == evaluate_functional(psi, ai.star() * aj), (pool[i], pool[j])
 
 
 def test_gram_check_surfaces_broken_star_structure(u2, eta_sym_u2):

@@ -1,7 +1,11 @@
 """Field arithmetic in Q(i) and the scalar wire format."""
 
+import json
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from conftest import nonzero_qi, q, qi_scalars
 from schurmann import I, ONE, Qi, ZERO, rational
@@ -73,3 +77,79 @@ def test_json_rejects_garbage():
         scalar_from_json({"re": "one", "im": "0"})
     with pytest.raises(ValueError):
         scalar_from_json("1")
+
+
+# -- oracle: Qi against a plain (Fraction, Fraction) model ---------------------
+
+small_parts = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+large_parts = st.lists(
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    min_size=8,
+    max_size=8,
+).map(lambda fs: math.prod(fs, start=Fraction(1)))
+model_pairs = st.tuples(
+    st.one_of(small_parts, large_parts), st.one_of(small_parts, large_parts)
+)
+
+
+def model_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def model_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def model_repr(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"{re}{'' if im < 0 else '+'}{im}*i"
+
+
+def model_json_bytes(x):
+    re, im = x
+    wire = {
+        "re": f"{re.numerator}/{re.denominator}",
+        "im": f"{im.numerator}/{im.denominator}",
+    }
+    return json.dumps(wire).encode()
+
+
+def parts(z):
+    # the stored form is canonical: positive denominator, lowest terms
+    assert z.den > 0 and math.gcd(z.a, z.b, z.den) == 1
+    return z.re, z.im
+
+
+@settings(max_examples=500)
+@given(model_pairs, model_pairs)
+def test_qi_matches_fraction_pair_model(x, y):
+    zx, zy = Qi(*x), Qi(*y)
+    assert parts(zx) == x
+    assert parts(zx + zy) == (x[0] + y[0], x[1] + y[1])
+    assert parts(zx - zy) == (x[0] - y[0], x[1] - y[1])
+    assert parts(-zx) == (-x[0], -x[1])
+    assert parts(zx * zy) == model_mul(x, y)
+    assert parts(zx.conj()) == (x[0], -x[1])
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            zx / zy
+    else:
+        assert parts(zx / zy) == model_div(x, y)
+        # the same value reached by another route is equal and hashes equal
+        back = (zx * zy) / zy
+        assert back == zx and hash(back) == hash(zx)
+    assert (zx == zy) == (x == y)
+    if zx == zy:
+        assert hash(zx) == hash(zy)
+    assert zx.is_zero() == (x == (0, 0))
+    assert zx.is_real() == (x[1] == 0)
+    assert repr(zx) == model_repr(x)
+    assert json.dumps(scalar_to_json(zx)).encode() == model_json_bytes(x)
+    assert scalar_from_json(scalar_to_json(zx)) == zx
