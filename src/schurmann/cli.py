@@ -37,12 +37,13 @@ from .cohomology import (
     primitive,
 )
 from .errors import InputError, ObstructionError, RelationViolation
-from .functional import evaluate_functional, gram_psd_check, lk_decomposition, schurmann_functional
+from .functional import gram_psd_check, lk_decomposition, schurmann_functional
 from .linalg import QMatrix
 from .representation import counit_rep
 from .scalars import Qi, scalar_to_json
 from .scenarios import RunConfig, format_results, run_all
 from .serialize import (
+    checked_phi,
     cocycle_from_json,
     cocycle_to_json,
     element_to_json,
@@ -51,6 +52,8 @@ from .serialize import (
     presentation_from_json,
     primitive_from_json,
     primitive_to_json,
+    problem_lines,
+    relation_checks,
     representation_from_json,
     two_cocycle_from_json,
 )
@@ -127,34 +130,9 @@ def _violation_json(violations) -> list:
 # -- validate ---------------------------------------------------------------
 
 
-def _functional_checks(psi):
-    """(violated relations, hermitian) for a functional loaded from JSON."""
-    violations = [
-        (lbl, val)
-        for lbl, r in psi.presentation.relations
-        if not (val := evaluate_functional(psi, r)).is_zero()
-    ]
-    return violations, psi.star_values == psi.values.conj()
-
-
-def _functional_problem_lines(violations, hermitian) -> list:
-    lines = []
-    if violations:
-        lines.append("violated relations:")
-        lines.extend(_violation_lines(violations))
-    if not hermitian:
-        lines.append("letter values are not hermitian (star_values != conj(values))")
-    return lines
-
-
 def _valid_functional(obj):
     """The functional in obj, refused with an InputError unless it validates."""
-    psi = functional_from_json(obj)
-    violations, hermitian = _functional_checks(psi)
-    if violations or not hermitian:
-        lines = _functional_problem_lines(violations, hermitian)
-        raise InputError("invalid functional, no verdict computed\n" + "\n".join(lines))
-    return psi
+    return checked_phi(functional_from_json(obj), "functional")
 
 
 def cmd_validate(args):
@@ -186,10 +164,10 @@ def cmd_validate(args):
         return 0, lines, data
     if shape == "functional":
         psi = functional_from_json(obj)
-        violations, hermitian = _functional_checks(psi)
+        violations, hermitian = relation_checks(psi)
         ok = not violations and hermitian
         lines = [f"functional: {psi.presentation.kind} d={psi.d}"]
-        lines.extend(_functional_problem_lines(violations, hermitian))
+        lines.extend(problem_lines(violations, hermitian))
         lines.append("valid" if ok else "INVALID")
         data = {
             "object": shape,
@@ -201,11 +179,7 @@ def cmd_validate(args):
     if shape == "primitive":
         phi = primitive_from_json(obj)
         pres = phi.presentation
-        violations = [
-            (lbl, val)
-            for lbl, r in pres.relations
-            if not (val := phi.value(r)).is_zero()
-        ]
+        violations, _ = relation_checks(phi)
         witness = None if violations else check_primitive(phi, seed=args.seed)
         ok = not violations and witness is None
         lines = [f"primitive: {pres.kind} d={phi.d}"]
@@ -548,6 +522,9 @@ def _dispatch(args):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.max_word_len is not None and args.max_word_len < 0:
+        print(f"input error: --max-word-len must be >= 0, got {args.max_word_len}", file=sys.stderr)
+        return 2
     try:
         code, lines, data = _dispatch(args)
     except InputError as exc:

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import add
 
 from .algebra import Element, Letter, Presentation, counit, letters
 from .cocycle import Cocycle, scalar_gaussian_cocycle, cocycle_general, _eta_word
 from .errors import ObstructionError, RelationViolation
-from .linalg import QMatrix, QVector, dot, inner_product
+from .functional import Functional
+from .linalg import QMatrix, QVector, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi
+from .words import Layer, WordTables, combine, dots, first_difference, step
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -210,29 +211,55 @@ def square_zero_on_letters(c: TwoCocycle):
     """Exhaustive degree-2 identity over all letter triples; returns the
     first violating (a, b, x, value) or None.
 
-    Specializing check_2cocycle to single letters lets the bilinear table
-    c(a, b) be computed once, so the cubic sweep only evaluates the mixed
-    words c(ab, x) and c(a, bx).
+    Specializing check_2cocycle to single letters needs c only on the word
+    pairs (letter, letter), (letter, word of length 2) and (word of length
+    2, letter), which are read from word tables.
     """
-    alpha = letters(c.d)
-    diag = [l.row == l.col for l in alpha]
-    pair = [[c.word_value((a,), (b,)) for b in alpha] for a in alpha]
-    for ia, a in enumerate(alpha):
-        ea = diag[ia]
-        row_a = pair[ia]
-        for ib, b in enumerate(alpha):
-            ab = (a, b)
-            row_b = pair[ib]
-            cab = row_a[ib]
-            for ix, x in enumerate(alpha):
-                val = c.word_value((a,), (b, x)) - c.word_value(ab, (x,))
-                if ea:
-                    val = val + row_b[ix]
-                if diag[ix]:
-                    val = val - cab
-                if not val.is_zero():
-                    return (a, b, x, val)
-    return None
+    t = WordTables(c.d)
+    t.require(3)
+    p11, p12, p21 = (pair_table(t, c, p, q) for p, q in ((1, 1), (1, 2), (2, 1)))
+    # c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x) over the codes of a b x
+    val = combine(
+        [(ONE, p12), (-ONE, p21), (ONE, t.eps_left(p11, 1)), (-ONE, t.eps_right(p11, 1))]
+    )
+    i = val.first_nonzero()
+    if i is None:
+        return None
+    a, b, x = t.word(3, i)
+    return (a, b, x, val.qi(i))
+
+
+def value_tables(t: WordTables, phi, length: int) -> list:
+    """Layers 0 .. length of a generating functional, a primitive or the counit."""
+    if isinstance(phi, Functional):
+        return t.psi(phi, length)
+    if isinstance(phi, Primitive):
+        c = phi.two_cocycle
+        return t.values(
+            phi, phi.letter_value, lambda m: combine([(-ONE, pair_table(t, c, 1, m))]), length
+        )
+    if isinstance(phi, CounitFunctional):
+        return [t.counit(m) for m in range(length + 1)]
+    raise TypeError(f"no word tables for a functional of type {type(phi).__name__}")
+
+
+def pair_table(t: WordTables, c, p: int, q: int):
+    """c(u, v) on all words of lengths |u| = p, |v| = q, coded as the word u v.
+
+    Pairing, coboundary and combination 2-cocycles are tabulated from their
+    parts; any other bilinear form is read through its word_value.
+    """
+    if isinstance(c, KPairCocycle):
+        return t.pairing(c.eta1, c.eta2, p, q)
+    if isinstance(c, CoboundaryCocycle) and isinstance(
+        c.phi, (Functional, Primitive, CounitFunctional)
+    ):
+        return t.coboundary(value_tables(t, c.phi, p + q), p, q)
+    if isinstance(c, CombinationCocycle):
+        return combine([(coeff, pair_table(t, term, p, q)) for coeff, term in c.terms])
+    if hasattr(c, "word_value"):
+        return t.from_pairs(c.word_value, p, q)
+    raise TypeError(f"no word tables for a 2-cocycle of type {type(c).__name__}")
 
 
 _UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
@@ -549,109 +576,40 @@ def _primitive_witness(phi: Primitive, aw, bw):
     return (aw, bw, got, phi.two_cocycle.word_value(aw, bw))
 
 
-def _rho_layer(prev, eps_prev, images, letter_values):
-    """eta(h w) = rho(h) eta(w) + counit(w) eta(h) for every letter h and
-    every tabulated w, in code order h * len(prev) + code(w)."""
-    out = []
-    for img, add_h in zip(images, letter_values):
-        for v, ep in zip(prev, eps_prev):
-            moved = tuple(dot(row, v) for row in img)
-            out.append(tuple(map(add, moved, add_h)) if ep else moved)
-    return out
-
-
 def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     """Check d(phi) = c on every pair of words of length <= max_len.
 
-    Words of length m are coded as integers in base len(alphabet) with the
-    first letter most significant, so the code of a concatenation is
-    code(a) * base**len(b) + code(b) and all tables are flat lists.  Only
-    pairing 2-cocycles are supported since the tabulation leans on their
-    vector recursion.  Returns (number of pairs checked, first violating
-    pair or None); a violation carries the two words as letter tuples plus
-    the values of d(phi) and c there.
+    Reads phi(a b) from the word tables of phi up to length 2 max_len and
+    compares it with -<eta1(a*), eta2(b)> + eps(a) phi(b) + phi(a) eps(b),
+    the shared value step with the word a in place of a letter.  Only
+    pairing 2-cocycles are supported.  Returns (number of pairs checked,
+    first violating pair or None) in the order of the word codes; a
+    violation carries the two words as letter tuples plus the values of
+    d(phi) and c there.
     """
     c = phi.two_cocycle
     if not isinstance(c, KPairCocycle):
         raise TypeError("exhaustive verification expects a pairing 2-cocycle")
-    d = phi.d
-    eta1, eta2 = c.eta1, c.eta2
-    alpha = letters(d)
-    base = len(alpha)
-    index = {l: i for i, l in enumerate(alpha)}
-    diag = [l.row == l.col for l in alpha]
-    eta2_letter = [eta2.letter_value(l).entries for l in alpha]
-    eta1_letter = [eta1.letter_value(l).entries for l in alpha]
-    phi_letter = [phi.letter_value(l) for l in alpha]
-    images = [eta2.rep.image(*l).data for l in alpha]
-    # eta1 enters only through -<eta1(h*), .>; premerging the conjugation and
-    # the sign turns that pairing into a plain product
-    neg1_star = [tuple(-x.conj() for x in eta1.letter_value(l.adjoint())) for l in alpha]
-
-    # tables indexed by [length][code]
-    zero_vec = (ZERO,) * eta2.n
-    eps = [[True]]
-    phi_tab = [[ZERO]]
-    eta1_tab = [[zero_vec]]
-    eta2_tab = [[zero_vec]]
-    top = 2 * max_len
-    for length in range(1, top + 1):
-        eps_prev, phi_prev, eta2_prev = eps[-1], phi_tab[-1], eta2_tab[-1]
-        eps_new, phi_new = [], []
-        for h_diag, ph, nh in zip(diag, phi_letter, neg1_star):
-            for v2, q, ep in zip(eta2_prev, phi_prev, eps_prev):
-                p = dot(nh, v2)
-                if h_diag:
-                    p = p + q
-                if ep:
-                    p = p + ph
-                phi_new.append(p)
-                eps_new.append(ep and h_diag)
-        eps.append(eps_new)
-        phi_tab.append(phi_new)
-        # eta2 feeds both the next length and the sweep's right factors
-        if length < top:
-            eta2_tab.append(_rho_layer(eta2_prev, eps_prev, images, eta2_letter))
-        # eta1 only appears through the left factors of the sweep
-        if length <= max_len:
-            eta1_tab.append(_rho_layer(eta1_tab[-1], eps_prev, images, eta1_letter))
-
-    def decode(length, code):
-        out = []
-        for _ in range(length):
-            code, r = divmod(code, base)
-            out.append(alpha[r])
-        return tuple(reversed(out))
-
-    def star_code(length, code):
-        out = 0
-        for _ in range(length):
-            code, r = divmod(code, base)
-            out = out * base + index[alpha[r].adjoint()]
-        return out
-
-    # the identity rearranged: phi(ab) = phi(a) eps(b) + eps(a) phi(b) - c(a, b)
+    t = WordTables(phi.d)
+    t.require(2 * max_len)
+    phis = value_tables(t, phi, 2 * max_len)
+    eta2 = t.eta(c.eta2, max_len)
     checked = 0
     for la in range(max_len + 1):
-        for ca in range(base ** la):
-            ea = eps[la][ca]
-            pa = phi_tab[la][ca]
-            v1n = tuple(-x.conj() for x in eta1_tab[la][star_code(la, ca)])
+        eps_a = set(t.eps(la))
+        for ca in range(t.base**la):
+            lin = t.lin(c.eta1, la, ca, sign=-1)
+            pa = phis[la].qi(ca)
             for lb in range(max_len + 1):
-                sz = base ** lb
-                seg = phi_tab[la + lb][ca * sz : (ca + 1) * sz]
-                for cb, (lhs, v2, eb, pb) in enumerate(
-                    zip(seg, eta2_tab[lb], eps[lb], phi_tab[lb])
-                ):
-                    rhs = dot(v1n, v2)
-                    if eb:
-                        rhs = rhs + pa
-                    if ea:
-                        rhs = rhs + pb
-                    if lhs != rhs:
-                        return checked + cb + 1, _primitive_witness(
-                            phi, decode(la, ca), decode(lb, cb)
-                        )
+                sz = t.base**lb
+                rhs = step(dots(lin, eta2[lb]), phis[lb], t.eps(lb), ca in eps_a, pa)
+                whole = phis[la + lb]
+                lhs = Layer(whole.re[ca * sz : (ca + 1) * sz], whole.im[ca * sz : (ca + 1) * sz], whole.den)
+                cb = first_difference(lhs, rhs)
+                if cb is not None:
+                    return checked + cb + 1, _primitive_witness(
+                        phi, t.word(la, ca), t.word(lb, cb)
+                    )
                 checked += sz
     return checked, None
 

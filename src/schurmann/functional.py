@@ -11,7 +11,6 @@ requires psi(r) = 0 on every relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Sequence
 
 from .algebra import Element, Letter, Presentation, all_permutations, letters
@@ -22,9 +21,10 @@ from .cocycle import (
     _eta_word,
 )
 from .errors import RelationViolation
-from .linalg import QMatrix, dot, inner_product, psd_check, project_onto_span
+from .linalg import QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
-from .scalars import I, ZERO, Qi
+from .scalars import I, ONE, ZERO, Qi
+from .words import Layer, WordTables, combine, dots, gather, require_entries, step
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,16 @@ def default_word_pool(d: int, max_len: int = 2) -> list:
     return pool
 
 
+def default_pool_size(d: int, max_len: int) -> int:
+    """len(default_word_pool(d, max_len)), without building the pool."""
+    return 2 * sum(d ** (2 * m) for m in range(max_len + 1)) - 1
+
+
 def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len: int = 2) -> bool:
     """Conditional positivity on a word pool: psd of (psi(a_i* a_j)) with
     a_i = w_i - counit(w_i) 1."""
     if pool is None:
+        require_entries(default_pool_size(psi.d, max_len) ** 2, "the Gram matrix")
         pool = default_word_pool(psi.d, max_len)
     return psd_check(pool_gram_matrix(psi, pool))
 
@@ -203,72 +209,61 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> QMatrix:
     """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool.
 
     Every entry needs psi(w_i* w_j), so the build replays the defining
-    recursion: a state (eta(w), psi(w), counit(w)) is kept per pool word and
-    the letters of w_i* are peeled onto it from the left.  States for shared
-    peel prefixes are computed once, which leaves a single inner product per
-    entry.
+    recursion: the states (eta(w), psi(w), counit(w)) of the pool words are
+    read from the word tables, and the letters of w_i* are peeled onto them
+    from the left by the rho action and the shared value step.  States for
+    shared peel prefixes are computed once, which leaves one value step per
+    row; a second step subtracts the counit terms.
     """
+    require_entries(len(pool) ** 2, "the Gram matrix")
     eta = psi.cocycle
-    alpha = letters(psi.d)
-    index = {l: k for k, l in enumerate(alpha)}
-    diag = [l.row == l.col for l in alpha]
-    star_c = [eta.letter_value(l.adjoint()).conj().entries for l in alpha]
-    eta_letter = [eta.letter_value(l).entries for l in alpha]
-    images = [eta.rep.image(*l).data for l in alpha]
-    psi_letter = [psi.letter_value(l) for l in alpha]
+    t = WordTables(psi.d)
+    top = max(map(len, pool), default=0)
+    codes = [(len(w), t.code(w)) for w in pool]
+    eps_sets = [set(t.eps(m)) for m in range(top + 1)]
+    psis = t.psi(psi, top)
+    base = (
+        gather(t.eta(eta, top), codes),
+        gather(psis, codes),
+        [i for i, (m, c) in enumerate(codes) if c in eps_sets[m]],
+    )
+    eps_pool = set(base[2])
+    # psi(w_i*) and psi(w_j) enter with a minus sign through the counit terms
+    psi_stars = gather(psis, [(m, t.star_codes(m)[c]) for m, c in codes]).qis()
+    minus_base = combine([(-ONE, base[1])])
+    lins = [t.lin(eta, 1, h) for h in range(t.base)]
+    psi_letter = [psi.letter_value(l) for l in t.alpha]
 
-    def psi_of(k, state):
-        # psi(letter_k . w) from the state of w
-        vec, p, e = state
-        v = dot(star_c[k], vec)
-        if diag[k]:
-            v = v + p
-        if e:
-            v = v + psi_letter[k]
-        return v
+    def psi_row(k, state):
+        # psi(letter_k . w) for every state w
+        vec, val, eps = state
+        return step(dots(lins[k], vec), val, eps, t.diag[k], psi_letter[k])
 
     def extend(k, state):
-        # state for w -> state for letter_k . w
-        vec, _, e = state
-        new = tuple(dot(row, vec) for row in images[k])
-        if e:
-            new = tuple(map(add, new, eta_letter[k]))
-        return new, psi_of(k, state), e and diag[k]
+        # states for w -> states for letter_k . w
+        vec, _, eps = state
+        return t.rho_step(eta, k, vec, eps), psi_row(k, state), eps if t.diag[k] else []
 
-    def state_for(w):
-        st = ((ZERO,) * eta.n, ZERO, True)
-        for l in reversed(w):
-            st = extend(index[l], st)
-        return st
-
-    base = [state_for(w) for w in pool]
-    psi_ws = [state_for(tuple(l.adjoint() for l in reversed(w)))[1] for w in pool]
-    # peeling w_i* from the left visits the adjoints of w_i's letters in order
-    peeled: dict[tuple, list] = {(): base}
+    peeled: dict[tuple, tuple] = {(): base}
 
     def peeled_states(seq):
         st = peeled.get(seq)
         if st is None:
-            k = seq[-1]
-            st = [extend(k, s) for s in peeled_states(seq[:-1])]
+            st = extend(seq[-1], peeled_states(seq[:-1]))
             peeled[seq] = st
         return st
 
-    m = []
-    for w, wsi, (_, _, eps_i) in zip(pool, psi_ws, base):
-        seq = tuple(index[l.adjoint()] for l in w)
+    rows = []
+    for i, w in enumerate(pool):
+        # peeling w_i* from the left visits the adjoints of w_i's letters in order
+        seq = tuple(t.index[l.adjoint()] for l in w)
         if seq:
-            k = seq[-1]
-            row = [psi_of(k, s) for s in peeled_states(seq[:-1])]
+            row = psi_row(seq[-1], peeled_states(seq[:-1]))
         else:
-            row = [p for _, p, _ in base]
-        for j, (_, pj, eps_j) in enumerate(base):
-            if eps_j:
-                row[j] = row[j] - wsi
-            if eps_i:
-                row[j] = row[j] - pj
-        m.append(row)
-    return QMatrix(m, cols=len(pool))
+            row = Layer(base[1].re[:], base[1].im[:], base[1].den)
+        row = step(row, minus_base, base[2], i in eps_pool, -psi_stars[i])
+        rows.append(row.qis())
+    return QMatrix(rows, cols=len(pool))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ command line runner and the acceptance tests.
 
 from __future__ import annotations
 
+import os
 import random
+import traceback
 from dataclasses import dataclass, field
 
 from .algebra import Element, build_presentation, letters
@@ -45,7 +47,7 @@ from .cohomology import (
     sum_identity_defects,
     verify_primitive_exhaustive,
 )
-from .errors import ObstructionError, RelationViolation
+from .errors import InputError, ObstructionError, RelationViolation
 from .functional import (
     admits_generating_functional,
     admits_gf_orth,
@@ -72,6 +74,10 @@ class RunConfig:
 
     seed: int = 0
     max_word_len: int = 3
+
+    def __post_init__(self):
+        if self.max_word_len < 0:
+            raise ValueError(f"max_word_len must be >= 0, got {self.max_word_len}")
 
 
 @dataclass(frozen=True)
@@ -741,12 +747,17 @@ SCENARIOS = (
 def _run_one(sid, fn, config, registry):
     try:
         return fn(config, registry)
+    except InputError:
+        # a refused input (a table over budget) is no verdict on the claim
+        raise
     except Exception as exc:  # a failing scenario must not halt the suite
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
         failure = ScenarioResult(
             sid,
             "scenario completes without raising",
             "completion",
-            f"{type(exc).__name__}: {exc}",
+            f"{type(exc).__name__}: {exc} "
+            f"(raised at {os.path.basename(frame.filename)}:{frame.lineno})",
             False,
         )
         return [failure]

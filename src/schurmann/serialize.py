@@ -230,6 +230,38 @@ def functional_from_json(obj) -> Functional:
     return Functional(eta, values, star_values)
 
 
+def relation_checks(phi):
+    """(relations where phi does not vanish, hermitian letter values) for a
+    generating functional or a primitive; only a generating functional needs
+    star_values = conj(values)."""
+    violations = [
+        (lbl, val)
+        for lbl, r in phi.presentation.relations
+        if not (val := phi.value(r)).is_zero()
+    ]
+    hermitian = not isinstance(phi, Functional) or phi.star_values == phi.values.conj()
+    return violations, hermitian
+
+
+def problem_lines(violations, hermitian) -> list:
+    lines = []
+    if violations:
+        lines.append("violated relations:")
+        lines.extend(f"  {lbl}: {val!r}" for lbl, val in violations)
+    if not hermitian:
+        lines.append("letter values are not hermitian (star_values != conj(values))")
+    return lines
+
+
+def checked_phi(phi, what: str):
+    """phi, refused with an InputError unless it passes `relation_checks`."""
+    violations, hermitian = relation_checks(phi)
+    if violations or not hermitian:
+        lines = problem_lines(violations, hermitian)
+        raise InputError(f"invalid {what}, no verdict computed\n" + "\n".join(lines))
+    return phi
+
+
 def _phi_to_json(phi) -> dict:
     if isinstance(phi, Functional):
         out = functional_to_json(phi)
@@ -257,11 +289,12 @@ def _phi_from_json(obj):
     if kind == "counit":
         return CounitFunctional(presentation_from_json(obj.get("presentation")))
     if kind == "primitive":
-        return Primitive(
-            two_cocycle_from_json(obj.get("two_cocycle")),
-            matrix_from_json(obj.get("values")),
-            matrix_from_json(obj.get("star_values")),
-        )
+        c = two_cocycle_from_json(obj.get("two_cocycle"))
+        values = matrix_from_json(obj.get("values"))
+        star_values = matrix_from_json(obj.get("star_values"))
+        if values.shape != (c.d, c.d) or star_values.shape != (c.d, c.d):
+            raise InputError("primitive letter values must be d x d matrices")
+        return Primitive(c, values, star_values)
     raise InputError(f"unknown functional kind {kind!r}")
 
 
@@ -297,7 +330,10 @@ def two_cocycle_from_json(obj) -> TwoCocycle:
         except ValueError as exc:
             raise InputError(str(exc)) from None
     if kind == "coboundary":
-        return CoboundaryCocycle(_phi_from_json(obj.get("phi")))
+        phi = _phi_from_json(obj.get("phi"))
+        if not isinstance(phi, CounitFunctional):
+            checked_phi(phi, "functional in a coboundary 2-cocycle")
+        return CoboundaryCocycle(phi)
     if kind == "combination":
         terms = obj.get("terms")
         if not isinstance(terms, list) or not terms:

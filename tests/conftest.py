@@ -10,10 +10,13 @@ from schurmann import (
     QVector,
     Qi,
     ZERO,
+    b_matrices,
     build_presentation,
     gaussian_cocycle,
+    letters,
     rational,
 )
+from schurmann.functional import Functional
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -79,3 +82,15 @@ def eta_rot_o3(o3):
     grid[0][1] = ONE
     grid[1][0] = -ONE
     return gaussian_cocycle(o3, scalar_grid(grid))
+
+
+def canonical_values(eta):
+    """The canonical letter values, validated or not (eta_asym_u2 has no gf)."""
+    values = b_matrices(eta).b_tilde.scale(Qi(rational("-1/2")))
+    return Functional(eta, values, values.conj())
+
+
+def drawn_words(data, d, count=6):
+    alpha = letters(d)
+    word = st.lists(st.sampled_from(alpha), max_size=3).map(tuple)
+    return data.draw(st.lists(word, min_size=1, max_size=count))

@@ -12,7 +12,7 @@ Run directly for a one-line-per-criterion report:
 
 import pytest
 
-from schurmann import RunConfig, format_results, run_all
+from schurmann import RunConfig, format_results, run_all, scenarios
 
 CRITERIA = {
     "C01": "canonical generating functionals for random cocycles on the "
@@ -78,6 +78,22 @@ def test_all_scenarios_accounted_for(results):
     )
 
 
+def test_failing_scenario_says_where_it_raised(monkeypatch):
+    def boom(config, registry):
+        raise RuntimeError("boom")
+
+    line = boom.__code__.co_firstlineno + 1
+    monkeypatch.setattr(scenarios, "SCENARIOS", (("C01", boom),))
+    [result] = run_all(RunConfig())
+    assert not result.passed
+    assert result.computed == f"RuntimeError: boom (raised at test_acceptance.py:{line})"
+
+
+def test_negative_word_length_refused():
+    with pytest.raises(ValueError, match="max_word_len"):
+        RunConfig(max_word_len=-1)
+
+
 if __name__ == "__main__":
     rs = run_all(RunConfig())
     bad = 0
@@ -89,3 +105,4 @@ if __name__ == "__main__":
             bad += 1
     print(f"{len(CRITERIA) - bad}/{len(CRITERIA)} criteria passed")
     raise SystemExit(1 if bad else 0)
+

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from schurmann import KPairCocycle, schurmann_functional
+from schurmann import KPairCocycle, coboundary1, schurmann_functional
 from schurmann.cli import main
 from schurmann.serialize import (
     cocycle_to_json,
@@ -52,6 +52,10 @@ def files(write, u2, o3, eta_sym_u2, eta_asym_u2):
     for grid in ("values", "star_values"):
         tampered[grid][0][0] = {"re": "5", "im": "0"}
     out["tampered_psi"] = write("tampered_psi.json", tampered)
+    nested = two_cocycle_to_json(coboundary1(schurmann_functional(eta_sym_u2)))
+    for grid in ("values", "star_values"):
+        nested["phi"][grid][0][0] = {"re": "5", "im": "0"}
+    out["tampered_coboundary"] = write("tampered_coboundary.json", nested)
     bad = cocycle_to_json(eta_asym_u2)
     bad["W"] = [[bad["V"][j][k] for j in range(2)] for k in range(2)]
     out["badW"] = write("badw.json", bad)
@@ -172,6 +176,48 @@ def test_checks_refuse_tampered_functional(run, files, what):
     assert "violated relations" in err
     assert "uu*(1,1)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["check", "defect"], ["class-coords"], ["primitive"]],
+    ids=["validate", "defect", "class-coords", "primitive"],
+)
+def test_tampered_nested_functional_refused_on_load(run, files, argv):
+    # the coboundary of a functional that does not vanish on the relations
+    # is no 2-cocycle of the quotient; no verdict may be printed on it
+    code, out, err = run(*argv, "--input", files["tampered_coboundary"])
+    assert code == 2
+    assert out == ""
+    assert "invalid functional in a coboundary 2-cocycle" in err
+    assert "uu*(1,1)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce-paper"], ["check", "psd", "--input", "psi"], ["check", "real", "--input", "sym"]],
+    ids=["reproduce-paper", "psd", "real"],
+)
+def test_negative_word_length_refused(run, files, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(*argv, "--max-word-len", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-word-len must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "psd", "--input", "psi", "--max-word-len", "9"], ["reproduce-paper", "--max-word-len", "4"]],
+    ids=["psd", "reproduce-paper"],
+)
+def test_table_budget_refused(run, files, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert "above the table budget MAX_TABLE_ENTRIES" in err
 
 
 def test_check_defect(run, files):

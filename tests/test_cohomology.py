@@ -1,11 +1,14 @@
 """2-cocycles, defects, class coordinates, primitives and the verifier."""
 
-import pytest
-from hypothesis import given
+import random
 
-from conftest import qi_scalars
+import pytest
+from hypothesis import given, strategies as st
+
+from conftest import canonical_values, drawn_words, qi_scalars
 from schurmann import (
     CombinationCocycle,
+    CounitFunctional,
     Element,
     I,
     KPairCocycle,
@@ -34,13 +37,18 @@ from schurmann import (
     primitive,
     rational,
     schurmann_functional,
+    sign_rep,
+    solve_cocycles,
     square_zero_on_letters,
     sum_identity_defects,
     verify_primitive_exhaustive,
 )
-from schurmann import cohomology
+from schurmann import cohomology, words
 from schurmann.cocycle import Cocycle
-from schurmann.representation import Representation
+from schurmann.cohomology import _phi_word, pair_table, value_tables
+from schurmann.errors import InputError
+from schurmann.representation import Representation, direct_sum_rep
+from schurmann.words import WordTables
 
 
 def unit(d, j, k):
@@ -87,6 +95,18 @@ def test_square_zero_finds_witness_on_adhoc_bilinear():
     ea = ONE if a.row == a.col else ZERO
     ex = ONE if x.row == x.col else ZERO
     assert val == ea - ex
+
+
+def test_square_zero_pins_broken_star_witness(u2, eta_sym_u2):
+    # pinned value, computed by the per-word letter-triple sweep
+    eta = _broken_star_eta(u2, eta_sym_u2, (0, 0))
+    a = Letter(1, 1, False)
+    assert square_zero_on_letters(KPairCocycle(eta, eta)) == (a, a, a, Qi(-1, -1))
+
+
+def test_square_zero_refuses_other_types():
+    with pytest.raises(TypeError):
+        square_zero_on_letters(type("NoForm", (), {"d": 2})())
 
 
 def test_coboundary_is_a_2cocycle(eta_sym_u2):
@@ -240,16 +260,21 @@ def test_exhaustive_verifier_needs_a_pairing(eta_sym_u2):
         verify_primitive_exhaustive(phi)
 
 
-def _broken_star_sweep(u2, clean_eta, broken):
-    """Sweep the clean primitive against the pairing on a carrier whose
-    starred image at grid position `broken` is multiplied by i."""
-    clean = primitive(KPairCocycle(clean_eta, clean_eta))
+def _broken_star_eta(u2, clean_eta, broken):
+    """clean_eta on a carrier whose starred image at grid position `broken`
+    is multiplied by i."""
     good = clean_eta.rep
     bad_star = [list(row) for row in good.R_star]
     j, k = broken
     bad_star[j][k] = bad_star[j][k].scale(I)
     rep = Representation(u2, good.n, good.R, tuple(tuple(r) for r in bad_star))
-    eta = Cocycle(rep, clean_eta.V, clean_eta.W)
+    return Cocycle(rep, clean_eta.V, clean_eta.W)
+
+
+def _broken_star_sweep(u2, clean_eta, broken):
+    """Sweep the clean primitive against the pairing on the broken carrier."""
+    clean = primitive(KPairCocycle(clean_eta, clean_eta))
+    eta = _broken_star_eta(u2, clean_eta, broken)
     c = KPairCocycle(eta, eta)
     return verify_primitive_exhaustive(
         Primitive(c, clean.values, clean.star_values), max_len=2
@@ -327,3 +352,61 @@ def test_check_primitive_passes_on_construction(eta_rot_o3):
     assert check_primitive(phi) is None
     checked, witness = verify_primitive_exhaustive(phi, max_len=2)
     assert witness is None
+
+
+def test_exhaustive_budget_refused_before_any_table(monkeypatch, eta_sym_u2):
+    phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
+    monkeypatch.setattr(WordTables, "eta", lambda *a: pytest.fail("table built"))
+    monkeypatch.setattr(WordTables, "values", lambda *a: pytest.fail("table built"))
+    # 8 letters: the phi table at length 2 * 4 would hold 8**8 entries
+    assert 8**8 > words.MAX_TABLE_ENTRIES
+    with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
+        verify_primitive_exhaustive(phi, max_len=4)
+
+
+@pytest.fixture(scope="module")
+def k2_pairing_primitive():
+    """A C13-style primitive: a random pairing on K<2> over counit + sign."""
+    pres = build_presentation("k_d", 2)
+    space = solve_cocycles(direct_sum_rep(counit_rep(pres), sign_rep(pres, 1)))
+    rng = random.Random("0:C13")
+    return primitive(KPairCocycle(space.random_element(rng), space.random_element(rng)))
+
+
+def _table_cases(eta, k2_phi):
+    """Every 2-cocycle kind the JSON loader builds, over eta, plus the
+    primitives whose value tables they need."""
+    psi = canonical_values(eta)
+    kp = KPairCocycle(eta, eta)
+    # letter values need not satisfy anything for the tables to follow the recursion
+    on_kpair = Primitive(kp, psi.values, psi.star_values)
+    on_coboundary = Primitive(coboundary1(psi), psi.values.transpose(), psi.values)
+    counit_cob = coboundary1(CounitFunctional(eta.presentation))
+    cocycles = [
+        kp,
+        coboundary1(psi),
+        coboundary1(on_kpair),
+        coboundary1(on_coboundary),
+        counit_cob,
+        CombinationCocycle(((Qi(2), kp), (I, coboundary1(on_kpair)), (Qi(rational("-1/2")), counit_cob))),
+    ]
+    return cocycles, [on_kpair, on_coboundary, k2_phi]
+
+
+@given(st.data())
+def test_pair_and_value_tables_match_recursion(
+    eta_sym_u2, eta_rot_o3, eta_asym_u2, k2_pairing_primitive, data
+):
+    eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
+    cocycles, primitives = _table_cases(eta, k2_pairing_primitive)
+    c = data.draw(st.sampled_from(cocycles + [k2_pairing_primitive.two_cocycle]))
+    t = WordTables(c.d)
+    for w in drawn_words(data, c.d):
+        cut = data.draw(st.integers(0, len(w)))
+        u, v = w[:cut], w[cut:]
+        assert pair_table(t, c, len(u), len(v)).qi(t.code(w)) == c.word_value(u, v), (u, v)
+    phi = data.draw(st.sampled_from(primitives))
+    t = WordTables(phi.d)
+    layers = value_tables(t, phi, 3)
+    for w in drawn_words(data, phi.d):
+        assert layers[len(w)].qi(t.code(w)) == _phi_word(phi, w), w

@@ -1,9 +1,9 @@
 """Generating functionals, conditional positivity and the splitting report."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import q, qi_matrices, scalar_grid
+from conftest import canonical_values, drawn_words, q, qi_matrices, scalar_grid
 from schurmann import (
     Cocycle,
     Element,
@@ -26,9 +26,28 @@ from schurmann import (
     schurmann_functional,
     su_q3_obstruction,
 )
-from schurmann import functional
-from schurmann.functional import Functional, default_word_pool
+from schurmann import functional, words
+from schurmann.cocycle import _eta_word
+from schurmann.errors import InputError
+from schurmann.functional import Functional, _psi_word, default_pool_size, default_word_pool
 from schurmann.representation import Representation
+from schurmann.words import WordTables
+
+
+@given(st.data())
+def test_tables_match_recursion(eta_sym_u2, eta_rot_o3, eta_asym_u2, data):
+    # the counit, eta and psi tables against the memoised recursions
+    eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
+    psi = canonical_values(eta)
+    t = WordTables(eta.d)
+    etas, psis = t.eta(eta, 3), t.psi(psi, 3)
+    for w in drawn_words(data, eta.d):
+        m, c = len(w), t.code(w)
+        assert t.word(m, c) == w
+        assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
+        assert (c in t.eps(m)) == all(l.row == l.col for l in w)
+        assert etas[m].vector(c) == _eta_word(eta, w), w
+        assert psis[m].qi(c) == _psi_word(psi, w), w
 
 
 def test_functional_vanishes_on_relations(eta_sym_u2, u2):
@@ -95,6 +114,22 @@ def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
     for i, ai in enumerate(shifted):
         for j, aj in enumerate(shifted):
             assert m[i][j] == evaluate_functional(psi, ai.star() * aj), (pool[i], pool[j])
+
+
+def test_default_pool_size_matches_the_pool():
+    for d in (1, 2, 3):
+        for max_len in (0, 1, 2):
+            assert default_pool_size(d, max_len) == len(default_word_pool(d, max_len))
+
+
+def test_gram_budget_refused_before_the_pool_is_built(monkeypatch, eta_sym_u2):
+    # d = 2 at length 9 has a pool of 699049 words; the check must not build it
+    psi = schurmann_functional(eta_sym_u2)
+    monkeypatch.setattr(functional, "default_word_pool", lambda *a: pytest.fail("pool built"))
+    with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
+        gram_psd_check(psi, max_len=9)
+    with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
+        functional.pool_gram_matrix(psi, [()] * (words.MAX_TABLE_ENTRIES // 1000))
 
 
 def test_gram_check_surfaces_broken_star_structure(u2, eta_sym_u2):

@@ -124,6 +124,13 @@ def test_primitive_from_json_rejects_other_kinds(eta_sym_u2):
         primitive_from_json(functional_to_json(psi) | {"kind": "functional"})
 
 
+def test_primitive_letter_grids_must_be_d_by_d(eta_sym_u2):
+    obj = through_json(primitive_to_json(primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))))
+    obj["values"] = [row[:1] for row in obj["values"][:1]]
+    with pytest.raises(InputError, match="d x d"):
+        primitive_from_json(obj)
+
+
 def test_malformed_inputs_rejected():
     with pytest.raises(InputError):
         presentation_from_json({"kind": "v_plus", "d": 2})
