@@ -243,9 +243,6 @@ class Presentation:
     def __hash__(self):
         return hash((self.kind, self.d, self.q_diag, self.F, self.q))
 
-    def relation_elements(self) -> list[Element]:
-        return [r for _, r in self.relations]
-
     def determinant_relations(self) -> list[tuple[str, Element]]:
         """The unstarred twisted-determinant family (empty unless kind su_q)."""
         return [(lbl, r) for lbl, r in self.relations if lbl.startswith("det(")]
@@ -255,97 +252,40 @@ class Presentation:
             raise ValueError(f"antipode undefined: {self.kind} presentation is not Kac")
         return antipode_element(a)
 
-    # Index bijections of a canonical (monomial) form matrix F: row_hat(j) is
-    # the column of the unique nonzero entry in row j, col_check(k) the row of
-    # the unique nonzero entry in column k.
 
-    def row_hat(self, j: int) -> int:
-        return self._monomial_maps()[0][j]
-
-    def col_check(self, k: int) -> int:
-        return self._monomial_maps()[1][k]
-
-    def _monomial_maps(self) -> tuple[dict[int, int], dict[int, int]]:
-        if self.kind != "o_f" or self.F is None:
-            raise ValueError("index bijections exist only for o_f presentations")
-        hat: dict[int, int] = {}
-        check: dict[int, int] = {}
-        for j in range(1, self.d + 1):
-            nz = [k for k in range(1, self.d + 1) if not self.F[j - 1][k - 1].is_zero()]
-            if len(nz) != 1:
-                raise ValueError("F is not in canonical (monomial) form")
-            hat[j] = nz[0]
-        for k in range(1, self.d + 1):
-            nz = [j for j in range(1, self.d + 1) if not self.F[j - 1][k - 1].is_zero()]
-            if len(nz) != 1:
-                raise ValueError("F is not in canonical (monomial) form")
-            check[k] = nz[0]
-        return hat, check
+# Families of quadratic relations as (label, column form, star on the first
+# letter) for `_quadratic_relations`.
+_UNITARITY = (("uu*", False, False), ("u*u", True, True))
+_TRANSPOSE_UNITARITY = (("ubar·ut", False, True), ("ut·ubar", True, False))
+_Q_WEIGHTED = (("q_row", True, False), ("q_col", False, True))
 
 
-def _unitarity_relations(d: int) -> list[tuple[str, Element]]:
+def _quadratic_relations(d: int, families, q_diag: Sequence[Rational] | None = None):
+    """sum_p w a b - delta_jk for every (j, k), the families interleaved.
+
+    a, b are u[j,p], u[k,p] (row form) or u[p,j], u[p,k] (column form),
+    with the star on a or on b; the weight w of a term is Q_rr / Q_cc for
+    its starred letter u*[r,c], and 1 without q_diag.
+    """
     rels = []
     for j in range(1, d + 1):
         for k in range(1, d + 1):
-            row = Element.zero(d)
-            col = Element.zero(d)
-            for p in range(1, d + 1):
-                row = row + Element.generator(d, j, p) * Element.generator(d, k, p, True)
-                col = col + Element.generator(d, p, j, True) * Element.generator(d, p, k)
-            if j == k:
-                row = row - Element.one(d)
-                col = col - Element.one(d)
-            rels.append((f"uu*({j},{k})", row))
-            rels.append((f"u*u({j},{k})", col))
-    return rels
-
-
-def _transpose_unitarity_relations(d: int) -> list[tuple[str, Element]]:
-    rels = []
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            row = Element.zero(d)
-            col = Element.zero(d)
-            for p in range(1, d + 1):
-                row = row + Element.generator(d, j, p, True) * Element.generator(d, k, p)
-                col = col + Element.generator(d, p, j) * Element.generator(d, p, k, True)
-            if j == k:
-                row = row - Element.one(d)
-                col = col - Element.one(d)
-            rels.append((f"ubar·ut({j},{k})", row))
-            rels.append((f"ut·ubar({j},{k})", col))
-    return rels
-
-
-def _q_weighted_relations(d: int, q_diag: Sequence[Rational]) -> list[tuple[str, Element]]:
-    rels = []
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            row = Element.zero(d)
-            col = Element.zero(d)
-            for p in range(1, d + 1):
-                w_row = Qi(q_diag[p - 1] / q_diag[k - 1])
-                w_col = Qi(q_diag[j - 1] / q_diag[p - 1])
-                row = row + (
-                    Element.generator(d, p, j) * Element.generator(d, p, k, True)
-                ).scale(w_row)
-                col = col + (
-                    Element.generator(d, j, p, True) * Element.generator(d, k, p)
-                ).scale(w_col)
-            if j == k:
-                row = row - Element.one(d)
-                col = col - Element.one(d)
-            rels.append((f"q_row({j},{k})", row))
-            rels.append((f"q_col({j},{k})", col))
+            for label, column, star_first in families:
+                terms = {}
+                for p in range(1, d + 1):
+                    a, b = ((p, j), (p, k)) if column else ((j, p), (k, p))
+                    r, c = a if star_first else b
+                    w = ONE if q_diag is None else Qi(q_diag[r - 1] / q_diag[c - 1])
+                    terms[(Letter(*a, star_first), Letter(*b, not star_first))] = w
+                if j == k:
+                    terms[()] = -ONE
+                rels.append((f"{label}({j},{k})", Element(d, terms)))
     return rels
 
 
 def _symmetry_relations(d: int) -> list[tuple[str, Element]]:
     return [
-        (
-            f"sym({j},{k})",
-            Element.generator(d, j, k) - Element.generator(d, j, k, True),
-        )
+        (f"sym({j},{k})", Element(d, {(Letter(j, k, False),): ONE, (Letter(j, k, True),): -ONE}))
         for j in range(1, d + 1)
         for k in range(1, d + 1)
     ]
@@ -356,30 +296,26 @@ def _form_relations(d: int, F: QMatrix) -> list[tuple[str, Element]]:
     rels = []
     for j in range(1, d + 1):
         for k in range(1, d + 1):
-            r = Element.zero(d)
+            terms = {}
             for p in range(1, d + 1):
-                r = r + Element.generator(d, j, p).scale(F[p - 1][k - 1])
-                r = r - Element.generator(d, p, k, True).scale(F[j - 1][p - 1])
-            rels.append((f"uF-Fubar({j},{k})", r))
+                terms[(Letter(j, p, False),)] = F[p - 1][k - 1]
+                terms[(Letter(p, k, True),)] = -F[j - 1][p - 1]
+            rels.append((f"uF-Fubar({j},{k})", Element(d, terms)))
     return rels
 
 
 def _determinant_relations(d: int, q: Rational) -> list[tuple[str, Element]]:
-    minus_q = Qi(-q)
+    def twist(perm) -> Qi:
+        return Qi((-q) ** inversion_count(perm))
+
     rels = []
     for tau in all_permutations(d):
-        r = Element.zero(d)
-        for sigma in all_permutations(d):
-            w = tuple(Letter(sigma[m], tau[m], False) for m in range(d))
-            coeff = ONE
-            for _ in range(inversion_count(sigma)):
-                coeff = coeff * minus_q
-            r = r + Element.from_word(d, w, coeff)
-        coeff = ONE
-        for _ in range(inversion_count(tau)):
-            coeff = coeff * minus_q
-        r = r - Element.one(d).scale(coeff)
-        rels.append((f"det({','.join(map(str, tau))})", r))
+        terms = {
+            tuple(Letter(s, t, False) for s, t in zip(sigma, tau)): twist(sigma)
+            for sigma in all_permutations(d)
+        }
+        terms[()] = -twist(tau)
+        rels.append((f"det({','.join(map(str, tau))})", Element(d, terms)))
     return rels
 
 
@@ -409,11 +345,11 @@ def build_presentation(
         raise ValueError("d must be >= 1")
 
     if kind == "k_d":
-        rels = _unitarity_relations(d)
+        rels = _quadratic_relations(d, _UNITARITY)
         return Presentation("k_d", d, _star_close(rels), kac=True)
 
     if kind == "u_plus":
-        rels = _unitarity_relations(d) + _transpose_unitarity_relations(d)
+        rels = _quadratic_relations(d, _UNITARITY) + _quadratic_relations(d, _TRANSPOSE_UNITARITY)
         return Presentation("u_plus", d, _star_close(rels), kac=True)
 
     if kind == "u_q":
@@ -422,13 +358,13 @@ def build_presentation(
         qd = tuple(rational(x) for x in q_diag)
         if any(x <= 0 for x in qd):
             raise ValueError("q_diag entries must be positive")
-        rels = _unitarity_relations(d) + _q_weighted_relations(d, qd)
+        rels = _quadratic_relations(d, _UNITARITY) + _quadratic_relations(d, _Q_WEIGHTED, qd)
         return Presentation("u_q", d, _star_close(rels), kac=False, q_diag=qd)
 
     if kind == "o_plus":
         rels = (
-            _unitarity_relations(d)
-            + _transpose_unitarity_relations(d)
+            _quadratic_relations(d, _UNITARITY)
+            + _quadratic_relations(d, _TRANSPOSE_UNITARITY)
             + _symmetry_relations(d)
         )
         return Presentation("o_plus", d, _star_close(rels), kac=True)
@@ -440,7 +376,7 @@ def build_presentation(
         ident = QMatrix.identity(d)
         if prod != ident and prod != -ident:
             raise ValueError("o_f requires F·conj(F) = I or -I")
-        rels = _unitarity_relations(d) + _form_relations(d, F)
+        rels = _quadratic_relations(d, _UNITARITY) + _form_relations(d, F)
         is_kac = F.adjoint() @ F == ident
         return Presentation("o_f", d, _star_close(rels), kac=is_kac, F=F)
 
@@ -454,8 +390,8 @@ def build_presentation(
     # Q_pp/Q_kk = q^(2(p-k)) enter the relations.
     qd = tuple(qr ** (2 * (j - d)) for j in range(1, d + 1))
     rels = (
-        _unitarity_relations(d)
-        + _q_weighted_relations(d, qd)
+        _quadratic_relations(d, _UNITARITY)
+        + _quadratic_relations(d, _Q_WEIGHTED, qd)
         + _determinant_relations(d, qr)
     )
     return Presentation("su_q", d, _star_close(rels), kac=False, q=qr)

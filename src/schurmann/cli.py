@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 
+from .algebra import PRESENTATION_KINDS
 from .cocycle import b_matrices, is_real_cocycle, solve_cocycles
 from .cohomology import (
     basis_orthogonal,
@@ -37,7 +38,13 @@ from .cohomology import (
     primitive,
 )
 from .errors import InputError, ObstructionError, RelationViolation
-from .functional import gram_psd_check, lk_decomposition, schurmann_functional
+from .functional import (
+    admits_gf_orth,
+    admits_gf_unitary,
+    gram_psd_check,
+    lk_decomposition,
+    schurmann_functional,
+)
 from .linalg import QMatrix
 from .representation import counit_rep
 from .scalars import Qi, scalar_to_json
@@ -58,9 +65,7 @@ from .serialize import (
     two_cocycle_from_json,
 )
 
-_PRESENTATION_KINDS = {"k_d", "u_plus", "u_q", "o_plus", "o_f", "su_q"}
 _TWO_COCYCLE_KINDS = {"kpair", "coboundary", "combination"}
-_UNITARY_KINDS = {"k_d", "u_plus", "u_q", "su_q"}
 
 
 def _load(path):
@@ -89,7 +94,7 @@ def _detect(obj) -> str:
         return "cocycle"
     if "presentation" in obj and "R" in obj:
         return "representation"
-    if kind in _PRESENTATION_KINDS:
+    if kind in PRESENTATION_KINDS:
         return "presentation"
     raise InputError(
         "unrecognized object; expected a presentation, representation, "
@@ -222,9 +227,9 @@ def _check_gf(args):
     eta = cocycle_from_json(obj)
     kind = eta.presentation.kind
     if kind == "u_plus":
+        ok = admits_gf_unitary(eta)
         bm = b_matrices(eta)
         bt = bm.b.transpose()
-        ok = bm.b_tilde == bt
         lines = [f"gf exists: {str(ok).lower()} (criterion: b_tilde = b transpose)"]
         if not ok:
             lines += ["b_tilde:", _fmt_matrix(bm.b_tilde), "b transpose:", _fmt_matrix(bt)]
@@ -235,9 +240,9 @@ def _check_gf(args):
         }
         return (0 if ok else 1), lines, data
     if kind == "o_plus":
+        ok = admits_gf_orth(eta)
         bm = b_matrices(eta)
         bc = bm.b.conj()
-        ok = bm.b == bc
         lines = [f"gf exists: {str(ok).lower()} (criterion: b real)"]
         if not ok:
             lines += ["b:", _fmt_matrix(bm.b), "conj(b):", _fmt_matrix(bc)]

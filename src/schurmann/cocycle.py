@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import Element, Letter, Presentation, antipode_element, letters
-from .errors import RelationViolation
+from .errors import InputError, RelationViolation
 from .linalg import QMatrix, QVector, inner_product, kernel_basis
 from .representation import (
     GeneratorSubstitution,
@@ -26,6 +26,10 @@ from .representation import (
 from .scalars import ZERO, Qi, rational
 
 VGrid = tuple[tuple[QVector, ...], ...]
+
+# The longest word `is_real_cocycle` samples.  eta of a word recurses once per
+# letter, so this keeps well below Python's default recursion limit of 1000.
+MAX_SAMPLED_WORD_LEN = 256
 
 
 @dataclass(frozen=True)
@@ -124,32 +128,19 @@ def _block_sums(rep: Representation, V: VGrid):
     d = rep.d
     rstar_v_t = [
         [
-            _sum_vectors(
-                rep.n,
-                (rep.R_star[p][k].apply(V[p][j]) for p in range(d)),
-            )
+            sum((rep.R_star[p][k].apply(V[p][j]) for p in range(d)), QVector.zero(rep.n))
             for k in range(d)
         ]
         for j in range(d)
     ]
     rbar_v_t = [
         [
-            _sum_vectors(
-                rep.n,
-                (rep.R_star[j][p].apply(V[k][p]) for p in range(d)),
-            )
+            sum((rep.R_star[j][p].apply(V[k][p]) for p in range(d)), QVector.zero(rep.n))
             for k in range(d)
         ]
         for j in range(d)
     ]
     return rstar_v_t, rbar_v_t
-
-
-def _sum_vectors(n: int, vs) -> QVector:
-    out = QVector.zero(n)
-    for v in vs:
-        out = out + v
-    return out
 
 
 def cocycle_unitary_from_V(rep: Representation, V: Sequence[Sequence[QVector]]) -> Cocycle:
@@ -229,7 +220,7 @@ def b_matrices(eta: Cocycle) -> BMatrices:
     b = QMatrix(
         [
             [
-                _qi_sum(inner_product(eta.V[j][p], eta.V[k][p]) for p in range(d))
+                sum((inner_product(eta.V[j][p], eta.V[k][p]) for p in range(d)), ZERO)
                 for k in range(d)
             ]
             for j in range(d)
@@ -239,7 +230,7 @@ def b_matrices(eta: Cocycle) -> BMatrices:
     bt = QMatrix(
         [
             [
-                _qi_sum(inner_product(eta.W[j][p], eta.W[k][p]) for p in range(d))
+                sum((inner_product(eta.W[j][p], eta.W[k][p]) for p in range(d)), ZERO)
                 for k in range(d)
             ]
             for j in range(d)
@@ -251,13 +242,6 @@ def b_matrices(eta: Cocycle) -> BMatrices:
     return BMatrices(b, bt)
 
 
-def _qi_sum(vals) -> Qi:
-    acc = ZERO
-    for v in vals:
-        acc = acc + v
-    return acc
-
-
 def gram_vvstar(V: Sequence[Sequence[QVector]]) -> QMatrix:
     """(V V*)_jk = sum_p <V[k][p], V[j][p]>; for scalar grids this is
     sum_p V[j][p] conj(V[k][p])."""
@@ -265,7 +249,7 @@ def gram_vvstar(V: Sequence[Sequence[QVector]]) -> QMatrix:
     return QMatrix(
         [
             [
-                _qi_sum(inner_product(V[k][p], V[j][p]) for p in range(d))
+                sum((inner_product(V[k][p], V[j][p]) for p in range(d)), ZERO)
                 for k in range(d)
             ]
             for j in range(d)
@@ -324,7 +308,13 @@ def is_real_cocycle(
 
     Requires a Kac presentation (the antipode must exist).  Returns
     (True, None) or (False, (a, b, lhs, rhs)) with the first failing pair.
+    A max_word_len above MAX_SAMPLED_WORD_LEN is refused with InputError.
     """
+    if max_word_len > MAX_SAMPLED_WORD_LEN:
+        raise InputError(
+            f"sampled words of length up to {max_word_len} are above the word length "
+            f"budget MAX_SAMPLED_WORD_LEN = {MAX_SAMPLED_WORD_LEN}"
+        )
     pool: list[Element] = [
         Element.generator(eta.d, l.row, l.col, l.star) for l in letters(eta.d)
     ]

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .algebra import Element, Letter, Presentation, counit, letters
 from .cocycle import Cocycle, scalar_gaussian_cocycle, cocycle_general, _eta_word
 from .errors import ObstructionError, RelationViolation
-from .functional import Functional
 from .linalg import QMatrix, QVector, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi
@@ -35,8 +34,9 @@ from .words import Layer, WordTables, combine, dots, first_difference, step
 KP_DEFECT_SIGN = -1
 
 
-def _eps_word(w) -> Qi:
-    return ONE if all(l.row == l.col for l in w) else ZERO
+def _diagonal(w) -> bool:
+    """counit(w) = 1, i.e. every letter of the word is diagonal."""
+    return all(l.row == l.col for l in w)
 
 
 def _star_word(w):
@@ -95,7 +95,7 @@ class KPairCocycle(TwoCocycle):
 
 @dataclass(frozen=True, eq=False)
 class CoboundaryCocycle(TwoCocycle):
-    """d(phi) for any functional-shaped object with .presentation and .value."""
+    """d(phi) for any functional-shaped object with .presentation and .word_value."""
 
     phi: object
 
@@ -104,13 +104,12 @@ class CoboundaryCocycle(TwoCocycle):
         return self.phi.presentation
 
     def word_value(self, wa, wb) -> Qi:
-        d = self.d
-        v = -self.phi.value(Element.from_word(d, wa + wb))
-        ea, eb = _eps_word(wa), _eps_word(wb)
-        if not ea.is_zero():
-            v = v + self.phi.value(Element.from_word(d, wb))
-        if not eb.is_zero():
-            v = v + self.phi.value(Element.from_word(d, wa))
+        phi = self.phi
+        v = -phi.word_value(wa + wb)
+        if _diagonal(wa):
+            v = v + phi.word_value(wb)
+        if _diagonal(wb):
+            v = v + phi.word_value(wa)
         return v
 
 
@@ -148,9 +147,58 @@ class CounitFunctional:
     def value(self, a: Element) -> Qi:
         return counit(a)
 
+    def word_value(self, w) -> Qi:
+        return ONE if _diagonal(w) else ZERO
+
+
+class LetterFunctional:
+    """A functional on the free *-algebra fixed by its letter values and
+
+        v(h w) = sign c(h, w) + [h diagonal] v(w) + eps(w) v(h),    v(1) = 0,
+
+    for a letter h and a 2-cocycle c, so d(v)(h, w) = -sign c(h, w).  A
+    subclass holds the grids `values` / `star_values` and a `_cache` dict,
+    and names its first term by the class attribute `sign` and the 2-cocycle
+    `form`: a generating functional (+1, <eta(.*), eta(.)>, so d(psi) is
+    minus the pairing) and a primitive (-1, its 2-cocycle).  Words are
+    memoised here; `value_tables` runs the same recursion on word tables.
+    """
+
+    @property
+    def d(self) -> int:
+        return self.presentation.d
+
+    def letter_value(self, l: Letter) -> Qi:
+        grid = self.star_values if l.star else self.values
+        return grid[l.row - 1][l.col - 1]
+
+    def value(self, a: Element) -> Qi:
+        if a.d != self.d:
+            raise ValueError(f"ambient size mismatch: element {a.d}, functional {self.d}")
+        acc = ZERO
+        for w, c in a.terms.items():
+            acc = acc + c * self.word_value(w)
+        return acc
+
+    def word_value(self, w) -> Qi:
+        v = self._cache.get(w)
+        if v is None:
+            v = ZERO
+            if w:
+                head, tail = w[0], w[1:]
+                v = self.form.word_value((head,), tail)
+                if self.sign < 0:
+                    v = -v
+                if head.row == head.col:
+                    v = v + self.word_value(tail)
+                if _diagonal(tail):
+                    v = v + self.letter_value(head)
+            self._cache[w] = v
+        return v
+
 
 def coboundary1(phi) -> CoboundaryCocycle:
-    if not (hasattr(phi, "value") and hasattr(phi, "presentation")):
+    if not (hasattr(phi, "word_value") and hasattr(phi, "presentation")):
         raise TypeError("coboundary1 expects an evaluable functional")
     return CoboundaryCocycle(phi)
 
@@ -230,13 +278,14 @@ def square_zero_on_letters(c: TwoCocycle):
 
 
 def value_tables(t: WordTables, phi, length: int) -> list:
-    """Layers 0 .. length of a generating functional, a primitive or the counit."""
-    if isinstance(phi, Functional):
-        return t.psi(phi, length)
-    if isinstance(phi, Primitive):
-        c = phi.two_cocycle
+    """Layers 0 .. length of a letter functional or of the counit."""
+    if isinstance(phi, LetterFunctional):
+        sign = Qi(phi.sign)
         return t.values(
-            phi, phi.letter_value, lambda m: combine([(-ONE, pair_table(t, c, 1, m))]), length
+            phi,
+            phi.letter_value,
+            lambda m: combine([(sign, pair_table(t, phi.form, 1, m))]),
+            length,
         )
     if isinstance(phi, CounitFunctional):
         return [t.counit(m) for m in range(length + 1)]
@@ -247,18 +296,14 @@ def pair_table(t: WordTables, c, p: int, q: int):
     """c(u, v) on all words of lengths |u| = p, |v| = q, coded as the word u v.
 
     Pairing, coboundary and combination 2-cocycles are tabulated from their
-    parts; any other bilinear form is read through its word_value.
+    parts; a 2-cocycle of any other kind raises TypeError.
     """
     if isinstance(c, KPairCocycle):
         return t.pairing(c.eta1, c.eta2, p, q)
-    if isinstance(c, CoboundaryCocycle) and isinstance(
-        c.phi, (Functional, Primitive, CounitFunctional)
-    ):
+    if isinstance(c, CoboundaryCocycle):
         return t.coboundary(value_tables(t, c.phi, p + q), p, q)
     if isinstance(c, CombinationCocycle):
         return combine([(coeff, pair_table(t, term, p, q)) for coeff, term in c.terms])
-    if hasattr(c, "word_value"):
-        return t.from_pairs(c.word_value, p, q)
     raise TypeError(f"no word tables for a 2-cocycle of type {type(c).__name__}")
 
 
@@ -421,7 +466,7 @@ def basis_orthogonal(presentation: Presentation) -> dict:
 
 
 @dataclass(frozen=True)
-class Primitive:
+class Primitive(LetterFunctional):
     """A functional phi with d(phi) = two_cocycle, determined by letter values
     and the recursion phi(l w) = eps(l) phi(w) + phi(l) eps(w) - c(l, w)."""
 
@@ -429,6 +474,8 @@ class Primitive:
     values: QMatrix
     star_values: QMatrix
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    sign = -1
 
     def __eq__(self, other) -> bool:
         return (
@@ -446,38 +493,8 @@ class Primitive:
         return self.two_cocycle.presentation
 
     @property
-    def d(self) -> int:
-        return self.presentation.d
-
-    def letter_value(self, l: Letter) -> Qi:
-        grid = self.star_values if l.star else self.values
-        return grid[l.row - 1][l.col - 1]
-
-    def value(self, a: Element) -> Qi:
-        if a.d != self.d:
-            raise ValueError("ambient size mismatch")
-        acc = ZERO
-        for w, coeff in a.terms.items():
-            acc = acc + coeff * _phi_word(self, w)
-        return acc
-
-
-def _phi_word(phi: Primitive, w) -> Qi:
-    cache = phi._cache
-    v = cache.get(w)
-    if v is not None:
-        return v
-    if not w:
-        v = ZERO
-    else:
-        head, tail = w[0], w[1:]
-        v = -phi.two_cocycle.word_value((head,), tail)
-        if head.row == head.col:
-            v = v + _phi_word(phi, tail)
-        if all(l.row == l.col for l in tail):
-            v = v + phi.letter_value(head)
-    cache[w] = v
-    return v
+    def form(self) -> TwoCocycle:
+        return self.two_cocycle
 
 
 def check_primitive(phi: Primitive, pairs=None, seed: int = 0):
@@ -570,9 +587,7 @@ def primitive(c: TwoCocycle) -> Primitive:
 
 def _primitive_witness(phi: Primitive, aw, bw):
     """Canonical (a, b, d(phi)(a, b), c(a, b)) for a violating word pair."""
-    ea = ONE if all(l.row == l.col for l in aw) else ZERO
-    eb = ONE if all(l.row == l.col for l in bw) else ZERO
-    got = _phi_word(phi, aw) * eb + ea * _phi_word(phi, bw) - _phi_word(phi, aw + bw)
+    got = CoboundaryCocycle(phi).word_value(aw, bw)
     return (aw, bw, got, phi.two_cocycle.word_value(aw, bw))
 
 

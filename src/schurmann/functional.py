@@ -2,7 +2,9 @@
 
 psi is determined by its letter values and the recursion
     psi(a b) = psi(a) counit(b) + counit(a) psi(b) + <eta(a*), eta(b)>,
-with psi(1) = 0.  The canonical letter values are
+with psi(1) = 0: the letter recursion of `cohomology.LetterFunctional` with
+first term +<eta(.*), eta(.)>, so d(psi) is minus that pairing.  The
+canonical letter values are
     psi(u[j,k]) = -1/2 * b_tilde[j][k] + i H[j][k]
 for a selfadjoint offset H, psi(u*[j,k]) = conj(psi(u[j,k])).  Validation
 requires psi(r) = 0 on every relation.
@@ -11,28 +13,27 @@ requires psi(r) = 0 on every relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Letter, Presentation, all_permutations, letters
-from .cocycle import (
-    Cocycle,
-    b_matrices,
-    cocycle_general,
-    _eta_word,
-)
+from .algebra import Element, Presentation, all_permutations, letters
+from .cocycle import Cocycle, b_matrices, cocycle_general
+from .cohomology import KPairCocycle, LetterFunctional, value_tables
 from .errors import RelationViolation
 from .linalg import QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
-from .scalars import I, ONE, ZERO, Qi
+from .scalars import I, ONE, Qi
 from .words import Layer, WordTables, combine, dots, gather, require_entries, step
 
 
 @dataclass(frozen=True)
-class Functional:
+class Functional(LetterFunctional):
     cocycle: Cocycle
     values: QMatrix
     star_values: QMatrix
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    sign = 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -49,46 +50,15 @@ class Functional:
     def presentation(self) -> Presentation:
         return self.cocycle.presentation
 
-    @property
-    def d(self) -> int:
-        return self.cocycle.d
-
-    def letter_value(self, l: Letter) -> Qi:
-        grid = self.star_values if l.star else self.values
-        return grid[l.row - 1][l.col - 1]
-
-    def value(self, a: Element) -> Qi:
-        return evaluate_functional(self, a)
+    @cached_property
+    def form(self) -> KPairCocycle:
+        """<eta(a*), eta(b)>, the first term of the letter recursion."""
+        return KPairCocycle(self.cocycle, self.cocycle)
 
 
 def evaluate_functional(psi: Functional, a: Element) -> Qi:
-    if a.d != psi.d:
-        raise ValueError(f"ambient size mismatch: element {a.d}, functional {psi.d}")
-    acc = ZERO
-    for w, c in a.terms.items():
-        acc = acc + c * _psi_word(psi, w)
-    return acc
-
-
-def _psi_word(psi: Functional, w) -> Qi:
-    cache = psi._cache
-    v = cache.get(w)
-    if v is not None:
-        return v
-    if not w:
-        v = ZERO
-    else:
-        head, tail = w[0], w[1:]
-        eta = psi.cocycle
-        v = inner_product(
-            eta.letter_value(head.adjoint()), _eta_word(eta, tail)
-        )
-        if all(l.row == l.col for l in tail):
-            v = v + psi.letter_value(head)
-        if head.row == head.col:
-            v = v + _psi_word(psi, tail)
-    cache[w] = v
-    return v
+    """psi(a), the same as psi.value(a)."""
+    return psi.value(a)
 
 
 def schurmann_functional(eta: Cocycle, H: QMatrix | None = None) -> Functional:
@@ -108,7 +78,7 @@ def schurmann_functional(eta: Cocycle, H: QMatrix | None = None) -> Functional:
     violations = [
         (lbl, val)
         for lbl, r in eta.presentation.relations
-        if not (val := evaluate_functional(psi, r)).is_zero()
+        if not (val := psi.value(r)).is_zero()
     ]
     if violations:
         raise RelationViolation("generating functional", violations)
@@ -221,7 +191,7 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> QMatrix:
     top = max(map(len, pool), default=0)
     codes = [(len(w), t.code(w)) for w in pool]
     eps_sets = [set(t.eps(m)) for m in range(top + 1)]
-    psis = t.psi(psi, top)
+    psis = value_tables(t, psi, top)
     base = (
         gather(t.eta(eta, top), codes),
         gather(psis, codes),

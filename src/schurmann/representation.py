@@ -167,19 +167,6 @@ class GeneratorSubstitution:
                         f"counit(images[{j + 1}][{k + 1}]) must be {expected!r}"
                     )
 
-    def apply(self, a: Element) -> Element:
-        """Substitute generators in a source element."""
-        if a.d != self.source.d:
-            raise ValueError("element does not live over the source size")
-        out = Element.zero(self.target.d)
-        for w, c in a.terms.items():
-            prod = Element.one(self.target.d)
-            for l in w:
-                img = self.images[l.row - 1][l.col - 1]
-                prod = prod * (img.star() if l.star else img)
-            out = out + prod.scale(c)
-        return out
-
 
 def pullback_rep(rep: Representation, sub: GeneratorSubstitution) -> Representation:
     """The representation rho∘pi on the source presentation; validated eagerly."""

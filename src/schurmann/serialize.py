@@ -37,6 +37,7 @@ from .functional import Functional
 from .linalg import QMatrix, QVector
 from .representation import Representation, representation
 from .scalars import Qi, Rational, rational, scalar_from_json, scalar_to_json
+from .words import MAX_TABLE_ENTRIES
 
 
 def rational_to_json(r) -> str:
@@ -135,6 +136,20 @@ def presentation_to_json(p: Presentation) -> dict:
     return out
 
 
+def _require_determinant_budget(d: int) -> None:
+    """Refuse, before it is built, an su_q whose d! determinant relations of
+    d! words each would hold more than MAX_TABLE_ENTRIES letters, (d!)^2 d in
+    all; the count stops at the budget, so a huge d costs nothing."""
+    size = d
+    for m in range(2, d + 1):
+        size *= m * m
+        if size > MAX_TABLE_ENTRIES:
+            raise InputError(
+                f"su_q at d = {d}: the determinant relations would hold (d!)^2 d letters, "
+                f"above the table budget MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+            )
+
+
 def presentation_from_json(obj) -> Presentation:
     if not isinstance(obj, dict) or "kind" not in obj or "d" not in obj:
         raise InputError("presentation needs 'kind' and 'd'")
@@ -152,6 +167,8 @@ def presentation_from_json(obj) -> Presentation:
         q_diag = [rational_from_json(x) for x in obj["q_diag"]]
     F = matrix_from_json(obj["F"]) if "F" in obj else None
     q = rational_from_json(obj["q"]) if "q" in obj else None
+    if obj["kind"] == "su_q":
+        _require_determinant_budget(d)
     try:
         return build_presentation(str(obj["kind"]), d, q_diag=q_diag, F=F, q=q)
     except ValueError as exc:

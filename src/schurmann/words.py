@@ -15,14 +15,15 @@ denominator, so building it costs integer products only; values leave as
     eta(h w) = rho(h) eta(w) + eps(w) eta(h)
     v(h w)   = first(h, w) + [h diagonal] v(w) + eps(w) v(h),    v(1) = 0
 
-The last one is the shared value step: first(h, w) = <lin_h, eta(w)> gives
-the generating functional psi (lin_h = conj eta(h*)) and the primitive of a
-pairing 2-cocycle (lin_h = -conj eta1(h*), vector eta2); first(h, w) =
--c(h, w) gives the primitive of any other 2-cocycle c.
+The last one is the shared value step of every letter functional: first(h,
+w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
++1 for a generating functional psi, the primitive's own 2-cocycle with sign
+-1 for a primitive (`cohomology.value_tables`).
 
 Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
-word pairs).  Sparse elements are evaluated by the memoised recursions next
-to each object, which also serve as the tests' oracle.
+word pairs).  Sparse elements are evaluated by the one memoised letter
+recursion (`cohomology.LetterFunctional`, and `_eta_word` for eta), which
+also serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -316,11 +317,6 @@ class WordTables:
             layers.append(concat(parts))
         return layers
 
-    def psi(self, psi, length: int) -> list:
-        """Layers of a generating functional: first(h, w) = <eta(h*), eta(w)>."""
-        eta = psi.cocycle
-        return self.values(psi, psi.letter_value, lambda m: self.pairing(eta, eta, 1, m), length)
-
     def eps_left(self, layer: Layer, p: int) -> Layer:
         """eps(u) layer(v) on the words u v with |u| = p."""
         size = len(layer.re)
@@ -348,11 +344,3 @@ class WordTables:
         return combine(
             [(-ONE, phi[p + q]), (ONE, self.eps_left(phi[q], p)), (ONE, self.eps_right(phi[p], q))]
         )
-
-    def from_pairs(self, value, p: int, q: int) -> Layer:
-        """The layer of value(u, v) -> Qi for all |u| = p, |v| = q, coded u v."""
-        self.require(p + q)
-        us = [self.word(p, c) for c in range(self.base**p)]
-        vs = [self.word(q, c) for c in range(self.base**q)]
-        pairs, den = gaussian([value(u, v) for u in us for v in vs])
-        return Layer([a for a, _ in pairs], [b for _, b in pairs], den)

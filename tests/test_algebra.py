@@ -1,5 +1,7 @@
 """Free *-algebra elements, the counit, the antipode and the presentations."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,8 @@ from schurmann import (
     Element,
     Letter,
     ONE,
+    QMatrix,
+    Qi,
     ZERO,
     antipode_element,
     build_presentation,
@@ -138,3 +142,33 @@ def test_su_q_twisted_determinant_relation_present():
     assert not p.kac
     labels = [lbl for lbl, _ in p.relations]
     assert any("det" in lbl for lbl in labels)
+
+
+# sha256 of the lines "label: relation" (labels, their order, and every term
+# with its exact coefficient), pinned from the separate per-family builders
+# the catalogue had before they were folded into one
+RELATION_DIGESTS = {
+    "k_d": (8, "ca7e2a9d162dde5f3a6ea201aedc7d16049060517c4fc4abd4f7705a4a776699"),
+    "u_plus": (16, "f818e1452684f221a1ea5668dfa1898215780013950aceefef7ad2fb2f87a996"),
+    "u_q": (20, "6dca616fbab260ee67a55b9772693c88186f014d5997c4ec29692f2afceb91f7"),
+    "o_plus": (24, "601621111af40606a6967bc55f18a44bd4a729a2872d171fac3601e66b9549ce"),
+    "o_f": (16, "87ddacefc5fbf2037fd4edbc08fdd6042bc8787cdb2ced62252b99b8467d4da2"),
+    "su_q": (60, "fb5f2923cfc5445b7ea37b8a2cf723b210d92bcb78518d045c50e409dbee93b3"),
+}
+
+RELATION_CASES = {
+    "k_d": dict(d=2),
+    "u_plus": dict(d=2),
+    "u_q": dict(d=2, q_diag=[rational("1/2"), rational(3)]),
+    "o_plus": dict(d=2),
+    "o_f": dict(d=2, F=QMatrix([[ZERO, Qi(2)], [Qi(rational("1/2")), ZERO]])),
+    "su_q": dict(d=3, q=rational("1/3")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RELATION_DIGESTS))
+def test_relation_lists_pinned(kind):
+    p = build_presentation(kind, **RELATION_CASES[kind])
+    text = "\n".join(f"{lbl}: {r!r}" for lbl, r in p.relations)
+    assert (len(p.relations), hashlib.sha256(text.encode()).hexdigest()) == RELATION_DIGESTS[kind]
+

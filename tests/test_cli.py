@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from schurmann import KPairCocycle, coboundary1, schurmann_functional
+from schurmann import KPairCocycle, coboundary1, cocycle, schurmann_functional, serialize, words
 from schurmann.cli import main
 from schurmann.serialize import (
     cocycle_to_json,
@@ -217,6 +217,29 @@ def test_table_budget_refused(run, files, argv):
     code, out, err = run(*argv)
     assert code == 2
     assert out == ""
+    assert "above the table budget MAX_TABLE_ENTRIES" in err
+
+
+def test_real_word_length_budget_refused(run, files, monkeypatch):
+    # length 3000 used to end in a RecursionError traceback
+    monkeypatch.setattr(cocycle, "reality_pair", lambda *a: pytest.fail("evaluated"))
+    code, out, err = run("check", "real", "--input", files["sym"], "--max-word-len", "3000")
+    assert code == 2
+    assert out == ""
+    assert "above the word length budget MAX_SAMPLED_WORD_LEN" in err
+
+
+@pytest.mark.parametrize("d", [6, 7, 10**9])
+def test_su_q_budget_refused_before_build(run, write, monkeypatch, d):
+    # d! determinant relations of d! words of d letters: 5!^2 * 5 fits the
+    # budget, 6!^2 * 6 does not
+    assert 120**2 * 5 <= words.MAX_TABLE_ENTRIES < 720**2 * 6
+    monkeypatch.setattr(serialize, "build_presentation", lambda *a, **k: pytest.fail("built"))
+    path = write("su_q.json", {"kind": "su_q", "d": d, "q": "1/2"})
+    code, out, err = run("validate", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert f"su_q at d = {d}" in err
     assert "above the table budget MAX_TABLE_ENTRIES" in err
 
 

@@ -10,6 +10,7 @@ from schurmann import (
     Cocycle,
     Element,
     I,
+    Letter,
     ONE,
     QMatrix,
     QVector,
@@ -32,6 +33,7 @@ from schurmann import (
     scalar_gaussian_cocycle,
     solve_cocycles,
 )
+from schurmann import cocycle
 
 letters_d2 = st.sampled_from(letters(2))
 words_d2 = st.lists(letters_d2, max_size=3).map(tuple)
@@ -105,6 +107,13 @@ def test_reality_positive_cases(u2, eta_rot_o3):
     eye = gaussian_cocycle(u2, scalar_grid([[ONE, ZERO], [ZERO, ONE]]))
     assert is_real_cocycle(eye) == (True, None)
     assert is_real_cocycle(eta_rot_o3) == (True, None)
+
+
+def test_reality_at_the_word_length_budget(eta_rot_o3):
+    # a sampled word of the longest allowed length stays below the recursion
+    # limit (length 3000 raised RecursionError)
+    word = Element.from_word(3, (Letter(1, 2, False),) * cocycle.MAX_SAMPLED_WORD_LEN)
+    assert is_real_cocycle(eta_rot_o3, sample_words=[word]) == (True, None)
 
 
 def test_reality_symmetric_complex_is_not_real(eta_sym_u2):

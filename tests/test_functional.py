@@ -29,7 +29,8 @@ from schurmann import (
 from schurmann import functional, words
 from schurmann.cocycle import _eta_word
 from schurmann.errors import InputError
-from schurmann.functional import Functional, _psi_word, default_pool_size, default_word_pool
+from schurmann.cohomology import value_tables
+from schurmann.functional import Functional, default_pool_size, default_word_pool
 from schurmann.representation import Representation
 from schurmann.words import WordTables
 
@@ -40,14 +41,14 @@ def test_tables_match_recursion(eta_sym_u2, eta_rot_o3, eta_asym_u2, data):
     eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
     psi = canonical_values(eta)
     t = WordTables(eta.d)
-    etas, psis = t.eta(eta, 3), t.psi(psi, 3)
+    etas, psis = t.eta(eta, 3), value_tables(t, psi, 3)
     for w in drawn_words(data, eta.d):
         m, c = len(w), t.code(w)
         assert t.word(m, c) == w
         assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
         assert (c in t.eps(m)) == all(l.row == l.col for l in w)
         assert etas[m].vector(c) == _eta_word(eta, w), w
-        assert psis[m].qi(c) == _psi_word(psi, w), w
+        assert psis[m].qi(c) == psi.word_value(w), w
 
 
 def test_functional_vanishes_on_relations(eta_sym_u2, u2):
