@@ -84,6 +84,8 @@ def _detect(obj) -> str:
     if not isinstance(obj, dict):
         raise InputError("top-level JSON must be an object")
     kind = obj.get("kind")
+    if kind is not None and not isinstance(kind, str):
+        raise InputError(f"'kind' must be a string, got {kind!r}")
     if kind in _TWO_COCYCLE_KINDS:
         return "two-cocycle"
     if kind == "primitive":

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .algebra import Element, Presentation, all_permutations, letters
 from .cocycle import Cocycle, b_matrices, cocycle_general
 from .cohomology import KPairCocycle, LetterFunctional, value_tables
 from .errors import RelationViolation
-from .linalg import QMatrix, inner_product, psd_check, project_onto_span
+from .linalg import GaussianMatrix, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, ONE, Qi
-from .words import Layer, WordTables, combine, dots, gather, require_entries, step
+from .words import Layer, WordTables, combine, dots, gather, require_entries, scaled, step
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     return psd_check(pool_gram_matrix(psi, pool))
 
 
-def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> QMatrix:
+def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
     """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool.
 
     Every entry needs psi(w_i* w_j), so the build replays the defining
@@ -183,7 +184,8 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> QMatrix:
     read from the word tables, and the letters of w_i* are peeled onto them
     from the left by the rho action and the shared value step.  States for
     shared peel prefixes are computed once, which leaves one value step per
-    row; a second step subtracts the counit terms.
+    row; a second step subtracts the counit terms.  The rows leave as
+    Gaussian-integer numerators over their common denominator.
     """
     require_entries(len(pool) ** 2, "the Gram matrix")
     eta = psi.cocycle
@@ -232,8 +234,13 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> QMatrix:
         else:
             row = Layer(base[1].re[:], base[1].im[:], base[1].den)
         row = step(row, minus_base, base[2], i in eps_pool, -psi_stars[i])
-        rows.append(row.qis())
-    return QMatrix(rows, cols=len(pool))
+        rows.append(row)
+    den = lcm(*(row.den for row in rows))
+    return GaussianMatrix(
+        [scaled(row.re, den // row.den) for row in rows],
+        [scaled(row.im, den // row.den) for row in rows],
+        den,
+    )
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ and every routine below is exact; a pivot is zero iff it equals 0 in Q(i).
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Qi
+from .scalars import ONE, ZERO, Qi, _qi
 
 
 class QVector:
@@ -189,10 +191,12 @@ class QMatrix:
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
+        # entries are in lowest terms, so x = conj(y) iff their numerators agree
+        data = self.data
         return all(
-            self.data[i][j] == self.data[j][i].conj()
-            for i in range(self.rows)
-            for j in range(i, self.cols)
+            x.a == y.a and x.b == -y.b and x.den == y.den
+            for i, row in enumerate(data)
+            for x, y in zip(row[i:], (r[i] for r in data[i:]))
         )
 
     @property
@@ -289,43 +293,82 @@ def solve(m: QMatrix, b: QVector) -> QVector | None:
     return QVector(x)
 
 
-def psd_check(m: QMatrix) -> bool:
+class GaussianMatrix:
+    """Square matrix with entries (re[i][j] + i im[i][j]) / den: rows of
+    Python ints over one positive denominator.  Rows index to `Qi`."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: list, im: list, den: int):
+        n = len(re)
+        if len(im) != n or any(len(row) != n for row in chain(re, im)):
+            raise ValueError("GaussianMatrix needs two square numerator grids of one order")
+        if den <= 0:
+            raise ValueError("GaussianMatrix needs a positive denominator")
+        self.re, self.im, self.den = re, im, den
+
+    @property
+    def rows(self) -> int:
+        return len(self.re)
+
+    cols = rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.rows)
+
+    def __getitem__(self, i: int) -> list:
+        return list(map(_qi, self.re[i], self.im[i], repeat(self.den)))
+
+
+def psd_check(m: QMatrix | GaussianMatrix) -> bool:
     """Exact positive semidefiniteness of a Hermitian matrix.
 
-    Hermitian elimination: a zero pivot forces its whole row and column to
-    vanish (else a 2x2 principal minor is negative); a nonzero pivot must be
-    a positive rational and is eliminated by one Schur complement step.
+    A `QMatrix` is first brought over the lcm of its denominators; the
+    elimination runs on the Gaussian-integer numerators, fraction-free
+    (Bareiss).  With prev the previous pivot (1 at the start) and p the
+    pivot, every active entry becomes (p a_jk - a_ji a_ik) / prev, an exact
+    division: by Sylvester's identity the entry is the minor on the pivot
+    rows and columns bordered by j and k, that is the determinant of the
+    pivot block (the product of the Schur-complement pivots so far, all
+    positive) times the Schur-complement entry.  So the verdicts are those
+    of Hermitian elimination: the first nonzero diagonal entry is the pivot
+    and must be positive, and once the remaining diagonal is zero the
+    remaining block must vanish (else a 2x2 principal minor is negative).
     """
-    if not m.is_hermitian():
+    if isinstance(m, QMatrix):
+        if m.rows != m.cols:
+            raise ValueError("psd_check requires a Hermitian matrix")
+        den = lcm(*(z.den for row in m.data for z in row))
+        m = GaussianMatrix(
+            [[z.a * (den // z.den) for z in row] for row in m.data],
+            [[z.b * (den // z.den) for z in row] for row in m.data],
+            den,
+        )
+    re = [list(row) for row in m.re]
+    im = [list(row) for row in m.im]
+    if [list(col) for col in zip(*re)] != re or [[-x for x in col] for col in zip(*im)] != im:
         raise ValueError("psd_check requires a Hermitian matrix")
-    n = m.rows
-    a = [list(row) for row in m.data]
-    active = list(range(n))
-    while active:
-        # prefer a nonzero pivot; zero-diagonal indices are checked afterwards
-        pivot_idx = None
-        for pos, i in enumerate(active):
-            if not a[i][i].is_zero():
-                pivot_idx = pos
-                break
-        if pivot_idx is None:
-            # all remaining diagonal entries are zero: matrix must be zero
-            return all(
-                a[i][j].is_zero() for i in active for j in active
-            )
-        i = active.pop(pivot_idx)
-        p = a[i][i]
-        if not p.is_real() or p.re < 0:
+    prev = 1
+    while re:
+        # the diagonal stays real: every step keeps the active block Hermitian
+        i = next((i for i, row in enumerate(re) if row[i]), None)
+        if i is None:
+            return not any(map(any, re)) and not any(map(any, im))
+        pr, pi = re.pop(i), im.pop(i)
+        p = pr.pop(i)
+        if p < 0:
             return False
-        col = {j: a[j][i] for j in active}
-        for j in active:
-            cj = col[j]
-            if cj.is_zero():
-                continue
-            f = cj / p
-            for k in active:
-                a[j][k] = a[j][k] - f * a[i][k]
-        # row i is dead; a stays Hermitian on the active block
+        del pi[i]
+        for j, (xr, xi) in enumerate(zip(re, im)):
+            fr, fi = xr.pop(i), xi.pop(i)
+            if fr or fi:
+                re[j] = [(p * a - fr * c + fi * d) // prev for a, c, d in zip(xr, pr, pi)]
+                im[j] = [(p * b - fr * d - fi * c) // prev for b, c, d in zip(xi, pr, pi)]
+            elif p != prev:
+                re[j] = [p * a // prev for a in xr]
+                im[j] = [p * b // prev for b in xi]
+        prev = p
     return True
 
 

@@ -51,6 +51,13 @@ def rational_from_json(text) -> Rational:
         raise InputError(f"malformed rational {text!r}: {exc}") from None
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise InputError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _scalar_in(obj) -> Qi:
     try:
         return scalar_from_json(obj)
@@ -94,10 +101,8 @@ def word_from_json(obj) -> tuple:
     for item in obj:
         if not isinstance(item, dict) or set(item) - {"r", "c", "star"}:
             raise InputError(f"not a letter: {item!r}")
-        try:
-            row, col = int(item["r"]), int(item["c"])
-        except (KeyError, TypeError, ValueError):
-            raise InputError(f"not a letter: {item!r}") from None
+        row = _json_int(item.get("r"), "letter row 'r'")
+        col = _json_int(item.get("c"), "letter column 'c'")
         if row < 1 or col < 1:
             raise InputError(f"letter indices must be positive: {item!r}")
         out.append(Letter(row, col, bool(item.get("star", False))))
@@ -156,10 +161,7 @@ def presentation_from_json(obj) -> Presentation:
     extra = set(obj) - {"kind", "d", "q_diag", "F", "q"}
     if extra:
         raise InputError(f"unknown presentation fields: {sorted(extra)}")
-    try:
-        d = int(obj["d"])
-    except (TypeError, ValueError):
-        raise InputError(f"bad dimension: {obj['d']!r}") from None
+    d = _json_int(obj["d"], "dimension 'd'")
     q_diag = None
     if "q_diag" in obj:
         if not isinstance(obj["q_diag"], list):
@@ -195,10 +197,7 @@ def representation_from_json(obj) -> Representation:
     if not isinstance(obj, dict) or set(obj) - {"presentation", "n", "R"}:
         raise InputError("representation needs 'presentation', 'n', 'R'")
     pres = presentation_from_json(obj.get("presentation"))
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("bad carrier dimension 'n'") from None
+    n = _json_int(obj.get("n"), "carrier dimension 'n'")
     grid = _grid_from_json(obj.get("R"), pres.d, "R", matrix_from_json)
     return representation(pres, grid, n=n)
 

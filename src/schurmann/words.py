@@ -93,7 +93,7 @@ def gaussian(values) -> tuple:
     return _over(values, den), den
 
 
-def _scaled(xs: list, f: int) -> list:
+def scaled(xs: list, f: int) -> list:
     return xs[:] if f == 1 else [x * f for x in xs]
 
 
@@ -165,7 +165,7 @@ def first_difference(x: Layer, y: Layer):
     """Index of the first entry where the two layers differ, or None."""
     den = lcm(x.den, y.den)
     f, g = den // x.den, den // y.den
-    xr, xi, yr, yi = (_scaled(v, s) for v, s in ((x.re, f), (x.im, f), (y.re, g), (y.im, g)))
+    xr, xi, yr, yi = (scaled(v, s) for v, s in ((x.re, f), (x.im, f), (y.re, g), (y.im, g)))
     if xr == yr and xi == yi:
         return None
     return next(i for i, t in enumerate(zip(xr, xi, yr, yi)) if t[0] != t[2] or t[1] != t[3])

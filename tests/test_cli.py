@@ -84,6 +84,24 @@ def test_malformed_scalar_is_input_error(run, files):
     assert "1/0" in err
 
 
+def test_non_string_kind_is_input_error(run, write):
+    code, _, err = run("validate", "--input", write("k.json", {"kind": [1], "d": 2}))
+    assert code == 2
+    assert "'kind' must be a string" in err
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+@pytest.mark.parametrize("field", ["d", "n"])
+def test_integer_fields_refuse_other_json_types(run, write, eta_sym_u2, field, value):
+    # int() would truncate 2.5 to 2 and read true as 1
+    obj = cocycle_to_json(eta_sym_u2)
+    target = obj["rep"]["presentation"] if field == "d" else obj["rep"]
+    target[field] = value
+    code, _, err = run("validate", "--input", write("f.json", obj))
+    assert code == 2
+    assert f"'{field}' must be a JSON integer" in err
+
+
 def test_missing_input_flag(run):
     code, _, err = run("check", "gf")
     assert code == 2

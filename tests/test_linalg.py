@@ -1,9 +1,24 @@
-"""Exact linear algebra: kernels, rank, solving and the LDL psd check."""
+"""Exact linear algebra: kernels, rank, solving and the fraction-free psd check."""
 
-from hypothesis import given
+from itertools import combinations
 
-from conftest import q, qi_matrices, qi_vectors
-from schurmann import I, ONE, QMatrix, QVector, ZERO, kernel_basis, psd_check, rank, solve
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import q, qi_matrices, qi_scalars, qi_vectors
+from schurmann import (
+    I,
+    ONE,
+    GaussianMatrix,
+    QMatrix,
+    QVector,
+    Qi,
+    ZERO,
+    kernel_basis,
+    psd_check,
+    rank,
+    solve,
+)
 from schurmann.linalg import gram_matrix, inner_product, project_onto_span
 
 
@@ -37,6 +52,73 @@ def test_psd_frozen_examples():
     # hermitian with complex off-diagonal, eigenvalues 0 and 2
     assert psd_check(QMatrix([[ONE, I], [-I, ONE]]))
     assert not psd_check(QMatrix([[ONE, q(("0", "2"))], [q(("0", "-2")), ONE]]))
+    # zero diagonal with a purely imaginary off-diagonal pair
+    assert not psd_check(QMatrix([[ZERO, I], [-I, ZERO]]))
+
+
+def test_psd_check_refuses_non_hermitian_input():
+    with pytest.raises(ValueError):
+        psd_check(QMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]))
+    with pytest.raises(ValueError):
+        psd_check(QMatrix([[ONE, I], [I, ONE]]))
+    with pytest.raises(ValueError):
+        psd_check(QMatrix([[ONE, ONE], [ZERO, ONE]]))
+    # im symmetric instead of antisymmetric: [[1, i], [i, 1]] over 2
+    with pytest.raises(ValueError):
+        psd_check(GaussianMatrix([[1, 0], [0, 1]], [[0, 1], [1, 0]], 2))
+
+
+@pytest.fixture(scope="module")
+def principal_minors():
+    """All principal minors of a square QMatrix, exactly, from sympy's
+    DomainMatrix over QQ_I: an engine independent of schurmann.linalg."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def minors(m):
+        n = m.rows
+        a = [[QQ_I(QQ(z.a, z.den), QQ(z.b, z.den)) for z in row] for row in m.data]
+        return [
+            DomainMatrix([[a[i][j] for j in s] for i in s], (len(s), len(s)), QQ_I).det()
+            for size in range(1, n + 1)
+            for s in combinations(range(n), size)
+        ]
+
+    return minors
+
+
+def _perturbed_grams(data):
+    """V V* for an n x r matrix V, 0 <= r <= n <= 6, with up to two perturbations."""
+    n = data.draw(st.integers(0, 6))
+    r = data.draw(st.integers(0, n))
+    rows = st.lists(st.lists(qi_scalars, min_size=r, max_size=r), min_size=n, max_size=n)
+    v = QMatrix(data.draw(rows), cols=r)
+    a = [list(row) for row in (v @ v.adjoint()).data]
+    kinds = ["negative diagonal", "zero row and column"] if n else []
+    kinds += ["complex pair"] if n > 1 else []
+    perturbations = data.draw(st.lists(st.sampled_from(kinds), max_size=2)) if kinds else []
+    for kind in perturbations:
+        if kind == "negative diagonal":
+            i = data.draw(st.integers(0, n - 1))
+            a[i][i] = data.draw(st.integers(-4, -1).map(Qi))
+        elif kind == "zero row and column":
+            i = data.draw(st.integers(0, n - 1))
+            for j in range(n):
+                a[i][j] = a[j][i] = ZERO
+        else:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            z = Qi(data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2).filter(bool)))
+            a[i][j], a[j][i] = z, z.conj()
+    return QMatrix(a, cols=n)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_psd_check_agrees_with_principal_minors(principal_minors, data):
+    # a Hermitian matrix is psd iff every principal minor (real) is >= 0
+    m = _perturbed_grams(data)
+    assert psd_check(m) == all(det.x >= 0 for det in principal_minors(m))
 
 
 @given(qi_matrices(3, 2))

@@ -144,6 +144,14 @@ def test_malformed_inputs_rejected():
         two_cocycle_from_json({"kind": "combination", "terms": []})
 
 
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+@pytest.mark.parametrize("field", ["r", "c"])
+def test_letter_indices_must_be_json_integers(field, value):
+    letter = {"r": 1, "c": 2, "star": False} | {field: value}
+    with pytest.raises(InputError, match=f"'{field}' must be a JSON integer"):
+        word_from_json([letter])
+
+
 def test_rep_deserialization_revalidates(u2):
     rep = counit_rep(u2)
     obj = through_json(representation_to_json(rep))
