@@ -5,17 +5,40 @@ u[j,k] and u*[j,k] (1-indexed).  A presentation is a *-closed list of labelled
 relation elements r with counit(r) = 0; the catalogue covers the free unitary
 algebra K<d>, the universal unitary algebras U_d+ and U_Q+ (diagonal Q > 0),
 the free orthogonal algebras O_d+ and O_F+ (F Fbar = +-I), and the twisted
-determinant algebras SU_q(d) with 0 < q < 1.
+determinant algebras SU_q(d) with 0 < q < 1.  A presentation above the
+table budget is refused from d before anything is built.
+
+Sparse elements compile onto the suffix closure of their words (`WordSet`),
+on which `words.word_set_values` evaluates rho and eta; a presentation
+compiles its relations once, on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from math import factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
 
+from .errors import InputError
 from .linalg import QMatrix
 from .scalars import ONE, ZERO, Qi, Rational, rational
+
+# The most entries (words times carrier coordinates, Gram matrix cells or
+# relation terms) one table may hold.  At about 100 bytes an entry this keeps
+# one table near 100 MB; every sweep of the verification suite stays below a
+# third of it.
+MAX_TABLE_ENTRIES = 1 << 20
+
+
+def require_entries(entries: int, what: str) -> None:
+    """Refuse, before anything is allocated, a table above the entry budget."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise InputError(
+            f"{what} would hold {entries} entries, above the table budget "
+            f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+        )
 
 
 class Letter(NamedTuple):
@@ -207,12 +230,82 @@ def letters(d: int, starred: bool = True) -> list[Letter]:
     return out
 
 
+def letter_index(l: Letter, d: int) -> int:
+    """The position of the letter in `letters(d)`."""
+    return (l.star * d + l.row - 1) * d + l.col - 1
+
+
 def words_up_to(d: int, max_len: int, starred: bool = True) -> Iterator[Word]:
     """All words over the letter alphabet, lengths 0..max_len, canonical order."""
     alpha = letters(d, starred=starred)
     for n in range(max_len + 1):
         for combo in itertools.product(alpha, repeat=n):
             yield combo
+
+
+class WordSet(NamedTuple):
+    """Sparse elements over the suffix closure S of their words.
+
+    The words of S of length m form layer m (layer 0 is the empty word),
+    sorted by head letter, then by the position of the tail in layer m - 1;
+    `sizes[m]` counts them.  `layers[m - 1]` holds layer m as its runs of one
+    head letter: (index of the letter in `letters(d)`, positions of the tails
+    in layer m - 1, positions in the run whose tail has counit 1).  Words
+    are numbered through S in this order.  The terms of all elements follow
+    one another: term t has the coefficient (re[t] + i im[t]) / dens[e] and
+    the word numbered at[t], and element e holds the terms bounds[e] <= t <
+    bounds[e + 1].
+    """
+
+    layers: tuple
+    sizes: tuple
+    re: list
+    im: list
+    at: list
+    bounds: list
+    dens: list
+
+
+def word_set(d: int, elements: Sequence[Element]) -> WordSet:
+    """The elements compiled onto the suffix closure of their words."""
+    by_len: list[set] = [{()}]
+    for a in elements:
+        for w in a.terms:
+            while len(by_len) <= len(w):
+                by_len.append(set())
+            for k in range(len(w)):
+                s = w[k:]
+                if s in by_len[len(s)]:
+                    break  # and so are its suffixes
+                by_len[len(s)].add(s)
+    pos, diagonal, number = {(): 0}, {(): True}, {(): 0}
+    layers, sizes = [], [1]
+    for words in by_len[1:]:
+        words = sorted(words, key=lambda w: (letter_index(w[0], d), pos[w[1:]]))
+        runs = []
+        for h, run in itertools.groupby(words, key=lambda w: letter_index(w[0], d)):
+            tails, eps = [], []
+            for w in run:
+                if diagonal[w[1:]]:
+                    eps.append(len(tails))
+                tails.append(pos[w[1:]])
+            runs.append((h, tails, eps))
+        for i, w in enumerate(words):
+            pos[w] = i
+            number[w] = len(number)
+            diagonal[w] = w[0].row == w[0].col and diagonal[w[1:]]
+        layers.append(tuple(runs))
+        sizes.append(len(words))
+    re, im, at, bounds, dens = [], [], [], [0], []
+    for a in elements:
+        den = lcm(*(c.den for c in a.terms.values()))
+        for w, c in a.terms.items():
+            re.append(c.a * (den // c.den))
+            im.append(c.b * (den // c.den))
+            at.append(number[w])
+        bounds.append(len(at))
+        dens.append(den)
+    return WordSet(tuple(layers), tuple(sizes), re, im, at, bounds, dens)
 
 
 PRESENTATION_KINDS = ("k_d", "u_plus", "u_q", "o_plus", "o_f", "su_q")
@@ -242,6 +335,12 @@ class Presentation:
 
     def __hash__(self):
         return hash((self.kind, self.d, self.q_diag, self.F, self.q))
+
+    @cached_property
+    def relation_words(self) -> WordSet:
+        """The relations compiled onto the suffix closure of their words, once
+        per presentation and on first use."""
+        return word_set(self.d, [r for _, r in self.relations])
 
     def determinant_relations(self) -> list[tuple[str, Element]]:
         """The unstarred twisted-determinant family (empty unless kind su_q)."""
@@ -330,6 +429,51 @@ def _star_close(rels: list[tuple[str, Element]]) -> tuple[tuple[str, Element], .
     return tuple(out)
 
 
+def relation_terms(kind: str, d: int) -> int:
+    """Terms of the relation families of a catalogue presentation, counted
+    before the star closure adds at most as many again.  A quadratic family
+    has d^2 relations of d terms plus the unit on the diagonal; the form
+    relations of o_f are counted as if F had no zero entry."""
+    quadratic = d**3 + d
+    if kind == "k_d":
+        return 2 * quadratic
+    if kind in ("u_plus", "u_q"):
+        return 4 * quadratic
+    if kind == "o_plus":
+        return 4 * quadratic + 2 * d * d
+    if kind == "o_f":
+        return 2 * quadratic + 2 * d**3
+    # su_q: d! determinant relations of d! words and the unit
+    return 4 * quadratic + factorial(d) * (factorial(d) + 1)
+
+
+def require_relation_budget(kind: str, d: int) -> None:
+    """Refuse, before anything is built, a catalogue presentation whose
+    relations would hold more than MAX_TABLE_ENTRIES terms, or, for su_q,
+    whose d! determinant relations of d! words would hold more than
+    MAX_TABLE_ENTRIES letters, (d!)^2 d in all.  The letter count stops at
+    the budget and the term count is a closed form, so a huge d costs
+    nothing.  An unknown kind or a d below 1 is left to `build_presentation`
+    to refuse."""
+    if kind not in PRESENTATION_KINDS or d < 1:
+        return
+    if kind == "su_q":
+        size = d
+        for m in range(2, d + 1):
+            size *= m * m
+            if size > MAX_TABLE_ENTRIES:
+                raise InputError(
+                    f"su_q at d = {d}: the determinant relations would hold (d!)^2 d "
+                    f"letters, above the table budget MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+                )
+    terms = relation_terms(kind, d)
+    if terms > MAX_TABLE_ENTRIES:
+        raise InputError(
+            f"{kind} at d = {d}: the relations would hold {terms} terms, "
+            f"above the table budget MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+        )
+
+
 def build_presentation(
     kind: str,
     d: int,
@@ -338,11 +482,13 @@ def build_presentation(
     F: QMatrix | None = None,
     q=None,
 ) -> Presentation:
-    """Build a catalogue presentation; validates parameters exactly."""
+    """Build a catalogue presentation; validates parameters exactly and
+    refuses one above the table budget with InputError."""
     if kind not in PRESENTATION_KINDS:
         raise ValueError(f"unknown presentation kind {kind!r}")
     if d < 1:
         raise ValueError("d must be >= 1")
+    require_relation_budget(kind, d)
 
     if kind == "k_d":
         rels = _quadratic_relations(d, _UNITARITY)

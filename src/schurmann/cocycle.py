@@ -5,15 +5,22 @@ W[j][k] = eta(u*[j,k]) of vectors in the carrier of rho.  Constructors
 validate eta(r) = 0 on every relation of the presentation; vanishing on the
 generating relations forces vanishing on the whole *-ideal, so validated
 cocycles descend to the quotient.
+
+Elements are evaluated on the suffix closure of their words (the relations
+on `Presentation.relation_words`, compiled once per presentation), by
+eta(h w) = rho(h) eta(w) + eps(w) eta(h) on Gaussian-integer numerators
+(`words.word_set_values`); a relation is violated iff its sum is nonzero on
+the integers, and only then is its value built as a `QVector`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Letter, Presentation, antipode_element, letters
+from .algebra import Element, Letter, Presentation, WordSet, antipode_element, letters, word_set
 from .errors import InputError, RelationViolation
 from .linalg import QMatrix, QVector, inner_product, kernel_basis
 from .representation import (
@@ -24,11 +31,13 @@ from .representation import (
     pullback_rep,
 )
 from .scalars import ZERO, Qi, rational
+from .words import Sums, gaussian, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
-# The longest word `is_real_cocycle` samples.  eta of a word recurses once per
-# letter, so this keeps well below Python's default recursion limit of 1000.
+# The longest word `is_real_cocycle` samples.  Evaluation runs layer by layer
+# without recursion; the bound keeps a sampled word's numerators, which grow
+# with its length, small.
 MAX_SAMPLED_WORD_LEN = 256
 
 
@@ -37,7 +46,6 @@ class Cocycle:
     rep: Representation
     V: VGrid
     W: VGrid
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __eq__(self, other) -> bool:
         return (
@@ -66,6 +74,11 @@ class Cocycle:
         grid = self.W if l.star else self.V
         return grid[l.row - 1][l.col - 1]
 
+    @cached_property
+    def numerators(self) -> tuple:
+        """(numerator pairs of eta(letter h)_k at h * n + k, den) over `letters(d)`."""
+        return gaussian([z for l in letters(self.d) for z in self.letter_value(l)])
+
 
 def _as_vgrid(d: int, n: int, grid: Sequence[Sequence[QVector]], name: str) -> VGrid:
     if len(grid) != d or any(len(row) != d for row in grid):
@@ -77,30 +90,22 @@ def _as_vgrid(d: int, n: int, grid: Sequence[Sequence[QVector]], name: str) -> V
     return tuple(tuple(row) for row in grid)
 
 
+def _values(eta: Cocycle, ws: WordSet) -> Sums:
+    return word_set_values(ws, eta.rep.action, eta.n, eta.numerators)
+
+
+def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
+    """eta(a) for every element, on one compiled word set."""
+    for a in elements:
+        if a.d != eta.d:
+            raise ValueError(f"ambient size mismatch: element {a.d}, cocycle {eta.d}")
+    sums = _values(eta, word_set(eta.d, elements))
+    return [QVector(sums.qis(e)) for e in range(len(elements))]
+
+
 def evaluate_cocycle(eta: Cocycle, a: Element) -> QVector:
     """eta(a); words peel from the leftmost letter."""
-    if a.d != eta.d:
-        raise ValueError(f"ambient size mismatch: element {a.d}, cocycle {eta.d}")
-    out = QVector.zero(eta.n)
-    for w, c in a.terms.items():
-        out = out + _eta_word(eta, w).scale(c)
-    return out
-
-
-def _eta_word(eta: Cocycle, w) -> QVector:
-    cache = eta._cache
-    v = cache.get(w)
-    if v is not None:
-        return v
-    if not w:
-        v = QVector.zero(eta.n)
-    else:
-        head, tail = w[0], w[1:]
-        v = eta.rep.image(*head).apply(_eta_word(eta, tail))
-        if all(l.row == l.col for l in tail):
-            v = v + eta.letter_value(head)
-    cache[w] = v
-    return v
+    return cocycle_values(eta, [a])[0]
 
 
 def cocycle_general(
@@ -109,10 +114,9 @@ def cocycle_general(
     """Validated cocycle from both letter-value grids."""
     d, n = rep.d, rep.n
     eta = Cocycle(rep, _as_vgrid(d, n, V, "V"), _as_vgrid(d, n, W, "W"))
+    sums = _values(eta, rep.presentation.relation_words)
     violations = [
-        (lbl, val)
-        for lbl, r in rep.presentation.relations
-        if not (val := evaluate_cocycle(eta, r)).is_zero()
+        (rep.presentation.relations[e][0], QVector(sums.qis(e))) for e in sums.nonzero()
     ]
     if violations:
         raise RelationViolation("cocycle", violations)
@@ -274,27 +278,37 @@ def pullback_cocycle(eta: Cocycle, sub: GeneratorSubstitution) -> Cocycle:
         raise ValueError("cocycle does not live over the substitution target")
     rep = pullback_rep(eta.rep, sub)
     d = sub.source.d
-    V = [
-        [evaluate_cocycle(eta, sub.images[j][k]) for k in range(d)] for j in range(d)
-    ]
-    W = [
-        [evaluate_cocycle(eta, sub.images[j][k].star()) for k in range(d)]
-        for j in range(d)
-    ]
+    images = [img for row in sub.images for img in row]
+    flat = cocycle_values(eta, images + [img.star() for img in images])
+    V = [flat[j * d : (j + 1) * d] for j in range(d)]
+    W = [flat[d * d + j * d : d * d + (j + 1) * d] for j in range(d)]
     return cocycle_general(rep, V, W)
+
+
+def _reality_sides(eta: Cocycle, pool: list):
+    """(i, j) -> the two sides of the reality condition at (pool[i], pool[j]),
+    from eta(x), eta(S(x)*) and eta(S(x*)) for every x of the pool,
+    evaluated on one word set."""
+    if not eta.presentation.kac:
+        raise ValueError("reality check requires a Kac presentation")
+    k = len(pool)
+    flat = cocycle_values(
+        eta,
+        pool
+        + [antipode_element(x).star() for x in pool]
+        + [antipode_element(x.star()) for x in pool],
+    )
+
+    def sides(i: int, j: int) -> tuple[Qi, Qi]:
+        return inner_product(flat[i], flat[j]), inner_product(flat[k + j], flat[2 * k + i])
+
+    return sides
 
 
 def reality_pair(eta: Cocycle, a: Element, b: Element) -> tuple[Qi, Qi]:
     """The two sides <eta(a), eta(b)> and <eta(S(b)*), eta(S(a*))> of the
     reality condition at (a, b).  Requires a Kac presentation."""
-    if not eta.presentation.kac:
-        raise ValueError("reality check requires a Kac presentation")
-    lhs = inner_product(evaluate_cocycle(eta, a), evaluate_cocycle(eta, b))
-    rhs = inner_product(
-        evaluate_cocycle(eta, antipode_element(b).star()),
-        evaluate_cocycle(eta, antipode_element(a.star())),
-    )
-    return lhs, rhs
+    return _reality_sides(eta, [a, b])(0, 1)
 
 
 def is_real_cocycle(
@@ -327,9 +341,10 @@ def is_real_cocycle(
             pool.append(Element.from_word(eta.d, w))
     else:
         pool.extend(sample_words)
-    for a in pool:
-        for b in pool:
-            lhs, rhs = reality_pair(eta, a, b)
+    sides = _reality_sides(eta, pool)
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            lhs, rhs = sides(i, j)
             if lhs != rhs:
                 return False, (a, b, lhs, rhs)
     return True, None

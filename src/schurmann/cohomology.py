@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import Element, Letter, Presentation, counit, letters
-from .cocycle import Cocycle, scalar_gaussian_cocycle, cocycle_general, _eta_word
+from .cocycle import Cocycle, cocycle_general, cocycle_values, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
 from .linalg import QMatrix, QVector, inner_product
 from .representation import sign_rep
@@ -70,11 +70,16 @@ class TwoCocycle:
 
 @dataclass(frozen=True, eq=False)
 class KPairCocycle(TwoCocycle):
-    """c(a, b) = <eta1(a*), eta2(b)> for two cocycles on the same representation."""
+    """c(a, b) = <eta1(a*), eta2(b)> for two cocycles on the same representation.
+
+    eta(1) = 0 and eta of a letter is its letter value; eta of a longer word
+    is read through the word-set evaluator and memoised per word.  Values
+    are memoised per pair of words."""
 
     eta1: Cocycle
     eta2: Cocycle
     _cache: dict = field(default_factory=dict, repr=False)
+    _words: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.eta1.rep != self.eta2.rep:
@@ -84,11 +89,20 @@ class KPairCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.eta1.presentation
 
+    def _eta(self, eta: Cocycle, w) -> QVector:
+        if len(w) <= 1:
+            return eta.letter_value(w[0]) if w else QVector.zero(eta.n)
+        key = (eta is self.eta2, w)
+        v = self._words.get(key)
+        if v is None:
+            v = self._words[key] = cocycle_values(eta, [Element.from_word(self.d, w)])[0]
+        return v
+
     def word_value(self, wa, wb) -> Qi:
         key = (wa, wb)
         v = self._cache.get(key)
         if v is None:
-            v = inner_product(_eta_word(self.eta1, _star_word(wa)), _eta_word(self.eta2, wb))
+            v = inner_product(self._eta(self.eta1, _star_word(wa)), self._eta(self.eta2, wb))
             self._cache[key] = v
         return v
 

@@ -24,7 +24,7 @@ from .errors import RelationViolation
 from .linalg import GaussianMatrix, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, ONE, Qi
-from .words import Layer, WordTables, combine, dots, gather, require_entries, scaled, step
+from .words import Layer, WordTables, combine, dots, gather, require_entries, rho_step, scaled, step
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,8 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
     def extend(k, state):
         # states for w -> states for letter_k . w
         vec, _, eps = state
-        return t.rho_step(eta, k, vec, eps), psi_row(k, state), eps if t.diag[k] else []
+        move = rho_step(eta.rep.action, k, vec, eps, eta.numerators)
+        return move, psi_row(k, state), eps if t.diag[k] else []
 
     peeled: dict[tuple, tuple] = {(): base}
 

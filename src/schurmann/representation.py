@@ -4,17 +4,25 @@ A representation is a d x d grid R of n x n matrices over Q(i), with
 rho(u[j,k]) = R[j][k] and rho(u*[j,k]) = adjoint(R[j][k]), extended
 multiplicatively to words and linearly to elements.  Construction is eager:
 every relation of the presentation must evaluate to the zero matrix.
+
+Elements are evaluated on the suffix closure of their words (the relations
+on `Presentation.relation_words`, compiled once per presentation), by
+rho(h w) = rho(h) rho(w) on Gaussian-integer numerators
+(`words.word_set_values`); a relation is violated iff its sum is nonzero on
+the integers, and only then is its value built as a `QMatrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Presentation, counit
+from .algebra import Element, Presentation, WordSet, counit, letters, word_set
 from .errors import RelationViolation
 from .linalg import QMatrix, QVector, kernel_basis
 from .scalars import ONE, ZERO, Qi
+from .words import Action, Sums, action, word_set_values
 
 Grid = tuple[tuple[QMatrix, ...], ...]
 
@@ -25,9 +33,6 @@ class Representation:
     n: int
     R: Grid
     R_star: Grid = field(repr=False)
-    _cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
 
     def __eq__(self, other) -> bool:
         return (
@@ -49,6 +54,11 @@ class Representation:
         grid = self.R_star if star else self.R
         return grid[row - 1][col - 1]
 
+    @cached_property
+    def action(self) -> Action:
+        """rho of `letters(d)` as numerator rows over one denominator."""
+        return action([self.image(*l) for l in letters(self.d)])
+
 
 def _as_grid(presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n: int) -> Grid:
     d = presentation.d
@@ -61,27 +71,26 @@ def _as_grid(presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n:
     return tuple(tuple(row) for row in blocks)
 
 
+def _matrix(cells: list, n: int) -> QMatrix:
+    return QMatrix([[cells[c * n + k] for c in range(n)] for k in range(n)], cols=n)
+
+
+def _values(rep: Representation, ws: WordSet) -> Sums:
+    return word_set_values(ws, rep.action, rep.n)
+
+
+def rep_values(rep: Representation, elements: Sequence[Element]) -> list[QMatrix]:
+    """rho(a) for every element, on one compiled word set."""
+    for a in elements:
+        if a.d != rep.d:
+            raise ValueError(f"ambient size mismatch: element {a.d}, representation {rep.d}")
+    sums = _values(rep, word_set(rep.d, elements))
+    return [_matrix(sums.qis(e), rep.n) for e in range(len(elements))]
+
+
 def evaluate_rep(rep: Representation, a: Element) -> QMatrix:
     """rho(a) as an n x n matrix; words multiply left to right."""
-    if a.d != rep.d:
-        raise ValueError(f"ambient size mismatch: element {a.d}, representation {rep.d}")
-    out = QMatrix.zero(rep.n, rep.n)
-    for w, c in a.terms.items():
-        out = out + _rho_word(rep, w).scale(c)
-    return out
-
-
-def _rho_word(rep: Representation, w) -> QMatrix:
-    cache = rep._cache
-    m = cache.get(w)
-    if m is not None:
-        return m
-    if not w:
-        m = QMatrix.identity(rep.n)
-    else:
-        m = rep.image(*w[0]) @ _rho_word(rep, w[1:])
-    cache[w] = m
-    return m
+    return rep_values(rep, [a])[0]
 
 
 def representation(
@@ -93,10 +102,9 @@ def representation(
     grid = _as_grid(presentation, blocks, n)
     star = tuple(tuple(m.adjoint() for m in row) for row in grid)
     rep = Representation(presentation, n, grid, star)
+    sums = _values(rep, presentation.relation_words)
     violations = [
-        (lbl, val)
-        for lbl, r in presentation.relations
-        if not (val := evaluate_rep(rep, r)).is_zero()
+        (presentation.relations[e][0], _matrix(sums.qis(e), n)) for e in sums.nonzero()
     ]
     if violations:
         raise RelationViolation("representation", violations)
@@ -173,9 +181,8 @@ def pullback_rep(rep: Representation, sub: GeneratorSubstitution) -> Representat
     if rep.presentation != sub.target:
         raise ValueError("representation does not live over the substitution target")
     d = sub.source.d
-    blocks = [
-        [evaluate_rep(rep, sub.images[j][k]) for k in range(d)] for j in range(d)
-    ]
+    flat = rep_values(rep, [img for row in sub.images for img in row])
+    blocks = [flat[j * d : (j + 1) * d] for j in range(d)]
     return representation(sub.source, blocks, rep.n)
 
 

@@ -17,7 +17,14 @@ is the identity.  All structural problems raise InputError.
 
 from __future__ import annotations
 
-from .algebra import Element, Letter, Presentation, build_presentation, word_key
+from .algebra import (
+    Element,
+    Letter,
+    Presentation,
+    build_presentation,
+    require_relation_budget,
+    word_key,
+)
 from .cocycle import (
     Cocycle,
     cocycle_general,
@@ -37,7 +44,6 @@ from .functional import Functional
 from .linalg import QMatrix, QVector
 from .representation import Representation, representation
 from .scalars import Qi, Rational, rational, scalar_from_json, scalar_to_json
-from .words import MAX_TABLE_ENTRIES
 
 
 def rational_to_json(r) -> str:
@@ -105,7 +111,10 @@ def word_from_json(obj) -> tuple:
         col = _json_int(item.get("c"), "letter column 'c'")
         if row < 1 or col < 1:
             raise InputError(f"letter indices must be positive: {item!r}")
-        out.append(Letter(row, col, bool(item.get("star", False))))
+        star = item.get("star", False)
+        if type(star) is not bool:
+            raise InputError(f"letter 'star' must be JSON true or false, got {star!r}")
+        out.append(Letter(row, col, star))
     return tuple(out)
 
 
@@ -114,20 +123,6 @@ def element_to_json(a: Element) -> list:
         {"coeff": scalar_to_json(c), "word": word_to_json(w)}
         for w, c in sorted(a.terms.items(), key=lambda t: word_key(t[0]))
     ]
-
-
-def element_from_json(obj, d: int) -> Element:
-    if not isinstance(obj, list):
-        raise InputError(f"not an element: {obj!r}")
-    acc = Element.zero(d)
-    for item in obj:
-        if not isinstance(item, dict) or set(item) - {"coeff", "word"}:
-            raise InputError(f"not an element term: {item!r}")
-        w = word_from_json(item.get("word", []))
-        if any(l.row > d or l.col > d for l in w):
-            raise InputError(f"letter index exceeds d={d}")
-        acc = acc + Element.from_word(d, w, _scalar_in(item.get("coeff", {})))
-    return acc
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -139,20 +134,6 @@ def presentation_to_json(p: Presentation) -> dict:
     if p.q is not None:
         out["q"] = rational_to_json(p.q)
     return out
-
-
-def _require_determinant_budget(d: int) -> None:
-    """Refuse, before it is built, an su_q whose d! determinant relations of
-    d! words each would hold more than MAX_TABLE_ENTRIES letters, (d!)^2 d in
-    all; the count stops at the budget, so a huge d costs nothing."""
-    size = d
-    for m in range(2, d + 1):
-        size *= m * m
-        if size > MAX_TABLE_ENTRIES:
-            raise InputError(
-                f"su_q at d = {d}: the determinant relations would hold (d!)^2 d letters, "
-                f"above the table budget MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
-            )
 
 
 def presentation_from_json(obj) -> Presentation:
@@ -169,8 +150,7 @@ def presentation_from_json(obj) -> Presentation:
         q_diag = [rational_from_json(x) for x in obj["q_diag"]]
     F = matrix_from_json(obj["F"]) if "F" in obj else None
     q = rational_from_json(obj["q"]) if "q" in obj else None
-    if obj["kind"] == "su_q":
-        _require_determinant_budget(d)
+    require_relation_budget(obj["kind"], d)
     try:
         return build_presentation(str(obj["kind"]), d, q_diag=q_diag, F=F, q=q)
     except ValueError as exc:

@@ -11,6 +11,7 @@ word pool) as Gaussian-integer numerators re[i] + i im[i] over one positive
 denominator, so building it costs integer products only; values leave as
 `Qi`.  Every table follows the letter recursions of the package:
 
+    rho(h w) = rho(h) rho(w)
     eps(h w) = [h diagonal] eps(w)
     eta(h w) = rho(h) eta(w) + eps(w) eta(h)
     v(h w)   = first(h, w) + [h diagonal] v(w) + eps(w) v(h),    v(1) = 0
@@ -21,36 +22,25 @@ w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
 -1 for a primitive (`cohomology.value_tables`).
 
 Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
-word pairs).  Sparse elements are evaluated by the one memoised letter
-recursion (`cohomology.LetterFunctional`, and `_eta_word` for eta), which
-also serves as the tests' oracle.
+word pairs).  Sparse elements, the relations of a presentation among them,
+are compiled onto the suffix closure of their words (`algebra.WordSet`), and
+`word_set_values` evaluates rho or eta on it layer by layer with the same
+`rho_step` the eta tables use, then sums each element on the numerators, so
+a relation check is a zero test on integers.  Functionals on sparse elements
+keep the memoised letter recursion of `cohomology.LetterFunctional`.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import add
+from operator import add, mul, sub
 from typing import NamedTuple
 
-from .algebra import letters
-from .errors import InputError
+# MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
+from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
 from .linalg import QVector
 from .scalars import ONE, Qi, _qi
-
-# The most entries (words times carrier coordinates, or Gram matrix cells) one
-# table may hold.  At about 100 bytes an entry this keeps one table near
-# 100 MB; every sweep of the verification suite stays below a third of it.
-MAX_TABLE_ENTRIES = 1 << 20
-
-
-def require_entries(entries: int, what: str) -> None:
-    """Refuse, before anything is allocated, a table above the entry budget."""
-    if entries > MAX_TABLE_ENTRIES:
-        raise InputError(
-            f"{what} would hold {entries} entries, above the table budget "
-            f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
-        )
 
 
 class Layer(NamedTuple):
@@ -185,6 +175,146 @@ def gather(layers, picks):
     return Layer(re, im, den)
 
 
+class Action(NamedTuple):
+    """rho on the letters of `letters(d)`: images[h] holds the rows of
+    rho(letter h) as numerator pairs over den."""
+
+    images: list
+    den: int
+
+
+def action(matrices) -> Action:
+    """The letter images, in the order of `letters(d)`, over one denominator."""
+    den = lcm(*(z.den for m in matrices for row in m.data for z in row))
+    return Action([[_over(row, den) for row in m.data] for m in matrices], den)
+
+
+def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLayer:
+    """x(h w) = rho(h) x(w) + eps(w) eta(h) for every vector x(w) of the
+    layer, eps the indices with eps(w) = 1 and eta = (the letter values
+    eta(letter h)_k as numerator pairs at h * n + k, den).  Without eps this
+    is rho(h) x(w); the denominator is lcm(rho.den * vec.den, eta den) either
+    way, so the layers of one step share it."""
+    images, dr = rho
+    values, de = eta
+    n = len(images[h])
+    den = lcm(dr * vec.den, de)
+    f, g = den // (dr * vec.den), den // de
+    re, im = [], []
+    for k, row in enumerate(images[h]):
+        m = dots((row, dr), vec)
+        xr, xi = (m.re, m.im) if f == 1 else ([x * f for x in m.re], [x * f for x in m.im])
+        if eps:
+            a, b = values[h * n + k]
+            a, b = a * g, b * g
+            if a or b:
+                for i in eps:
+                    xr[i] += a
+                    xi[i] += b
+        re.append(xr)
+        im.append(xi)
+    return VecLayer(tuple(re), tuple(im), den, vec.size)
+
+
+def zero_vectors(n: int) -> VecLayer:
+    """eta(1) = 0: the layer of the empty word."""
+    return VecLayer(tuple([0] for _ in range(n)), tuple([0] for _ in range(n)), 1, 1)
+
+
+def stack(parts, size: int) -> VecLayer:
+    """Vector layers of one denominator one after another (size entries in
+    all); a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    n = len(parts[0].re)
+    re = tuple(list(chain.from_iterable(p.re[k] for p in parts)) for k in range(n))
+    im = tuple(list(chain.from_iterable(p.im[k] for p in parts)) for k in range(n))
+    return VecLayer(re, im, parts[0].den, size)
+
+
+class Sums(NamedTuple):
+    """Values of the elements of a word set: cell c of element e is
+    (re[c][e] + i im[c][e]) / (dens[e] den)."""
+
+    re: list
+    im: list
+    den: int
+    dens: list
+
+    def nonzero(self) -> list:
+        """Indices of the elements with a nonzero cell, in order."""
+        return [e for e, cells in enumerate(zip(*self.re, *self.im)) if any(cells)]
+
+    def qis(self, e: int) -> list:
+        """The cells of element e."""
+        den = self.dens[e] * self.den
+        return [_qi(r[e], m[e], den) for r, m in zip(self.re, self.im)]
+
+
+def word_set_values(ws: WordSet, rho: Action, n: int, eta=None) -> Sums:
+    """The value of every element of the word set, as numerator sums.
+
+    Without eta, rho(a) with cell c n + k the entry (k, c): the entries of
+    a layer are the columns rho(w) e_c, at w n + c.  With eta = (letter value
+    numerators, den) as in `rho_step`, eta(a) with cell k the coordinate k.
+    Layer m + 1 is built run by run from layer m by `rho_step`, so layer m
+    of rho is over rho.den^m and layer m of eta over lcm(rho.den^m, eta den
+    rho.den^(m-1)).  A relation holds iff all its cells are 0 on the ints.
+    """
+    if eta is None:
+        # rho(1) = id, one column per entry; no counit terms
+        width, counit_terms, eta = n, False, ((), 1)
+        eye = tuple([int(k == c) for c in range(n)] for k in range(n))
+        layer = VecLayer(eye, tuple([0] * n for _ in range(n)), 1, n)
+    else:
+        width, counit_terms = 1, True
+        layer = zero_vectors(n)
+    layers = [layer]
+    for runs, size in zip(ws.layers, ws.sizes[1:]):
+        parts = []
+        for h, tails, eps in runs:
+            picks = tails if width == 1 else [t * width + c for t in tails for c in range(width)]
+            tails_layer = VecLayer(
+                tuple([r[i] for i in picks] for r in layer.re),
+                tuple([r[i] for i in picks] for r in layer.im),
+                layer.den,
+                len(picks),
+            )
+            parts.append(rho_step(rho, h, tails_layer, eps if counit_terms else (), eta))
+        layer = stack(parts, size * width)
+        layers.append(layer)
+    # the cells of every term's word, over one denominator: entry (g, c) of
+    # the word numbered g sits at g width + c of the layers laid end to end
+    den = lcm(*(layer.den for layer in layers))
+    flat_re = [[] for _ in range(n)]
+    flat_im = [[] for _ in range(n)]
+    for layer in layers:
+        f = den // layer.den
+        for out, rows in ((flat_re, layer.re), (flat_im, layer.im)):
+            for k in range(n):
+                out[k] += rows[k] if f == 1 else [x * f for x in rows[k]]
+    at = ws.at
+    cols_re, cols_im = [], []
+    for c in range(width):
+        picks = at if width == 1 else [g * width + c for g in at]
+        for k in range(n):
+            cols_re.append(list(map(flat_re[k].__getitem__, picks)))
+            cols_im.append(list(map(flat_im[k].__getitem__, picks)))
+    # sum the products term by term, then take each element's stretch
+    a, b = ws.re, ws.im
+    complex_coeffs = any(b)
+    starts, ends = ws.bounds[:-1], ws.bounds[1:]
+    out_re, out_im = [], []
+    for xr, xi in zip(cols_re, cols_im):
+        pr, pi = map(mul, a, xr), map(mul, a, xi)
+        if complex_coeffs:
+            pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
+        for out, p in ((out_re, pr), (out_im, pi)):
+            p = list(accumulate(p, initial=0))
+            out.append(list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts))))
+    return Sums(out_re, out_im, den, ws.dens)
+
+
 class WordTables:
     """Tables over the words of one ambient size d, built on demand and kept
     for the lifetime of the object; quantities are keyed by the object they
@@ -235,51 +365,19 @@ class WordTables:
 
     # -- eta through the rho action -----------------------------------------
 
-    def _eta_entry(self, eta):
-        entry = self._eta.get(id(eta))
-        if entry is None:
-            rho = [eta.rep.image(*l) for l in self.alpha]
-            dr = lcm(*(z.den for m in rho for row in m.data for z in row))
-            images = [[_over(row, dr) for row in m.data] for m in rho]
-            values = gaussian([z for l in self.alpha for z in eta.letter_value(l)])
-            n = eta.n
-            zero = VecLayer(tuple([0] for _ in range(n)), tuple([0] for _ in range(n)), 1, 1)
-            entry = (eta, images, dr, values, [zero])
-            self._eta[id(eta)] = entry
-        return entry
-
-    def rho_step(self, eta, h: int, vec: VecLayer, eps) -> VecLayer:
-        """eta(h w) = rho(h) eta(w) + eps(w) eta(h) for every w of the layer."""
-        _, images, dr, (values, de), _ = self._eta_entry(eta)
-        n = len(vec.re)
-        moved = [dots((row, dr), vec) for row in images[h]]
-        den = lcm(dr * vec.den, de)
-        f, g = den // (dr * vec.den), den // de
-        re, im = [], []
-        for k, m in enumerate(moved):
-            xr, xi = (m.re, m.im) if f == 1 else ([x * f for x in m.re], [x * f for x in m.im])
-            a, b = values[h * n + k]
-            a, b = a * g, b * g
-            if a or b:
-                for i in eps:
-                    xr[i] += a
-                    xi[i] += b
-            re.append(xr)
-            im.append(xi)
-        return VecLayer(tuple(re), tuple(im), den, vec.size)
-
     def eta(self, eta, length: int) -> list:
         """Layers 0 .. length of eta."""
-        layers = self._eta_entry(eta)[4]
+        entry = self._eta.get(id(eta))
+        if entry is None:
+            entry = self._eta[id(eta)] = (eta, [zero_vectors(eta.n)])
+        layers = entry[1]
         while len(layers) <= length:
             m = len(layers) - 1
             self.require(m + 1, eta.n)
             prev, eps = layers[-1], self.eps(m)
-            parts = [self.rho_step(eta, h, prev, eps) for h in range(self.base)]
-            n = len(prev.re)
-            re = tuple(list(chain.from_iterable(p.re[k] for p in parts)) for k in range(n))
-            im = tuple(list(chain.from_iterable(p.im[k] for p in parts)) for k in range(n))
-            layers.append(VecLayer(re, im, parts[0].den, self.base * prev.size))
+            rho, values = eta.rep.action, eta.numerators
+            parts = [rho_step(rho, h, prev, eps, values) for h in range(self.base)]
+            layers.append(stack(parts, self.base * prev.size))
         return layers
 
     # -- values -------------------------------------------------------------

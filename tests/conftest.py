@@ -1,9 +1,12 @@
 """Shared fixtures and hypothesis strategies for the suite."""
 
+import sys
+
 import pytest
 from hypothesis import settings, strategies as st
 
 from schurmann import (
+    Element,
     I,
     ONE,
     QMatrix,
@@ -16,7 +19,9 @@ from schurmann import (
     letters,
     rational,
 )
+from schurmann.cocycle import Cocycle
 from schurmann.functional import Functional
+from schurmann.representation import Representation
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -58,6 +63,34 @@ def o3():
     return build_presentation("o_plus", 3)
 
 
+@pytest.fixture(scope="session")
+def every_kind():
+    """One presentation of every kind at d = 2, and su_q at d = 3 for its
+    determinant words of three letters."""
+    F = QMatrix([[ZERO, Qi(rational("1/2"))], [Qi(2), ZERO]])
+    return [
+        build_presentation("k_d", 2),
+        build_presentation("u_plus", 2),
+        build_presentation("u_q", 2, q_diag=[rational("1/2"), rational(3)]),
+        build_presentation("o_plus", 2),
+        build_presentation("o_f", 2, F=F),
+        build_presentation("su_q", 2, q=rational("1/3")),
+        build_presentation("su_q", 3, q=rational("1/2")),
+    ]
+
+
+def unvalidated_rep(presentation, blocks, n):
+    """A Representation on the grid as given, no relation checked."""
+    grid = tuple(tuple(row) for row in blocks)
+    star = tuple(tuple(m.adjoint() for m in row) for row in grid)
+    return Representation(presentation, n, grid, star)
+
+
+def unvalidated_cocycle(rep, V, W):
+    """A Cocycle on the grids as given, no relation checked."""
+    return Cocycle(rep, tuple(tuple(row) for row in V), tuple(tuple(row) for row in W))
+
+
 def scalar_grid(entries):
     """d x d grid of scalars -> grid of 1-dim vectors."""
     return [[QVector((x,)) for x in row] for row in entries]
@@ -88,6 +121,94 @@ def canonical_values(eta):
     """The canonical letter values, validated or not (eta_asym_u2 has no gf)."""
     values = b_matrices(eta).b_tilde.scale(Qi(rational("-1/2")))
     return Functional(eta, values, values.conj())
+
+
+# -- the plain recursions: the oracle for the word-set evaluator ---------------
+
+
+def rho_word(rep, w, memo):
+    """rho(h w) = rho(h) rho(w), rho(1) = id; memo maps words to matrices."""
+    m = memo.get(w)
+    if m is None:
+        m = QMatrix.identity(rep.n) if not w else rep.image(*w[0]) @ rho_word(rep, w[1:], memo)
+        memo[w] = m
+    return m
+
+
+def eta_word(eta, w, memo):
+    """eta(h w) = rho(h) eta(w) + eps(w) eta(h), eta(1) = 0; memo maps words to vectors."""
+    v = memo.get(w)
+    if v is None:
+        if not w:
+            v = QVector.zero(eta.n)
+        else:
+            head, tail = w[0], w[1:]
+            v = eta.rep.image(*head).apply(eta_word(eta, tail, memo))
+            if all(l.row == l.col for l in tail):
+                v = v + eta.letter_value(head)
+        memo[w] = v
+    return v
+
+
+def oracle_rep(rep, a, memo=None):
+    """rho(a) by the recursion, term by term."""
+    memo = {} if memo is None else memo
+    out = QMatrix.zero(rep.n, rep.n)
+    for w, c in a.terms.items():
+        out = out + rho_word(rep, w, memo).scale(c)
+    return out
+
+
+def oracle_cocycle(eta, a, memo=None):
+    """eta(a) by the recursion, term by term."""
+    memo = {} if memo is None else memo
+    out = QVector.zero(eta.n)
+    for w, c in a.terms.items():
+        out = out + eta_word(eta, w, memo).scale(c)
+    return out
+
+
+def oracle_violations(obj, evaluate):
+    """The (label, value) list of the relations where evaluate(obj, r) is nonzero."""
+    memo = {}
+    return [
+        (lbl, val)
+        for lbl, r in obj.presentation.relations
+        if not (val := evaluate(obj, r, memo)).is_zero()
+    ]
+
+
+def without_deep_recursion(fn, *args, depth=60):
+    """fn(*args) with the recursion limit `depth` frames above the caller, so
+    a recursion once per letter of a long word raises RecursionError."""
+    frame, used = sys._getframe(), 0
+    while frame is not None:
+        frame, used = frame.f_back, used + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(used + depth)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def drawn_elements(data, d, count=4, max_len=4):
+    """Up to count elements of up to three words of up to max_len letters."""
+    word = st.lists(st.sampled_from(letters(d)), max_size=max_len).map(tuple)
+    element = st.lists(st.tuples(word, qi_scalars), max_size=3).map(
+        lambda pairs: Element(d, dict(pairs))
+    )
+    return data.draw(st.lists(element, min_size=1, max_size=count))
+
+
+def drawn_blocks(data, d, n):
+    """A random grid of n x n blocks, or the counit with one block changed."""
+    if data.draw(st.booleans()):
+        return [[data.draw(qi_matrices(n)) for _ in range(d)] for _ in range(d)]
+    blocks = [[QMatrix.identity(n) if j == k else QMatrix.zero(n, n) for k in range(d)] for j in range(d)]
+    j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    blocks[j][k] = data.draw(qi_matrices(n))
+    return blocks
 
 
 def drawn_words(data, d, count=6):

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import qi_scalars
+from schurmann import algebra
+from schurmann.algebra import MAX_TABLE_ENTRIES, PRESENTATION_KINDS, relation_terms, word_set
+from schurmann.errors import InputError
 from schurmann import (
     Element,
     Letter,
@@ -172,3 +175,59 @@ def test_relation_lists_pinned(kind):
     text = "\n".join(f"{lbl}: {r!r}" for lbl, r in p.relations)
     assert (len(p.relations), hashlib.sha256(text.encode()).hexdigest()) == RELATION_DIGESTS[kind]
 
+
+
+@pytest.mark.parametrize("kind", sorted(RELATION_CASES))
+def test_relation_terms_bound_the_built_presentations(kind):
+    # counted before the star closure, which at most doubles the terms;
+    # exact for the kinds the closure adds nothing to
+    for d in (1, 2, 3):
+        case = dict(RELATION_CASES[kind], d=d)
+        if kind == "u_q":
+            case["q_diag"] = [rational(f"{k + 1}/2") for k in range(d)]
+        if kind == "o_f":
+            case["F"] = QMatrix.identity(d)
+        terms = sum(len(r.terms) for _, r in build_presentation(kind, **case).relations)
+        assert terms <= 2 * relation_terms(kind, d)
+        if kind in ("k_d", "u_plus"):
+            assert terms == relation_terms(kind, d)
+        if kind == "o_plus":
+            assert terms == relation_terms(kind, d) + 2 * d * d
+    assert relation_terms("u_plus", 40) == 256160
+
+
+@pytest.fixture
+def builders_fail(monkeypatch):
+    for name in ("_quadratic_relations", "_symmetry_relations", "_form_relations",
+                 "_determinant_relations", "_star_close"):
+        monkeypatch.setattr(algebra, name, lambda *a, **k: pytest.fail("built"))
+
+
+@pytest.mark.parametrize("d", [1000, 10**9])
+@pytest.mark.parametrize("kind", PRESENTATION_KINDS)
+def test_presentation_budget_refused_before_build(builders_fail, kind, d):
+    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES"):
+        build_presentation(kind, d)
+
+
+def test_presentation_budget_boundary(builders_fail):
+    assert relation_terms("u_plus", 63) <= MAX_TABLE_ENTRIES < relation_terms("u_plus", 64)
+    with pytest.raises(InputError, match="u_plus at d = 64: the relations would hold 1048832 terms"):
+        build_presentation("u_plus", 64)
+
+
+def test_word_set_is_suffix_closed_and_layered():
+    a, b, c = Letter(1, 1, False), Letter(1, 2, False), Letter(2, 1, True)
+    x = Element(2, {(a, b, c): ONE, (b, c): Qi(2), (): -ONE})
+    y = Element(2, {(c, b): Qi(0, 1)})
+    ws = word_set(2, [x, y])
+    # S = {1; c, b; b c, c b; a b c}, layers sorted by head letter, then tail
+    assert ws.sizes == (1, 2, 2, 1)
+    index = {l: i for i, l in enumerate(letters(2))}
+    assert ws.layers[0] == ((index[b], [0], [0]), (index[c], [0], [0]))
+    assert ws.layers[1] == ((index[b], [1], []), (index[c], [0], []))
+    assert ws.layers[2] == ((index[a], [0], []),)
+    # words numbered through S: 1 -> 0, b -> 1, c -> 2, b c -> 3, c b -> 4, a b c -> 5
+    assert ws.at == [5, 3, 0, 4]
+    assert ws.bounds == [0, 3, 4]
+    assert (ws.re, ws.im, ws.dens) == ([1, 2, -1, 0], [0, 0, 0, 1], [1, 1])

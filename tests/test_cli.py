@@ -4,12 +4,23 @@ import json
 
 import pytest
 
-from schurmann import KPairCocycle, coboundary1, cocycle, schurmann_functional, serialize, words
+from schurmann import (
+    KPairCocycle,
+    build_presentation,
+    coboundary1,
+    cocycle,
+    counit_rep,
+    rational,
+    schurmann_functional,
+    serialize,
+    words,
+)
 from schurmann.cli import main
 from schurmann.serialize import (
     cocycle_to_json,
     functional_to_json,
     presentation_to_json,
+    representation_to_json,
     two_cocycle_to_json,
 )
 
@@ -76,6 +87,150 @@ def test_validate_names_violated_relations(run, files):
     assert code == 1
     assert "violated relations" in out
     assert "uu*(1,1)" in out
+
+
+# `validate` stdout for the tampered objects of TAMPERED below
+REP_U2 = (
+    "representation: violated relations\n"
+    "  uu*(1,1): [-5/36, 1/3*i; -1/3*i, 4/9]\n"
+    "  u*u(1,1): [5/4, 1/6*i; -1/6*i, 1/9]\n"
+    "  uu*(1,2): [1/2, 1/2; 2/9-2/15*i, 0]\n"
+    "  u*u(1,2): [1/3+1/5*i, -1/4-3/4*i; 2/3, 1/6+1/6*i]\n"
+    "  uu*(2,1): [1/2, 2/9+2/15*i; 1/2, 0]\n"
+    "  u*u(2,1): [1/3-1/5*i, 2/3; -1/4+3/4*i, 1/6-1/6*i]\n"
+    "  uu*(2,2): [34/225, 1*i; -1*i, 1]\n"
+    "  u*u(2,2): [-91/225, 0; 0, 1/2]\n"
+    "  ubar·ut(1,1): [-11/36, 1/6*i; -1/6*i, 11/18]\n"
+    "  ut·ubar(1,1): [13/36, 4/3*i; -4/3*i, 1]\n"
+    "  ubar·ut(1,2): [1/2, -2/3; -1/15-8/5*i, 0]\n"
+    "  ut·ubar(1,2): [1/2-11/30*i, 1/3; -7/10-5/6*i, 0]\n"
+    "  ubar·ut(2,1): [1/2, -1/15+8/5*i; -2/3, 0]\n"
+    "  ut·ubar(2,1): [1/2+11/30*i, -7/10+5/6*i; 1/3, 0]\n"
+    "  ubar·ut(2,2): [259/225, 0; 0, 0]\n"
+    "  ut·ubar(2,2): [-157/450, 0; 0, 4/9]\n"
+)
+
+COC_U_Q = (
+    "cocycle: violated relations\n"
+    "  uu*(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  u*u(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  uu*(1,2): (4/3*i, -1)\n"
+    "  u*u(1,2): (4/3*i, -1)\n"
+    "  uu*(2,1): (5/3, 1/7)\n"
+    "  u*u(2,1): (5/3, 1/7)\n"
+    "  uu*(2,2): (5/4, 1-2/3*i)\n"
+    "  u*u(2,2): (5/4, 1-2/3*i)\n"
+    "  q_row(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  q_col(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  q_row(1,2): (35/18, 1/7)\n"
+    "  q_col(1,2): (35/18, 1/7)\n"
+    "  q_row(2,1): (19/3*i, -1)\n"
+    "  q_col(2,1): (19/3*i, -1)\n"
+    "  q_row(2,2): (5/4, 1-2/3*i)\n"
+    "  q_col(2,2): (5/4, 1-2/3*i)\n"
+    "  q_row(1,2)*: (19/18*i, -1/6)\n"
+    "  q_col(1,2)*: (19/18*i, -1/6)\n"
+    "  q_row(2,1)*: (35/3, 6/7)\n"
+    "  q_col(2,1)*: (35/3, 6/7)\n"
+)
+
+COC_SU_Q = (
+    "cocycle: violated relations\n"
+    "  uu*(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  u*u(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  uu*(1,2): (4/3*i, -1)\n"
+    "  u*u(1,2): (4/3*i, -1)\n"
+    "  uu*(2,1): (5/3, 1/7)\n"
+    "  u*u(2,1): (5/3, 1/7)\n"
+    "  uu*(2,2): (5/4, 1-2/3*i)\n"
+    "  u*u(2,2): (5/4, 1-2/3*i)\n"
+    "  q_row(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  q_col(1,1): (1/2+1*i, 1+1/2*i)\n"
+    "  q_row(1,2): (-1, 1/7)\n"
+    "  q_col(1,2): (-1, 1/7)\n"
+    "  q_row(2,1): (4/9*i, -1)\n"
+    "  q_col(2,1): (4/9*i, -1)\n"
+    "  q_row(2,2): (5/4, 1-2/3*i)\n"
+    "  q_col(2,2): (5/4, 1-2/3*i)\n"
+    "  det(1,2): (1/2+1*i, -2/3*i)\n"
+    "  det(2,1): (-1/6-1/3*i, 2/9*i)\n"
+    "  q_row(1,2)*: (4*i, -9)\n"
+    "  q_col(1,2)*: (4*i, -9)\n"
+    "  q_row(2,1)*: (-1/9, 1/63)\n"
+    "  q_col(2,1)*: (-1/9, 1/63)\n"
+    "  det(1,2)*: (5/4, 2+1/2*i)\n"
+    "  det(2,1)*: (-5/12, -2/3-1/6*i)\n"
+)
+
+COC_O2_MAGIC = (
+    "cocycle: violated relations\n"
+    "  uu*(1,1): (3/4+2*i, -3/4+2*i)\n"
+    "  u*u(1,1): (5/4+2*i, -5/4+2*i)\n"
+    "  uu*(1,2): (-3/4+1/6*i, 7/4-1/6*i)\n"
+    "  u*u(1,2): (-1/4+1/6*i, 5/4-1/6*i)\n"
+    "  uu*(2,1): (7/4, -3/4)\n"
+    "  u*u(2,1): (5/4, -1/4)\n"
+    "  uu*(2,2): (5/4+1/2*i, 11/4+1/6*i)\n"
+    "  u*u(2,2): (3/4+1/2*i, 13/4+1/6*i)\n"
+    "  ubar·ut(1,1): (3/4+2*i, -3/4+2*i)\n"
+    "  ut·ubar(1,1): (5/4+2*i, -5/4+2*i)\n"
+    "  ubar·ut(1,2): (-3/4+1/6*i, 7/4-1/6*i)\n"
+    "  ut·ubar(1,2): (-1/4+1/6*i, 5/4-1/6*i)\n"
+    "  ubar·ut(2,1): (7/4, -3/4)\n"
+    "  ut·ubar(2,1): (5/4, -1/4)\n"
+    "  ubar·ut(2,2): (5/4+1/2*i, 11/4+1/6*i)\n"
+    "  ut·ubar(2,2): (3/4+1/2*i, 13/4+1/6*i)\n"
+)
+
+
+def _s(re, im="0"):
+    return {"re": re, "im": im}
+
+
+def _tampered_rep():
+    # u_plus d = 2 on a 2-dim carrier, blocks with complex fractions
+    R = [
+        [[[_s("1/2"), _s("0", "1/3")], [_s("0"), _s("1")]], [[_s("0"), _s("-1/2", "1/2")], [_s("2/3"), _s("0")]]],
+        [[[_s("1"), _s("0")], [_s("0", "-1"), _s("0")]], [[_s("1/3", "1/5"), _s("0")], [_s("0"), _s("-1")]]],
+    ]
+    return {"presentation": presentation_to_json(build_presentation("u_plus", 2)), "n": 2, "R": R}
+
+
+def _tampered_counit_cocycle(kind, **kw):
+    rep = representation_to_json(counit_rep(build_presentation(kind, 2, **kw), 2))
+    V = [[[_s("1/2", "1"), _s("0")], [_s("0", "1/3"), _s("-1")]], [[_s("2"), _s("1/7")], [_s("0"), _s("0", "-2/3")]]]
+    W = [[[_s("0"), _s("1", "1/2")], [_s("-1/3"), _s("0")]], [[_s("0", "1"), _s("0")], [_s("5/4"), _s("1")]]]
+    return {"rep": rep, "V": V, "W": W}
+
+
+def _tampered_magic_cocycle():
+    # o_plus d = 2 on the magic unitary p, 1 - p with p = [[1/2, 1/2], [1/2, 1/2]]
+    p = [[_s("1/2"), _s("1/2")], [_s("1/2"), _s("1/2")]]
+    q = [[_s("1/2"), _s("-1/2")], [_s("-1/2"), _s("1/2")]]
+    pres = presentation_to_json(build_presentation("o_plus", 2))
+    V = [[[_s("1", "1"), _s("-1", "1")], [_s("0"), _s("1/2")]], [[_s("1/2"), _s("0")], [_s("0", "1/3"), _s("2")]]]
+    return {"rep": {"presentation": pres, "n": 2, "R": [[p, q], [q, p]]}, "V": V, "W": V}
+
+
+# stdout of `validate` on each tampered object, the same with and without
+# --json: every violated relation in presentation order with its exact value
+TAMPERED = {
+    "rep_u_plus": (_tampered_rep, REP_U2),
+    "cocycle_u_q": (lambda: _tampered_counit_cocycle("u_q", q_diag=[rational("1/2"), rational(3)]), COC_U_Q),
+    "cocycle_su_q": (lambda: _tampered_counit_cocycle("su_q", q=rational("1/3")), COC_SU_Q),
+    "cocycle_o_plus_magic": (_tampered_magic_cocycle, COC_O2_MAGIC),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_validate_violation_output_pinned(run, write, name, as_json):
+    build, expected = TAMPERED[name]
+    argv = ["validate", "--input", write(f"{name}.json", build())] + (["--json"] if as_json else [])
+    code, out, err = run(*argv)
+    assert code == 1
+    assert err == ""
+    assert out == expected
 
 
 def test_malformed_scalar_is_input_error(run, files):
@@ -241,6 +396,7 @@ def test_table_budget_refused(run, files, argv):
 def test_real_word_length_budget_refused(run, files, monkeypatch):
     # length 3000 used to end in a RecursionError traceback
     monkeypatch.setattr(cocycle, "reality_pair", lambda *a: pytest.fail("evaluated"))
+    monkeypatch.setattr(cocycle, "cocycle_values", lambda *a: pytest.fail("evaluated"))
     code, out, err = run("check", "real", "--input", files["sym"], "--max-word-len", "3000")
     assert code == 2
     assert out == ""
@@ -258,6 +414,17 @@ def test_su_q_budget_refused_before_build(run, write, monkeypatch, d):
     assert code == 2
     assert out == ""
     assert f"su_q at d = {d}" in err
+    assert "above the table budget MAX_TABLE_ENTRIES" in err
+
+
+@pytest.mark.parametrize("kind", ["k_d", "u_plus", "u_q", "o_plus", "o_f", "su_q"])
+def test_presentation_budget_refused_from_json(run, write, monkeypatch, kind):
+    # about 4 d^3 relation terms: d = 1000 would build for hours
+    monkeypatch.setattr(serialize, "build_presentation", lambda *a, **k: pytest.fail("built"))
+    code, out, err = run("validate", "--input", write("p.json", {"kind": kind, "d": 1000}))
+    assert code == 2
+    assert out == ""
+    assert f"{kind} at d = 1000" in err
     assert "above the table budget MAX_TABLE_ENTRIES" in err
 
 

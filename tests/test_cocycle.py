@@ -1,11 +1,24 @@
 """Cocycles: the defining identity, B matrices, reality and the solver."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import q, qi_scalars, scalar_grid
+from conftest import (
+    drawn_blocks,
+    drawn_elements,
+    oracle_cocycle,
+    oracle_violations,
+    q,
+    qi_scalars,
+    qi_vectors,
+    scalar_grid,
+    unvalidated_cocycle,
+    unvalidated_rep,
+    without_deep_recursion,
+)
 from schurmann import (
     Cocycle,
     Element,
@@ -34,6 +47,7 @@ from schurmann import (
     solve_cocycles,
 )
 from schurmann import cocycle
+from schurmann.cocycle import cocycle_general, cocycle_values
 
 letters_d2 = st.sampled_from(letters(2))
 words_d2 = st.lists(letters_d2, max_size=3).map(tuple)
@@ -168,3 +182,74 @@ def test_direct_sum_concatenates(eta_sym_u2, eta_asym_u2):
     assert evaluate_cocycle(s, a) == evaluate_cocycle(eta_sym_u2, a).concat(
         evaluate_cocycle(eta_asym_u2, a)
     )
+
+
+# -- the word-set evaluator against the plain recursion ----------------------
+
+
+def drawn_grids(data, space, n):
+    """Random (V, W) grids, or a member of the cocycle space with one value changed."""
+    d = space.rep.d
+    if not space.basis or data.draw(st.booleans()):
+        return [[[data.draw(qi_vectors(n)) for _ in range(d)] for _ in range(d)] for _ in "VW"]
+    eta = data.draw(st.sampled_from(space.basis))
+    V, W = [list(map(list, eta.V)), list(map(list, eta.W))]
+    grid = data.draw(st.sampled_from([V, W]))
+    j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    grid[j][k] = data.draw(qi_vectors(n))
+    return V, W
+
+
+@functools.lru_cache(maxsize=None)
+def counit_space(pres, n):
+    """The cocycle space of the counit on n dimensions, solved once per presentation."""
+    return solve_cocycles(counit_rep(pres, n))
+
+
+@given(st.data())
+def test_cocycle_values_match_recursion(every_kind, data):
+    pres = data.draw(st.sampled_from(every_kind))
+    n = data.draw(st.integers(1, 2))
+    rep = unvalidated_rep(pres, drawn_blocks(data, pres.d, n), n)
+    V, W = drawn_grids(data, counit_space(pres, n), n)
+    eta = unvalidated_cocycle(rep, V, W)
+    elements = drawn_elements(data, pres.d)
+    # the empty word, and an element (so its words) repeated in one batch
+    elements += [Element.one(pres.d), elements[0], Element.zero(pres.d)]
+    memo = {}
+    want = [oracle_cocycle(eta, a, memo) for a in elements]
+    assert cocycle_values(eta, elements) == want
+    assert [evaluate_cocycle(eta, a) for a in elements] == want
+
+
+@given(st.data())
+def test_cocycle_violations_match_recursion(every_kind, data):
+    # labels, order and values of the RelationViolation list, on the counit
+    # or on a rep that need not be valid (cocycle_general does not check it)
+    pres = data.draw(st.sampled_from(every_kind))
+    n = data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):
+        rep = counit_rep(pres, n)
+    else:
+        rep = unvalidated_rep(pres, drawn_blocks(data, pres.d, n), n)
+    V, W = drawn_grids(data, counit_space(pres, n), n)
+    want = oracle_violations(unvalidated_cocycle(rep, V, W), oracle_cocycle)
+    if not want:
+        assert cocycle_general(rep, V, W).n == n
+        return
+    with pytest.raises(RelationViolation) as exc:
+        cocycle_general(rep, V, W)
+    assert exc.value.violations == want
+
+
+def test_cocycle_of_a_long_word_matches_recursion(u2):
+    # a word of MAX_SAMPLED_WORD_LEN letters evaluates with a few frames of
+    # recursion to spare: the evaluator works layer by layer
+    m, p = QMatrix([[ONE, I], [q("1/2"), ZERO]]), QMatrix([[ZERO, ONE], [ONE, q("1/3")]])
+    rep = unvalidated_rep(u2, [[m, p], [p.adjoint(), m.adjoint()]], 2)
+    vec = [[QVector((q("1/3"), I)), QVector((ZERO, ONE))], [QVector((ONE, ONE)), QVector((I, ZERO))]]
+    eta = unvalidated_cocycle(rep, vec, vec)
+    diagonal = (Letter(1, 1, False), Letter(2, 2, True))
+    w = tuple(letters(2)[k % 8] for k in range(cocycle.MAX_SAMPLED_WORD_LEN - 4)) + diagonal * 2
+    a = Element.from_word(2, w, q("1/2"))
+    assert without_deep_recursion(evaluate_cocycle, eta, a) == oracle_cocycle(eta, a)

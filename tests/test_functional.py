@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import canonical_values, drawn_words, q, qi_matrices, scalar_grid
+from conftest import canonical_values, drawn_words, eta_word, q, qi_matrices, scalar_grid
 from schurmann import (
     Cocycle,
     Element,
@@ -27,7 +27,6 @@ from schurmann import (
     su_q3_obstruction,
 )
 from schurmann import functional, words
-from schurmann.cocycle import _eta_word
 from schurmann.errors import InputError
 from schurmann.cohomology import value_tables
 from schurmann.functional import Functional, default_pool_size, default_word_pool
@@ -47,7 +46,7 @@ def test_tables_match_recursion(eta_sym_u2, eta_rot_o3, eta_asym_u2, data):
         assert t.word(m, c) == w
         assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
         assert (c in t.eps(m)) == all(l.row == l.col for l in w)
-        assert etas[m].vector(c) == _eta_word(eta, w), w
+        assert etas[m].vector(c) == eta_word(eta, w, {}), w
         assert psis[m].qi(c) == psi.word_value(w), w
 
 

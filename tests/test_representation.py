@@ -3,7 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import qi_scalars
+from conftest import (
+    drawn_blocks,
+    drawn_elements,
+    oracle_rep,
+    oracle_violations,
+    q,
+    qi_scalars,
+    unvalidated_rep,
+    without_deep_recursion,
+)
 from schurmann import (
     Element,
     I,
@@ -19,6 +28,8 @@ from schurmann import (
     representation,
     sign_rep,
 )
+from schurmann.cocycle import MAX_SAMPLED_WORD_LEN
+from schurmann.representation import rep_values
 
 
 def test_counit_rep_images(u2):
@@ -91,3 +102,47 @@ def test_rep_relation_labels_name_the_relation(u2):
     with pytest.raises(RelationViolation) as exc:
         representation(u2, blocks)
     assert "uu*" in str(exc.value) or "u*u" in str(exc.value)
+
+
+# -- the word-set evaluator against the plain recursion ----------------------
+
+
+@given(st.data())
+def test_rep_values_match_recursion(every_kind, data):
+    pres = data.draw(st.sampled_from(every_kind))
+    n = data.draw(st.integers(1, 2))
+    rep = unvalidated_rep(pres, drawn_blocks(data, pres.d, n), n)
+    elements = drawn_elements(data, pres.d)
+    # the empty word, and an element (so its words) repeated in one batch
+    elements += [Element.one(pres.d), elements[0], Element.zero(pres.d)]
+    memo = {}
+    want = [oracle_rep(rep, a, memo) for a in elements]
+    assert rep_values(rep, elements) == want
+    assert [evaluate_rep(rep, a) for a in elements] == want
+
+
+@given(st.data())
+def test_rep_violations_match_recursion(every_kind, data):
+    # labels, order and values of the RelationViolation list
+    pres = data.draw(st.sampled_from(every_kind))
+    n = data.draw(st.integers(1, 2))
+    blocks = drawn_blocks(data, pres.d, n)
+    want = oracle_violations(unvalidated_rep(pres, blocks, n), oracle_rep)
+    if not want:
+        assert representation(pres, blocks, n).n == n
+        return
+    with pytest.raises(RelationViolation) as exc:
+        representation(pres, blocks, n)
+    assert exc.value.violations == want
+
+
+def test_rep_of_a_long_word_matches_recursion(u2):
+    # a word of MAX_SAMPLED_WORD_LEN letters evaluates with a few frames of
+    # recursion to spare: the evaluator works layer by layer
+    m, p = QMatrix([[ONE, I], [q("1/2"), ZERO]]), QMatrix([[ZERO, ONE], [ONE, q("1/3")]])
+    rep = unvalidated_rep(u2, [[m, p], [p.adjoint(), m.adjoint()]], 2)
+    w = tuple(letters(2)[k % 8] for k in range(MAX_SAMPLED_WORD_LEN))
+    a = Element.from_word(2, w, q("1/2"))
+    want = oracle_rep(rep, a)
+    assert want != want.transpose()
+    assert without_deep_recursion(evaluate_rep, rep, a) == want

@@ -152,6 +152,15 @@ def test_letter_indices_must_be_json_integers(field, value):
         word_from_json([letter])
 
 
+@pytest.mark.parametrize("value", ["no", 0.0, 1, None], ids=["string", "float", "int", "null"])
+def test_letter_star_must_be_json_boolean(value):
+    # bool() read "no" as starred and 0.0 as unstarred
+    with pytest.raises(InputError, match="letter 'star' must be JSON true or false"):
+        word_from_json([{"r": 1, "c": 2, "star": value}])
+    assert word_from_json(through_json([{"r": 1, "c": 2, "star": True}]))[0].star is True
+    assert word_from_json([{"r": 1, "c": 2}])[0].star is False
+
+
 def test_rep_deserialization_revalidates(u2):
     rep = counit_rep(u2)
     obj = through_json(representation_to_json(rep))
