@@ -31,7 +31,7 @@ from .representation import (
     pullback_rep,
 )
 from .scalars import ZERO, Qi, rational
-from .words import Sums, gaussian, word_set_values
+from .words import Sums, gaussian, require_entries, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
@@ -382,10 +382,12 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     """All cocycles for rho, by exact kernel computation in the letter values.
 
     For fixed rho the map (V, W) -> (eta(r))_r is linear; the solution space
-    is the kernel of the stacked coefficient matrix over Q(i).
+    is the kernel of the stacked coefficient matrix over Q(i), at most
+    n |relations| rows by 2 d^2 n columns, refused above the entry budget.
     """
     d, n = rep.d, rep.n
     nvars = 2 * d * d * n
+    require_entries(n * len(rep.presentation.relations) * nvars, "the cocycle coefficient matrix")
 
     def var_index(star: bool, j: int, k: int, coord: int) -> int:
         base = (d * d * n) if star else 0

@@ -2,14 +2,16 @@
 
 The inner product is conjugate-linear in the FIRST argument,
     <x, y> = sum_i conj(x_i) * y_i,
-and every routine below is exact; a pivot is zero iff it equals 0 in Q(i).
+and every routine below is exact.  Kernels, ranks, solves and the PSD check
+run one elimination on Gaussian-integer numerator rows (`_row_step`); a `Qi`
+is built only for a reduced-form entry that is read back.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Qi, _qi
@@ -121,24 +123,10 @@ class QMatrix:
         return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
-        return QMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
-        return QMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "QMatrix":
         return QMatrix([[-a for a in row] for row in self.data], cols=self.cols)
@@ -225,71 +213,92 @@ class QMatrix:
             out.append([ZERO] * a.cols + list(b.data[i]))
         return QMatrix(out, cols=a.cols + b.cols)
 
-    def _same_shape(self, other: "QMatrix") -> None:
+    def _entrywise(self, op, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        rows = [list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)]
+        return QMatrix(rows, cols=self.cols)
 
 
-def _rref(rows: list[list[Qi]], ncols: int) -> tuple[list[list[Qi]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
+def _numerators(rows: Sequence[Sequence[Qi]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Gaussian-integer numerators (re, im) of Qi rows over their lcm denominator."""
+    den = lcm(*(z.den for row in rows for z in row))
+    re = [[z.a * (den // z.den) for z in row] for row in rows]
+    im = [[z.b * (den // z.den) for z in row] for row in rows]
+    return re, im
+
+
+def _row_step(p: tuple[int, int], f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list]:
+    """The row (p x - f y) / g for numerator rows x = (re, im) and y and
+    Gaussian integers p = (re, im) and f, where g > 0 is the integer gcd of
+    the parts of p x - f y.  With p = y[c] and f = x[c] the result is 0 at c."""
+    (pr, pi), (fr, fi), (xr, xi), (yr, yi) = p, f, x, y
+    re = [pr * a - pi * b - fr * c + fi * d for a, b, c, d in zip(xr, xi, yr, yi)]
+    im = [pr * b + pi * a - fr * d - fi * c for a, b, c, d in zip(xr, xi, yr, yi)]
+    g = gcd(*re, *im)
+    if g > 1:
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+    return re, im
+
+
+def _rref(rows: Sequence[Sequence[Qi]], ncols: int) -> tuple[list[tuple], list[int]]:
+    """Gauss-Jordan by `_row_step` on the numerators of rows; returns (numerator
+    rows, pivot column indices), row r a nonzero multiple of row r of the
+    reduced row echelon form."""
+    out = list(zip(*_numerators(rows)))
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        k = next((k for k in range(r, len(out)) if out[k][0][c] or out[k][1][c]), None)
+        if k is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * a for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        out[r], out[k] = out[k], out[r]
+        y = out[r]
+        p = y[0][c], y[1][c]
+        for i, x in enumerate(out):
+            if i != r and (x[0][c] or x[1][c]):
+                out[i] = _row_step(p, (x[0][c], x[1][c]), x, y)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r + 1 == len(out):
             break
-    return rows, pivots
+    return out, pivots
+
+
+def _entry(row: tuple, col: int, pivot: int) -> Qi:
+    """The reduced row echelon entry at col of a numerator row: row[col] / row[pivot]."""
+    a, b, pr, pi = row[0][col], row[1][col], row[0][pivot], row[1][pivot]
+    return _qi(a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi)
 
 
 def kernel_basis(m: QMatrix) -> list[QVector]:
     """Exact basis of {v : m v = 0}; empty list iff the kernel is {0}."""
-    rows = [list(r) for r in m.data]
-    rows, pivots = _rref(rows, m.cols)
+    rows, pivots = _rref(m.data, m.cols)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in (c for c in range(m.cols) if c not in pivot_set):
         v = [ZERO] * m.cols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            v[c] = -_entry(row, f, c)
         basis.append(QVector(v))
     return basis
 
 
 def rank(m: QMatrix) -> int:
-    rows = [list(r) for r in m.data]
-    _, pivots = _rref(rows, m.cols)
-    return len(pivots)
+    return len(_rref(m.data, m.cols)[1])
 
 
 def solve(m: QMatrix, b: QVector) -> QVector | None:
     """One exact solution of m x = b, or None if the system is inconsistent."""
     if m.rows != len(b):
         raise ValueError("incompatible right-hand side")
-    rows = [list(r) + [b[i]] for i, r in enumerate(m.data)]
-    rows, pivots = _rref(rows, m.cols)
-    for r in range(len(pivots), len(rows)):
-        if not rows[r][m.cols].is_zero():
-            return None
+    rows, pivots = _rref([r + (z,) for r, z in zip(m.data, b.entries)], m.cols)
+    if any(re[-1] or im[-1] for re, im in rows[len(pivots) :]):
+        return None
     x = [ZERO] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][m.cols]
+    for row, c in zip(rows, pivots):
+        x[c] = _entry(row, m.cols, c)
     return QVector(x)
 
 
@@ -324,51 +333,39 @@ class GaussianMatrix:
 def psd_check(m: QMatrix | GaussianMatrix) -> bool:
     """Exact positive semidefiniteness of a Hermitian matrix.
 
-    A `QMatrix` is first brought over the lcm of its denominators; the
-    elimination runs on the Gaussian-integer numerators, fraction-free
-    (Bareiss).  With prev the previous pivot (1 at the start) and p the
-    pivot, every active entry becomes (p a_jk - a_ji a_ik) / prev, an exact
-    division: by Sylvester's identity the entry is the minor on the pivot
-    rows and columns bordered by j and k, that is the determinant of the
-    pivot block (the product of the Schur-complement pivots so far, all
-    positive) times the Schur-complement entry.  So the verdicts are those
-    of Hermitian elimination: the first nonzero diagonal entry is the pivot
-    and must be positive, and once the remaining diagonal is zero the
-    remaining block must vanish (else a 2x2 principal minor is negative).
+    Hermitian elimination on the Gaussian-integer numerators (a `QMatrix`
+    is first brought over the lcm of its denominators): the first nonzero
+    diagonal entry p is the pivot and must be positive, and every row with a
+    nonzero entry in the pivot column takes the shared row step with it.
+    Each step multiplies a row by p > 0 and divides it by a positive
+    integer, so the active block stays a positive row scaling of the Schur
+    complement and keeps the signs of its diagonal.  Once the remaining
+    diagonal is zero the remaining block must vanish (else a 2x2 principal
+    minor is negative).
     """
     if isinstance(m, QMatrix):
         if m.rows != m.cols:
             raise ValueError("psd_check requires a Hermitian matrix")
-        den = lcm(*(z.den for row in m.data for z in row))
-        m = GaussianMatrix(
-            [[z.a * (den // z.den) for z in row] for row in m.data],
-            [[z.b * (den // z.den) for z in row] for row in m.data],
-            den,
-        )
-    re = [list(row) for row in m.re]
-    im = [list(row) for row in m.im]
+        re, im = _numerators(m.data)
+    else:
+        re, im = [list(row) for row in m.re], [list(row) for row in m.im]
     if [list(col) for col in zip(*re)] != re or [[-x for x in col] for col in zip(*im)] != im:
         raise ValueError("psd_check requires a Hermitian matrix")
-    prev = 1
-    while re:
-        # the diagonal stays real: every step keeps the active block Hermitian
-        i = next((i for i, row in enumerate(re) if row[i]), None)
+    rows = list(zip(re, im))
+    while rows:
+        # the diagonal stays real: each row is a positive multiple of a Hermitian row
+        i = next((i for i, (a, _) in enumerate(rows) if a[i]), None)
         if i is None:
-            return not any(map(any, re)) and not any(map(any, im))
-        pr, pi = re.pop(i), im.pop(i)
-        p = pr.pop(i)
+            return not any(any(a) or any(b) for a, b in rows)
+        y = rows.pop(i)
+        p = y[0].pop(i)
         if p < 0:
             return False
-        del pi[i]
-        for j, (xr, xi) in enumerate(zip(re, im)):
-            fr, fi = xr.pop(i), xi.pop(i)
-            if fr or fi:
-                re[j] = [(p * a - fr * c + fi * d) // prev for a, c, d in zip(xr, pr, pi)]
-                im[j] = [(p * b - fr * d - fi * c) // prev for b, c, d in zip(xi, pr, pi)]
-            elif p != prev:
-                re[j] = [p * a // prev for a in xr]
-                im[j] = [p * b // prev for b in xi]
-        prev = p
+        del y[1][i]
+        for j, x in enumerate(rows):
+            f = (x[0].pop(i), x[1].pop(i))
+            if f[0] or f[1]:
+                rows[j] = _row_step((p, 0), f, x, y)
     return True
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and hypothesis strategies for the suite."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -19,6 +20,7 @@ from schurmann import (
     letters,
     rational,
 )
+from schurmann import cocycle
 from schurmann.cocycle import Cocycle
 from schurmann.functional import Functional
 from schurmann.representation import Representation
@@ -176,6 +178,13 @@ def oracle_violations(obj, evaluate):
         for lbl, r in obj.presentation.relations
         if not (val := evaluate(obj, r, memo)).is_zero()
     ]
+
+
+def refuse_elimination(monkeypatch):
+    """Make building a cocycle coefficient row or eliminating the matrix fail the test."""
+    built = lambda *args, **kwargs: pytest.fail("built")
+    monkeypatch.setattr(cocycle, "QMatrix", SimpleNamespace(identity=built, zero=built))
+    monkeypatch.setattr(cocycle, "kernel_basis", built)
 
 
 def without_deep_recursion(fn, *args, depth=60):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import refuse_elimination
 from schurmann import (
     KPairCocycle,
     build_presentation,
@@ -401,6 +402,18 @@ def test_real_word_length_budget_refused(run, files, monkeypatch):
     assert code == 2
     assert out == ""
     assert "above the word length budget MAX_SAMPLED_WORD_LEN" in err
+
+
+@pytest.mark.parametrize("command", [["check", "h1"], ["solve-cocycles"]], ids=["h1", "solve"])
+def test_cocycle_matrix_budget_refused(run, write, monkeypatch, command):
+    # the counit on n = 23 over U_4+: 23 * 64 rows of 2 * 16 * 23 columns
+    path = write("rep.json", representation_to_json(counit_rep(build_presentation("u_plus", 4), 23)))
+    refuse_elimination(monkeypatch)
+    code, out, err = run(*command, "--input", path)
+    assert code == 2
+    assert out == ""
+    assert "the cocycle coefficient matrix would hold 1083392 entries" in err
+    assert "above the table budget MAX_TABLE_ENTRIES" in err
 
 
 @pytest.mark.parametrize("d", [6, 7, 10**9])

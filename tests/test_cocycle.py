@@ -14,6 +14,7 @@ from conftest import (
     q,
     qi_scalars,
     qi_vectors,
+    refuse_elimination,
     scalar_grid,
     unvalidated_cocycle,
     unvalidated_rep,
@@ -23,6 +24,7 @@ from schurmann import (
     Cocycle,
     Element,
     I,
+    InputError,
     Letter,
     ONE,
     QMatrix,
@@ -46,7 +48,7 @@ from schurmann import (
     scalar_gaussian_cocycle,
     solve_cocycles,
 )
-from schurmann import cocycle
+from schurmann import algebra, cocycle
 from schurmann.cocycle import cocycle_general, cocycle_values
 
 letters_d2 = st.sampled_from(letters(2))
@@ -147,6 +149,26 @@ def test_solver_dimensions_on_gaussian_rep():
         pres = build_presentation(kind, d, **kwargs)
         dims[kind] = solve_cocycles(counit_rep(pres)).dimension
     assert dims == {"u_plus": 4, "o_plus": 3, "su_q": 1}
+
+
+def test_solver_budget_refused_before_any_row(monkeypatch):
+    # U_4+ has 64 relations: the counit on n = 23 asks for 23 * 64 rows of
+    # 2 * 16 * 23 columns, 1 083 392 entries; n = 22 would fit
+    rep = counit_rep(build_presentation("u_plus", 4), 23)
+    refuse_elimination(monkeypatch)
+    with pytest.raises(InputError, match="cocycle coefficient matrix would hold 1083392 entries"):
+        solve_cocycles(rep)
+
+
+def test_solver_budget_boundary(u2, monkeypatch):
+    # the counit on n = 2 over U_2+: 2 * 16 rows of 2 * 4 * 2 columns
+    rep = counit_rep(u2, 2)
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 512)
+    assert solve_cocycles(rep).dimension == 8
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 511)
+    refuse_elimination(monkeypatch)
+    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 511"):
+        solve_cocycles(rep)
 
 
 def test_solver_basis_members_validate(o3):

@@ -17,6 +17,7 @@ from schurmann import (
     kernel_basis,
     psd_check,
     rank,
+    rational,
     solve,
 )
 from schurmann.linalg import gram_matrix, inner_product, project_onto_span
@@ -43,6 +44,15 @@ def test_solve_frozen_example():
 def test_solve_inconsistent_returns_none():
     m = QMatrix([[ONE, ONE], [ONE, ONE]])
     assert solve(m, QVector((ONE, -ONE))) is None
+
+
+def test_kernel_with_a_gaussian_pivot():
+    # 2 + i has content 1, so the row step cannot divide it out: the reduced
+    # form reads -1 / (2 + i) = (-2 + i) / 5 from the numerator row
+    m = QMatrix([[Qi(2, 1), ONE], [Qi(4, 2), q("2")]])
+    assert kernel_basis(m) == [QVector((q(("-2/5", "1/5")), ONE))]
+    assert rank(m) == 1
+    assert solve(m, QVector((Qi(0, 5), Qi(0, 10)))) == QVector((Qi(1, 2), ZERO))
 
 
 def test_psd_frozen_examples():
@@ -86,6 +96,85 @@ def principal_minors():
         ]
 
     return minors
+
+
+@pytest.fixture(scope="module")
+def reduced_form():
+    """(reduced row echelon form, pivot columns) of a QMatrix from sympy's
+    DomainMatrix over QQ_I, the entries brought back to Qi."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def qi(z):
+        return Qi(*(rational(f"{p.numerator}/{p.denominator}") for p in (z.x, z.y)))
+
+    def rref(m):
+        a = [[QQ_I(QQ(z.a, z.den), QQ(z.b, z.den)) for z in row] for row in m.data]
+        r, pivots = DomainMatrix(a, m.shape, QQ_I).rref()
+        return [[qi(z) for z in row] for row in r.to_list()], list(pivots)
+
+    return rref
+
+
+# 2 + i, 1 + 2i and 1 - 3i are pivots whose Gaussian factor no integer divides out
+gaussian_entries = st.one_of(
+    st.just(ZERO), qi_scalars, st.sampled_from([Qi(2, 1), Qi(1, 2), Qi(1, -3), Qi(3)])
+)
+
+
+def _drawn_matrix(data):
+    """A random, rank-deficient, zero-row or zero-column r x c matrix, 0 <= r, c <= 5."""
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    kind = data.draw(st.sampled_from(["random", "rank-deficient", "zero row", "zero column"]))
+    if kind == "rank-deficient":
+        # a product through k < min(r, c) dimensions, or r, c when one is 0
+        k = data.draw(st.integers(0, max(min(r, c) - 1, 0)))
+        u, v = (data.draw(_grid(*shape)) for shape in ((r, k), (k, c)))
+        return QMatrix(u, cols=k) @ QMatrix(v, cols=c)
+    a = data.draw(_grid(r, c))
+    if kind == "zero row" and r:
+        a[data.draw(st.integers(0, r - 1))] = [ZERO] * c
+    if kind == "zero column" and c:
+        j = data.draw(st.integers(0, c - 1))
+        for row in a:
+            row[j] = ZERO
+    return QMatrix(a, cols=c)
+
+
+def _grid(r, c):
+    return st.lists(st.lists(gaussian_entries, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
+    m = _drawn_matrix(data)
+    red, pivots = reduced_form(m)
+    assert rank(m) == len(pivots)
+    # the kernel basis of the reduced form: e_f - sum_r red[r][f] e_(pivot r), f free
+    expected = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        expected.append(QVector(v))
+    assert kernel_basis(m) == expected
+    # b drawn freely or as m x, so inconsistent and consistent systems both occur
+    if data.draw(st.booleans()):
+        b = QVector(data.draw(st.lists(gaussian_entries, min_size=m.rows, max_size=m.rows)))
+    else:
+        b = m.apply(QVector(data.draw(st.lists(gaussian_entries, min_size=m.cols, max_size=m.cols))))
+    aug = QMatrix([row + (z,) for row, z in zip(m.data, b)], cols=m.cols + 1)
+    red, pivots = reduced_form(aug)
+    if m.cols in pivots:
+        assert solve(m, b) is None
+    else:
+        x = [ZERO] * m.cols
+        for row, c in zip(red, pivots):
+            x[c] = row[m.cols]
+        assert solve(m, b) == QVector(x)
 
 
 def _perturbed_grams(data):
