@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Qi, _qi
@@ -123,10 +123,24 @@ class QMatrix:
         return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return self._entrywise(add, other)
+        self._same_shape(other)
+        return QMatrix(
+            [
+                [a + b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.data, other.data)
+            ],
+            cols=self.cols,
+        )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self._entrywise(sub, other)
+        self._same_shape(other)
+        return QMatrix(
+            [
+                [a - b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.data, other.data)
+            ],
+            cols=self.cols,
+        )
 
     def __neg__(self) -> "QMatrix":
         return QMatrix([[-a for a in row] for row in self.data], cols=self.cols)
@@ -213,11 +227,9 @@ class QMatrix:
             out.append([ZERO] * a.cols + list(b.data[i]))
         return QMatrix(out, cols=a.cols + b.cols)
 
-    def _entrywise(self, op, other: "QMatrix") -> "QMatrix":
+    def _same_shape(self, other: "QMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        rows = [list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)]
-        return QMatrix(rows, cols=self.cols)
 
 
 def _numerators(rows: Sequence[Sequence[Qi]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -228,13 +240,14 @@ def _numerators(rows: Sequence[Sequence[Qi]]) -> tuple[list[list[int]], list[lis
     return re, im
 
 
-def _row_step(p: tuple[int, int], f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list]:
-    """The row (p x - f y) / g for numerator rows x = (re, im) and y and
-    Gaussian integers p = (re, im) and f, where g > 0 is the integer gcd of
-    the parts of p x - f y.  With p = y[c] and f = x[c] the result is 0 at c."""
-    (pr, pi), (fr, fi), (xr, xi), (yr, yi) = p, f, x, y
-    re = [pr * a - pi * b - fr * c + fi * d for a, b, c, d in zip(xr, xi, yr, yi)]
-    im = [pr * b + pi * a - fr * d - fi * c for a, b, c, d in zip(xr, xi, yr, yi)]
+def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list]:
+    """The row (p x - f y) / g for numerator rows x = (re, im) and y, an
+    integer p > 0, a Gaussian integer f = (re, im) and g > 0 the integer gcd
+    of the parts of p x - f y.  The pivot p is real, so no Gaussian factor
+    (such as 2 + i) that the integer gcd cannot remove piles up in a row."""
+    (fr, fi), (xr, xi), (yr, yi) = f, x, y
+    re = [p * a - fr * c + fi * d for a, c, d in zip(xr, yr, yi)]
+    im = [p * b - fr * d - fi * c for b, c, d in zip(xi, yr, yi)]
     g = gcd(*re, *im)
     if g > 1:
         re = [a // g for a in re]
@@ -243,9 +256,10 @@ def _row_step(p: tuple[int, int], f: tuple[int, int], x: tuple, y: tuple) -> tup
 
 
 def _rref(rows: Sequence[Sequence[Qi]], ncols: int) -> tuple[list[tuple], list[int]]:
-    """Gauss-Jordan by `_row_step` on the numerators of rows; returns (numerator
-    rows, pivot column indices), row r a nonzero multiple of row r of the
-    reduced row echelon form."""
+    """Gauss-Jordan by `_row_step` on the numerators of rows, a row x taking
+    p = |y[c]|^2 and f = x[c] conj(y[c]) from the pivot row y; returns
+    (numerator rows, pivot column indices), row r a nonzero multiple of row r
+    of the reduced row echelon form."""
     out = list(zip(*_numerators(rows)))
     pivots: list[int] = []
     for c in range(ncols):
@@ -255,10 +269,12 @@ def _rref(rows: Sequence[Sequence[Qi]], ncols: int) -> tuple[list[tuple], list[i
             continue
         out[r], out[k] = out[k], out[r]
         y = out[r]
-        p = y[0][c], y[1][c]
+        pr, pi = y[0][c], y[1][c]
         for i, x in enumerate(out):
-            if i != r and (x[0][c] or x[1][c]):
-                out[i] = _row_step(p, (x[0][c], x[1][c]), x, y)
+            fr, fi = x[0][c], x[1][c]
+            if i != r and (fr or fi):
+                f = fr * pr + fi * pi, fi * pr - fr * pi
+                out[i] = _row_step(pr * pr + pi * pi, f, x, y)
         pivots.append(c)
         if r + 1 == len(out):
             break
@@ -365,7 +381,7 @@ def psd_check(m: QMatrix | GaussianMatrix) -> bool:
         for j, x in enumerate(rows):
             f = (x[0].pop(i), x[1].pop(i))
             if f[0] or f[1]:
-                rows[j] = _row_step((p, 0), f, x, y)
+                rows[j] = _row_step(p, f, x, y)
     return True
 
 

@@ -1,6 +1,8 @@
 """Exact linear algebra: kernels, rank, solving and the fraction-free psd check."""
 
+import random
 from itertools import combinations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from schurmann import (
     rational,
     solve,
 )
-from schurmann.linalg import gram_matrix, inner_product, project_onto_span
+from schurmann.linalg import _rref, gram_matrix, inner_product, project_onto_span
 
 
 def test_kernel_of_rank_one_matrix():
@@ -53,6 +55,27 @@ def test_kernel_with_a_gaussian_pivot():
     assert kernel_basis(m) == [QVector((q(("-2/5", "1/5")), ONE))]
     assert rank(m) == 1
     assert solve(m, QVector((Qi(0, 5), Qi(0, 10)))) == QVector((Qi(1, 2), ZERO))
+
+
+def test_gaussian_pivots_keep_numerators_small():
+    # (2 + i) B for a dense 16 x 16 integer B of rank 15: every pivot is a
+    # multiple of 2 + i, which would pile up in the rows unless the pivot is
+    # made real.  The numerators stay within the Hadamard bound of B's minors.
+    rng = random.Random(7)
+    b = [[rng.randint(-5, 5) for _ in range(16)] for _ in range(15)]
+    b.append([x + y for x, y in zip(b[0], b[1])])
+    hadamard = prod(isqrt(sum(x * x for x in row)) + 1 for row in b)
+    m = QMatrix([[Qi(2 * x, x) for x in row] for row in b])
+    rows, pivots = _rref(m.data, m.cols)
+    assert len(pivots) == rank(m) == 15
+    assert max(abs(v).bit_length() for row in rows for part in row for v in part) <= (
+        hadamard.bit_length() + 2
+    )
+    (v,) = kernel_basis(m)
+    assert [v] == kernel_basis(QMatrix([[Qi(x) for x in row] for row in b]))
+    assert m.apply(v).is_zero()
+    rhs = m.apply(QVector(Qi(j, 1 - j) for j in range(16)))
+    assert m.apply(solve(m, rhs)) == rhs
 
 
 def test_psd_frozen_examples():
