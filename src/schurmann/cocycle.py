@@ -10,7 +10,9 @@ Elements are evaluated on the suffix closure of their words (the relations
 on `Presentation.relation_words`, compiled once per presentation), by
 eta(h w) = rho(h) eta(w) + eps(w) eta(h) on Gaussian-integer numerators
 (`words.word_set_values`); a relation is violated iff its sum is nonzero on
-the integers, and only then is its value built as a `QVector`.
+the integers, and only then is its value built as a `QVector`.  The same
+evaluator, run on many columns of letter values at once, gives the cocycle
+equations of `solve_cocycles` and checks its basis.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Letter, Presentation, WordSet, antipode_element, letters, word_set
+from .algebra import Element, Letter, Presentation, antipode_element, letters, word_set
 from .errors import InputError, RelationViolation
 from .linalg import QMatrix, QVector, inner_product, kernel_basis
 from .representation import (
@@ -31,7 +33,7 @@ from .representation import (
     pullback_rep,
 )
 from .scalars import ZERO, Qi, rational
-from .words import Sums, gaussian, require_entries, word_set_values
+from .words import Sums, columns, require_entries, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
@@ -76,8 +78,9 @@ class Cocycle:
 
     @cached_property
     def numerators(self) -> tuple:
-        """(numerator pairs of eta(letter h)_k at h * n + k, den) over `letters(d)`."""
-        return gaussian([z for l in letters(self.d) for z in self.letter_value(l)])
+        """eta(letter h)_k at h * n + k over `letters(d)`, as the one column
+        of letter values of `words.rho_step`."""
+        return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
 
 
 def _as_vgrid(d: int, n: int, grid: Sequence[Sequence[QVector]], name: str) -> VGrid:
@@ -90,16 +93,12 @@ def _as_vgrid(d: int, n: int, grid: Sequence[Sequence[QVector]], name: str) -> V
     return tuple(tuple(row) for row in grid)
 
 
-def _values(eta: Cocycle, ws: WordSet) -> Sums:
-    return word_set_values(ws, eta.rep.action, eta.n, eta.numerators)
-
-
 def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
     """eta(a) for every element, on one compiled word set."""
     for a in elements:
         if a.d != eta.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, cocycle {eta.d}")
-    sums = _values(eta, word_set(eta.d, elements))
+    sums = word_set_values(word_set(eta.d, elements), eta.rep.action, eta.n, eta.numerators)
     return [QVector(sums.qis(e)) for e in range(len(elements))]
 
 
@@ -114,7 +113,7 @@ def cocycle_general(
     """Validated cocycle from both letter-value grids."""
     d, n = rep.d, rep.n
     eta = Cocycle(rep, _as_vgrid(d, n, V, "V"), _as_vgrid(d, n, W, "W"))
-    sums = _values(eta, rep.presentation.relation_words)
+    sums = word_set_values(rep.presentation.relation_words, rep.action, n, eta.numerators)
     violations = [
         (rep.presentation.relations[e][0], QVector(sums.qis(e))) for e in sums.nonzero()
     ]
@@ -378,55 +377,43 @@ class CocycleSpace:
         return cocycle_general(self.rep, V, W)
 
 
+def _relation_sums(rep: Representation, eta, width: int, what: str) -> Sums:
+    """eta on the relations for `width` columns of letter values; over budget, InputError."""
+    ws = rep.presentation.relation_words
+    require_entries(rep.n * width * sum(ws.sizes), what)
+    return word_set_values(ws, rep.action, rep.n, eta, width)
+
+
 def solve_cocycles(rep: Representation) -> CocycleSpace:
     """All cocycles for rho, by exact kernel computation in the letter values.
 
-    For fixed rho the map (V, W) -> (eta(r))_r is linear; the solution space
-    is the kernel of the stacked coefficient matrix over Q(i), at most
-    n |relations| rows by 2 d^2 n columns, refused above the entry budget.
+    For fixed rho the map (V, W) -> (eta(r))_r is linear.  The word-set
+    evaluator on the unit letter values (column h n + k has eta(letter h) =
+    e_k) gives its coefficients: cell v n + k of relation r is that of
+    unknown v in coordinate k of eta(r).  The space is the kernel of the rows
+    of the relations with a nonzero cell; a second pass with the kernel
+    vectors as columns checks every basis vector on every relation.
     """
     d, n = rep.d, rep.n
-    nvars = 2 * d * d * n
-    require_entries(n * len(rep.presentation.relations) * nvars, "the cocycle coefficient matrix")
+    width = 2 * d * d * n
+    units = [[(v, 1, 0)] for v in range(width)], 1
+    sums = _relation_sums(rep, units, width, "the cocycle coefficient matrix")
+    rows = [cells[k::n] for cells in map(sums.qis, sums.nonzero()) for k in range(n)]
+    kernel = kernel_basis(QMatrix(rows, cols=width) if rows else QMatrix.zero(0, width))
+    if kernel:
+        sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
+        bad = {e: sums.qis(e) for e in sums.nonzero()}
+        if bad:
+            # what cocycle_general reports for the first failing basis vector
+            v = min(c // n for row in bad.values() for c, z in enumerate(row) if z)
+            labels = [lbl for lbl, _ in rep.presentation.relations]
+            values = [(labels[e], QVector(row[v * n : (v + 1) * n])) for e, row in bad.items()]
+            raise RelationViolation("cocycle", [(lbl, x) for lbl, x in values if not x.is_zero()])
 
-    def var_index(star: bool, j: int, k: int, coord: int) -> int:
-        base = (d * d * n) if star else 0
-        return base + ((j - 1) * d + (k - 1)) * n + coord
+    def grids(vec: QVector) -> list:
+        # unknown h n + k is coordinate k of the value of letter h of `letters(d)`
+        values = [QVector(vec[i : i + n]) for i in range(0, width, n)]
+        return [tuple(tuple(values[s + j * d :][:d]) for j in range(d)) for s in (0, d * d)]
 
-    rows: list[list[Qi]] = []
-    for _, r in rep.presentation.relations:
-        rel_rows = [[ZERO] * nvars for _ in range(n)]
-        touched = False
-        for w, c in r.terms.items():
-            prefix = QMatrix.identity(n)
-            for m, l in enumerate(w):
-                # counit of the suffix after position m
-                if all(x.row == x.col for x in w[m + 1 :]):
-                    for e in range(n):
-                        row = rel_rows[e]
-                        for coord in range(n):
-                            idx = var_index(l.star, l.row, l.col, coord)
-                            row[idx] = row[idx] + c * prefix[e][coord]
-                    touched = True
-                prefix = prefix @ rep.image(*l)
-        if touched:
-            rows.extend(rel_rows)
-    matrix = QMatrix(rows, cols=nvars) if rows else QMatrix.zero(0, nvars)
-    basis = []
-    for vec in kernel_basis(matrix):
-        V = [
-            [
-                QVector([vec[var_index(False, j, k, c)] for c in range(n)])
-                for k in range(1, d + 1)
-            ]
-            for j in range(1, d + 1)
-        ]
-        W = [
-            [
-                QVector([vec[var_index(True, j, k, c)] for c in range(n)])
-                for k in range(1, d + 1)
-            ]
-            for j in range(1, d + 1)
-        ]
-        basis.append(cocycle_general(rep, V, W))
-    return CocycleSpace(rep, tuple(basis))
+    basis = tuple(Cocycle(rep, *grids(vec)) for vec in kernel)
+    return CocycleSpace(rep, basis)

@@ -194,6 +194,14 @@ class LetterFunctional:
             acc = acc + c * self.word_value(w)
         return acc
 
+    def relation_violations(self) -> list:
+        """(label, value) for every relation on which the functional is not 0."""
+        return [
+            (lbl, val)
+            for lbl, r in self.presentation.relations
+            if not (val := self.value(r)).is_zero()
+        ]
+
     def word_value(self, w) -> Qi:
         v = self._cache.get(w)
         if v is None:
@@ -586,11 +594,7 @@ def primitive(c: TwoCocycle) -> Primitive:
     else:
         raise ValueError("primitive construction covers k_d, u_plus and o_plus")
     phi = Primitive(c, values, star_values)
-    violations = [
-        (lbl, val)
-        for lbl, r in pres.relations
-        if not (val := phi.value(r)).is_zero()
-    ]
+    violations = phi.relation_violations()
     if violations:
         raise RelationViolation("primitive", violations)
     witness = check_primitive(phi)

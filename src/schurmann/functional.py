@@ -76,11 +76,7 @@ def schurmann_functional(eta: Cocycle, H: QMatrix | None = None) -> Functional:
     half = Qi("-1/2")
     values = bm.b_tilde.scale(half) + H.scale(I)
     psi = Functional(eta, values, values.conj())
-    violations = [
-        (lbl, val)
-        for lbl, r in eta.presentation.relations
-        if not (val := psi.value(r)).is_zero()
-    ]
+    violations = psi.relation_violations()
     if violations:
         raise RelationViolation("generating functional", violations)
     return psi

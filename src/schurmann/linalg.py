@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Qi, _qi
@@ -365,8 +365,11 @@ def psd_check(m: QMatrix | GaussianMatrix) -> bool:
         re, im = _numerators(m.data)
     else:
         re, im = [list(row) for row in m.re], [list(row) for row in m.im]
-    if [list(col) for col in zip(*re)] != re or [[-x for x in col] for col in zip(*im)] != im:
-        raise ValueError("psd_check requires a Hermitian matrix")
+    for i, (a, b) in enumerate(zip(re, im)):
+        # row i from the diagonal on against column i: re symmetric, im antisymmetric
+        col = itemgetter(i)
+        if a[i:] != list(map(col, re[i:])) or any(map(add, b[i:], map(col, im[i:]))):
+            raise ValueError("psd_check requires a Hermitian matrix")
     rows = list(zip(re, im))
     while rows:
         # the diagonal stays real: each row is a positive multiple of a Hermitian row

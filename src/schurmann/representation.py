@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Presentation, WordSet, counit, letters, word_set
+from .algebra import Element, Presentation, WordSet, counit, letters, require_entries, word_set
 from .errors import RelationViolation
 from .linalg import QMatrix, QVector, kernel_basis
 from .scalars import ONE, ZERO, Qi
@@ -96,9 +96,12 @@ def evaluate_rep(rep: Representation, a: Element) -> QMatrix:
 def representation(
     presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n: int | None = None
 ) -> Representation:
-    """Validated representation; raises RelationViolation listing failures."""
+    """Validated representation; raises RelationViolation listing failures,
+    and InputError before any evaluation if n is above the entry budget."""
     if n is None:
         n = blocks[0][0].rows if blocks and blocks[0] else 0
+    entries = n * n * sum(presentation.relation_words.sizes)
+    require_entries(entries, f"the relation values of a representation of dimension {n}")
     grid = _as_grid(presentation, blocks, n)
     star = tuple(tuple(m.adjoint() for m in row) for row in grid)
     rep = Representation(presentation, n, grid, star)

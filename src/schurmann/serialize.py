@@ -230,13 +230,8 @@ def relation_checks(phi):
     """(relations where phi does not vanish, hermitian letter values) for a
     generating functional or a primitive; only a generating functional needs
     star_values = conj(values)."""
-    violations = [
-        (lbl, val)
-        for lbl, r in phi.presentation.relations
-        if not (val := phi.value(r)).is_zero()
-    ]
     hermitian = not isinstance(phi, Functional) or phi.star_values == phi.values.conj()
-    return violations, hermitian
+    return phi.relation_violations(), hermitian
 
 
 def problem_lines(violations, hermitian) -> list:

@@ -26,8 +26,11 @@ word pairs).  Sparse elements, the relations of a presentation among them,
 are compiled onto the suffix closure of their words (`algebra.WordSet`), and
 `word_set_values` evaluates rho or eta on it layer by layer with the same
 `rho_step` the eta tables use, then sums each element on the numerators, so
-a relation check is a zero test on integers.  Functionals on sparse elements
-keep the memoised letter recursion of `cohomology.LetterFunctional`.
+a relation check is a zero test on integers.  Letter values come as columns
+(`columns`): one for a cocycle, a unit column per unknown for the cocycle
+equations, one per basis vector to check a solved space.  Functionals on
+sparse elements keep the memoised letter recursion of
+`cohomology.LetterFunctional`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import NamedTuple
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
 from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
 from .linalg import QVector
-from .scalars import ONE, Qi, _qi
+from .scalars import ONE, ZERO, Qi, _qi
 
 
 class Layer(NamedTuple):
@@ -191,10 +194,12 @@ def action(matrices) -> Action:
 
 def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLayer:
     """x(h w) = rho(h) x(w) + eps(w) eta(h) for every vector x(w) of the
-    layer, eps the indices with eps(w) = 1 and eta = (the letter values
-    eta(letter h)_k as numerator pairs at h * n + k, den).  Without eps this
-    is rho(h) x(w); the denominator is lcm(rho.den * vec.den, eta den) either
-    way, so the layers of one step share it."""
+    layer, column by column: the entry of column v of the word at offset i
+    sits at i + v, eps holds the offsets of the words with eps(w) = 1 and
+    eta = (letter values, den) lists at h * n + k the nonzero columns
+    (v, re, im) of eta(letter h)_k as numerators over den (`columns`).
+    Without eps this is rho(h) x(w); the denominator is lcm(rho.den *
+    vec.den, eta den) either way, so the layers of one step share it."""
     images, dr = rho
     values, de = eta
     n = len(images[h])
@@ -205,15 +210,24 @@ def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLaye
         m = dots((row, dr), vec)
         xr, xi = (m.re, m.im) if f == 1 else ([x * f for x in m.re], [x * f for x in m.im])
         if eps:
-            a, b = values[h * n + k]
-            a, b = a * g, b * g
-            if a or b:
+            for v, a, b in values[h * n + k]:
+                a, b = a * g, b * g
                 for i in eps:
-                    xr[i] += a
-                    xi[i] += b
+                    xr[i + v] += a
+                    xi[i + v] += b
         re.append(xr)
         im.append(xi)
     return VecLayer(tuple(re), tuple(im), den, vec.size)
+
+
+def columns(vectors) -> tuple:
+    """The letter values of `rho_step` with one column per vector: (at every
+    index j the nonzero (v, re, im) of entry j of vector v, den)."""
+    den = lcm(*(z.den for vec in vectors for z in vec))
+    return [
+        [(v, z.a * (den // z.den), z.b * (den // z.den)) for v, z in enumerate(zs) if z.a or z.b]
+        for zs in zip(*vectors)
+    ], den
 
 
 def zero_vectors(n: int) -> VecLayer:
@@ -248,70 +262,68 @@ class Sums(NamedTuple):
     def qis(self, e: int) -> list:
         """The cells of element e."""
         den = self.dens[e] * self.den
-        return [_qi(r[e], m[e], den) for r, m in zip(self.re, self.im)]
+        return [_qi(r[e], m[e], den) if r[e] or m[e] else ZERO for r, m in zip(self.re, self.im)]
 
 
-def word_set_values(ws: WordSet, rho: Action, n: int, eta=None) -> Sums:
+def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) -> Sums:
     """The value of every element of the word set, as numerator sums.
 
-    Without eta, rho(a) with cell c n + k the entry (k, c): the entries of
-    a layer are the columns rho(w) e_c, at w n + c.  With eta = (letter value
-    numerators, den) as in `rho_step`, eta(a) with cell k the coordinate k.
-    Layer m + 1 is built run by run from layer m by `rho_step`, so layer m
-    of rho is over rho.den^m and layer m of eta over lcm(rho.den^m, eta den
-    rho.den^(m-1)).  A relation holds iff all its cells are 0 on the ints.
+    The layers hold `width` columns: without eta rho(w) e_v, v < width = n,
+    so rho(a); with eta = (letter values, den) as in `rho_step`, eta(w) for
+    `width` cocycles at once.  Cell v n + k of an element is coordinate k of
+    its column v.  Layer m + 1 is built run by run from layer m by `rho_step`
+    over a multiple of layer m's denominator.  The layers follow one another
+    in one list per coordinate, column v of the word numbered g at g width +
+    v, where the terms read them.  A relation holds iff all its cells are 0.
     """
-    if eta is None:
-        # rho(1) = id, one column per entry; no counit terms
-        width, counit_terms, eta = n, False, ((), 1)
-        eye = tuple([int(k == c) for c in range(n)] for k in range(n))
-        layer = VecLayer(eye, tuple([0] * n for _ in range(n)), 1, n)
+    counit_terms = eta is not None
+    if counit_terms:
+        # eta(1) = 0
+        re, im = [[0] * width for _ in range(n)], [[0] * width for _ in range(n)]
     else:
-        width, counit_terms = 1, True
-        layer = zero_vectors(n)
-    layers = [layer]
-    for runs, size in zip(ws.layers, ws.sizes[1:]):
+        # rho(1) = id, one column per entry; no counit terms
+        width, eta = n, ((), 1)
+        re, im = [[int(k == c) for c in range(n)] for k in range(n)], [[0] * n for _ in range(n)]
+    dens, first = [1], 0
+    for runs, prev_size in zip(ws.layers, ws.sizes):
         parts = []
         for h, tails, eps in runs:
-            picks = tails if width == 1 else [t * width + c for t in tails for c in range(width)]
+            if width == 1:
+                picks, offsets = [first + t for t in tails], eps
+            else:
+                picks = [(first + t) * width + c for t in tails for c in range(width)]
+                offsets = [e * width for e in eps]
             tails_layer = VecLayer(
-                tuple([r[i] for i in picks] for r in layer.re),
-                tuple([r[i] for i in picks] for r in layer.im),
-                layer.den,
+                tuple(list(map(r.__getitem__, picks)) for r in re),
+                tuple(list(map(r.__getitem__, picks)) for r in im),
+                dens[-1],
                 len(picks),
             )
-            parts.append(rho_step(rho, h, tails_layer, eps if counit_terms else (), eta))
-        layer = stack(parts, size * width)
-        layers.append(layer)
-    # the cells of every term's word, over one denominator: entry (g, c) of
-    # the word numbered g sits at g width + c of the layers laid end to end
-    den = lcm(*(layer.den for layer in layers))
-    flat_re = [[] for _ in range(n)]
-    flat_im = [[] for _ in range(n)]
-    for layer in layers:
-        f = den // layer.den
-        for out, rows in ((flat_re, layer.re), (flat_im, layer.im)):
-            for k in range(n):
-                out[k] += rows[k] if f == 1 else [x * f for x in rows[k]]
-    at = ws.at
-    cols_re, cols_im = [], []
-    for c in range(width):
-        picks = at if width == 1 else [g * width + c for g in at]
+            parts.append(rho_step(rho, h, tails_layer, offsets if counit_terms else (), eta))
         for k in range(n):
-            cols_re.append(list(map(flat_re[k].__getitem__, picks)))
-            cols_im.append(list(map(flat_im[k].__getitem__, picks)))
-    # sum the products term by term, then take each element's stretch
-    a, b = ws.re, ws.im
+            re[k] += chain.from_iterable(p.re[k] for p in parts)
+            im[k] += chain.from_iterable(p.im[k] for p in parts)
+        first += prev_size
+        dens.append(parts[0].den)
+    # the coefficients of the terms over the last layer's denominator
+    den = dens[-1]
+    scale = list(chain.from_iterable(map(repeat, (den // d for d in dens), ws.sizes)))
+    at_scale = list(map(scale.__getitem__, ws.at))
+    a, b = list(map(mul, ws.re, at_scale)), list(map(mul, ws.im, at_scale))
     complex_coeffs = any(b)
+    # sum the products term by term, then take each element's stretch
     starts, ends = ws.bounds[:-1], ws.bounds[1:]
     out_re, out_im = [], []
-    for xr, xi in zip(cols_re, cols_im):
-        pr, pi = map(mul, a, xr), map(mul, a, xi)
-        if complex_coeffs:
-            pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
-        for out, p in ((out_re, pr), (out_im, pi)):
-            p = list(accumulate(p, initial=0))
-            out.append(list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts))))
+    for v in range(width):
+        picks = ws.at if width == 1 else [g * width + v for g in ws.at]
+        for rows_re, rows_im in zip(re, im):
+            xr, xi = list(map(rows_re.__getitem__, picks)), list(map(rows_im.__getitem__, picks))
+            pr, pi = map(mul, a, xr), map(mul, a, xi)
+            if complex_coeffs:
+                pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
+            for out, p in ((out_re, pr), (out_im, pi)):
+                p = list(accumulate(p, initial=0))
+                out.append(list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts))))
     return Sums(out_re, out_im, den, ws.dens)
 
 

@@ -1,7 +1,6 @@
 """Shared fixtures and hypothesis strategies for the suite."""
 
 import sys
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -180,10 +179,18 @@ def oracle_violations(obj, evaluate):
     ]
 
 
+def refuse_evaluation(monkeypatch):
+    """Make evaluating a word set fail the test, under every name the package calls it by."""
+    evaluated = lambda *args, **kwargs: pytest.fail("evaluated")
+    for module in ("schurmann.words", "schurmann.representation", "schurmann.cocycle"):
+        monkeypatch.setattr(sys.modules[module], "word_set_values", evaluated)
+
+
 def refuse_elimination(monkeypatch):
-    """Make building a cocycle coefficient row or eliminating the matrix fail the test."""
+    """Make building the cocycle coefficient rows (the word-set evaluator of
+    `solve_cocycles`) or eliminating the matrix fail the test."""
     built = lambda *args, **kwargs: pytest.fail("built")
-    monkeypatch.setattr(cocycle, "QMatrix", SimpleNamespace(identity=built, zero=built))
+    monkeypatch.setattr(cocycle, "word_set_values", built)
     monkeypatch.setattr(cocycle, "kernel_basis", built)
 
 

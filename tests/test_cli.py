@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from conftest import refuse_elimination
+from conftest import refuse_elimination, refuse_evaluation
 from schurmann import (
     KPairCocycle,
+    algebra,
     build_presentation,
     coboundary1,
     cocycle,
@@ -406,14 +407,28 @@ def test_real_word_length_budget_refused(run, files, monkeypatch):
 
 @pytest.mark.parametrize("command", [["check", "h1"], ["solve-cocycles"]], ids=["h1", "solve"])
 def test_cocycle_matrix_budget_refused(run, write, monkeypatch, command):
-    # the counit on n = 23 over U_4+: 23 * 64 rows of 2 * 16 * 23 columns
+    # the counit on n = 23 over U_4+: 23 coordinates of 2 * 16 * 23 columns
+    # on each of the 257 relation words
     path = write("rep.json", representation_to_json(counit_rep(build_presentation("u_plus", 4), 23)))
     refuse_elimination(monkeypatch)
     code, out, err = run(*command, "--input", path)
     assert code == 2
     assert out == ""
-    assert "the cocycle coefficient matrix would hold 1083392 entries" in err
+    assert "the cocycle coefficient matrix would hold 4350496 entries" in err
     assert "above the table budget MAX_TABLE_ENTRIES" in err
+
+
+def test_representation_budget_refused_from_json(run, write, monkeypatch):
+    # the counit on n = 2 over U_2+ holds 4 entries on each of 33 relation
+    # words, one above a budget of 131
+    path = write("rep.json", representation_to_json(counit_rep(build_presentation("u_plus", 2), 2)))
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 131)
+    refuse_evaluation(monkeypatch)
+    code, out, err = run("validate", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert "the relation values of a representation of dimension 2 would hold 132 entries" in err
+    assert "above the table budget MAX_TABLE_ENTRIES = 131" in err
 
 
 @pytest.mark.parametrize("d", [6, 7, 10**9])

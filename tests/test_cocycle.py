@@ -38,6 +38,7 @@ from schurmann import (
     counit,
     counit_rep,
     direct_sum_cocycle,
+    direct_sum_rep,
     evaluate_cocycle,
     evaluate_rep,
     gaussian_cocycle,
@@ -45,10 +46,13 @@ from schurmann import (
     letters,
     rational,
     reality_pair,
+    representation,
     scalar_gaussian_cocycle,
+    sign_rep,
     solve_cocycles,
 )
-from schurmann import algebra, cocycle
+from schurmann import algebra, cocycle, linalg, words
+from schurmann.algebra import word_set
 from schurmann.cocycle import cocycle_general, cocycle_values
 
 letters_d2 = st.sampled_from(letters(2))
@@ -152,23 +156,93 @@ def test_solver_dimensions_on_gaussian_rep():
 
 
 def test_solver_budget_refused_before_any_row(monkeypatch):
-    # U_4+ has 64 relations: the counit on n = 23 asks for 23 * 64 rows of
-    # 2 * 16 * 23 columns, 1 083 392 entries; n = 22 would fit
+    # the relations of U_4+ run over 257 words: the counit on n = 23 asks the
+    # evaluator for 23 coordinates of 2 * 16 * 23 columns on each, 4 350 496
+    # entries; n = 11 would fit
     rep = counit_rep(build_presentation("u_plus", 4), 23)
     refuse_elimination(monkeypatch)
-    with pytest.raises(InputError, match="cocycle coefficient matrix would hold 1083392 entries"):
+    with pytest.raises(InputError, match="cocycle coefficient matrix would hold 4350496 entries"):
         solve_cocycles(rep)
 
 
 def test_solver_budget_boundary(u2, monkeypatch):
-    # the counit on n = 2 over U_2+: 2 * 16 rows of 2 * 4 * 2 columns
+    # the counit on n = 2 over U_2+: 2 coordinates of 2 * 4 * 2 columns on
+    # each of the 33 relation words
     rep = counit_rep(u2, 2)
-    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 512)
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 1056)
     assert solve_cocycles(rep).dimension == 8
-    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 511)
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 1055)
     refuse_elimination(monkeypatch)
-    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 511"):
+    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 1055"):
         solve_cocycles(rep)
+
+
+def flat_cocycle(rep, values):
+    """The unvalidated cocycle with eta(letter h)_k = values[h * n + k]."""
+    d, n = rep.d, rep.n
+    grids = [
+        [[QVector(values[((s * d + j) * d + k) * n :][:n]) for k in range(d)] for j in range(d)]
+        for s in range(2)
+    ]
+    return unvalidated_cocycle(rep, *grids)
+
+
+def solver_reps(every_kind):
+    """The counit on n = 1, 2 over every kind, counit + sign and a complex
+    character of U_2+."""
+    u2 = every_kind[1]
+    a, b = q("3/5"), q(("0", "4/5"))
+    character = [[QMatrix([[a]]), QMatrix([[b]])], [QMatrix([[b]]), QMatrix([[a]])]]
+    reps = [counit_rep(pres, n) for pres in every_kind for n in (1, 2)]
+    return reps + [
+        direct_sum_rep(counit_rep(u2), sign_rep(u2)),
+        representation(u2, character, 1),
+    ]
+
+
+def test_solver_basis_vanishes_under_the_recursion(every_kind):
+    # every basis vector is checked on every relation by the plain recursion,
+    # independently of the word-set evaluator that built and checked it
+    for rep in solver_reps(every_kind):
+        space = solve_cocycles(rep)
+        assert space.basis
+        for eta in space.basis:
+            assert oracle_violations(eta, oracle_cocycle) == []
+
+
+def tamper(vec, at, by):
+    entries = list(vec)
+    entries[at] = entries[at] + by
+    return QVector(entries)
+
+
+def test_solver_refuses_a_tampered_kernel(u2, monkeypatch):
+    # vectors 1 and 3 are broken: the error is the one cocycle_general raises
+    # for vector 1, labels and values alike
+    rep = counit_rep(u2, 2)
+    kernel = linalg.kernel_basis
+    basis = []
+
+    def tampered(m):
+        basis.extend(kernel(m))
+        basis[1], basis[3] = tamper(basis[1], 0, ONE), tamper(basis[3], 5, I)
+        return basis
+
+    monkeypatch.setattr(cocycle, "kernel_basis", tampered)
+    with pytest.raises(RelationViolation) as exc:
+        solve_cocycles(rep)
+    with pytest.raises(RelationViolation) as want:
+        eta = flat_cocycle(rep, list(basis[1]))
+        cocycle_general(rep, eta.V, eta.W)
+    assert exc.value.what == want.value.what == "cocycle"
+    assert exc.value.violations == want.value.violations
+    assert exc.value.violations == oracle_violations(eta, oracle_cocycle)
+
+
+def test_solver_on_a_zero_dimensional_carrier(every_kind):
+    for pres in every_kind:
+        space = solve_cocycles(counit_rep(pres, 0))
+        assert space.dimension == 0 and space.basis == ()
 
 
 def test_solver_basis_members_validate(o3):
@@ -262,6 +336,25 @@ def test_cocycle_violations_match_recursion(every_kind, data):
     with pytest.raises(RelationViolation) as exc:
         cocycle_general(rep, V, W)
     assert exc.value.violations == want
+
+
+@given(st.data())
+def test_word_set_values_in_columns_match_recursion(every_kind, data):
+    # 2 to 4 cocycles at once, as the columns of the letter values: cell
+    # v n + k of an element is coordinate k of eta_v on it
+    pres = data.draw(st.sampled_from(every_kind))
+    d, n, width = pres.d, data.draw(st.integers(1, 2)), data.draw(st.integers(2, 4))
+    rep = unvalidated_rep(pres, drawn_blocks(data, d, n), n)
+    column = st.lists(qi_scalars, min_size=2 * d * d * n, max_size=2 * d * d * n)
+    vectors = [data.draw(column) for _ in range(width)]
+    elements = drawn_elements(data, d) + [Element.one(d)]
+    sums = words.word_set_values(
+        word_set(d, elements), rep.action, n, words.columns(vectors), width
+    )
+    memo = [{} for _ in vectors]
+    for e, a in enumerate(elements):
+        want = [oracle_cocycle(flat_cocycle(rep, vec), a, m) for vec, m in zip(vectors, memo)]
+        assert sums.qis(e) == [z for value in want for z in value]
 
 
 def test_cocycle_of_a_long_word_matches_recursion(u2):

@@ -99,6 +99,12 @@ def test_psd_check_refuses_non_hermitian_input():
     # im symmetric instead of antisymmetric: [[1, i], [i, 1]] over 2
     with pytest.raises(ValueError):
         psd_check(GaussianMatrix([[1, 0], [0, 1]], [[0, 1], [1, 0]], 2))
+    # re not symmetric: entry (3, 1) is 1, entry (1, 3) is 0
+    with pytest.raises(ValueError):
+        psd_check(GaussianMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]], [[0] * 3 for _ in range(3)], 1))
+    # a non-real diagonal entry, 1 + i, with the rest Hermitian
+    with pytest.raises(ValueError):
+        psd_check(GaussianMatrix([[1, 0], [0, 1]], [[1, 0], [0, 0]], 1))
 
 
 @pytest.fixture(scope="module")

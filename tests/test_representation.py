@@ -10,12 +10,14 @@ from conftest import (
     oracle_violations,
     q,
     qi_scalars,
+    refuse_evaluation,
     unvalidated_rep,
     without_deep_recursion,
 )
 from schurmann import (
     Element,
     I,
+    InputError,
     ONE,
     QMatrix,
     RelationViolation,
@@ -28,6 +30,7 @@ from schurmann import (
     representation,
     sign_rep,
 )
+from schurmann import algebra
 from schurmann.cocycle import MAX_SAMPLED_WORD_LEN
 from schurmann.representation import rep_values
 
@@ -51,6 +54,33 @@ def test_rep_rejects_wrong_blocks(u2):
     lbl, val = exc.value.violations[0]
     assert isinstance(lbl, str)
     assert not val.is_zero()
+
+
+def test_rep_budget_refused_before_evaluation(u2, monkeypatch):
+    # n^2 entries on each of the 33 relation words of U_2+: n = 178 fits
+    # the budget, n = 179 asks for 1 057 353 entries
+    assert 178 * 178 * 33 <= algebra.MAX_TABLE_ENTRIES < 179 * 179 * 33
+    refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="dimension 179 would hold 1057353 entries"):
+        counit_rep(u2, 179)
+
+
+def test_rep_budget_boundary(u2, monkeypatch):
+    # the counit on n = 2: 4 entries on each of 33 words
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 132)
+    assert counit_rep(u2, 2).n == 2
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 131)
+    refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 131"):
+        counit_rep(u2, 2)
+
+
+def test_rep_on_a_zero_dimensional_carrier(every_kind):
+    for pres in every_kind:
+        rep = counit_rep(pres, 0)
+        assert rep_values(rep, [r for _, r in pres.relations]) == [QMatrix.zero(0, 0)] * len(
+            pres.relations
+        )
 
 
 def test_sign_rep_validates(u2):
