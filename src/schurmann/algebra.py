@@ -16,7 +16,7 @@ compiles its relations once, on first use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
@@ -317,24 +317,11 @@ class Presentation:
 
     kind: str
     d: int
-    relations: tuple[tuple[str, Element], ...]
-    kac: bool
+    relations: tuple[tuple[str, Element], ...] = field(compare=False)
+    kac: bool = field(compare=False)
     q_diag: tuple[Rational, ...] | None = None
     F: QMatrix | None = None
     q: Rational | None = None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Presentation)
-            and self.kind == other.kind
-            and self.d == other.d
-            and self.q_diag == other.q_diag
-            and self.F == other.F
-            and self.q == other.q
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.d, self.q_diag, self.F, self.q))
 
     @cached_property
     def relation_words(self) -> WordSet:

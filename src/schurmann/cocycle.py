@@ -49,17 +49,6 @@ class Cocycle:
     V: VGrid
     W: VGrid
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cocycle)
-            and self.rep == other.rep
-            and self.V == other.V
-            and self.W == other.W
-        )
-
-    def __hash__(self):
-        return hash((self.rep, self.V, self.W))
-
     @property
     def presentation(self) -> Presentation:
         return self.rep.presentation

@@ -17,7 +17,8 @@ d(phi) = c whenever the defect vanishes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 from .algebra import Element, Letter, Presentation, counit, letters
 from .cocycle import Cocycle, cocycle_general, cocycle_values, scalar_gaussian_cocycle
@@ -43,8 +44,24 @@ def _star_word(w):
     return tuple(l.adjoint() for l in reversed(w))
 
 
+def _pair_terms(c, a: Element, b: Element) -> list:
+    """((wa, wb), ca cb) for every pair of words of a and b."""
+    if a.d != c.d or b.d != c.d:
+        raise ValueError("ambient size mismatch")
+    return [((wa, wb), ca * cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+
+
+def _sums(evaluate, termss) -> list:
+    """sum of coeff * value(key) over each list of (key, coeff) terms, with
+    evaluate called once on the distinct keys of all of them."""
+    keys = list(dict.fromkeys(k for terms in termss for k, _ in terms))
+    at = dict(zip(keys, evaluate(keys)))
+    return [sum((c * at[k] for k, c in terms), ZERO) for terms in termss]
+
+
 class TwoCocycle:
-    """Base class: evaluable bilinear forms on pairs of algebra elements."""
+    """Base class: bilinear forms on pairs of algebra elements, evaluated by
+    `batch` on a batch of word pairs."""
 
     presentation: Presentation
 
@@ -52,34 +69,32 @@ class TwoCocycle:
     def d(self) -> int:
         return self.presentation.d
 
-    def word_value(self, wa, wb) -> Qi:
+    def batch(self, pairs) -> list:
         raise NotImplementedError
 
     def value(self, a: Element, b: Element) -> Qi:
-        if a.d != self.d or b.d != self.d:
-            raise ValueError("ambient size mismatch")
-        acc = ZERO
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                acc = acc + ca * cb * self.word_value(wa, wb)
-        return acc
+        return _sums(self.batch, [_pair_terms(self, a, b)])[0]
 
-    def letter_value(self, la: Letter, lb: Letter) -> Qi:
-        return self.word_value((la,), (lb,))
+
+def _pairing_side(eta: Cocycle, ws) -> list:
+    """eta of every word: the empty word and letters from the grids, the
+    distinct longer words on one word set."""
+    long = list(dict.fromkeys(w for w in ws if len(w) > 1))
+    values = cocycle_values(eta, [Element.from_word(eta.d, w) for w in long]) if long else []
+    at = dict(zip(long, values))
+    zero = QVector.zero(eta.n)
+    return [at[w] if len(w) > 1 else eta.letter_value(w[0]) if w else zero for w in ws]
 
 
 @dataclass(frozen=True, eq=False)
 class KPairCocycle(TwoCocycle):
     """c(a, b) = <eta1(a*), eta2(b)> for two cocycles on the same representation.
 
-    eta(1) = 0 and eta of a letter is its letter value; eta of a longer word
-    is read through the word-set evaluator and memoised per word.  Values
-    are memoised per pair of words."""
+    A batch reads eta1 of the starred first words and eta2 of the second
+    words, each side on one word set (`_pairing_side`)."""
 
     eta1: Cocycle
     eta2: Cocycle
-    _cache: dict = field(default_factory=dict, repr=False)
-    _words: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.eta1.rep != self.eta2.rep:
@@ -89,27 +104,16 @@ class KPairCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.eta1.presentation
 
-    def _eta(self, eta: Cocycle, w) -> QVector:
-        if len(w) <= 1:
-            return eta.letter_value(w[0]) if w else QVector.zero(eta.n)
-        key = (eta is self.eta2, w)
-        v = self._words.get(key)
-        if v is None:
-            v = self._words[key] = cocycle_values(eta, [Element.from_word(self.d, w)])[0]
-        return v
-
-    def word_value(self, wa, wb) -> Qi:
-        key = (wa, wb)
-        v = self._cache.get(key)
-        if v is None:
-            v = inner_product(self._eta(self.eta1, _star_word(wa)), self._eta(self.eta2, wb))
-            self._cache[key] = v
-        return v
+    def batch(self, pairs) -> list:
+        left = _pairing_side(self.eta1, [_star_word(wa) for wa, _ in pairs])
+        right = _pairing_side(self.eta2, [wb for _, wb in pairs])
+        return list(map(inner_product, left, right))
 
 
 @dataclass(frozen=True, eq=False)
 class CoboundaryCocycle(TwoCocycle):
-    """d(phi) for any functional-shaped object with .presentation and .word_value."""
+    """d(phi) for any functional-shaped object with .presentation and
+    .batch; a batch reads phi on u v, v and u in one call."""
 
     phi: object
 
@@ -117,14 +121,20 @@ class CoboundaryCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.phi.presentation
 
-    def word_value(self, wa, wb) -> Qi:
-        phi = self.phi
-        v = -phi.word_value(wa + wb)
-        if _diagonal(wa):
-            v = v + phi.word_value(wb)
-        if _diagonal(wb):
-            v = v + phi.word_value(wa)
-        return v
+    def batch(self, pairs) -> list:
+        k = len(pairs)
+        vals = self.phi.batch(
+            [wa + wb for wa, wb in pairs] + [wb for _, wb in pairs] + [wa for wa, _ in pairs]
+        )
+        out = []
+        for i, (wa, wb) in enumerate(pairs):
+            v = -vals[i]
+            if _diagonal(wa):
+                v = v + vals[k + i]
+            if _diagonal(wb):
+                v = v + vals[2 * k + i]
+            out.append(v)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +155,10 @@ class CombinationCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.terms[0][1].presentation
 
-    def word_value(self, wa, wb) -> Qi:
-        acc = ZERO
-        for coeff, t in self.terms:
-            acc = acc + coeff * t.word_value(wa, wb)
-        return acc
+    def batch(self, pairs) -> list:
+        coeffs = [coeff for coeff, _ in self.terms]
+        cols = [t.batch(pairs) for _, t in self.terms]
+        return [sum(map(mul, coeffs, vs), ZERO) for vs in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -161,8 +170,16 @@ class CounitFunctional:
     def value(self, a: Element) -> Qi:
         return counit(a)
 
-    def word_value(self, w) -> Qi:
-        return ONE if _diagonal(w) else ZERO
+    def batch(self, words) -> list:
+        return [ONE if _diagonal(w) else ZERO for w in words]
+
+
+def _cuts(w):
+    """(h, t) for the cuts w = p h t whose prefix p is diagonal."""
+    for i, h in enumerate(w):
+        yield h, w[i + 1 :]
+        if h.row != h.col:
+            return
 
 
 class LetterFunctional:
@@ -171,11 +188,16 @@ class LetterFunctional:
         v(h w) = sign c(h, w) + [h diagonal] v(w) + eps(w) v(h),    v(1) = 0,
 
     for a letter h and a 2-cocycle c, so d(v)(h, w) = -sign c(h, w).  A
-    subclass holds the grids `values` / `star_values` and a `_cache` dict,
-    and names its first term by the class attribute `sign` and the 2-cocycle
-    `form`: a generating functional (+1, <eta(.*), eta(.)>, so d(psi) is
-    minus the pairing) and a primitive (-1, its 2-cocycle).  Words are
-    memoised here; `value_tables` runs the same recursion on word tables.
+    subclass holds the grids `values` / `star_values` and names its first
+    term by the class attribute `sign` and the 2-cocycle `form`: a generating
+    functional (+1, <eta(.*), eta(.)>, so d(psi) is minus the pairing) and a
+    primitive (-1, its 2-cocycle).  Unrolled, the recursion is a sum over
+    the cuts w = p h t with a diagonal prefix p,
+
+        v(w) = sum (sign c(h, t) + eps(t) v(h)),
+
+    so `batch` reads c on one batch of cuts; `value_tables` runs the
+    recursion on word tables.
     """
 
     @property
@@ -186,52 +208,42 @@ class LetterFunctional:
         grid = self.star_values if l.star else self.values
         return grid[l.row - 1][l.col - 1]
 
+    def batch(self, words) -> list:
+        """v(w) for every word, from c on the distinct cuts of the distinct words."""
+        cuts_of = {w: list(_cuts(w)) for w in words}
+        cuts = list(dict.fromkeys(cut for cs in cuts_of.values() for cut in cs))
+        at = {}
+        for (h, t), first in zip(cuts, self.form.batch([((h,), t) for h, t in cuts])):
+            v = first if self.sign > 0 else -first
+            at[h, t] = (v + self.letter_value(h)) if _diagonal(t) else v
+        sums = {w: sum((at[cut] for cut in cs), ZERO) for w, cs in cuts_of.items()}
+        return [sums[w] for w in words]
+
     def value(self, a: Element) -> Qi:
         if a.d != self.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, functional {self.d}")
-        acc = ZERO
-        for w, c in a.terms.items():
-            acc = acc + c * self.word_value(w)
-        return acc
+        return _sums(self.batch, [a.terms.items()])[0]
 
     def relation_violations(self) -> list:
         """(label, value) for every relation on which the functional is not 0."""
-        return [
-            (lbl, val)
-            for lbl, r in self.presentation.relations
-            if not (val := self.value(r)).is_zero()
-        ]
-
-    def word_value(self, w) -> Qi:
-        v = self._cache.get(w)
-        if v is None:
-            v = ZERO
-            if w:
-                head, tail = w[0], w[1:]
-                v = self.form.word_value((head,), tail)
-                if self.sign < 0:
-                    v = -v
-                if head.row == head.col:
-                    v = v + self.word_value(tail)
-                if _diagonal(tail):
-                    v = v + self.letter_value(head)
-            self._cache[w] = v
-        return v
+        rels = self.presentation.relations
+        values = _sums(self.batch, [r.terms.items() for _, r in rels])
+        return [(lbl, val) for (lbl, _), val in zip(rels, values) if not val.is_zero()]
 
 
 def coboundary1(phi) -> CoboundaryCocycle:
-    if not (hasattr(phi, "word_value") and hasattr(phi, "presentation")):
+    if not (hasattr(phi, "batch") and hasattr(phi, "presentation")):
         raise TypeError("coboundary1 expects an evaluable functional")
     return CoboundaryCocycle(phi)
 
 
 def is_normalized(c: TwoCocycle) -> bool:
-    return c.word_value((), ()).is_zero()
+    return c.batch([((), ())])[0].is_zero()
 
 
 def normalize(c: TwoCocycle) -> TwoCocycle:
     """c - c(1,1) d(eps), which is normalized and cohomologous to c."""
-    v = c.word_value((), ())
+    v = c.batch([((), ())])[0]
     if v.is_zero():
         return c
     correction = CoboundaryCocycle(CounitFunctional(c.presentation))
@@ -263,15 +275,12 @@ def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
             triples.append(
                 tuple(Element.from_word(d, rng.choice(pool)) for _ in range(3))
             )
+    triples = list(triples)
+    pairs = [(p, q) for a, b, x in triples for p, q in ((b, x), (a * b, x), (a, b * x), (a, b))]
+    values = iter(_sums(c.batch, [_pair_terms(c, p, q) for p, q in pairs]))
     for a, b, x in triples:
-        ab = a * b
-        bx = b * x
-        val = (
-            counit(a) * c.value(b, x)
-            - c.value(ab, x)
-            + c.value(a, bx)
-            - c.value(a, b) * counit(x)
-        )
+        bx, ab_x, a_bx, ab = (next(values) for _ in range(4))
+        val = counit(a) * bx - ab_x + a_bx - ab * counit(x)
         if not val.is_zero():
             return (a, b, x, val)
     return None
@@ -332,6 +341,19 @@ def pair_table(t: WordTables, c, p: int, q: int):
 _UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
 
 
+def _letter_sums(c: TwoCocycle, *patterns) -> list:
+    """The d x d matrix of sum_p c(x, y) over the letters (x, y) = f(j, k, p)
+    for each pattern f (indices from 1); the distinct letter pairs of all
+    patterns are read in one batch."""
+    r = range(1, c.d + 1)
+    keys = list(dict.fromkeys(f(j, k, p) for f in patterns for j in r for k in r for p in r))
+    at = dict(zip(keys, c.batch([((x,), (y,)) for x, y in keys])))
+    return [
+        QMatrix([[sum((at[f(j, k, p)] for p in r), ZERO) for k in r] for j in r], cols=c.d)
+        for f in patterns
+    ]
+
+
 def _require_normalized(c: TwoCocycle):
     if not is_normalized(c):
         raise ValueError("2-cocycle must be normalized; apply normalize() first")
@@ -342,18 +364,12 @@ def defect_unitary(c: TwoCocycle) -> QMatrix:
     if c.presentation.kind not in _UNITARY_KINDS:
         raise ValueError("unitary defect needs a unitary-flavored presentation")
     _require_normalized(c)
-    d = c.d
-    rows = []
-    for j in range(1, d + 1):
-        row = []
-        for k in range(1, d + 1):
-            acc = ZERO
-            for p in range(1, d + 1):
-                acc = acc + c.letter_value(Letter(p, j, True), Letter(p, k, False))
-                acc = acc - c.letter_value(Letter(k, p, True), Letter(j, p, False))
-            row.append(acc)
-        rows.append(row)
-    m = QMatrix(rows, cols=d)
+    plus, minus = _letter_sums(
+        c,
+        lambda j, k, p: (Letter(p, j, True), Letter(p, k, False)),
+        lambda j, k, p: (Letter(k, p, True), Letter(j, p, False)),
+    )
+    m = plus - minus
     if not m.trace().is_zero():
         raise ArithmeticError("unitary defect with nonzero trace", m)
     return m
@@ -364,18 +380,12 @@ def defect_orthogonal(c: TwoCocycle) -> QMatrix:
     if c.presentation.kind != "o_plus":
         raise ValueError("orthogonal defect needs an o_plus presentation")
     _require_normalized(c)
-    d = c.d
-    rows = []
-    for j in range(1, d + 1):
-        row = []
-        for k in range(1, d + 1):
-            acc = ZERO
-            for p in range(1, d + 1):
-                acc = acc + c.letter_value(Letter(j, p, False), Letter(k, p, False))
-                acc = acc - c.letter_value(Letter(k, p, False), Letter(j, p, False))
-            row.append(acc)
-        rows.append(row)
-    m = QMatrix(rows, cols=d)
+    plus, minus = _letter_sums(
+        c,
+        lambda j, k, p: (Letter(j, p, False), Letter(k, p, False)),
+        lambda j, k, p: (Letter(k, p, False), Letter(j, p, False)),
+    )
+    m = plus - minus
     if not (m + m.transpose()).is_zero():
         raise ArithmeticError("orthogonal defect that is not antisymmetric", m)
     return m
@@ -392,29 +402,27 @@ def sum_identity_defects(c: TwoCocycle) -> dict:
     o(j,k) = sum_p c(u_pj, u_pk) - sum_p c(u_jp, u_kp) uses the symmetry of
     the generator matrix and is computed on o_plus only.
     """
-    d = c.d
     kind = c.presentation.kind
-    out = {}
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            z1 = ZERO
-            for p in range(1, d + 1):
-                z1 = z1 + c.letter_value(Letter(p, j, True), Letter(p, k, False))
-                z1 = z1 - c.letter_value(Letter(j, p, False), Letter(k, p, True))
-            out[f"z1({j},{k})"] = z1
-            if kind in ("u_plus", "o_plus"):
-                z2 = ZERO
-                for p in range(1, d + 1):
-                    z2 = z2 + c.letter_value(Letter(j, p, True), Letter(k, p, False))
-                    z2 = z2 - c.letter_value(Letter(p, j, False), Letter(p, k, True))
-                out[f"z2({j},{k})"] = z2
-            if kind == "o_plus":
-                o = ZERO
-                for p in range(1, d + 1):
-                    o = o + c.letter_value(Letter(p, j, False), Letter(p, k, False))
-                    o = o - c.letter_value(Letter(j, p, False), Letter(k, p, False))
-                out[f"o({j},{k})"] = o
-    return out
+    patterns = {
+        "z1": (
+            lambda j, k, p: (Letter(p, j, True), Letter(p, k, False)),
+            lambda j, k, p: (Letter(j, p, False), Letter(k, p, True)),
+        )
+    }
+    if kind in ("u_plus", "o_plus"):
+        patterns["z2"] = (
+            lambda j, k, p: (Letter(j, p, True), Letter(k, p, False)),
+            lambda j, k, p: (Letter(p, j, False), Letter(p, k, True)),
+        )
+    if kind == "o_plus":
+        patterns["o"] = (
+            lambda j, k, p: (Letter(p, j, False), Letter(p, k, False)),
+            lambda j, k, p: (Letter(j, p, False), Letter(k, p, False)),
+        )
+    sums = iter(_letter_sums(c, *(f for pair in patterns.values() for f in pair)))
+    diffs = {name: next(sums) - next(sums) for name in patterns}
+    r = range(c.d)
+    return {f"{name}({j + 1},{k + 1})": m[j][k] for j in r for k in r for name, m in diffs.items()}
 
 
 def _matrix_unit(d: int, j: int, k: int, coeff: Qi = ONE) -> QMatrix:
@@ -495,20 +503,8 @@ class Primitive(LetterFunctional):
     two_cocycle: TwoCocycle
     values: QMatrix
     star_values: QMatrix
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     sign = -1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Primitive)
-            and self.two_cocycle is other.two_cocycle
-            and self.values == other.values
-            and self.star_values == other.star_values
-        )
-
-    def __hash__(self):
-        return hash((id(self.two_cocycle), self.values, self.star_values))
 
     @property
     def presentation(self) -> Presentation:
@@ -538,9 +534,10 @@ def check_primitive(phi: Primitive, pairs=None, seed: int = 0):
                     Element.from_word(d, rng.choice(pool)),
                 )
             )
-    for a, b in pairs:
-        got = counit(a) * phi.value(b) - phi.value(a * b) + phi.value(a) * counit(b)
-        want = c.value(a, b)
+    pairs = list(pairs)
+    terms = [_pair_terms(c, a, b) for a, b in pairs]
+    gots = _sums(CoboundaryCocycle(phi).batch, terms)
+    for (a, b), got, want in zip(pairs, gots, _sums(c.batch, terms)):
         if got != want:
             return (a, b, got, want)
     return None
@@ -558,38 +555,21 @@ def primitive(c: TwoCocycle) -> Primitive:
     """
     pres = c.presentation
     _require_normalized(c)
-    d = pres.d
     half = Qi("1/2")
     if pres.kind in ("k_d", "u_plus"):
         if pres.kind == "u_plus":
             defect = defect_unitary(c)
             if not defect.is_zero():
                 raise ObstructionError("unitary", defect)
-        rows = []
-        for j in range(1, d + 1):
-            row = []
-            for k in range(1, d + 1):
-                acc = ZERO
-                for p in range(1, d + 1):
-                    acc = acc + c.letter_value(Letter(p, j, True), Letter(p, k, False))
-                row.append(half * acc)
-            rows.append(row)
-        values = QMatrix(rows, cols=d)
+        (sums,) = _letter_sums(c, lambda j, k, p: (Letter(p, j, True), Letter(p, k, False)))
+        values = sums.scale(half)
         star_values = values.transpose()
     elif pres.kind == "o_plus":
         defect = defect_orthogonal(c)
         if not defect.is_zero():
             raise ObstructionError("orthogonal", defect)
-        rows = []
-        for j in range(1, d + 1):
-            row = []
-            for k in range(1, d + 1):
-                acc = ZERO
-                for p in range(1, d + 1):
-                    acc = acc + c.letter_value(Letter(p, j, False), Letter(p, k, False))
-                row.append(half * acc)
-            rows.append(row)
-        values = QMatrix(rows, cols=d)
+        (sums,) = _letter_sums(c, lambda j, k, p: (Letter(p, j, False), Letter(p, k, False)))
+        values = sums.scale(half)
         star_values = values
     else:
         raise ValueError("primitive construction covers k_d, u_plus and o_plus")
@@ -605,8 +585,9 @@ def primitive(c: TwoCocycle) -> Primitive:
 
 def _primitive_witness(phi: Primitive, aw, bw):
     """Canonical (a, b, d(phi)(a, b), c(a, b)) for a violating word pair."""
-    got = CoboundaryCocycle(phi).word_value(aw, bw)
-    return (aw, bw, got, phi.two_cocycle.word_value(aw, bw))
+    (got,) = CoboundaryCocycle(phi).batch([(aw, bw)])
+    (want,) = phi.two_cocycle.batch([(aw, bw)])
+    return (aw, bw, got, want)
 
 
 def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):

@@ -12,7 +12,7 @@ requires psi(r) = 0 on every relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Sequence
@@ -32,20 +32,8 @@ class Functional(LetterFunctional):
     cocycle: Cocycle
     values: QMatrix
     star_values: QMatrix
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     sign = 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Functional)
-            and self.cocycle == other.cocycle
-            and self.values == other.values
-            and self.star_values == other.star_values
-        )
-
-    def __hash__(self):
-        return hash((self.cocycle, self.values, self.star_values))
 
     @property
     def presentation(self) -> Presentation:

@@ -32,18 +32,7 @@ class Representation:
     presentation: Presentation
     n: int
     R: Grid
-    R_star: Grid = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Representation)
-            and self.presentation == other.presentation
-            and self.n == other.n
-            and self.R == other.R
-        )
-
-    def __hash__(self):
-        return hash((self.presentation, self.n, self.R))
+    R_star: Grid = field(repr=False, compare=False)
 
     @property
     def d(self) -> int:

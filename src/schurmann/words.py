@@ -28,9 +28,9 @@ are compiled onto the suffix closure of their words (`algebra.WordSet`), and
 `rho_step` the eta tables use, then sums each element on the numerators, so
 a relation check is a zero test on integers.  Letter values come as columns
 (`columns`): one for a cocycle, a unit column per unknown for the cocycle
-equations, one per basis vector to check a solved space.  Functionals on
-sparse elements keep the memoised letter recursion of
-`cohomology.LetterFunctional`.
+equations, one per basis vector to check a solved space.  Functionals and
+2-cocycles on sparse elements evaluate their batches of words on the same
+word sets (`cohomology.LetterFunctional.batch`).
 """
 
 from __future__ import annotations

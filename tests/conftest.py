@@ -21,7 +21,9 @@ from schurmann import (
 )
 from schurmann import cocycle
 from schurmann.cocycle import Cocycle
+from schurmann.cohomology import CoboundaryCocycle, CombinationCocycle, CounitFunctional, KPairCocycle
 from schurmann.functional import Functional
+from schurmann.linalg import inner_product
 from schurmann.representation import Representation
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -167,6 +169,53 @@ def oracle_cocycle(eta, a, memo=None):
     for w, c in a.terms.items():
         out = out + eta_word(eta, w, memo).scale(c)
     return out
+
+
+def _diagonal(w):
+    return all(l.row == l.col for l in w)
+
+
+def oracle_pair(c, wa, wb, memo=None):
+    """c(wa, wb) by the per-word formula of each 2-cocycle kind; memo maps
+    (object id, word) to eta and functional values."""
+    memo = {} if memo is None else memo
+    if isinstance(c, KPairCocycle):
+        star = tuple(l.adjoint() for l in reversed(wa))
+        left = eta_word(c.eta1, star, memo.setdefault(("eta", id(c.eta1)), {}))
+        return inner_product(left, eta_word(c.eta2, wb, memo.setdefault(("eta", id(c.eta2)), {})))
+    if isinstance(c, CoboundaryCocycle):
+        v = -oracle_functional(c.phi, wa + wb, memo)
+        if _diagonal(wa):
+            v = v + oracle_functional(c.phi, wb, memo)
+        if _diagonal(wb):
+            v = v + oracle_functional(c.phi, wa, memo)
+        return v
+    if isinstance(c, CombinationCocycle):
+        return sum((coeff * oracle_pair(t, wa, wb, memo) for coeff, t in c.terms), ZERO)
+    raise TypeError(type(c).__name__)
+
+
+def oracle_functional(phi, w, memo=None):
+    """v(h w) = sign c(h, w) + [h diagonal] v(w) + eps(w) v(h), v(1) = 0, by
+    recursion once per letter; the counit is eps(w)."""
+    memo = {} if memo is None else memo
+    if isinstance(phi, CounitFunctional):
+        return ONE if _diagonal(w) else ZERO
+    key = ("value", id(phi), w)
+    v = memo.get(key)
+    if v is None:
+        v = ZERO
+        if w:
+            head, tail = w[0], w[1:]
+            v = oracle_pair(phi.form, (head,), tail, memo)
+            if phi.sign < 0:
+                v = -v
+            if head.row == head.col:
+                v = v + oracle_functional(phi, tail, memo)
+            if _diagonal(tail):
+                v = v + phi.letter_value(head)
+        memo[key] = v
+    return v
 
 
 def oracle_violations(obj, evaluate):

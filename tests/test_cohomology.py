@@ -5,7 +5,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import canonical_values, drawn_words, qi_scalars
+from conftest import (
+    canonical_values,
+    drawn_elements,
+    drawn_words,
+    oracle_functional,
+    oracle_pair,
+    qi_scalars,
+    without_deep_recursion,
+)
 from schurmann import (
     CombinationCocycle,
     CounitFunctional,
@@ -44,7 +52,7 @@ from schurmann import (
     sum_identity_defects,
     verify_primitive_exhaustive,
 )
-from schurmann import cohomology, words
+from schurmann import algebra, cocycle, cohomology, words
 from schurmann.cocycle import Cocycle
 from schurmann.cohomology import pair_table, value_tables
 from schurmann.errors import InputError
@@ -84,12 +92,12 @@ def test_square_zero_finds_witness_on_adhoc_bilinear():
     # c(a, b) = [len(a) = len(b) = 1] is not a 2-cocycle: the identity
     # reduces to eps(a) - eps(x) on letter triples.  Word tables cover the
     # catalogued kinds only; check_2cocycle sweeps the same letter triples
-    # in the same order through word_value.
+    # in the same order through batch.
     class FlatPairing(TwoCocycle):
         d = 2
 
-        def word_value(self, wa, wb):
-            return ONE if len(wa) == 1 and len(wb) == 1 else ZERO
+        def batch(self, pairs):
+            return [ONE if len(wa) == 1 and len(wb) == 1 else ZERO for wa, wb in pairs]
 
     with pytest.raises(TypeError):
         square_zero_on_letters(FlatPairing())
@@ -139,9 +147,8 @@ def test_coboundary_of_canonical_functional_is_minus_pairing(eta_sym_u2):
     psi = schurmann_functional(eta_sym_u2)
     c = coboundary1(psi)
     kp = KPairCocycle(eta_sym_u2, eta_sym_u2)
-    for la in letters(2):
-        for lb in letters(2):
-            assert c.letter_value(la, lb) == -kp.letter_value(la, lb)
+    pairs = [((la,), (lb,)) for la in letters(2) for lb in letters(2)]
+    assert c.batch(pairs) == [-v for v in kp.batch(pairs)]
 
 
 # -- defects and class coordinates -------------------------------------------
@@ -407,9 +414,82 @@ def test_pair_and_value_tables_match_recursion(
     for w in drawn_words(data, c.d):
         cut = data.draw(st.integers(0, len(w)))
         u, v = w[:cut], w[cut:]
-        assert pair_table(t, c, len(u), len(v)).qi(t.code(w)) == c.word_value(u, v), (u, v)
+        assert pair_table(t, c, len(u), len(v)).qi(t.code(w)) == oracle_pair(c, u, v), (u, v)
     phi = data.draw(st.sampled_from(primitives))
     t = WordTables(phi.d)
     layers = value_tables(t, phi, 3)
     for w in drawn_words(data, phi.d):
-        assert layers[len(w)].qi(t.code(w)) == phi.word_value(w), w
+        assert layers[len(w)].qi(t.code(w)) == oracle_functional(phi, w), w
+
+
+def _elements_for(data, d):
+    """Drawn elements of words up to length 4, with the empty word, a
+    repeated element and the zero element among them."""
+    drawn = drawn_elements(data, d, max_len=4)
+    return drawn + [Element.one(d), drawn[0], Element.zero(d)]
+
+
+@given(st.data())
+def test_batches_match_the_recursions(
+    eta_sym_u2, eta_rot_o3, eta_asym_u2, k2_pairing_primitive, data
+):
+    eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
+    cocycles, primitives = _table_cases(eta, k2_pairing_primitive)
+    psi = canonical_values(eta)
+    on_combination = Primitive(cocycles[-1], psi.values.transpose(), psi.star_values)
+    phi = data.draw(st.sampled_from([psi, on_combination] + primitives))
+    elements, memo = _elements_for(data, phi.d), {}
+    words = [w for a in elements for w in a.terms]
+    assert phi.batch(words) == [oracle_functional(phi, w, memo) for w in words]
+    for a in elements:
+        want = sum((x * oracle_functional(phi, w, memo) for w, x in a.terms.items()), ZERO)
+        assert phi.value(a) == want, a
+    c = data.draw(st.sampled_from(cocycles + [phi.form]))
+    elements, memo = _elements_for(data, c.d), {}
+    pairs = [(u, v) for a in elements for u in a.terms for b in elements for v in b.terms]
+    assert c.batch(pairs) == [oracle_pair(c, u, v, memo) for u, v in pairs]
+    for a, b in zip(elements, reversed(elements)):
+        want = sum(
+            (x * y * oracle_pair(c, u, v, memo) for u, x in a.terms.items() for v, y in b.terms.items()),
+            ZERO,
+        )
+        assert c.value(a, b) == want, (a, b)
+
+
+def _sampled_pairs(d, count, seed=0):
+    """The letter pairs and count random pairs of words of length <= 2, as
+    check_primitive samples them."""
+    rng = random.Random(seed)
+    alpha = letters(d)
+    els = [Element.from_word(d, (l,)) for l in alpha]
+    pool = [()] + [(l,) for l in alpha] + [(l1, l2) for l1 in alpha for l2 in alpha]
+    sampled = [tuple(Element.from_word(d, rng.choice(pool)) for _ in range(2)) for _ in range(count)]
+    return [(a, b) for a in els for b in els] + sampled
+
+
+def test_check_primitive_compiles_a_fixed_number_of_word_sets(monkeypatch, k2_pairing_primitive):
+    # a batch puts all words of one side on one word set, however many pairs it holds
+    compiled = []
+
+    def counted(*args):
+        compiled.append(1)
+        return algebra.word_set(*args)
+
+    monkeypatch.setattr(cocycle, "word_set", counted)
+    counts = []
+    for count in (24, 200):
+        compiled.clear()
+        assert check_primitive(k2_pairing_primitive, _sampled_pairs(2, count)) is None
+        counts.append(len(compiled))
+    assert counts[0] == counts[1] > 0
+
+
+def test_functionals_on_a_long_word_match_recursion(eta_sym_u2, k2_pairing_primitive):
+    # a word of MAX_SAMPLED_WORD_LEN diagonal letters evaluates with a few
+    # frames of recursion to spare: no recursion runs once per letter
+    diagonal = [l for l in letters(2) if l.row == l.col]
+    w = tuple(diagonal[k % 4] for k in range(cocycle.MAX_SAMPLED_WORD_LEN))
+    coeff = Qi(rational("1/2"), 1)
+    a = Element.from_word(2, w, coeff)
+    for phi in (schurmann_functional(eta_sym_u2), k2_pairing_primitive):
+        assert without_deep_recursion(phi.value, a) == coeff * oracle_functional(phi, w)
