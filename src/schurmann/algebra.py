@@ -329,6 +329,13 @@ class Presentation:
         per presentation and on first use."""
         return word_set(self.d, [r for _, r in self.relations])
 
+    @cached_property
+    def counit_reps(self) -> dict:
+        """The validated counit representation of each carrier dimension n
+        built so far (`representation.counit_rep`), kept with the
+        presentation."""
+        return {}
+
     def determinant_relations(self) -> list[tuple[str, Element]]:
         """The unstarred twisted-determinant family (empty unless kind su_q)."""
         return [(lbl, r) for lbl, r in self.relations if lbl.startswith("det(")]

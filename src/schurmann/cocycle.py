@@ -20,11 +20,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .algebra import Element, Letter, Presentation, antipode_element, letters, word_set
 from .errors import InputError, RelationViolation
-from .linalg import QMatrix, QVector, inner_product, kernel_basis
+from .linalg import GaussianMatrix, QMatrix, QVector, inner_product, kernel_basis
 from .representation import (
     GeneratorSubstitution,
     Representation,
@@ -373,6 +374,22 @@ def _relation_sums(rep: Representation, eta, width: int, what: str) -> Sums:
     return word_set_values(ws, rep.action, rep.n, eta, width)
 
 
+def _coefficient_rows(sums: Sums, n: int, width: int) -> GaussianMatrix:
+    """The rows of the relations with a nonzero cell, coordinate k of a
+    relation being its cells v n + k, over one denominator."""
+    nonzero = sums.nonzero()
+    den = lcm(*(sums.dens[e] for e in nonzero))
+    re, im = [], []
+    for part, rows in ((sums.re, re), (sums.im, im)):
+        cells = list(zip(*part))
+        for e in nonzero:
+            f = den // sums.dens[e]
+            for k in range(n):
+                row = cells[e][k::n]
+                rows.append(list(row) if f == 1 else [x * f for x in row])
+    return GaussianMatrix(re, im, den * sums.den, width)
+
+
 def solve_cocycles(rep: Representation) -> CocycleSpace:
     """All cocycles for rho, by exact kernel computation in the letter values.
 
@@ -387,8 +404,7 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     width = 2 * d * d * n
     units = [[(v, 1, 0)] for v in range(width)], 1
     sums = _relation_sums(rep, units, width, "the cocycle coefficient matrix")
-    rows = [cells[k::n] for cells in map(sums.qis, sums.nonzero()) for k in range(n)]
-    kernel = kernel_basis(QMatrix(rows, cols=width) if rows else QMatrix.zero(0, width))
+    kernel = kernel_basis(_coefficient_rows(sums, n, width))
     if kernel:
         sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
         bad = {e: sums.qis(e) for e in sums.nonzero()}

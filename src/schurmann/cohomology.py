@@ -26,7 +26,7 @@ from .errors import ObstructionError, RelationViolation
 from .linalg import QMatrix, QVector, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi
-from .words import Layer, WordTables, combine, dots, first_difference, step
+from .words import WordTables, combine, dots, first_difference, split, step
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -607,24 +607,23 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     t = WordTables(phi.d)
     t.require(2 * max_len)
     phis = value_tables(t, phi, 2 * max_len)
-    eta2 = t.eta(c.eta2, max_len)
+    eta2 = [t.coordinates(c.eta2, lb) for lb in range(max_len + 1)]
     checked = 0
     for la in range(max_len + 1):
         eps_a = set(t.eps(la))
+        pa = phis[la].qis()
+        # phi(a b) for the words a of length la, one layer per a
+        lhs = [split(phis[la + lb], t.base**la) for lb in range(max_len + 1)]
         for ca in range(t.base**la):
             lin = t.lin(c.eta1, la, ca, sign=-1)
-            pa = phis[la].qi(ca)
             for lb in range(max_len + 1):
-                sz = t.base**lb
-                rhs = step(dots(lin, eta2[lb]), phis[lb], t.eps(lb), ca in eps_a, pa)
-                whole = phis[la + lb]
-                lhs = Layer(whole.re[ca * sz : (ca + 1) * sz], whole.im[ca * sz : (ca + 1) * sz], whole.den)
-                cb = first_difference(lhs, rhs)
+                rhs = step(dots(lin, eta2[lb]), phis[lb], t.counit(lb), ca in eps_a, pa[ca])
+                cb = first_difference(lhs[lb][ca], rhs)
                 if cb is not None:
                     return checked + cb + 1, _primitive_witness(
                         phi, t.word(la, ca), t.word(lb, cb)
                     )
-                checked += sz
+                checked += t.base**lb
     return checked, None
 
 

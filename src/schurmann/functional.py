@@ -24,7 +24,7 @@ from .errors import RelationViolation
 from .linalg import GaussianMatrix, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, ONE, Qi
-from .words import Layer, WordTables, combine, dots, gather, require_entries, rho_step, scaled, step
+from .words import WordTables, combine, coordinates, dots, gather, pack, require_entries, rho_step, step
 
 
 @dataclass(frozen=True)
@@ -178,28 +178,32 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
     codes = [(len(w), t.code(w)) for w in pool]
     eps_sets = [set(t.eps(m)) for m in range(top + 1)]
     psis = value_tables(t, psi, top)
-    base = (
-        gather(t.eta(eta, top), codes),
-        gather(psis, codes),
-        [i for i, (m, c) in enumerate(codes) if c in eps_sets[m]],
-    )
-    eps_pool = set(base[2])
+    mask = [int(c in eps_sets[m]) for m, c in codes]
+    eps_pool = [i for i, e in enumerate(mask) if e]
+    zeros = [0] * len(pool)
+    counit, no_eps = pack(mask, zeros, 1), pack(zeros, zeros, 1)
+    vec, psi_pool = gather(t.eta(eta, top), codes), gather(psis, codes)
+    # a state: eta of the words as lists and packed, psi, the counit as
+    # indices and packed
+    base = (vec, coordinates(vec), psi_pool, eps_pool, counit)
     # psi(w_i*) and psi(w_j) enter with a minus sign through the counit terms
     psi_stars = gather(psis, [(m, t.star_codes(m)[c]) for m, c in codes]).qis()
-    minus_base = combine([(-ONE, base[1])])
+    minus_base = combine([(-ONE, psi_pool)])
     lins = [t.lin(eta, 1, h) for h in range(t.base)]
     psi_letter = [psi.letter_value(l) for l in t.alpha]
 
     def psi_row(k, state):
         # psi(letter_k . w) for every state w
-        vec, val, eps = state
-        return step(dots(lins[k], vec), val, eps, t.diag[k], psi_letter[k])
+        _, coords, val, _, eps = state
+        return step(dots(lins[k], coords), val, eps, t.diag[k], psi_letter[k])
 
     def extend(k, state):
         # states for w -> states for letter_k . w
-        vec, _, eps = state
+        vec, _, _, eps, eps_mask = state
         move = rho_step(eta.rep.action, k, vec, eps, eta.numerators)
-        return move, psi_row(k, state), eps if t.diag[k] else []
+        if t.diag[k]:
+            return move, coordinates(move), psi_row(k, state), eps, eps_mask
+        return move, coordinates(move), psi_row(k, state), [], no_eps
 
     peeled: dict[tuple, tuple] = {(): base}
 
@@ -214,18 +218,11 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
     for i, w in enumerate(pool):
         # peeling w_i* from the left visits the adjoints of w_i's letters in order
         seq = tuple(t.index[l.adjoint()] for l in w)
-        if seq:
-            row = psi_row(seq[-1], peeled_states(seq[:-1]))
-        else:
-            row = Layer(base[1].re[:], base[1].im[:], base[1].den)
-        row = step(row, minus_base, base[2], i in eps_pool, -psi_stars[i])
-        rows.append(row)
+        row = psi_row(seq[-1], peeled_states(seq[:-1])) if seq else psi_pool
+        rows.append(step(row, minus_base, counit, mask[i], -psi_stars[i]))
     den = lcm(*(row.den for row in rows))
-    return GaussianMatrix(
-        [scaled(row.re, den // row.den) for row in rows],
-        [scaled(row.im, den // row.den) for row in rows],
-        den,
-    )
+    re, im = zip(*(row.numerators(den) for row in rows)) if rows else ((), ())
+    return GaussianMatrix(list(re), list(im), den)
 
 
 @dataclass(frozen=True)

@@ -255,12 +255,13 @@ def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, lis
     return re, im
 
 
-def _rref(rows: Sequence[Sequence[Qi]], ncols: int) -> tuple[list[tuple], list[int]]:
-    """Gauss-Jordan by `_row_step` on the numerators of rows, a row x taking
-    p = |y[c]|^2 and f = x[c] conj(y[c]) from the pivot row y; returns
-    (numerator rows, pivot column indices), row r a nonzero multiple of row r
-    of the reduced row echelon form."""
-    out = list(zip(*_numerators(rows)))
+def _rref(re: Sequence[list], im: Sequence[list], ncols: int) -> tuple[list[tuple], list[int]]:
+    """Gauss-Jordan by `_row_step` on the numerator rows (re[r], im[r]), a
+    row x taking p = |y[c]|^2 and f = x[c] conj(y[c]) from the pivot row y;
+    returns (numerator rows, pivot column indices), row r a nonzero multiple
+    of row r of the reduced row echelon form.  Scaling an input row by a
+    positive integer changes neither the kernel nor any reduced entry."""
+    out = list(zip(re, im))
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -287,9 +288,11 @@ def _entry(row: tuple, col: int, pivot: int) -> Qi:
     return _qi(a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi)
 
 
-def kernel_basis(m: QMatrix) -> list[QVector]:
-    """Exact basis of {v : m v = 0}; empty list iff the kernel is {0}."""
-    rows, pivots = _rref(m.data, m.cols)
+def kernel_basis(m: "QMatrix | GaussianMatrix") -> list[QVector]:
+    """Exact basis of {v : m v = 0}; empty list iff the kernel is {0}.  A
+    `GaussianMatrix` is eliminated on its numerator rows as they are."""
+    re, im = (m.re, m.im) if isinstance(m, GaussianMatrix) else _numerators(m.data)
+    rows, pivots = _rref(re, im, m.cols)
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(m.cols) if c not in pivot_set):
@@ -302,14 +305,14 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(_rref(m.data, m.cols)[1])
+    return len(_rref(*_numerators(m.data), m.cols)[1])
 
 
 def solve(m: QMatrix, b: QVector) -> QVector | None:
     """One exact solution of m x = b, or None if the system is inconsistent."""
     if m.rows != len(b):
         raise ValueError("incompatible right-hand side")
-    rows, pivots = _rref([r + (z,) for r, z in zip(m.data, b.entries)], m.cols)
+    rows, pivots = _rref(*_numerators([r + (z,) for r, z in zip(m.data, b.entries)]), m.cols)
     if any(re[-1] or im[-1] for re, im in rows[len(pivots) :]):
         return None
     x = [ZERO] * m.cols
@@ -319,28 +322,27 @@ def solve(m: QMatrix, b: QVector) -> QVector | None:
 
 
 class GaussianMatrix:
-    """Square matrix with entries (re[i][j] + i im[i][j]) / den: rows of
-    Python ints over one positive denominator.  Rows index to `Qi`."""
+    """Matrix with entries (re[i][j] + i im[i][j]) / den: rows of Python
+    ints over one positive denominator, `cols` columns (square unless
+    given).  Rows index to `Qi`."""
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("re", "im", "den", "cols")
 
-    def __init__(self, re: list, im: list, den: int):
-        n = len(re)
-        if len(im) != n or any(len(row) != n for row in chain(re, im)):
-            raise ValueError("GaussianMatrix needs two square numerator grids of one order")
+    def __init__(self, re: list, im: list, den: int, cols: int | None = None):
+        cols = len(re) if cols is None else cols
+        if len(im) != len(re) or any(len(row) != cols for row in chain(re, im)):
+            raise ValueError("GaussianMatrix needs two numerator grids of one shape")
         if den <= 0:
             raise ValueError("GaussianMatrix needs a positive denominator")
-        self.re, self.im, self.den = re, im, den
+        self.re, self.im, self.den, self.cols = re, im, den, cols
 
     @property
     def rows(self) -> int:
         return len(self.re)
 
-    cols = rows
-
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.rows)
+        return (self.rows, self.cols)
 
     def __getitem__(self, i: int) -> list:
         return list(map(_qi, self.re[i], self.im[i], repeat(self.den)))
@@ -364,6 +366,8 @@ def psd_check(m: QMatrix | GaussianMatrix) -> bool:
             raise ValueError("psd_check requires a Hermitian matrix")
         re, im = _numerators(m.data)
     else:
+        if m.rows != m.cols:
+            raise ValueError("psd_check requires a Hermitian matrix")
         re, im = [list(row) for row in m.re], [list(row) for row in m.im]
     for i, (a, b) in enumerate(zip(re, im)):
         # row i from the diagonal on against column i: re symmetric, im antisymmetric

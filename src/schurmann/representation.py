@@ -82,6 +82,11 @@ def evaluate_rep(rep: Representation, a: Element) -> QMatrix:
     return rep_values(rep, [a])[0]
 
 
+def _require_budget(presentation: Presentation, n: int) -> None:
+    entries = n * n * sum(presentation.relation_words.sizes)
+    require_entries(entries, f"the relation values of a representation of dimension {n}")
+
+
 def representation(
     presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n: int | None = None
 ) -> Representation:
@@ -89,8 +94,7 @@ def representation(
     and InputError before any evaluation if n is above the entry budget."""
     if n is None:
         n = blocks[0][0].rows if blocks and blocks[0] else 0
-    entries = n * n * sum(presentation.relation_words.sizes)
-    require_entries(entries, f"the relation values of a representation of dimension {n}")
+    _require_budget(presentation, n)
     grid = _as_grid(presentation, blocks, n)
     star = tuple(tuple(m.adjoint() for m in row) for row in grid)
     rep = Representation(presentation, n, grid, star)
@@ -104,15 +108,23 @@ def representation(
 
 
 def counit_rep(presentation: Presentation, n: int = 1) -> Representation:
-    """The Gaussian representation rho = counit * id on a carrier of dimension n."""
-    d = presentation.d
-    eye = QMatrix.identity(n)
-    zero = QMatrix.zero(n, n)
-    return representation(
-        presentation,
-        [[eye if j == k else zero for k in range(d)] for j in range(d)],
-        n,
-    )
+    """The Gaussian representation rho = counit * id on a carrier of dimension n.
+
+    Validated once per (presentation, n) and kept on the presentation; the
+    entry budget is checked on every call."""
+    _require_budget(presentation, n)
+    rep = presentation.counit_reps.get(n)
+    if rep is None:
+        d = presentation.d
+        eye = QMatrix.identity(n)
+        zero = QMatrix.zero(n, n)
+        rep = representation(
+            presentation,
+            [[eye if j == k else zero for k in range(d)] for j in range(d)],
+            n,
+        )
+        presentation.counit_reps[n] = rep
+    return rep
 
 
 def sign_rep(presentation: Presentation, n: int = 1) -> Representation:

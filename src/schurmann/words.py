@@ -6,10 +6,19 @@ fill the codes 0 .. base**m - 1, the code of a concatenation is
 code(u) * base**len(v) + code(v), and prepending the letter h to the words
 of length m gives the codes h * base**m + code(w).
 
-A layer holds one quantity on a list of words (all words of one length, or a
-word pool) as Gaussian-integer numerators re[i] + i im[i] over one positive
-denominator, so building it costs integer products only; values leave as
-`Qi`.  Every table follows the letter recursions of the package:
+A scalar layer (`Layer`) holds one quantity on a list of words (all words of
+one length, or a word pool) as Gaussian-integer numerators re_i + i im_i
+over one positive denominator, each part packed into one Python int
+sum_i x_i 2^(W i) of slots W bits wide (Kronecker substitution).  A sum of
+layers times integers is then a few big-int products and additions instead
+of a loop over the entries; concatenation and splitting go through bytes,
+and a counit term is a Gaussian integer times the 0/1 counit layer or
+shifted copies of a layer (`WordTables.eps_left` / `eps_right`).  Every
+operation first bounds its result's entries from its operands' bounds and
+picks the slot width (a multiple of 64) from that bound, so no slot
+overflows into the next; decoding checks the entries against the bound.
+Values leave as lists or `Qi` only at the exits (Gram rows, witnesses,
+`.qi`).  Every table follows the letter recursions of the package:
 
     rho(h w) = rho(h) rho(w)
     eps(h w) = [h diagonal] eps(w)
@@ -22,19 +31,28 @@ w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
 -1 for a primitive (`cohomology.value_tables`).
 
 Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
-word pairs).  Sparse elements, the relations of a presentation among them,
-are compiled onto the suffix closure of their words (`algebra.WordSet`), and
-`word_set_values` evaluates rho or eta on it layer by layer with the same
-`rho_step` the eta tables use, then sums each element on the numerators, so
-a relation check is a zero test on integers.  Letter values come as columns
-(`columns`): one for a cocycle, a unit column per unknown for the cocycle
-equations, one per basis vector to check a solved space.  Functionals and
-2-cocycles on sparse elements evaluate their batches of words on the same
-word sets (`cohomology.LetterFunctional.batch`).
+word pairs).  Vector layers (`VecLayer`: eta, and rho on word sets) and the
+sums of word sets stay on lists of ints: `word_set_values` and the peel
+states of the Gram build read them at arbitrary tail positions, which a
+packed int serves only by decoding (a packed word-set evaluator was slower
+in a prototype).  A vector table is packed coordinate by coordinate once
+(`coordinates`) where scalar layers read it.  Sparse elements, the
+relations of a presentation among them, are compiled onto the suffix
+closure of their words (`algebra.WordSet`), and `word_set_values` evaluates
+rho or eta on it layer by layer with the same `rho_step` the eta tables
+use, then sums each element on the numerators, so a relation check is a
+zero test on integers.  Letter values come as columns (`columns`): one for
+a cocycle, a unit column per unknown for the cocycle equations, one per
+basis vector to check a solved space.  Functionals and 2-cocycles on sparse
+elements evaluate their batches of words on the same word sets
+(`cohomology.LetterFunctional.batch`).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add, mul, sub
@@ -45,23 +63,169 @@ from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noq
 from .linalg import QVector
 from .scalars import ONE, ZERO, Qi, _qi
 
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _width(bound: int) -> int:
+    """The narrowest slot width, a multiple of 64 bits, holding every x with
+    |x| <= bound in two's complement."""
+    return (bound.bit_length() + 64) // 64 * 64
+
+
+@lru_cache(maxsize=256)
+def _ones(size: int, width: int) -> int:
+    """1 in each of `size` slots of `width` bits."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * size, "little")
+
+
+@lru_cache(maxsize=256)
+def _window(size: int, width: int, k: int) -> tuple[int, int]:
+    """(2^k in every slot, the bits k + 1 .. width - 1 of every slot)."""
+    ones = _ones(size, width)
+    return ones << k, (ones << width) - (ones << (k + 1))
+
+
+def _fits(x: int, size: int, width: int, k: int) -> bool:
+    """Whether every slot of x lies in [-2^k, 2^k), k < width: then x + 2^k
+    in every slot carries into no other slot."""
+    low, high = _window(size, width, k)
+    y = x + low
+    return y >= 0 and y.bit_length() <= width * size and not y & high
+
+
+def _magnitude(x: int, size: int) -> int | None:
+    """A power of two 2^k >= |slot| for every 64-bit slot of x, k <= 62, or
+    None if a slot is 2^62 or more in absolute value."""
+    if not x:
+        return 0
+    for k in (1, 2, 4, 8, 16, 32, 62):
+        if _fits(x, size, 64, k):
+            return 1 << k
+    return None
+
+
+def _pack(xs: list, width: int) -> int:
+    """sum_i xs[i] 2^(width i); every |xs[i]| < 2^(width - 1)."""
+    if not any(xs):
+        return 0
+    top = _ones(len(xs), width) << (width - 1)
+    if width == 64:
+        a = array("q", xs)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        raw = a.tobytes()
+    else:
+        raw = b"".join(x.to_bytes(width // 8, "little", signed=True) for x in xs)
+    return (int.from_bytes(raw, "little") ^ top) - top
+
+
+def _unpack(x: int, layer: "Layer") -> list:
+    """The slots of x, one part of the layer; ArithmeticError if a slot is
+    outside [-2^k, 2^k), k the bit length of the layer's bound."""
+    size, width, k = layer.size, layer.width, layer.bound.bit_length()
+    if k >= width or not _fits(x, size, width, k):
+        raise ArithmeticError(f"a packed entry is above its layer's bound {layer.bound}")
+    if not x:
+        return [0] * size
+    top = _ones(size, width) << (width - 1)
+    raw = ((x + top) ^ top).to_bytes(width // 8 * size, "little")
+    if width == 64:
+        a = array("q")
+        a.frombytes(raw)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return a.tolist()
+    n = width // 8
+    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, len(raw), n)]
+
 
 class Layer(NamedTuple):
-    """Scalars (re[i] + i im[i]) / den."""
+    """Scalars (re_i + i im_i) / den for i < size, packed: re is the int
+    sum_i re_i 2^(width i), im likewise, with every |re_i|, |im_i| <= bound
+    < 2^(width - 1)."""
 
-    re: list
-    im: list
+    re: int
+    im: int
     den: int
+    size: int
+    width: int
+    bound: int
+
+    def numerators(self, den: int) -> tuple[list, list]:
+        """The lists (re_i), (im_i) of the entries over den, a multiple of
+        the layer's denominator."""
+        f = den // self.den
+        t = _scaled(self, f, _width(self.bound * f))
+        return _unpack(t.re, t), _unpack(t.im, t)
 
     def qi(self, i: int) -> Qi:
-        return _qi(self.re[i], self.im[i], self.den)
+        re, im = self.numerators(self.den)
+        return _qi(re[i], im[i], self.den)
 
     def qis(self) -> list:
-        return list(map(_qi, self.re, self.im, repeat(self.den)))
+        re, im = self.numerators(self.den)
+        return list(map(_qi, re, im, repeat(self.den)))
 
     def first_nonzero(self):
         """Index of the first nonzero entry, or None."""
-        return next((i for i, (a, b) in enumerate(zip(self.re, self.im)) if a or b), None)
+        if not (self.re or self.im):
+            return None
+        re, im = self.numerators(self.den)
+        return next(i for i, (a, b) in enumerate(zip(re, im)) if a or b)
+
+
+def pack(re: list, im: list, den: int) -> Layer:
+    """The layer of the numerator lists re, im over den."""
+    try:
+        xr, xi = _pack(re, 64), _pack(im, 64)
+        bounds = _magnitude(xr, len(re)), _magnitude(xi, len(im))
+    except OverflowError:
+        bounds = (None,)
+    if None not in bounds:
+        return Layer(xr, xi, den, len(re), 64, max(bounds))
+    # an entry of 2^62 or more: the exact bound picks the width
+    bound = max(map(abs, chain(re, im)))
+    width = _width(bound)
+    return Layer(_pack(re, width), _pack(im, width), den, len(re), width, bound)
+
+
+def _repacked(t: Layer, width: int) -> Layer:
+    """t with slots of the given width, which must hold t.bound."""
+    if t.width == width:
+        return t
+    re, im = _unpack(t.re, t), _unpack(t.im, t)
+    return Layer(_pack(re, width), _pack(im, width), t.den, t.size, width, t.bound)
+
+
+def _scaled(t: Layer, f: int, width: int) -> Layer:
+    """t over f t.den, in slots of the given width, which must hold f t.bound."""
+    t = _repacked(t, width)
+    if f == 1:
+        return t
+    return Layer(t.re * f, t.im * f, t.den * f, t.size, width, t.bound * f)
+
+
+def _sum(terms, den: int, size: int) -> Layer:
+    """sum of (a + i b) t over the terms (a, b, t): Gaussian-integer
+    coefficients and layers of `size` entries, the numerators over den."""
+    bound = 0
+    for a, b, t in terms:
+        bound += (abs(a) + abs(b)) * t.bound
+    width = _width(bound)
+    re = im = 0
+    for a, b, t in terms:
+        if t.width != width:
+            t = _repacked(t, width)
+        if a == 1:
+            re += t.re
+            im += t.im
+        elif a:
+            re += a * t.re
+            im += a * t.im
+        if b:
+            re -= b * t.im
+            im += b * t.re
+    return Layer(re, im, den, size, width, bound)
 
 
 class VecLayer(NamedTuple):
@@ -76,6 +240,20 @@ class VecLayer(NamedTuple):
         return QVector(_qi(r[i], m[i], self.den) for r, m in zip(self.re, self.im))
 
 
+class Coordinates(NamedTuple):
+    """A vector layer with every coordinate packed as a `Layer` over den."""
+
+    parts: tuple
+    den: int
+    size: int
+
+
+def coordinates(vec: VecLayer) -> Coordinates:
+    return Coordinates(
+        tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im)), vec.den, vec.size
+    )
+
+
 def _over(values, den: int) -> list:
     return [(z.a * (den // z.den), z.b * (den // z.den)) for z in values]
 
@@ -86,81 +264,92 @@ def gaussian(values) -> tuple:
     return _over(values, den), den
 
 
-def scaled(xs: list, f: int) -> list:
-    return xs[:] if f == 1 else [x * f for x in xs]
-
-
-def dots(lin, vec: VecLayer) -> Layer:
+def dots(lin, vec: Coordinates) -> Layer:
     """sum_k lin_k vec_k(w) for every w of the layer, lin = (pairs, den) with
     no conjugation applied here."""
     pairs, den = lin
-    re = im = None
-    for (a, b), xr, xi in zip(pairs, vec.re, vec.im):
-        if not (a or b):
-            continue
-        if not b:
-            tr, ti = [a * x for x in xr], [a * y for y in xi]
-        else:
-            tr = [a * x - b * y for x, y in zip(xr, xi)]
-            ti = [a * y + b * x for x, y in zip(xr, xi)]
-        if re is None:
-            re, im = tr, ti
-        else:
-            re, im = list(map(add, re, tr)), list(map(add, im, ti))
-    if re is None:
-        re, im = [0] * vec.size, [0] * vec.size
-    return Layer(re, im, den * vec.den)
+    terms = [(a, b, x) for (a, b), x in zip(pairs, vec.parts) if a or b]
+    return _sum(terms, den * vec.den, vec.size)
 
 
-def step(first: Layer, val: Layer, eps, diag: bool, vh: Qi) -> Layer:
+def step(first: Layer, val: Layer, eps: Layer, diag: bool, vh: Qi) -> Layer:
     """The shared value step: first(w) + [diag] val(w) + eps(w) vh for every
-    w of the layer, eps the indices with eps(w) = 1.  The lists of `first`
-    are reused for the result."""
+    w of the layer, eps the layer of the counit (0 or 1 over 1)."""
     den = lcm(first.den, val.den, vh.den)
-    f = den // first.den
-    re, im = first.re, first.im
-    if f != 1:
-        re, im = [x * f for x in re], [x * f for x in im]
+    terms = [(den // first.den, 0, first)]
     if diag:
-        g = den // val.den
-        re = [x + g * y for x, y in zip(re, val.re)]
-        im = [x + g * y for x, y in zip(im, val.im)]
+        terms.append((den // val.den, 0, val))
     e = den // vh.den
-    vr, vi = vh.a * e, vh.b * e
-    if eps and (vr or vi):
-        for i in eps:
-            re[i] += vr
-            im[i] += vi
-    return Layer(re, im, den)
+    if eps.re and (vh.a or vh.b):
+        terms.append((vh.a * e, vh.b * e, eps))
+    return _sum(terms, den, first.size)
+
+
+def _join(parts, width: int) -> int:
+    """The slots of the packed ints (x, size) one after another."""
+    raw = b"".join(
+        (x + (_ones(n, width) << (width - 1))).to_bytes(width // 8 * n, "little")
+        for x, n in parts
+    )
+    return int.from_bytes(raw, "little") - (_ones(sum(n for _, n in parts), width) << (width - 1))
 
 
 def concat(parts) -> Layer:
     """The layers one after another, over their common denominator."""
     den = lcm(*(p.den for p in parts))
-    re, im = [], []
-    for p in parts:
-        f = den // p.den
-        re += p.re if f == 1 else [x * f for x in p.re]
-        im += p.im if f == 1 else [x * f for x in p.im]
-    return Layer(re, im, den)
+    bound = max((p.bound * (den // p.den) for p in parts), default=0)
+    width = _width(bound)
+    parts = [_scaled(p, den // p.den, width) for p in parts]
+    re = _join([(p.re, p.size) for p in parts], width)
+    im = _join([(p.im, p.size) for p in parts], width)
+    return Layer(re, im, den, sum(p.size for p in parts), width, bound)
+
+
+def split(layer: Layer, k: int) -> list:
+    """The layer cut into k consecutive layers of equal size."""
+    size, width = layer.size // k, layer.width
+    top, part_top = (_ones(n, width) << (width - 1) for n in (layer.size, size))
+    chunk = width // 8 * size
+    re, im = ((x + top).to_bytes(chunk * k, "little") for x in (layer.re, layer.im))
+    cuts = [(j * chunk, (j + 1) * chunk) for j in range(k)]
+    return [
+        layer._replace(
+            re=int.from_bytes(re[a:b], "little") - part_top,
+            im=int.from_bytes(im[a:b], "little") - part_top,
+            size=size,
+        )
+        for a, b in cuts
+    ]
 
 
 def combine(terms) -> Layer:
     """sum of coeff * layer over (Qi coefficient, Layer) pairs of equal size."""
     den = lcm(*(t.den for _, t in terms))
-    vec = VecLayer(
-        tuple(t.re for _, t in terms), tuple(t.im for _, t in terms), den, len(terms[0][1].re)
-    )
-    return dots(gaussian([c * Qi(den // t.den) for c, t in terms]), vec)
+    pairs, cden = gaussian([c * Qi(den // t.den) for c, t in terms])
+    layers = [(a, b, t) for (a, b), (_, t) in zip(pairs, terms) if a or b]
+    return _sum(layers, cden * den, terms[0][1].size)
+
+
+def _spread(x: int, layer: Layer, stride: int) -> int:
+    """The slots of x, one part of the layer, `stride` slots apart."""
+    width, n = layer.width, layer.width // 8
+    top = _ones(layer.size, width) << (width - 1)
+    raw = (x + top).to_bytes(n * layer.size, "little")
+    # the slots are stored biased by 2^(width - 1), so a 0 slot is that bias
+    pad = (1 << (width - 1)).to_bytes(n, "little") * (stride - 1)
+    wide = pad.join([raw[i : i + n] for i in range(0, len(raw), n)] + [b""])
+    return int.from_bytes(wide, "little") - (_ones(layer.size * stride, width) << (width - 1))
 
 
 def first_difference(x: Layer, y: Layer):
     """Index of the first entry where the two layers differ, or None."""
     den = lcm(x.den, y.den)
     f, g = den // x.den, den // y.den
-    xr, xi, yr, yi = (scaled(v, s) for v, s in ((x.re, f), (x.im, f), (y.re, g), (y.im, g)))
-    if xr == yr and xi == yi:
+    width = _width(max(x.bound * f, y.bound * g))
+    x, y = _scaled(x, f, width), _scaled(y, g, width)
+    if x.re == y.re and x.im == y.im:
         return None
+    xr, xi, yr, yi = _unpack(x.re, x), _unpack(x.im, x), _unpack(y.re, y), _unpack(y.im, y)
     return next(i for i, t in enumerate(zip(xr, xi, yr, yi)) if t[0] != t[2] or t[1] != t[3])
 
 
@@ -173,9 +362,8 @@ def gather(layers, picks):
         re = tuple([layers[m].re[k][c] * f[m] for m, c in picks] for k in range(n))
         im = tuple([layers[m].im[k][c] * f[m] for m, c in picks] for k in range(n))
         return VecLayer(re, im, den, len(picks))
-    re = [layers[m].re[c] * f[m] for m, c in picks]
-    im = [layers[m].im[c] * f[m] for m, c in picks]
-    return Layer(re, im, den)
+    ints = [layer.numerators(den) for layer in layers]
+    return pack([ints[m][0][c] for m, c in picks], [ints[m][1][c] for m, c in picks], den)
 
 
 class Action(NamedTuple):
@@ -190,6 +378,27 @@ def action(matrices) -> Action:
     """The letter images, in the order of `letters(d)`, over one denominator."""
     den = lcm(*(z.den for m in matrices for row in m.data for z in row))
     return Action([[_over(row, den) for row in m.data] for m in matrices], den)
+
+
+def _times(row, f: int, vec: VecLayer) -> tuple[list, list]:
+    """The numerator lists of f sum_k row_k vec_k, row of numerator pairs."""
+    re = im = None
+    for (a, b), xr, xi in zip(row, vec.re, vec.im):
+        a, b = a * f, b * f
+        if not (a or b):
+            continue
+        if not b:
+            tr, ti = [a * x for x in xr], [a * y for y in xi]
+        else:
+            tr = [a * x - b * y for x, y in zip(xr, xi)]
+            ti = [a * y + b * x for x, y in zip(xr, xi)]
+        if re is None:
+            re, im = tr, ti
+        else:
+            re, im = list(map(add, re, tr)), list(map(add, im, ti))
+    if re is None:
+        return [0] * vec.size, [0] * vec.size
+    return re, im
 
 
 def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLayer:
@@ -207,8 +416,7 @@ def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLaye
     f, g = den // (dr * vec.den), den // de
     re, im = [], []
     for k, row in enumerate(images[h]):
-        m = dots((row, dr), vec)
-        xr, xi = (m.re, m.im) if f == 1 else ([x * f for x in m.re], [x * f for x in m.im])
+        xr, xi = _times(row, f, vec)
         if eps:
             for v, a, b in values[h * n + k]:
                 a, b = a * g, b * g
@@ -341,7 +549,9 @@ class WordTables:
         self._eps = [[0]]
         self._stars = [[0]]
         self._eta = {}
+        self._coordinates = {}
         self._values = {}
+        self._counit = []
 
     # -- codes ------------------------------------------------------------
 
@@ -400,10 +610,18 @@ class WordTables:
         s = self.star_codes(length)[code]
         return [(sign * r[s], -sign * m[s]) for r, m in zip(layer.re, layer.im)], layer.den
 
+    def coordinates(self, eta, length: int) -> Coordinates:
+        """Layer `length` of eta with packed coordinates, packed once."""
+        key = (id(eta), length)
+        out = self._coordinates.get(key)
+        if out is None:
+            out = self._coordinates[key] = coordinates(self.eta(eta, length)[length])
+        return out
+
     def pairing(self, eta1, eta2, p: int, q: int) -> Layer:
         """<eta1(u*), eta2(v)> for all |u| = p, |v| = q, coded as the word u v."""
         self.require(p + q)
-        right = self.eta(eta2, q)[q]
+        right = self.coordinates(eta2, q)
         return concat([dots(self.lin(eta1, p, cu), right) for cu in range(self.base**p)])
 
     def values(self, key, letter_value, first, length: int) -> list:
@@ -412,41 +630,44 @@ class WordTables:
         the words h w of length m + 1 and letter_value(l) = v(l)."""
         entry = self._values.get(id(key))
         if entry is None:
-            entry = (key, [Layer([0], [0], 1)])
+            entry = (key, [pack([0], [0], 1)])
             self._values[id(key)] = entry
         layers = entry[1]
         while len(layers) <= length:
             m = len(layers) - 1
             self.require(m + 1)
-            f, prev, eps, size = first(m), layers[-1], self.eps(m), self.base**m
-            parts = []
-            for h, l in enumerate(self.alpha):
-                lo = h * size
-                part = Layer(f.re[lo : lo + size], f.im[lo : lo + size], f.den)
-                parts.append(step(part, prev, eps, self.diag[h], letter_value(l)))
+            prev, eps = layers[-1], self.counit(m)
+            parts = [
+                step(part, prev, eps, dg, letter_value(l))
+                for part, dg, l in zip(split(first(m), self.base), self.diag, self.alpha)
+            ]
             layers.append(concat(parts))
         return layers
 
+    def counit(self, length: int) -> Layer:
+        """eps(w) for the words of this length."""
+        while len(self._counit) <= length:
+            xs = [0] * self.base ** len(self._counit)
+            for c in self.eps(len(self._counit)):
+                xs[c] = 1
+            self._counit.append(pack(xs, [0] * len(xs), 1))
+        return self._counit[length]
+
     def eps_left(self, layer: Layer, p: int) -> Layer:
-        """eps(u) layer(v) on the words u v with |u| = p."""
-        size = len(layer.re)
-        re, im = [0] * (self.base**p * size), [0] * (self.base**p * size)
-        for cu in self.eps(p):
-            re[cu * size : (cu + 1) * size] = layer.re
-            im[cu * size : (cu + 1) * size] = layer.im
-        return Layer(re, im, layer.den)
+        """eps(u) layer(v) on the words u v with |u| = p: a copy of the
+        layer shifted to each block u with eps(u) = 1."""
+        shifts = [layer.width * layer.size * cu for cu in self.eps(p)]
+        re, im = (sum(x << s for s in shifts) for x in (layer.re, layer.im))
+        return layer._replace(re=re, im=im, size=self.base**p * layer.size)
 
     def eps_right(self, layer: Layer, q: int) -> Layer:
-        """layer(u) eps(v) on the words u v with |v| = q."""
+        """layer(u) eps(v) on the words u v with |v| = q: the slots of the
+        layer spread base**q apart, shifted to each v with eps(v) = 1."""
         size = self.base**q
-        re, im = [0] * (len(layer.re) * size), [0] * (len(layer.re) * size)
-        for cv in self.eps(q):
-            re[cv::size] = layer.re
-            im[cv::size] = layer.im
-        return Layer(re, im, layer.den)
-
-    def counit(self, length: int) -> Layer:
-        return self.eps_left(Layer([1], [0], 1), length)
+        shifts = [layer.width * cv for cv in self.eps(q)]
+        spread = (_spread(x, layer, size) for x in (layer.re, layer.im))
+        re, im = (sum(x << s for s in shifts) for x in spread)
+        return layer._replace(re=re, im=im, size=layer.size * size)
 
     def coboundary(self, phi: list, p: int, q: int) -> Layer:
         """eps(u) phi(v) - phi(u v) + phi(u) eps(v) for all |u| = p, |v| = q,

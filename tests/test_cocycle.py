@@ -245,6 +245,26 @@ def test_solver_on_a_zero_dimensional_carrier(every_kind):
         assert space.dimension == 0 and space.basis == ()
 
 
+@given(st.data())
+def test_solver_basis_is_the_kernel_of_the_qi_rows(data):
+    # relations of counit 0 (so the counit is a representation) with
+    # coefficients over different denominators: the basis equals the kernel
+    # of the coefficient matrix built cell by cell as Qi
+    d, n = 2, data.draw(st.integers(1, 2))
+    relations = []
+    for i, a in enumerate(drawn_elements(data, d, max_len=2)):
+        a = a.scale(q(f"1/{data.draw(st.integers(1, 9))}"))
+        relations.append((f"r{i}", a - Element.one(d).scale(counit(a))))
+    rep = counit_rep(algebra.Presentation("k_d", d, tuple(relations), True), n)
+    width = 2 * d * d * n
+    units = [[(v, 1, 0)] for v in range(width)], 1
+    sums = cocycle._relation_sums(rep, units, width, "the cocycle coefficient matrix")
+    rows = [cells[k::n] for cells in map(sums.qis, sums.nonzero()) for k in range(n)]
+    kernel = linalg.kernel_basis(QMatrix(rows, cols=width) if rows else QMatrix.zero(0, width))
+    basis = solve_cocycles(rep).basis
+    assert [QVector([z for l in letters(d) for z in eta.letter_value(l)]) for eta in basis] == kernel
+
+
 def test_solver_basis_members_validate(o3):
     space = solve_cocycles(counit_rep(o3))
     assert len(space.basis) == space.dimension

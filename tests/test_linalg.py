@@ -22,7 +22,7 @@ from schurmann import (
     rational,
     solve,
 )
-from schurmann.linalg import _rref, gram_matrix, inner_product, project_onto_span
+from schurmann.linalg import _numerators, _rref, gram_matrix, inner_product, project_onto_span
 
 
 def test_kernel_of_rank_one_matrix():
@@ -66,7 +66,7 @@ def test_gaussian_pivots_keep_numerators_small():
     b.append([x + y for x, y in zip(b[0], b[1])])
     hadamard = prod(isqrt(sum(x * x for x in row)) + 1 for row in b)
     m = QMatrix([[Qi(2 * x, x) for x in row] for row in b])
-    rows, pivots = _rref(m.data, m.cols)
+    rows, pivots = _rref(*_numerators(m.data), m.cols)
     assert len(pivots) == rank(m) == 15
     assert max(abs(v).bit_length() for row in rows for part in row for v in part) <= (
         hadamard.bit_length() + 2

@@ -1,5 +1,7 @@
 """Finite dimensional *-representations and their eager validation."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from schurmann import (
     QMatrix,
     RelationViolation,
     ZERO,
+    build_presentation,
     counit,
     counit_rep,
     direct_sum_rep,
@@ -73,6 +76,23 @@ def test_rep_budget_boundary(u2, monkeypatch):
     refuse_evaluation(monkeypatch)
     with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 131"):
         counit_rep(u2, 2)
+
+
+def test_counit_rep_is_validated_once_per_dimension(monkeypatch):
+    # the package attribute schurmann.representation is the function, so the
+    # module is patched through sys.modules
+    module = sys.modules["schurmann.representation"]
+    evaluate, calls = module.word_set_values, []
+    monkeypatch.setattr(module, "word_set_values", lambda *args: calls.append(args) or evaluate(*args))
+    pres = build_presentation("u_plus", 2)
+    rep = counit_rep(pres, 2)
+    assert counit_rep(pres, 2) is rep
+    assert len(calls) == 1
+    assert counit_rep(pres, 1) is not rep
+    assert len(calls) == 2
+    other = build_presentation("u_plus", 2)
+    assert counit_rep(other, 2) == rep and counit_rep(other, 2) is not rep
+    assert len(calls) == 3
 
 
 def test_rep_on_a_zero_dimensional_carrier(every_kind):

@@ -1,0 +1,216 @@
+"""Packed scalar layers against plain lists of numerators.
+
+Every operation of `schurmann.words` on packed layers is compared with a
+reference on (re list, im list, den) triples written here, on entries that
+fill a 64-bit slot to the last bit, need 128-bit or wider slots, and change
+sign from slot to slot (borrows and carries across slots), on one-slot and
+zero-length layers and on denominators other than 1.
+"""
+
+from math import lcm
+from typing import NamedTuple
+
+import pytest
+from hypothesis import given, strategies as st
+
+from conftest import qi_scalars
+from schurmann.scalars import Qi
+from schurmann.words import (
+    Coordinates,
+    Layer,
+    VecLayer,
+    WordTables,
+    combine,
+    concat,
+    coordinates,
+    dots,
+    first_difference,
+    gather,
+    pack,
+    split,
+    step,
+)
+
+TOP = 2**63
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([TOP - 1, -(TOP - 1), TOP // 2, -TOP // 2, TOP, -TOP, 2 * TOP + 1]),
+    st.integers(-(2**130), 2**130),
+)
+dens = st.integers(1, 12)
+
+
+class Plain(NamedTuple):
+    re: list
+    im: list
+    den: int
+
+
+def plain_layer(data, size) -> Plain:
+    re, im = (data.draw(st.lists(entries, min_size=size, max_size=size)) for _ in "ri")
+    return Plain(re, im, data.draw(dens))
+
+
+def packed(p: Plain) -> Layer:
+    return pack(p.re, p.im, p.den)
+
+
+def assert_same(layer: Layer, want: Plain):
+    assert layer.den == want.den
+    assert layer.size == len(want.re)
+    assert layer.numerators(layer.den) == (want.re, want.im)
+    assert layer.width % 64 == 0
+    assert max(map(abs, want.re + want.im), default=0) <= layer.bound < 2 ** (layer.width - 1)
+
+
+def over(p: Plain, den: int) -> tuple[list, list]:
+    f = den // p.den
+    return [x * f for x in p.re], [x * f for x in p.im]
+
+
+def plain_sum(terms, den, size) -> Plain:
+    """sum of (a + i b) t over (a, b, t), the numerators taken as they are."""
+    re, im = [0] * size, [0] * size
+    for a, b, t in terms:
+        for i in range(size):
+            re[i] += a * t.re[i] - b * t.im[i]
+            im[i] += a * t.im[i] + b * t.re[i]
+    return Plain(re, im, den)
+
+
+@given(st.data())
+def test_pack_round_trips(data):
+    size = data.draw(st.integers(0, 6))
+    p = plain_layer(data, size)
+    layer = packed(p)
+    assert_same(layer, p)
+    assert layer.qis() == [Qi(a, b) / Qi(p.den) for a, b in zip(p.re, p.im)]
+    for i in range(size):
+        assert layer.qi(i) == Qi(p.re[i], p.im[i]) / Qi(p.den)
+    nonzero = [i for i in range(size) if p.re[i] or p.im[i]]
+    assert layer.first_nonzero() == (nonzero[0] if nonzero else None)
+
+
+def test_slot_widths():
+    assert pack([TOP - 1, -(TOP - 1)], [0, 0], 1).width == 64
+    assert pack([TOP, 0], [0, 0], 1).width == 128
+    assert pack([0], [-TOP], 1).width == 128
+    assert pack([2**200], [0], 1).width == 256
+    assert pack([], [], 1) == Layer(0, 0, 1, 0, 64, 0)
+    # a sum of two entries just inside a 64-bit slot moves to 128 bits
+    near = pack([TOP // 2, -(TOP // 2)], [1, -1], 1)
+    twice = combine([(Qi(1), near), (Qi(1), near)])
+    assert twice.width == 128
+    assert twice.numerators(1) == ([TOP, -TOP], [2, -2])
+
+
+@given(st.data())
+def test_dots_and_combine_match_lists(data):
+    size, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+    vden = data.draw(dens)
+    coords = [plain_layer(data, size)._replace(den=vden) for _ in range(n)]
+    vec = VecLayer(tuple(c.re for c in coords), tuple(c.im for c in coords), vden, size)
+    pairs = [(data.draw(entries), data.draw(entries)) for _ in range(n)]
+    lin = (pairs, data.draw(dens))
+    want = plain_sum([(a, b, c) for (a, b), c in zip(pairs, coords)], lin[1] * vden, size)
+    assert_same(dots(lin, coordinates(vec)), want)
+    assert_same(dots(lin, Coordinates((), vden, size)), Plain([0] * size, [0] * size, lin[1] * vden))
+
+    layers = [plain_layer(data, size) for _ in range(data.draw(st.integers(1, 3)))]
+    coeffs = [data.draw(qi_scalars) for _ in layers]
+    den = lcm(*(t.den for t in layers))
+    scaled = [c * Qi(den // t.den) for c, t in zip(coeffs, layers)]
+    cden = lcm(*(z.den for z in scaled))
+    terms = [(z.a * (cden // z.den), z.b * (cden // z.den), t) for z, t in zip(scaled, layers)]
+    got = combine([(c, packed(t)) for c, t in zip(coeffs, layers)])
+    assert_same(got, plain_sum(terms, cden * den, size))
+
+
+@given(st.data())
+def test_step_matches_lists(data):
+    size = data.draw(st.integers(0, 5))
+    first, val = plain_layer(data, size), plain_layer(data, size)
+    mask = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    diag = data.draw(st.booleans())
+    vh = Qi(data.draw(entries), data.draw(entries)) / Qi(data.draw(dens))
+    den = lcm(first.den, val.den, vh.den)
+    re, im = over(first, den)
+    if diag:
+        for i, (a, b) in enumerate(zip(*over(val, den))):
+            re[i] += a
+            im[i] += b
+    e = den // vh.den
+    for i in range(size):
+        re[i] += mask[i] * vh.a * e
+        im[i] += mask[i] * vh.b * e
+    got = step(packed(first), packed(val), pack(mask, [0] * size, 1), diag, vh)
+    assert_same(got, Plain(re, im, den))
+
+
+@given(st.data())
+def test_concat_split_and_first_difference_match_lists(data):
+    sizes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    parts = [plain_layer(data, n) for n in sizes]
+    den = lcm(*(p.den for p in parts))
+    want = Plain([], [], den)
+    for p in parts:
+        re, im = over(p, den)
+        want.re.extend(re)
+        want.im.extend(im)
+    whole = concat([packed(p) for p in parts])
+    assert_same(whole, want)
+
+    k, size = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    p = plain_layer(data, k * size)
+    for j, part in enumerate(split(packed(p), k)):
+        cut = slice(j * size, (j + 1) * size)
+        assert_same(part, Plain(p.re[cut], p.im[cut], p.den))
+
+    # y: x over another denominator, with an entry changed or not
+    x = plain_layer(data, data.draw(st.integers(0, 5)))
+    f = data.draw(dens)
+    y = Plain([a * f for a in x.re], [b * f for b in x.im], x.den * f)
+    if x.re and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(x.re) - 1))
+        y.re[i] += data.draw(st.sampled_from([1, -1, TOP, -(2**100)]))
+    changed = [i for i in range(len(x.re)) if x.re[i] * f != y.re[i]]
+    assert first_difference(packed(x), packed(y)) == (changed[0] if changed else None)
+
+
+@given(st.data())
+def test_gather_and_counit_terms_match_lists(data):
+    t = WordTables(2)  # eight letters, four of them diagonal
+    layers = [plain_layer(data, t.base**m) for m in range(2)]
+    picks = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)), max_size=6))
+    picks = [(m, c % t.base**m) for m, c in picks]
+    den = lcm(*(p.den for p in layers))
+    scaled = [over(p, den) for p in layers]
+    want = Plain([scaled[m][0][c] for m, c in picks], [scaled[m][1][c] for m, c in picks], den)
+    assert_same(gather([packed(p) for p in layers], picks), want)
+
+    p = data.draw(st.integers(0, 2))
+    layer = layers[data.draw(st.integers(0, 1))]
+    eps = [int(c in t.eps(p)) for c in range(t.base**p)]
+    assert_same(t.counit(p), Plain(eps, [0] * len(eps), 1))
+    size = len(layer.re)
+    left = Plain([e * x for e in eps for x in layer.re], [e * y for e in eps for y in layer.im], layer.den)
+    right = Plain([x * e for x in layer.re for e in eps], [y * e for y in layer.im for e in eps], layer.den)
+    assert_same(t.eps_left(packed(layer), p), left)
+    assert_same(t.eps_right(packed(layer), p), right)
+    assert size * len(eps) == len(left.re) == len(right.re)
+
+
+def test_decode_guard_refuses_an_understated_bound():
+    wide = pack([2**70, -3], [0, 1], 1)
+    assert wide.width == 128
+    for layer in (
+        wide._replace(bound=5),
+        # a slot past the top of the layer
+        Layer(5 * 2**64, 0, 1, 1, 64, 2**62),
+        # a bound that does not fit the slots
+        Layer(1, 0, 1, 1, 64, TOP),
+    ):
+        with pytest.raises(ArithmeticError, match="above its layer's bound"):
+            layer.qis()
+        with pytest.raises(ArithmeticError):
+            first_difference(layer, pack([0] * layer.size, [0] * layer.size, 1))
