@@ -252,9 +252,9 @@ class WordSet(NamedTuple):
     head letter: (index of the letter in `letters(d)`, positions of the tails
     in layer m - 1, positions in the run whose tail has counit 1).  Words
     are numbered through S in this order.  The terms of all elements follow
-    one another: term t has the coefficient (re[t] + i im[t]) / dens[e] and
-    the word numbered at[t], and element e holds the terms bounds[e] <= t <
-    bounds[e + 1].
+    one another: term t has the coefficient (re[t] + i im[t]) / den, den the
+    lcm of every coefficient's denominator, and the word numbered at[t], and
+    element e holds the terms bounds[e] <= t < bounds[e + 1].
     """
 
     layers: tuple
@@ -263,7 +263,7 @@ class WordSet(NamedTuple):
     im: list
     at: list
     bounds: list
-    dens: list
+    den: int
 
 
 def word_set(d: int, elements: Sequence[Element]) -> WordSet:
@@ -296,16 +296,15 @@ def word_set(d: int, elements: Sequence[Element]) -> WordSet:
             diagonal[w] = w[0].row == w[0].col and diagonal[w[1:]]
         layers.append(tuple(runs))
         sizes.append(len(words))
-    re, im, at, bounds, dens = [], [], [], [0], []
+    den = lcm(*(c.den for a in elements for c in a.terms.values()))
+    re, im, at, bounds = [], [], [], [0]
     for a in elements:
-        den = lcm(*(c.den for c in a.terms.values()))
         for w, c in a.terms.items():
             re.append(c.a * (den // c.den))
             im.append(c.b * (den // c.den))
             at.append(number[w])
         bounds.append(len(at))
-        dens.append(den)
-    return WordSet(tuple(layers), tuple(sizes), re, im, at, bounds, dens)
+    return WordSet(tuple(layers), tuple(sizes), re, im, at, bounds, den)
 
 
 PRESENTATION_KINDS = ("k_d", "u_plus", "u_q", "o_plus", "o_f", "su_q")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 from .algebra import Element, Letter, Presentation, antipode_element, letters, word_set
@@ -34,7 +33,7 @@ from .representation import (
     pullback_rep,
 )
 from .scalars import ZERO, Qi, rational
-from .words import Sums, columns, require_entries, word_set_values
+from .words import columns, require_entries, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
@@ -89,7 +88,7 @@ def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
         if a.d != eta.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, cocycle {eta.d}")
     sums = word_set_values(word_set(eta.d, elements), eta.rep.action, eta.n, eta.numerators)
-    return [QVector(sums.qis(e)) for e in range(len(elements))]
+    return [QVector(sums.column(e)) for e in range(len(elements))]
 
 
 def evaluate_cocycle(eta: Cocycle, a: Element) -> QVector:
@@ -105,7 +104,8 @@ def cocycle_general(
     eta = Cocycle(rep, _as_vgrid(d, n, V, "V"), _as_vgrid(d, n, W, "W"))
     sums = word_set_values(rep.presentation.relation_words, rep.action, n, eta.numerators)
     violations = [
-        (rep.presentation.relations[e][0], QVector(sums.qis(e))) for e in sums.nonzero()
+        (rep.presentation.relations[e][0], QVector(sums.column(e)))
+        for e in sums.nonzero_columns()
     ]
     if violations:
         raise RelationViolation("cocycle", violations)
@@ -367,27 +367,22 @@ class CocycleSpace:
         return cocycle_general(self.rep, V, W)
 
 
-def _relation_sums(rep: Representation, eta, width: int, what: str) -> Sums:
+def _relation_sums(rep: Representation, eta, width: int, what: str) -> GaussianMatrix:
     """eta on the relations for `width` columns of letter values; over budget, InputError."""
     ws = rep.presentation.relation_words
     require_entries(rep.n * width * sum(ws.sizes), what)
     return word_set_values(ws, rep.action, rep.n, eta, width)
 
 
-def _coefficient_rows(sums: Sums, n: int, width: int) -> GaussianMatrix:
+def _coefficient_rows(sums: GaussianMatrix, n: int, width: int) -> GaussianMatrix:
     """The rows of the relations with a nonzero cell, coordinate k of a
-    relation being its cells v n + k, over one denominator."""
-    nonzero = sums.nonzero()
-    den = lcm(*(sums.dens[e] for e in nonzero))
-    re, im = [], []
-    for part, rows in ((sums.re, re), (sums.im, im)):
-        cells = list(zip(*part))
-        for e in nonzero:
-            f = den // sums.dens[e]
-            for k in range(n):
-                row = cells[e][k::n]
-                rows.append(list(row) if f == 1 else [x * f for x in row])
-    return GaussianMatrix(re, im, den * sums.den, width)
+    relation being its cells v n + k."""
+    nonzero = sums.nonzero_columns()
+    re, im = (
+        [list(cells[e][k::n]) for e in nonzero for k in range(n)]
+        for cells in (list(zip(*sums.re)), list(zip(*sums.im)))
+    )
+    return GaussianMatrix(re, im, sums.den, width)
 
 
 def solve_cocycles(rep: Representation) -> CocycleSpace:
@@ -407,7 +402,7 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     kernel = kernel_basis(_coefficient_rows(sums, n, width))
     if kernel:
         sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
-        bad = {e: sums.qis(e) for e in sums.nonzero()}
+        bad = {e: sums.column(e) for e in sums.nonzero_columns()}
         if bad:
             # what cocycle_general reports for the first failing basis vector
             v = min(c // n for row in bad.values() for c, z in enumerate(row) if z)

@@ -607,7 +607,9 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     t = WordTables(phi.d)
     t.require(2 * max_len)
     phis = value_tables(t, phi, 2 * max_len)
-    eta2 = [t.coordinates(c.eta2, lb) for lb in range(max_len + 1)]
+    # each layer of eta2 with its packed coordinates, the operands of `dots`
+    layers = t.eta(c.eta2, max_len)
+    eta2 = [(layers[lb], t.coordinates(c.eta2, lb)) for lb in range(max_len + 1)]
     checked = 0
     for la in range(max_len + 1):
         eps_a = set(t.eps(la))
@@ -617,7 +619,7 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
         for ca in range(t.base**la):
             lin = t.lin(c.eta1, la, ca, sign=-1)
             for lb in range(max_len + 1):
-                rhs = step(dots(lin, eta2[lb]), phis[lb], t.counit(lb), ca in eps_a, pa[ca])
+                rhs = step(dots(lin, *eta2[lb]), phis[lb], t.counit(lb), ca in eps_a, pa[ca])
                 cb = first_difference(lhs[lb][ca], rhs)
                 if cb is not None:
                     return checked + cb + 1, _primitive_witness(

@@ -194,8 +194,8 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
 
     def psi_row(k, state):
         # psi(letter_k . w) for every state w
-        _, coords, val, _, eps = state
-        return step(dots(lins[k], coords), val, eps, t.diag[k], psi_letter[k])
+        vec, coords, val, _, eps = state
+        return step(dots(lins[k], vec, coords), val, eps, t.diag[k], psi_letter[k])
 
     def extend(k, state):
         # states for w -> states for letter_k . w

@@ -4,7 +4,11 @@ The inner product is conjugate-linear in the FIRST argument,
     <x, y> = sum_i conj(x_i) * y_i,
 and every routine below is exact.  Kernels, ranks, solves and the PSD check
 run one elimination on Gaussian-integer numerator rows (`_row_step`); a `Qi`
-is built only for a reduced-form entry that is read back.
+is built only for a reduced-form entry that is read back.  A
+`GaussianMatrix` is the one grid of such numerators over one denominator:
+the word evaluator's vector layers and word-set values and the Gram and
+coefficient matrices are all of this type, and `kernel_basis` and
+`psd_check` take its rows as they are (`_grid`).
 """
 
 from __future__ import annotations
@@ -288,11 +292,15 @@ def _entry(row: tuple, col: int, pivot: int) -> Qi:
     return _qi(a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi)
 
 
+def _grid(m: "QMatrix | GaussianMatrix") -> tuple[list, list]:
+    """The numerator rows (re, im) of a `GaussianMatrix` as they are, or of a
+    `QMatrix` over the lcm of its denominators."""
+    return (m.re, m.im) if isinstance(m, GaussianMatrix) else _numerators(m.data)
+
+
 def kernel_basis(m: "QMatrix | GaussianMatrix") -> list[QVector]:
-    """Exact basis of {v : m v = 0}; empty list iff the kernel is {0}.  A
-    `GaussianMatrix` is eliminated on its numerator rows as they are."""
-    re, im = (m.re, m.im) if isinstance(m, GaussianMatrix) else _numerators(m.data)
-    rows, pivots = _rref(re, im, m.cols)
+    """Exact basis of {v : m v = 0}; empty list iff the kernel is {0}."""
+    rows, pivots = _rref(*_grid(m), m.cols)
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(m.cols) if c not in pivot_set):
@@ -324,7 +332,9 @@ def solve(m: QMatrix, b: QVector) -> QVector | None:
 class GaussianMatrix:
     """Matrix with entries (re[i][j] + i im[i][j]) / den: rows of Python
     ints over one positive denominator, `cols` columns (square unless
-    given).  Rows index to `Qi`."""
+    given, also with no rows).  Rows index to `Qi`, and `column` reads a
+    column as `Qi`.  A vector layer is one row per coordinate and one column
+    per word; word-set values are one column per element."""
 
     __slots__ = ("re", "im", "den", "cols")
 
@@ -347,12 +357,20 @@ class GaussianMatrix:
     def __getitem__(self, i: int) -> list:
         return list(map(_qi, self.re[i], self.im[i], repeat(self.den)))
 
+    def column(self, j: int) -> list:
+        den = self.den
+        return [_qi(r[j], m[j], den) if r[j] or m[j] else ZERO for r, m in zip(self.re, self.im)]
+
+    def nonzero_columns(self) -> list:
+        """Indices of the columns with a nonzero entry, in order."""
+        return [j for j, cells in enumerate(zip(*self.re, *self.im)) if any(cells)]
+
 
 def psd_check(m: QMatrix | GaussianMatrix) -> bool:
     """Exact positive semidefiniteness of a Hermitian matrix.
 
-    Hermitian elimination on the Gaussian-integer numerators (a `QMatrix`
-    is first brought over the lcm of its denominators): the first nonzero
+    Hermitian elimination on the Gaussian-integer numerators (`_grid`),
+    copied, since the elimination shortens its rows: the first nonzero
     diagonal entry p is the pivot and must be positive, and every row with a
     nonzero entry in the pivot column takes the shared row step with it.
     Each step multiplies a row by p > 0 and divides it by a positive
@@ -361,20 +379,15 @@ def psd_check(m: QMatrix | GaussianMatrix) -> bool:
     diagonal is zero the remaining block must vanish (else a 2x2 principal
     minor is negative).
     """
-    if isinstance(m, QMatrix):
-        if m.rows != m.cols:
-            raise ValueError("psd_check requires a Hermitian matrix")
-        re, im = _numerators(m.data)
-    else:
-        if m.rows != m.cols:
-            raise ValueError("psd_check requires a Hermitian matrix")
-        re, im = [list(row) for row in m.re], [list(row) for row in m.im]
+    if m.rows != m.cols:
+        raise ValueError("psd_check requires a Hermitian matrix")
+    re, im = _grid(m)
     for i, (a, b) in enumerate(zip(re, im)):
         # row i from the diagonal on against column i: re symmetric, im antisymmetric
         col = itemgetter(i)
         if a[i:] != list(map(col, re[i:])) or any(map(add, b[i:], map(col, im[i:]))):
             raise ValueError("psd_check requires a Hermitian matrix")
-    rows = list(zip(re, im))
+    rows = [(list(a), list(b)) for a, b in zip(re, im)]
     while rows:
         # the diagonal stays real: each row is a positive multiple of a Hermitian row
         i = next((i for i, (a, _) in enumerate(rows) if a[i]), None)

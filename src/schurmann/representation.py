@@ -20,9 +20,9 @@ from typing import Sequence
 
 from .algebra import Element, Presentation, WordSet, counit, letters, require_entries, word_set
 from .errors import RelationViolation
-from .linalg import QMatrix, QVector, kernel_basis
+from .linalg import GaussianMatrix, QMatrix, QVector, kernel_basis
 from .scalars import ONE, ZERO, Qi
-from .words import Action, Sums, action, word_set_values
+from .words import Action, action, word_set_values
 
 Grid = tuple[tuple[QMatrix, ...], ...]
 
@@ -64,7 +64,7 @@ def _matrix(cells: list, n: int) -> QMatrix:
     return QMatrix([[cells[c * n + k] for c in range(n)] for k in range(n)], cols=n)
 
 
-def _values(rep: Representation, ws: WordSet) -> Sums:
+def _values(rep: Representation, ws: WordSet) -> GaussianMatrix:
     return word_set_values(ws, rep.action, rep.n)
 
 
@@ -74,7 +74,7 @@ def rep_values(rep: Representation, elements: Sequence[Element]) -> list[QMatrix
         if a.d != rep.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, representation {rep.d}")
     sums = _values(rep, word_set(rep.d, elements))
-    return [_matrix(sums.qis(e), rep.n) for e in range(len(elements))]
+    return [_matrix(sums.column(e), rep.n) for e in range(len(elements))]
 
 
 def evaluate_rep(rep: Representation, a: Element) -> QMatrix:
@@ -100,7 +100,8 @@ def representation(
     rep = Representation(presentation, n, grid, star)
     sums = _values(rep, presentation.relation_words)
     violations = [
-        (presentation.relations[e][0], _matrix(sums.qis(e), n)) for e in sums.nonzero()
+        (presentation.relations[e][0], _matrix(sums.column(e), n))
+        for e in sums.nonzero_columns()
     ]
     if violations:
         raise RelationViolation("representation", violations)

@@ -31,21 +31,22 @@ w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
 -1 for a primitive (`cohomology.value_tables`).
 
 Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
-word pairs).  Vector layers (`VecLayer`: eta, and rho on word sets) and the
-sums of word sets stay on lists of ints: `word_set_values` and the peel
-states of the Gram build read them at arbitrary tail positions, which a
-packed int serves only by decoding (a packed word-set evaluator was slower
-in a prototype).  A vector table is packed coordinate by coordinate once
-(`coordinates`) where scalar layers read it.  Sparse elements, the
-relations of a presentation among them, are compiled onto the suffix
-closure of their words (`algebra.WordSet`), and `word_set_values` evaluates
-rho or eta on it layer by layer with the same `rho_step` the eta tables
-use, then sums each element on the numerators, so a relation check is a
-zero test on integers.  Letter values come as columns (`columns`): one for
-a cocycle, a unit column per unknown for the cocycle equations, one per
-basis vector to check a solved space.  Functionals and 2-cocycles on sparse
-elements evaluate their batches of words on the same word sets
-(`cohomology.LetterFunctional.batch`).
+word pairs).  Vector layers (eta, and rho on word sets) and the values of
+word sets are `linalg.GaussianMatrix` grids of ints, one row per coordinate
+(or cell) and one column per word (or element): `word_set_values` and the
+peel states of the Gram build read them at arbitrary tail positions, which
+a packed int serves only by decoding (a packed word-set evaluator was
+slower in a prototype).  A vector layer is packed row by row once
+(`coordinates`, a tuple of `Layer`s) where scalar layers read it.  Sparse
+elements, the relations of a presentation among them, are compiled onto
+the suffix closure of their words (`algebra.WordSet`), and
+`word_set_values` evaluates rho or eta on it layer by layer with the same
+`rho_step` the eta tables use, then sums each element on the numerators,
+so a relation check is a zero test on integers.  Letter values come as
+columns (`columns`): one for a cocycle, a unit column per unknown for the
+cocycle equations, one per basis vector to check a solved space.
+Functionals and 2-cocycles on sparse elements evaluate their batches of
+words on the same word sets (`cohomology.LetterFunctional.batch`).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from typing import NamedTuple
 
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
 from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
-from .linalg import QVector
-from .scalars import ONE, ZERO, Qi, _qi
+from .linalg import GaussianMatrix
+from .scalars import ONE, Qi, _qi
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -228,30 +229,9 @@ def _sum(terms, den: int, size: int) -> Layer:
     return Layer(re, im, den, size, width, bound)
 
 
-class VecLayer(NamedTuple):
-    """Vectors with coordinates (re[k][i] + i im[k][i]) / den, k < n."""
-
-    re: tuple
-    im: tuple
-    den: int
-    size: int
-
-    def vector(self, i: int) -> QVector:
-        return QVector(_qi(r[i], m[i], self.den) for r, m in zip(self.re, self.im))
-
-
-class Coordinates(NamedTuple):
-    """A vector layer with every coordinate packed as a `Layer` over den."""
-
-    parts: tuple
-    den: int
-    size: int
-
-
-def coordinates(vec: VecLayer) -> Coordinates:
-    return Coordinates(
-        tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im)), vec.den, vec.size
-    )
+def coordinates(vec: GaussianMatrix) -> tuple:
+    """Every coordinate (row) of a vector layer packed as a `Layer`."""
+    return tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im))
 
 
 def _over(values, den: int) -> list:
@@ -264,12 +244,13 @@ def gaussian(values) -> tuple:
     return _over(values, den), den
 
 
-def dots(lin, vec: Coordinates) -> Layer:
-    """sum_k lin_k vec_k(w) for every w of the layer, lin = (pairs, den) with
-    no conjugation applied here."""
+def dots(lin, vec: GaussianMatrix, parts: tuple) -> Layer:
+    """sum_k lin_k vec_k(w) for every w of the vector layer, its coordinates
+    packed as parts (`coordinates`), lin = (pairs, den) with no conjugation
+    applied here."""
     pairs, den = lin
-    terms = [(a, b, x) for (a, b), x in zip(pairs, vec.parts) if a or b]
-    return _sum(terms, den * vec.den, vec.size)
+    terms = [(a, b, x) for (a, b), x in zip(pairs, parts) if a or b]
+    return _sum(terms, den * vec.den, vec.cols)
 
 
 def step(first: Layer, val: Layer, eps: Layer, diag: bool, vh: Qi) -> Layer:
@@ -357,11 +338,11 @@ def gather(layers, picks):
     """Entries (length, code) taken from per-length layers, over one denominator."""
     den = lcm(*(layer.den for layer in layers))
     f = [den // layer.den for layer in layers]
-    if isinstance(layers[0], VecLayer):
-        n = len(layers[0].re)
-        re = tuple([layers[m].re[k][c] * f[m] for m, c in picks] for k in range(n))
-        im = tuple([layers[m].im[k][c] * f[m] for m, c in picks] for k in range(n))
-        return VecLayer(re, im, den, len(picks))
+    if isinstance(layers[0], GaussianMatrix):
+        n = layers[0].rows
+        re = [[layers[m].re[k][c] * f[m] for m, c in picks] for k in range(n)]
+        im = [[layers[m].im[k][c] * f[m] for m, c in picks] for k in range(n)]
+        return GaussianMatrix(re, im, den, len(picks))
     ints = [layer.numerators(den) for layer in layers]
     return pack([ints[m][0][c] for m, c in picks], [ints[m][1][c] for m, c in picks], den)
 
@@ -380,7 +361,7 @@ def action(matrices) -> Action:
     return Action([[_over(row, den) for row in m.data] for m in matrices], den)
 
 
-def _times(row, f: int, vec: VecLayer) -> tuple[list, list]:
+def _times(row, f: int, vec: GaussianMatrix) -> tuple[list, list]:
     """The numerator lists of f sum_k row_k vec_k, row of numerator pairs."""
     re = im = None
     for (a, b), xr, xi in zip(row, vec.re, vec.im):
@@ -397,11 +378,11 @@ def _times(row, f: int, vec: VecLayer) -> tuple[list, list]:
         else:
             re, im = list(map(add, re, tr)), list(map(add, im, ti))
     if re is None:
-        return [0] * vec.size, [0] * vec.size
+        return [0] * vec.cols, [0] * vec.cols
     return re, im
 
 
-def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLayer:
+def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps=(), eta=((), 1)) -> GaussianMatrix:
     """x(h w) = rho(h) x(w) + eps(w) eta(h) for every vector x(w) of the
     layer, column by column: the entry of column v of the word at offset i
     sits at i + v, eps holds the offsets of the words with eps(w) = 1 and
@@ -425,7 +406,7 @@ def rho_step(rho: Action, h: int, vec: VecLayer, eps=(), eta=((), 1)) -> VecLaye
                     xi[i + v] += b
         re.append(xr)
         im.append(xi)
-    return VecLayer(tuple(re), tuple(im), den, vec.size)
+    return GaussianMatrix(re, im, den, vec.cols)
 
 
 def columns(vectors) -> tuple:
@@ -438,43 +419,21 @@ def columns(vectors) -> tuple:
     ], den
 
 
-def zero_vectors(n: int) -> VecLayer:
+def zero_vectors(n: int) -> GaussianMatrix:
     """eta(1) = 0: the layer of the empty word."""
-    return VecLayer(tuple([0] for _ in range(n)), tuple([0] for _ in range(n)), 1, 1)
+    return GaussianMatrix([[0] for _ in range(n)], [[0] for _ in range(n)], 1, 1)
 
 
-def stack(parts, size: int) -> VecLayer:
-    """Vector layers of one denominator one after another (size entries in
-    all); a single part is returned as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    n = len(parts[0].re)
-    re = tuple(list(chain.from_iterable(p.re[k] for p in parts)) for k in range(n))
-    im = tuple(list(chain.from_iterable(p.im[k] for p in parts)) for k in range(n))
-    return VecLayer(re, im, parts[0].den, size)
+def stack(parts) -> GaussianMatrix:
+    """Vector layers of one denominator one after another."""
+    n = parts[0].rows
+    re = [list(chain.from_iterable(p.re[k] for p in parts)) for k in range(n)]
+    im = [list(chain.from_iterable(p.im[k] for p in parts)) for k in range(n)]
+    return GaussianMatrix(re, im, parts[0].den, sum(p.cols for p in parts))
 
 
-class Sums(NamedTuple):
-    """Values of the elements of a word set: cell c of element e is
-    (re[c][e] + i im[c][e]) / (dens[e] den)."""
-
-    re: list
-    im: list
-    den: int
-    dens: list
-
-    def nonzero(self) -> list:
-        """Indices of the elements with a nonzero cell, in order."""
-        return [e for e, cells in enumerate(zip(*self.re, *self.im)) if any(cells)]
-
-    def qis(self, e: int) -> list:
-        """The cells of element e."""
-        den = self.dens[e] * self.den
-        return [_qi(r[e], m[e], den) if r[e] or m[e] else ZERO for r, m in zip(self.re, self.im)]
-
-
-def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) -> Sums:
-    """The value of every element of the word set, as numerator sums.
+def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) -> GaussianMatrix:
+    """The value of every element of the word set: column e holds element e.
 
     The layers hold `width` columns: without eta rho(w) e_v, v < width = n,
     so rho(a); with eta = (letter values, den) as in `rho_step`, eta(w) for
@@ -482,7 +441,8 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     its column v.  Layer m + 1 is built run by run from layer m by `rho_step`
     over a multiple of layer m's denominator.  The layers follow one another
     in one list per coordinate, column v of the word numbered g at g width +
-    v, where the terms read them.  A relation holds iff all its cells are 0.
+    v, where the terms read them.  The sums are over ws.den times the last
+    layer's denominator.  A relation holds iff all its cells are 0.
     """
     counit_terms = eta is not None
     if counit_terms:
@@ -501,9 +461,9 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
             else:
                 picks = [(first + t) * width + c for t in tails for c in range(width)]
                 offsets = [e * width for e in eps]
-            tails_layer = VecLayer(
-                tuple(list(map(r.__getitem__, picks)) for r in re),
-                tuple(list(map(r.__getitem__, picks)) for r in im),
+            tails_layer = GaussianMatrix(
+                [list(map(r.__getitem__, picks)) for r in re],
+                [list(map(r.__getitem__, picks)) for r in im],
                 dens[-1],
                 len(picks),
             )
@@ -532,7 +492,7 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
             for out, p in ((out_re, pr), (out_im, pi)):
                 p = list(accumulate(p, initial=0))
                 out.append(list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts))))
-    return Sums(out_re, out_im, den, ws.dens)
+    return GaussianMatrix(out_re, out_im, ws.den * den, len(ws.bounds) - 1)
 
 
 class WordTables:
@@ -599,7 +559,7 @@ class WordTables:
             prev, eps = layers[-1], self.eps(m)
             rho, values = eta.rep.action, eta.numerators
             parts = [rho_step(rho, h, prev, eps, values) for h in range(self.base)]
-            layers.append(stack(parts, self.base * prev.size))
+            layers.append(stack(parts))
         return layers
 
     # -- values -------------------------------------------------------------
@@ -610,8 +570,8 @@ class WordTables:
         s = self.star_codes(length)[code]
         return [(sign * r[s], -sign * m[s]) for r, m in zip(layer.re, layer.im)], layer.den
 
-    def coordinates(self, eta, length: int) -> Coordinates:
-        """Layer `length` of eta with packed coordinates, packed once."""
+    def coordinates(self, eta, length: int) -> tuple:
+        """The coordinates of layer `length` of eta packed, once."""
         key = (id(eta), length)
         out = self._coordinates.get(key)
         if out is None:
@@ -621,8 +581,8 @@ class WordTables:
     def pairing(self, eta1, eta2, p: int, q: int) -> Layer:
         """<eta1(u*), eta2(v)> for all |u| = p, |v| = q, coded as the word u v."""
         self.require(p + q)
-        right = self.coordinates(eta2, q)
-        return concat([dots(self.lin(eta1, p, cu), right) for cu in range(self.base**p)])
+        vec, right = self.eta(eta2, q)[q], self.coordinates(eta2, q)
+        return concat([dots(self.lin(eta1, p, cu), vec, right) for cu in range(self.base**p)])
 
     def values(self, key, letter_value, first, length: int) -> list:
         """Layers 0 .. length of v(h w) = first(h, w) + [h diagonal] v(w)

@@ -230,4 +230,8 @@ def test_word_set_is_suffix_closed_and_layered():
     # words numbered through S: 1 -> 0, b -> 1, c -> 2, b c -> 3, c b -> 4, a b c -> 5
     assert ws.at == [5, 3, 0, 4]
     assert ws.bounds == [0, 3, 4]
-    assert (ws.re, ws.im, ws.dens) == ([1, 2, -1, 0], [0, 0, 0, 1], [1, 1])
+    assert (ws.re, ws.im, ws.den) == ([1, 2, -1, 0], [0, 0, 0, 1], 1)
+    # every coefficient over one denominator, the lcm of theirs: 1/2 and i/3 over 6
+    halves, thirds = Qi(rational("1/2")), Qi(0, rational("1/3"))
+    ws = word_set(2, [Element(2, {(a,): halves}), Element(2, {(b,): thirds})])
+    assert (ws.re, ws.im, ws.den) == ([3, 0], [0, 2], 6)

@@ -259,7 +259,7 @@ def test_solver_basis_is_the_kernel_of_the_qi_rows(data):
     width = 2 * d * d * n
     units = [[(v, 1, 0)] for v in range(width)], 1
     sums = cocycle._relation_sums(rep, units, width, "the cocycle coefficient matrix")
-    rows = [cells[k::n] for cells in map(sums.qis, sums.nonzero()) for k in range(n)]
+    rows = [cells[k::n] for cells in map(sums.column, sums.nonzero_columns()) for k in range(n)]
     kernel = linalg.kernel_basis(QMatrix(rows, cols=width) if rows else QMatrix.zero(0, width))
     basis = solve_cocycles(rep).basis
     assert [QVector([z for l in letters(d) for z in eta.letter_value(l)]) for eta in basis] == kernel
@@ -374,7 +374,7 @@ def test_word_set_values_in_columns_match_recursion(every_kind, data):
     memo = [{} for _ in vectors]
     for e, a in enumerate(elements):
         want = [oracle_cocycle(flat_cocycle(rep, vec), a, m) for vec, m in zip(vectors, memo)]
-        assert sums.qis(e) == [z for value in want for z in value]
+        assert sums.column(e) == [z for value in want for z in value]
 
 
 def test_cocycle_of_a_long_word_matches_recursion(u2):

@@ -18,6 +18,7 @@ from schurmann import (
     I,
     ONE,
     QMatrix,
+    QVector,
     Qi,
     RelationViolation,
     ZERO,
@@ -54,7 +55,7 @@ def test_tables_match_recursion(eta_sym_u2, eta_rot_o3, eta_asym_u2, data):
         assert t.word(m, c) == w
         assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
         assert (c in t.eps(m)) == all(l.row == l.col for l in w)
-        assert etas[m].vector(c) == eta_word(eta, w, {}), w
+        assert QVector(etas[m].column(c)) == eta_word(eta, w, {}), w
         assert psis[m].qi(c) == oracle_functional(psi, w), w
 
 

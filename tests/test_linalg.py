@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +175,12 @@ def _grid(r, c):
     return st.lists(st.lists(gaussian_entries, min_size=c, max_size=c), min_size=r, max_size=r)
 
 
+def _as_gaussian(m):
+    """The QMatrix m as a GaussianMatrix over the lcm of its denominators."""
+    den = lcm(*(z.den for row in m.data for z in row))
+    return GaussianMatrix(*_numerators(m.data), den, m.cols)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
@@ -190,6 +196,7 @@ def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
             v[c] = -row[f]
         expected.append(QVector(v))
     assert kernel_basis(m) == expected
+    assert kernel_basis(_as_gaussian(m)) == expected
     # b drawn freely or as m x, so inconsistent and consistent systems both occur
     if data.draw(st.booleans()):
         b = QVector(data.draw(st.lists(gaussian_entries, min_size=m.rows, max_size=m.rows)))
@@ -236,7 +243,9 @@ def _perturbed_grams(data):
 def test_psd_check_agrees_with_principal_minors(principal_minors, data):
     # a Hermitian matrix is psd iff every principal minor (real) is >= 0
     m = _perturbed_grams(data)
-    assert psd_check(m) == all(det.x >= 0 for det in principal_minors(m))
+    want = all(det.x >= 0 for det in principal_minors(m))
+    assert psd_check(m) == want
+    assert psd_check(_as_gaussian(m)) == want
 
 
 @given(qi_matrices(3, 2))

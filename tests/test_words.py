@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import qi_scalars
+from schurmann.linalg import GaussianMatrix
 from schurmann.scalars import Qi
 from schurmann.words import (
-    Coordinates,
     Layer,
-    VecLayer,
     WordTables,
     combine,
     concat,
@@ -109,12 +108,13 @@ def test_dots_and_combine_match_lists(data):
     size, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
     vden = data.draw(dens)
     coords = [plain_layer(data, size)._replace(den=vden) for _ in range(n)]
-    vec = VecLayer(tuple(c.re for c in coords), tuple(c.im for c in coords), vden, size)
+    vec = GaussianMatrix([c.re for c in coords], [c.im for c in coords], vden, size)
     pairs = [(data.draw(entries), data.draw(entries)) for _ in range(n)]
     lin = (pairs, data.draw(dens))
     want = plain_sum([(a, b, c) for (a, b), c in zip(pairs, coords)], lin[1] * vden, size)
-    assert_same(dots(lin, coordinates(vec)), want)
-    assert_same(dots(lin, Coordinates((), vden, size)), Plain([0] * size, [0] * size, lin[1] * vden))
+    assert_same(dots(lin, vec, coordinates(vec)), want)
+    empty = GaussianMatrix([], [], vden, size)
+    assert_same(dots(lin, empty, ()), Plain([0] * size, [0] * size, lin[1] * vden))
 
     layers = [plain_layer(data, size) for _ in range(data.draw(st.integers(1, 3)))]
     coeffs = [data.draw(qi_scalars) for _ in layers]
