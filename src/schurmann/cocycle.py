@@ -82,12 +82,18 @@ def _as_vgrid(d: int, n: int, grid: Sequence[Sequence[QVector]], name: str) -> V
     return tuple(tuple(row) for row in grid)
 
 
-def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
-    """eta(a) for every element, on one compiled word set."""
+def cocycle_columns(eta: Cocycle, elements: Sequence[Element]) -> GaussianMatrix:
+    """eta(a) for every element, column e for element e, on one compiled
+    word set."""
     for a in elements:
         if a.d != eta.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, cocycle {eta.d}")
-    sums = word_set_values(word_set(eta.d, elements), eta.rep.action, eta.n, eta.numerators)
+    return word_set_values(word_set(eta.d, elements), eta.rep.action, eta.n, eta.numerators)
+
+
+def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
+    """eta(a) for every element, on one compiled word set."""
+    sums = cocycle_columns(eta, elements)
     return [QVector(sums.column(e)) for e in range(len(elements))]
 
 

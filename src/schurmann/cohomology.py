@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from math import lcm
+from operator import add, mul, sub
 
 from .algebra import Element, Letter, Presentation, counit, letters
-from .cocycle import Cocycle, cocycle_general, cocycle_values, scalar_gaussian_cocycle
+from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
-from .linalg import QMatrix, QVector, inner_product
+from .linalg import GaussianMatrix, QMatrix, QVector
 from .representation import sign_rep
-from .scalars import I, ONE, ZERO, Qi
+from .scalars import I, ONE, ZERO, Qi, _qi
 from .words import WordTables, combine, dots, first_difference, split, step
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
@@ -76,14 +78,27 @@ class TwoCocycle:
         return _sums(self.batch, [_pair_terms(self, a, b)])[0]
 
 
-def _pairing_side(eta: Cocycle, ws) -> list:
-    """eta of every word: the empty word and letters from the grids, the
-    distinct longer words on one word set."""
-    long = list(dict.fromkeys(w for w in ws if len(w) > 1))
-    values = cocycle_values(eta, [Element.from_word(eta.d, w) for w in long]) if long else []
-    at = dict(zip(long, values))
-    zero = QVector.zero(eta.n)
-    return [at[w] if len(w) > 1 else eta.letter_value(w[0]) if w else zero for w in ws]
+def _pairing_side(eta: Cocycle, ws) -> GaussianMatrix:
+    """eta of every word, one column per word: the empty word and letters
+    from the grids, the distinct longer words on one word set."""
+    distinct = list(dict.fromkeys(ws))
+    long, short = [w for w in distinct if len(w) > 1], [w for w in distinct if len(w) < 2]
+    vals = [eta.letter_value(w[0]) if w else QVector.zero(eta.n) for w in short]
+    den = lcm(*(z.den for v in vals for z in v))
+    re, im = [[] for _ in range(eta.n)], [[] for _ in range(eta.n)]
+    if long:
+        values = cocycle_columns(eta, [Element.from_word(eta.d, w) for w in long])
+        den = lcm(den, values.den)
+        f = den // values.den
+        re, im = ([[x * f for x in row] for row in part] for part in (values.re, values.im))
+    for k, (xr, xi) in enumerate(zip(re, im)):
+        zs = [v[k] for v in vals]
+        xr += [z.a * (den // z.den) for z in zs]
+        xi += [z.b * (den // z.den) for z in zs]
+    at = {w: j for j, w in enumerate(long + short)}
+    picks = [at[w] for w in ws]
+    re, im = ([list(map(row.__getitem__, picks)) for row in part] for part in (re, im))
+    return GaussianMatrix(re, im, den, len(ws))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +106,8 @@ class KPairCocycle(TwoCocycle):
     """c(a, b) = <eta1(a*), eta2(b)> for two cocycles on the same representation.
 
     A batch reads eta1 of the starred first words and eta2 of the second
-    words, each side on one word set (`_pairing_side`)."""
+    words, each side on one word set (`_pairing_side`), and pairs them on
+    the numerators, one `Qi` per pair."""
 
     eta1: Cocycle
     eta2: Cocycle
@@ -105,9 +121,15 @@ class KPairCocycle(TwoCocycle):
         return self.eta1.presentation
 
     def batch(self, pairs) -> list:
-        left = _pairing_side(self.eta1, [_star_word(wa) for wa, _ in pairs])
-        right = _pairing_side(self.eta2, [wb for _, wb in pairs])
-        return list(map(inner_product, left, right))
+        stars = {wa: _star_word(wa) for wa in dict.fromkeys(wa for wa, _ in pairs)}
+        x = _pairing_side(self.eta1, [stars[wa] for wa, _ in pairs])
+        y = _pairing_side(self.eta2, [wb for _, wb in pairs])
+        re, im = [0] * len(pairs), [0] * len(pairs)
+        for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
+            # conj(x_k) y_k = (xr yr + xi yi) + i (xr yi - xi yr)
+            re = list(map(add, re, map(add, map(mul, xr, yr), map(mul, xi, yi))))
+            im = list(map(add, im, map(sub, map(mul, xr, yi), map(mul, xi, yr))))
+        return list(map(_qi, re, im, repeat(x.den * y.den)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 from .algebra import Element, Presentation, all_permutations, letters
 from .cocycle import Cocycle, b_matrices, cocycle_general
 from .cohomology import KPairCocycle, LetterFunctional, value_tables
 from .errors import RelationViolation
-from .linalg import GaussianMatrix, QMatrix, inner_product, psd_check, project_onto_span
+from .linalg import PackedMatrix, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, ONE, Qi
 from .words import WordTables, combine, coordinates, dots, gather, pack, require_entries, rho_step, step
@@ -160,7 +159,7 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     return psd_check(pool_gram_matrix(psi, pool))
 
 
-def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
+def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
     """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool.
 
     Every entry needs psi(w_i* w_j), so the build replays the defining
@@ -168,8 +167,8 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
     read from the word tables, and the letters of w_i* are peeled onto them
     from the left by the rho action and the shared value step.  States for
     shared peel prefixes are computed once, which leaves one value step per
-    row; a second step subtracts the counit terms.  The rows leave as
-    Gaussian-integer numerators over their common denominator.
+    row; a second step subtracts the counit terms.  The rows leave packed,
+    over one denominator and one slot width (`PackedMatrix`).
     """
     require_entries(len(pool) ** 2, "the Gram matrix")
     eta = psi.cocycle
@@ -220,9 +219,7 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> GaussianMatrix:
         seq = tuple(t.index[l.adjoint()] for l in w)
         row = psi_row(seq[-1], peeled_states(seq[:-1])) if seq else psi_pool
         rows.append(step(row, minus_base, counit, mask[i], -psi_stars[i]))
-    den = lcm(*(row.den for row in rows))
-    re, im = zip(*(row.numerators(den) for row in rows)) if rows else ((), ())
-    return GaussianMatrix(list(re), list(im), den)
+    return PackedMatrix(rows, len(pool))
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,28 @@
 
 The inner product is conjugate-linear in the FIRST argument,
     <x, y> = sum_i conj(x_i) * y_i,
-and every routine below is exact.  Kernels, ranks, solves and the PSD check
-run one elimination on Gaussian-integer numerator rows (`_row_step`); a `Qi`
-is built only for a reduced-form entry that is read back.  A
-`GaussianMatrix` is the one grid of such numerators over one denominator:
-the word evaluator's vector layers and word-set values and the Gram and
-coefficient matrices are all of this type, and `kernel_basis` and
-`psd_check` take its rows as they are (`_grid`).
+and every routine below is exact.  Kernels, ranks and solves run one
+Gauss-Jordan on Gaussian-integer numerator rows (`_rref`, `_row_step`); a
+`Qi` is built only for a reduced-form entry that is read back.  A
+`GaussianMatrix` is the grid of such numerators over one denominator: the
+word evaluator's vector layers and word-set values and the coefficient
+matrices are of this type, and `kernel_basis` takes its rows as they are
+(`_grid`).  A `PackedMatrix` holds each row packed (`packed.Layer`): the
+Gram matrix leaves the word tables in this form, and `psd_check` packs any
+other input once and runs its Hermitian test and a fraction-free (Bareiss)
+elimination on the packed rows.  The two eliminations share no code: on
+the cocycle kernels a packed Bareiss Gauss-Jordan was measured far slower
+than the list rows with a gcd per step.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import gcd, lcm
-from operator import add, itemgetter, mul
+from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
+from .packed import Layer, _ones, _repacked, _scaled, _unpack, _width, _within, pack
 from .scalars import ONE, ZERO, Qi, _qi
 
 
@@ -245,10 +251,11 @@ def _numerators(rows: Sequence[Sequence[Qi]]) -> tuple[list[list[int]], list[lis
 
 
 def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list]:
-    """The row (p x - f y) / g for numerator rows x = (re, im) and y, an
-    integer p > 0, a Gaussian integer f = (re, im) and g > 0 the integer gcd
-    of the parts of p x - f y.  The pivot p is real, so no Gaussian factor
-    (such as 2 + i) that the integer gcd cannot remove piles up in a row."""
+    """The step of `_rref`: the row (p x - f y) / g for numerator rows x =
+    (re, im) and y, an integer p > 0, a Gaussian integer f = (re, im) and
+    g > 0 the integer gcd of the parts of p x - f y.  The pivot p is real,
+    so no Gaussian factor (such as 2 + i) that the integer gcd cannot remove
+    piles up in a row."""
     (fr, fi), (xr, xi), (yr, yi) = f, x, y
     re = [p * a - fr * c + fi * d for a, c, d in zip(xr, yr, yi)]
     im = [p * b - fr * d - fi * c for b, c, d in zip(xi, yr, yi)]
@@ -366,42 +373,141 @@ class GaussianMatrix:
         return [j for j, cells in enumerate(zip(*self.re, *self.im)) if any(cells)]
 
 
-def psd_check(m: QMatrix | GaussianMatrix) -> bool:
+class PackedMatrix:
+    """Matrix with entries (re + i im) / den whose row i is packed
+    (`packed.Layer`): re[i] and im[i] are ints of `cols` slots `width`
+    bits wide, every numerator at most `bound` in absolute value.  Built
+    from row layers brought to one denominator and one slot width; rows
+    index to `Qi`."""
+
+    __slots__ = ("re", "im", "den", "cols", "width", "bound")
+
+    def __init__(self, layers: Sequence[Layer], cols: int):
+        if any(t.size != cols for t in layers):
+            raise ValueError("PackedMatrix needs rows of `cols` entries")
+        den = lcm(*(t.den for t in layers))
+        bound = max((t.bound * (den // t.den) for t in layers), default=0)
+        width = _width(bound)
+        layers = [_scaled(t, den // t.den, width) for t in layers]
+        self.re, self.im = [t.re for t in layers], [t.im for t in layers]
+        self.den, self.cols, self.width, self.bound = den, cols, width, bound
+
+    @property
+    def rows(self) -> int:
+        return len(self.re)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def row(self, i: int) -> Layer:
+        return Layer(self.re[i], self.im[i], self.den, self.cols, self.width, self.bound)
+
+    def __getitem__(self, i: int) -> list:
+        return self.row(i).qis()
+
+
+def _require_hermitian(m: PackedMatrix) -> None:
+    """ValueError unless re is symmetric and im antisymmetric; ArithmeticError
+    if a decoded slot is above the bound."""
+    n = m.rows
+    if _width(2 * m.bound) == 64:
+        # Hermitian iff (re + im)^T = re - im: re^T - re is antisymmetric and
+        # im^T + im symmetric, so their sum is 0 only if both are.  The slots
+        # go to bytes biased by 2^63, nonnegative: equal bytes, equal entries.
+        # Column j of re + im is the stride j::n of its slots, row after row.
+        top, size = _ones(n, 64) << 63, 8 * n
+        plus = bytearray(size * n)
+        for i, (x, y) in enumerate(zip(m.re, m.im)):
+            plus[i * size : (i + 1) * size] = (x + top + y).to_bytes(size, "little")
+        slots = memoryview(plus).cast("Q")
+        hermitian = all(
+            slots[j::n].tobytes() == (x + top - y).to_bytes(size, "little")
+            for j, (x, y) in enumerate(zip(m.re, m.im))
+        )
+    else:
+        re, im = ([_unpack(x, m.row(i)) for i, x in enumerate(part)] for part in (m.re, m.im))
+        # row i from the diagonal on against column i
+        hermitian = all(
+            a[i:] == [r[i] for r in re[i:]] and not any(map(add, b[i:], [r[i] for r in im[i:]]))
+            for i, (a, b) in enumerate(zip(re, im))
+        )
+    if not hermitian:
+        raise ValueError("psd_check requires a Hermitian matrix")
+
+
+def _slot(x: int, k: int, top: int, width: int, bound: int) -> int:
+    """Entry k of a packed row x, top holding 2^(width - 1) in every slot;
+    ArithmeticError if it is above the bound."""
+    v = (((x + top) >> (width * k)) & ((1 << width) - 1)) - (1 << (width - 1))
+    if abs(v) > bound:
+        raise ArithmeticError(f"a packed entry is above its layer's bound {bound}")
+    return v
+
+
+def _minor_bound(k: int, bound: int) -> int:
+    """A bound on |det| of any k x k matrix whose entries have parts of at
+    most `bound` in absolute value (Hadamard: rows of norm <= sqrt(2 k) bound)."""
+    return isqrt((2 * k * bound * bound) ** k) + 1
+
+
+def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
     """Exact positive semidefiniteness of a Hermitian matrix.
 
-    Hermitian elimination on the Gaussian-integer numerators (`_grid`),
-    copied, since the elimination shortens its rows: the first nonzero
-    diagonal entry p is the pivot and must be positive, and every row with a
-    nonzero entry in the pivot column takes the shared row step with it.
-    Each step multiplies a row by p > 0 and divides it by a positive
-    integer, so the active block stays a positive row scaling of the Schur
-    complement and keeps the signs of its diagonal.  Once the remaining
+    A `QMatrix` or `GaussianMatrix` is packed row by row on entry.  Hermitian
+    elimination on the packed rows, fraction-free (Bareiss): the first
+    nonzero diagonal entry p is the pivot and must be positive, and every
+    remaining row x becomes (p x - x[c] y) / prev for the pivot row y, its
+    column c and the previous pivot prev (1 at first), also when x[c] = 0.
+    By Sylvester's identity the division is exact and the remaining block is
+    prev times the Schur complement, prev > 0 a principal minor, so its
+    diagonal keeps the signs of the Schur complement's.  Once the remaining
     diagonal is zero the remaining block must vanish (else a 2x2 principal
-    minor is negative).
+    minor is negative).  The eliminated columns are zero in the remaining
+    rows, so the rows keep their length and original positions.
     """
     if m.rows != m.cols:
         raise ValueError("psd_check requires a Hermitian matrix")
-    re, im = _grid(m)
-    for i, (a, b) in enumerate(zip(re, im)):
-        # row i from the diagonal on against column i: re symmetric, im antisymmetric
-        col = itemgetter(i)
-        if a[i:] != list(map(col, re[i:])) or any(map(add, b[i:], map(col, im[i:]))):
-            raise ValueError("psd_check requires a Hermitian matrix")
-    rows = [(list(a), list(b)) for a, b in zip(re, im)]
+    if not isinstance(m, PackedMatrix):
+        # over denominator 1: a positive denominator does not change the verdict
+        m = PackedMatrix([pack(a, b, 1) for a, b in zip(*_grid(m))], m.cols)
+    _require_hermitian(m)
+    n, width, bound, prev = m.rows, m.width, m.bound, 1
+    rows = list(zip(range(n), m.re, m.im))
     while rows:
-        # the diagonal stays real: each row is a positive multiple of a Hermitian row
-        i = next((i for i, (a, _) in enumerate(rows) if a[i]), None)
-        if i is None:
-            return not any(any(a) or any(b) for a, b in rows)
-        y = rows.pop(i)
-        p = y[0].pop(i)
+        top = _ones(n, width) << (width - 1)
+        # the diagonal stays real: the block is a positive multiple of a Hermitian one
+        for i, (j, x, _) in enumerate(rows):
+            p = _slot(x, j, top, width, bound)
+            if p:
+                break
+        else:
+            return not any(x or y for _, x, y in rows)
         if p < 0:
             return False
-        del y[1][i]
-        for j, x in enumerate(rows):
-            f = (x[0].pop(i), x[1].pop(i))
-            if f[0] or f[1]:
-                rows[j] = _row_step(p, f, x, y)
+        c, yr, yi = rows.pop(i)
+        fs = [(_slot(x, c, top, width, bound), _slot(y, c, top, width, bound)) for _, x, y in rows]
+        # the slots hold twice the bound of p x - f y; its quotient by prev
+        # is a minor of m of one order more than the pivots so far
+        written = (p + max((abs(a) + abs(b) for a, b in fs), default=0)) * bound
+        if _width(2 * written) > width:
+            wide = _width(2 * written)
+            yr, yi = _repacked(Layer(yr, yi, 1, n, width, bound), wide)[:2]
+            rows = [(j, *_repacked(Layer(x, y, 1, n, width, bound), wide)[:2]) for j, x, y in rows]
+            width = wide
+        bound = min(written // prev, _minor_bound(n - len(rows) + 1, m.bound))
+        for k, ((j, xr, xi), (fr, fi)) in enumerate(zip(rows, fs)):
+            xr, xi = p * xr - fr * yr + fi * yi, p * xi - fr * yi - fi * yr
+            if prev > 1:
+                (xr, a), (xi, b) = divmod(xr, prev), divmod(xi, prev)
+                if a or b:
+                    raise ArithmeticError("a fraction-free elimination step left a remainder")
+                # p x - f y and prev times the quotient differ by less than
+                # a slot can hold, so they are equal slot by slot
+                _within(xr, n, width, bound)
+                _within(xi, n, width, bound)
+            rows[k] = j, xr, xi
+        prev = p
     return True
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports and deterministic output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from schurmann.serialize import (
     representation_to_json,
     two_cocycle_to_json,
 )
+
+PINNED_LEN2 = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce_paper_len2.txt"
 
 
 @pytest.fixture
@@ -508,3 +511,5 @@ def test_reproduce_paper_short_pool(run):
     assert out1 == out2
     assert "checks passed" in out1
     assert "FAIL" not in out1
+    # the bytes the benchmark pins for this run
+    assert out1.encode() == PINNED_LEN2.read_bytes()

@@ -22,7 +22,17 @@ from schurmann import (
     rational,
     solve,
 )
-from schurmann.linalg import _numerators, _rref, gram_matrix, inner_product, project_onto_span
+from schurmann import linalg, schurmann_functional
+from schurmann.functional import default_word_pool, pool_gram_matrix
+from schurmann.linalg import (
+    PackedMatrix,
+    _numerators,
+    _rref,
+    gram_matrix,
+    inner_product,
+    project_onto_span,
+)
+from schurmann.words import pack
 
 
 def test_kernel_of_rank_one_matrix():
@@ -87,9 +97,15 @@ def test_psd_frozen_examples():
     assert not psd_check(QMatrix([[ONE, q(("0", "2"))], [q(("0", "-2")), ONE]]))
     # zero diagonal with a purely imaginary off-diagonal pair
     assert not psd_check(QMatrix([[ZERO, I], [-I, ZERO]]))
+    # positive definite (minors 2, 6, 7); row 1 is 0 in the first pivot's
+    # column, and unless that step rescales it by p = 2 the second step's
+    # division by prev = 2 leaves a remainder
+    assert psd_check(QMatrix([[Qi(x) for x in row] for row in ([2, 0, 1], [0, 3, 1], [1, 1, 2])]))
 
 
-def test_psd_check_refuses_non_hermitian_input():
+def test_psd_check_refuses_non_hermitian_input(monkeypatch, eta_sym_u2):
+    # refused before any elimination step reads an entry
+    monkeypatch.setattr(linalg, "_slot", lambda *args: pytest.fail("eliminated"))
     with pytest.raises(ValueError):
         psd_check(QMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]))
     with pytest.raises(ValueError):
@@ -105,6 +121,23 @@ def test_psd_check_refuses_non_hermitian_input():
     # a non-real diagonal entry, 1 + i, with the rest Hermitian
     with pytest.raises(ValueError):
         psd_check(GaussianMatrix([[1, 0], [0, 1]], [[1, 0], [0, 0]], 1))
+    # a packed Gram with one imaginary entry off: im (1, 2) is no longer -im (2, 1)
+    gram = pool_gram_matrix(schurmann_functional(eta_sym_u2), default_word_pool(2))
+    rows = [gram.row(i).numerators(gram.den) for i in range(gram.rows)]
+    assert rows[1][1][2] == -rows[2][1][1] != 0
+    rows[1][1][2] += 1
+    bad = PackedMatrix([pack(re, im, gram.den) for re, im in rows], gram.cols)
+    with pytest.raises(ValueError):
+        psd_check(bad)
+    # slots wider than 64 bits: re is off in one entry of 2^70
+    big = 2**70
+    re = [[big, 1, 0], [1, big, 0], [0, 1, big]]
+    wide = PackedMatrix([pack(r, [0] * 3, 1) for r in re], 3)
+    assert wide.width > 64
+    with pytest.raises(ValueError):
+        psd_check(wide)
+    with pytest.raises(ValueError):
+        psd_check(GaussianMatrix(re, [[0] * 3 for _ in range(3)], 1))
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +214,16 @@ def _as_gaussian(m):
     return GaussianMatrix(*_numerators(m.data), den, m.cols)
 
 
+def _as_packed(m):
+    """The QMatrix m as a PackedMatrix, each row packed over the lcm of its
+    own denominators."""
+    rows = []
+    for row in m.data:
+        (re,), (im,) = _numerators([row])
+        rows.append(pack(re, im, lcm(*(z.den for z in row))))
+    return PackedMatrix(rows, m.cols)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
@@ -214,11 +257,13 @@ def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
 
 
 def _perturbed_grams(data):
-    """V V* for an n x r matrix V, 0 <= r <= n <= 6, with up to two perturbations."""
+    """V V* for an n x r matrix V, 0 <= r <= n <= 6, often of full rank r = n,
+    V scaled by 1, 2^31 or 2^40 + 1 (entries of 2^62 and more, so the
+    elimination widens its slots as it runs), with up to two perturbations."""
     n = data.draw(st.integers(0, 6))
-    r = data.draw(st.integers(0, n))
+    r = data.draw(st.one_of(st.just(n), st.integers(0, n)))
     rows = st.lists(st.lists(qi_scalars, min_size=r, max_size=r), min_size=n, max_size=n)
-    v = QMatrix(data.draw(rows), cols=r)
+    v = QMatrix(data.draw(rows), cols=r).scale(Qi(data.draw(st.sampled_from([1, 2**31, 2**40 + 1]))))
     a = [list(row) for row in (v @ v.adjoint()).data]
     kinds = ["negative diagonal", "zero row and column"] if n else []
     kinds += ["complex pair"] if n > 1 else []
@@ -246,6 +291,7 @@ def test_psd_check_agrees_with_principal_minors(principal_minors, data):
     want = all(det.x >= 0 for det in principal_minors(m))
     assert psd_check(m) == want
     assert psd_check(_as_gaussian(m)) == want
+    assert psd_check(_as_packed(m)) == want
 
 
 @given(qi_matrices(3, 2))
