@@ -265,6 +265,11 @@ class WordSet(NamedTuple):
     bounds: list
     den: int
 
+    def require(self, per_word: int, what: str) -> None:
+        """Refuse, before anything is evaluated, `per_word` entries on every
+        word of the set above the entry budget."""
+        require_entries(per_word * sum(self.sizes), what)
+
 
 def word_set(d: int, elements: Sequence[Element]) -> WordSet:
     """The elements compiled onto the suffix closure of their words."""

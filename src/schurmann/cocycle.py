@@ -33,7 +33,7 @@ from .representation import (
     pullback_rep,
 )
 from .scalars import ZERO, Qi, rational
-from .words import columns, require_entries, word_set_values
+from .words import columns, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
@@ -88,7 +88,9 @@ def cocycle_columns(eta: Cocycle, elements: Sequence[Element]) -> GaussianMatrix
     for a in elements:
         if a.d != eta.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, cocycle {eta.d}")
-    return word_set_values(word_set(eta.d, elements), eta.rep.action, eta.n, eta.numerators)
+    ws = word_set(eta.d, elements)
+    ws.require(eta.n, f"the values of a cocycle of dimension {eta.n}")
+    return word_set_values(ws, eta.rep.action, eta.n, eta.numerators)
 
 
 def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
@@ -376,7 +378,7 @@ class CocycleSpace:
 def _relation_sums(rep: Representation, eta, width: int, what: str) -> GaussianMatrix:
     """eta on the relations for `width` columns of letter values; over budget, InputError."""
     ws = rep.presentation.relation_words
-    require_entries(rep.n * width * sum(ws.sizes), what)
+    ws.require(rep.n * width, what)
     return word_set_values(ws, rep.action, rep.n, eta, width)
 
 

@@ -23,7 +23,17 @@ from .errors import RelationViolation
 from .linalg import PackedMatrix, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, ONE, Qi
-from .words import WordTables, combine, coordinates, dots, gather, pack, require_entries, rho_step, step
+from .words import (
+    WordTables,
+    combine,
+    coordinates,
+    gather,
+    linear,
+    pack,
+    require_entries,
+    rho_step,
+    step_groups,
+)
 
 
 @dataclass(frozen=True)
@@ -167,8 +177,9 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
     read from the word tables, and the letters of w_i* are peeled onto them
     from the left by the rho action and the shared value step.  States for
     shared peel prefixes are computed once, which leaves one value step per
-    row; a second step subtracts the counit terms.  The rows leave packed,
-    over one denominator and one slot width (`PackedMatrix`).
+    row, summed with its pairing and its counit terms in one `linear`.  The
+    rows leave packed, over one denominator and one slot width
+    (`PackedMatrix`).
     """
     require_entries(len(pool) ** 2, "the Gram matrix")
     eta = psi.cocycle
@@ -191,18 +202,20 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
     lins = [t.lin(eta, 1, h) for h in range(t.base)]
     psi_letter = [psi.letter_value(l) for l in t.alpha]
 
-    def psi_row(k, state):
-        # psi(letter_k . w) for every state w
+    def psi_groups(k, state):
+        # psi(letter_k . w) for every state w, as the groups of `linear`
         vec, coords, val, _, eps = state
-        return step(dots(lins[k], vec, coords), val, eps, t.diag[k], psi_letter[k])
+        pairs, den = lins[k]
+        return [(pairs, den * vec.den, coords)] + step_groups(val, eps, t.diag[k], psi_letter[k])
 
     def extend(k, state):
         # states for w -> states for letter_k . w
         vec, _, _, eps, eps_mask = state
         move = rho_step(eta.rep.action, k, vec, eps, eta.numerators)
+        val = linear(psi_groups(k, state), len(pool))
         if t.diag[k]:
-            return move, coordinates(move), psi_row(k, state), eps, eps_mask
-        return move, coordinates(move), psi_row(k, state), [], no_eps
+            return move, coordinates(move), val, eps, eps_mask
+        return move, coordinates(move), val, [], no_eps
 
     peeled: dict[tuple, tuple] = {(): base}
 
@@ -217,8 +230,12 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
     for i, w in enumerate(pool):
         # peeling w_i* from the left visits the adjoints of w_i's letters in order
         seq = tuple(t.index[l.adjoint()] for l in w)
-        row = psi_row(seq[-1], peeled_states(seq[:-1])) if seq else psi_pool
-        rows.append(step(row, minus_base, counit, mask[i], -psi_stars[i]))
+        if seq:
+            row = psi_groups(seq[-1], peeled_states(seq[:-1]))
+        else:
+            row = [([(1, 0)], psi_pool.den, [psi_pool])]
+        # the counit terms in the same sum
+        rows.append(linear(row + step_groups(minus_base, counit, mask[i], -psi_stars[i]), len(pool)))
     return PackedMatrix(rows, len(pool))
 
 

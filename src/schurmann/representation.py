@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Presentation, WordSet, counit, letters, require_entries, word_set
+from .algebra import Element, Presentation, WordSet, counit, letters, word_set
 from .errors import RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, kernel_basis
 from .scalars import ONE, ZERO, Qi
@@ -73,7 +73,9 @@ def rep_values(rep: Representation, elements: Sequence[Element]) -> list[QMatrix
     for a in elements:
         if a.d != rep.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, representation {rep.d}")
-    sums = _values(rep, word_set(rep.d, elements))
+    ws = word_set(rep.d, elements)
+    ws.require(rep.n * rep.n, f"the values of a representation of dimension {rep.n}")
+    sums = _values(rep, ws)
     return [_matrix(sums.column(e), rep.n) for e in range(len(elements))]
 
 
@@ -83,8 +85,8 @@ def evaluate_rep(rep: Representation, a: Element) -> QMatrix:
 
 
 def _require_budget(presentation: Presentation, n: int) -> None:
-    entries = n * n * sum(presentation.relation_words.sizes)
-    require_entries(entries, f"the relation values of a representation of dimension {n}")
+    what = f"the relation values of a representation of dimension {n}"
+    presentation.relation_words.require(n * n, what)
 
 
 def representation(

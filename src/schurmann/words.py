@@ -10,8 +10,10 @@ A scalar layer (`packed.Layer`) holds one quantity on a list of words (all
 words of one length, or a word pool) as Gaussian-integer numerators re_i +
 i im_i over one positive denominator, each part packed into one Python int
 sum_i x_i 2^(W i) of slots W bits wide (Kronecker substitution).  A sum of
-layers times integers is then a few big-int products and additions instead
-of a loop over the entries; concatenation and splitting go through bytes,
+layers times Gaussian integers (`_sum`; `linear` first brings its terms'
+denominators to one, so a Gram row's pairing, value step and counit terms
+are one sum) is then a few big-int products and additions instead of a
+loop over the entries; concatenation and splitting go through bytes,
 and a counit term is a Gaussian integer times the 0/1 counit layer or
 shifted copies of a layer (`WordTables.eps_left` / `eps_right`).  Every
 operation first bounds its result's entries from its operands' bounds and
@@ -36,25 +38,29 @@ word pairs).  Vector layers (eta, and rho on word sets) and the values of
 word sets are `linalg.GaussianMatrix` grids of ints, one row per coordinate
 (or cell) and one column per word (or element): `word_set_values` and the
 peel states of the Gram build read them at arbitrary tail positions, which
-a packed int serves only by decoding (a packed word-set evaluator was
-slower in a prototype).  A vector layer is packed row by row once
-(`coordinates`, a tuple of `Layer`s) where scalar layers read it.  Sparse
-elements, the relations of a presentation among them, are compiled onto
-the suffix closure of their words (`algebra.WordSet`), and
-`word_set_values` evaluates rho or eta on it layer by layer with the same
-`rho_step` the eta tables use, then sums each element on the numerators,
-so a relation check is a zero test on integers.  Letter values come as
-columns (`columns`): one for a cocycle, a unit column per unknown for the
-cocycle equations, one per basis vector to check a solved space.
-Functionals and 2-cocycles on sparse elements evaluate their batches of
-words on the same word sets (`cohomology.LetterFunctional.batch`).
+an int packed along the words serves only by decoding, so they are not
+packed along the words (a word-packed evaluator was slower in a prototype:
+a dead end).  A vector layer is packed row by row once (`coordinates`, a
+tuple of `Layer`s) where scalar layers read it.  Sparse elements, the
+relations of a presentation among them, are compiled onto the suffix
+closure of their words (`algebra.WordSet`), and `word_set_values`
+evaluates rho or eta on it layer by layer with the same `rho_step` the eta
+tables use, then sums each element on the numerators, so a relation check
+is a zero test on integers.  Letter values come as columns (`columns`):
+one for a cocycle, a unit column per unknown for the cocycle equations,
+one per basis vector to check a solved space.  The columns are packed:
+all the columns of one word and coordinate ride in one int, so a layer
+entry and a term of a sum cost one big-int operation however many columns
+there are.  Functionals and 2-cocycles on sparse elements evaluate
+their batches of words on the same word sets
+(`cohomology.LetterFunctional.batch`).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
@@ -87,6 +93,22 @@ def _sum(terms, den: int, size: int) -> Layer:
     return Layer(re, im, den, size, width, bound)
 
 
+def linear(groups, size: int) -> Layer:
+    """sum of (a + i b) t / den over the groups (pairs, den, layers), each
+    Gaussian-integer pair (a, b) taken with the numerators of its layer t of
+    `size` entries: every term over the one denominator lcm(den), then one
+    `_sum`."""
+    den = lcm(*map(itemgetter(1), groups))
+    terms = [
+        (a * f, b * f, t)
+        for pairs, d, layers in groups
+        for f in (den // d,)
+        for (a, b), t in zip(pairs, layers)
+        if (a or b) and (t.re or t.im)
+    ]
+    return _sum(terms, den, size)
+
+
 def coordinates(vec: GaussianMatrix) -> tuple:
     """Every coordinate (row) of a vector layer packed as a `Layer`."""
     return tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im))
@@ -96,12 +118,6 @@ def _over(values, den: int) -> list:
     return [(z.a * (den // z.den), z.b * (den // z.den)) for z in values]
 
 
-def gaussian(values) -> tuple:
-    """(numerator pairs, common denominator) of a sequence of Qi."""
-    den = lcm(*(z.den for z in values))
-    return _over(values, den), den
-
-
 def dots(lin, vec: GaussianMatrix, parts: tuple) -> Layer:
     """sum_k lin_k vec_k(w) for every w of the vector layer, its coordinates
     packed as parts (`coordinates`), lin = (pairs, den) with no conjugation
@@ -109,6 +125,12 @@ def dots(lin, vec: GaussianMatrix, parts: tuple) -> Layer:
     pairs, den = lin
     terms = [(a, b, x) for (a, b), x in zip(pairs, parts) if a or b]
     return _sum(terms, den * vec.den, vec.cols)
+
+
+def step_groups(val: Layer, eps: Layer, diag: bool, vh: Qi) -> list:
+    """[diag] val(w) + eps(w) vh as groups of `linear`: the shared value
+    step past its first term."""
+    return [([(int(diag), 0)], val.den, [val]), ([(vh.a, vh.b)], vh.den, [eps])]
 
 
 def step(first: Layer, val: Layer, eps: Layer, diag: bool, vh: Qi) -> Layer:
@@ -163,10 +185,8 @@ def split(layer: Layer, k: int) -> list:
 
 def combine(terms) -> Layer:
     """sum of coeff * layer over (Qi coefficient, Layer) pairs of equal size."""
-    den = lcm(*(t.den for _, t in terms))
-    pairs, cden = gaussian([c * Qi(den // t.den) for c, t in terms])
-    layers = [(a, b, t) for (a, b), (_, t) in zip(pairs, terms) if a or b]
-    return _sum(layers, cden * den, terms[0][1].size)
+    groups = [([(c.a, c.b)], c.den * t.den, [t]) for c, t in terms]
+    return linear(groups, terms[0][1].size)
 
 
 def _spread(x: int, layer: Layer, stride: int) -> int:
@@ -207,16 +227,21 @@ def gather(layers, picks):
 
 class Action(NamedTuple):
     """rho on the letters of `letters(d)`: images[h] holds the rows of
-    rho(letter h) as numerator pairs over den."""
+    rho(letter h) as numerator pairs over den; norm is the largest row sum
+    of |re| + |im| over the images, which bounds the entries of rho(h) x
+    by norm max |x|."""
 
     images: list
     den: int
+    norm: int
 
 
 def action(matrices) -> Action:
     """The letter images, in the order of `letters(d)`, over one denominator."""
     den = lcm(*(z.den for m in matrices for row in m.data for z in row))
-    return Action([[_over(row, den) for row in m.data] for m in matrices], den)
+    images = [[_over(row, den) for row in m.data] for m in matrices]
+    norm = max((sum(abs(a) + abs(b) for a, b in row) for image in images for row in image), default=0)
+    return Action(images, den, norm)
 
 
 def _times(row, f: int, vec: GaussianMatrix) -> tuple[list, list]:
@@ -247,8 +272,11 @@ def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps=(), eta=((), 1)) -> G
     eta = (letter values, den) lists at h * n + k the nonzero columns
     (v, re, im) of eta(letter h)_k as numerators over den (`columns`).
     Without eps this is rho(h) x(w); the denominator is lcm(rho.den *
-    vec.den, eta den) either way, so the layers of one step share it."""
-    images, dr = rho
+    vec.den, eta den) either way, so the layers of one step share it.  The
+    step is linear, so an entry may be a packed int of columns, one slot a
+    column (`word_set_values`): the letter values are then (0, re, im)
+    with each column's numerators moved to its slot."""
+    images, dr = rho.images, rho.den
     values, de = eta
     n = len(images[h])
     den = lcm(dr * vec.den, de)
@@ -290,67 +318,114 @@ def stack(parts) -> GaussianMatrix:
     return GaussianMatrix(re, im, parts[0].den, sum(p.cols for p in parts))
 
 
+def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[list, list]:
+    """(denominators, entry bounds) of layers 0 .. of the word set, layer 0
+    bounded by `start`: layer m + 1 is over lcm(rho.den den_m, eta den) and
+    bounded by f rho.norm B_m + g max |eta numerator|, f and g the factors
+    that bring rho(h) x(w) and eta(h) to that denominator."""
+    values, de = eta
+    parts = chain.from_iterable(map(itemgetter(1, 2), chain.from_iterable(values)))
+    top = max(map(abs, parts), default=0)
+    dens, bounds = [1], [start]
+    for _ in ws.layers:
+        den = lcm(rho.den * dens[-1], de)
+        bounds.append(den // (rho.den * dens[-1]) * rho.norm * bounds[-1] + den // de * top)
+        dens.append(den)
+    return dens, bounds
+
+
+def _cells(sums: list, width: int, slot: int, bound: int) -> list:
+    """The `width` slots of every packed sum, one sum after another, joined
+    through bytes and decoded at once; ArithmeticError if a slot is outside
+    the bound."""
+    bias = _ones(width, slot) << (slot - 1)
+    try:
+        raw = b"".join(
+            map(int.to_bytes, map(add, sums, repeat(bias)), repeat(slot // 8 * width), repeat("little"))
+        )
+    except OverflowError:
+        raise ArithmeticError(f"a packed entry is above its layer's bound {bound}") from None
+    size = len(sums) * width
+    x = int.from_bytes(raw, "little") - (_ones(size, slot) << (slot - 1))
+    return _unpack(x, Layer(x, 0, 1, size, slot, bound))
+
+
 def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) -> GaussianMatrix:
     """The value of every element of the word set: column e holds element e.
 
     The layers hold `width` columns: without eta rho(w) e_v, v < width = n,
     so rho(a); with eta = (letter values, den) as in `rho_step`, eta(w) for
     `width` cocycles at once.  Cell v n + k of an element is coordinate k of
-    its column v.  Layer m + 1 is built run by run from layer m by `rho_step`
-    over a multiple of layer m's denominator.  The layers follow one another
-    in one list per coordinate, column v of the word numbered g at g width +
-    v, where the terms read them.  The sums are over ws.den times the last
-    layer's denominator.  A relation holds iff all its cells are 0.
+    its column v.  One int per word and coordinate (and part) carries all
+    the columns, column v in the slot 2^(W v) (Kronecker substitution along
+    the columns); W is picked once, before anything is packed, from the
+    bounds of the layers (`_layer_bounds`) and of the element sums.  Layer
+    m + 1 is built run by run from layer m by `rho_step`, which is linear
+    and so acts slot by slot.  The layers follow one another in one list per
+    coordinate, where the terms read them; each element's sum is one
+    product per term and coordinate, and the sums of a coordinate and part
+    are decoded together and checked against their bound (ArithmeticError).
+    The sums are over ws.den times the last layer's denominator.  A
+    relation holds iff all its cells are 0.
     """
     counit_terms = eta is not None
-    if counit_terms:
-        # eta(1) = 0
-        re, im = [[0] * width for _ in range(n)], [[0] * width for _ in range(n)]
-    else:
+    if not counit_terms:
         # rho(1) = id, one column per entry; no counit terms
         width, eta = n, ((), 1)
-        re, im = [[int(k == c) for c in range(n)] for k in range(n)], [[0] * n for _ in range(n)]
-    dens, first = [1], 0
-    for runs, prev_size in zip(ws.layers, ws.sizes):
-        parts = []
-        for h, tails, eps in runs:
-            if width == 1:
-                picks, offsets = [first + t for t in tails], eps
-            else:
-                picks = [(first + t) * width + c for t in tails for c in range(width)]
-                offsets = [e * width for e in eps]
-            tails_layer = GaussianMatrix(
-                [list(map(r.__getitem__, picks)) for r in re],
-                [list(map(r.__getitem__, picks)) for r in im],
-                dens[-1],
-                len(picks),
-            )
-            parts.append(rho_step(rho, h, tails_layer, offsets if counit_terms else (), eta))
-        for k in range(n):
-            re[k] += chain.from_iterable(p.re[k] for p in parts)
-            im[k] += chain.from_iterable(p.im[k] for p in parts)
-        first += prev_size
-        dens.append(parts[0].den)
+    dens, bounds = _layer_bounds(ws, rho, eta, 0 if counit_terms else 1)
     # the coefficients of the terms over the last layer's denominator
     den = dens[-1]
     scale = list(chain.from_iterable(map(repeat, (den // d for d in dens), ws.sizes)))
     at_scale = list(map(scale.__getitem__, ws.at))
     a, b = list(map(mul, ws.re, at_scale)), list(map(mul, ws.im, at_scale))
-    complex_coeffs = any(b)
-    # sum the products term by term, then take each element's stretch
     starts, ends = ws.bounds[:-1], ws.bounds[1:]
-    out_re, out_im = [], []
-    for v in range(width):
-        picks = ws.at if width == 1 else [g * width + v for g in ws.at]
-        for rows_re, rows_im in zip(re, im):
-            xr, xi = list(map(rows_re.__getitem__, picks)), list(map(rows_im.__getitem__, picks))
-            pr, pi = map(mul, a, xr), map(mul, a, xi)
-            if complex_coeffs:
-                pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
-            for out, p in ((out_re, pr), (out_im, pi)):
-                p = list(accumulate(p, initial=0))
-                out.append(list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts))))
-    return GaussianMatrix(out_re, out_im, ws.den * den, len(ws.bounds) - 1)
+    # each element's bound: sum over its terms of |coefficient| B_len(word)
+    word_bounds = list(chain.from_iterable(map(repeat, bounds, ws.sizes)))
+    terms = map(mul, map(add, map(abs, a), map(abs, b)), map(word_bounds.__getitem__, ws.at))
+    p = list(accumulate(terms, initial=0))
+    bound = max(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts)), default=0)
+    slot = _width(max(bound, *bounds))
+    values, de = eta
+    # column v of a letter value moves to slot v of column 0
+    values = [[(0, x << slot * v, y << slot * v) for v, x, y in cells] for cells in values]
+    if counit_terms:
+        # eta(1) = 0
+        re, im = [[0] for _ in range(n)], [[0] for _ in range(n)]
+    else:
+        # rho(1) e_v = e_v: slot k of coordinate k
+        re, im = [[1 << slot * k] for k in range(n)], [[0] for _ in range(n)]
+    first = 0
+    for runs, prev_size, prev_den in zip(ws.layers, ws.sizes, dens):
+        parts = []
+        for h, tails, eps in runs:
+            picks = [first + t for t in tails]
+            tails_layer = GaussianMatrix(
+                [list(map(r.__getitem__, picks)) for r in re],
+                [list(map(r.__getitem__, picks)) for r in im],
+                prev_den,
+                len(picks),
+            )
+            parts.append(rho_step(rho, h, tails_layer, eps if counit_terms else (), (values, de)))
+        for k in range(n):
+            re[k] += chain.from_iterable(p.re[k] for p in parts)
+            im[k] += chain.from_iterable(p.im[k] for p in parts)
+        first += prev_size
+    # sum the products term by term, then take each element's stretch
+    complex_coeffs = any(b)
+    count = len(starts)
+    out_re, out_im = [None] * (width * n), [None] * (width * n)
+    for k, (rows_re, rows_im) in enumerate(zip(re, im)):
+        xr, xi = list(map(rows_re.__getitem__, ws.at)), list(map(rows_im.__getitem__, ws.at))
+        pr, pi = map(mul, a, xr), map(mul, a, xi)
+        if complex_coeffs:
+            pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
+        for out, p in ((out_re, pr), (out_im, pi)):
+            p = list(accumulate(p, initial=0))
+            sums = list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts)))
+            cells = _cells(sums, width, slot, bound)
+            for v in range(width):
+                out[v * n + k] = cells[v::width]
+    return GaussianMatrix(out_re, out_im, ws.den * den, count)
 
 
 class WordTables:

@@ -10,11 +10,13 @@ from conftest import (
     drawn_blocks,
     drawn_elements,
     oracle_cocycle,
+    oracle_rep,
     oracle_violations,
     q,
     qi_scalars,
     qi_vectors,
     refuse_elimination,
+    refuse_evaluation,
     scalar_grid,
     unvalidated_cocycle,
     unvalidated_rep,
@@ -29,6 +31,7 @@ from schurmann import (
     ONE,
     QMatrix,
     QVector,
+    Qi,
     RelationViolation,
     ZERO,
     admits_gf_orth,
@@ -53,7 +56,8 @@ from schurmann import (
 )
 from schurmann import algebra, cocycle, linalg, words
 from schurmann.algebra import word_set
-from schurmann.cocycle import cocycle_general, cocycle_values
+from schurmann.cocycle import cocycle_columns, cocycle_general, cocycle_values
+from schurmann.representation import rep_values
 
 letters_d2 = st.sampled_from(letters(2))
 words_d2 = st.lists(letters_d2, max_size=3).map(tuple)
@@ -360,14 +364,24 @@ def test_cocycle_violations_match_recursion(every_kind, data):
 
 @given(st.data())
 def test_word_set_values_in_columns_match_recursion(every_kind, data):
-    # 2 to 4 cocycles at once, as the columns of the letter values: cell
-    # v n + k of an element is coordinate k of eta_v on it
+    # 2 to 4 cocycles at once, or all 2 d^2 n columns of the solver: cell
+    # v n + k of an element is coordinate k of eta_v on it.  rho entries and
+    # letter values are scaled by 1, 2^40 or 2^70 over a denominator, so the
+    # layer bounds straddle the 64- and 128-bit slot limits, on words of up
+    # to five letters; rho itself (no eta) runs on the same drawn rep
     pres = data.draw(st.sampled_from(every_kind))
-    d, n, width = pres.d, data.draw(st.integers(1, 2)), data.draw(st.integers(2, 4))
-    rep = unvalidated_rep(pres, drawn_blocks(data, d, n), n)
-    column = st.lists(qi_scalars, min_size=2 * d * d * n, max_size=2 * d * d * n)
-    vectors = [data.draw(column) for _ in range(width)]
-    elements = drawn_elements(data, d) + [Element.one(d)]
+    d, n = pres.d, data.draw(st.integers(1, 2))
+    full = 2 * d * d * n
+    width = data.draw(st.one_of(st.integers(2, 4), st.just(full)))
+
+    def scale():
+        return Qi(data.draw(st.sampled_from([1, 2**40, 2**70]))) / Qi(data.draw(st.integers(1, 6)))
+
+    s = scale()
+    rep = unvalidated_rep(pres, [[m.scale(s) for m in row] for row in drawn_blocks(data, d, n)], n)
+    column = st.lists(qi_scalars, min_size=full, max_size=full)
+    vectors = [[z * s for z in data.draw(column)] for s in (scale() for _ in range(width))]
+    elements = drawn_elements(data, d, max_len=5) + [Element.one(d)]
     sums = words.word_set_values(
         word_set(d, elements), rep.action, n, words.columns(vectors), width
     )
@@ -375,6 +389,59 @@ def test_word_set_values_in_columns_match_recursion(every_kind, data):
     for e, a in enumerate(elements):
         want = [oracle_cocycle(flat_cocycle(rep, vec), a, m) for vec, m in zip(vectors, memo)]
         assert sums.column(e) == [z for value in want for z in value]
+    memo = {}
+    assert rep_values(rep, elements) == [oracle_rep(rep, a, memo) for a in elements]
+
+
+def test_word_set_values_bound_every_slot(u2):
+    # rho purely imaginary at 2^40 i, letter values near 2^70 in three
+    # columns on n = 2, words of four letters: the values reach 2^190, so a
+    # slot picked from a bound without |im| in |rho|, or without the eta
+    # term of a layer, overflows, and a stride other than the three columns
+    # reads the wrong cells
+    big = Qi(0, 2**40)
+    m = QMatrix([[big, big], [ZERO, big * q("1/3")]])
+    rep = unvalidated_rep(u2, [[m, m.adjoint()], [m, m]], 2)
+    alpha = letters(2)
+    elements = [
+        Element.from_word(2, (alpha[1], alpha[2], alpha[0], alpha[3]), q("1/2")),
+        Element.from_word(2, (alpha[5], alpha[0], alpha[3], alpha[6]))
+        + Element.from_word(2, (alpha[4],), I),
+    ]
+    top = Qi(2**70) / Qi(3)
+    vectors = [[top * Qi(v + 1, k % 3) for k in range(16)] for v in range(3)]
+    sums = words.word_set_values(word_set(2, elements), rep.action, 2, words.columns(vectors), 3)
+    for e, a in enumerate(elements):
+        want = [oracle_cocycle(flat_cocycle(rep, vec), a) for vec in vectors]
+        assert sums.column(e) == [z for value in want for z in value]
+    assert rep_values(rep, elements) == [oracle_rep(rep, a) for a in elements]
+
+
+def test_word_set_values_refuse_an_understated_slot(u2, monkeypatch):
+    # 64-bit slots for sums near 2^70: the decode raises rather than return
+    # aliased cells, whether a sum overflows its bytes (one column, and rho)
+    # or its slots (three columns, the top two 0)
+    monkeypatch.setattr(words, "_width", lambda bound: 64)
+    a = Element.from_word(2, (letters(2)[0],))
+    ws = word_set(2, [a])
+    rep = counit_rep(u2, 1)
+    for vectors in ([[Qi(2**70)] * 8], [[Qi(2**70)] * 8, [ZERO] * 8, [ZERO] * 8]):
+        with pytest.raises(ArithmeticError, match="above its layer's bound"):
+            words.word_set_values(ws, rep.action, 1, words.columns(vectors), len(vectors))
+    big = QMatrix([[Qi(2**70)]])
+    with pytest.raises(ArithmeticError, match="above its layer's bound"):
+        rep_values(unvalidated_rep(u2, [[big, big], [big, big]], 1), [a])
+
+
+def test_cocycle_values_budget_boundary(eta_sym_u2, monkeypatch):
+    # a word of three letters: 4 words in its suffix closure, 1 entry each
+    a = Element.from_word(2, letters(2)[:3])
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 4)
+    assert cocycle_values(eta_sym_u2, [a]) == [oracle_cocycle(eta_sym_u2, a)]
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 3)
+    refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 3"):
+        cocycle_columns(eta_sym_u2, [a])
 
 
 def test_cocycle_of_a_long_word_matches_recursion(u2):

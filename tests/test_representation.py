@@ -78,6 +78,18 @@ def test_rep_budget_boundary(u2, monkeypatch):
         counit_rep(u2, 2)
 
 
+def test_rep_values_budget_boundary(u2, monkeypatch):
+    # a word of three letters: 4 words in its suffix closure, 4 entries each on n = 2
+    rep = counit_rep(u2, 2)
+    a = Element.from_word(2, letters(2)[:3])
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 16)
+    assert rep_values(rep, [a]) == [oracle_rep(rep, a)]
+    monkeypatch.setattr(algebra, "MAX_TABLE_ENTRIES", 15)
+    refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 15"):
+        rep_values(rep, [a])
+
+
 def test_counit_rep_is_validated_once_per_dimension(monkeypatch):
     # the package attribute schurmann.representation is the function, so the
     # module is patched through sys.modules
