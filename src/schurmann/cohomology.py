@@ -333,13 +333,15 @@ def square_zero_on_letters(c: TwoCocycle):
 def value_tables(t: WordTables, phi, length: int) -> list:
     """Layers 0 .. length of a letter functional or of the counit."""
     if isinstance(phi, LetterFunctional):
-        sign = Qi(phi.sign)
-        return t.values(
-            phi,
-            phi.letter_value,
-            lambda m: combine([(sign, pair_table(t, phi.form, 1, m))]),
-            length,
-        )
+        form, sign = phi.form, phi.sign
+
+        def first(m):
+            if isinstance(form, KPairCocycle):
+                # one pairing row per head letter, the sign in its lin
+                return t.pairing_rows(form.eta1, form.eta2, 1, m, sign)
+            return split(combine([(Qi(sign), pair_table(t, form, 1, m))]), t.base)
+
+        return t.values(phi, phi.letter_value, first, length)
     if isinstance(phi, CounitFunctional):
         return [t.counit(m) for m in range(length + 1)]
     raise TypeError(f"no word tables for a functional of type {type(phi).__name__}")

@@ -353,6 +353,15 @@ class GaussianMatrix:
             raise ValueError("GaussianMatrix needs a positive denominator")
         self.re, self.im, self.den, self.cols = re, im, den, cols
 
+    @classmethod
+    def unchecked(cls, re: list, im: list, den: int, cols: int) -> "GaussianMatrix":
+        """The grid without the shape and denominator checks, for a builder
+        whose rows have `cols` entries and whose den is positive by
+        construction."""
+        m = cls.__new__(cls)
+        m.re, m.im, m.den, m.cols = re, im, den, cols
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.re)
@@ -464,7 +473,10 @@ def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
     diagonal keeps the signs of the Schur complement's.  Once the remaining
     diagonal is zero the remaining block must vanish (else a 2x2 principal
     minor is negative).  The eliminated columns are zero in the remaining
-    rows, so the rows keep their length and original positions.
+    rows, so the rows keep their length and original positions.  The
+    remaining block is Hermitian (the input was checked to be), so column c
+    of the remaining rows is read as the conjugate of the pivot row y, one
+    bound-checked decode of y per pivot.
     """
     if m.rows != m.cols:
         raise ValueError("psd_check requires a Hermitian matrix")
@@ -486,14 +498,17 @@ def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
         if p < 0:
             return False
         c, yr, yi = rows.pop(i)
-        fs = [(_slot(x, c, top, width, bound), _slot(y, c, top, width, bound)) for _, x, y in rows]
+        y = Layer(yr, yi, 1, n, width, bound)
+        # column c of the remaining rows: the conjugate of the pivot row
+        pr, pi = _unpack(yr, y), _unpack(yi, y)
+        fs = [(pr[j], -pi[j]) for j, _, _ in rows]
         # the slots hold twice the bound of p x - f y; its quotient by prev
         # is a minor of m of one order more than the pivots so far
         written = (p + max((abs(a) + abs(b) for a, b in fs), default=0)) * bound
         if _width(2 * written) > width:
             wide = _width(2 * written)
-            yr, yi = _repacked(Layer(yr, yi, 1, n, width, bound), wide)[:2]
-            rows = [(j, *_repacked(Layer(x, y, 1, n, width, bound), wide)[:2]) for j, x, y in rows]
+            yr, yi = _repacked(y, wide)[:2]
+            rows = [(j, *_repacked(y._replace(re=xr, im=xi), wide)[:2]) for j, xr, xi in rows]
             width = wide
         bound = min(written // prev, _minor_bound(n - len(rows) + 1, m.bound))
         for k, ((j, xr, xi), (fr, fi)) in enumerate(zip(rows, fs)):

@@ -35,17 +35,22 @@ def _ones(size: int, width: int) -> int:
     return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * size, "little")
 
 
-@lru_cache(maxsize=256)
-def _window(size: int, width: int, k: int) -> tuple[int, int]:
-    """(2^k in every slot, the bits k + 1 .. width - 1 of every slot)."""
-    ones = _ones(size, width)
+def _window_of(ones: int, width: int, k: int) -> tuple[int, int]:
+    """(2^k in every slot, the bits k + 1 .. width - 1 of every slot) for
+    ones holding 1 in every slot."""
     return ones << k, (ones << width) - (ones << (k + 1))
 
 
-def _fits(x: int, size: int, width: int, k: int) -> bool:
-    """Whether every slot of x lies in [-2^k, 2^k), k < width: then x + 2^k
-    in every slot carries into no other slot."""
-    low, high = _window(size, width, k)
+@lru_cache(maxsize=256)
+def _window(size: int, k: int) -> tuple[int, int]:
+    """`_window_of` 64-bit slots for the few k that `_magnitude` tries."""
+    return _window_of(_ones(size, 64), 64, k)
+
+
+def _fits(x: int, size: int, width: int, window: tuple[int, int]) -> bool:
+    """Whether every slot of x lies in [-2^k, 2^k), k < width, for the
+    `_window_of` k: then x + 2^k in every slot carries into no other slot."""
+    low, high = window
     y = x + low
     return y >= 0 and y.bit_length() <= width * size and not y & high
 
@@ -56,16 +61,20 @@ def _magnitude(x: int, size: int) -> int | None:
     if not x:
         return 0
     for k in (1, 2, 4, 8, 16, 32, 62):
-        if _fits(x, size, 64, k):
+        if _fits(x, size, 64, _window(size, k)):
             return 1 << k
     return None
 
 
-def _within(x: int, size: int, width: int, bound: int) -> None:
+def _within(x: int, size: int, width: int, bound: int, ones: int | None = None) -> None:
     """ArithmeticError unless every slot of x lies in [-2^k, 2^k), k the bit
-    length of the bound, and 2^k fits a slot."""
+    length of the bound, and 2^k fits a slot.  ones (1 in every slot) is
+    `_ones` unless the caller built it for a size no cache keeps.  The window
+    is built per call: k follows the bound, which varies from layer to layer
+    and pivot to pivot, and a window cached per k held ints of every size."""
     k = bound.bit_length()
-    if k >= width or not _fits(x, size, width, k):
+    ones = _ones(size, width) if ones is None else ones
+    if k >= width or not _fits(x, size, width, _window_of(ones, width, k)):
         raise ArithmeticError(f"a packed entry is above its layer's bound {bound}")
 
 
@@ -84,15 +93,8 @@ def _pack(xs: list, width: int) -> int:
     return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _unpack(x: int, layer: "Layer") -> list:
-    """The slots of x, one part of the layer; ArithmeticError if a slot is
-    outside [-2^k, 2^k), k the bit length of the layer's bound."""
-    size, width = layer.size, layer.width
-    _within(x, size, width, layer.bound)
-    if not x:
-        return [0] * size
-    top = _ones(size, width) << (width - 1)
-    raw = ((x + top) ^ top).to_bytes(width // 8 * size, "little")
+def _signed(raw: bytes, width: int) -> list:
+    """The slots of little-endian bytes, `width` bits each in two's complement."""
     if width == 64:
         a = array("q")
         a.frombytes(raw)
@@ -101,6 +103,52 @@ def _unpack(x: int, layer: "Layer") -> list:
         return a.tolist()
     n = width // 8
     return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, len(raw), n)]
+
+
+def _unpack(x: int, layer: "Layer") -> list:
+    """The slots of x, one part of the layer; ArithmeticError if a slot is
+    outside [-2^k, 2^k), k the bit length of the layer's bound."""
+    size, width = layer.size, layer.width
+    _within(x, size, width, layer.bound)
+    if not x:
+        return [0] * size
+    top = _ones(size, width) << (width - 1)
+    return _signed(((x + top) ^ top).to_bytes(width // 8 * size, "little"), width)
+
+
+def _decode(raw: bytes, width: int, bound: int) -> list:
+    """The slots of little-endian bytes, each `width` bits holding x +
+    2^(width - 1); ArithmeticError unless every x lies in [-2^k, 2^k), k the
+    bit length of the bound, as in `_within`.  For sizes met once (a word
+    set's sums): the slot constants are built here, not kept by `_ones`."""
+    size = len(raw) * 8 // width
+    ones = _ones.__wrapped__(size, width)
+    top, biased = ones << (width - 1), int.from_bytes(raw, "little")
+    _within(biased - top, size, width, bound, ones)
+    return _signed((biased ^ top).to_bytes(len(raw), "little"), width)
+
+
+def _strided(size: int, width: int, sources) -> int:
+    """The packed int of `size` slots, 0 but for the copies: each source
+    (x, n, places) is an int of n slots whose slot i goes to start + i
+    stride for every (start, stride) of its places.  The slots are copied
+    biased by 2^(width - 1) in one buffer of 8-byte lanes, a slot being
+    width / 64 consecutive lanes, by strided slice assignment."""
+    lanes, n_bytes = width // 64, width // 8
+    # a 0 slot is stored as its bias: only the top byte of its last lane set
+    buf = bytearray((bytes(n_bytes - 1) + b"\x80") * size)
+    out = memoryview(buf).cast("Q")
+    for x, n, places in sources:
+        src = memoryview((x + (_ones(n, width) << (width - 1))).to_bytes(n_bytes * n, "little")).cast("Q")
+        for start, stride in places:
+            a = start * lanes
+            if stride == 1:
+                out[a : a + n * lanes] = src
+            else:
+                step = stride * lanes
+                for j in range(lanes):
+                    out[a + j : a + j + n * step : step] = src[j::lanes]
+    return int.from_bytes(buf, "little") - (_ones(size, width) << (width - 1))
 
 
 class Layer(NamedTuple):

@@ -13,10 +13,15 @@ sum_i x_i 2^(W i) of slots W bits wide (Kronecker substitution).  A sum of
 layers times Gaussian integers (`_sum`; `linear` first brings its terms'
 denominators to one, so a Gram row's pairing, value step and counit terms
 are one sum) is then a few big-int products and additions instead of a
-loop over the entries; concatenation and splitting go through bytes,
-and a counit term is a Gaussian integer times the 0/1 counit layer or
-shifted copies of a layer (`WordTables.eps_left` / `eps_right`).  Every
-operation first bounds its result's entries from its operands' bounds and
+loop over the entries.  Each table is written once, in the layout its
+reader needs.  A pairing table is its rows one after another (`concat`,
+through bytes) or, when the first word is the longer, its columns
+transposed into place.  A counit term copies a layer into the blocks or
+strides of its words (`WordTables.eps_left` / `eps_right`).  Transposes and
+copies go by strided slice assignment into one buffer (`scatter`).  The
+value step of a letter functional on a pairing takes each head letter's
+pairing row as `dots` returns it (`WordTables.values`).  Every operation
+first bounds its result's entries from its operands' bounds and
 picks the slot width (a multiple of 64) from that bound, so no slot
 overflows into the next; decoding checks the entries against the bound.
 Values leave as lists or `Qi` only at the witnesses and `.qi`; the Gram
@@ -66,7 +71,7 @@ from typing import NamedTuple
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
 from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
 from .linalg import GaussianMatrix
-from .packed import Layer, _ones, _repacked, _scaled, _unpack, _width, pack
+from .packed import Layer, _decode, _ones, _repacked, _scaled, _strided, _unpack, _width, pack
 from .scalars import ONE, Qi
 
 
@@ -189,15 +194,21 @@ def combine(terms) -> Layer:
     return linear(groups, terms[0][1].size)
 
 
-def _spread(x: int, layer: Layer, stride: int) -> int:
-    """The slots of x, one part of the layer, `stride` slots apart."""
-    width, n = layer.width, layer.width // 8
-    top = _ones(layer.size, width) << (width - 1)
-    raw = (x + top).to_bytes(n * layer.size, "little")
-    # the slots are stored biased by 2^(width - 1), so a 0 slot is that bias
-    pad = (1 << (width - 1)).to_bytes(n, "little") * (stride - 1)
-    wide = pad.join([raw[i : i + n] for i in range(0, len(raw), n)] + [b""])
-    return int.from_bytes(wide, "little") - (_ones(layer.size * stride, width) << (width - 1))
+def scatter(layers, places, size: int) -> Layer:
+    """A layer of `size` entries, 0 but for copies of the layers (over one
+    denominator): entry i of layers[j] goes to start + i stride for every
+    (start, stride) of places[j].  Each part is written once, by strided
+    copies into one buffer (`packed._strided`)."""
+    den = layers[0].den
+    if any(t.den != den for t in layers):
+        raise ValueError("scatter needs layers over one denominator")
+    bound, width = max(t.bound for t in layers), max(t.width for t in layers)
+    layers = [_repacked(t, width) for t in layers]
+    re, im = (
+        _strided(size, width, [(x, t.size, at) for x, t, at in zip(part, layers, places)])
+        for part in ([t.re for t in layers], [t.im for t in layers])
+    )
+    return Layer(re, im, den, size, width, bound)
 
 
 def first_difference(x: Layer, y: Layer):
@@ -220,7 +231,7 @@ def gather(layers, picks):
         n = layers[0].rows
         re = [[layers[m].re[k][c] * f[m] for m, c in picks] for k in range(n)]
         im = [[layers[m].im[k][c] * f[m] for m, c in picks] for k in range(n)]
-        return GaussianMatrix(re, im, den, len(picks))
+        return GaussianMatrix.unchecked(re, im, den, len(picks))
     ints = [layer.numerators(den) for layer in layers]
     return pack([ints[m][0][c] for m, c in picks], [ints[m][1][c] for m, c in picks], den)
 
@@ -292,7 +303,7 @@ def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps=(), eta=((), 1)) -> G
                     xi[i + v] += b
         re.append(xr)
         im.append(xi)
-    return GaussianMatrix(re, im, den, vec.cols)
+    return GaussianMatrix.unchecked(re, im, den, vec.cols)
 
 
 def columns(vectors) -> tuple:
@@ -307,7 +318,7 @@ def columns(vectors) -> tuple:
 
 def zero_vectors(n: int) -> GaussianMatrix:
     """eta(1) = 0: the layer of the empty word."""
-    return GaussianMatrix([[0] for _ in range(n)], [[0] for _ in range(n)], 1, 1)
+    return GaussianMatrix.unchecked([[0] for _ in range(n)], [[0] for _ in range(n)], 1, 1)
 
 
 def stack(parts) -> GaussianMatrix:
@@ -315,7 +326,7 @@ def stack(parts) -> GaussianMatrix:
     n = parts[0].rows
     re = [list(chain.from_iterable(p.re[k] for p in parts)) for k in range(n)]
     im = [list(chain.from_iterable(p.im[k] for p in parts)) for k in range(n)]
-    return GaussianMatrix(re, im, parts[0].den, sum(p.cols for p in parts))
+    return GaussianMatrix.unchecked(re, im, parts[0].den, sum(p.cols for p in parts))
 
 
 def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[list, list]:
@@ -336,8 +347,8 @@ def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[lis
 
 def _cells(sums: list, width: int, slot: int, bound: int) -> list:
     """The `width` slots of every packed sum, one sum after another, joined
-    through bytes and decoded at once; ArithmeticError if a slot is outside
-    the bound."""
+    through bytes and decoded at once (`packed._decode`, whose size no cache
+    keeps); ArithmeticError if a slot is outside the bound."""
     bias = _ones(width, slot) << (slot - 1)
     try:
         raw = b"".join(
@@ -345,9 +356,7 @@ def _cells(sums: list, width: int, slot: int, bound: int) -> list:
         )
     except OverflowError:
         raise ArithmeticError(f"a packed entry is above its layer's bound {bound}") from None
-    size = len(sums) * width
-    x = int.from_bytes(raw, "little") - (_ones(size, slot) << (slot - 1))
-    return _unpack(x, Layer(x, 0, 1, size, slot, bound))
+    return _decode(raw, slot, bound)
 
 
 def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) -> GaussianMatrix:
@@ -399,7 +408,7 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
         parts = []
         for h, tails, eps in runs:
             picks = [first + t for t in tails]
-            tails_layer = GaussianMatrix(
+            tails_layer = GaussianMatrix.unchecked(
                 [list(map(r.__getitem__, picks)) for r in re],
                 [list(map(r.__getitem__, picks)) for r in im],
                 prev_den,
@@ -425,7 +434,7 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
             cells = _cells(sums, width, slot, bound)
             for v in range(width):
                 out[v * n + k] = cells[v::width]
-    return GaussianMatrix(out_re, out_im, ws.den * den, count)
+    return GaussianMatrix.unchecked(out_re, out_im, ws.den * den, count)
 
 
 class WordTables:
@@ -511,16 +520,40 @@ class WordTables:
             out = self._coordinates[key] = coordinates(self.eta(eta, length)[length])
         return out
 
-    def pairing(self, eta1, eta2, p: int, q: int) -> Layer:
-        """<eta1(u*), eta2(v)> for all |u| = p, |v| = q, coded as the word u v."""
+    def pairing_rows(self, eta1, eta2, p: int, q: int, sign: int = 1) -> list:
+        """sign <eta1(u*), eta2(v)> for all |v| = q, one layer (one `dots`)
+        per word u of length p in code order."""
         self.require(p + q)
         vec, right = self.eta(eta2, q)[q], self.coordinates(eta2, q)
-        return concat([dots(self.lin(eta1, p, cu), vec, right) for cu in range(self.base**p)])
+        return [dots(self.lin(eta1, p, cu, sign), vec, right) for cu in range(self.base**p)]
+
+    def pairing(self, eta1, eta2, p: int, q: int) -> Layer:
+        """<eta1(u*), eta2(v)> for all |u| = p, |v| = q, coded as the word u v.
+
+        For p <= q the rows of `pairing_rows` one after another.  For p > q
+        one `dots` per word v over layer p of eta1, conjugated and permuted
+        by the star codes so that entry u holds conj eta1(u*), gives the
+        column of v; the columns are transposed into the codes u v at once
+        (`scatter`)."""
+        if p <= q:
+            return concat(self.pairing_rows(eta1, eta2, p, q))
+        self.require(p + q)
+        vec, right, stars = self.eta(eta1, p)[p], self.eta(eta2, q)[q], self.star_codes(p)
+        left = tuple(
+            pack([r[s] for s in stars], [-m[s] for s in stars], vec.den) for r, m in zip(vec.re, vec.im)
+        )
+        size = self.base**q
+        cols = [
+            dots(([(r[cv], m[cv]) for r, m in zip(right.re, right.im)], right.den), vec, left)
+            for cv in range(size)
+        ]
+        return scatter(cols, [[(cv, size)] for cv in range(size)], vec.cols * size)
 
     def values(self, key, letter_value, first, length: int) -> list:
         """Layers 0 .. length of v(h w) = first(h, w) + [h diagonal] v(w)
-        + eps(w) v(h) with v(1) = 0; first(m) is the layer of first(h, w) over
-        the words h w of length m + 1 and letter_value(l) = v(l)."""
+        + eps(w) v(h) with v(1) = 0; first(m) lists, one layer per head
+        letter h in the order of the alphabet, first(h, w) over the words w
+        of length m, and letter_value(l) = v(l)."""
         entry = self._values.get(id(key))
         if entry is None:
             entry = (key, [pack([0], [0], 1)])
@@ -532,7 +565,7 @@ class WordTables:
             prev, eps = layers[-1], self.counit(m)
             parts = [
                 step(part, prev, eps, dg, letter_value(l))
-                for part, dg, l in zip(split(first(m), self.base), self.diag, self.alpha)
+                for part, dg, l in zip(first(m), self.diag, self.alpha)
             ]
             layers.append(concat(parts))
         return layers
@@ -547,20 +580,16 @@ class WordTables:
         return self._counit[length]
 
     def eps_left(self, layer: Layer, p: int) -> Layer:
-        """eps(u) layer(v) on the words u v with |u| = p: a copy of the
-        layer shifted to each block u with eps(u) = 1."""
-        shifts = [layer.width * layer.size * cu for cu in self.eps(p)]
-        re, im = (sum(x << s for s in shifts) for x in (layer.re, layer.im))
-        return layer._replace(re=re, im=im, size=self.base**p * layer.size)
+        """eps(u) layer(v) on the words u v with |u| = p: the layer copied
+        into the block of each u with eps(u) = 1 (`scatter`)."""
+        n = layer.size
+        return scatter([layer], [[(cu * n, 1) for cu in self.eps(p)]], self.base**p * n)
 
     def eps_right(self, layer: Layer, q: int) -> Layer:
-        """layer(u) eps(v) on the words u v with |v| = q: the slots of the
-        layer spread base**q apart, shifted to each v with eps(v) = 1."""
+        """layer(u) eps(v) on the words u v with |v| = q: the entries of the
+        layer base**q apart, once from each v with eps(v) = 1 (`scatter`)."""
         size = self.base**q
-        shifts = [layer.width * cv for cv in self.eps(q)]
-        spread = (_spread(x, layer, size) for x in (layer.re, layer.im))
-        re, im = (sum(x << s for s in shifts) for x in spread)
-        return layer._replace(re=re, im=im, size=layer.size * size)
+        return scatter([layer], [[(cv, size) for cv in self.eps(q)]], layer.size * size)
 
     def coboundary(self, phi: list, p: int, q: int) -> Layer:
         """eps(u) phi(v) - phi(u v) + phi(u) eps(v) for all |u| = p, |v| = q,

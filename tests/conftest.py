@@ -94,6 +94,16 @@ def unvalidated_cocycle(rep, V, W):
     return Cocycle(rep, tuple(tuple(row) for row in V), tuple(tuple(row) for row in W))
 
 
+def flat_cocycle(rep, values):
+    """The unvalidated cocycle with eta(letter h)_k = values[h * n + k]."""
+    d, n = rep.d, rep.n
+    grids = [
+        [[QVector(values[((s * d + j) * d + k) * n :][:n]) for k in range(d)] for j in range(d)]
+        for s in range(2)
+    ]
+    return unvalidated_cocycle(rep, *grids)
+
+
 def scalar_grid(entries):
     """d x d grid of scalars -> grid of 1-dim vectors."""
     return [[QVector((x,)) for x in row] for row in entries]

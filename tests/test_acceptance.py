@@ -10,6 +10,8 @@ Run directly for a one-line-per-criterion report:
     python3 tests/test_acceptance.py
 """
 
+from pathlib import Path
+
 import pytest
 
 from schurmann import RunConfig, format_results, run_all, scenarios
@@ -45,6 +47,10 @@ CRITERIA = {
 }
 
 
+# `reproduce-paper` stdout at the default seed and word length
+PINNED_LEN3 = Path(__file__).resolve().parent / "expected" / "reproduce_paper_len3.txt"
+
+
 @pytest.fixture(scope="module")
 def results():
     return run_all(RunConfig())
@@ -76,6 +82,10 @@ def test_all_scenarios_accounted_for(results):
     assert format_results(results).endswith(
         f"{len(results)}/{len(results)} checks passed"
     )
+
+
+def test_default_run_matches_pinned_output(results):
+    assert format_results(results) + "\n" == PINNED_LEN3.read_text()
 
 
 def test_failing_scenario_says_where_it_raised(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     drawn_blocks,
     drawn_elements,
+    flat_cocycle,
     oracle_cocycle,
     oracle_rep,
     oracle_violations,
@@ -179,16 +180,6 @@ def test_solver_budget_boundary(u2, monkeypatch):
     refuse_elimination(monkeypatch)
     with pytest.raises(InputError, match="above the table budget MAX_TABLE_ENTRIES = 1055"):
         solve_cocycles(rep)
-
-
-def flat_cocycle(rep, values):
-    """The unvalidated cocycle with eta(letter h)_k = values[h * n + k]."""
-    d, n = rep.d, rep.n
-    grids = [
-        [[QVector(values[((s * d + j) * d + k) * n :][:n]) for k in range(d)] for j in range(d)]
-        for s in range(2)
-    ]
-    return unvalidated_cocycle(rep, *grids)
 
 
 def solver_reps(every_kind):

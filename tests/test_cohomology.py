@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 from conftest import (
     canonical_values,
     drawn_elements,
+    flat_cocycle,
     drawn_words,
     oracle_functional,
     oracle_pair,
     qi_scalars,
+    unvalidated_rep,
     without_deep_recursion,
 )
 from schurmann import (
@@ -420,6 +422,35 @@ def test_pair_and_value_tables_match_recursion(
     layers = value_tables(t, phi, 3)
     for w in drawn_words(data, phi.d):
         assert layers[len(w)].qi(t.code(w)) == oracle_functional(phi, w), w
+
+
+@given(st.data())
+def test_pairing_with_a_longer_first_word_matches_the_rows(data):
+    # d = 3, n = 2: eta1 and eta2 on one random rep, letter values up to
+    # 2^63 or 2^70 over a denominator, so pairings need 128- or 192-bit
+    # slots.  The table for |u| = 2 > |v| = 1 is built column by column and
+    # transposed; it must equal, entry by entry, the rows of one `dots` per
+    # word u.  The entries are seeded: drawing 180 scalars one by one took
+    # most of the run time.
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def scalar(top):
+        return Qi(rng.choice([0, rng.randint(-top, top)]), rng.randint(-top, top)) / Qi(rng.randint(1, 6))
+
+    blocks = [[QMatrix([[scalar(3) for _ in "ab"] for _ in "ab"]) for _ in "abc"] for _ in "abc"]
+    rep = unvalidated_rep(build_presentation("k_d", 3), blocks, 2)
+    top = data.draw(st.sampled_from([4, 2**63, 2**70]))
+    c = KPairCocycle(*(flat_cocycle(rep, [scalar(top) for _ in range(36)]) for _ in "12"))
+    t = WordTables(3)
+    table = pair_table(t, c, 2, 1)
+    assert table.size == t.base**3
+    rows = t.pairing_rows(c.eta1, c.eta2, 2, 1)
+    assert {row.den for row in rows} == {table.den}
+    parts = words.split(table, t.base**2)
+    assert [p.numerators(table.den) for p in parts] == [row.numerators(table.den) for row in rows]
+    for code in data.draw(st.lists(st.integers(0, t.base**3 - 1), max_size=3)):
+        w = t.word(3, code)
+        assert table.qi(code) == oracle_pair(c, w[:2], w[2:])
 
 
 def _elements_for(data, d):

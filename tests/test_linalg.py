@@ -294,6 +294,42 @@ def test_psd_check_agrees_with_principal_minors(principal_minors, data):
     assert psd_check(_as_packed(m)) == want
 
 
+def test_psd_check_reads_pivot_rows_after_widening(principal_minors, monkeypatch):
+    # V V* for a 4 x 3 V of Gaussian integers with parts up to 2^21: entries
+    # up to about 2^45 fit 64-bit slots, the first step's p x - f y does
+    # not, so the rows widen there and the later pivot rows (whose
+    # conjugates are the pivot columns) are read from the wider slots.
+    # Rank 3, so psd and singular; lowering the last diagonal entry by 1
+    # makes it indefinite at the last pivot.
+    rng = random.Random(5)
+
+    def part():
+        return rng.randint(-(2**21), 2**21)
+
+    v = QMatrix([[Qi(part(), part()) for _ in range(3)] for _ in range(4)])
+    a = v @ v.adjoint()
+    low = QMatrix([[z - ONE if i == j == 3 else z for j, z in enumerate(row)] for i, row in enumerate(a.data)])
+    widths, widened = [], []
+    unpack, repacked = linalg._unpack, linalg._repacked
+    monkeypatch.setattr(linalg, "_unpack", lambda x, layer: widths.append(layer.width) or unpack(x, layer))
+    monkeypatch.setattr(linalg, "_repacked", lambda t, w: widened.append(w) or repacked(t, w))
+    for m in (a, low):
+        want = all(det.x >= 0 for det in principal_minors(m))
+        del widths[:], widened[:]
+        assert psd_check(m) == want
+        assert widths[0] == 64 and widened[0] > 64 and widened[0] in widths[1:]
+    assert psd_check(a) and not psd_check(low)
+
+
+def test_gaussian_matrix_refuses_ragged_grids():
+    with pytest.raises(ValueError, match="one shape"):
+        GaussianMatrix([[1, 2], [3]], [[0, 0], [0]], 1, 2)
+    with pytest.raises(ValueError, match="one shape"):
+        GaussianMatrix([[1, 2]], [[0, 0], [0, 0]], 1, 2)
+    with pytest.raises(ValueError, match="positive denominator"):
+        GaussianMatrix([[1]], [[0]], 0)
+
+
 @given(qi_matrices(3, 2))
 def test_gram_always_psd(m):
     assert psd_check(m.adjoint() @ m)

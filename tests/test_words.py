@@ -177,19 +177,36 @@ def test_concat_split_and_first_difference_match_lists(data):
     assert first_difference(packed(x), packed(y)) == (changed[0] if changed else None)
 
 
+def drawn_layer(data, size) -> Plain:
+    """`plain_layer` for sizes too large to draw entry by entry: seeded
+    entries up to 3, 2^63 or 2^130 in absolute value (64-, 128- and 192-bit
+    slots), about a third of them 0."""
+    if size <= 8:
+        return plain_layer(data, size)
+    rng = data.draw(st.randoms(use_true_random=False))
+    top = data.draw(st.sampled_from([3, TOP, 2**130]))
+    re, im = ([rng.choice([0, rng.randint(-top, top), top]) for _ in range(size)] for _ in "ri")
+    return Plain(re, im, data.draw(dens))
+
+
 @given(st.data())
 def test_gather_and_counit_terms_match_lists(data):
-    t = WordTables(2)  # eight letters, four of them diagonal
-    layers = [plain_layer(data, t.base**m) for m in range(2)]
-    picks = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)), max_size=6))
-    picks = [(m, c % t.base**m) for m, c in picks]
+    # d = 2: eight letters, four of them diagonal, layers of words up to
+    # length 1; d = 3: eighteen letters, six of them diagonal, so the codes
+    # with eps = 1 are not evenly spaced, layers up to length 2
+    d = data.draw(st.sampled_from([2, 3]))
+    top = d - 1
+    t = WordTables(d)
+    layers = [drawn_layer(data, t.base**m) for m in range(top + 1)]
+    codes = st.tuples(st.integers(0, top), st.integers(0, t.base**top - 1))
+    picks = [(m, c % t.base**m) for m, c in data.draw(st.lists(codes, max_size=6))]
     den = lcm(*(p.den for p in layers))
     scaled = [over(p, den) for p in layers]
     want = Plain([scaled[m][0][c] for m, c in picks], [scaled[m][1][c] for m, c in picks], den)
     assert_same(gather([packed(p) for p in layers], picks), want)
 
-    p = data.draw(st.integers(0, 2))
-    layer = layers[data.draw(st.integers(0, 1))]
+    p = data.draw(st.integers(0, top))
+    layer = layers[data.draw(st.integers(0, top))]
     eps = [int(c in t.eps(p)) for c in range(t.base**p)]
     assert_same(t.counit(p), Plain(eps, [0] * len(eps), 1))
     size = len(layer.re)
