@@ -416,30 +416,36 @@ class PackedMatrix:
         return self.row(i).qis()
 
 
-def _require_hermitian(m: PackedMatrix) -> None:
+def _require_hermitian(m: PackedMatrix, live: list) -> None:
     """ValueError unless re is symmetric and im antisymmetric; ArithmeticError
-    if a decoded slot is above the bound."""
+    if a decoded slot is above the bound.  live lists the nonzero rows: only
+    they are written out or decoded, and a zero row's column must be 0."""
     n = m.rows
     if _width(2 * m.bound) == 64:
         # Hermitian iff (re + im)^T = re - im: re^T - re is antisymmetric and
         # im^T + im symmetric, so their sum is 0 only if both are.  The slots
         # go to bytes biased by 2^63, nonnegative: equal bytes, equal entries.
         # Column j of re + im is the stride j::n of its slots, row after row.
+        # A zero row is its bias in both buffers; its column is compared with
+        # it too, since one side of a pair checks only re + im against re - im.
         top, size = _ones(n, 64) << 63, 8 * n
-        plus = bytearray(size * n)
-        for i, (x, y) in enumerate(zip(m.re, m.im)):
-            plus[i * size : (i + 1) * size] = (x + top + y).to_bytes(size, "little")
+        bias = top.to_bytes(size, "little")
+        plus, minus = bytearray(bias) * n, [bias] * n
+        for i in live:
+            x, y = m.re[i] + top, m.im[i]
+            plus[i * size : (i + 1) * size] = (x + y).to_bytes(size, "little")
+            minus[i] = (x - y).to_bytes(size, "little")
         slots = memoryview(plus).cast("Q")
-        hermitian = all(
-            slots[j::n].tobytes() == (x + top - y).to_bytes(size, "little")
-            for j, (x, y) in enumerate(zip(m.re, m.im))
-        )
+        hermitian = all(slots[j::n].tobytes() == row for j, row in enumerate(minus))
     else:
-        re, im = ([_unpack(x, m.row(i)) for i, x in enumerate(part)] for part in (m.re, m.im))
-        # row i from the diagonal on against column i
+        zero = [0] * n
+        re, im = [zero] * n, [zero] * n
+        for i in live:
+            row = m.row(i)
+            re[i], im[i] = _unpack(row.re, row), _unpack(row.im, row)
+        # every nonzero row against its column, re and im apart
         hermitian = all(
-            a[i:] == [r[i] for r in re[i:]] and not any(map(add, b[i:], [r[i] for r in im[i:]]))
-            for i, (a, b) in enumerate(zip(re, im))
+            re[i] == [r[i] for r in re] and not any(map(add, im[i], [r[i] for r in im])) for i in live
         )
     if not hermitian:
         raise ValueError("psd_check requires a Hermitian matrix")
@@ -463,8 +469,11 @@ def _minor_bound(k: int, bound: int) -> int:
 def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
     """Exact positive semidefiniteness of a Hermitian matrix.
 
-    A `QMatrix` or `GaussianMatrix` is packed row by row on entry.  Hermitian
-    elimination on the packed rows, fraction-free (Bareiss): the first
+    A `QMatrix` or `GaussianMatrix` is packed row by row on entry.  A zero
+    row of a Hermitian matrix has a zero column, so it stays zero through
+    every step and is never a pivot: only the nonzero rows are eliminated
+    (most rows of the Gram matrices are zero).  Hermitian elimination on the
+    packed rows, fraction-free (Bareiss): the first
     nonzero diagonal entry p is the pivot and must be positive, and every
     remaining row x becomes (p x - x[c] y) / prev for the pivot row y, its
     column c and the previous pivot prev (1 at first), also when x[c] = 0.
@@ -483,9 +492,11 @@ def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
     if not isinstance(m, PackedMatrix):
         # over denominator 1: a positive denominator does not change the verdict
         m = PackedMatrix([pack(a, b, 1) for a, b in zip(*_grid(m))], m.cols)
-    _require_hermitian(m)
+    live = [i for i, (x, y) in enumerate(zip(m.re, m.im)) if x or y]
+    _require_hermitian(m, live)
     n, width, bound, prev = m.rows, m.width, m.bound, 1
-    rows = list(zip(range(n), m.re, m.im))
+    # a zero row has a zero column: it stays zero and is never a pivot
+    rows = [(i, m.re[i], m.im[i]) for i in live]
     while rows:
         top = _ones(n, width) << (width - 1)
         # the diagonal stays real: the block is a positive multiple of a Hermitian one
@@ -503,14 +514,15 @@ def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
         pr, pi = _unpack(yr, y), _unpack(yi, y)
         fs = [(pr[j], -pi[j]) for j, _, _ in rows]
         # the slots hold twice the bound of p x - f y; its quotient by prev
-        # is a minor of m of one order more than the pivots so far
+        # is a minor of m of one order more than the len(live) - len(rows)
+        # pivots so far
         written = (p + max((abs(a) + abs(b) for a, b in fs), default=0)) * bound
         if _width(2 * written) > width:
             wide = _width(2 * written)
             yr, yi = _repacked(y, wide)[:2]
             rows = [(j, *_repacked(y._replace(re=xr, im=xi), wide)[:2]) for j, xr, xi in rows]
             width = wide
-        bound = min(written // prev, _minor_bound(n - len(rows) + 1, m.bound))
+        bound = min(written // prev, _minor_bound(len(live) - len(rows) + 1, m.bound))
         for k, ((j, xr, xi), (fr, fi)) in enumerate(zip(rows, fs)):
             xr, xi = p * xr - fr * yr + fi * yi, p * xi - fr * yi - fi * yr
             if prev > 1:

@@ -41,12 +41,15 @@ w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
 Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
 word pairs).  Vector layers (eta, and rho on word sets) and the values of
 word sets are `linalg.GaussianMatrix` grids of ints, one row per coordinate
-(or cell) and one column per word (or element): `word_set_values` and the
-peel states of the Gram build read them at arbitrary tail positions, which
-an int packed along the words serves only by decoding, so they are not
-packed along the words (a word-packed evaluator was slower in a prototype:
-a dead end).  A vector layer is packed row by row once (`coordinates`, a
-tuple of `Layer`s) where scalar layers read it.  Sparse elements, the
+(or cell) and one column per word (or element): `word_set_values` reads
+them at arbitrary tail positions, which an int packed along the words
+serves only by decoding, so they are not packed along the words (a
+word-packed evaluator was slower in a prototype: a dead end).  A vector
+layer is packed row by row once (`coordinates`, a tuple of `Layer`s) where
+scalar layers read it.  The peel states of the Gram build stay packed that
+way: a step reads the whole state, so each coordinate of the next state is
+one `linear` sum of the packed coordinates and the counit layer
+(`functional.pool_gram_matrix`).  Sparse elements, the
 relations of a presentation among them, are compiled onto the suffix
 closure of their words (`algebra.WordSet`), and `word_set_values`
 evaluates rho or eta on it layer by layer with the same `rho_step` the eta

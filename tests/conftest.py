@@ -3,7 +3,7 @@
 import sys
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from schurmann import (
     Element,
@@ -27,6 +27,15 @@ from schurmann.linalg import inner_product
 from schurmann.representation import Representation
 
 settings.register_profile("suite", max_examples=30, deadline=None)
+# `pytest --hypothesis-profile=triage`: the same examples on every run and no
+# shrinking, so a failing differential test reports its first failing
+# example at once instead of shrinking it for minutes
+settings.register_profile(
+    "triage",
+    settings.get_profile("suite"),
+    derandomize=True,
+    phases=[p for p in Phase if p is not Phase.shrink],
+)
 settings.load_profile("suite")
 
 

@@ -1,5 +1,7 @@
 """Generating functionals, conditional positivity and the splitting report."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,12 @@ from conftest import (
     canonical_values,
     drawn_words,
     eta_word,
+    flat_cocycle,
     oracle_functional,
     q,
     qi_matrices,
     scalar_grid,
+    unvalidated_rep,
 )
 from schurmann import (
     Cocycle,
@@ -123,6 +127,34 @@ def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
     for i, ai in enumerate(shifted):
         for j, aj in enumerate(shifted):
             assert m[i][j] == evaluate_functional(psi, ai.star() * aj), (pool[i], pool[j])
+
+
+def test_gram_rows_at_length_three_match_the_evaluator(u2):
+    # at max_len = 3 the letters of w_i* peel onto states of peel depth 2;
+    # seeded rows, six of them for words of length 3, against the sparse
+    # evaluator.  An n = 2 carrier over U_2+ with blocks and letter values
+    # over denominators, nothing validated: the Gram entries follow the
+    # recursion on the free algebra either way.
+    rng = random.Random(15)
+
+    def scalar():
+        return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 5))
+
+    blocks = [[QMatrix([[scalar() for _ in "ab"] for _ in "ab"]) for _ in "ab"] for _ in "ab"]
+    eta = flat_cocycle(unvalidated_rep(u2, blocks, 2), [scalar() for _ in range(16)])
+    values = QMatrix([[scalar() for _ in "ab"] for _ in "ab"])
+    psi = Functional(eta, values, values.conj())
+    pool = default_word_pool(2, 3)
+    m = functional.pool_gram_matrix(psi, pool)
+    assert m.shape == (169, 169)
+    assert m.den > 1
+    shifted = []
+    for w in pool:
+        e = Element.from_word(2, w)
+        shifted.append(e - Element.one(2).scale(counit(e)))
+    deep = [i for i, w in enumerate(pool) if len(w) == 3]
+    for i in rng.sample(deep, 6) + rng.sample(range(len(pool)), 3):
+        assert m[i] == [evaluate_functional(psi, shifted[i].star() * aj) for aj in shifted], pool[i]
 
 
 def test_default_pool_size_matches_the_pool():

@@ -321,6 +321,75 @@ def test_psd_check_reads_pivot_rows_after_widening(principal_minors, monkeypatch
     assert psd_check(a) and not psd_check(low)
 
 
+def _interleaved(a, zeros, n):
+    """The Hermitian QMatrix a spread over n rows and columns, with zero rows
+    and columns at the indices in zeros."""
+    at = [i for i in range(n) if i not in zeros]
+    out = [[ZERO] * n for _ in range(n)]
+    for i, row in zip(at, a.data):
+        for j, z in zip(at, row):
+            out[i][j] = z
+    return QMatrix(out, cols=n)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_psd_check_with_interleaved_zero_rows(principal_minors, data):
+    # V V*, perturbed or not, with zero rows and columns spread between its
+    # own; scaled by 2^63 + 1, its nonzero entries need wide slots
+    core = data.draw(st.integers(0, 4))
+    v = QMatrix(data.draw(_grid(core, core)), cols=core)
+    a = [list(row) for row in (v @ v.adjoint()).data]
+    if core and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, core - 1))
+        a[i][i] = a[i][i] - Qi(data.draw(st.integers(1, 4)))
+    wide = data.draw(st.booleans())
+    a = QMatrix(a, cols=core).scale(Qi(2**63 + 1 if wide else 1))
+    n = core + data.draw(st.integers(1, 3))
+    zeros = set(data.draw(st.lists(st.integers(0, n - 1), min_size=n - core, max_size=n - core, unique=True)))
+    m = _interleaved(a, zeros, n)
+    packed = _as_packed(m)
+    assert (packed.width > 64) == (wide and any(z.a or z.b for row in a.data for z in row))
+    want = all(det.x >= 0 for det in principal_minors(m))
+    assert psd_check(m) == want
+    assert psd_check(_as_gaussian(m)) == want
+    assert psd_check(packed) == want
+
+
+@pytest.mark.parametrize("scale", [1, 2**63])
+@pytest.mark.parametrize("z", [Qi(1, 1), Qi(1, -1), Qi(2), Qi(0, 3)])
+@pytest.mark.parametrize("above, below", [(1, 0), (0, 1), (1, -1)])
+def test_psd_check_refuses_a_zero_row_with_a_nonzero_column(scale, z, above, below):
+    # row 1 is zero, its column is not: entry (0, 1) is above z and entry
+    # (2, 1) below z.  Read from the side of row 0 or 2 alone, re + im of
+    # the zero row's entry against re - im of the other lets 1 + i through;
+    # read as re + im of the column alone, 1 - i gets through; read from the
+    # diagonal on, an entry below it does.  scale 2^63 takes the wide path.
+    c = Qi(scale)
+    m = QMatrix([[c, Qi(above) * z * c, ZERO], [ZERO, ZERO, ZERO], [ZERO, Qi(below) * z * c, c]])
+    assert (_as_packed(m).width > 64) == (scale > 1)
+    for form in (m, _as_gaussian(m), _as_packed(m)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            psd_check(form)
+
+
+def test_psd_check_reads_no_zero_row(monkeypatch, eta_sym_u2):
+    # the elimination reads the diagonal of nonzero rows only
+    read = []
+    slot = linalg._slot
+    monkeypatch.setattr(linalg, "_slot", lambda x, k, *rest: read.append(k) or slot(x, k, *rest))
+    gram = pool_gram_matrix(schurmann_functional(eta_sym_u2), default_word_pool(2))
+    zeros = {i for i in range(gram.rows) if not (gram.re[i] or gram.im[i])}
+    assert zeros and len(zeros) < gram.rows
+    assert psd_check(gram)
+    assert read and not zeros & set(read)
+    # a zero row between an indefinite pair: the verdict comes from the pair
+    del read[:]
+    m = _interleaved(QMatrix([[ONE, q("2")], [q("2"), ONE]]), {1}, 3)
+    assert not psd_check(m)
+    assert 1 not in read
+
+
 def test_gaussian_matrix_refuses_ragged_grids():
     with pytest.raises(ValueError, match="one shape"):
         GaussianMatrix([[1, 2], [3]], [[0, 0], [0]], 1, 2)
