@@ -247,14 +247,15 @@ class WordSet(NamedTuple):
     """Sparse elements over the suffix closure S of their words.
 
     The words of S of length m form layer m (layer 0 is the empty word),
-    sorted by head letter, then by the position of the tail in layer m - 1;
-    `sizes[m]` counts them.  `layers[m - 1]` holds layer m as its runs of one
-    head letter: (index of the letter in `letters(d)`, positions of the tails
-    in layer m - 1, positions in the run whose tail has counit 1).  Words
-    are numbered through S in this order.  The terms of all elements follow
-    one another: term t has the coefficient (re[t] + i im[t]) / den, den the
-    lcm of every coefficient's denominator, and the word numbered at[t], and
-    element e holds the terms bounds[e] <= t < bounds[e + 1].
+    sorted by head letter, then by the number of the tail; `sizes[m]`
+    counts them, and words are numbered through S in this order.
+    `layers[m - 1]` holds layer m as three flat lists: the index in
+    `letters(d)` of every word's head letter, the number of every word's
+    tail, and the positions in the layer of the words whose tail has counit
+    1.  The terms of all elements follow one another: term t has the
+    coefficient (re[t] + i im[t]) / den, den the lcm of every coefficient's
+    denominator, and the word numbered at[t], of length lengths[t]; element
+    e holds the terms starts[e] <= t < ends[e].
     """
 
     layers: tuple
@@ -262,7 +263,9 @@ class WordSet(NamedTuple):
     re: list
     im: list
     at: list
-    bounds: list
+    lengths: list
+    starts: list
+    ends: list
     den: int
 
     def require(self, per_word: int, what: str) -> None:
@@ -273,43 +276,38 @@ class WordSet(NamedTuple):
 
 def word_set(d: int, elements: Sequence[Element]) -> WordSet:
     """The elements compiled onto the suffix closure of their words."""
+    items = [t for a in elements for t in a.terms.items()]
     by_len: list[set] = [{()}]
-    for a in elements:
-        for w in a.terms:
-            while len(by_len) <= len(w):
-                by_len.append(set())
-            for k in range(len(w)):
-                s = w[k:]
-                if s in by_len[len(s)]:
-                    break  # and so are its suffixes
-                by_len[len(s)].add(s)
-    pos, diagonal, number = {(): 0}, {(): True}, {(): 0}
+    for w, _ in items:
+        while len(by_len) <= len(w):
+            by_len.append(set())
+        for k in range(len(w)):
+            s = w[k:]
+            if s in by_len[len(s)]:
+                break  # and so are its suffixes
+            by_len[len(s)].add(s)
+    # diagonal[number of w]: whether w has counit 1
+    number, diagonal = {(): 0}, [True]
     layers, sizes = [], [1]
     for words in by_len[1:]:
-        words = sorted(words, key=lambda w: (letter_index(w[0], d), pos[w[1:]]))
-        runs = []
-        for h, run in itertools.groupby(words, key=lambda w: letter_index(w[0], d)):
-            tails, eps = [], []
-            for w in run:
-                if diagonal[w[1:]]:
-                    eps.append(len(tails))
-                tails.append(pos[w[1:]])
-            runs.append((h, tails, eps))
-        for i, w in enumerate(words):
-            pos[w] = i
-            number[w] = len(number)
-            diagonal[w] = w[0].row == w[0].col and diagonal[w[1:]]
-        layers.append(tuple(runs))
+        # (head, tail) tells the words apart, so w itself is never compared
+        keyed = sorted((letter_index(w[0], d), number[w[1:]], w) for w in words)
+        heads = [h for h, _, _ in keyed]
+        tails = [t for _, t, _ in keyed]
+        eps = [i for i, t in enumerate(tails) if diagonal[t]]
+        for _, t, w in keyed:
+            number[w] = len(diagonal)
+            diagonal.append(diagonal[t] and w[0].row == w[0].col)
+        layers.append((heads, tails, eps))
         sizes.append(len(words))
-    den = lcm(*(c.den for a in elements for c in a.terms.values()))
-    re, im, at, bounds = [], [], [], [0]
-    for a in elements:
-        for w, c in a.terms.items():
-            re.append(c.a * (den // c.den))
-            im.append(c.b * (den // c.den))
-            at.append(number[w])
-        bounds.append(len(at))
-    return WordSet(tuple(layers), tuple(sizes), re, im, at, bounds, den)
+    den = lcm(*(c.den for _, c in items))
+    re = [c.a * (den // c.den) for _, c in items]
+    im = [c.b * (den // c.den) for _, c in items]
+    at = [number[w] for w, _ in items]
+    lengths = [len(w) for w, _ in items]
+    cuts = list(itertools.accumulate((len(a.terms) for a in elements), initial=0))
+    starts, ends = cuts[:-1], cuts[1:]
+    return WordSet(tuple(layers), tuple(sizes), re, im, at, lengths, starts, ends, den)
 
 
 PRESENTATION_KINDS = ("k_d", "u_plus", "u_q", "o_plus", "o_f", "su_q")

@@ -67,8 +67,9 @@ class Cocycle:
 
     @cached_property
     def numerators(self) -> tuple:
-        """eta(letter h)_k at h * n + k over `letters(d)`, as the one column
-        of letter values of `words.rho_step`."""
+        """eta(letter h)_k at h * n + k over `letters(d)`, as one column of
+        letter values (`words.columns`), the form `words.word_set_values`
+        and `words.rho_step` read."""
         return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
 
 

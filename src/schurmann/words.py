@@ -39,22 +39,25 @@ w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
 -1 for a primitive (`cohomology.value_tables`).
 
 Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
-word pairs).  Vector layers (eta, and rho on word sets) and the values of
-word sets are `linalg.GaussianMatrix` grids of ints, one row per coordinate
-(or cell) and one column per word (or element): `word_set_values` reads
-them at arbitrary tail positions, which an int packed along the words
-serves only by decoding, so they are not packed along the words (a
-word-packed evaluator was slower in a prototype: a dead end).  A vector
+word pairs).  Vector layers (eta) and the values of word sets are
+`linalg.GaussianMatrix` grids of ints, one row per coordinate (or cell) and
+one column per word (or element); `word_set_values` keeps its layers as one
+list of ints per coordinate and reads them at arbitrary tail positions,
+which an int packed along the words serves only by decoding, so none of
+these is packed along the words (a word-packed evaluator was slower in a
+prototype: a dead end).  A vector
 layer is packed row by row once (`coordinates`, a tuple of `Layer`s) where
 scalar layers read it.  The peel states of the Gram build stay packed that
 way: a step reads the whole state, so each coordinate of the next state is
 one `linear` sum of the packed coordinates and the counit layer
-(`functional.pool_gram_matrix`).  Sparse elements, the
-relations of a presentation among them, are compiled onto the suffix
-closure of their words (`algebra.WordSet`), and `word_set_values`
-evaluates rho or eta on it layer by layer with the same `rho_step` the eta
-tables use, then sums each element on the numerators, so a relation check
-is a zero test on integers.  Letter values come as columns (`columns`):
+(`functional.pool_gram_matrix`).  The eta tables step one head letter
+at a time (`rho_step`): a table layer is every word of its length.  Sparse
+elements, the relations of a presentation among them, are compiled onto
+the suffix closure of their words (`algebra.WordSet`, each layer as flat
+lists of head letters and tail numbers), and `word_set_values` evaluates
+rho or eta on it a whole layer at a time, one gather pass per coordinate
+pair, then sums each element on the numerators, so a relation check is a
+zero test on integers.  Letter values come as columns (`columns`):
 one for a cocycle, a unit column per unknown for the cocycle equations,
 one per basis vector to check a solved space.  The columns are packed:
 all the columns of one word and coordinate ride in one int, so a layer
@@ -243,11 +246,15 @@ class Action(NamedTuple):
     """rho on the letters of `letters(d)`: images[h] holds the rows of
     rho(letter h) as numerator pairs over den; norm is the largest row sum
     of |re| + |im| over the images, which bounds the entries of rho(h) x
-    by norm max |x|."""
+    by norm max |x|.  by_head[k] lists, for every l with rho(h)_kl nonzero
+    for some letter h, (l, the real numerators of rho(h)_kl indexed by h,
+    the imaginary ones or None if they are all 0): the coefficients that
+    `word_set_values` gathers by head letter."""
 
     images: list
     den: int
     norm: int
+    by_head: list
 
 
 def action(matrices) -> Action:
@@ -255,7 +262,15 @@ def action(matrices) -> Action:
     den = lcm(*(z.den for m in matrices for row in m.data for z in row))
     images = [[_over(row, den) for row in m.data] for m in matrices]
     norm = max((sum(abs(a) + abs(b) for a, b in row) for image in images for row in image), default=0)
-    return Action(images, den, norm)
+    n = len(images[0]) if images else 0
+    by_head = [[] for _ in range(n)]
+    for k in range(n):
+        for l in range(n):
+            re = [image[k][l][0] for image in images]
+            im = [image[k][l][1] for image in images]
+            if any(re) or any(im):
+                by_head[k].append((l, re, im if any(im) else None))
+    return Action(images, den, norm, by_head)
 
 
 def _times(row, f: int, vec: GaussianMatrix) -> tuple[list, list]:
@@ -279,17 +294,13 @@ def _times(row, f: int, vec: GaussianMatrix) -> tuple[list, list]:
     return re, im
 
 
-def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps=(), eta=((), 1)) -> GaussianMatrix:
+def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps, eta) -> GaussianMatrix:
     """x(h w) = rho(h) x(w) + eps(w) eta(h) for every vector x(w) of the
-    layer, column by column: the entry of column v of the word at offset i
-    sits at i + v, eps holds the offsets of the words with eps(w) = 1 and
-    eta = (letter values, den) lists at h * n + k the nonzero columns
-    (v, re, im) of eta(letter h)_k as numerators over den (`columns`).
-    Without eps this is rho(h) x(w); the denominator is lcm(rho.den *
-    vec.den, eta den) either way, so the layers of one step share it.  The
-    step is linear, so an entry may be a packed int of columns, one slot a
-    column (`word_set_values`): the letter values are then (0, re, im)
-    with each column's numerators moved to its slot."""
+    layer, one head letter h for all its words: eps holds the offsets of the
+    words with eps(w) = 1 and eta = (letter values, den) one column of
+    `columns`, at h * n + k the (0, re, im) of eta(letter h)_k if nonzero,
+    over den.  The layer is over lcm(rho.den * vec.den, den), so the layers
+    of one step share it (`WordTables.eta`)."""
     images, dr = rho.images, rho.den
     values, de = eta
     n = len(images[h])
@@ -298,20 +309,19 @@ def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps=(), eta=((), 1)) -> G
     re, im = [], []
     for k, row in enumerate(images[h]):
         xr, xi = _times(row, f, vec)
-        if eps:
-            for v, a, b in values[h * n + k]:
-                a, b = a * g, b * g
-                for i in eps:
-                    xr[i + v] += a
-                    xi[i + v] += b
+        for _, a, b in values[h * n + k]:
+            a, b = a * g, b * g
+            for i in eps:
+                xr[i] += a
+                xi[i] += b
         re.append(xr)
         im.append(xi)
     return GaussianMatrix.unchecked(re, im, den, vec.cols)
 
 
 def columns(vectors) -> tuple:
-    """The letter values of `rho_step` with one column per vector: (at every
-    index j the nonzero (v, re, im) of entry j of vector v, den)."""
+    """The letter values of `word_set_values` with one column per vector:
+    (at every index j the nonzero (v, re, im) of entry j of vector v, den)."""
     den = lcm(*(z.den for vec in vectors for z in vec))
     return [
         [(v, z.a * (den // z.den), z.b * (den // z.den)) for v, z in enumerate(zs) if z.a or z.b]
@@ -366,19 +376,22 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     """The value of every element of the word set: column e holds element e.
 
     The layers hold `width` columns: without eta rho(w) e_v, v < width = n,
-    so rho(a); with eta = (letter values, den) as in `rho_step`, eta(w) for
-    `width` cocycles at once.  Cell v n + k of an element is coordinate k of
-    its column v.  One int per word and coordinate (and part) carries all
-    the columns, column v in the slot 2^(W v) (Kronecker substitution along
-    the columns); W is picked once, before anything is packed, from the
-    bounds of the layers (`_layer_bounds`) and of the element sums.  Layer
-    m + 1 is built run by run from layer m by `rho_step`, which is linear
-    and so acts slot by slot.  The layers follow one another in one list per
-    coordinate, where the terms read them; each element's sum is one
-    product per term and coordinate, and the sums of a coordinate and part
-    are decoded together and checked against their bound (ArithmeticError).
-    The sums are over ws.den times the last layer's denominator.  A
-    relation holds iff all its cells are 0.
+    so rho(a); with eta = (letter values, den) as `columns` gives them,
+    eta(w) for `width` cocycles at once.  Cell v n + k of an element is
+    coordinate k of its column v.  One int per word and coordinate (and
+    part) carries all the columns, column v in the slot 2^(W v) (Kronecker
+    substitution along the columns); W is picked once, before anything is
+    packed, from the bounds of the layers (`_layer_bounds`) and of the
+    element sums.  The layers follow one another in one list per
+    coordinate, where the terms read them.  Layer m + 1 is built whole from
+    layer m: for every coordinate pair (k, l) with a nonzero letter image,
+    the tails' entries of coordinate l times rho(h)_kl gathered by head
+    letter (`Action.by_head`) is one product over the layer, and eta(h)_k
+    is added at the words whose tail has counit 1.  Each element's sum is
+    one product per term and coordinate, and the sums of a coordinate and
+    part are decoded together and checked against their bound
+    (ArithmeticError).  The sums are over ws.den times the last layer's
+    denominator.  A relation holds iff all its cells are 0.
     """
     counit_terms = eta is not None
     if not counit_terms:
@@ -387,44 +400,56 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     dens, bounds = _layer_bounds(ws, rho, eta, 0 if counit_terms else 1)
     # the coefficients of the terms over the last layer's denominator
     den = dens[-1]
-    scale = list(chain.from_iterable(map(repeat, (den // d for d in dens), ws.sizes)))
-    at_scale = list(map(scale.__getitem__, ws.at))
+    at_scale = list(map([den // d for d in dens].__getitem__, ws.lengths))
     a, b = list(map(mul, ws.re, at_scale)), list(map(mul, ws.im, at_scale))
-    starts, ends = ws.bounds[:-1], ws.bounds[1:]
+    starts, ends = ws.starts, ws.ends
     # each element's bound: sum over its terms of |coefficient| B_len(word)
-    word_bounds = list(chain.from_iterable(map(repeat, bounds, ws.sizes)))
-    terms = map(mul, map(add, map(abs, a), map(abs, b)), map(word_bounds.__getitem__, ws.at))
+    terms = map(mul, map(add, map(abs, a), map(abs, b)), map(bounds.__getitem__, ws.lengths))
     p = list(accumulate(terms, initial=0))
     bound = max(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts)), default=0)
     slot = _width(max(bound, *bounds))
     values, de = eta
-    # column v of a letter value moves to slot v of column 0
-    values = [[(0, x << slot * v, y << slot * v) for v, x, y in cells] for cells in values]
+    # eta(letter h)_k at h * n + k, column v in slot v
+    eta_re, eta_im = [0] * len(values), [0] * len(values)
+    for j, cells in enumerate(values):
+        for v, x, y in cells:
+            eta_re[j] += x << slot * v
+            eta_im[j] += y << slot * v
     if counit_terms:
         # eta(1) = 0
         re, im = [[0] for _ in range(n)], [[0] for _ in range(n)]
     else:
         # rho(1) e_v = e_v: slot k of coordinate k
         re, im = [[1 << slot * k] for k in range(n)], [[0] for _ in range(n)]
-    first = 0
-    for runs, prev_size, prev_den in zip(ws.layers, ws.sizes, dens):
-        parts = []
-        for h, tails, eps in runs:
-            picks = [first + t for t in tails]
-            tails_layer = GaussianMatrix.unchecked(
-                [list(map(r.__getitem__, picks)) for r in re],
-                [list(map(r.__getitem__, picks)) for r in im],
-                prev_den,
-                len(picks),
-            )
-            parts.append(rho_step(rho, h, tails_layer, eps if counit_terms else (), (values, de)))
-        for k in range(n):
-            re[k] += chain.from_iterable(p.re[k] for p in parts)
-            im[k] += chain.from_iterable(p.im[k] for p in parts)
-        first += prev_size
+    # rho(h) x(w) needs no factor: past layer 1 every layer's denominator is
+    # a multiple of de, and under eta the tails of layer 1 (the unit) are 0
+    for (heads, tails, eps), layer_den in zip(ws.layers, dens[1:]):
+        g = layer_den // de
+        xr = [list(map(r.__getitem__, tails)) for r in re]
+        xi = [list(map(r.__getitem__, tails)) for r in im]
+        for k, row in enumerate(rho.by_head):
+            yr = yi = None
+            for l, cr, ci in row:
+                c = list(map(cr.__getitem__, heads))
+                pr, pi = map(mul, c, xr[l]), map(mul, c, xi[l])
+                if ci is not None:
+                    c = list(map(ci.__getitem__, heads))
+                    pr, pi = map(sub, pr, map(mul, c, xi[l])), map(add, pi, map(mul, c, xr[l]))
+                if yr is None:
+                    yr, yi = list(pr), list(pi)
+                else:
+                    yr, yi = list(map(add, yr, pr)), list(map(add, yi, pi))
+            if yr is None:
+                yr, yi = [0] * len(heads), [0] * len(heads)
+            if counit_terms:
+                for i in eps:
+                    j = heads[i] * n + k
+                    yr[i] += eta_re[j] * g
+                    yi[i] += eta_im[j] * g
+            re[k] += yr
+            im[k] += yi
     # sum the products term by term, then take each element's stretch
     complex_coeffs = any(b)
-    count = len(starts)
     out_re, out_im = [None] * (width * n), [None] * (width * n)
     for k, (rows_re, rows_im) in enumerate(zip(re, im)):
         xr, xi = list(map(rows_re.__getitem__, ws.at)), list(map(rows_im.__getitem__, ws.at))
@@ -437,7 +462,7 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
             cells = _cells(sums, width, slot, bound)
             for v in range(width):
                 out[v * n + k] = cells[v::width]
-    return GaussianMatrix.unchecked(out_re, out_im, ws.den * den, count)
+    return GaussianMatrix.unchecked(out_re, out_im, ws.den * den, len(starts))
 
 
 class WordTables:

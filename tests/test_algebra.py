@@ -224,12 +224,15 @@ def test_word_set_is_suffix_closed_and_layered():
     # S = {1; c, b; b c, c b; a b c}, layers sorted by head letter, then tail
     assert ws.sizes == (1, 2, 2, 1)
     index = {l: i for i, l in enumerate(letters(2))}
-    assert ws.layers[0] == ((index[b], [0], [0]), (index[c], [0], [0]))
-    assert ws.layers[1] == ((index[b], [1], []), (index[c], [0], []))
-    assert ws.layers[2] == ((index[a], [0], []),)
-    # words numbered through S: 1 -> 0, b -> 1, c -> 2, b c -> 3, c b -> 4, a b c -> 5
+    # words numbered through S: 1 -> 0, b -> 1, c -> 2, b c -> 3, c b -> 4, a b c -> 5;
+    # per layer the head letters, the numbers of the tails and the positions
+    # whose tail has counit 1
+    assert ws.layers[0] == ([index[b], index[c]], [0, 0], [0, 1])
+    assert ws.layers[1] == ([index[b], index[c]], [2, 1], [])
+    assert ws.layers[2] == ([index[a]], [3], [])
     assert ws.at == [5, 3, 0, 4]
-    assert ws.bounds == [0, 3, 4]
+    assert ws.lengths == [3, 2, 0, 2]
+    assert (ws.starts, ws.ends) == ([0, 3], [3, 4])
     assert (ws.re, ws.im, ws.den) == ([1, 2, -1, 0], [0, 0, 0, 1], 1)
     # every coefficient over one denominator, the lcm of theirs: 1/2 and i/3 over 6
     halves, thirds = Qi(rational("1/2")), Qi(0, rational("1/3"))

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, reports and deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,8 @@ from schurmann.serialize import (
     two_cocycle_to_json,
 )
 
-PINNED_LEN2 = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce_paper_len2.txt"
+ROOT = Path(__file__).resolve().parents[1]
+PINNED_LEN2 = ROOT / "perfbench" / "expected" / "reproduce_paper_len2.txt"
 
 
 @pytest.fixture
@@ -513,3 +517,13 @@ def test_reproduce_paper_short_pool(run):
     assert "FAIL" not in out1
     # the bytes the benchmark pins for this run
     assert out1.encode() == PINNED_LEN2.read_bytes()
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m schurmann exits with the code of cli.main
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run(
+        [sys.executable, "-m", "schurmann", "--help"], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert "reproduce-paper" in done.stdout

@@ -389,10 +389,11 @@ def test_word_set_values_bound_every_slot(u2):
     # columns on n = 2, words of four letters: the values reach 2^190, so a
     # slot picked from a bound without |im| in |rho|, or without the eta
     # term of a layer, overflows, and a stride other than the three columns
-    # reads the wrong cells
+    # reads the wrong cells; every coordinate pair gathers imaginary parts only
     big = Qi(0, 2**40)
     m = QMatrix([[big, big], [ZERO, big * q("1/3")]])
     rep = unvalidated_rep(u2, [[m, m.adjoint()], [m, m]], 2)
+    assert all(not any(re) for row in rep.action.by_head for _, re, _ in row)
     alpha = letters(2)
     elements = [
         Element.from_word(2, (alpha[1], alpha[2], alpha[0], alpha[3]), q("1/2")),
@@ -401,11 +402,65 @@ def test_word_set_values_bound_every_slot(u2):
     ]
     top = Qi(2**70) / Qi(3)
     vectors = [[top * Qi(v + 1, k % 3) for k in range(16)] for v in range(3)]
-    sums = words.word_set_values(word_set(2, elements), rep.action, 2, words.columns(vectors), 3)
+    assert_columns_match(rep, elements, vectors)
+
+
+def assert_columns_match(rep, elements, vectors):
+    """eta for every column of letter values, and rho, on the elements'
+    word set against the recursions."""
+    ws = word_set(rep.d, elements)
+    sums = words.word_set_values(ws, rep.action, rep.n, words.columns(vectors), len(vectors))
+    memo = [{} for _ in vectors]
     for e, a in enumerate(elements):
-        want = [oracle_cocycle(flat_cocycle(rep, vec), a) for vec in vectors]
+        want = [oracle_cocycle(flat_cocycle(rep, vec), a, m) for vec, m in zip(vectors, memo)]
         assert sums.column(e) == [z for value in want for z in value]
     assert rep_values(rep, elements) == [oracle_rep(rep, a) for a in elements]
+
+
+def letter_vectors(d, n, width):
+    """width columns of letter values, every entry nonzero and distinct."""
+    return [[Qi(k + 1, v - k) / Qi(v + 2) for k in range(2 * d * d * n)] for v in range(width)]
+
+
+def test_word_set_values_of_the_unit_and_zero(u2):
+    # the unit alone compiles to no layers; a zero element to an empty stretch
+    rep = unvalidated_rep(u2, [[QMatrix([[ONE, I], [q("1/2"), ZERO]])] * 2] * 2, 2)
+    for elements in ([Element.one(2).scale(q("1/2"))], [Element.zero(2)], [Element.zero(2), Element.one(2)]):
+        assert word_set(2, elements).layers == ()
+        assert_columns_match(rep, elements, letter_vectors(2, 2, 2))
+    a = Element.from_word(2, letters(2)[:3], I)
+    assert_columns_match(rep, [Element.zero(2), a, Element.zero(2)], letter_vectors(2, 2, 3))
+
+
+def test_word_set_values_on_a_layer_without_counit_tails(u2):
+    # every tail of layers 2 and 3 is off-diagonal: no eta(h) term there
+    alpha = letters(2)
+    off = [l for l in alpha if l.row != l.col]
+    elements = [Element.from_word(2, (h, t)) + Element.from_word(2, (t, h, t), I) for h in alpha for t in off]
+    ws = word_set(2, elements)
+    assert [eps for _, _, eps in ws.layers[1:]] == [[], []]
+    m = QMatrix([[q("1/3"), I], [ONE, q("-2")]])
+    rep = unvalidated_rep(u2, [[m, m.adjoint()], [QMatrix.zero(2, 2), m]], 2)
+    assert_columns_match(rep, elements, letter_vectors(2, 2, 2))
+
+
+def test_word_set_values_on_one_long_run_and_one_tail_runs():
+    # layer 4 holds one head letter over all 72 determinant words of SU_q(3)
+    # next to 17 head letters with one tail each; the relations themselves
+    # fill layers 1 to 3
+    pres = build_presentation("su_q", 3, q=rational("1/2"))
+    alpha = letters(3)
+    dets = [r for _, r in pres.determinant_relations()]
+    w = next(iter(dets[0].terms))
+    elements = dets + [Element.generator(3, 1, 1) * r for r in dets]
+    elements += [Element.from_word(3, (h,) + w, Qi(k, 1)) for k, h in enumerate(alpha[1:])]
+    heads = word_set(3, elements).layers[3][0]
+    assert heads.count(0) == 72 and all(heads.count(h) == 1 for h in range(1, len(alpha)))
+    blocks = [
+        [QMatrix([[Qi(j + 1, k), ONE], [ZERO, Qi(-1, j * k)]]).scale(ONE / Qi(j + k + 1)) for k in range(3)]
+        for j in range(3)
+    ]
+    assert_columns_match(unvalidated_rep(pres, blocks, 2), elements, letter_vectors(3, 2, 2))
 
 
 def test_word_set_values_refuse_an_understated_slot(u2, monkeypatch):
