@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -143,14 +143,16 @@ class Element:
         return Element(self.d, terms)
 
     def star(self) -> "Element":
-        """The *-involution: reverse words, star letters, conjugate coefficients."""
-        return Element(
-            self.d,
-            {
-                tuple(l.adjoint() for l in reversed(w)): c.conj()
-                for w, c in self.terms.items()
-            },
-        )
+        """The *-involution: reverse words, star letters, conjugate coefficients.
+
+        It maps in-range words to distinct in-range words and nonzero
+        coefficients to nonzero ones, so the terms are not checked again."""
+        adjoint = _adjoints(self.d).__getitem__
+        terms = {tuple(map(adjoint, w[::-1])): c.conj() for w, c in self.terms.items()}
+        a = object.__new__(Element)
+        object.__setattr__(a, "d", self.d)
+        object.__setattr__(a, "terms", terms)
+        return a
 
     # -- queries ----------------------------------------------------------
 
@@ -228,6 +230,12 @@ def letters(d: int, starred: bool = True) -> list[Letter]:
         for k in range(1, d + 1)
     ]
     return out
+
+
+@lru_cache(maxsize=8)
+def _adjoints(d: int) -> dict[Letter, Letter]:
+    """Every letter of size d mapped to its adjoint."""
+    return {l: l.adjoint() for l in letters(d)}
 
 
 def letter_index(l: Letter, d: int) -> int:

@@ -3,8 +3,9 @@
 The inner product is conjugate-linear in the FIRST argument,
     <x, y> = sum_i conj(x_i) * y_i,
 and every routine below is exact.  Kernels, ranks and solves run one
-Gauss-Jordan on Gaussian-integer numerator rows (`_rref`, `_row_step`); a
-`Qi` is built only for a reduced-form entry that is read back.  A
+Gauss-Jordan on Gaussian-integer numerator rows (`_rref`, `_row_step`),
+each distinct row up to sign and content once; a `Qi` is built only for a
+nonzero reduced-form entry that is read back.  A
 `GaussianMatrix` is the grid of such numerators over one denominator: the
 word evaluator's vector layers and word-set values and the coefficient
 matrices are of this type, and `kernel_basis` takes its rows as they are
@@ -266,13 +267,36 @@ def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, lis
     return re, im
 
 
+def _primitive_rows(re: Sequence[list], im: Sequence[list]) -> list[tuple]:
+    """The distinct nonzero rows (re[r], im[r]) up to sign and content, in
+    order of first occurrence: each divided by the integer gcd of its parts,
+    negated if the first nonzero entry of (*re, *im) is negative, zero rows
+    dropped."""
+    seen: dict[tuple, tuple] = {}
+    for x, y in zip(re, im):
+        flat = (*x, *y)
+        g = gcd(*flat)
+        if not g:
+            continue
+        if next(filter(None, flat)) < 0:
+            g = -g
+        if g != 1:
+            flat = tuple(map(g.__rfloordiv__, flat))  # v // g for each v
+        if flat not in seen:
+            seen[flat] = (list(flat[: len(x)]), list(flat[len(x) :]))
+    return list(seen.values())
+
+
 def _rref(re: Sequence[list], im: Sequence[list], ncols: int) -> tuple[list[tuple], list[int]]:
     """Gauss-Jordan by `_row_step` on the numerator rows (re[r], im[r]), a
     row x taking p = |y[c]|^2 and f = x[c] conj(y[c]) from the pivot row y;
     returns (numerator rows, pivot column indices), row r a nonzero multiple
     of row r of the reduced row echelon form.  Scaling an input row by a
-    positive integer changes neither the kernel nor any reduced entry."""
-    out = list(zip(re, im))
+    nonzero integer changes neither the kernel nor any reduced entry, so the
+    rows are first deduplicated up to sign and content and zero rows are
+    dropped (`_primitive_rows`): fewer rows than were given may come back,
+    each pivot row first, then the rows eliminated to zero."""
+    out = _primitive_rows(re, im)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -314,7 +338,8 @@ def kernel_basis(m: "QMatrix | GaussianMatrix") -> list[QVector]:
         v = [ZERO] * m.cols
         v[f] = ONE
         for row, c in zip(rows, pivots):
-            v[c] = -_entry(row, f, c)
+            if row[0][f] or row[1][f]:
+                v[c] = -_entry(row, f, c)
         basis.append(QVector(v))
     return basis
 

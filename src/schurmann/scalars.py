@@ -99,9 +99,6 @@ class Qi:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Qi)

@@ -150,6 +150,31 @@ def canonical_values(eta):
     return Functional(eta, values, values.conj())
 
 
+# -- the former star closure: the oracle for Element.star and _star_close -----
+
+
+def oracle_star(a):
+    """a* through the validating constructor: reverse words, adjoint letters,
+    conjugate coefficients."""
+    return Element(
+        a.d,
+        {tuple(l.adjoint() for l in reversed(w)): c.conj() for w, c in a.terms.items()},
+    )
+
+
+def oracle_star_close(rels):
+    """rels, then the star of each relation not yet present, labelled label*,
+    present tested on whole elements."""
+    present = {r for _, r in rels}
+    out = list(rels)
+    for lbl, r in rels:
+        rs = oracle_star(r)
+        if rs not in present:
+            out.append((f"{lbl}*", rs))
+            present.add(rs)
+    return tuple(out)
+
+
 # -- the plain recursions: the oracle for the word-set evaluator ---------------
 
 

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import qi_scalars
+from conftest import oracle_star, oracle_star_close, qi_scalars
 from schurmann import algebra
 from schurmann.algebra import MAX_TABLE_ENTRIES, PRESENTATION_KINDS, relation_terms, word_set
 from schurmann.errors import InputError
@@ -75,6 +75,7 @@ def test_ring_structure(a, b, c):
 def test_star_is_antimultiplicative_involution(a, b):
     assert (a * b).star() == b.star() * a.star()
     assert a.star().star() == a
+    assert a.star() == oracle_star(a)
 
 
 @given(elements_d2, elements_d2)
@@ -126,6 +127,44 @@ def test_presentation_relations_are_star_closed():
     rels = {r for _, r in u2.relations}
     for r in rels:
         assert r.star() in rels
+
+
+def _paired_form(d):
+    """F = [[0, 1/2], [2, 0]] on each pair of coordinates, and 1 on the last
+    one when d is odd: F conj(F) = I.  At d = 2 it is the form of the h1
+    benchmark workload."""
+    F = [[ZERO] * d for _ in range(d)]
+    for j in range(0, d - 1, 2):
+        F[j][j + 1], F[j + 1][j] = Qi(rational("1/2")), Qi(2)
+    if d % 2:
+        F[d - 1][d - 1] = ONE
+    return QMatrix(F, cols=d)
+
+
+STAR_CASES = (
+    [(kind, d, {}) for kind in ("k_d", "u_plus", "o_plus") for d in (1, 2, 3, 4)]
+    + [("u_q", d, {"q_diag": list(range(1, d + 1))}) for d in (1, 2, 3, 4)]
+    + [("u_q", d, {"q_diag": [1] * (d - 1) + [2]}) for d in (2, 3, 4)]
+    + [("o_f", d, {"F": _paired_form(d)}) for d in (1, 2, 3, 4)]
+    + [("su_q", d, {"q": "1/2"}) for d in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, d, kwargs", STAR_CASES, ids=[f"{k}{d}-{i}" for i, (k, d, _) in enumerate(STAR_CASES)]
+)
+def test_star_closure_matches_the_former_construction(kind, d, kwargs):
+    # the un-starred relations come first and no family label ends in "*"
+    p = build_presentation(kind, d, **kwargs)
+    base = [(lbl, r) for lbl, r in p.relations if not lbl.endswith("*")]
+    expected = oracle_star_close(base)
+    assert [lbl for lbl, _ in p.relations] == [lbl for lbl, _ in expected]
+    assert [r for _, r in p.relations] == [r for _, r in expected]
+    for _, r in p.relations:
+        s = r.star()
+        assert s == oracle_star(r) and hash(s) == hash(oracle_star(r))
+        assert all(type(l) is Letter for w in s.terms for l in w)
+        assert s.star() == r
 
 
 def test_build_presentation_validates():

@@ -224,36 +224,100 @@ def _as_packed(m):
     return PackedMatrix(rows, m.cols)
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
-    m = _drawn_matrix(data)
+def _oracle_kernel(reduced_form, m):
+    """The kernel basis of m's reduced form: e_f - sum_r red[r][f] e_(pivot r), f free."""
     red, pivots = reduced_form(m)
-    assert rank(m) == len(pivots)
-    # the kernel basis of the reduced form: e_f - sum_r red[r][f] e_(pivot r), f free
-    expected = []
+    basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [ZERO] * m.cols
         v[f] = ONE
         for row, c in zip(red, pivots):
             v[c] = -row[f]
-        expected.append(QVector(v))
-    assert kernel_basis(m) == expected
-    assert kernel_basis(_as_gaussian(m)) == expected
-    # b drawn freely or as m x, so inconsistent and consistent systems both occur
-    if data.draw(st.booleans()):
-        b = QVector(data.draw(st.lists(gaussian_entries, min_size=m.rows, max_size=m.rows)))
-    else:
-        b = m.apply(QVector(data.draw(st.lists(gaussian_entries, min_size=m.cols, max_size=m.cols))))
+        basis.append(QVector(v))
+    return basis
+
+
+def _oracle_solution(reduced_form, m, b):
+    """The solution of m x = b read from the reduced form of [m | b], its
+    free unknowns 0, or None if the last column is a pivot column."""
     aug = QMatrix([row + (z,) for row, z in zip(m.data, b)], cols=m.cols + 1)
     red, pivots = reduced_form(aug)
     if m.cols in pivots:
-        assert solve(m, b) is None
-    else:
-        x = [ZERO] * m.cols
-        for row, c in zip(red, pivots):
-            x[c] = row[m.cols]
-        assert solve(m, b) == QVector(x)
+        return None
+    x = [ZERO] * m.cols
+    for row, c in zip(red, pivots):
+        x[c] = row[m.cols]
+    return QVector(x)
+
+
+def _drawn_rhs(data, m):
+    """b drawn freely or as m x, so inconsistent and consistent systems both occur."""
+    if data.draw(st.booleans()):
+        return QVector(data.draw(st.lists(gaussian_entries, min_size=m.rows, max_size=m.rows)))
+    return m.apply(QVector(data.draw(st.lists(gaussian_entries, min_size=m.cols, max_size=m.cols))))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_kernel_rank_and_solve_agree_with_sympy_rref(reduced_form, data):
+    m = _drawn_matrix(data)
+    assert rank(m) == len(reduced_form(m)[1])
+    expected = _oracle_kernel(reduced_form, m)
+    assert kernel_basis(m) == expected
+    assert kernel_basis(_as_gaussian(m)) == expected
+    b = _drawn_rhs(data, m)
+    assert solve(m, b) == _oracle_solution(reduced_form, m, b)
+
+
+# 1 and -1 (repeated and negated rows), then +-k up to 2^64 + 1
+row_factors = st.one_of(
+    st.sampled_from([1, -1]),
+    st.builds(lambda k, s: s * k, st.integers(2, 2**64 + 1), st.sampled_from([1, -1])),
+)
+
+
+def _with_redundant_rows(data, m, b):
+    """[m | b] with up to six rows interleaved at drawn positions: a row of
+    [m | b] times a drawn integer factor, or a zero row."""
+    rows = [row + (z,) for row, z in zip(m.data, b)]
+    source = st.integers(0, len(rows) - 1) if rows else st.none()
+    out = list(rows)
+    for k, f in data.draw(st.lists(st.tuples(st.none() | source, row_factors), max_size=6)):
+        row = (ZERO,) * (m.cols + 1) if k is None else tuple(Qi(f) * z for z in rows[k])
+        out.insert(data.draw(st.integers(0, len(out))), row)
+    return QMatrix([row[:-1] for row in out], cols=m.cols), QVector(row[-1] for row in out)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_repeated_negated_scaled_and_zero_rows_change_nothing(reduced_form, data):
+    # _rref keeps one row of each class up to sign and content and drops zero
+    # rows: with the extra rows every answer is the oracle's and the same as
+    # without them
+    m = _drawn_matrix(data)
+    b = _drawn_rhs(data, m)
+    big, bb = _with_redundant_rows(data, m, b)
+    assert rank(big) == len(reduced_form(big)[1]) == rank(m)
+    expected = _oracle_kernel(reduced_form, big)
+    assert kernel_basis(big) == kernel_basis(_as_gaussian(big)) == expected == kernel_basis(m)
+    x = _oracle_solution(reduced_form, big, bb)
+    assert solve(big, bb) == x == solve(m, b)
+
+
+def test_rows_told_apart_by_their_imaginary_parts_are_kept():
+    # (1, 1 + i) and (1, 1 - i) have the same real parts, and (-1, -1 + i)
+    # becomes (1, 1 + i) if only its real parts are negated: each pair is of
+    # rank 2
+    x = QVector((ONE, ONE))
+    for second in ([ONE, Qi(1, -1)], [-ONE, Qi(-1, 1)]):
+        m = QMatrix([[ONE, Qi(1, 1)], second])
+        assert rank(m) == 2 and kernel_basis(m) == []
+        assert solve(m, m.apply(x)) == x
+    # a row with zero real parts is not a zero row
+    m = QMatrix([[ONE, ONE, ZERO], [ZERO, Qi(0, 1), ZERO]])
+    assert rank(m) == 2
+    assert kernel_basis(m) == [QVector((ZERO, ZERO, ONE))]
+    assert solve(m, QVector((ONE, Qi(0, 1)))) == QVector((ZERO, ONE, ZERO))
 
 
 def _perturbed_grams(data):
@@ -336,7 +400,8 @@ def _interleaved(a, zeros, n):
 @given(st.data())
 def test_psd_check_with_interleaved_zero_rows(principal_minors, data):
     # V V*, perturbed or not, with zero rows and columns spread between its
-    # own; scaled by 2^63 + 1, its nonzero entries need wide slots
+    # own; scaled by 2^64 + 1, prime to every denominator drawn (products of
+    # 2 and 3; 2^63 + 1 is a multiple of 9), its nonzero entries need wide slots
     core = data.draw(st.integers(0, 4))
     v = QMatrix(data.draw(_grid(core, core)), cols=core)
     a = [list(row) for row in (v @ v.adjoint()).data]
@@ -344,7 +409,7 @@ def test_psd_check_with_interleaved_zero_rows(principal_minors, data):
         i = data.draw(st.integers(0, core - 1))
         a[i][i] = a[i][i] - Qi(data.draw(st.integers(1, 4)))
     wide = data.draw(st.booleans())
-    a = QMatrix(a, cols=core).scale(Qi(2**63 + 1 if wide else 1))
+    a = QMatrix(a, cols=core).scale(Qi(2**64 + 1 if wide else 1))
     n = core + data.draw(st.integers(1, 3))
     zeros = set(data.draw(st.lists(st.integers(0, n - 1), min_size=n - core, max_size=n - core, unique=True)))
     m = _interleaved(a, zeros, n)
@@ -432,7 +497,7 @@ def test_matmul_associative_and_adjoint(a, b, c):
 def test_inner_product_hermitian(x, y):
     assert inner_product(x, y) == inner_product(y, x).conj()
     n = inner_product(x, x)
-    assert n.is_real()
+    assert n.im == 0
     assert n.re >= 0
 
 

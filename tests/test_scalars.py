@@ -149,7 +149,7 @@ def test_qi_matches_fraction_pair_model(x, y):
     if zx == zy:
         assert hash(zx) == hash(zy)
     assert zx.is_zero() == (x == (0, 0))
-    assert zx.is_real() == (x[1] == 0)
+    assert (zx.conj() == zx) == (x[1] == 0)
     assert repr(zx) == model_repr(x)
     assert json.dumps(scalar_to_json(zx)).encode() == model_json_bytes(x)
     assert scalar_from_json(scalar_to_json(zx)) == zx
