@@ -370,6 +370,11 @@ def _quadratic_relations(d: int, families, q_diag: Sequence[Rational] | None = N
     with the star on a or on b; the weight w of a term is Q_rr / Q_cc for
     its starred letter u*[r,c], and 1 without q_diag.
     """
+    # the weight of u*[r,c] at weights[r - 1][c - 1], each built once
+    if q_diag is None:
+        weights = [[ONE] * d for _ in range(d)]
+    else:
+        weights = [[Qi(qr / qc) for qc in q_diag] for qr in q_diag]
     rels = []
     for j in range(1, d + 1):
         for k in range(1, d + 1):
@@ -378,7 +383,7 @@ def _quadratic_relations(d: int, families, q_diag: Sequence[Rational] | None = N
                 for p in range(1, d + 1):
                     a, b = ((p, j), (p, k)) if column else ((j, p), (k, p))
                     r, c = a if star_first else b
-                    w = ONE if q_diag is None else Qi(q_diag[r - 1] / q_diag[c - 1])
+                    w = weights[r - 1][c - 1]
                     terms[(Letter(*a, star_first), Letter(*b, not star_first))] = w
                 if j == k:
                     terms[()] = -ONE

@@ -28,7 +28,7 @@ from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
-from .words import WordTables, combine, dots, first_difference, split, step
+from .words import WordTables, combine, first_difference, linear, split, step_groups
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -336,10 +336,12 @@ def value_tables(t: WordTables, phi, length: int) -> list:
         form, sign = phi.form, phi.sign
 
         def first(m):
+            # one group of `linear` per head letter
             if isinstance(form, KPairCocycle):
-                # one pairing row per head letter, the sign in its lin
+                # a pairing row, the sign in its pairs
                 return t.pairing_rows(form.eta1, form.eta2, 1, m, sign)
-            return split(combine([(Qi(sign), pair_table(t, form, 1, m))]), t.base)
+            parts = split(pair_table(t, form, 1, m), t.base)
+            return [([(sign, 0)], part.den, [part]) for part in parts]
 
         return t.values(phi, phi.letter_value, first, length)
     if isinstance(phi, CounitFunctional):
@@ -631,19 +633,18 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     t = WordTables(phi.d)
     t.require(2 * max_len)
     phis = value_tables(t, phi, 2 * max_len)
-    # each layer of eta2 with its packed coordinates, the operands of `dots`
-    layers = t.eta(c.eta2, max_len)
-    eta2 = [(layers[lb], t.coordinates(c.eta2, lb)) for lb in range(max_len + 1)]
     checked = 0
     for la in range(max_len + 1):
         eps_a = set(t.eps(la))
         pa = phis[la].qis()
         # phi(a b) for the words a of length la, one layer per a
         lhs = [split(phis[la + lb], t.base**la) for lb in range(max_len + 1)]
+        # -<eta1(a*), eta2(b)> for the words a of length la, one group per a
+        rows = [t.pairing_rows(c.eta1, c.eta2, la, lb, -1) for lb in range(max_len + 1)]
         for ca in range(t.base**la):
-            lin = t.lin(c.eta1, la, ca, sign=-1)
             for lb in range(max_len + 1):
-                rhs = step(dots(lin, *eta2[lb]), phis[lb], t.counit(lb), ca in eps_a, pa[ca])
+                steps = step_groups(phis[lb], t.counit(lb), ca in eps_a, pa[ca])
+                rhs = linear([rows[lb][ca]] + steps, t.base**lb)
                 cb = first_difference(lhs[lb][ca], rhs)
                 if cb is not None:
                     return checked + cb + 1, _primitive_witness(

@@ -24,7 +24,7 @@ from .errors import RelationViolation
 from .linalg import PackedMatrix, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, Qi
-from .words import Layer, WordTables, coordinates, gather, linear, pack, require_entries, step_groups
+from .words import Layer, WordTables, gather, linear, pack, require_entries, step_groups
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,12 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
     t = WordTables(psi.d)
     psis = value_tables(t, psi, plan.top)
     psi_pool = gather(psis, plan.codes)
-    vec = gather(t.eta(eta, plan.top), plan.codes)
+    # each coordinate of eta on the pool, gathered from the packed coordinates of its layers
+    layers = [t.coordinates(eta, m) for m in range(plan.top + 1)]
+    coords = tuple(gather([layer[k] for layer in layers], plan.codes) for k in range(eta.n))
+    den = lcm(*(layer.den for layer in t.eta(eta, plan.top)))
     # a state: the packed coordinates of eta and their denominator, psi, the counit
-    base = (coordinates(vec), vec.den, psi_pool, plan.counit)
+    base = (coords, den, psi_pool, plan.counit)
     # psi(w_i*), gathered from the same tables, over the denominator of psi_pool
     star_re, star_im = gather(psis, plan.stars).numerators(psi_pool.den)
     rho, (values, de) = eta.rep.action, eta.numerators

@@ -14,16 +14,18 @@ layers times Gaussian integers (`_sum`; `linear` first brings its terms'
 denominators to one, so a Gram row's pairing, value step and counit terms
 are one sum) is then a few big-int products and additions instead of a
 loop over the entries.  Each table is written once, in the layout its
-reader needs.  A pairing table is its rows one after another (`concat`,
-through bytes) or, when the first word is the longer, its columns
-transposed into place.  A counit term copies a layer into the blocks or
-strides of its words (`WordTables.eps_left` / `eps_right`).  Transposes and
-copies go by strided slice assignment into one buffer (`scatter`).  The
-value step of a letter functional on a pairing takes each head letter's
-pairing row as `dots` returns it (`WordTables.values`).  Every operation
-first bounds its result's entries from its operands' bounds and
-picks the slot width (a multiple of 64) from that bound, so no slot
-overflows into the next; decoding checks the entries against the bound.
+reader needs.  A pairing table is its rows one after another (`concat`)
+or, when the first word is the longer, its columns transposed into place.
+A counit term copies a layer into the blocks or strides of its words
+(`WordTables.eps_left` / `eps_right`).  Concatenations, transposes and
+copies all go by strided slice assignment into one buffer, over the
+layers' common denominator and slot width (`scatter`).  Every value step
+is one `linear` sum: the groups of its first term and `step_groups`.  A
+pairing row enters it as a group of `linear` (`WordTables.pairing_rows`),
+never summed on its own first.  Every operation first bounds its result's
+entries from its operands' bounds and picks the slot width (a multiple of
+64) from that bound, so no slot overflows into the next; decoding checks
+the entries against the bound.
 Values leave as lists or `Qi` only at the witnesses and `.qi`; the Gram
 rows leave packed, as a `linalg.PackedMatrix` that `psd_check` eliminates
 as it is.  Every table follows the letter recursions of the package:
@@ -45,9 +47,9 @@ one column per word (or element); `word_set_values` keeps its layers as one
 list of ints per coordinate and reads them at arbitrary tail positions,
 which an int packed along the words serves only by decoding, so none of
 these is packed along the words (a word-packed evaluator was slower in a
-prototype: a dead end).  A vector
-layer is packed row by row once (`coordinates`, a tuple of `Layer`s) where
-scalar layers read it.  The peel states of the Gram build stay packed that
+prototype: a dead end).  A vector layer is packed row by row once
+(`WordTables.coordinates`, a tuple of `Layer`s) where scalar layers read
+it.  The peel states of the Gram build stay packed that
 way: a step reads the whole state, so each coordinate of the next state is
 one `linear` sum of the packed coordinates and the counit layer
 (`functional.pool_gram_matrix`).  The eta tables step one head letter
@@ -120,61 +122,23 @@ def linear(groups, size: int) -> Layer:
     return _sum(terms, den, size)
 
 
-def coordinates(vec: GaussianMatrix) -> tuple:
-    """Every coordinate (row) of a vector layer packed as a `Layer`."""
-    return tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im))
-
-
 def _over(values, den: int) -> list:
     return [(z.a * (den // z.den), z.b * (den // z.den)) for z in values]
 
 
-def dots(lin, vec: GaussianMatrix, parts: tuple) -> Layer:
-    """sum_k lin_k vec_k(w) for every w of the vector layer, its coordinates
-    packed as parts (`coordinates`), lin = (pairs, den) with no conjugation
-    applied here."""
-    pairs, den = lin
-    terms = [(a, b, x) for (a, b), x in zip(pairs, parts) if a or b]
-    return _sum(terms, den * vec.den, vec.cols)
-
-
 def step_groups(val: Layer, eps: Layer, diag: bool, vh: Qi) -> list:
-    """[diag] val(w) + eps(w) vh as groups of `linear`: the shared value
-    step past its first term."""
+    """[diag] val(w) + eps(w) vh as groups of `linear`, eps the counit layer
+    (0 or 1 over 1): the terms of the shared value step v(h w) = first(h, w)
+    + [h diagonal] v(w) + eps(w) v(h) that follow first(h, w), whose groups
+    the caller puts in the same `linear` sum."""
     return [([(int(diag), 0)], val.den, [val]), ([(vh.a, vh.b)], vh.den, [eps])]
 
 
-def step(first: Layer, val: Layer, eps: Layer, diag: bool, vh: Qi) -> Layer:
-    """The shared value step: first(w) + [diag] val(w) + eps(w) vh for every
-    w of the layer, eps the layer of the counit (0 or 1 over 1)."""
-    den = lcm(first.den, val.den, vh.den)
-    terms = [(den // first.den, 0, first)]
-    if diag:
-        terms.append((den // val.den, 0, val))
-    e = den // vh.den
-    if eps.re and (vh.a or vh.b):
-        terms.append((vh.a * e, vh.b * e, eps))
-    return _sum(terms, den, first.size)
-
-
-def _join(parts, width: int) -> int:
-    """The slots of the packed ints (x, size) one after another."""
-    raw = b"".join(
-        (x + (_ones(n, width) << (width - 1))).to_bytes(width // 8 * n, "little")
-        for x, n in parts
-    )
-    return int.from_bytes(raw, "little") - (_ones(sum(n for _, n in parts), width) << (width - 1))
-
-
 def concat(parts) -> Layer:
-    """The layers one after another, over their common denominator."""
-    den = lcm(*(p.den for p in parts))
-    bound = max((p.bound * (den // p.den) for p in parts), default=0)
-    width = _width(bound)
-    parts = [_scaled(p, den // p.den, width) for p in parts]
-    re = _join([(p.re, p.size) for p in parts], width)
-    im = _join([(p.im, p.size) for p in parts], width)
-    return Layer(re, im, den, sum(p.size for p in parts), width, bound)
+    """The layers one after another, over their common denominator: one
+    stride-1 `scatter` at the running offsets."""
+    starts = accumulate((p.size for p in parts), initial=0)
+    return scatter(parts, [[(a, 1)] for a in starts], sum(p.size for p in parts))
 
 
 def split(layer: Layer, k: int) -> list:
@@ -201,15 +165,15 @@ def combine(terms) -> Layer:
 
 
 def scatter(layers, places, size: int) -> Layer:
-    """A layer of `size` entries, 0 but for copies of the layers (over one
-    denominator): entry i of layers[j] goes to start + i stride for every
-    (start, stride) of places[j].  Each part is written once, by strided
-    copies into one buffer (`packed._strided`)."""
-    den = layers[0].den
-    if any(t.den != den for t in layers):
-        raise ValueError("scatter needs layers over one denominator")
-    bound, width = max(t.bound for t in layers), max(t.width for t in layers)
-    layers = [_repacked(t, width) for t in layers]
+    """A layer of `size` entries, 0 but for copies of the layers over their
+    common denominator: entry i of layers[j] goes to start + i stride for
+    every (start, stride) of places[j].  Each part is brought to that
+    denominator and to one slot width, then written once, by strided copies
+    into one buffer (`packed._strided`)."""
+    den = lcm(*(t.den for t in layers))
+    bound = max((t.bound * (den // t.den) for t in layers), default=0)
+    width = _width(bound)
+    layers = [_scaled(t, den // t.den, width) for t in layers]
     re, im = (
         _strided(size, width, [(x, t.size, at) for x, t, at in zip(part, layers, places)])
         for part in ([t.re for t in layers], [t.im for t in layers])
@@ -229,15 +193,9 @@ def first_difference(x: Layer, y: Layer):
     return next(i for i, t in enumerate(zip(xr, xi, yr, yi)) if t[0] != t[2] or t[1] != t[3])
 
 
-def gather(layers, picks):
+def gather(layers, picks) -> Layer:
     """Entries (length, code) taken from per-length layers, over one denominator."""
     den = lcm(*(layer.den for layer in layers))
-    f = [den // layer.den for layer in layers]
-    if isinstance(layers[0], GaussianMatrix):
-        n = layers[0].rows
-        re = [[layers[m].re[k][c] * f[m] for m, c in picks] for k in range(n)]
-        im = [[layers[m].im[k][c] * f[m] for m, c in picks] for k in range(n)]
-        return GaussianMatrix.unchecked(re, im, den, len(picks))
     ints = [layer.numerators(den) for layer in layers]
     return pack([ints[m][0][c] for m, c in picks], [ints[m][1][c] for m, c in picks], den)
 
@@ -535,7 +493,8 @@ class WordTables:
     # -- values -------------------------------------------------------------
 
     def lin(self, eta, length: int, code: int, sign: int = 1):
-        """sign * conj eta(w*) for the word w = (length, code), as a lin of `dots`."""
+        """sign * conj eta(w*) for the word w = (length, code): the pairs and
+        the denominator of a group of `linear` over packed coordinates."""
         layer = self.eta(eta, length)[length]
         s = self.star_codes(length)[code]
         return [(sign * r[s], -sign * m[s]) for r, m in zip(layer.re, layer.im)], layer.den
@@ -545,43 +504,49 @@ class WordTables:
         key = (id(eta), length)
         out = self._coordinates.get(key)
         if out is None:
-            out = self._coordinates[key] = coordinates(self.eta(eta, length)[length])
+            vec = self.eta(eta, length)[length]
+            out = tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im))
+            self._coordinates[key] = out
         return out
 
     def pairing_rows(self, eta1, eta2, p: int, q: int, sign: int = 1) -> list:
-        """sign <eta1(u*), eta2(v)> for all |v| = q, one layer (one `dots`)
-        per word u of length p in code order."""
+        """sign <eta1(u*), eta2(v)> for all |v| = q as groups of `linear`, one
+        per word u of length p in code order: the pairs of `lin` over the
+        packed coordinates of layer q of eta2."""
         self.require(p + q)
-        vec, right = self.eta(eta2, q)[q], self.coordinates(eta2, q)
-        return [dots(self.lin(eta1, p, cu, sign), vec, right) for cu in range(self.base**p)]
+        den, right = self.eta(eta2, q)[q].den, self.coordinates(eta2, q)
+        lins = (self.lin(eta1, p, cu, sign) for cu in range(self.base**p))
+        return [(pairs, lin_den * den, right) for pairs, lin_den in lins]
 
     def pairing(self, eta1, eta2, p: int, q: int) -> Layer:
         """<eta1(u*), eta2(v)> for all |u| = p, |v| = q, coded as the word u v.
 
         For p <= q the rows of `pairing_rows` one after another.  For p > q
-        one `dots` per word v over layer p of eta1, conjugated and permuted
+        one `linear` per word v over layer p of eta1, conjugated and permuted
         by the star codes so that entry u holds conj eta1(u*), gives the
         column of v; the columns are transposed into the codes u v at once
         (`scatter`)."""
+        size = self.base**q
         if p <= q:
-            return concat(self.pairing_rows(eta1, eta2, p, q))
+            return concat([linear([row], size) for row in self.pairing_rows(eta1, eta2, p, q)])
         self.require(p + q)
         vec, right, stars = self.eta(eta1, p)[p], self.eta(eta2, q)[q], self.star_codes(p)
         left = tuple(
             pack([r[s] for s in stars], [-m[s] for s in stars], vec.den) for r, m in zip(vec.re, vec.im)
         )
-        size = self.base**q
+        den = right.den * vec.den
         cols = [
-            dots(([(r[cv], m[cv]) for r, m in zip(right.re, right.im)], right.den), vec, left)
+            linear([([(r[cv], m[cv]) for r, m in zip(right.re, right.im)], den, left)], vec.cols)
             for cv in range(size)
         ]
         return scatter(cols, [[(cv, size)] for cv in range(size)], vec.cols * size)
 
     def values(self, key, letter_value, first, length: int) -> list:
         """Layers 0 .. length of v(h w) = first(h, w) + [h diagonal] v(w)
-        + eps(w) v(h) with v(1) = 0; first(m) lists, one layer per head
-        letter h in the order of the alphabet, first(h, w) over the words w
-        of length m, and letter_value(l) = v(l)."""
+        + eps(w) v(h) with v(1) = 0; first(m) lists, one group of `linear`
+        per head letter h in the order of the alphabet, first(h, w) over the
+        words w of length m, and letter_value(l) = v(l).  Each head letter's
+        step is one `linear` sum of that group and `step_groups`."""
         entry = self._values.get(id(key))
         if entry is None:
             entry = (key, [pack([0], [0], 1)])
@@ -592,8 +557,8 @@ class WordTables:
             self.require(m + 1)
             prev, eps = layers[-1], self.counit(m)
             parts = [
-                step(part, prev, eps, dg, letter_value(l))
-                for part, dg, l in zip(first(m), self.diag, self.alpha)
+                linear([group] + step_groups(prev, eps, dg, letter_value(l)), prev.size)
+                for group, dg, l in zip(first(m), self.diag, self.alpha)
             ]
             layers.append(concat(parts))
         return layers

@@ -31,7 +31,8 @@ from schurmann.serialize import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED_LEN2 = ROOT / "perfbench" / "expected" / "reproduce_paper_len2.txt"
+PINNED_LEN2 = ROOT / "tests" / "expected" / "reproduce_paper_len2.txt"
+BENCH_LEN2 = ROOT / "perfbench" / "expected" / "reproduce_paper_len2.txt"
 
 
 @pytest.fixture
@@ -515,8 +516,8 @@ def test_reproduce_paper_short_pool(run):
     assert out1 == out2
     assert "checks passed" in out1
     assert "FAIL" not in out1
-    # the bytes the benchmark pins for this run
-    assert out1.encode() == PINNED_LEN2.read_bytes()
+    # the bytes pinned for this run, the same the benchmark pins
+    assert out1.encode() == PINNED_LEN2.read_bytes() == BENCH_LEN2.read_bytes()
 
 
 def test_module_entry_point_runs_the_cli():

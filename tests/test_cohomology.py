@@ -429,9 +429,9 @@ def test_pairing_with_a_longer_first_word_matches_the_rows(data):
     # d = 3, n = 2: eta1 and eta2 on one random rep, letter values up to
     # 2^63 or 2^70 over a denominator, so pairings need 128- or 192-bit
     # slots.  The table for |u| = 2 > |v| = 1 is built column by column and
-    # transposed; it must equal, entry by entry, the rows of one `dots` per
-    # word u.  The entries are seeded: drawing 180 scalars one by one took
-    # most of the run time.
+    # transposed; it must equal, entry by entry, the rows of `pairing_rows`,
+    # one `linear` per word u.  The entries are seeded: drawing 180 scalars
+    # one by one took most of the run time.
     rng = data.draw(st.randoms(use_true_random=False))
 
     def scalar(top):
@@ -444,7 +444,7 @@ def test_pairing_with_a_longer_first_word_matches_the_rows(data):
     t = WordTables(3)
     table = pair_table(t, c, 2, 1)
     assert table.size == t.base**3
-    rows = t.pairing_rows(c.eta1, c.eta2, 2, 1)
+    rows = [words.linear([row], t.base) for row in t.pairing_rows(c.eta1, c.eta2, 2, 1)]
     assert {row.den for row in rows} == {table.den}
     parts = words.split(table, t.base**2)
     assert [p.numerators(table.den) for p in parts] == [row.numerators(table.den) for row in rows]

@@ -1,0 +1,108 @@
+"""Dead code in `src/schurmann`, found with the standard library's `ast`.
+
+Two checks, in place of a linter the suite cannot assume: no module imports
+a name it never uses, and every module-level name is referenced somewhere
+in the package outside its own definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import schurmann
+
+PACKAGE = Path(schurmann.__file__).resolve().parent
+# documented public names that no module of the package calls
+PUBLIC = {("serialize", "word_from_json")}
+
+
+def _modules() -> dict:
+    return {path.stem: (path.read_text(), ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(tree) -> Counter:
+    """How often each name occurs in the tree as a name, an attribute or an
+    imported name."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _all(tree) -> set:
+    """The strings of a module-level `__all__` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _imports(text, tree):
+    """(bound name, line) of every import of the module, bar `__future__`
+    and lines marked as re-exports with `noqa: F401`."""
+    lines = text.splitlines()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _definitions(tree):
+    """(name, defining node) of every module-level function, class and
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, (text, tree) in _modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _all(tree)
+        unused += [f"{name}.py:{line} {bound}" for bound, line in _imports(text, tree) if bound not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_every_module_level_name_is_referenced():
+    modules = _modules()
+    everywhere = sum((_references(tree) for _, tree in modules.values()), Counter())
+    exported = set(schurmann.__all__)
+    dead = []
+    for name, (_, tree) in modules.items():
+        for defined, node in _definitions(tree):
+            if _dunder(defined) or defined in exported or (name, defined) in PUBLIC:
+                continue
+            # every occurrence inside its own definition: the name is dead
+            if everywhere[defined] == _references(node)[defined]:
+                dead.append(f"{name}.{defined}")
+    assert not dead, f"module-level names referenced nowhere in the package: {dead}"
+
+
+def test_the_checks_see_dead_code():
+    # an unused import, an unreferenced helper and a self-recursive one
+    text = "import os\nfrom math import lcm\n\ndef f():\n    return f()\n\ndef g():\n    return lcm\n"
+    tree = ast.parse(text)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert [bound for bound, _ in _imports(text, tree) if bound not in used] == ["os"]
+    defined = dict(_definitions(tree))
+    assert _references(tree)["f"] == _references(defined["f"])["f"] == 1
+    assert _references(tree)["lcm"] > _references(defined["g"])["lcm"]

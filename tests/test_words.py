@@ -14,20 +14,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import qi_scalars
-from schurmann.linalg import GaussianMatrix
 from schurmann.scalars import Qi
 from schurmann.words import (
     Layer,
     WordTables,
     combine,
     concat,
-    coordinates,
-    dots,
     first_difference,
     gather,
+    linear,
     pack,
     split,
-    step,
+    step_groups,
 )
 
 TOP = 2**63
@@ -103,18 +101,26 @@ def test_slot_widths():
     assert twice.numerators(1) == ([TOP, -TOP], [2, -2])
 
 
+def pairing_group(data, size: int, n: int):
+    """(a group of `linear` as `WordTables.pairing_rows` builds it, its sum
+    as lists): n coordinates over one denominator vden, packed, and n
+    Gaussian-integer pairs over lin_den, the group over lin_den vden."""
+    vden, lin_den = data.draw(dens), data.draw(dens)
+    coords = [plain_layer(data, size)._replace(den=vden) for _ in range(n)]
+    pairs = [(data.draw(entries), data.draw(entries)) for _ in range(n)]
+    want = plain_sum([(a, b, c) for (a, b), c in zip(pairs, coords)], lin_den * vden, size)
+    return (pairs, lin_den * vden, tuple(map(packed, coords))), want
+
+
 @given(st.data())
 def test_dots_and_combine_match_lists(data):
+    # a pairing row: the pairs of `lin` over packed coordinates, one `linear`
     size, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
-    vden = data.draw(dens)
-    coords = [plain_layer(data, size)._replace(den=vden) for _ in range(n)]
-    vec = GaussianMatrix([c.re for c in coords], [c.im for c in coords], vden, size)
-    pairs = [(data.draw(entries), data.draw(entries)) for _ in range(n)]
-    lin = (pairs, data.draw(dens))
-    want = plain_sum([(a, b, c) for (a, b), c in zip(pairs, coords)], lin[1] * vden, size)
-    assert_same(dots(lin, vec, coordinates(vec)), want)
-    empty = GaussianMatrix([], [], vden, size)
-    assert_same(dots(lin, empty, ()), Plain([0] * size, [0] * size, lin[1] * vden))
+    group, want = pairing_group(data, size, n)
+    assert_same(linear([group], size), want)
+    # no coordinates: the zero layer over the group's denominator
+    empty = ([], group[1], ())
+    assert_same(linear([empty], size), Plain([0] * size, [0] * size, group[1]))
 
     layers = [plain_layer(data, size) for _ in range(data.draw(st.integers(1, 3)))]
     coeffs = [data.draw(qi_scalars) for _ in layers]
@@ -128,23 +134,32 @@ def test_dots_and_combine_match_lists(data):
 
 @given(st.data())
 def test_step_matches_lists(data):
-    size = data.draw(st.integers(0, 5))
-    first, val = plain_layer(data, size), plain_layer(data, size)
+    # first(w) + [diag] val(w) + eps(w) vh: one `linear` of the first term's
+    # group and `step_groups`, the first term a pairing row over n >= 0
+    # coordinates (`WordTables.pairing_rows`) or a signed layer (a
+    # non-pairing form in `cohomology.value_tables`), diag off and on
+    size, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+    row, row_sum = pairing_group(data, size, n)
+    layer, sign = plain_layer(data, size), data.draw(st.sampled_from([1, -1]))
+    signed = Plain([sign * x for x in layer.re], [sign * y for y in layer.im], layer.den)
+    firsts = [(row, row_sum), (([(sign, 0)], layer.den, [packed(layer)]), signed)]
+    val = plain_layer(data, size)
     mask = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-    diag = data.draw(st.booleans())
+    # vh over a denominator of its own
     vh = Qi(data.draw(entries), data.draw(entries)) / Qi(data.draw(dens))
-    den = lcm(first.den, val.den, vh.den)
-    re, im = over(first, den)
-    if diag:
-        for i, (a, b) in enumerate(zip(*over(val, den))):
-            re[i] += a
-            im[i] += b
-    e = den // vh.den
-    for i in range(size):
-        re[i] += mask[i] * vh.a * e
-        im[i] += mask[i] * vh.b * e
-    got = step(packed(first), packed(val), pack(mask, [0] * size, 1), diag, vh)
-    assert_same(got, Plain(re, im, den))
+    for (group, first), diag in ((f, dg) for f in firsts for dg in (False, True)):
+        den = lcm(first.den, val.den, vh.den)
+        re, im = over(first, den)
+        if diag:
+            for i, (a, b) in enumerate(zip(*over(val, den))):
+                re[i] += a
+                im[i] += b
+        e = den // vh.den
+        for i in range(size):
+            re[i] += mask[i] * vh.a * e
+            im[i] += mask[i] * vh.b * e
+        steps = step_groups(packed(val), pack(mask, [0] * size, 1), diag, vh)
+        assert_same(linear([group] + steps, size), Plain(re, im, den))
 
 
 @given(st.data())
@@ -159,6 +174,14 @@ def test_concat_split_and_first_difference_match_lists(data):
         want.im.extend(im)
     whole = concat([packed(p) for p in parts])
     assert_same(whole, want)
+    # scaled to the common denominator 15, the first part needs 128-bit
+    # slots; the zero-size part in the middle moves no offset
+    narrow = [pack([TOP - 1, 1], [0, -(TOP - 1)], 1), pack([], [], 5), pack([2], [3], 3)]
+    assert {p.width for p in narrow} == {64}
+    wide = concat(narrow)
+    assert wide.width == 128
+    assert_same(wide, Plain([15 * (TOP - 1), 15, 10], [0, -15 * (TOP - 1), 15], 15))
+    assert_same(concat([pack([], [], 2)]), Plain([], [], 2))
 
     k, size = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
     p = plain_layer(data, k * size)
