@@ -68,8 +68,9 @@ class Cocycle:
     @cached_property
     def numerators(self) -> tuple:
         """eta(letter h)_k at h * n + k over `letters(d)`, as one column of
-        letter values (`words.columns`), the form `words.word_set_values`
-        and `words.rho_step` read."""
+        letter values (`words.columns`): the form that `words.letter_slots`
+        packs for `words.layer_step`, on word sets (`words.word_set_values`)
+        and on tables (`words.WordTables.eta`)."""
         return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
 
 

@@ -625,7 +625,8 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     pairing 2-cocycles are supported.  Returns (number of pairs checked,
     first violating pair or None) in the order of the word codes; a
     violation carries the two words as letter tuples plus the values of
-    d(phi) and c there.
+    d(phi) and c there.  Tables that disagree with `batch` on the words of
+    length <= 2 raise ArithmeticError before the sweep.
     """
     c = phi.two_cocycle
     if not isinstance(c, KPairCocycle):
@@ -633,6 +634,12 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     t = WordTables(phi.d)
     t.require(2 * max_len)
     phis = value_tables(t, phi, 2 * max_len)
+    # the tables up to length 2 against phi.batch, whose cuts read eta from
+    # the letter grids alone: a fault in the pairing tables, which the two
+    # sides of the sweep share and so cancel, shows here
+    for m in range(min(2, 2 * max_len) + 1):
+        if phis[m].qis() != phi.batch([t.word(m, code) for code in range(t.base**m)]):
+            raise ArithmeticError(f"phi's word table of length {m} disagrees with its letter recursion")
     checked = 0
     for la in range(max_len + 1):
         eps_a = set(t.eps(la))

@@ -10,8 +10,8 @@ nonzero reduced-form entry that is read back.  A
 word evaluator's vector layers and word-set values and the coefficient
 matrices are of this type, and `kernel_basis` takes its rows as they are
 (`_grid`).  A `PackedMatrix` holds each row packed (`packed.Layer`): the
-Gram matrix leaves the word tables in this form, and `psd_check` packs any
-other input once and runs its Hermitian test and a fraction-free (Bareiss)
+Gram matrix leaves the word tables in this form, and `psd_check` takes this
+type only and runs its Hermitian test and a fraction-free (Bareiss)
 elimination on the packed rows.  The two eliminations share no code: on
 the cocycle kernels a packed Bareiss Gauss-Jordan was measured far slower
 than the list rows with a gcd per step.
@@ -24,7 +24,7 @@ from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .packed import Layer, _ones, _repacked, _scaled, _unpack, _width, _within, pack
+from .packed import Layer, _ones, _repacked, _scaled, _unpack, _width, _within
 from .scalars import ONE, ZERO, Qi, _qi
 
 
@@ -491,14 +491,14 @@ def _minor_bound(k: int, bound: int) -> int:
     return isqrt((2 * k * bound * bound) ** k) + 1
 
 
-def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
-    """Exact positive semidefiniteness of a Hermitian matrix.
+def psd_check(m: PackedMatrix) -> bool:
+    """Exact positive semidefiniteness of a Hermitian `PackedMatrix`
+    (TypeError for any other type).
 
-    A `QMatrix` or `GaussianMatrix` is packed row by row on entry.  A zero
-    row of a Hermitian matrix has a zero column, so it stays zero through
-    every step and is never a pivot: only the nonzero rows are eliminated
-    (most rows of the Gram matrices are zero).  Hermitian elimination on the
-    packed rows, fraction-free (Bareiss): the first
+    A zero row of a Hermitian matrix has a zero column, so it stays zero
+    through every step and is never a pivot: only the nonzero rows are
+    eliminated (most rows of the Gram matrices are zero).  Hermitian
+    elimination on the packed rows, fraction-free (Bareiss): the first
     nonzero diagonal entry p is the pivot and must be positive, and every
     remaining row x becomes (p x - x[c] y) / prev for the pivot row y, its
     column c and the previous pivot prev (1 at first), also when x[c] = 0.
@@ -512,11 +512,10 @@ def psd_check(m: QMatrix | GaussianMatrix | PackedMatrix) -> bool:
     of the remaining rows is read as the conjugate of the pivot row y, one
     bound-checked decode of y per pivot.
     """
+    if not isinstance(m, PackedMatrix):
+        raise TypeError(f"psd_check takes a PackedMatrix, not a {type(m).__name__}")
     if m.rows != m.cols:
         raise ValueError("psd_check requires a Hermitian matrix")
-    if not isinstance(m, PackedMatrix):
-        # over denominator 1: a positive denominator does not change the verdict
-        m = PackedMatrix([pack(a, b, 1) for a, b in zip(*_grid(m))], m.cols)
     live = [i for i, (x, y) in enumerate(zip(m.re, m.im)) if x or y]
     _require_hermitian(m, live)
     n, width, bound, prev = m.rows, m.width, m.bound, 1

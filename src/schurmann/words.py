@@ -52,13 +52,14 @@ prototype: a dead end).  A vector layer is packed row by row once
 it.  The peel states of the Gram build stay packed that
 way: a step reads the whole state, so each coordinate of the next state is
 one `linear` sum of the packed coordinates and the counit layer
-(`functional.pool_gram_matrix`).  The eta tables step one head letter
-at a time (`rho_step`): a table layer is every word of its length.  Sparse
-elements, the relations of a presentation among them, are compiled onto
-the suffix closure of their words (`algebra.WordSet`, each layer as flat
-lists of head letters and tail numbers), and `word_set_values` evaluates
-rho or eta on it a whole layer at a time, one gather pass per coordinate
-pair, then sums each element on the numerators, so a relation check is a
+(`functional.pool_gram_matrix`).  One function steps eta, eta(h w) =
+rho(h) eta(w) + eps(w) eta(h), on numerator lists, a whole layer at a time
+(`layer_step`, one gather pass per coordinate pair).  A table layer is
+every word of its length (`WordTables.eta`).  Sparse elements, the
+relations of a presentation among them, are compiled onto the suffix
+closure of their words (`algebra.WordSet`, each layer as flat lists of
+head letters and tail numbers); `word_set_values` steps rho or eta on it,
+then sums each element on the numerators, so a relation check is a
 zero test on integers.  Letter values come as columns (`columns`):
 one for a cocycle, a unit column per unknown for the cocycle equations,
 one per basis vector to check a solved space.  The columns are packed:
@@ -207,7 +208,7 @@ class Action(NamedTuple):
     by norm max |x|.  by_head[k] lists, for every l with rho(h)_kl nonzero
     for some letter h, (l, the real numerators of rho(h)_kl indexed by h,
     the imaginary ones or None if they are all 0): the coefficients that
-    `word_set_values` gathers by head letter."""
+    `layer_step` gathers by head letter."""
 
     images: list
     den: int
@@ -231,52 +232,6 @@ def action(matrices) -> Action:
     return Action(images, den, norm, by_head)
 
 
-def _times(row, f: int, vec: GaussianMatrix) -> tuple[list, list]:
-    """The numerator lists of f sum_k row_k vec_k, row of numerator pairs."""
-    re = im = None
-    for (a, b), xr, xi in zip(row, vec.re, vec.im):
-        a, b = a * f, b * f
-        if not (a or b):
-            continue
-        if not b:
-            tr, ti = [a * x for x in xr], [a * y for y in xi]
-        else:
-            tr = [a * x - b * y for x, y in zip(xr, xi)]
-            ti = [a * y + b * x for x, y in zip(xr, xi)]
-        if re is None:
-            re, im = tr, ti
-        else:
-            re, im = list(map(add, re, tr)), list(map(add, im, ti))
-    if re is None:
-        return [0] * vec.cols, [0] * vec.cols
-    return re, im
-
-
-def rho_step(rho: Action, h: int, vec: GaussianMatrix, eps, eta) -> GaussianMatrix:
-    """x(h w) = rho(h) x(w) + eps(w) eta(h) for every vector x(w) of the
-    layer, one head letter h for all its words: eps holds the offsets of the
-    words with eps(w) = 1 and eta = (letter values, den) one column of
-    `columns`, at h * n + k the (0, re, im) of eta(letter h)_k if nonzero,
-    over den.  The layer is over lcm(rho.den * vec.den, den), so the layers
-    of one step share it (`WordTables.eta`)."""
-    images, dr = rho.images, rho.den
-    values, de = eta
-    n = len(images[h])
-    den = lcm(dr * vec.den, de)
-    f, g = den // (dr * vec.den), den // de
-    re, im = [], []
-    for k, row in enumerate(images[h]):
-        xr, xi = _times(row, f, vec)
-        for _, a, b in values[h * n + k]:
-            a, b = a * g, b * g
-            for i in eps:
-                xr[i] += a
-                xi[i] += b
-        re.append(xr)
-        im.append(xi)
-    return GaussianMatrix.unchecked(re, im, den, vec.cols)
-
-
 def columns(vectors) -> tuple:
     """The letter values of `word_set_values` with one column per vector:
     (at every index j the nonzero (v, re, im) of entry j of vector v, den)."""
@@ -287,17 +242,51 @@ def columns(vectors) -> tuple:
     ], den
 
 
-def zero_vectors(n: int) -> GaussianMatrix:
-    """eta(1) = 0: the layer of the empty word."""
-    return GaussianMatrix.unchecked([[0] for _ in range(n)], [[0] for _ in range(n)], 1, 1)
+def letter_slots(values, slot: int) -> tuple[list, list]:
+    """The letter values of `columns` packed along the columns: at h * n + k
+    eta(letter h)_k, column v in the slot 2^(slot v), real and imaginary
+    numerators apart."""
+    re, im = [0] * len(values), [0] * len(values)
+    for j, cells in enumerate(values):
+        for v, x, y in cells:
+            re[j] += x << slot * v
+            im[j] += y << slot * v
+    return re, im
 
 
-def stack(parts) -> GaussianMatrix:
-    """Vector layers of one denominator one after another."""
-    n = parts[0].rows
-    re = [list(chain.from_iterable(p.re[k] for p in parts)) for k in range(n)]
-    im = [list(chain.from_iterable(p.im[k] for p in parts)) for k in range(n)]
-    return GaussianMatrix.unchecked(re, im, parts[0].den, sum(p.cols for p in parts))
+def layer_step(rho: Action, heads, xr, xi, eps, eta_re, eta_im, g: int) -> tuple[list, list]:
+    """The coordinates (re, im) of rho(h) x(w) + eps(w) eta(h) for every word
+    h w of one layer: heads[i] the letter index of word i, xr[l] and xi[l]
+    coordinate l of x at its tail w, eps the positions whose tail has counit
+    1, eta(letter h)_k at h * n + k of `letter_slots` and g the factor that
+    brings it to the layer's denominator.  rho(h) x(w) takes no factor: the
+    caller keeps x over a denominator that rho's multiplies into the
+    layer's, or x = 0.  For every coordinate pair (k, l) with a nonzero
+    letter image, the tails' coordinate l times rho(h)_kl gathered by head
+    letter (`Action.by_head`) is one product over the layer."""
+    re, im = [], []
+    n = len(rho.by_head)
+    for k, row in enumerate(rho.by_head):
+        yr = yi = None
+        for l, cr, ci in row:
+            c = list(map(cr.__getitem__, heads))
+            pr, pi = map(mul, c, xr[l]), map(mul, c, xi[l])
+            if ci is not None:
+                c = list(map(ci.__getitem__, heads))
+                pr, pi = map(sub, pr, map(mul, c, xi[l])), map(add, pi, map(mul, c, xr[l]))
+            if yr is None:
+                yr, yi = list(pr), list(pi)
+            else:
+                yr, yi = list(map(add, yr, pr)), list(map(add, yi, pi))
+        if yr is None:
+            yr, yi = [0] * len(heads), [0] * len(heads)
+        for i in eps:
+            j = heads[i] * n + k
+            yr[i] += eta_re[j] * g
+            yi[i] += eta_im[j] * g
+        re.append(yr)
+        im.append(yi)
+    return re, im
 
 
 def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[list, list]:
@@ -341,11 +330,8 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     substitution along the columns); W is picked once, before anything is
     packed, from the bounds of the layers (`_layer_bounds`) and of the
     element sums.  The layers follow one another in one list per
-    coordinate, where the terms read them.  Layer m + 1 is built whole from
-    layer m: for every coordinate pair (k, l) with a nonzero letter image,
-    the tails' entries of coordinate l times rho(h)_kl gathered by head
-    letter (`Action.by_head`) is one product over the layer, and eta(h)_k
-    is added at the words whose tail has counit 1.  Each element's sum is
+    coordinate, where the terms read them.  Layer m + 1 is one `layer_step`
+    on layer m read at its tails.  Each element's sum is
     one product per term and coordinate, and the sums of a coordinate and
     part are decoded together and checked against their bound
     (ArithmeticError).  The sums are over ws.den times the last layer's
@@ -367,12 +353,7 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     bound = max(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts)), default=0)
     slot = _width(max(bound, *bounds))
     values, de = eta
-    # eta(letter h)_k at h * n + k, column v in slot v
-    eta_re, eta_im = [0] * len(values), [0] * len(values)
-    for j, cells in enumerate(values):
-        for v, x, y in cells:
-            eta_re[j] += x << slot * v
-            eta_im[j] += y << slot * v
+    eta_re, eta_im = letter_slots(values, slot)
     if counit_terms:
         # eta(1) = 0
         re, im = [[0] for _ in range(n)], [[0] for _ in range(n)]
@@ -385,27 +366,10 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
         g = layer_den // de
         xr = [list(map(r.__getitem__, tails)) for r in re]
         xi = [list(map(r.__getitem__, tails)) for r in im]
-        for k, row in enumerate(rho.by_head):
-            yr = yi = None
-            for l, cr, ci in row:
-                c = list(map(cr.__getitem__, heads))
-                pr, pi = map(mul, c, xr[l]), map(mul, c, xi[l])
-                if ci is not None:
-                    c = list(map(ci.__getitem__, heads))
-                    pr, pi = map(sub, pr, map(mul, c, xi[l])), map(add, pi, map(mul, c, xr[l]))
-                if yr is None:
-                    yr, yi = list(pr), list(pi)
-                else:
-                    yr, yi = list(map(add, yr, pr)), list(map(add, yi, pi))
-            if yr is None:
-                yr, yi = [0] * len(heads), [0] * len(heads)
-            if counit_terms:
-                for i in eps:
-                    j = heads[i] * n + k
-                    yr[i] += eta_re[j] * g
-                    yi[i] += eta_im[j] * g
-            re[k] += yr
-            im[k] += yi
+        yr, yi = layer_step(rho, heads, xr, xi, eps if counit_terms else (), eta_re, eta_im, g)
+        for k in range(n):
+            re[k] += yr[k]
+            im[k] += yi[k]
     # sum the products term by term, then take each element's stretch
     complex_coeffs = any(b)
     out_re, out_im = [None] * (width * n), [None] * (width * n)
@@ -476,18 +440,27 @@ class WordTables:
     # -- eta through the rho action -----------------------------------------
 
     def eta(self, eta, length: int) -> list:
-        """Layers 0 .. length of eta."""
+        """Layers 0 .. length of eta, each one `layer_step`: layer m + 1 has
+        the words h w in code order, base**m per head letter h, and the tails
+        w are layer m repeated once per head.  Layer m + 1 is over
+        lcm(rho.den den_m, eta den)."""
         entry = self._eta.get(id(eta))
         if entry is None:
-            entry = self._eta[id(eta)] = (eta, [zero_vectors(eta.n)])
-        layers = entry[1]
+            # eta(1) = 0; one column of letter values, its slot 2^0 whatever the width
+            zero = GaussianMatrix.unchecked([[0] for _ in range(eta.n)], [[0] for _ in range(eta.n)], 1, 1)
+            entry = self._eta[id(eta)] = (eta, [zero], letter_slots(eta.numerators[0], 0))
+        _, layers, (eta_re, eta_im) = entry
+        rho, de, base = eta.rep.action, eta.numerators[1], self.base
         while len(layers) <= length:
             m = len(layers) - 1
             self.require(m + 1, eta.n)
-            prev, eps = layers[-1], self.eps(m)
-            rho, values = eta.rep.action, eta.numerators
-            parts = [rho_step(rho, h, prev, eps, values) for h in range(self.base)]
-            layers.append(stack(parts))
+            prev, size = layers[-1], base**m
+            den = lcm(rho.den * prev.den, de)
+            heads = [h for h in range(base) for _ in range(size)]
+            eps = [h * size + c for h in range(base) for c in self.eps(m)]
+            xr, xi = [r * base for r in prev.re], [r * base for r in prev.im]
+            re, im = layer_step(rho, heads, xr, xi, eps, eta_re, eta_im, den // de)
+            layers.append(GaussianMatrix.unchecked(re, im, den, size * base))
         return layers
 
     # -- values -------------------------------------------------------------

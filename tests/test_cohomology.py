@@ -266,6 +266,21 @@ def test_exhaustive_verification_counts(eta_sym_u2):
     assert checked == 5329
 
 
+def test_exhaustive_verifier_checks_its_tables_against_batch(monkeypatch, eta_sym_u2):
+    # a pairing table off by a factor feeds both phi's tables and the
+    # sweep's right-hand side, so the sweep alone passes; the tables up to
+    # length 2 against phi.batch, which reads the letter grids, do not
+    phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
+    rows = WordTables.pairing_rows
+
+    def halved(self, *args):
+        return [(pairs, 2 * den, right) for pairs, den, right in rows(self, *args)]
+
+    monkeypatch.setattr(WordTables, "pairing_rows", halved)
+    with pytest.raises(ArithmeticError, match="length 2"):
+        verify_primitive_exhaustive(phi, max_len=1)
+
+
 def test_exhaustive_verifier_needs_a_pairing(eta_sym_u2):
     phi = primitive(coboundary1(schurmann_functional(eta_sym_u2)))
     with pytest.raises(TypeError):

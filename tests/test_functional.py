@@ -47,20 +47,46 @@ from schurmann.representation import Representation
 from schurmann.words import WordTables
 
 
+@pytest.fixture(scope="module")
+def eta_complex_k3():
+    """An unvalidated cocycle on k_d, d = 3, n = 2: rho with complex
+    off-diagonal blocks over denominators 2 and 3 and diagonal blocks
+    diag(1, i), letter values up to 2^70 over denominators 1 to 3.  Every
+    layer of its eta table past the first needs the imaginary product, and
+    the packed coordinates that its psi tables read need slots wider than
+    64 bits."""
+
+    def off(j, k):
+        return QMatrix([[Qi(j + 1, k - 1) / Qi(2), I], [Qi(k), Qi(j - k, 1) / Qi(3)]])
+
+    diag = QMatrix([[ONE, ZERO], [ZERO, I]])
+    blocks = [[diag if j == k else off(j, k) for k in range(3)] for j in range(3)]
+    values = [Qi(2**70 - 7 * j, j % 5 - 2) / Qi(j % 3 + 1) for j in range(2 * 9 * 2)]
+    return flat_cocycle(unvalidated_rep(build_presentation("k_d", 3), blocks, 2), values)
+
+
+@pytest.fixture(scope="module")
+def recursion_tables(eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
+    """(eta, psi, tables, eta layers, psi layers) to length 3 for each input."""
+    out = []
+    for eta in (eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
+        psi, t = canonical_values(eta), WordTables(eta.d)
+        out.append((eta, psi, t, t.eta(eta, 3), value_tables(t, psi, 3)))
+    return out
+
+
 @given(st.data())
-def test_tables_match_recursion(eta_sym_u2, eta_rot_o3, eta_asym_u2, data):
-    # the counit, eta and psi tables against the memoised recursions
-    eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
-    psi = canonical_values(eta)
-    t = WordTables(eta.d)
-    etas, psis = t.eta(eta, 3), value_tables(t, psi, 3)
-    for w in drawn_words(data, eta.d):
-        m, c = len(w), t.code(w)
-        assert t.word(m, c) == w
-        assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
-        assert (c in t.eps(m)) == all(l.row == l.col for l in w)
-        assert QVector(etas[m].column(c)) == eta_word(eta, w, {}), w
-        assert psis[m].qi(c) == oracle_functional(psi, w), w
+def test_tables_match_recursion(recursion_tables, data):
+    # the counit, eta and psi tables against the memoised recursions, every
+    # input in every example (a derandomized draw of one input can miss one)
+    for eta, psi, t, etas, psis in recursion_tables:
+        for w in drawn_words(data, eta.d):
+            m, c = len(w), t.code(w)
+            assert t.word(m, c) == w
+            assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
+            assert (c in t.eps(m)) == all(l.row == l.col for l in w)
+            assert QVector(etas[m].column(c)) == eta_word(eta, w, {}), w
+            assert psis[m].qi(c) == oracle_functional(psi, w), w
 
 
 def test_functional_vanishes_on_relations(eta_sym_u2, u2):

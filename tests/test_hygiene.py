@@ -1,17 +1,22 @@
-"""Dead code in `src/schurmann`, found with the standard library's `ast`.
+"""Dead code and stale names in `src/schurmann`, found with the standard
+library's `ast`.
 
-Two checks, in place of a linter the suite cannot assume: no module imports
-a name it never uses, and every module-level name is referenced somewhere
-in the package outside its own definition.
+Three checks, in place of a linter the suite cannot assume: no module
+imports a name it never uses, every module-level name is referenced
+somewhere in the package outside its own definition, and every dotted name
+in backticks in the package's docstrings and the README resolves.
 """
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
 import schurmann
 
 PACKAGE = Path(schurmann.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
 # documented public names that no module of the package calls
 PUBLIC = {("serialize", "word_from_json")}
 
@@ -106,3 +111,52 @@ def test_the_checks_see_dead_code():
     defined = dict(_definitions(tree))
     assert _references(tree)["f"] == _references(defined["f"])["f"] == 1
     assert _references(tree)["lcm"] > _references(defined["g"])["lcm"]
+
+
+def _doc_references() -> list:
+    """(file, name) for every backticked dotted name, `module.name` or
+    `Class.attribute`, in the package's docstrings and the README."""
+    dotted = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)`")
+    out = []
+    for name, (_, tree) in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node, clean=False) or ""
+                out += [(f"{name}.py", ref) for ref in dotted.findall(doc)]
+    return out + [("README.md", ref) for ref in dotted.findall(README.read_text())]
+
+
+def _resolves(ref: str) -> bool:
+    """Whether the dotted name resolves by getattr from the package, one of
+    its modules (through `sys.modules`: `schurmann.representation` is also a
+    function) or a name that one of its modules defines."""
+    head, *rest = ref.split(".")
+    # `__main__` runs the command line on import
+    stems = [stem for stem in _modules() if not _dunder(stem)]
+    modules = [schurmann] + [importlib.import_module(f"schurmann.{stem}") for stem in stems]
+    if head == "schurmann":
+        obj = schurmann
+    elif head in stems:
+        obj = importlib.import_module(f"schurmann.{head}")
+    else:
+        obj = next((getattr(m, head) for m in modules if hasattr(m, head)), None)
+        if obj is None:
+            return False
+    for attr in rest:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_name_the_docs_cite_resolves():
+    refs = _doc_references()
+    assert len(refs) > 30
+    stale = [f"{where}: `{ref}`" for where, ref in refs if not _resolves(ref)]
+    assert not stale, f"docs name what the package does not define: {stale}"
+
+
+def test_the_doc_check_sees_stale_names():
+    assert _resolves("words.layer_step") and _resolves("WordTables.eta") and _resolves("schurmann.cli")
+    assert not _resolves("words.rho_step")
+    assert not _resolves("WordTables.rho_step") and not _resolves("Nowhere.eta")

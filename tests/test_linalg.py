@@ -89,38 +89,46 @@ def test_gaussian_pivots_keep_numerators_small():
 
 
 def test_psd_frozen_examples():
-    assert psd_check(QMatrix([[q("2"), ONE], [ONE, q("2")]]))
-    assert not psd_check(QMatrix([[ONE, q("2")], [q("2"), ONE]]))
-    assert psd_check(QMatrix.zero(3, 3))
+    assert psd_check(_as_packed(QMatrix([[q("2"), ONE], [ONE, q("2")]])))
+    assert not psd_check(_as_packed(QMatrix([[ONE, q("2")], [q("2"), ONE]])))
+    assert psd_check(_as_packed(QMatrix.zero(3, 3)))
     # hermitian with complex off-diagonal, eigenvalues 0 and 2
-    assert psd_check(QMatrix([[ONE, I], [-I, ONE]]))
-    assert not psd_check(QMatrix([[ONE, q(("0", "2"))], [q(("0", "-2")), ONE]]))
+    assert psd_check(_as_packed(QMatrix([[ONE, I], [-I, ONE]])))
+    assert not psd_check(_as_packed(QMatrix([[ONE, q(("0", "2"))], [q(("0", "-2")), ONE]])))
     # zero diagonal with a purely imaginary off-diagonal pair
-    assert not psd_check(QMatrix([[ZERO, I], [-I, ZERO]]))
+    assert not psd_check(_as_packed(QMatrix([[ZERO, I], [-I, ZERO]])))
     # positive definite (minors 2, 6, 7); row 1 is 0 in the first pivot's
     # column, and unless that step rescales it by p = 2 the second step's
     # division by prev = 2 leaves a remainder
-    assert psd_check(QMatrix([[Qi(x) for x in row] for row in ([2, 0, 1], [0, 3, 1], [1, 1, 2])]))
+    assert psd_check(_as_packed(QMatrix([[Qi(x) for x in row] for row in ([2, 0, 1], [0, 3, 1], [1, 1, 2])])))
+
+
+def test_psd_check_takes_a_packed_matrix_only():
+    # a QMatrix or GaussianMatrix is refused, not packed on entry
+    for m in (QMatrix([[ONE, ZERO], [ZERO, ONE]]), GaussianMatrix([[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)):
+        with pytest.raises(TypeError, match="PackedMatrix"):
+            psd_check(m)
+    assert psd_check(_as_packed(QMatrix([[ONE, ZERO], [ZERO, ONE]])))
 
 
 def test_psd_check_refuses_non_hermitian_input(monkeypatch, eta_sym_u2):
     # refused before any elimination step reads an entry
     monkeypatch.setattr(linalg, "_slot", lambda *args: pytest.fail("eliminated"))
     with pytest.raises(ValueError):
-        psd_check(QMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]))
+        psd_check(_as_packed(QMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])))
     with pytest.raises(ValueError):
-        psd_check(QMatrix([[ONE, I], [I, ONE]]))
+        psd_check(_as_packed(QMatrix([[ONE, I], [I, ONE]])))
     with pytest.raises(ValueError):
-        psd_check(QMatrix([[ONE, ONE], [ZERO, ONE]]))
+        psd_check(_as_packed(QMatrix([[ONE, ONE], [ZERO, ONE]])))
     # im symmetric instead of antisymmetric: [[1, i], [i, 1]] over 2
     with pytest.raises(ValueError):
-        psd_check(GaussianMatrix([[1, 0], [0, 1]], [[0, 1], [1, 0]], 2))
+        psd_check(_packed_rows([[1, 0], [0, 1]], [[0, 1], [1, 0]], 2))
     # re not symmetric: entry (3, 1) is 1, entry (1, 3) is 0
     with pytest.raises(ValueError):
-        psd_check(GaussianMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]], [[0] * 3 for _ in range(3)], 1))
+        psd_check(_packed_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]], [[0] * 3 for _ in range(3)], 1))
     # a non-real diagonal entry, 1 + i, with the rest Hermitian
     with pytest.raises(ValueError):
-        psd_check(GaussianMatrix([[1, 0], [0, 1]], [[1, 0], [0, 0]], 1))
+        psd_check(_packed_rows([[1, 0], [0, 1]], [[1, 0], [0, 0]], 1))
     # a packed Gram with one imaginary entry off: im (1, 2) is no longer -im (2, 1)
     gram = pool_gram_matrix(schurmann_functional(eta_sym_u2), default_word_pool(2))
     rows = [gram.row(i).numerators(gram.den) for i in range(gram.rows)]
@@ -132,12 +140,10 @@ def test_psd_check_refuses_non_hermitian_input(monkeypatch, eta_sym_u2):
     # slots wider than 64 bits: re is off in one entry of 2^70
     big = 2**70
     re = [[big, 1, 0], [1, big, 0], [0, 1, big]]
-    wide = PackedMatrix([pack(r, [0] * 3, 1) for r in re], 3)
+    wide = _packed_rows(re, [[0] * 3 for _ in range(3)], 1)
     assert wide.width > 64
     with pytest.raises(ValueError):
         psd_check(wide)
-    with pytest.raises(ValueError):
-        psd_check(GaussianMatrix(re, [[0] * 3 for _ in range(3)], 1))
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +218,11 @@ def _as_gaussian(m):
     """The QMatrix m as a GaussianMatrix over the lcm of its denominators."""
     den = lcm(*(z.den for row in m.data for z in row))
     return GaussianMatrix(*_numerators(m.data), den, m.cols)
+
+
+def _packed_rows(re, im, den):
+    """The numerator rows (re, im) over den as a PackedMatrix."""
+    return PackedMatrix([pack(r, i, den) for r, i in zip(re, im)], len(re[0]))
 
 
 def _as_packed(m):
@@ -353,8 +364,6 @@ def test_psd_check_agrees_with_principal_minors(principal_minors, data):
     # a Hermitian matrix is psd iff every principal minor (real) is >= 0
     m = _perturbed_grams(data)
     want = all(det.x >= 0 for det in principal_minors(m))
-    assert psd_check(m) == want
-    assert psd_check(_as_gaussian(m)) == want
     assert psd_check(_as_packed(m)) == want
 
 
@@ -380,9 +389,9 @@ def test_psd_check_reads_pivot_rows_after_widening(principal_minors, monkeypatch
     for m in (a, low):
         want = all(det.x >= 0 for det in principal_minors(m))
         del widths[:], widened[:]
-        assert psd_check(m) == want
+        assert psd_check(_as_packed(m)) == want
         assert widths[0] == 64 and widened[0] > 64 and widened[0] in widths[1:]
-    assert psd_check(a) and not psd_check(low)
+    assert psd_check(_as_packed(a)) and not psd_check(_as_packed(low))
 
 
 def _interleaved(a, zeros, n):
@@ -416,8 +425,6 @@ def test_psd_check_with_interleaved_zero_rows(principal_minors, data):
     packed = _as_packed(m)
     assert (packed.width > 64) == (wide and any(z.a or z.b for row in a.data for z in row))
     want = all(det.x >= 0 for det in principal_minors(m))
-    assert psd_check(m) == want
-    assert psd_check(_as_gaussian(m)) == want
     assert psd_check(packed) == want
 
 
@@ -433,9 +440,8 @@ def test_psd_check_refuses_a_zero_row_with_a_nonzero_column(scale, z, above, bel
     c = Qi(scale)
     m = QMatrix([[c, Qi(above) * z * c, ZERO], [ZERO, ZERO, ZERO], [ZERO, Qi(below) * z * c, c]])
     assert (_as_packed(m).width > 64) == (scale > 1)
-    for form in (m, _as_gaussian(m), _as_packed(m)):
-        with pytest.raises(ValueError, match="Hermitian"):
-            psd_check(form)
+    with pytest.raises(ValueError, match="Hermitian"):
+        psd_check(_as_packed(m))
 
 
 def test_psd_check_reads_no_zero_row(monkeypatch, eta_sym_u2):
@@ -451,7 +457,7 @@ def test_psd_check_reads_no_zero_row(monkeypatch, eta_sym_u2):
     # a zero row between an indefinite pair: the verdict comes from the pair
     del read[:]
     m = _interleaved(QMatrix([[ONE, q("2")], [q("2"), ONE]]), {1}, 3)
-    assert not psd_check(m)
+    assert not psd_check(_as_packed(m))
     assert 1 not in read
 
 
@@ -466,7 +472,7 @@ def test_gaussian_matrix_refuses_ragged_grids():
 
 @given(qi_matrices(3, 2))
 def test_gram_always_psd(m):
-    assert psd_check(m.adjoint() @ m)
+    assert psd_check(_as_packed(m.adjoint() @ m))
 
 
 @given(qi_matrices(2, 4))
