@@ -8,23 +8,31 @@ canonical letter values are
     psi(u[j,k]) = -1/2 * b_tilde[j][k] + i H[j][k]
 for a selfadjoint offset H, psi(u*[j,k]) = conj(psi(u[j,k])).  Validation
 requires psi(r) = 0 on every relation.
+
+Conditional positivity is checked on a word pool: the Gram matrix
+(psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 is <zeta(w_i), eta(w_j)>
+for a second cocycle zeta that follows eta's recursion (`pool_gram_matrix`),
+so the build reads eta tables only, never a value of psi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
-from typing import NamedTuple, Sequence
+from operator import add, mul
+from typing import Sequence
 
 from .algebra import Element, Presentation, all_permutations, letters
 from .cocycle import Cocycle, b_matrices, cocycle_general
-from .cohomology import KPairCocycle, LetterFunctional, value_tables
+from .cohomology import KPairCocycle, LetterFunctional
 from .errors import RelationViolation
 from .linalg import PackedMatrix, QMatrix, inner_product, psd_check, project_onto_span
+from .packed import Layer, _pack, _width
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, Qi
-from .words import Layer, WordTables, gather, linear, pack, require_entries, step_groups
+from .words import WordTables, require_entries
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,13 @@ def hermitianize(values: QMatrix, star_values: QMatrix) -> tuple[QMatrix, QMatri
 
 
 def default_word_pool(d: int, max_len: int = 2) -> list:
-    """Words of length <= max_len over unstarred letters, plus their stars."""
+    """Words of length <= max_len over unstarred letters, plus their stars;
+    built once per (d, max_len) and kept as a tuple, copied out as a list."""
+    return list(_default_pool(d, max_len))
+
+
+@lru_cache(maxsize=4)
+def _default_pool(d: int, max_len: int) -> tuple:
     unstarred = letters(d, starred=False)
     pool: list[tuple] = [()]
     layer: list[tuple] = [()]
@@ -143,7 +157,7 @@ def default_word_pool(d: int, max_len: int = 2) -> list:
         if ws not in seen:
             pool.append(ws)
             seen.add(ws)
-    return pool
+    return tuple(pool)
 
 
 def default_pool_size(d: int, max_len: int) -> int:
@@ -160,114 +174,78 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     return psd_check(pool_gram_matrix(psi, pool))
 
 
-class _PoolPlan(NamedTuple):
-    """What a Gram build needs of its pool alone, shared by every functional
-    over one (d, pool)."""
-
-    top: int  # the longest word's length
-    codes: list  # (length, code) of every pool word
-    stars: list  # (length, code(w*)) of every pool word
-    mask: list  # counit(w), 0 or 1, of every pool word
-    counit: Layer  # the mask packed
-    zero: Layer  # the zero layer of the pool
-    peels: list  # the letters of w* as letter indices, every pool word w
-
-
-@lru_cache(maxsize=8)
-def _pool_plan(d: int, pool: tuple) -> _PoolPlan:
-    t = WordTables(d)
-    top = max(map(len, pool), default=0)
-    codes = [(len(w), t.code(w)) for w in pool]
-    eps_sets = [set(t.eps(m)) for m in range(top + 1)]
-    mask = [int(c in eps_sets[m]) for m, c in codes]
-    zeros = [0] * len(pool)
-    return _PoolPlan(
-        top,
-        codes,
-        [(m, t.star_codes(m)[c]) for m, c in codes],
-        mask,
-        pack(mask, zeros, 1),
-        pack(zeros, zeros, 1),
-        # peeling w* from the left visits the adjoints of w's letters in order
-        [tuple(t.star[t.index[l]] for l in w) for w in pool],
-    )
-
-
 def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
-    """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool.
+    """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool,
+    as G_ij = <zeta(w_i), eta(w_j)>: no value of psi is evaluated.
 
-    Every entry needs psi(w_i* w_j), so the build replays the defining
-    recursion: the states (eta(w), psi(w), counit(w)) of the pool words are
-    read from the word tables, and the letters of w_i* are peeled onto them
-    from the left, each state packed: a coordinate of eta(h w) is one
-    `linear` sum rho(h)_kl eta(w)_l + eta(h)_k counit(w).  States for shared
-    peel prefixes are computed once, which leaves one value step per row,
-    summed with its pairing and its counit terms in one `linear`; psi(w_i*)
-    enters those as numerators over the denominator of psi(w_j).  The parts
-    that depend on the pool alone (codes, counits, peel sequences) are kept
-    per (d, pool) in a small cache.  The rows leave packed, over one
-    denominator and one slot width (`PackedMatrix`).  A row is zero where
-    psi(a_i* a_j) = 0 for every j, which is common: 73 to 169 of the 181
-    rows of the d = 3 and 401 of the 545 rows of the d = 4 Gram matrices of
-    `reproduce-paper` (`psd_check` eliminates the nonzero rows only).
+    Unrolled, the letter recursion of psi sums over the cuts w = p h t with a
+    diagonal prefix p: psi(w) = sum (<eta(h*), eta(t)> + eps(t) psi(h)).
+    Take w = u v.  The cuts inside v have p = u p' and add up to
+    eps(u) psi(v).  A cut p h t of u is the cut p h (t v) of w, and
+    eta(t v) = rho(t) eta(v) + eta(t) eps(v); moving rho(t) across the
+    pairing and summing over the cuts of u,
+
+        psi(u v) = <xi(u), eta(v)> + eps(v) psi(u) + eps(u) psi(v),
+        xi(u) = sum over the cuts u = p h t of adjoint(rho(t)) eta(h*).
+
+    With eps(w*) = eps(w), the entry psi(w_i* w_j) - eps(w_j) psi(w_i*)
+    - eps(w_i) psi(w_j) is <zeta(w_i), eta(w_j)> for zeta(w) = xi(w*): the
+    letter values of psi drop out, and no relation or *-property of rho is
+    used.  zeta follows eta's own recursion, zeta(h w) = sigma(h) zeta(w)
+    + eps(w) eta(h), zeta(1) = 0, under sigma(l) = adjoint(rho(l*)): it is
+    the unvalidated cocycle with eta's letter values on
+    `Representation.dual`, which is eta itself when R_star is adjoint R.
+    A tampered R_star makes sigma differ from rho, so the matrix is in
+    general not Hermitian, and `psd_check` refuses it.
+
+    eta and zeta on the pool are read from the word tables as numerators
+    over one denominator each.  Row i is sum_k conj(zeta(w_i)_k) times the
+    packed coordinate k of eta on the pool: a few big-int products, every
+    row over one denominator and one slot width, picked from the largest
+    row bound sum_k |zeta(w_i)_k| max |eta_k|; a row with zeta(w_i) = 0 is
+    0 with no arithmetic.  Zero rows are common (73 to 169 of the 181 rows
+    of the d = 3 and 401 of the 545 rows of the d = 4 Gram matrices of
+    `reproduce-paper`), and `psd_check` eliminates the nonzero rows only.
     """
     require_entries(len(pool) ** 2, "the Gram matrix")
-    plan = _pool_plan(psi.d, tuple(map(tuple, pool)))
-    size, eta = len(pool), psi.cocycle
+    eta, size = psi.cocycle, len(pool)
+    dual = eta.rep.dual
     t = WordTables(psi.d)
-    psis = value_tables(t, psi, plan.top)
-    psi_pool = gather(psis, plan.codes)
-    # each coordinate of eta on the pool, gathered from the packed coordinates of its layers
-    layers = [t.coordinates(eta, m) for m in range(plan.top + 1)]
-    coords = tuple(gather([layer[k] for layer in layers], plan.codes) for k in range(eta.n))
-    den = lcm(*(layer.den for layer in t.eta(eta, plan.top)))
-    # a state: the packed coordinates of eta and their denominator, psi, the counit
-    base = (coords, den, psi_pool, plan.counit)
-    # psi(w_i*), gathered from the same tables, over the denominator of psi_pool
-    star_re, star_im = gather(psis, plan.stars).numerators(psi_pool.den)
-    rho, (values, de) = eta.rep.action, eta.numerators
-    # eta(letter h)_k as the pairs of a `linear` group: none for a zero entry
-    letter_eta = [
-        [[(a, b) for _, a, b in values[h * eta.n + k]] for k in range(eta.n)] for h in range(t.base)
-    ]
-    lins = [t.lin(eta, 1, h) for h in range(t.base)]
-    psi_letter = [psi.letter_value(l) for l in t.alpha]
-
-    def psi_groups(k, state):
-        # psi(letter_k . w) for every state w, as the groups of `linear`
-        coords, den, val, eps = state
-        pairs, lin_den = lins[k]
-        return [(pairs, lin_den * den, coords)] + step_groups(val, eps, t.diag[k], psi_letter[k])
-
-    def extend(k, state):
-        # states for w -> states for letter_k . w
-        coords, den, _, eps = state
-        move = tuple(
-            linear([(row, rho.den * den, coords), (cells, de, [eps])], size)
-            for row, cells in zip(rho.images[k], letter_eta[k])
-        )
-        val = linear(psi_groups(k, state), size)
-        return move, lcm(rho.den * den, de), val, eps if t.diag[k] else plan.zero
-
-    peeled: dict[tuple, tuple] = {(): base}
-
-    def peeled_states(seq):
-        st = peeled.get(seq)
-        if st is None:
-            st = extend(seq[-1], peeled_states(seq[:-1]))
-            peeled[seq] = st
-        return st
-
+    codes = [(len(w), t.code(w)) for w in pool]
+    hr, hi, dh = _on_pool(t, eta, codes)
+    zr, zi, dz = (hr, hi, dh) if dual is eta.rep else _on_pool(t, Cocycle(dual, eta.V, eta.W), codes)
+    h_bounds = [max(map(abs, chain(r, m)), default=0) for r, m in zip(hr, hi)]
+    # the parts (re, im) of zeta(w_i), one pair of tuples per row
+    z_rows = list(zip(zip(*zr), zip(*zi))) if eta.n else [((), ())] * size
+    bound = max(
+        (sum(map(mul, map(add, map(abs, a), map(abs, b)), h_bounds)) for a, b in z_rows), default=0
+    )
+    width = _width(max(bound, *h_bounds, 0))
+    h = [(_pack(r, width), _pack(m, width)) for r, m in zip(hr, hi)]
     rows = []
-    for i, seq in enumerate(plan.peels):
-        if seq:
-            row = psi_groups(seq[-1], peeled_states(seq[:-1]))
-        else:
-            row = [([(1, 0)], psi_pool.den, [psi_pool])]
-        # the counit terms -counit(w_i) psi(w_j) - psi(w_i*) counit(w_j) in the same sum
-        counit_terms = [(-plan.mask[i], 0), (-star_re[i], -star_im[i])]
-        rows.append(linear(row + [(counit_terms, psi_pool.den, [psi_pool, plan.counit])], size))
+    for z_re, z_im in z_rows:
+        # (a - i b)(x + i y) = a x + b y + i (a y - b x)
+        re = im = 0
+        for a, b, (x, y) in zip(z_re, z_im, h):
+            if a:
+                re += a * x
+                im += a * y
+            if b:
+                re += b * y
+                im -= b * x
+        rows.append(Layer(re, im, dz * dh, size, width, bound))
     return PackedMatrix(rows, size)
+
+
+def _on_pool(t: WordTables, eta: Cocycle, codes: list) -> tuple:
+    """eta of every pool word (length, code) from the tables: the real and
+    the imaginary numerators, one list per coordinate, over one denominator."""
+    layers = t.eta(eta, max((m for m, _ in codes), default=0))
+    den = lcm(*(v.den for v in layers))
+    fs = [den // v.den for v in layers]
+    re = [[layers[m].re[k][c] * fs[m] for m, c in codes] for k in range(eta.n)]
+    im = [[layers[m].im[k][c] * fs[m] for m, c in codes] for k in range(eta.n)]
+    return re, im, den
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ nonzero reduced-form entry that is read back.  A
 word evaluator's vector layers and word-set values and the coefficient
 matrices are of this type, and `kernel_basis` takes its rows as they are
 (`_grid`).  A `PackedMatrix` holds each row packed (`packed.Layer`): the
-Gram matrix leaves the word tables in this form, and `psd_check` takes this
-type only and runs its Hermitian test and a fraction-free (Bareiss)
-elimination on the packed rows.  The two eliminations share no code: on
+Gram matrix is built in this form (`functional.pool_gram_matrix`), and
+`psd_check` takes this type only and runs its Hermitian test and a
+fraction-free (Bareiss) elimination on the packed rows.  The two eliminations share no code: on
 the cocycle kernels a packed Bareiss Gauss-Jordan was measured far slower
 than the list rows with a gcd per step.
 """

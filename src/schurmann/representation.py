@@ -48,6 +48,17 @@ class Representation:
         """rho of `letters(d)` as numerator rows over one denominator."""
         return action([self.image(*l) for l in letters(self.d)])
 
+    @cached_property
+    def dual(self) -> "Representation":
+        """sigma(l) = adjoint(rho(l*)), unvalidated: the grid of adjoint
+        R_star, its starred grid adjoint R.  The representation itself when
+        the grids agree, as they do whenever R_star is adjoint R."""
+        grid = tuple(tuple(m.adjoint() for m in row) for row in self.R_star)
+        if grid == self.R:
+            return self
+        star = tuple(tuple(m.adjoint() for m in row) for row in self.R)
+        return Representation(self.presentation, self.n, grid, star)
+
 
 def _as_grid(presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n: int) -> Grid:
     d = presentation.d

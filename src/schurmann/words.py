@@ -11,7 +11,7 @@ words of one length, or a word pool) as Gaussian-integer numerators re_i +
 i im_i over one positive denominator, each part packed into one Python int
 sum_i x_i 2^(W i) of slots W bits wide (Kronecker substitution).  A sum of
 layers times Gaussian integers (`_sum`; `linear` first brings its terms'
-denominators to one, so a Gram row's pairing, value step and counit terms
+denominators to one, so a value step's pairing row and its other terms
 are one sum) is then a few big-int products and additions instead of a
 loop over the entries.  Each table is written once, in the layout its
 reader needs.  A pairing table is its rows one after another (`concat`)
@@ -26,9 +26,8 @@ never summed on its own first.  Every operation first bounds its result's
 entries from its operands' bounds and picks the slot width (a multiple of
 64) from that bound, so no slot overflows into the next; decoding checks
 the entries against the bound.
-Values leave as lists or `Qi` only at the witnesses and `.qi`; the Gram
-rows leave packed, as a `linalg.PackedMatrix` that `psd_check` eliminates
-as it is.  Every table follows the letter recursions of the package:
+Values leave as lists or `Qi` only at the witnesses and `.qi`.  Every
+table follows the letter recursions of the package:
 
     rho(h w) = rho(h) rho(w)
     eps(h w) = [h diagonal] eps(w)
@@ -49,10 +48,9 @@ which an int packed along the words serves only by decoding, so none of
 these is packed along the words (a word-packed evaluator was slower in a
 prototype: a dead end).  A vector layer is packed row by row once
 (`WordTables.coordinates`, a tuple of `Layer`s) where scalar layers read
-it.  The peel states of the Gram build stay packed that
-way: a step reads the whole state, so each coordinate of the next state is
-one `linear` sum of the packed coordinates and the counit layer
-(`functional.pool_gram_matrix`).  One function steps eta, eta(h w) =
+it.  The Gram build reads eta on its word pool from the lists and packs
+each coordinate once along the pool (`functional.pool_gram_matrix`).  One
+function steps eta, eta(h w) =
 rho(h) eta(w) + eps(w) eta(h), on numerator lists, a whole layer at a time
 (`layer_step`, one gather pass per coordinate pair).  A table layer is
 every word of its length (`WordTables.eta`).  Sparse elements, the
@@ -192,13 +190,6 @@ def first_difference(x: Layer, y: Layer):
         return None
     xr, xi, yr, yi = _unpack(x.re, x), _unpack(x.im, x), _unpack(y.re, y), _unpack(y.im, y)
     return next(i for i, t in enumerate(zip(xr, xi, yr, yi)) if t[0] != t[2] or t[1] != t[3])
-
-
-def gather(layers, picks) -> Layer:
-    """Entries (length, code) taken from per-length layers, over one denominator."""
-    den = lcm(*(layer.den for layer in layers))
-    ints = [layer.numerators(den) for layer in layers]
-    return pack([ints[m][0][c] for m, c in picks], [ints[m][1][c] for m, c in picks], den)
 
 
 class Action(NamedTuple):

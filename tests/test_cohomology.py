@@ -420,23 +420,24 @@ def _table_cases(eta, k2_phi):
     return cocycles, [on_kpair, on_coboundary, k2_phi]
 
 
-@given(st.data())
-def test_pair_and_value_tables_match_recursion(
-    eta_sym_u2, eta_rot_o3, eta_asym_u2, k2_pairing_primitive, data
-):
-    eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
-    cocycles, primitives = _table_cases(eta, k2_pairing_primitive)
-    c = data.draw(st.sampled_from(cocycles + [k2_pairing_primitive.two_cocycle]))
-    t = WordTables(c.d)
-    for w in drawn_words(data, c.d):
-        cut = data.draw(st.integers(0, len(w)))
-        u, v = w[:cut], w[cut:]
-        assert pair_table(t, c, len(u), len(v)).qi(t.code(w)) == oracle_pair(c, u, v), (u, v)
-    phi = data.draw(st.sampled_from(primitives))
-    t = WordTables(phi.d)
-    layers = value_tables(t, phi, 3)
-    for w in drawn_words(data, phi.d):
-        assert layers[len(w)].qi(t.code(w)) == oracle_functional(phi, w), w
+@pytest.mark.parametrize("name", ["eta_sym_u2", "eta_rot_o3", "eta_asym_u2"])
+@given(data=st.data())
+def test_pair_and_value_tables_match_recursion(request, k2_pairing_primitive, name, data):
+    # every 2-cocycle and primitive of the input in every example (a
+    # derandomized draw of one of them can miss one)
+    cocycles, primitives = _table_cases(request.getfixturevalue(name), k2_pairing_primitive)
+    tables = {}
+    for c in cocycles + [k2_pairing_primitive.two_cocycle]:
+        t = tables.setdefault(c.d, WordTables(c.d))
+        for w in drawn_words(data, c.d):
+            cut = data.draw(st.integers(0, len(w)))
+            u, v = w[:cut], w[cut:]
+            assert pair_table(t, c, len(u), len(v)).qi(t.code(w)) == oracle_pair(c, u, v), (u, v)
+    for phi in primitives:
+        t = tables.setdefault(phi.d, WordTables(phi.d))
+        layers = value_tables(t, phi, 3)
+        for w in drawn_words(data, phi.d):
+            assert layers[len(w)].qi(t.code(w)) == oracle_functional(phi, w), w
 
 
 @given(st.data())
@@ -475,31 +476,33 @@ def _elements_for(data, d):
     return drawn + [Element.one(d), drawn[0], Element.zero(d)]
 
 
-@given(st.data())
-def test_batches_match_the_recursions(
-    eta_sym_u2, eta_rot_o3, eta_asym_u2, k2_pairing_primitive, data
-):
-    eta = data.draw(st.sampled_from([eta_sym_u2, eta_rot_o3, eta_asym_u2]))
+@pytest.mark.parametrize("name", ["eta_sym_u2", "eta_rot_o3", "eta_asym_u2"])
+@given(data=st.data())
+def test_batches_match_the_recursions(request, k2_pairing_primitive, name, data):
+    # every functional and 2-cocycle of the input in every example
+    eta = request.getfixturevalue(name)
     cocycles, primitives = _table_cases(eta, k2_pairing_primitive)
     psi = canonical_values(eta)
     on_combination = Primitive(cocycles[-1], psi.values.transpose(), psi.star_values)
-    phi = data.draw(st.sampled_from([psi, on_combination] + primitives))
-    elements, memo = _elements_for(data, phi.d), {}
-    words = [w for a in elements for w in a.terms]
-    assert phi.batch(words) == [oracle_functional(phi, w, memo) for w in words]
-    for a in elements:
-        want = sum((x * oracle_functional(phi, w, memo) for w, x in a.terms.items()), ZERO)
-        assert phi.value(a) == want, a
-    c = data.draw(st.sampled_from(cocycles + [phi.form]))
-    elements, memo = _elements_for(data, c.d), {}
-    pairs = [(u, v) for a in elements for u in a.terms for b in elements for v in b.terms]
-    assert c.batch(pairs) == [oracle_pair(c, u, v, memo) for u, v in pairs]
-    for a, b in zip(elements, reversed(elements)):
-        want = sum(
-            (x * y * oracle_pair(c, u, v, memo) for u, x in a.terms.items() for v, y in b.terms.items()),
-            ZERO,
-        )
-        assert c.value(a, b) == want, (a, b)
+    functionals = [psi, on_combination] + primitives
+    for phi in functionals:
+        elements, memo = _elements_for(data, phi.d), {}
+        words = [w for a in elements for w in a.terms]
+        assert phi.batch(words) == [oracle_functional(phi, w, memo) for w in words]
+        for a in elements:
+            want = sum((x * oracle_functional(phi, w, memo) for w, x in a.terms.items()), ZERO)
+            assert phi.value(a) == want, a
+    # the forms of the functionals are these cocycles, up to k2's 2-cocycle
+    for c in cocycles + [k2_pairing_primitive.form]:
+        elements, memo = _elements_for(data, c.d), {}
+        pairs = [(u, v) for a in elements for u in a.terms for b in elements for v in b.terms]
+        assert c.batch(pairs) == [oracle_pair(c, u, v, memo) for u, v in pairs]
+        for a, b in zip(elements, reversed(elements)):
+            want = sum(
+                (x * y * oracle_pair(c, u, v, memo) for u, x in a.terms.items() for v, y in b.terms.items()),
+                ZERO,
+            )
+            assert c.value(a, b) == want, (a, b)
 
 
 def _sampled_pairs(d, count, seed=0):

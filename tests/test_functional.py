@@ -34,6 +34,7 @@ from schurmann import (
     gaussian_cocycle,
     gram_psd_check,
     hermitianize,
+    letters,
     lk_decomposition,
     rational,
     schurmann_functional,
@@ -156,11 +157,11 @@ def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
 
 
 def test_gram_rows_at_length_three_match_the_evaluator(u2):
-    # at max_len = 3 the letters of w_i* peel onto states of peel depth 2;
-    # seeded rows, six of them for words of length 3, against the sparse
-    # evaluator.  An n = 2 carrier over U_2+ with blocks and letter values
-    # over denominators, nothing validated: the Gram entries follow the
-    # recursion on the free algebra either way.
+    # at max_len = 3 the rows read eta (here also zeta: R_star is adjoint R)
+    # from tables of words of length 3; seeded rows, six of them for words
+    # of length 3, against the sparse evaluator.  An n = 2 carrier over U_2+
+    # with blocks and letter values over denominators, nothing validated:
+    # the Gram entries follow the recursion on the free algebra either way.
     rng = random.Random(15)
 
     def scalar():
@@ -181,6 +182,49 @@ def test_gram_rows_at_length_three_match_the_evaluator(u2):
     deep = [i for i, w in enumerate(pool) if len(w) == 3]
     for i in rng.sample(deep, 6) + rng.sample(range(len(pool)), 3):
         assert m[i] == [evaluate_functional(psi, shifted[i].star() * aj) for aj in shifted], pool[i]
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2)])
+def test_gram_entries_without_a_star_structure(d, n):
+    # R_star drawn apart from R, so sigma(l) = adjoint(rho(l*)) is not rho
+    # and zeta is not eta; letter values of psi with star_values other than
+    # values.conj(); a pool that is not star closed, words of length 0 to 3.
+    # Every entry against the sparse evaluator, nothing validated.
+    rng = random.Random(20 + 10 * d + n)
+
+    def scalar():
+        return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 4))
+
+    def grid():
+        return tuple(
+            tuple(QMatrix([[scalar() for _ in range(n)] for _ in range(n)]) for _ in range(d))
+            for _ in range(d)
+        )
+
+    pres = build_presentation("k_d", d)
+    rep = Representation(pres, n, grid(), grid())
+    assert rep.dual is not rep
+    eta = flat_cocycle(rep, [scalar() for _ in range(2 * d * d * n)])
+    alpha = letters(d)
+    pool = [()] + [tuple(rng.choice(alpha) for _ in range(m)) for m in (1, 1, 2, 2, 2, 3, 3, 3, 3)]
+    assert any(tuple(l.adjoint() for l in reversed(w)) not in pool for w in pool)
+    shifted = []
+    for w in pool:
+        e = Element.from_word(d, w)
+        shifted.append(e - Element.one(d).scale(counit(e)))
+    grams = []
+    for _ in range(2):
+        values, star_values = (QMatrix([[scalar() for _ in range(d)] for _ in range(d)]) for _ in "vs")
+        assert star_values != values.conj()
+        psi = Functional(eta, values, star_values)
+        m = functional.pool_gram_matrix(psi, pool)
+        rows = [m[i] for i in range(len(pool))]
+        for i, ai in enumerate(shifted):
+            assert rows[i] == [evaluate_functional(psi, ai.star() * aj) for aj in shifted], pool[i]
+        grams.append(rows)
+    # the letter values of psi drop out of every entry
+    assert grams[0] == grams[1]
+    assert any(any(not z.is_zero() for z in row) for row in grams[0])
 
 
 def test_default_pool_size_matches_the_pool():

@@ -21,7 +21,6 @@ from schurmann.words import (
     combine,
     concat,
     first_difference,
-    gather,
     linear,
     pack,
     split,
@@ -213,23 +212,15 @@ def drawn_layer(data, size) -> Plain:
 
 
 @given(st.data())
-def test_gather_and_counit_terms_match_lists(data):
+def test_counit_terms_match_lists(data):
     # d = 2: eight letters, four of them diagonal, layers of words up to
     # length 1; d = 3: eighteen letters, six of them diagonal, so the codes
     # with eps = 1 are not evenly spaced, layers up to length 2
     d = data.draw(st.sampled_from([2, 3]))
     top = d - 1
     t = WordTables(d)
-    layers = [drawn_layer(data, t.base**m) for m in range(top + 1)]
-    codes = st.tuples(st.integers(0, top), st.integers(0, t.base**top - 1))
-    picks = [(m, c % t.base**m) for m, c in data.draw(st.lists(codes, max_size=6))]
-    den = lcm(*(p.den for p in layers))
-    scaled = [over(p, den) for p in layers]
-    want = Plain([scaled[m][0][c] for m, c in picks], [scaled[m][1][c] for m, c in picks], den)
-    assert_same(gather([packed(p) for p in layers], picks), want)
-
     p = data.draw(st.integers(0, top))
-    layer = layers[data.draw(st.integers(0, top))]
+    layer = drawn_layer(data, t.base ** data.draw(st.integers(0, top)))
     eps = [int(c in t.eps(p)) for c in range(t.base**p)]
     assert_same(t.counit(p), Plain(eps, [0] * len(eps), 1))
     size = len(layer.re)
