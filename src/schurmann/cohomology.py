@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add, mul, sub
 
 from .algebra import Element, Letter, Presentation, counit, letters
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
-from .linalg import GaussianMatrix, QMatrix, QVector
+from .linalg import GaussianMatrix, QMatrix, QVector, _rref, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
-from .words import WordTables, combine, first_difference, linear, split, step_groups
+from .words import WordTables, combine, split
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -308,16 +308,69 @@ def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
     return None
 
 
+def _star_pairing(c: KPairCocycle) -> bool:
+    """Whether both cocycles of the pairing live on a representation whose
+    R_star is adjoint R, so that sigma = rho (`Representation.dual`)."""
+    return all(eta.rep.dual is eta.rep for eta in (c.eta1, c.eta2))
+
+
+def _pairing_triple(c: KPairCocycle):
+    """The first letter triple (a, b, x), in code order of a b x, with
+    value = <eta1(a*), (rho(b) - sigma(b)) eta2(x)> nonzero, and that value;
+    or None.  rho is eta2's representation and sigma the dual of eta1's."""
+    alpha = letters(c.d)
+    rho, sigma = c.eta2.rep, c.eta1.rep.dual
+    moved = [
+        (b, x, y)
+        for b in alpha
+        for x in alpha
+        if not (y := (rho.image(*b) - sigma.image(*b)).apply(c.eta2.letter_value(x))).is_zero()
+    ]
+    for a in alpha:
+        left = c.eta1.letter_value(a.adjoint())
+        for b, x, y in moved:
+            value = inner_product(left, y)
+            if not value.is_zero():
+                return a, b, x, value
+    return None
+
+
 def square_zero_on_letters(c: TwoCocycle):
     """Exhaustive degree-2 identity over all letter triples; returns the
-    first violating (a, b, x, value) or None.
+    first violating (a, b, x, value), in code order of a b x, or None.
 
-    Specializing check_2cocycle to single letters needs c only on the word
-    pairs (letter, letter), (letter, word of length 2) and (word of length
-    2, letter), which are read from word tables.
+    On a pairing c(u, v) = <eta1(u*), eta2(v)> the identity is decided from
+    the letter grids alone.  For letters a, b, x, with eta(b x) = rho(b)
+    eta(x) + eps(x) eta(b) and eta(b* a*) = rho(b*) eta(a*) + eps(a) eta(b*),
+    moving rho(b*) across the pairing,
+
+        c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x)
+            = <eta1(a*), (rho(b) - sigma(b)) eta2(x)>,
+
+    with rho eta2's representation and sigma(l) = adjoint(rho1(l*)) the dual
+    of eta1's (`Representation.dual`): the eps terms cancel.  When both
+    representations have R_star adjoint R, sigma = rho and every triple
+    holds, with nothing evaluated.  Otherwise the first nonzero value is
+    rechecked through `batch` on its four pairs, and a mismatch raises
+    ArithmeticError.
+
+    Any other 2-cocycle needs c only on the word pairs (letter, letter),
+    (letter, word of length 2) and (word of length 2, letter), which are
+    read from word tables.
     """
     t = WordTables(c.d)
     t.require(3)
+    if isinstance(c, KPairCocycle):
+        if _star_pairing(c):
+            return None
+        found = _pairing_triple(c)
+        if found is not None:
+            a, b, x, value = found
+            bx, ab_x, a_bx, ab = c.batch([((b,), (x,)), ((a, b), (x,)), ((a,), (b, x)), ((a,), (b,))])
+            eps_a, eps_x = (ONE if l.row == l.col else ZERO for l in (a, x))
+            if eps_a * bx - ab_x + a_bx - ab * eps_x != value:
+                raise ArithmeticError("a letter triple's pairing value disagrees with batch", found)
+        return found
     p11, p12, p21 = (pair_table(t, c, p, q) for p, q in ((1, 1), (1, 2), (2, 1)))
     # c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x) over the codes of a b x
     val = combine(
@@ -616,49 +669,100 @@ def _primitive_witness(phi: Primitive, aw, bw):
     return (aw, bw, got, want)
 
 
-def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
-    """Check d(phi) = c on every pair of words of length <= max_len.
+def _checked_eta(t: WordTables, eta: Cocycle, length: int) -> list:
+    """Layers 0 .. length of eta from the tables, those up to length 2
+    checked against the word-set evaluator (`cocycle.cocycle_columns`)
+    first; ArithmeticError if one disagrees."""
+    layers = t.eta(eta, length)
+    for m in range(min(2, length) + 1):
+        layer = layers[m]
+        words = [Element.from_word(eta.d, t.word(m, code)) for code in range(layer.cols)]
+        sparse = cocycle_columns(eta, words)
+        for x, y in zip(chain(layer.re, layer.im), chain(sparse.re, sparse.im)):
+            if [a * sparse.den for a in x] != [b * layer.den for b in y]:
+                raise ArithmeticError(f"eta's word table of length {m} disagrees with the word-set evaluator")
+    return layers
 
-    Reads phi(a b) from the word tables of phi up to length 2 max_len and
-    compares it with -<eta1(a*), eta2(b)> + eps(a) phi(b) + phi(a) eps(b),
-    the shared value step with the word a in place of a letter.  Only
-    pairing 2-cocycles are supported.  Returns (number of pairs checked,
-    first violating pair or None) in the order of the word codes; a
-    violation carries the two words as letter tuples plus the values of
-    d(phi) and c there.  Tables that disagree with `batch` on the words of
-    length <= 2 raise ArithmeticError before the sweep.
+
+def _paired(xr, xi, yr, yi, j: int) -> tuple[int, int]:
+    """conj(x) . y on numerators: x = (xr, xi) one int per coordinate, y
+    column j of the coordinate lists (yr, yi)."""
+    # conj(x_k) y_k = (xr yr + xi yi) + i (xr yi - xi yr)
+    re = sum(a * r[j] + b * m[j] for a, b, r, m in zip(xr, xi, yr, yi))
+    im = sum(a * m[j] - b * r[j] for a, b, r, m in zip(xr, xi, yr, yi))
+    return re, im
+
+
+def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
+    """Check d(phi) = c on every pair of words of length <= max_len, for a
+    pairing c(u, v) = <eta1(u*), eta2(v)>.
+
+    Returns (number of pairs checked, first violating pair or None) in the
+    order of the pairs (u, v) by (length, code) of u, then of v; a violation
+    carries the two words as letter tuples plus the values of d(phi) and c
+    there.  Only pairing 2-cocycles are supported.  A max_len whose words
+    of length 2 max_len would overflow a table is refused (InputError)
+    before anything is built, on every representation.
+
+    No value of phi is read.  Unrolled, phi's letter recursion sums over the
+    cuts w = p h t with a diagonal prefix p: phi(w) = sum (-c(h, t) + eps(t)
+    phi(h)).  Take w = u v.  The cuts inside v have p = u p' and add up to
+    eps(u) phi(v).  A cut p h t of u is the cut p h (t v) of w, and eta2(t
+    v) = rho(t) eta2(v) + eta2(t) eps(v); moving rho(t) across the pairing
+    and summing over the cuts of u,
+
+        phi(u v) = -<xi(u), eta2(v)> + eps(v) phi(u) + eps(u) phi(v),
+        xi(u) = sum over the cuts u = p h t of adjoint(rho(t)) eta1(h*),
+
+    so d(phi)(u, v) - c(u, v) = <zeta1(u*) - eta1(u*), eta2(v)> with zeta1(w)
+    = xi(w*): eta1's letter values on the dual of eta2's representation,
+    sigma(l) = adjoint(rho(l*)) (`Representation.dual`), as in
+    `functional.pool_gram_matrix`.  When both representations have R_star
+    adjoint R, zeta1 = eta1 and every pair holds, with no table built.
+
+    Otherwise eta1, zeta1 and eta2 come from the word tables up to length
+    max_len, the layers up to length 2 checked against the word-set
+    evaluator first (ArithmeticError).  A word u fails some pair exactly
+    when delta(u) = zeta1(u*) - eta1(u*) is not orthogonal to the r <= n
+    pivot words of eta2 (the first words whose eta2 values are independent
+    of those before them), so each u costs r inner products.  For the first
+    failing u the words v are scanned in order; the witness is rechecked on
+    the word-set evaluator (`_primitive_witness`), and a recheck whose d(phi)
+    - c differs from <delta(u), eta2(v)> raises ArithmeticError.
     """
     c = phi.two_cocycle
     if not isinstance(c, KPairCocycle):
         raise TypeError("exhaustive verification expects a pairing 2-cocycle")
     t = WordTables(phi.d)
     t.require(2 * max_len)
-    phis = value_tables(t, phi, 2 * max_len)
-    # the tables up to length 2 against phi.batch, whose cuts read eta from
-    # the letter grids alone: a fault in the pairing tables, which the two
-    # sides of the sweep share and so cancel, shows here
-    for m in range(min(2, 2 * max_len) + 1):
-        if phis[m].qis() != phi.batch([t.word(m, code) for code in range(t.base**m)]):
-            raise ArithmeticError(f"phi's word table of length {m} disagrees with its letter recursion")
-    checked = 0
-    for la in range(max_len + 1):
-        eps_a = set(t.eps(la))
-        pa = phis[la].qis()
-        # phi(a b) for the words a of length la, one layer per a
-        lhs = [split(phis[la + lb], t.base**la) for lb in range(max_len + 1)]
-        # -<eta1(a*), eta2(b)> for the words a of length la, one group per a
-        rows = [t.pairing_rows(c.eta1, c.eta2, la, lb, -1) for lb in range(max_len + 1)]
-        for ca in range(t.base**la):
-            for lb in range(max_len + 1):
-                steps = step_groups(phis[lb], t.counit(lb), ca in eps_a, pa[ca])
-                rhs = linear([rows[lb][ca]] + steps, t.base**lb)
-                cb = first_difference(lhs[lb][ca], rhs)
-                if cb is not None:
-                    return checked + cb + 1, _primitive_witness(
-                        phi, t.word(la, ca), t.word(lb, cb)
-                    )
-                checked += t.base**lb
-    return checked, None
+    words = [(m, code) for m in range(max_len + 1) for code in range(t.base**m)]
+    if _star_pairing(c):
+        return len(words) ** 2, None
+    zeta1 = Cocycle(c.eta2.rep.dual, c.eta1.V, c.eta1.W)
+    h1, z1, h2 = (_checked_eta(t, eta, max_len) for eta in (c.eta1, zeta1, c.eta2))
+    # eta2 on every word, layer after layer: a column scaled by its layer's
+    # denominator moves no pivot and no zero test
+    yr = [list(chain.from_iterable(layer.re[k] for layer in h2)) for k in range(c.eta2.n)]
+    yi = [list(chain.from_iterable(layer.im[k] for layer in h2)) for k in range(c.eta2.n)]
+    _, pivots = _rref(yr, yi, len(words))
+    for iu, (m, code) in enumerate(words):
+        s = t.star_codes(m)[code]
+        z, e = z1[m], h1[m]
+        den = lcm(z.den, e.den)
+        f, g = den // z.den, den // e.den
+        xr = [a[s] * f - b[s] * g for a, b in zip(z.re, e.re)]
+        xi = [a[s] * f - b[s] * g for a, b in zip(z.im, e.im)]
+        if all(_paired(xr, xi, yr, yi, j) == (0, 0) for j in pivots):
+            continue
+        iv, (re, im) = next(
+            (j, p) for j in range(len(words)) if (p := _paired(xr, xi, yr, yi, j)) != (0, 0)
+        )
+        mv, cv = words[iv]
+        witness = _primitive_witness(phi, t.word(m, code), t.word(mv, cv))
+        if witness[2] - witness[3] != _qi(re, im, den * h2[mv].den):
+            raise ArithmeticError("the sweep's witness disagrees with the word-set evaluator", witness)
+        return iu * len(words) + iv + 1, witness
+    return len(words) ** 2, None
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,11 @@ w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
 +1 for a generating functional psi, the primitive's own 2-cocycle with sign
 -1 for a primitive (`cohomology.value_tables`).
 
-Tables serve the dense sweeps (Gram matrices, letter triples, exhaustive
-word pairs).  Vector layers (eta) and the values of word sets are
+Tables serve the Gram matrices and the letter-triple check of coboundary
+and combination 2-cocycles.  On a pairing, the letter-triple check and the
+exhaustive primitive sweep read eta alone: on letters, or on eta tables up
+to the sweep's word length (`cohomology.square_zero_on_letters`,
+`cohomology.verify_primitive_exhaustive`).  Vector layers (eta) and the values of word sets are
 `linalg.GaussianMatrix` grids of ints, one row per coordinate (or cell) and
 one column per word (or element); `word_set_values` keeps its layers as one
 list of ints per coordinate and reads them at arbitrary tail positions,
@@ -78,7 +81,7 @@ from typing import NamedTuple
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
 from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
 from .linalg import GaussianMatrix
-from .packed import Layer, _decode, _ones, _repacked, _scaled, _strided, _unpack, _width, pack
+from .packed import Layer, _decode, _ones, _repacked, _scaled, _strided, _width, pack
 from .scalars import ONE, Qi
 
 
@@ -178,18 +181,6 @@ def scatter(layers, places, size: int) -> Layer:
         for part in ([t.re for t in layers], [t.im for t in layers])
     )
     return Layer(re, im, den, size, width, bound)
-
-
-def first_difference(x: Layer, y: Layer):
-    """Index of the first entry where the two layers differ, or None."""
-    den = lcm(x.den, y.den)
-    f, g = den // x.den, den // y.den
-    width = _width(max(x.bound * f, y.bound * g))
-    x, y = _scaled(x, f, width), _scaled(y, g, width)
-    if x.re == y.re and x.im == y.im:
-        return None
-    xr, xi, yr, yi = _unpack(x.re, x), _unpack(x.im, x), _unpack(y.re, y), _unpack(y.im, y)
-    return next(i for i, t in enumerate(zip(xr, xi, yr, yi)) if t[0] != t[2] or t[1] != t[3])
 
 
 class Action(NamedTuple):

@@ -12,6 +12,8 @@ from conftest import (
     drawn_words,
     oracle_functional,
     oracle_pair,
+    oracle_square_zero_on_letters,
+    oracle_verify_primitive_exhaustive,
     qi_scalars,
     unvalidated_rep,
     without_deep_recursion,
@@ -58,6 +60,7 @@ from schurmann import algebra, cocycle, cohomology, words
 from schurmann.cocycle import Cocycle
 from schurmann.cohomology import pair_table, value_tables
 from schurmann.errors import InputError
+from schurmann.linalg import GaussianMatrix
 from schurmann.representation import Representation, direct_sum_rep
 from schurmann.words import WordTables
 
@@ -266,19 +269,36 @@ def test_exhaustive_verification_counts(eta_sym_u2):
     assert checked == 5329
 
 
-def test_exhaustive_verifier_checks_its_tables_against_batch(monkeypatch, eta_sym_u2):
-    # a pairing table off by a factor feeds both phi's tables and the
-    # sweep's right-hand side, so the sweep alone passes; the tables up to
-    # length 2 against phi.batch, which reads the letter grids, do not
-    phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
-    rows = WordTables.pairing_rows
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("which", ["eta1", "zeta1", "eta2"])
+def test_exhaustive_verifier_checks_its_eta_layers_against_the_evaluator(
+    monkeypatch, u2, eta_sym_u2, which, m
+):
+    # on a broken star structure the sweep decides from the eta tables of
+    # eta1, of its dual zeta1 and of eta2; a layer off by a factor would move
+    # its verdict, and the check of the layers up to length 2 against
+    # `cocycle_columns` raises before any decision
+    eta1 = _broken_star_eta(u2, eta_sym_u2, (0, 0))
+    eta2 = Cocycle(eta1.rep, eta1.V, eta1.W)
+    clean = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
+    phi = Primitive(KPairCocycle(eta1, eta2), clean.values, clean.star_values)
+    picked = {
+        "eta1": lambda eta: eta is eta1,
+        "zeta1": lambda eta: eta.rep is eta1.rep.dual,
+        "eta2": lambda eta: eta is eta2,
+    }[which]
+    tables = WordTables.eta
 
-    def halved(self, *args):
-        return [(pairs, 2 * den, right) for pairs, den, right in rows(self, *args)]
+    def scaled(self, eta, length):
+        layers = tables(self, eta, length)
+        if picked(eta):
+            x = layers[m]
+            layers = layers[:m] + [GaussianMatrix.unchecked(x.re, x.im, 2 * x.den, x.cols)] + layers[m + 1 :]
+        return layers
 
-    monkeypatch.setattr(WordTables, "pairing_rows", halved)
-    with pytest.raises(ArithmeticError, match="length 2"):
-        verify_primitive_exhaustive(phi, max_len=1)
+    monkeypatch.setattr(WordTables, "eta", scaled)
+    with pytest.raises(ArithmeticError, match=f"length {m}"):
+        verify_primitive_exhaustive(phi, max_len=2)
 
 
 def test_exhaustive_verifier_needs_a_pairing(eta_sym_u2):
@@ -360,6 +380,47 @@ def test_exhaustive_verifier_catches_broken_star_structure_wide(u2, grids, broke
     )
 
 
+def _broken_star_primitive(pres, rng):
+    """A primitive with random letter values on the pairing of two random
+    cocycles, n <= 3, over a random grid R whose R_star is adjoint R but at
+    one random cell, multiplied there by a Gaussian unit or an integer.
+    Each cocycle lives on that carrier or on the star one (R_star adjoint
+    R); eta2's letter values are half of them 0, so its span can be a
+    proper subspace.  No relation is checked: the identities behind the
+    sweeps hold on the free *-algebra."""
+    d, n = pres.d, rng.randint(1, 3)
+
+    def scalar():
+        return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 3))
+
+    block = lambda: QMatrix([[scalar() for _ in range(n)] for _ in range(n)])
+    R = tuple(tuple(block() for _ in range(d)) for _ in range(d))
+    star = [[m.adjoint() for m in row] for row in R]
+    good = Representation(pres, n, R, tuple(map(tuple, star)))
+    j, k = rng.randrange(d), rng.randrange(d)
+    star[j][k] = star[j][k].scale(rng.choice([I, -ONE, -I, ZERO, Qi(2), Qi(-3)]))
+    bad = Representation(pres, n, R, tuple(map(tuple, star)))
+    size = 2 * d * d * n
+    eta1 = flat_cocycle(rng.choice([bad, good]), [scalar() for _ in range(size)])
+    eta2 = flat_cocycle(rng.choice([bad, good]), [rng.choice([ZERO, scalar()]) for _ in range(size)])
+    values = QMatrix([[scalar() for _ in range(d)] for _ in range(d)])
+    return Primitive(KPairCocycle(eta1, eta2), values, values.transpose())
+
+
+@given(st.randoms(use_true_random=False))
+def test_pairing_sweeps_match_the_table_oracles(u2, o3, rng):
+    # every presentation in every example: the sweep's (checked, witness)
+    # and the first letter-triple witness equal those of the word-table
+    # sweeps they replace
+    for pres in (build_presentation("k_d", 2), u2, o3):
+        phi = _broken_star_primitive(pres, rng)
+        max_len = rng.randint(1, 2)
+        got = verify_primitive_exhaustive(phi, max_len=max_len)
+        assert got == oracle_verify_primitive_exhaustive(phi, max_len), (pres.kind, max_len)
+        c = phi.two_cocycle
+        assert square_zero_on_letters(c) == oracle_square_zero_on_letters(c), pres.kind
+
+
 def test_class_coordinates_rebuild_is_enforced(monkeypatch, eta_asym_u2):
     # a wrong K_p sign no longer rebuilds the defect; the check is not an
     # assert, so it also holds under python -O
@@ -385,7 +446,7 @@ def test_exhaustive_budget_refused_before_any_table(monkeypatch, eta_sym_u2):
     phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
     monkeypatch.setattr(WordTables, "eta", lambda *a: pytest.fail("table built"))
     monkeypatch.setattr(WordTables, "values", lambda *a: pytest.fail("table built"))
-    # 8 letters: the phi table at length 2 * 4 would hold 8**8 entries
+    # 8 letters: the budget of a table of words of length 2 * 4, 8**8 entries
     assert 8**8 > words.MAX_TABLE_ENTRIES
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
         verify_primitive_exhaustive(phi, max_len=4)

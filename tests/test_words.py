@@ -13,14 +13,13 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import qi_scalars
+from conftest import first_difference, qi_scalars
 from schurmann.scalars import Qi
 from schurmann.words import (
     Layer,
     WordTables,
     combine,
     concat,
-    first_difference,
     linear,
     pack,
     split,
