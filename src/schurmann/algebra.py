@@ -350,11 +350,6 @@ class Presentation:
         """The unstarred twisted-determinant family (empty unless kind su_q)."""
         return [(lbl, r) for lbl, r in self.relations if lbl.startswith("det(")]
 
-    def antipode(self, a: Element) -> Element:
-        if not self.kac:
-            raise ValueError(f"antipode undefined: {self.kind} presentation is not Kac")
-        return antipode_element(a)
-
 
 # Families of quadratic relations as (label, column form, star on the first
 # letter) for `_quadratic_relations`.

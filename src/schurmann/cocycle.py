@@ -266,8 +266,8 @@ def direct_sum_cocycle(e1: Cocycle, e2: Cocycle) -> Cocycle:
         raise ValueError("direct sum requires the same presentation")
     rep = direct_sum_rep(e1.rep, e2.rep)
     d = e1.d
-    V = [[e1.V[j][k].concat(e2.V[j][k]) for k in range(d)] for j in range(d)]
-    W = [[e1.W[j][k].concat(e2.W[j][k]) for k in range(d)] for j in range(d)]
+    V = [[e1.V[j][k].direct_sum(e2.V[j][k]) for k in range(d)] for j in range(d)]
+    W = [[e1.W[j][k].direct_sum(e2.W[j][k]) for k in range(d)] for j in range(d)]
     return cocycle_general(rep, V, W)
 
 

@@ -28,7 +28,7 @@ from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, _rref, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
-from .words import WordTables, combine, split
+from .words import WordTables
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -218,8 +218,9 @@ class LetterFunctional:
 
         v(w) = sum (sign c(h, t) + eps(t) v(h)),
 
-    so `batch` reads c on one batch of cuts; `value_tables` runs the
-    recursion on word tables.
+    so `batch` reads c on one batch of cuts.  No check tabulates v: the
+    dense checks read eta alone (`square_zero_on_letters`,
+    `verify_primitive_exhaustive`, `functional.pool_gram_matrix`).
     """
 
     @property
@@ -314,22 +315,37 @@ def _star_pairing(c: KPairCocycle) -> bool:
     return all(eta.rep.dual is eta.rep for eta in (c.eta1, c.eta2))
 
 
-def _pairing_triple(c: KPairCocycle):
+def _pairing_terms(c: TwoCocycle, coeff: Qi = ONE) -> list:
+    """(coefficient, pairing) for every pairing term of c, the coefficients
+    of nested combinations multiplied out and coboundary terms dropped;
+    TypeError for any other kind of 2-cocycle."""
+    if isinstance(c, KPairCocycle):
+        return [(coeff, c)]
+    if isinstance(c, CoboundaryCocycle):
+        return []
+    if isinstance(c, CombinationCocycle):
+        return [term for k, t in c.terms for term in _pairing_terms(t, coeff * k)]
+    raise TypeError(f"no letter-triple identity for a 2-cocycle of type {type(c).__name__}")
+
+
+def _pairing_triple(d: int, terms: list):
     """The first letter triple (a, b, x), in code order of a b x, with
-    value = <eta1(a*), (rho(b) - sigma(b)) eta2(x)> nonzero, and that value;
-    or None.  rho is eta2's representation and sigma the dual of eta1's."""
-    alpha = letters(c.d)
-    rho, sigma = c.eta2.rep, c.eta1.rep.dual
-    moved = [
-        (b, x, y)
-        for b in alpha
-        for x in alpha
-        if not (y := (rho.image(*b) - sigma.image(*b)).apply(c.eta2.letter_value(x))).is_zero()
-    ]
+    value = sum k <eta1(a*), (rho(b) - sigma(b)) eta2(x)> over the terms
+    (k, pairing) nonzero, and that value; or None.  rho is eta2's
+    representation and sigma the dual of eta1's."""
+    alpha = letters(d)
+    moved = []
+    for b in alpha:
+        gaps = [(p.eta2.rep.image(*b) - p.eta1.rep.dual.image(*b), p.eta2) for _, p in terms]
+        for x in alpha:
+            ys = [(j, gap.apply(eta2.letter_value(x))) for j, (gap, eta2) in enumerate(gaps)]
+            ys = [(j, y) for j, y in ys if not y.is_zero()]
+            if ys:
+                moved.append((b, x, ys))
     for a in alpha:
-        left = c.eta1.letter_value(a.adjoint())
-        for b, x, y in moved:
-            value = inner_product(left, y)
+        lefts = [p.eta1.letter_value(a.adjoint()) for _, p in terms]
+        for b, x, ys in moved:
+            value = sum((terms[j][0] * inner_product(lefts[j], y) for j, y in ys), ZERO)
             if not value.is_zero():
                 return a, b, x, value
     return None
@@ -339,82 +355,42 @@ def square_zero_on_letters(c: TwoCocycle):
     """Exhaustive degree-2 identity over all letter triples; returns the
     first violating (a, b, x, value), in code order of a b x, or None.
 
-    On a pairing c(u, v) = <eta1(u*), eta2(v)> the identity is decided from
-    the letter grids alone.  For letters a, b, x, with eta(b x) = rho(b)
-    eta(x) + eps(x) eta(b) and eta(b* a*) = rho(b*) eta(a*) + eps(a) eta(b*),
-    moving rho(b*) across the pairing,
+    The identity is decided from the letter grids alone.  On a pairing
+    c(u, v) = <eta1(u*), eta2(v)>, for letters a, b, x, with eta(b x) =
+    rho(b) eta(x) + eps(x) eta(b) and eta(b* a*) = rho(b*) eta(a*) + eps(a)
+    eta(b*), moving rho(b*) across the pairing,
 
         c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x)
             = <eta1(a*), (rho(b) - sigma(b)) eta2(x)>,
 
     with rho eta2's representation and sigma(l) = adjoint(rho1(l*)) the dual
-    of eta1's (`Representation.dual`): the eps terms cancel.  When both
-    representations have R_star adjoint R, sigma = rho and every triple
-    holds, with nothing evaluated.  Otherwise the first nonzero value is
-    rechecked through `batch` on its four pairs, and a mismatch raises
-    ArithmeticError.
-
-    Any other 2-cocycle needs c only on the word pairs (letter, letter),
-    (letter, word of length 2) and (word of length 2, letter), which are
-    read from word tables.
+    of eta1's (`Representation.dual`): the eps terms cancel.  A coboundary
+    c = d(phi) satisfies the identity on every triple of words, whatever
+    the values of phi (d d = 0): with (d phi)(u, v) = eps(u) phi(v) -
+    phi(u v) + phi(u) eps(v), the left-hand side expands into twelve terms
+    that cancel in pairs, since eps is multiplicative on words: eps(a b) =
+    eps(a) eps(b) and eps(b x) = eps(b) eps(x).  The left-hand side is
+    linear in c, so a combination takes the sum of its terms' values, the
+    coefficients of nested combinations multiplied out (`_pairing_terms`):
+    its coboundary terms add 0, and so do its pairings whose two
+    representations have R_star adjoint R, where sigma = rho.  When no
+    other term is left every triple holds, with nothing evaluated.
+    Otherwise the first nonzero value is rechecked through `batch` on its
+    four pairs, and a mismatch raises ArithmeticError.  Any other kind of
+    2-cocycle raises TypeError (`check_2cocycle` samples it through `batch`).
     """
-    t = WordTables(c.d)
-    t.require(3)
-    if isinstance(c, KPairCocycle):
-        if _star_pairing(c):
-            return None
-        found = _pairing_triple(c)
-        if found is not None:
-            a, b, x, value = found
-            bx, ab_x, a_bx, ab = c.batch([((b,), (x,)), ((a, b), (x,)), ((a,), (b, x)), ((a,), (b,))])
-            eps_a, eps_x = (ONE if l.row == l.col else ZERO for l in (a, x))
-            if eps_a * bx - ab_x + a_bx - ab * eps_x != value:
-                raise ArithmeticError("a letter triple's pairing value disagrees with batch", found)
-        return found
-    p11, p12, p21 = (pair_table(t, c, p, q) for p, q in ((1, 1), (1, 2), (2, 1)))
-    # c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x) over the codes of a b x
-    val = combine(
-        [(ONE, p12), (-ONE, p21), (ONE, t.eps_left(p11, 1)), (-ONE, t.eps_right(p11, 1))]
-    )
-    i = val.first_nonzero()
-    if i is None:
+    WordTables(c.d).require(3)
+    terms = [(k, p) for k, p in _pairing_terms(c) if not _star_pairing(p)]
+    if not terms:
         return None
-    a, b, x = t.word(3, i)
-    return (a, b, x, val.qi(i))
-
-
-def value_tables(t: WordTables, phi, length: int) -> list:
-    """Layers 0 .. length of a letter functional or of the counit."""
-    if isinstance(phi, LetterFunctional):
-        form, sign = phi.form, phi.sign
-
-        def first(m):
-            # one group of `linear` per head letter
-            if isinstance(form, KPairCocycle):
-                # a pairing row, the sign in its pairs
-                return t.pairing_rows(form.eta1, form.eta2, 1, m, sign)
-            parts = split(pair_table(t, form, 1, m), t.base)
-            return [([(sign, 0)], part.den, [part]) for part in parts]
-
-        return t.values(phi, phi.letter_value, first, length)
-    if isinstance(phi, CounitFunctional):
-        return [t.counit(m) for m in range(length + 1)]
-    raise TypeError(f"no word tables for a functional of type {type(phi).__name__}")
-
-
-def pair_table(t: WordTables, c, p: int, q: int):
-    """c(u, v) on all words of lengths |u| = p, |v| = q, coded as the word u v.
-
-    Pairing, coboundary and combination 2-cocycles are tabulated from their
-    parts; a 2-cocycle of any other kind raises TypeError.
-    """
-    if isinstance(c, KPairCocycle):
-        return t.pairing(c.eta1, c.eta2, p, q)
-    if isinstance(c, CoboundaryCocycle):
-        return t.coboundary(value_tables(t, c.phi, p + q), p, q)
-    if isinstance(c, CombinationCocycle):
-        return combine([(coeff, pair_table(t, term, p, q)) for coeff, term in c.terms])
-    raise TypeError(f"no word tables for a 2-cocycle of type {type(c).__name__}")
+    found = _pairing_triple(c.d, terms)
+    if found is not None:
+        a, b, x, value = found
+        bx, ab_x, a_bx, ab = c.batch([((b,), (x,)), ((a, b), (x,)), ((a,), (b, x)), ((a,), (b,))])
+        eps_a, eps_x = (ONE if l.row == l.col else ZERO for l in (a, x))
+        if eps_a * bx - ab_x + a_bx - ab * eps_x != value:
+            raise ArithmeticError("a letter triple's pairing value disagrees with batch", found)
+    return found
 
 
 _UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
@@ -700,9 +676,10 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     Returns (number of pairs checked, first violating pair or None) in the
     order of the pairs (u, v) by (length, code) of u, then of v; a violation
     carries the two words as letter tuples plus the values of d(phi) and c
-    there.  Only pairing 2-cocycles are supported.  A max_len whose words
-    of length 2 max_len would overflow a table is refused (InputError)
-    before anything is built, on every representation.
+    there.  Only pairing 2-cocycles are supported.  A max_len whose eta
+    tables, n coordinates of the words of length max_len, would overflow
+    the table budget is refused (InputError) before anything is built, on
+    every representation.
 
     No value of phi is read.  Unrolled, phi's letter recursion sums over the
     cuts w = p h t with a diagonal prefix p: phi(w) = sum (-c(h, t) + eps(t)
@@ -734,7 +711,7 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     if not isinstance(c, KPairCocycle):
         raise TypeError("exhaustive verification expects a pairing 2-cocycle")
     t = WordTables(phi.d)
-    t.require(2 * max_len)
+    t.require(max_len, max(c.eta1.n, c.eta2.n))
     words = [(m, code) for m in range(max_len + 1) for code in range(t.base**m)]
     if _star_pairing(c):
         return len(words) ** 2, None

@@ -71,7 +71,7 @@ class QVector:
     def conj(self) -> "QVector":
         return QVector(a.conj() for a in self.entries)
 
-    def concat(self, other: "QVector") -> "QVector":
+    def direct_sum(self, other: "QVector") -> "QVector":
         return QVector(self.entries + other.entries)
 
     def is_zero(self) -> bool:

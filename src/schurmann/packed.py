@@ -4,10 +4,13 @@ A `Layer` holds entries (re_i + i im_i) / den for i < size with each part
 packed as the int sum_i x_i 2^(W i) of slots W bits wide (Kronecker
 substitution).  Packing is linear, so a sum of layers times integers is a
 few big-int products and additions; the slot width is a multiple of 64
-chosen from a bound on the entries, so no slot overflows into the next,
-and decoding checks the entries against that bound.  The word tables
-(`words`) and the packed Gram rows of `linalg.PackedMatrix` are built
-from these primitives.
+chosen from a bound on the entries (`_width`), so no slot overflows into
+the next, and decoding checks the entries against that bound (`_within`,
+ArithmeticError).  Two readers use these primitives: the Gram rows of
+`linalg.PackedMatrix`, packed along the pool words
+(`functional.pool_gram_matrix`) and eliminated by `linalg.psd_check`, and
+the element sums of `words.word_set_values`, packed along the columns and
+decoded at once (`_decode`).
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
-from .scalars import Qi, _qi
+from .scalars import _qi
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -41,29 +44,12 @@ def _window_of(ones: int, width: int, k: int) -> tuple[int, int]:
     return ones << k, (ones << width) - (ones << (k + 1))
 
 
-@lru_cache(maxsize=256)
-def _window(size: int, k: int) -> tuple[int, int]:
-    """`_window_of` 64-bit slots for the few k that `_magnitude` tries."""
-    return _window_of(_ones(size, 64), 64, k)
-
-
 def _fits(x: int, size: int, width: int, window: tuple[int, int]) -> bool:
     """Whether every slot of x lies in [-2^k, 2^k), k < width, for the
     `_window_of` k: then x + 2^k in every slot carries into no other slot."""
     low, high = window
     y = x + low
     return y >= 0 and y.bit_length() <= width * size and not y & high
-
-
-def _magnitude(x: int, size: int) -> int | None:
-    """A power of two 2^k >= |slot| for every 64-bit slot of x, k <= 62, or
-    None if a slot is 2^62 or more in absolute value."""
-    if not x:
-        return 0
-    for k in (1, 2, 4, 8, 16, 32, 62):
-        if _fits(x, size, 64, _window(size, k)):
-            return 1 << k
-    return None
 
 
 def _within(x: int, size: int, width: int, bound: int, ones: int | None = None) -> None:
@@ -128,29 +114,6 @@ def _decode(raw: bytes, width: int, bound: int) -> list:
     return _signed((biased ^ top).to_bytes(len(raw), "little"), width)
 
 
-def _strided(size: int, width: int, sources) -> int:
-    """The packed int of `size` slots, 0 but for the copies: each source
-    (x, n, places) is an int of n slots whose slot i goes to start + i
-    stride for every (start, stride) of its places.  The slots are copied
-    biased by 2^(width - 1) in one buffer of 8-byte lanes, a slot being
-    width / 64 consecutive lanes, by strided slice assignment."""
-    lanes, n_bytes = width // 64, width // 8
-    # a 0 slot is stored as its bias: only the top byte of its last lane set
-    buf = bytearray((bytes(n_bytes - 1) + b"\x80") * size)
-    out = memoryview(buf).cast("Q")
-    for x, n, places in sources:
-        src = memoryview((x + (_ones(n, width) << (width - 1))).to_bytes(n_bytes * n, "little")).cast("Q")
-        for start, stride in places:
-            a = start * lanes
-            if stride == 1:
-                out[a : a + n * lanes] = src
-            else:
-                step = stride * lanes
-                for j in range(lanes):
-                    out[a + j : a + j + n * step : step] = src[j::lanes]
-    return int.from_bytes(buf, "little") - (_ones(size, width) << (width - 1))
-
-
 class Layer(NamedTuple):
     """Scalars (re_i + i im_i) / den for i < size, packed: re is the int
     sum_i re_i 2^(width i), im likewise, with every |re_i|, |im_i| <= bound
@@ -170,35 +133,9 @@ class Layer(NamedTuple):
         t = _scaled(self, f, _width(self.bound * f))
         return _unpack(t.re, t), _unpack(t.im, t)
 
-    def qi(self, i: int) -> Qi:
-        re, im = self.numerators(self.den)
-        return _qi(re[i], im[i], self.den)
-
     def qis(self) -> list:
         re, im = self.numerators(self.den)
         return list(map(_qi, re, im, repeat(self.den)))
-
-    def first_nonzero(self):
-        """Index of the first nonzero entry, or None."""
-        if not (self.re or self.im):
-            return None
-        re, im = self.numerators(self.den)
-        return next(i for i, (a, b) in enumerate(zip(re, im)) if a or b)
-
-
-def pack(re: list, im: list, den: int) -> Layer:
-    """The layer of the numerator lists re, im over den."""
-    try:
-        xr, xi = _pack(re, 64), _pack(im, 64)
-        bounds = _magnitude(xr, len(re)), _magnitude(xi, len(im))
-    except OverflowError:
-        bounds = (None,)
-    if None not in bounds:
-        return Layer(xr, xi, den, len(re), 64, max(bounds))
-    # an entry of 2^62 or more: the exact bound picks the width
-    bound = max(map(abs, chain(re, im)))
-    width = _width(bound)
-    return Layer(_pack(re, width), _pack(im, width), den, len(re), width, bound)
 
 
 def _repacked(t: Layer, width: int) -> Layer:

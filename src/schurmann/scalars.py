@@ -130,11 +130,6 @@ ONE = Qi(1)
 I = Qi(0, 1)
 
 
-def qi(re=0, im=0) -> Qi:
-    """Build a Qi from ints, rationals or 'p/q' strings."""
-    return Qi(re, im)
-
-
 def _format_rational(r: Rational) -> str:
     return f"{r.numerator}/{r.denominator}"
 

@@ -1,74 +1,48 @@
-"""Length-layered word tables on Gaussian-integer numerators.
+"""Word codes, eta tables and the word-set evaluator on Gaussian-integer
+numerators.
 
 Words over the 2 d^2 letters of ``letters(d)`` are coded as integers in base
 |alphabet| with the first letter most significant, so the words of length m
 fill the codes 0 .. base**m - 1, the code of a concatenation is
 code(u) * base**len(v) + code(v), and prepending the letter h to the words
-of length m gives the codes h * base**m + code(w).
-
-A scalar layer (`packed.Layer`) holds one quantity on a list of words (all
-words of one length, or a word pool) as Gaussian-integer numerators re_i +
-i im_i over one positive denominator, each part packed into one Python int
-sum_i x_i 2^(W i) of slots W bits wide (Kronecker substitution).  A sum of
-layers times Gaussian integers (`_sum`; `linear` first brings its terms'
-denominators to one, so a value step's pairing row and its other terms
-are one sum) is then a few big-int products and additions instead of a
-loop over the entries.  Each table is written once, in the layout its
-reader needs.  A pairing table is its rows one after another (`concat`)
-or, when the first word is the longer, its columns transposed into place.
-A counit term copies a layer into the blocks or strides of its words
-(`WordTables.eps_left` / `eps_right`).  Concatenations, transposes and
-copies all go by strided slice assignment into one buffer, over the
-layers' common denominator and slot width (`scatter`).  Every value step
-is one `linear` sum: the groups of its first term and `step_groups`.  A
-pairing row enters it as a group of `linear` (`WordTables.pairing_rows`),
-never summed on its own first.  Every operation first bounds its result's
-entries from its operands' bounds and picks the slot width (a multiple of
-64) from that bound, so no slot overflows into the next; decoding checks
-the entries against the bound.
-Values leave as lists or `Qi` only at the witnesses and `.qi`.  Every
-table follows the letter recursions of the package:
+of length m gives the codes h * base**m + code(w).  Every evaluation here
+follows the letter recursions of the package:
 
     rho(h w) = rho(h) rho(w)
     eps(h w) = [h diagonal] eps(w)
     eta(h w) = rho(h) eta(w) + eps(w) eta(h)
-    v(h w)   = first(h, w) + [h diagonal] v(w) + eps(w) v(h),    v(1) = 0
 
-The last one is the shared value step of every letter functional: first(h,
-w) = sign c(h, w) for a 2-cocycle c, the pairing <eta(h*), eta(w)> with sign
-+1 for a generating functional psi, the primitive's own 2-cocycle with sign
--1 for a primitive (`cohomology.value_tables`).
+One function steps eta on numerator lists, and rho as the same step
+without the eta term, a whole layer at a time (`layer_step`, one gather
+pass per coordinate pair).  It has two callers.
 
-Tables serve the Gram matrices and the letter-triple check of coboundary
-and combination 2-cocycles.  On a pairing, the letter-triple check and the
-exhaustive primitive sweep read eta alone: on letters, or on eta tables up
-to the sweep's word length (`cohomology.square_zero_on_letters`,
-`cohomology.verify_primitive_exhaustive`).  Vector layers (eta) and the values of word sets are
-`linalg.GaussianMatrix` grids of ints, one row per coordinate (or cell) and
-one column per word (or element); `word_set_values` keeps its layers as one
-list of ints per coordinate and reads them at arbitrary tail positions,
-which an int packed along the words serves only by decoding, so none of
-these is packed along the words (a word-packed evaluator was slower in a
-prototype: a dead end).  A vector layer is packed row by row once
-(`WordTables.coordinates`, a tuple of `Layer`s) where scalar layers read
-it.  The Gram build reads eta on its word pool from the lists and packs
-each coordinate once along the pool (`functional.pool_gram_matrix`).  One
-function steps eta, eta(h w) =
-rho(h) eta(w) + eps(w) eta(h), on numerator lists, a whole layer at a time
-(`layer_step`, one gather pass per coordinate pair).  A table layer is
-every word of its length (`WordTables.eta`).  Sparse elements, the
-relations of a presentation among them, are compiled onto the suffix
-closure of their words (`algebra.WordSet`, each layer as flat lists of
-head letters and tail numbers); `word_set_values` steps rho or eta on it,
-then sums each element on the numerators, so a relation check is a
-zero test on integers.  Letter values come as columns (`columns`):
-one for a cocycle, a unit column per unknown for the cocycle equations,
-one per basis vector to check a solved space.  The columns are packed:
-all the columns of one word and coordinate ride in one int, so a layer
-entry and a term of a sum cost one big-int operation however many columns
-there are.  Functionals and 2-cocycles on sparse elements evaluate
-their batches of words on the same word sets
-(`cohomology.LetterFunctional.batch`).
+A table layer is every word of one length (`WordTables.eta`), one
+`linalg.GaussianMatrix` per layer: one row per coordinate, one column per
+word, over one denominator.  The tables serve the Gram matrices
+(`functional.pool_gram_matrix`) and the exhaustive primitive sweep on a
+pairing over a representation whose R_star is not adjoint R
+(`cohomology.verify_primitive_exhaustive`).  A layer is read at arbitrary
+tail positions, so it stays on lists: an int packed along the words serves
+such reads only by decoding (a word-packed evaluator was slower in a
+prototype: a dead end).
+
+Sparse elements, the relations of a presentation among them, are compiled
+onto the suffix closure of their words (`algebra.WordSet`, each layer as
+flat lists of head letters and tail numbers); `word_set_values` steps rho
+or eta on it, then sums each element on the numerators, so a relation
+check is a zero test on integers.  Letter values come as columns
+(`columns`): one for a cocycle, a unit column per unknown for the cocycle
+equations, one per basis vector to check a solved space.  The columns are
+packed: all the columns of one word and coordinate ride in one int, so a
+layer entry and a term of a sum cost one big-int operation however many
+columns there are; the sums are decoded against their bound
+(`packed._decode`).
+
+No functional or 2-cocycle is tabulated.  Functionals and 2-cocycles
+evaluate their batches of words on word sets, through the cuts of the
+letter recursion (`cohomology.LetterFunctional.batch`), and the dense
+checks read eta alone: on letters (`cohomology.square_zero_on_letters`) or
+on these tables.
 """
 
 from __future__ import annotations
@@ -81,106 +55,11 @@ from typing import NamedTuple
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
 from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
 from .linalg import GaussianMatrix
-from .packed import Layer, _decode, _ones, _repacked, _scaled, _strided, _width, pack
-from .scalars import ONE, Qi
-
-
-def _sum(terms, den: int, size: int) -> Layer:
-    """sum of (a + i b) t over the terms (a, b, t): Gaussian-integer
-    coefficients and layers of `size` entries, the numerators over den."""
-    bound = 0
-    for a, b, t in terms:
-        bound += (abs(a) + abs(b)) * t.bound
-    width = _width(bound)
-    re = im = 0
-    for a, b, t in terms:
-        if t.width != width:
-            t = _repacked(t, width)
-        if a == 1:
-            re += t.re
-            im += t.im
-        elif a:
-            re += a * t.re
-            im += a * t.im
-        if b:
-            re -= b * t.im
-            im += b * t.re
-    return Layer(re, im, den, size, width, bound)
-
-
-def linear(groups, size: int) -> Layer:
-    """sum of (a + i b) t / den over the groups (pairs, den, layers), each
-    Gaussian-integer pair (a, b) taken with the numerators of its layer t of
-    `size` entries: every term over the one denominator lcm(den), then one
-    `_sum`."""
-    den = lcm(*map(itemgetter(1), groups))
-    terms = [
-        (a * f, b * f, t)
-        for pairs, d, layers in groups
-        for f in (den // d,)
-        for (a, b), t in zip(pairs, layers)
-        if (a or b) and (t.re or t.im)
-    ]
-    return _sum(terms, den, size)
+from .packed import _decode, _ones, _width
 
 
 def _over(values, den: int) -> list:
     return [(z.a * (den // z.den), z.b * (den // z.den)) for z in values]
-
-
-def step_groups(val: Layer, eps: Layer, diag: bool, vh: Qi) -> list:
-    """[diag] val(w) + eps(w) vh as groups of `linear`, eps the counit layer
-    (0 or 1 over 1): the terms of the shared value step v(h w) = first(h, w)
-    + [h diagonal] v(w) + eps(w) v(h) that follow first(h, w), whose groups
-    the caller puts in the same `linear` sum."""
-    return [([(int(diag), 0)], val.den, [val]), ([(vh.a, vh.b)], vh.den, [eps])]
-
-
-def concat(parts) -> Layer:
-    """The layers one after another, over their common denominator: one
-    stride-1 `scatter` at the running offsets."""
-    starts = accumulate((p.size for p in parts), initial=0)
-    return scatter(parts, [[(a, 1)] for a in starts], sum(p.size for p in parts))
-
-
-def split(layer: Layer, k: int) -> list:
-    """The layer cut into k consecutive layers of equal size."""
-    size, width = layer.size // k, layer.width
-    top, part_top = (_ones(n, width) << (width - 1) for n in (layer.size, size))
-    chunk = width // 8 * size
-    re, im = ((x + top).to_bytes(chunk * k, "little") for x in (layer.re, layer.im))
-    cuts = [(j * chunk, (j + 1) * chunk) for j in range(k)]
-    return [
-        layer._replace(
-            re=int.from_bytes(re[a:b], "little") - part_top,
-            im=int.from_bytes(im[a:b], "little") - part_top,
-            size=size,
-        )
-        for a, b in cuts
-    ]
-
-
-def combine(terms) -> Layer:
-    """sum of coeff * layer over (Qi coefficient, Layer) pairs of equal size."""
-    groups = [([(c.a, c.b)], c.den * t.den, [t]) for c, t in terms]
-    return linear(groups, terms[0][1].size)
-
-
-def scatter(layers, places, size: int) -> Layer:
-    """A layer of `size` entries, 0 but for copies of the layers over their
-    common denominator: entry i of layers[j] goes to start + i stride for
-    every (start, stride) of places[j].  Each part is brought to that
-    denominator and to one slot width, then written once, by strided copies
-    into one buffer (`packed._strided`)."""
-    den = lcm(*(t.den for t in layers))
-    bound = max((t.bound * (den // t.den) for t in layers), default=0)
-    width = _width(bound)
-    layers = [_scaled(t, den // t.den, width) for t in layers]
-    re, im = (
-        _strided(size, width, [(x, t.size, at) for x, t, at in zip(part, layers, places)])
-        for part in ([t.re for t in layers], [t.im for t in layers])
-    )
-    return Layer(re, im, den, size, width, bound)
 
 
 class Action(NamedTuple):
@@ -383,9 +262,6 @@ class WordTables:
         self._eps = [[0]]
         self._stars = [[0]]
         self._eta = {}
-        self._coordinates = {}
-        self._values = {}
-        self._counit = []
 
     # -- codes ------------------------------------------------------------
 
@@ -444,104 +320,3 @@ class WordTables:
             re, im = layer_step(rho, heads, xr, xi, eps, eta_re, eta_im, den // de)
             layers.append(GaussianMatrix.unchecked(re, im, den, size * base))
         return layers
-
-    # -- values -------------------------------------------------------------
-
-    def lin(self, eta, length: int, code: int, sign: int = 1):
-        """sign * conj eta(w*) for the word w = (length, code): the pairs and
-        the denominator of a group of `linear` over packed coordinates."""
-        layer = self.eta(eta, length)[length]
-        s = self.star_codes(length)[code]
-        return [(sign * r[s], -sign * m[s]) for r, m in zip(layer.re, layer.im)], layer.den
-
-    def coordinates(self, eta, length: int) -> tuple:
-        """The coordinates of layer `length` of eta packed, once."""
-        key = (id(eta), length)
-        out = self._coordinates.get(key)
-        if out is None:
-            vec = self.eta(eta, length)[length]
-            out = tuple(pack(r, m, vec.den) for r, m in zip(vec.re, vec.im))
-            self._coordinates[key] = out
-        return out
-
-    def pairing_rows(self, eta1, eta2, p: int, q: int, sign: int = 1) -> list:
-        """sign <eta1(u*), eta2(v)> for all |v| = q as groups of `linear`, one
-        per word u of length p in code order: the pairs of `lin` over the
-        packed coordinates of layer q of eta2."""
-        self.require(p + q)
-        den, right = self.eta(eta2, q)[q].den, self.coordinates(eta2, q)
-        lins = (self.lin(eta1, p, cu, sign) for cu in range(self.base**p))
-        return [(pairs, lin_den * den, right) for pairs, lin_den in lins]
-
-    def pairing(self, eta1, eta2, p: int, q: int) -> Layer:
-        """<eta1(u*), eta2(v)> for all |u| = p, |v| = q, coded as the word u v.
-
-        For p <= q the rows of `pairing_rows` one after another.  For p > q
-        one `linear` per word v over layer p of eta1, conjugated and permuted
-        by the star codes so that entry u holds conj eta1(u*), gives the
-        column of v; the columns are transposed into the codes u v at once
-        (`scatter`)."""
-        size = self.base**q
-        if p <= q:
-            return concat([linear([row], size) for row in self.pairing_rows(eta1, eta2, p, q)])
-        self.require(p + q)
-        vec, right, stars = self.eta(eta1, p)[p], self.eta(eta2, q)[q], self.star_codes(p)
-        left = tuple(
-            pack([r[s] for s in stars], [-m[s] for s in stars], vec.den) for r, m in zip(vec.re, vec.im)
-        )
-        den = right.den * vec.den
-        cols = [
-            linear([([(r[cv], m[cv]) for r, m in zip(right.re, right.im)], den, left)], vec.cols)
-            for cv in range(size)
-        ]
-        return scatter(cols, [[(cv, size)] for cv in range(size)], vec.cols * size)
-
-    def values(self, key, letter_value, first, length: int) -> list:
-        """Layers 0 .. length of v(h w) = first(h, w) + [h diagonal] v(w)
-        + eps(w) v(h) with v(1) = 0; first(m) lists, one group of `linear`
-        per head letter h in the order of the alphabet, first(h, w) over the
-        words w of length m, and letter_value(l) = v(l).  Each head letter's
-        step is one `linear` sum of that group and `step_groups`."""
-        entry = self._values.get(id(key))
-        if entry is None:
-            entry = (key, [pack([0], [0], 1)])
-            self._values[id(key)] = entry
-        layers = entry[1]
-        while len(layers) <= length:
-            m = len(layers) - 1
-            self.require(m + 1)
-            prev, eps = layers[-1], self.counit(m)
-            parts = [
-                linear([group] + step_groups(prev, eps, dg, letter_value(l)), prev.size)
-                for group, dg, l in zip(first(m), self.diag, self.alpha)
-            ]
-            layers.append(concat(parts))
-        return layers
-
-    def counit(self, length: int) -> Layer:
-        """eps(w) for the words of this length."""
-        while len(self._counit) <= length:
-            xs = [0] * self.base ** len(self._counit)
-            for c in self.eps(len(self._counit)):
-                xs[c] = 1
-            self._counit.append(pack(xs, [0] * len(xs), 1))
-        return self._counit[length]
-
-    def eps_left(self, layer: Layer, p: int) -> Layer:
-        """eps(u) layer(v) on the words u v with |u| = p: the layer copied
-        into the block of each u with eps(u) = 1 (`scatter`)."""
-        n = layer.size
-        return scatter([layer], [[(cu * n, 1) for cu in self.eps(p)]], self.base**p * n)
-
-    def eps_right(self, layer: Layer, q: int) -> Layer:
-        """layer(u) eps(v) on the words u v with |v| = q: the entries of the
-        layer base**q apart, once from each v with eps(v) = 1 (`scatter`)."""
-        size = self.base**q
-        return scatter([layer], [[(cv, size) for cv in self.eps(q)]], layer.size * size)
-
-    def coboundary(self, phi: list, p: int, q: int) -> Layer:
-        """eps(u) phi(v) - phi(u v) + phi(u) eps(v) for all |u| = p, |v| = q,
-        from the value layers phi of a functional."""
-        return combine(
-            [(-ONE, phi[p + q]), (ONE, self.eps_left(phi[q], p)), (ONE, self.eps_right(phi[p], q))]
-        )

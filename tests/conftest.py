@@ -1,7 +1,7 @@
 """Shared fixtures and hypothesis strategies for the suite."""
 
 import sys
-from math import lcm
+from itertools import product
 
 import pytest
 from hypothesis import Phase, settings, strategies as st
@@ -27,14 +27,11 @@ from schurmann.cohomology import (
     CombinationCocycle,
     CounitFunctional,
     KPairCocycle,
-    pair_table,
-    value_tables,
 )
 from schurmann.functional import Functional
 from schurmann.linalg import inner_product
-from schurmann.packed import _scaled, _unpack, _width
+from schurmann.packed import Layer, _pack, _width
 from schurmann.representation import Representation
-from schurmann.words import WordTables, combine, linear, split, step_groups
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 # `pytest --hypothesis-profile=triage`: the same examples on every run and no
@@ -341,63 +338,45 @@ def drawn_words(data, d, count=6):
     return data.draw(st.lists(word, min_size=1, max_size=count))
 
 
-# -- the word-table sweeps: the oracle for the pairing identities ------------
+def packed_layer(re, im, den, width=None):
+    """The `packed.Layer` of the numerator lists re, im over den, bounded by
+    their largest part, in slots of the given width or of the narrowest one
+    that holds them."""
+    bound = max(map(abs, re + im), default=0)
+    width = _width(bound) if width is None else width
+    return Layer(_pack(re, width), _pack(im, width), den, len(re), width, bound)
 
 
-def first_difference(x, y):
-    """Index of the first entry where the two packed layers differ, or None."""
-    den = lcm(x.den, y.den)
-    f, g = den // x.den, den // y.den
-    width = _width(max(x.bound * f, y.bound * g))
-    x, y = _scaled(x, f, width), _scaled(y, g, width)
-    if x.re == y.re and x.im == y.im:
-        return None
-    xr, xi, yr, yi = _unpack(x.re, x), _unpack(x.im, x), _unpack(y.re, y), _unpack(y.im, y)
-    return next(i for i, t in enumerate(zip(xr, xi, yr, yi)) if t[0] != t[2] or t[1] != t[3])
+# -- the plain sweeps: the oracles for the letter-triple and primitive checks --
 
 
 def oracle_square_zero_on_letters(c):
     """The first (a, b, x, value) of the degree-2 identity over the letter
-    triples in code order of a b x, from the pair tables (letter, letter),
-    (letter, word of length 2) and (word of length 2, letter)."""
-    t = WordTables(c.d)
-    p11, p12, p21 = (pair_table(t, c, p, q) for p, q in ((1, 1), (1, 2), (2, 1)))
-    val = combine(
-        [(ONE, p12), (-ONE, p21), (ONE, t.eps_left(p11, 1)), (-ONE, t.eps_right(p11, 1))]
-    )
-    i = val.first_nonzero()
-    if i is None:
-        return None
-    a, b, x = t.word(3, i)
-    return (a, b, x, val.qi(i))
+    triples in code order of a b x, or None: eps(a) c(b, x) - c(a b, x) +
+    c(a, b x) - c(a, b) eps(x), every c by the per-word formula of its kind
+    (`oracle_pair`)."""
+    alpha, memo = letters(c.d), {}
+    pair = lambda u, v: oracle_pair(c, u, v, memo)
+    for a, b, x in product(alpha, repeat=3):
+        value = pair((a,), (b, x)) - pair((a, b), (x,))
+        if _diagonal((a,)):
+            value = value + pair((b,), (x,))
+        if _diagonal((x,)):
+            value = value - pair((a,), (b,))
+        if not value.is_zero():
+            return (a, b, x, value)
+    return None
 
 
 def oracle_verify_primitive_exhaustive(phi, max_len):
     """(pairs checked, first violating (a, b, d(phi)(a, b), c(a, b)) or None)
-    over every word pair in (length, code) order: phi(a b) from phi's value
-    tables up to length 2 max_len against the value step -<eta1(a*),
-    eta2(b)> + eps(a) phi(b) + phi(a) eps(b) with the word a in place of a
-    letter."""
-    c = phi.two_cocycle
-    t = WordTables(phi.d)
-    phis = value_tables(t, phi, 2 * max_len)
-    checked = 0
-    for la in range(max_len + 1):
-        eps_a = set(t.eps(la))
-        pa = phis[la].qis()
-        # phi(a b) for the words a of length la, one layer per a
-        lhs = [split(phis[la + lb], t.base**la) for lb in range(max_len + 1)]
-        # -<eta1(a*), eta2(b)> for the words a of length la, one group per a
-        rows = [t.pairing_rows(c.eta1, c.eta2, la, lb, -1) for lb in range(max_len + 1)]
-        for ca in range(t.base**la):
-            for lb in range(max_len + 1):
-                steps = step_groups(phis[lb], t.counit(lb), ca in eps_a, pa[ca])
-                rhs = linear([rows[lb][ca]] + steps, t.base**lb)
-                cb = first_difference(lhs[lb][ca], rhs)
-                if cb is not None:
-                    aw, bw = t.word(la, ca), t.word(lb, cb)
-                    (got,) = CoboundaryCocycle(phi).batch([(aw, bw)])
-                    (want,) = c.batch([(aw, bw)])
-                    return checked + cb + 1, (aw, bw, got, want)
-                checked += t.base**lb
-    return checked, None
+    over every word pair in (length, code) order of a, then of b, both sides
+    by the per-word formulas (`oracle_pair`; d(phi) reads phi through
+    `oracle_functional`)."""
+    words = [w for m in range(max_len + 1) for w in product(letters(phi.d), repeat=m)]
+    c, d_phi, memo = phi.two_cocycle, CoboundaryCocycle(phi), {}
+    for i, (a, b) in enumerate(product(words, repeat=2)):
+        got, want = oracle_pair(d_phi, a, b, memo), oracle_pair(c, a, b, memo)
+        if got != want:
+            return i + 1, (a, b, got, want)
+    return len(words) ** 2, None

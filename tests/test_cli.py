@@ -392,7 +392,7 @@ def test_negative_word_length_refused(run, files, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["check", "psd", "--input", "psi", "--max-word-len", "9"], ["reproduce-paper", "--max-word-len", "4"]],
+    [["check", "psd", "--input", "psi", "--max-word-len", "9"], ["reproduce-paper", "--max-word-len", "7"]],
     ids=["psd", "reproduce-paper"],
 )
 def test_table_budget_refused(run, files, argv):
@@ -518,6 +518,15 @@ def test_reproduce_paper_short_pool(run):
     assert "FAIL" not in out1
     # the bytes pinned for this run, the same the benchmark pins
     assert out1.encode() == PINNED_LEN2.read_bytes() == BENCH_LEN2.read_bytes()
+
+
+def test_reproduce_paper_runs_past_the_sweep_length_of_its_old_budget(run):
+    # the sweep is budgeted by its eta tables, words of up to 4 letters, no
+    # longer by tables of words of 8 letters
+    code, out, err = run("reproduce-paper", "--max-word-len", "4")
+    assert code == 0, err
+    assert "all 21911761 word pairs of length <= 4" in out
+    assert out.endswith("51/51 checks passed\n")
 
 
 def test_module_entry_point_runs_the_cli():

@@ -9,13 +9,11 @@ from conftest import (
     canonical_values,
     drawn_elements,
     flat_cocycle,
-    drawn_words,
     oracle_functional,
     oracle_pair,
     oracle_square_zero_on_letters,
     oracle_verify_primitive_exhaustive,
     qi_scalars,
-    unvalidated_rep,
     without_deep_recursion,
 )
 from schurmann import (
@@ -58,8 +56,8 @@ from schurmann import (
 )
 from schurmann import algebra, cocycle, cohomology, words
 from schurmann.cocycle import Cocycle
-from schurmann.cohomology import pair_table, value_tables
 from schurmann.errors import InputError
+from schurmann.functional import Functional
 from schurmann.linalg import GaussianMatrix
 from schurmann.representation import Representation, direct_sum_rep
 from schurmann.words import WordTables
@@ -95,9 +93,9 @@ def test_kpair_requires_matching_rep(eta_sym_u2, eta_rot_o3):
 
 def test_square_zero_finds_witness_on_adhoc_bilinear():
     # c(a, b) = [len(a) = len(b) = 1] is not a 2-cocycle: the identity
-    # reduces to eps(a) - eps(x) on letter triples.  Word tables cover the
-    # catalogued kinds only; check_2cocycle sweeps the same letter triples
-    # in the same order through batch.
+    # reduces to eps(a) - eps(x) on letter triples.  The letter-triple
+    # identity covers the catalogued kinds only; check_2cocycle sweeps the
+    # same letter triples in the same order through batch.
     class FlatPairing(TwoCocycle):
         d = 2
 
@@ -380,45 +378,119 @@ def test_exhaustive_verifier_catches_broken_star_structure_wide(u2, grids, broke
     )
 
 
-def _broken_star_primitive(pres, rng):
-    """A primitive with random letter values on the pairing of two random
-    cocycles, n <= 3, over a random grid R whose R_star is adjoint R but at
-    one random cell, multiplied there by a Gaussian unit or an integer.
-    Each cocycle lives on that carrier or on the star one (R_star adjoint
-    R); eta2's letter values are half of them 0, so its span can be a
-    proper subspace.  No relation is checked: the identities behind the
-    sweeps hold on the free *-algebra."""
+def _scalar(rng):
+    return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 3))
+
+
+def _broken_star_carriers(pres, rng):
+    """(broken, star): a random grid R, n <= 3, with R_star adjoint R on the
+    star carrier and, on the broken one, adjoint R but at one random cell,
+    multiplied there by a Gaussian unit or an integer.  No relation is
+    checked: the identities behind the sweeps hold on the free *-algebra."""
     d, n = pres.d, rng.randint(1, 3)
-
-    def scalar():
-        return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 3))
-
-    block = lambda: QMatrix([[scalar() for _ in range(n)] for _ in range(n)])
+    block = lambda: QMatrix([[_scalar(rng) for _ in range(n)] for _ in range(n)])
     R = tuple(tuple(block() for _ in range(d)) for _ in range(d))
     star = [[m.adjoint() for m in row] for row in R]
     good = Representation(pres, n, R, tuple(map(tuple, star)))
     j, k = rng.randrange(d), rng.randrange(d)
     star[j][k] = star[j][k].scale(rng.choice([I, -ONE, -I, ZERO, Qi(2), Qi(-3)]))
-    bad = Representation(pres, n, R, tuple(map(tuple, star)))
-    size = 2 * d * d * n
-    eta1 = flat_cocycle(rng.choice([bad, good]), [scalar() for _ in range(size)])
-    eta2 = flat_cocycle(rng.choice([bad, good]), [rng.choice([ZERO, scalar()]) for _ in range(size)])
-    values = QMatrix([[scalar() for _ in range(d)] for _ in range(d)])
-    return Primitive(KPairCocycle(eta1, eta2), values, values.transpose())
+    return Representation(pres, n, R, tuple(map(tuple, star))), good
+
+
+def _random_pairing(rng, rep1, rep2):
+    """The pairing of a random cocycle on rep1 with one on rep2 whose letter
+    values are half of them 0, so that its span can be a proper subspace."""
+    size = 2 * rep1.d * rep1.d * rep1.n
+    eta1 = flat_cocycle(rep1, [_scalar(rng) for _ in range(size)])
+    eta2 = flat_cocycle(rep2, [rng.choice([ZERO, _scalar(rng)]) for _ in range(size)])
+    return KPairCocycle(eta1, eta2)
+
+
+def _letter_values(rng, d):
+    values = QMatrix([[_scalar(rng) for _ in range(d)] for _ in range(d)])
+    return values, values.transpose()
+
+
+def _broken_star_primitive(pres, rng):
+    """A primitive with random letter values on the pairing of two random
+    cocycles, each on the broken or on the star carrier."""
+    carriers = _broken_star_carriers(pres, rng)
+    c = _random_pairing(rng, rng.choice(carriers), rng.choice(carriers))
+    return Primitive(c, *_letter_values(rng, pres.d))
 
 
 @given(st.randoms(use_true_random=False))
 def test_pairing_sweeps_match_the_table_oracles(u2, o3, rng):
     # every presentation in every example: the sweep's (checked, witness)
-    # and the first letter-triple witness equal those of the word-table
-    # sweeps they replace
-    for pres in (build_presentation("k_d", 2), u2, o3):
+    # and the first letter-triple witness equal those of the plain per-word
+    # sweeps in `conftest`; O_3+ at length 1 only, its full plain sweep at
+    # length 2 taking seconds (one pinned case below)
+    for pres, top in ((build_presentation("k_d", 2), 2), (u2, 2), (o3, 1)):
         phi = _broken_star_primitive(pres, rng)
-        max_len = rng.randint(1, 2)
+        max_len = rng.randint(1, top)
         got = verify_primitive_exhaustive(phi, max_len=max_len)
         assert got == oracle_verify_primitive_exhaustive(phi, max_len), (pres.kind, max_len)
         c = phi.two_cocycle
         assert square_zero_on_letters(c) == oracle_square_zero_on_letters(c), pres.kind
+
+
+def test_pairing_sweep_on_o3_at_length_2_matches_the_plain_sweep(o3):
+    # both cocycles on the broken carrier.  A letter u never fails (zeta1
+    # and eta1 share their letter values), so the witness's u has two
+    # letters: past the 19 words of length <= 1, each against all 343 words
+    rng = random.Random(0)
+    broken, _ = _broken_star_carriers(o3, rng)
+    phi = Primitive(_random_pairing(rng, broken, broken), *_letter_values(rng, 3))
+    checked, witness = verify_primitive_exhaustive(phi, max_len=2)
+    assert checked == 6520 > 19 * 343
+    assert (len(witness[0]), len(witness[1])) == (2, 1)
+    assert (checked, witness) == oracle_verify_primitive_exhaustive(phi, 2)
+
+
+def _two_cocycles_of_every_kind(pres, rng):
+    """Coboundaries of a primitive, of a generating functional and of the
+    counit, which hold the identity on every triple, and nested
+    combinations with non-unit Gaussian coefficients of pairings on the
+    broken carrier, on the star one and on both.  The primitive's and the
+    functional's own pairings are on the broken carrier."""
+    broken, star = _broken_star_carriers(pres, rng)
+    on_broken, on_star = _random_pairing(rng, broken, broken), _random_pairing(rng, star, star)
+    mixed = _random_pairing(rng, star, broken)
+    phi = Primitive(on_broken, *_letter_values(rng, pres.d))
+    psi = Functional(on_broken.eta1, *_letter_values(rng, pres.d))
+    coboundaries = [coboundary1(phi), coboundary1(psi), coboundary1(CounitFunctional(pres))]
+
+    def k():
+        return rng.choice([Qi(2), -I, Qi(1, -3) / Qi(2), Qi(-1, 2)])
+
+    inner = CombinationCocycle(((k(), on_broken), (k(), coboundaries[0]), (k(), mixed)))
+    nested = CombinationCocycle(((k(), on_star), (k(), inner), (k(), coboundaries[1])))
+    flat = CombinationCocycle(((k(), on_star), (k(), on_broken)))
+    return coboundaries + [nested, flat, CombinationCocycle(((k(), nested), (k(), on_broken)))]
+
+
+@given(st.randoms(use_true_random=False))
+def test_square_zero_matches_the_plain_oracle(u2, rng):
+    # every kind of 2-cocycle in every example: the first letter-triple
+    # witness equals that of the plain per-word sweep in `conftest`
+    for pres in (build_presentation("k_d", 2), u2):
+        cocycles = _two_cocycles_of_every_kind(pres, rng)
+        for c in cocycles:
+            assert square_zero_on_letters(c) == oracle_square_zero_on_letters(c), c
+        assert [square_zero_on_letters(c) for c in cocycles[:3]] == [None] * 3
+
+
+def test_square_zero_evaluates_nothing_without_a_broken_pairing(monkeypatch, u2, eta_sym_u2):
+    # coboundaries and star pairings only: None before any letter is read
+    psi = schurmann_functional(eta_sym_u2)
+    star = KPairCocycle(eta_sym_u2, eta_sym_u2)
+    cob = coboundary1(psi)
+    combo = CombinationCocycle(((Qi(2), star), (-I, CombinationCocycle(((I, cob), (Qi(3), star))))))
+    monkeypatch.setattr(cohomology, "_pairing_triple", lambda *a: pytest.fail("evaluated"))
+    for kind in (KPairCocycle, CombinationCocycle, cohomology.CoboundaryCocycle):
+        monkeypatch.setattr(kind, "batch", lambda *a: pytest.fail("evaluated"))
+    for c in (combo, cob, coboundary1(CounitFunctional(u2)), star):
+        assert square_zero_on_letters(c) is None
 
 
 def test_class_coordinates_rebuild_is_enforced(monkeypatch, eta_asym_u2):
@@ -445,11 +517,16 @@ def test_check_primitive_passes_on_construction(eta_rot_o3):
 def test_exhaustive_budget_refused_before_any_table(monkeypatch, eta_sym_u2):
     phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
     monkeypatch.setattr(WordTables, "eta", lambda *a: pytest.fail("table built"))
-    monkeypatch.setattr(WordTables, "values", lambda *a: pytest.fail("table built"))
-    # 8 letters: the budget of a table of words of length 2 * 4, 8**8 entries
-    assert 8**8 > words.MAX_TABLE_ENTRIES
+    # 8 letters: the budget of an eta table of words of length 7, 8**7
+    # entries; length 6 fits
+    assert 8**6 <= words.MAX_TABLE_ENTRIES < 8**7
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
-        verify_primitive_exhaustive(phi, max_len=4)
+        verify_primitive_exhaustive(phi, max_len=7)
+    # but not for five coordinates, 5 * 8**6 entries
+    eta = flat_cocycle(counit_rep(build_presentation("k_d", 2), 5), [ZERO] * 40)
+    wide = Primitive(KPairCocycle(eta, eta), phi.values, phi.star_values)
+    with pytest.raises(InputError, match="length 6 would hold 1310720 entries"):
+        verify_primitive_exhaustive(wide, max_len=6)
 
 
 @pytest.fixture(scope="module")
@@ -479,55 +556,6 @@ def _table_cases(eta, k2_phi):
         CombinationCocycle(((Qi(2), kp), (I, coboundary1(on_kpair)), (Qi(rational("-1/2")), counit_cob))),
     ]
     return cocycles, [on_kpair, on_coboundary, k2_phi]
-
-
-@pytest.mark.parametrize("name", ["eta_sym_u2", "eta_rot_o3", "eta_asym_u2"])
-@given(data=st.data())
-def test_pair_and_value_tables_match_recursion(request, k2_pairing_primitive, name, data):
-    # every 2-cocycle and primitive of the input in every example (a
-    # derandomized draw of one of them can miss one)
-    cocycles, primitives = _table_cases(request.getfixturevalue(name), k2_pairing_primitive)
-    tables = {}
-    for c in cocycles + [k2_pairing_primitive.two_cocycle]:
-        t = tables.setdefault(c.d, WordTables(c.d))
-        for w in drawn_words(data, c.d):
-            cut = data.draw(st.integers(0, len(w)))
-            u, v = w[:cut], w[cut:]
-            assert pair_table(t, c, len(u), len(v)).qi(t.code(w)) == oracle_pair(c, u, v), (u, v)
-    for phi in primitives:
-        t = tables.setdefault(phi.d, WordTables(phi.d))
-        layers = value_tables(t, phi, 3)
-        for w in drawn_words(data, phi.d):
-            assert layers[len(w)].qi(t.code(w)) == oracle_functional(phi, w), w
-
-
-@given(st.data())
-def test_pairing_with_a_longer_first_word_matches_the_rows(data):
-    # d = 3, n = 2: eta1 and eta2 on one random rep, letter values up to
-    # 2^63 or 2^70 over a denominator, so pairings need 128- or 192-bit
-    # slots.  The table for |u| = 2 > |v| = 1 is built column by column and
-    # transposed; it must equal, entry by entry, the rows of `pairing_rows`,
-    # one `linear` per word u.  The entries are seeded: drawing 180 scalars
-    # one by one took most of the run time.
-    rng = data.draw(st.randoms(use_true_random=False))
-
-    def scalar(top):
-        return Qi(rng.choice([0, rng.randint(-top, top)]), rng.randint(-top, top)) / Qi(rng.randint(1, 6))
-
-    blocks = [[QMatrix([[scalar(3) for _ in "ab"] for _ in "ab"]) for _ in "abc"] for _ in "abc"]
-    rep = unvalidated_rep(build_presentation("k_d", 3), blocks, 2)
-    top = data.draw(st.sampled_from([4, 2**63, 2**70]))
-    c = KPairCocycle(*(flat_cocycle(rep, [scalar(top) for _ in range(36)]) for _ in "12"))
-    t = WordTables(3)
-    table = pair_table(t, c, 2, 1)
-    assert table.size == t.base**3
-    rows = [words.linear([row], t.base) for row in t.pairing_rows(c.eta1, c.eta2, 2, 1)]
-    assert {row.den for row in rows} == {table.den}
-    parts = words.split(table, t.base**2)
-    assert [p.numerators(table.den) for p in parts] == [row.numerators(table.den) for row in rows]
-    for code in data.draw(st.lists(st.integers(0, t.base**3 - 1), max_size=3)):
-        w = t.word(3, code)
-        assert table.qi(code) == oracle_pair(c, w[:2], w[2:])
 
 
 def _elements_for(data, d):

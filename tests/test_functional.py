@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    canonical_values,
     drawn_words,
     eta_word,
     flat_cocycle,
-    oracle_functional,
     q,
     qi_matrices,
     scalar_grid,
@@ -42,7 +40,6 @@ from schurmann import (
 )
 from schurmann import functional, words
 from schurmann.errors import InputError
-from schurmann.cohomology import value_tables
 from schurmann.functional import Functional, default_pool_size, default_word_pool
 from schurmann.representation import Representation
 from schurmann.words import WordTables
@@ -53,9 +50,8 @@ def eta_complex_k3():
     """An unvalidated cocycle on k_d, d = 3, n = 2: rho with complex
     off-diagonal blocks over denominators 2 and 3 and diagonal blocks
     diag(1, i), letter values up to 2^70 over denominators 1 to 3.  Every
-    layer of its eta table past the first needs the imaginary product, and
-    the packed coordinates that its psi tables read need slots wider than
-    64 bits."""
+    layer of its eta table past the first needs the imaginary product, on
+    numerators far above 64 bits."""
 
     def off(j, k):
         return QMatrix([[Qi(j + 1, k - 1) / Qi(2), I], [Qi(k), Qi(j - k, 1) / Qi(3)]])
@@ -68,26 +64,26 @@ def eta_complex_k3():
 
 @pytest.fixture(scope="module")
 def recursion_tables(eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
-    """(eta, psi, tables, eta layers, psi layers) to length 3 for each input."""
+    """(eta, tables, eta layers) to length 3 for each input."""
     out = []
     for eta in (eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
-        psi, t = canonical_values(eta), WordTables(eta.d)
-        out.append((eta, psi, t, t.eta(eta, 3), value_tables(t, psi, 3)))
+        t = WordTables(eta.d)
+        out.append((eta, t, t.eta(eta, 3)))
     return out
 
 
 @given(st.data())
 def test_tables_match_recursion(recursion_tables, data):
-    # the counit, eta and psi tables against the memoised recursions, every
-    # input in every example (a derandomized draw of one input can miss one)
-    for eta, psi, t, etas, psis in recursion_tables:
+    # the codes, the counit and the eta tables against the memoised
+    # recursion, every input in every example (a derandomized draw of one
+    # input can miss one)
+    for eta, t, etas in recursion_tables:
         for w in drawn_words(data, eta.d):
             m, c = len(w), t.code(w)
             assert t.word(m, c) == w
             assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
             assert (c in t.eps(m)) == all(l.row == l.col for l in w)
             assert QVector(etas[m].column(c)) == eta_word(eta, w, {}), w
-            assert psis[m].qi(c) == oracle_functional(psi, w), w
 
 
 def test_functional_vanishes_on_relations(eta_sym_u2, u2):

@@ -2,9 +2,11 @@
 library's `ast`.
 
 Three checks, in place of a linter the suite cannot assume: no module
-imports a name it never uses, every module-level name is referenced
-somewhere in the package outside its own definition, and every dotted name
-in backticks in the package's docstrings and the README resolves.
+imports a name it never uses, every module-level name and every method of
+a module-level class is referenced somewhere in the package outside its
+own definition, and every dotted name in backticks in the package's
+docstrings and the README resolves.  A method counts by its name alone, so
+one that shares a name with a live attribute elsewhere escapes the check.
 """
 
 import ast
@@ -67,10 +69,14 @@ def _imports(text, tree):
 
 def _definitions(tree):
     """(name, defining node) of every module-level function, class and
-    assigned name."""
+    assigned name, and of every method of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield method.name, method
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -99,18 +105,26 @@ def test_every_module_level_name_is_referenced():
             # every occurrence inside its own definition: the name is dead
             if everywhere[defined] == _references(node)[defined]:
                 dead.append(f"{name}.{defined}")
-    assert not dead, f"module-level names referenced nowhere in the package: {dead}"
+    assert not dead, f"module-level names or methods referenced nowhere in the package: {dead}"
 
 
 def test_the_checks_see_dead_code():
-    # an unused import, an unreferenced helper and a self-recursive one
-    text = "import os\nfrom math import lcm\n\ndef f():\n    return f()\n\ndef g():\n    return lcm\n"
+    # an unused import, an unreferenced helper and a self-recursive one, and
+    # a class whose method h only calls itself while its method k is called
+    text = (
+        "import os\nfrom math import lcm\n\ndef f():\n    return f()\n\ndef g():\n    return lcm\n\n"
+        "class C:\n    def h(self):\n        return self.h()\n\n    def k(self):\n        return 0\n\n"
+        "C().k()\n"
+    )
     tree = ast.parse(text)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [bound for bound, _ in _imports(text, tree) if bound not in used] == ["os"]
     defined = dict(_definitions(tree))
+    assert {"f", "g", "C", "h", "k"} <= set(defined)
     assert _references(tree)["f"] == _references(defined["f"])["f"] == 1
     assert _references(tree)["lcm"] > _references(defined["g"])["lcm"]
+    assert _references(tree)["h"] == _references(defined["h"])["h"] == 1
+    assert _references(tree)["k"] > _references(defined["k"])["k"]
 
 
 def _doc_references() -> list:

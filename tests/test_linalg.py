@@ -7,7 +7,7 @@ from math import isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import q, qi_matrices, qi_scalars, qi_vectors
+from conftest import packed_layer, q, qi_matrices, qi_scalars, qi_vectors
 from schurmann import (
     I,
     ONE,
@@ -32,7 +32,6 @@ from schurmann.linalg import (
     inner_product,
     project_onto_span,
 )
-from schurmann.words import pack
 
 
 def test_kernel_of_rank_one_matrix():
@@ -134,7 +133,7 @@ def test_psd_check_refuses_non_hermitian_input(monkeypatch, eta_sym_u2):
     rows = [gram.row(i).numerators(gram.den) for i in range(gram.rows)]
     assert rows[1][1][2] == -rows[2][1][1] != 0
     rows[1][1][2] += 1
-    bad = PackedMatrix([pack(re, im, gram.den) for re, im in rows], gram.cols)
+    bad = PackedMatrix([packed_layer(re, im, gram.den) for re, im in rows], gram.cols)
     with pytest.raises(ValueError):
         psd_check(bad)
     # slots wider than 64 bits: re is off in one entry of 2^70
@@ -222,7 +221,7 @@ def _as_gaussian(m):
 
 def _packed_rows(re, im, den):
     """The numerator rows (re, im) over den as a PackedMatrix."""
-    return PackedMatrix([pack(r, i, den) for r, i in zip(re, im)], len(re[0]))
+    return PackedMatrix([packed_layer(r, i, den) for r, i in zip(re, im)], len(re[0]))
 
 
 def _as_packed(m):
@@ -231,7 +230,7 @@ def _as_packed(m):
     rows = []
     for row in m.data:
         (re,), (im,) = _numerators([row])
-        rows.append(pack(re, im, lcm(*(z.den for z in row))))
+        rows.append(packed_layer(re, im, lcm(*(z.den for z in row))))
     return PackedMatrix(rows, m.cols)
 
 
