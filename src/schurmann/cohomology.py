@@ -25,7 +25,7 @@ from operator import add, mul, sub
 from .algebra import Element, Letter, Presentation, counit, letters
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
-from .linalg import GaussianMatrix, QMatrix, QVector, _rref, inner_product
+from .linalg import GaussianMatrix, QMatrix, QVector, _paired, _rref, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
 from .words import WordTables
@@ -660,15 +660,6 @@ def _checked_eta(t: WordTables, eta: Cocycle, length: int) -> list:
     return layers
 
 
-def _paired(xr, xi, yr, yi, j: int) -> tuple[int, int]:
-    """conj(x) . y on numerators: x = (xr, xi) one int per coordinate, y
-    column j of the coordinate lists (yr, yi)."""
-    # conj(x_k) y_k = (xr yr + xi yi) + i (xr yi - xi yr)
-    re = sum(a * r[j] + b * m[j] for a, b, r, m in zip(xr, xi, yr, yi))
-    im = sum(a * m[j] - b * r[j] for a, b, r, m in zip(xr, xi, yr, yi))
-    return re, im
-
-
 def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     """Check d(phi) = c on every pair of words of length <= max_len, for a
     pairing c(u, v) = <eta1(u*), eta2(v)>.
@@ -696,6 +687,9 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     sigma(l) = adjoint(rho(l*)) (`Representation.dual`), as in
     `functional.pool_gram_matrix`.  When both representations have R_star
     adjoint R, zeta1 = eta1 and every pair holds, with no table built.
+    zeta1 and eta1 share their letter values, so delta(u) = zeta1(u*) -
+    eta1(u*) below is 0 for the empty word and every letter: at max_len <= 1
+    every pair holds with no table built, and the scan starts at length 2.
 
     Otherwise eta1, zeta1 and eta2 come from the word tables up to length
     max_len, the layers up to length 2 checked against the word-set
@@ -713,7 +707,7 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     t = WordTables(phi.d)
     t.require(max_len, max(c.eta1.n, c.eta2.n))
     words = [(m, code) for m in range(max_len + 1) for code in range(t.base**m)]
-    if _star_pairing(c):
+    if _star_pairing(c) or max_len <= 1:
         return len(words) ** 2, None
     zeta1 = Cocycle(c.eta2.rep.dual, c.eta1.V, c.eta1.W)
     h1, z1, h2 = (_checked_eta(t, eta, max_len) for eta in (c.eta1, zeta1, c.eta2))
@@ -722,7 +716,8 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     yr = [list(chain.from_iterable(layer.re[k] for layer in h2)) for k in range(c.eta2.n)]
     yi = [list(chain.from_iterable(layer.im[k] for layer in h2)) for k in range(c.eta2.n)]
     _, pivots = _rref(yr, yi, len(words))
-    for iu, (m, code) in enumerate(words):
+    start = 1 + t.base
+    for iu, (m, code) in enumerate(words[start:], start):
         s = t.star_codes(m)[code]
         z, e = z1[m], h1[m]
         den = lcm(z.den, e.den)

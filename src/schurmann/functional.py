@@ -12,26 +12,27 @@ requires psi(r) = 0 on every relation.
 Conditional positivity is checked on a word pool: the Gram matrix
 (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 is <zeta(w_i), eta(w_j)>
 for a second cocycle zeta that follows eta's recursion (`pool_gram_matrix`),
-so the build reads eta tables only, never a value of psi.
+so the build reads eta tables only, never a value of psi.  It is kept as
+its two n x N factors, and its positivity is decided on the s <= 2 n pool
+words where the stacked factors pivot (`linalg.psd_check`); those s^2
+entries are rechecked against psi's own recursion (`gram_psd_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import product
 from math import lcm
-from operator import add, mul
 from typing import Sequence
 
 from .algebra import Element, Presentation, all_permutations, letters
 from .cocycle import Cocycle, b_matrices, cocycle_general
-from .cohomology import KPairCocycle, LetterFunctional
+from .cohomology import KPairCocycle, LetterFunctional, _diagonal, _star_word
 from .errors import RelationViolation
-from .linalg import PackedMatrix, QMatrix, inner_product, psd_check, project_onto_span
-from .packed import Layer, _pack, _width
+from .linalg import GaussianMatrix, Gram, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
-from .scalars import I, Qi
+from .scalars import I, Qi, _qi
 from .words import WordTables, require_entries
 
 
@@ -167,14 +168,39 @@ def default_pool_size(d: int, max_len: int) -> int:
 
 def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len: int = 2) -> bool:
     """Conditional positivity on a word pool: psd of (psi(a_i* a_j)) with
-    a_i = w_i - counit(w_i) 1."""
+    a_i = w_i - counit(w_i) 1, decided on the core of `pool_gram_matrix`
+    (`linalg.psd_check`).
+
+    The core entries are all the verdict reads, and they come from eta's
+    word tables.  Each is rechecked as psi(w_p* w_q) - eps(w_q) psi(w_p*) -
+    eps(w_p) psi(w_q) in one `LetterFunctional.batch` call, which reads
+    psi's letter values and the word-set evaluator instead: a mismatch
+    raises ArithmeticError.
+    """
     if pool is None:
         require_entries(default_pool_size(psi.d, max_len) ** 2, "the Gram matrix")
         pool = default_word_pool(psi.d, max_len)
-    return psd_check(pool_gram_matrix(psi, pool))
+    g = pool_gram_matrix(psi, pool)
+    verdict = psd_check(g)
+    core, re, im = g.core
+    words = [pool[p] for p in core]
+    stars = [_star_word(w) for w in words]
+    s, den = len(words), g.z.den * g.h.den
+    values = psi.batch([u + w for u in stars for w in words] + stars + words)
+    for i, j in product(range(s), repeat=2):
+        want = values[i * s + j]
+        if _diagonal(words[j]):
+            want = want - values[s * s + i]
+        if _diagonal(words[i]):
+            want = want - values[s * s + s + j]
+        if _qi(re[i][j], im[i][j], den) != want:
+            raise ArithmeticError(
+                "a Gram core entry disagrees with the letter recursion of psi", words[i], words[j]
+            )
+    return verdict
 
 
-def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
+def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> Gram:
     """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool,
     as G_ij = <zeta(w_i), eta(w_j)>: no value of psi is evaluated.
 
@@ -198,54 +224,30 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> PackedMatrix:
     A tampered R_star makes sigma differ from rho, so the matrix is in
     general not Hermitian, and `psd_check` refuses it.
 
-    eta and zeta on the pool are read from the word tables as numerators
-    over one denominator each.  Row i is sum_k conj(zeta(w_i)_k) times the
-    packed coordinate k of eta on the pool: a few big-int products, every
-    row over one denominator and one slot width, picked from the largest
-    row bound sum_k |zeta(w_i)_k| max |eta_k|; a row with zeta(w_i) = 0 is
-    0 with no arithmetic.  Zero rows are common (73 to 169 of the 181 rows
-    of the d = 3 and 401 of the 545 rows of the d = 4 Gram matrices of
-    `reproduce-paper`), and `psd_check` eliminates the nonzero rows only.
+    The matrix is a `linalg.Gram`, kept as its factors: zeta and eta on the
+    pool, n coordinates by N words each, read from the word tables as
+    numerators over one denominator each (one shared grid when zeta is
+    eta).  So G = Z* H has rank at most n, and `psd_check` decides it on at
+    most 2 n of the N words.
     """
     require_entries(len(pool) ** 2, "the Gram matrix")
-    eta, size = psi.cocycle, len(pool)
-    dual = eta.rep.dual
+    eta = psi.cocycle
     t = WordTables(psi.d)
     codes = [(len(w), t.code(w)) for w in pool]
-    hr, hi, dh = _on_pool(t, eta, codes)
-    zr, zi, dz = (hr, hi, dh) if dual is eta.rep else _on_pool(t, Cocycle(dual, eta.V, eta.W), codes)
-    h_bounds = [max(map(abs, chain(r, m)), default=0) for r, m in zip(hr, hi)]
-    # the parts (re, im) of zeta(w_i), one pair of tuples per row
-    z_rows = list(zip(zip(*zr), zip(*zi))) if eta.n else [((), ())] * size
-    bound = max(
-        (sum(map(mul, map(add, map(abs, a), map(abs, b)), h_bounds)) for a, b in z_rows), default=0
-    )
-    width = _width(max(bound, *h_bounds, 0))
-    h = [(_pack(r, width), _pack(m, width)) for r, m in zip(hr, hi)]
-    rows = []
-    for z_re, z_im in z_rows:
-        # (a - i b)(x + i y) = a x + b y + i (a y - b x)
-        re = im = 0
-        for a, b, (x, y) in zip(z_re, z_im, h):
-            if a:
-                re += a * x
-                im += a * y
-            if b:
-                re += b * y
-                im -= b * x
-        rows.append(Layer(re, im, dz * dh, size, width, bound))
-    return PackedMatrix(rows, size)
+    h = _on_pool(t, eta, codes)
+    dual = eta.rep.dual
+    return Gram(h if dual is eta.rep else _on_pool(t, Cocycle(dual, eta.V, eta.W), codes), h)
 
 
-def _on_pool(t: WordTables, eta: Cocycle, codes: list) -> tuple:
-    """eta of every pool word (length, code) from the tables: the real and
-    the imaginary numerators, one list per coordinate, over one denominator."""
+def _on_pool(t: WordTables, eta: Cocycle, codes: list) -> GaussianMatrix:
+    """eta of every pool word (length, code) from the tables: one row per
+    coordinate, one column per word, over one denominator."""
     layers = t.eta(eta, max((m for m, _ in codes), default=0))
     den = lcm(*(v.den for v in layers))
     fs = [den // v.den for v in layers]
     re = [[layers[m].re[k][c] * fs[m] for m, c in codes] for k in range(eta.n)]
     im = [[layers[m].im[k][c] * fs[m] for m, c in codes] for k in range(eta.n)]
-    return re, im, den
+    return GaussianMatrix.unchecked(re, im, den, len(codes))
 
 
 @dataclass(frozen=True)

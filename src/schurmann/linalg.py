@@ -2,29 +2,28 @@
 
 The inner product is conjugate-linear in the FIRST argument,
     <x, y> = sum_i conj(x_i) * y_i,
-and every routine below is exact.  Kernels, ranks and solves run one
-Gauss-Jordan on Gaussian-integer numerator rows (`_rref`, `_row_step`),
-each distinct row up to sign and content once; a `Qi` is built only for a
-nonzero reduced-form entry that is read back.  A
+and every routine below is exact.  Kernels, ranks, solves and the PSD
+check run one Gauss-Jordan on Gaussian-integer numerator rows (`_rref`,
+`_row_step`), each distinct row up to sign and content once; a `Qi` is
+built only for a nonzero reduced-form entry that is read back.  A
 `GaussianMatrix` is the grid of such numerators over one denominator: the
 word evaluator's vector layers and word-set values and the coefficient
 matrices are of this type, and `kernel_basis` takes its rows as they are
-(`_grid`).  A `PackedMatrix` holds each row packed (`packed.Layer`): the
-Gram matrix is built in this form (`functional.pool_gram_matrix`), and
-`psd_check` takes this type only and runs its Hermitian test and a
-fraction-free (Bareiss) elimination on the packed rows.  The two eliminations share no code: on
-the cocycle kernels a packed Bareiss Gauss-Jordan was measured far slower
-than the list rows with a gcd per step.
+(`_grid`).  A `Gram` is the matrix z* h of two such grids with n rows and
+N columns, kept as its factors (`functional.pool_gram_matrix`): `psd_check`
+takes this type only and decides on the s x s core G[Q, Q], Q the s <= 2 n
+pivot columns of the stacked factors, since G = R* G[Q, Q] R for their
+reduced row echelon form R.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, repeat
-from math import gcd, isqrt, lcm
-from operator import add, mul
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .packed import Layer, _ones, _repacked, _scaled, _unpack, _width, _within
 from .scalars import ONE, ZERO, Qi, _qi
 
 
@@ -252,11 +251,11 @@ def _numerators(rows: Sequence[Sequence[Qi]]) -> tuple[list[list[int]], list[lis
 
 
 def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list]:
-    """The step of `_rref`: the row (p x - f y) / g for numerator rows x =
-    (re, im) and y, an integer p > 0, a Gaussian integer f = (re, im) and
-    g > 0 the integer gcd of the parts of p x - f y.  The pivot p is real,
-    so no Gaussian factor (such as 2 + i) that the integer gcd cannot remove
-    piles up in a row."""
+    """The step of `_rref` and `psd_check`: the row (p x - f y) / g for
+    numerator rows x = (re, im) and y, an integer p > 0, a Gaussian integer
+    f = (re, im) and g > 0 the integer gcd of the parts of p x - f y.  The
+    pivot p is real, so no Gaussian factor (such as 2 + i) that the integer
+    gcd cannot remove piles up in a row."""
     (fr, fi), (xr, xi), (yr, yi) = f, x, y
     re = [p * a - fr * c + fi * d for a, c, d in zip(xr, yr, yi)]
     im = [p * b - fr * d - fi * c for b, c, d in zip(xi, yr, yi)]
@@ -407,158 +406,95 @@ class GaussianMatrix:
         return [j for j, cells in enumerate(zip(*self.re, *self.im)) if any(cells)]
 
 
-class PackedMatrix:
-    """Matrix with entries (re + i im) / den whose row i is packed
-    (`packed.Layer`): re[i] and im[i] are ints of `cols` slots `width`
-    bits wide, every numerator at most `bound` in absolute value.  Built
-    from row layers brought to one denominator and one slot width; rows
-    index to `Qi`."""
+def _paired(xr, xi, yr, yi, j: int) -> tuple[int, int]:
+    """conj(x) . y on numerators: x = (xr, xi) one int per coordinate, y
+    column j of the coordinate lists (yr, yi)."""
+    # conj(x_k) y_k = (xr yr + xi yi) + i (xr yi - xi yr)
+    re = sum(a * r[j] + b * m[j] for a, b, r, m in zip(xr, xi, yr, yi))
+    im = sum(a * m[j] - b * r[j] for a, b, r, m in zip(xr, xi, yr, yi))
+    return re, im
 
-    __slots__ = ("re", "im", "den", "cols", "width", "bound")
 
-    def __init__(self, layers: Sequence[Layer], cols: int):
-        if any(t.size != cols for t in layers):
-            raise ValueError("PackedMatrix needs rows of `cols` entries")
-        den = lcm(*(t.den for t in layers))
-        bound = max((t.bound * (den // t.den) for t in layers), default=0)
-        width = _width(bound)
-        layers = [_scaled(t, den // t.den, width) for t in layers]
-        self.re, self.im = [t.re for t in layers], [t.im for t in layers]
-        self.den, self.cols, self.width, self.bound = den, cols, width, bound
+class Gram:
+    """The N x N matrix G_ij = <z_i, h_j> held as its two n x N
+    `GaussianMatrix` factors z and h, n >= 0: z_i and h_i are column i of
+    each (z is h for G = H* H).  Rows index to `Qi`, computed from the
+    factors; `core` is what `psd_check` decides on."""
+
+    def __init__(self, z: GaussianMatrix, h: GaussianMatrix):
+        if z.shape != h.shape:
+            raise ValueError("Gram needs two factors of one shape")
+        self.z, self.h = z, h
 
     @property
     def rows(self) -> int:
-        return len(self.re)
+        return self.h.cols
+
+    cols = rows
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row(self, i: int) -> Layer:
-        return Layer(self.re[i], self.im[i], self.den, self.cols, self.width, self.bound)
-
     def __getitem__(self, i: int) -> list:
-        return self.row(i).qis()
+        z, h = self.z, self.h
+        xr, xi, den = [r[i] for r in z.re], [m[i] for m in z.im], z.den * h.den
+        return [_qi(*_paired(xr, xi, h.re, h.im, j), den) for j in range(self.cols)]
+
+    @cached_property
+    def core(self) -> tuple[list, list, list]:
+        """(Q, re, im): the pivot columns Q of the stacked numerator rows
+        [z; h] (`_rref`), s <= 2 n of them, and the numerators over z.den
+        h.den of the s x s matrix M = G[Q, Q] = z_Q* h_Q, row by row."""
+        z, h = self.z, self.h
+        _, pivots = _rref(z.re + h.re, z.im + h.im, self.cols)
+        re, im = [], []
+        for p in pivots:
+            xr, xi = [r[p] for r in z.re], [m[p] for m in z.im]
+            row = [_paired(xr, xi, h.re, h.im, q) for q in pivots]
+            re.append([a for a, _ in row])
+            im.append([b for _, b in row])
+        return pivots, re, im
 
 
-def _require_hermitian(m: PackedMatrix, live: list) -> None:
-    """ValueError unless re is symmetric and im antisymmetric; ArithmeticError
-    if a decoded slot is above the bound.  live lists the nonzero rows: only
-    they are written out or decoded, and a zero row's column must be 0."""
-    n = m.rows
-    if _width(2 * m.bound) == 64:
-        # Hermitian iff (re + im)^T = re - im: re^T - re is antisymmetric and
-        # im^T + im symmetric, so their sum is 0 only if both are.  The slots
-        # go to bytes biased by 2^63, nonnegative: equal bytes, equal entries.
-        # Column j of re + im is the stride j::n of its slots, row after row.
-        # A zero row is its bias in both buffers; its column is compared with
-        # it too, since one side of a pair checks only re + im against re - im.
-        top, size = _ones(n, 64) << 63, 8 * n
-        bias = top.to_bytes(size, "little")
-        plus, minus = bytearray(bias) * n, [bias] * n
-        for i in live:
-            x, y = m.re[i] + top, m.im[i]
-            plus[i * size : (i + 1) * size] = (x + y).to_bytes(size, "little")
-            minus[i] = (x - y).to_bytes(size, "little")
-        slots = memoryview(plus).cast("Q")
-        hermitian = all(slots[j::n].tobytes() == row for j, row in enumerate(minus))
-    else:
-        zero = [0] * n
-        re, im = [zero] * n, [zero] * n
-        for i in live:
-            row = m.row(i)
-            re[i], im[i] = _unpack(row.re, row), _unpack(row.im, row)
-        # every nonzero row against its column, re and im apart
-        hermitian = all(
-            re[i] == [r[i] for r in re] and not any(map(add, im[i], [r[i] for r in im])) for i in live
-        )
-    if not hermitian:
-        raise ValueError("psd_check requires a Hermitian matrix")
+def psd_check(g: Gram) -> bool:
+    """Exact positive semidefiniteness of a Hermitian `Gram` (TypeError for
+    any other type, ValueError if it is not Hermitian), decided on its s x s
+    core M = G[Q, Q] (`Gram.core`).
 
+    Every row of z and of h is its entries at Q times R, the reduced row
+    echelon form of the stacked rows [z; h]: z = z_Q R, h = h_Q R, so
+    G = z* h = R* M R.  R has full row rank and R_Q is the identity, so
+    v -> R v is onto: G is Hermitian iff M is, and PSD iff M is.
 
-def _slot(x: int, k: int, top: int, width: int, bound: int) -> int:
-    """Entry k of a packed row x, top holding 2^(width - 1) in every slot;
-    ArithmeticError if it is above the bound."""
-    v = (((x + top) >> (width * k)) & ((1 << width) - 1)) - (1 << (width - 1))
-    if abs(v) > bound:
-        raise ArithmeticError(f"a packed entry is above its layer's bound {bound}")
-    return v
-
-
-def _minor_bound(k: int, bound: int) -> int:
-    """A bound on |det| of any k x k matrix whose entries have parts of at
-    most `bound` in absolute value (Hadamard: rows of norm <= sqrt(2 k) bound)."""
-    return isqrt((2 * k * bound * bound) ** k) + 1
-
-
-def psd_check(m: PackedMatrix) -> bool:
-    """Exact positive semidefiniteness of a Hermitian `PackedMatrix`
-    (TypeError for any other type).
-
-    A zero row of a Hermitian matrix has a zero column, so it stays zero
-    through every step and is never a pivot: only the nonzero rows are
-    eliminated (most rows of the Gram matrices are zero).  Hermitian
-    elimination on the packed rows, fraction-free (Bareiss): the first
-    nonzero diagonal entry p is the pivot and must be positive, and every
-    remaining row x becomes (p x - x[c] y) / prev for the pivot row y, its
-    column c and the previous pivot prev (1 at first), also when x[c] = 0.
-    By Sylvester's identity the division is exact and the remaining block is
-    prev times the Schur complement, prev > 0 a principal minor, so its
-    diagonal keeps the signs of the Schur complement's.  Once the remaining
-    diagonal is zero the remaining block must vanish (else a 2x2 principal
-    minor is negative).  The eliminated columns are zero in the remaining
-    rows, so the rows keep their length and original positions.  The
-    remaining block is Hermitian (the input was checked to be), so column c
-    of the remaining rows is read as the conjugate of the pivot row y, one
-    bound-checked decode of y per pivot.
+    M is decided by Hermitian elimination on `_row_step`: the first positive
+    diagonal entry p of the remaining rows is the pivot, and every other
+    remaining row x becomes (p x - x[c] y) / g for the pivot row y, its
+    column c and g the gcd of the row.  p and g are positive, so each row is
+    a positive multiple of its row of the Schur complement S: the remaining
+    block is D S for a positive diagonal D, its diagonal has the signs of
+    S's and it vanishes iff S does.  A negative diagonal entry means not
+    PSD.  Once no diagonal entry is positive the block must vanish, else a
+    2 x 2 principal minor is negative.  The eliminated columns are zero in
+    the remaining rows, so the rows keep their length and positions.
     """
-    if not isinstance(m, PackedMatrix):
-        raise TypeError(f"psd_check takes a PackedMatrix, not a {type(m).__name__}")
-    if m.rows != m.cols:
+    if not isinstance(g, Gram):
+        raise TypeError(f"psd_check takes a Gram, not a {type(g).__name__}")
+    _, re, im = g.core
+    s = len(re)
+    if any(re[i][j] != re[j][i] or im[i][j] != -im[j][i] for i in range(s) for j in range(i, s)):
         raise ValueError("psd_check requires a Hermitian matrix")
-    live = [i for i, (x, y) in enumerate(zip(m.re, m.im)) if x or y]
-    _require_hermitian(m, live)
-    n, width, bound, prev = m.rows, m.width, m.bound, 1
-    # a zero row has a zero column: it stays zero and is never a pivot
-    rows = [(i, m.re[i], m.im[i]) for i in live]
+    # (the row's diagonal position, re, im)
+    rows = list(zip(range(s), re, im))
     while rows:
-        top = _ones(n, width) << (width - 1)
-        # the diagonal stays real: the block is a positive multiple of a Hermitian one
-        for i, (j, x, _) in enumerate(rows):
-            p = _slot(x, j, top, width, bound)
-            if p:
-                break
-        else:
-            return not any(x or y for _, x, y in rows)
-        if p < 0:
+        diagonal = [x[c] for c, x, _ in rows]
+        if min(diagonal) < 0:
             return False
-        c, yr, yi = rows.pop(i)
-        y = Layer(yr, yi, 1, n, width, bound)
-        # column c of the remaining rows: the conjugate of the pivot row
-        pr, pi = _unpack(yr, y), _unpack(yi, y)
-        fs = [(pr[j], -pi[j]) for j, _, _ in rows]
-        # the slots hold twice the bound of p x - f y; its quotient by prev
-        # is a minor of m of one order more than the len(live) - len(rows)
-        # pivots so far
-        written = (p + max((abs(a) + abs(b) for a, b in fs), default=0)) * bound
-        if _width(2 * written) > width:
-            wide = _width(2 * written)
-            yr, yi = _repacked(y, wide)[:2]
-            rows = [(j, *_repacked(y._replace(re=xr, im=xi), wide)[:2]) for j, xr, xi in rows]
-            width = wide
-        bound = min(written // prev, _minor_bound(len(live) - len(rows) + 1, m.bound))
-        for k, ((j, xr, xi), (fr, fi)) in enumerate(zip(rows, fs)):
-            xr, xi = p * xr - fr * yr + fi * yi, p * xi - fr * yi - fi * yr
-            if prev > 1:
-                (xr, a), (xi, b) = divmod(xr, prev), divmod(xi, prev)
-                if a or b:
-                    raise ArithmeticError("a fraction-free elimination step left a remainder")
-                # p x - f y and prev times the quotient differ by less than
-                # a slot can hold, so they are equal slot by slot
-                _within(xr, n, width, bound)
-                _within(xi, n, width, bound)
-            rows[k] = j, xr, xi
-        prev = p
+        i = next((i for i, p in enumerate(diagonal) if p > 0), None)
+        if i is None:
+            return not any(any(x) or any(y) for _, x, y in rows)
+        c, *y = rows.pop(i)
+        rows = [(j, *_row_step(diagonal[i], (x[c], xi[c]), (x, xi), y)) for j, x, xi in rows]
     return True
 
 

@@ -18,9 +18,9 @@ pass per coordinate pair).  It has two callers.
 
 A table layer is every word of one length (`WordTables.eta`), one
 `linalg.GaussianMatrix` per layer: one row per coordinate, one column per
-word, over one denominator.  The tables serve the Gram matrices
-(`functional.pool_gram_matrix`) and the exhaustive primitive sweep on a
-pairing over a representation whose R_star is not adjoint R
+word, over one denominator.  The tables serve the factors of the Gram
+matrices (`functional.pool_gram_matrix`) and the exhaustive primitive
+sweep on a pairing over a representation whose R_star is not adjoint R
 (`cohomology.verify_primitive_exhaustive`).  A layer is read at arbitrary
 tail positions, so it stays on lists: an int packed along the words serves
 such reads only by decoding (a word-packed evaluator was slower in a
@@ -33,10 +33,13 @@ or eta on it, then sums each element on the numerators, so a relation
 check is a zero test on integers.  Letter values come as columns
 (`columns`): one for a cocycle, a unit column per unknown for the cocycle
 equations, one per basis vector to check a solved space.  The columns are
-packed: all the columns of one word and coordinate ride in one int, so a
-layer entry and a term of a sum cost one big-int operation however many
-columns there are; the sums are decoded against their bound
-(`packed._decode`).
+packed: all the columns of one word and coordinate ride in one int, column
+v in the slot 2^(W v) (Kronecker substitution), so a layer entry and a term
+of a sum cost one big-int operation however many columns there are.  W is
+a multiple of 64 bits picked from bounds on the layers and the sums
+(`_width`), so no slot overflows into the next; the sums are written out
+biased by 2^(W - 1) and decoded at once, every slot checked against the
+bound (`_decode`, ArithmeticError).
 
 No functional or 2-cocycle is tabulated.  Functionals and 2-cocycles
 evaluate their batches of words on word sets, through the cuts of the
@@ -47,6 +50,9 @@ on these tables.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import add, itemgetter, mul, sub
@@ -55,7 +61,50 @@ from typing import NamedTuple
 # MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
 from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
 from .linalg import GaussianMatrix
-from .packed import _decode, _ones, _width
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _width(bound: int) -> int:
+    """The narrowest slot width, a multiple of 64 bits, holding every x with
+    |x| <= bound in two's complement."""
+    return (bound.bit_length() + 64) // 64 * 64
+
+
+@lru_cache(maxsize=256)
+def _ones(size: int, width: int) -> int:
+    """1 in each of `size` slots of `width` bits."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * size, "little")
+
+
+def _signed(raw: bytes, width: int) -> list:
+    """The slots of little-endian bytes, `width` bits each in two's complement."""
+    if width == 64:
+        a = array("q")
+        a.frombytes(raw)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return a.tolist()
+    n = width // 8
+    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, len(raw), n)]
+
+
+def _decode(raw: bytes, width: int, bound: int) -> list:
+    """The slots of little-endian bytes, each `width` bits holding x +
+    2^(width - 1); ArithmeticError unless every x lies in [-2^k, 2^k), k the
+    bit length of the bound, and 2^k fits a slot.  For sizes met once (a word
+    set's sums): the slot constants are built here, not kept by `_ones`."""
+    size = len(raw) * 8 // width
+    ones = _ones.__wrapped__(size, width)
+    top, biased = ones << (width - 1), int.from_bytes(raw, "little")
+    # x + 2^k in every slot carries into no other slot iff every x is in range:
+    # then y is nonnegative, stays within the slots and is below 2^(k + 1) in each
+    k = bound.bit_length()
+    y = biased - top + (ones << k)
+    high = (ones << width) - (ones << (k + 1))
+    if k >= width or y < 0 or y.bit_length() > width * size or y & high:
+        raise ArithmeticError(f"a packed entry is above its layer's bound {bound}")
+    return _signed((biased ^ top).to_bytes(len(raw), "little"), width)
 
 
 def _over(values, den: int) -> list:
@@ -168,7 +217,7 @@ def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[lis
 
 def _cells(sums: list, width: int, slot: int, bound: int) -> list:
     """The `width` slots of every packed sum, one sum after another, joined
-    through bytes and decoded at once (`packed._decode`, whose size no cache
+    through bytes and decoded at once (`_decode`, whose size no cache
     keeps); ArithmeticError if a slot is outside the bound."""
     bias = _ones(width, slot) << (slot - 1)
     try:
@@ -191,8 +240,8 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     substitution along the columns); W is picked once, before anything is
     packed, from the bounds of the layers (`_layer_bounds`) and of the
     element sums.  The layers follow one another in one list per
-    coordinate, where the terms read them.  Layer m + 1 is one `layer_step`
-    on layer m read at its tails.  Each element's sum is
+    coordinate, where the terms read them.  Each layer m + 1 is one
+    `layer_step` on layer m read at its tails.  Each element's sum is
     one product per term and coordinate, and the sums of a coordinate and
     part are decoded together and checked against their bound
     (ArithmeticError).  The sums are over ws.den times the last layer's
@@ -300,8 +349,8 @@ class WordTables:
     def eta(self, eta, length: int) -> list:
         """Layers 0 .. length of eta, each one `layer_step`: layer m + 1 has
         the words h w in code order, base**m per head letter h, and the tails
-        w are layer m repeated once per head.  Layer m + 1 is over
-        lcm(rho.den den_m, eta den)."""
+        w are layer m repeated once per head, over lcm(rho.den den_m,
+        eta den)."""
         entry = self._eta.get(id(eta))
         if entry is None:
             # eta(1) = 0; one column of letter values, its slot 2^0 whatever the width

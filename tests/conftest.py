@@ -30,7 +30,6 @@ from schurmann.cohomology import (
 )
 from schurmann.functional import Functional
 from schurmann.linalg import inner_product
-from schurmann.packed import Layer, _pack, _width
 from schurmann.representation import Representation
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -336,15 +335,6 @@ def drawn_words(data, d, count=6):
     alpha = letters(d)
     word = st.lists(st.sampled_from(alpha), max_size=3).map(tuple)
     return data.draw(st.lists(word, min_size=1, max_size=count))
-
-
-def packed_layer(re, im, den, width=None):
-    """The `packed.Layer` of the numerator lists re, im over den, bounded by
-    their largest part, in slots of the given width or of the narrowest one
-    that holds them."""
-    bound = max(map(abs, re + im), default=0)
-    width = _width(bound) if width is None else width
-    return Layer(_pack(re, width), _pack(im, width), den, len(re), width, bound)
 
 
 # -- the plain sweeps: the oracles for the letter-triple and primitive checks --

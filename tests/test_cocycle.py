@@ -365,11 +365,13 @@ def test_word_set_values_in_columns_match_recursion(every_kind, data):
     # layer bounds straddle the 64- and 128-bit slot limits, on words of up
     # to five letters; rho itself (no eta) runs on the same drawn rep
     # every presentation in every example: a per-example draw of one can
-    # miss one under the derandomized triage profile
+    # miss one under the derandomized triage profile.  The solver's width is
+    # drawn at d = 2 only: at d = 3 its up to 36 x 36 letter values made
+    # drawing them the test's largest cost
     for pres in every_kind:
         d, n = pres.d, data.draw(st.integers(1, 2))
         full = 2 * d * d * n
-        width = data.draw(st.one_of(st.integers(2, 4), st.just(full)))
+        width = data.draw(st.one_of(st.integers(2, 4), st.just(full)) if d == 2 else st.integers(2, 4))
 
         def scale():
             return Qi(data.draw(st.sampled_from([1, 2**40, 2**70]))) / Qi(data.draw(st.integers(1, 6)))

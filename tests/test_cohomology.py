@@ -299,6 +299,19 @@ def test_exhaustive_verifier_checks_its_eta_layers_against_the_evaluator(
         verify_primitive_exhaustive(phi, max_len=2)
 
 
+def test_exhaustive_verifier_builds_no_table_below_length_2(monkeypatch, u2, eta_sym_u2):
+    # zeta1 and eta1 share their letter values, so on a broken star
+    # structure no pair of words of length <= 1 can fail: every pair is
+    # counted with no eta layer built
+    eta1 = _broken_star_eta(u2, eta_sym_u2, (0, 0))
+    clean = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
+    phi = Primitive(KPairCocycle(eta1, eta1), clean.values, clean.star_values)
+    assert verify_primitive_exhaustive(phi, max_len=2)[1] is not None
+    monkeypatch.setattr(WordTables, "eta", lambda *a: pytest.fail("table built"))
+    assert verify_primitive_exhaustive(phi, max_len=0) == (1, None)
+    assert verify_primitive_exhaustive(phi, max_len=1) == (9**2, None)
+
+
 def test_exhaustive_verifier_needs_a_pairing(eta_sym_u2):
     phi = primitive(coboundary1(schurmann_functional(eta_sym_u2)))
     with pytest.raises(TypeError):

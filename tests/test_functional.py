@@ -41,6 +41,7 @@ from schurmann import (
 from schurmann import functional, words
 from schurmann.errors import InputError
 from schurmann.functional import Functional, default_pool_size, default_word_pool
+from schurmann.linalg import GaussianMatrix, psd_check
 from schurmann.representation import Representation
 from schurmann.words import WordTables
 
@@ -170,7 +171,7 @@ def test_gram_rows_at_length_three_match_the_evaluator(u2):
     pool = default_word_pool(2, 3)
     m = functional.pool_gram_matrix(psi, pool)
     assert m.shape == (169, 169)
-    assert m.den > 1
+    assert m.z is m.h and m.h.den > 1
     shifted = []
     for w in pool:
         e = Element.from_word(2, w)
@@ -237,6 +238,26 @@ def test_gram_budget_refused_before_the_pool_is_built(monkeypatch, eta_sym_u2):
         gram_psd_check(psi, max_len=9)
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
         functional.pool_gram_matrix(psi, [()] * (words.MAX_TABLE_ENTRIES // 1000))
+
+
+def test_gram_check_rechecks_its_core_against_the_letter_recursion(monkeypatch, eta_sym_u2):
+    # the verdict reads the core entries, here on letters, from the eta
+    # tables; with the letters' layer over twice its denominator G = H* H
+    # stays psd, and the recheck through psi's letter values raises
+    psi = schurmann_functional(eta_sym_u2)
+    tables = WordTables.eta
+
+    def scaled(self, eta, length):
+        layers = tables(self, eta, length)
+        x = layers[1]
+        return layers[:1] + [GaussianMatrix.unchecked(x.re, x.im, 2 * x.den, x.cols)] + layers[2:]
+
+    monkeypatch.setattr(WordTables, "eta", scaled)
+    pool = default_word_pool(2)
+    g = functional.pool_gram_matrix(psi, pool)
+    assert [len(pool[p]) for p in g.core[0]] == [1] and psd_check(g)
+    with pytest.raises(ArithmeticError, match="Gram core entry"):
+        gram_psd_check(psi)
 
 
 def test_gram_check_surfaces_broken_star_structure(u2, eta_sym_u2):
