@@ -69,8 +69,8 @@ class Cocycle:
     def numerators(self) -> tuple:
         """eta(letter h)_k at h * n + k over `letters(d)`, as one column of
         letter values (`words.columns`): the form that `words.letter_slots`
-        packs for `words.layer_step`, on word sets (`words.word_set_values`)
-        and on tables (`words.WordTables.eta`)."""
+        packs for `words.layer_step`, on the word sets of
+        `words.word_set_values`."""
         return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
 
 

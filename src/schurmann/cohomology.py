@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import Element, Letter, Presentation, counit, letters
+from .algebra import Element, Letter, Presentation, WordSet, counit, letters, word_set, words_up_to
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, _paired, _rref, inner_product
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
-from .words import WordTables
+from .words import require_words, word_set_values
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -379,7 +379,7 @@ def square_zero_on_letters(c: TwoCocycle):
     four pairs, and a mismatch raises ArithmeticError.  Any other kind of
     2-cocycle raises TypeError (`check_2cocycle` samples it through `batch`).
     """
-    WordTables(c.d).require(3)
+    require_words(c.d, 3)
     terms = [(k, p) for k, p in _pairing_terms(c) if not _star_pairing(p)]
     if not terms:
         return None
@@ -645,21 +645,6 @@ def _primitive_witness(phi: Primitive, aw, bw):
     return (aw, bw, got, want)
 
 
-def _checked_eta(t: WordTables, eta: Cocycle, length: int) -> list:
-    """Layers 0 .. length of eta from the tables, those up to length 2
-    checked against the word-set evaluator (`cocycle.cocycle_columns`)
-    first; ArithmeticError if one disagrees."""
-    layers = t.eta(eta, length)
-    for m in range(min(2, length) + 1):
-        layer = layers[m]
-        words = [Element.from_word(eta.d, t.word(m, code)) for code in range(layer.cols)]
-        sparse = cocycle_columns(eta, words)
-        for x, y in zip(chain(layer.re, layer.im), chain(sparse.re, sparse.im)):
-            if [a * sparse.den for a in x] != [b * layer.den for b in y]:
-                raise ArithmeticError(f"eta's word table of length {m} disagrees with the word-set evaluator")
-    return layers
-
-
 def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     """Check d(phi) = c on every pair of words of length <= max_len, for a
     pairing c(u, v) = <eta1(u*), eta2(v)>.
@@ -668,9 +653,9 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     order of the pairs (u, v) by (length, code) of u, then of v; a violation
     carries the two words as letter tuples plus the values of d(phi) and c
     there.  Only pairing 2-cocycles are supported.  A max_len whose eta
-    tables, n coordinates of the words of length max_len, would overflow
+    values, n coordinates of the words of length max_len, would overflow
     the table budget is refused (InputError) before anything is built, on
-    every representation.
+    every representation (`words.require_words`).
 
     No value of phi is read.  Unrolled, phi's letter recursion sums over the
     cuts w = p h t with a diagonal prefix p: phi(w) = sum (-c(h, t) + eps(t)
@@ -686,16 +671,16 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     = xi(w*): eta1's letter values on the dual of eta2's representation,
     sigma(l) = adjoint(rho(l*)) (`Representation.dual`), as in
     `functional.pool_gram_matrix`.  When both representations have R_star
-    adjoint R, zeta1 = eta1 and every pair holds, with no table built.
+    adjoint R, zeta1 = eta1 and every pair holds, with nothing evaluated.
     zeta1 and eta1 share their letter values, so delta(u) = zeta1(u*) -
     eta1(u*) below is 0 for the empty word and every letter: at max_len <= 1
-    every pair holds with no table built, and the scan starts at length 2.
+    every pair holds with nothing evaluated, and the scan starts at length 2.
 
-    Otherwise eta1, zeta1 and eta2 come from the word tables up to length
-    max_len, the layers up to length 2 checked against the word-set
-    evaluator first (ArithmeticError).  A word u fails some pair exactly
-    when delta(u) = zeta1(u*) - eta1(u*) is not orthogonal to the r <= n
-    pivot words of eta2 (the first words whose eta2 values are independent
+    Otherwise every word up to length max_len, in code order, is compiled
+    into one word set (`_all_words`), and eta1, zeta1 and eta2 are read on
+    it by the word-set evaluator, one call each.  A word u fails some pair
+    exactly when delta(u) = zeta1(u*) - eta1(u*) is not orthogonal to the
+    r <= n pivot words of eta2 (the first words whose eta2 values are independent
     of those before them), so each u costs r inner products.  For the first
     failing u the words v are scanned in order; the witness is rechecked on
     the word-set evaluator (`_primitive_witness`), and a recheck whose d(phi)
@@ -704,37 +689,39 @@ def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
     c = phi.two_cocycle
     if not isinstance(c, KPairCocycle):
         raise TypeError("exhaustive verification expects a pairing 2-cocycle")
-    t = WordTables(phi.d)
-    t.require(max_len, max(c.eta1.n, c.eta2.n))
-    words = [(m, code) for m in range(max_len + 1) for code in range(t.base**m)]
+    d, n, base = phi.d, c.eta2.n, 2 * phi.d**2
+    require_words(d, max_len, n)
     if _star_pairing(c) or max_len <= 1:
-        return len(words) ** 2, None
-    zeta1 = Cocycle(c.eta2.rep.dual, c.eta1.V, c.eta1.W)
-    h1, z1, h2 = (_checked_eta(t, eta, max_len) for eta in (c.eta1, zeta1, c.eta2))
-    # eta2 on every word, layer after layer: a column scaled by its layer's
-    # denominator moves no pivot and no zero test
-    yr = [list(chain.from_iterable(layer.re[k] for layer in h2)) for k in range(c.eta2.n)]
-    yi = [list(chain.from_iterable(layer.im[k] for layer in h2)) for k in range(c.eta2.n)]
-    _, pivots = _rref(yr, yi, len(words))
-    start = 1 + t.base
-    for iu, (m, code) in enumerate(words[start:], start):
-        s = t.star_codes(m)[code]
-        z, e = z1[m], h1[m]
-        den = lcm(z.den, e.den)
-        f, g = den // z.den, den // e.den
-        xr = [a[s] * f - b[s] * g for a, b in zip(z.re, e.re)]
-        xi = [a[s] * f - b[s] * g for a, b in zip(z.im, e.im)]
-        if all(_paired(xr, xi, yr, yi, j) == (0, 0) for j in pivots):
+        return sum(base**m for m in range(max_len + 1)) ** 2, None
+    words, ws = _all_words(d, max_len)
+    e1 = word_set_values(ws, c.eta1.rep.action, n, c.eta1.numerators)
+    z1 = word_set_values(ws, c.eta2.rep.dual.action, n, c.eta1.numerators)
+    h2 = word_set_values(ws, c.eta2.rep.action, n, c.eta2.numerators)
+    _, pivots = _rref(h2.re, h2.im, len(words))
+    at = {w: j for j, w in enumerate(words)}
+    den = lcm(z1.den, e1.den)
+    f, g = den // z1.den, den // e1.den
+    for iu, u in enumerate(words[1 + base :], 1 + base):
+        s = at[_star_word(u)]
+        xr = [a[s] * f - b[s] * g for a, b in zip(z1.re, e1.re)]
+        xi = [a[s] * f - b[s] * g for a, b in zip(z1.im, e1.im)]
+        if all(_paired(xr, xi, h2.re, h2.im, j) == (0, 0) for j in pivots):
             continue
         iv, (re, im) = next(
-            (j, p) for j in range(len(words)) if (p := _paired(xr, xi, yr, yi, j)) != (0, 0)
+            (j, p) for j in range(len(words)) if (p := _paired(xr, xi, h2.re, h2.im, j)) != (0, 0)
         )
-        mv, cv = words[iv]
-        witness = _primitive_witness(phi, t.word(m, code), t.word(mv, cv))
-        if witness[2] - witness[3] != _qi(re, im, den * h2[mv].den):
+        witness = _primitive_witness(phi, u, words[iv])
+        if witness[2] - witness[3] != _qi(re, im, den * h2.den):
             raise ArithmeticError("the sweep's witness disagrees with the word-set evaluator", witness)
         return iu * len(words) + iv + 1, witness
     return len(words) ** 2, None
+
+
+def _all_words(d: int, max_len: int) -> tuple[list, WordSet]:
+    """Every word of length <= max_len in code order, and the word set
+    compiled from them, one element per word."""
+    words = list(words_up_to(d, max_len))
+    return words, word_set(d, [Element.from_word(d, w) for w in words])
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ requires psi(r) = 0 on every relation.
 Conditional positivity is checked on a word pool: the Gram matrix
 (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 is <zeta(w_i), eta(w_j)>
 for a second cocycle zeta that follows eta's recursion (`pool_gram_matrix`),
-so the build reads eta tables only, never a value of psi.  It is kept as
-its two n x N factors, and its positivity is decided on the s <= 2 n pool
-words where the stacked factors pivot (`linalg.psd_check`); those s^2
-entries are rechecked against psi's own recursion (`gram_psd_check`).
+so the build reads eta and zeta on the pool's word set, never a value of
+psi.  It is kept as its two n x N factors, and its positivity is decided
+on the s <= 2 n pool words where the stacked factors pivot
+(`linalg.psd_check`); those s^2 entries are rechecked against psi's own
+recursion (`gram_psd_check`).
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm
 from typing import Sequence
 
-from .algebra import Element, Presentation, all_permutations, letters
+from .algebra import Element, Presentation, WordSet, all_permutations, letters, word_set
 from .cocycle import Cocycle, b_matrices, cocycle_general
 from .cohomology import KPairCocycle, LetterFunctional, _diagonal, _star_word
 from .errors import RelationViolation
-from .linalg import GaussianMatrix, Gram, QMatrix, inner_product, psd_check, project_onto_span
+from .linalg import Gram, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, Qi, _qi
-from .words import WordTables, require_entries
+from .words import require_entries, word_set_values
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,14 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     a_i = w_i - counit(w_i) 1, decided on the core of `pool_gram_matrix`
     (`linalg.psd_check`).
 
-    The core entries are all the verdict reads, and they come from eta's
-    word tables.  Each is rechecked as psi(w_p* w_q) - eps(w_q) psi(w_p*) -
-    eps(w_p) psi(w_q) in one `LetterFunctional.batch` call, which reads
-    psi's letter values and the word-set evaluator instead: a mismatch
-    raises ArithmeticError.
+    The core entries are all the verdict reads, and they come from eta and
+    zeta on the pool's word set.  Each is rechecked as psi(w_p* w_q) -
+    eps(w_q) psi(w_p*) - eps(w_p) psi(w_q) in one `LetterFunctional.batch`
+    call, which reads psi's letter values and the cuts of each word
+    instead: a mismatch raises ArithmeticError.
     """
     if pool is None:
-        require_entries(default_pool_size(psi.d, max_len) ** 2, "the Gram matrix")
+        _require_gram(default_pool_size(psi.d, max_len), max_len, psi.cocycle.n)
         pool = default_word_pool(psi.d, max_len)
     g = pool_gram_matrix(psi, pool)
     verdict = psd_check(g)
@@ -225,29 +225,33 @@ def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> Gram:
     general not Hermitian, and `psd_check` refuses it.
 
     The matrix is a `linalg.Gram`, kept as its factors: zeta and eta on the
-    pool, n coordinates by N words each, read from the word tables as
-    numerators over one denominator each (one shared grid when zeta is
-    eta).  So G = Z* H has rank at most n, and `psd_check` decides it on at
-    most 2 n of the N words.
+    pool, n coordinates by N words each, read by `words.word_set_values` on
+    the pool compiled as a word set, one element per word, as numerators
+    over one denominator each (one shared grid when zeta is eta).  So G =
+    Z* H has rank at most n, and `psd_check` decides it on at most 2 n of
+    the N words.  The budget is what the word set and the factors hold, the
+    pool's letters and n coordinates per word, refused before the pool is
+    compiled.
     """
-    require_entries(len(pool) ** 2, "the Gram matrix")
     eta = psi.cocycle
-    t = WordTables(psi.d)
-    codes = [(len(w), t.code(w)) for w in pool]
-    h = _on_pool(t, eta, codes)
+    _require_gram(len(pool), max(map(len, pool), default=0), eta.n)
+    ws = _pool_words(psi.d, tuple(pool))
+    h = word_set_values(ws, eta.rep.action, eta.n, eta.numerators)
     dual = eta.rep.dual
-    return Gram(h if dual is eta.rep else _on_pool(t, Cocycle(dual, eta.V, eta.W), codes), h)
+    return Gram(h if dual is eta.rep else word_set_values(ws, dual.action, eta.n, eta.numerators), h)
 
 
-def _on_pool(t: WordTables, eta: Cocycle, codes: list) -> GaussianMatrix:
-    """eta of every pool word (length, code) from the tables: one row per
-    coordinate, one column per word, over one denominator."""
-    layers = t.eta(eta, max((m for m, _ in codes), default=0))
-    den = lcm(*(v.den for v in layers))
-    fs = [den // v.den for v in layers]
-    re = [[layers[m].re[k][c] * fs[m] for m, c in codes] for k in range(eta.n)]
-    im = [[layers[m].im[k][c] * fs[m] for m, c in codes] for k in range(eta.n)]
-    return GaussianMatrix.unchecked(re, im, den, len(codes))
+def _require_gram(size: int, max_len: int, n: int) -> None:
+    """Refuse a Gram on a pool of this size and word length above the entry
+    budget: every word's letters and its n coordinates of eta."""
+    require_entries(size * (max_len + n), "the Gram factors on their pool")
+
+
+@lru_cache(maxsize=4)
+def _pool_words(d: int, pool: tuple) -> WordSet:
+    """The pool compiled as a word set, one element per word, once per
+    (d, pool)."""
+    return word_set(d, [Element.from_word(d, w) for w in pool])
 
 
 @dataclass(frozen=True)

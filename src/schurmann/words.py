@@ -1,51 +1,37 @@
-"""Word codes, eta tables and the word-set evaluator on Gaussian-integer
-numerators.
+"""The word-set evaluator on Gaussian-integer numerators.
 
-Words over the 2 d^2 letters of ``letters(d)`` are coded as integers in base
-|alphabet| with the first letter most significant, so the words of length m
-fill the codes 0 .. base**m - 1, the code of a concatenation is
-code(u) * base**len(v) + code(v), and prepending the letter h to the words
-of length m gives the codes h * base**m + code(w).  Every evaluation here
-follows the letter recursions of the package:
+Every evaluation here follows the letter recursions of the package:
 
     rho(h w) = rho(h) rho(w)
     eps(h w) = [h diagonal] eps(w)
     eta(h w) = rho(h) eta(w) + eps(w) eta(h)
 
-One function steps eta on numerator lists, and rho as the same step
-without the eta term, a whole layer at a time (`layer_step`, one gather
-pass per coordinate pair).  It has two callers.
-
-A table layer is every word of one length (`WordTables.eta`), one
-`linalg.GaussianMatrix` per layer: one row per coordinate, one column per
-word, over one denominator.  The tables serve the factors of the Gram
-matrices (`functional.pool_gram_matrix`) and the exhaustive primitive
-sweep on a pairing over a representation whose R_star is not adjoint R
-(`cohomology.verify_primitive_exhaustive`).  A layer is read at arbitrary
-tail positions, so it stays on lists: an int packed along the words serves
-such reads only by decoding (a word-packed evaluator was slower in a
-prototype: a dead end).
-
 Sparse elements, the relations of a presentation among them, are compiled
 onto the suffix closure of their words (`algebra.WordSet`, each layer as
 flat lists of head letters and tail numbers); `word_set_values` steps rho
-or eta on it, then sums each element on the numerators, so a relation
-check is a zero test on integers.  Letter values come as columns
-(`columns`): one for a cocycle, a unit column per unknown for the cocycle
-equations, one per basis vector to check a solved space.  The columns are
-packed: all the columns of one word and coordinate ride in one int, column
-v in the slot 2^(W v) (Kronecker substitution), so a layer entry and a term
-of a sum cost one big-int operation however many columns there are.  W is
-a multiple of 64 bits picked from bounds on the layers and the sums
-(`_width`), so no slot overflows into the next; the sums are written out
-biased by 2^(W - 1) and decoded at once, every slot checked against the
-bound (`_decode`, ArithmeticError).
+or eta on it, a whole layer at a time (`layer_step`, one gather pass per
+coordinate pair), then sums each element on the numerators, so a relation
+check is a zero test on integers.  It is the one evaluator of rho and eta:
+the Gram factors (`functional.pool_gram_matrix`) compile their pool as a
+word set, one element per word, and the exhaustive primitive sweep
+(`cohomology.verify_primitive_exhaustive`) every word up to its length.
+Letter values come as columns (`columns`): one for a cocycle, a unit
+column per unknown for the cocycle equations, one per basis vector to
+check a solved space.  The columns are packed: all the columns of one word
+and coordinate ride in one int, column v in the slot 2^(W v) (Kronecker
+substitution), so a layer entry and a term of a sum cost one big-int
+operation however many columns there are.  W is a multiple of 64 bits
+picked from bounds on the layers and the sums (`_width`), so no slot
+overflows into the next; the sums are written out biased by 2^(W - 1) and
+decoded at once, every slot checked against the bound (`_decode`,
+ArithmeticError).  Packing along the words instead was slower in a
+prototype (a dead end).
 
 No functional or 2-cocycle is tabulated.  Functionals and 2-cocycles
 evaluate their batches of words on word sets, through the cuts of the
 letter recursion (`cohomology.LetterFunctional.batch`), and the dense
 checks read eta alone: on letters (`cohomology.square_zero_on_letters`) or
-on these tables.
+on every word up to a length (`require_words` budgets those).
 """
 
 from __future__ import annotations
@@ -58,8 +44,8 @@ from math import lcm
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-# MAX_TABLE_ENTRIES stays importable from here, next to the tables it bounds.
-from .algebra import MAX_TABLE_ENTRIES, WordSet, letters, require_entries  # noqa: F401
+# MAX_TABLE_ENTRIES stays importable from here, next to the budgets it sets.
+from .algebra import MAX_TABLE_ENTRIES, WordSet, require_entries  # noqa: F401
 from .linalg import GaussianMatrix
 
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -107,20 +93,25 @@ def _decode(raw: bytes, width: int, bound: int) -> list:
     return _signed((biased ^ top).to_bytes(len(raw), "little"), width)
 
 
+def require_words(d: int, length: int, width: int = 1) -> None:
+    """Refuse, before anything is built, `width` entries on every word of
+    this length over the 2 d^2 letters above the entry budget."""
+    require_entries((2 * d * d) ** length * width, f"a table of words of length {length}")
+
+
 def _over(values, den: int) -> list:
     return [(z.a * (den // z.den), z.b * (den // z.den)) for z in values]
 
 
 class Action(NamedTuple):
-    """rho on the letters of `letters(d)`: images[h] holds the rows of
-    rho(letter h) as numerator pairs over den; norm is the largest row sum
-    of |re| + |im| over the images, which bounds the entries of rho(h) x
-    by norm max |x|.  by_head[k] lists, for every l with rho(h)_kl nonzero
-    for some letter h, (l, the real numerators of rho(h)_kl indexed by h,
-    the imaginary ones or None if they are all 0): the coefficients that
-    `layer_step` gathers by head letter."""
+    """rho on the letters of `letters(d)`, over den: norm is the largest
+    row sum of |re| + |im| of the letter images' numerators, which bounds
+    the entries of rho(h) x by norm max |x|.  by_head[k] lists, for
+    every l with rho(h)_kl nonzero for some letter h, (l, the real
+    numerators of rho(h)_kl indexed by h, the imaginary ones or None if
+    they are all 0): the coefficients that `layer_step` gathers by head
+    letter."""
 
-    images: list
     den: int
     norm: int
     by_head: list
@@ -139,7 +130,7 @@ def action(matrices) -> Action:
             im = [image[k][l][1] for image in images]
             if any(re) or any(im):
                 by_head[k].append((l, re, im if any(im) else None))
-    return Action(images, den, norm, by_head)
+    return Action(den, norm, by_head)
 
 
 def columns(vectors) -> tuple:
@@ -295,77 +286,3 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
             for v in range(width):
                 out[v * n + k] = cells[v::width]
     return GaussianMatrix.unchecked(out_re, out_im, ws.den * den, len(starts))
-
-
-class WordTables:
-    """Tables over the words of one ambient size d, built on demand and kept
-    for the lifetime of the object; quantities are keyed by the object they
-    belong to."""
-
-    def __init__(self, d: int):
-        self.alpha = letters(d)
-        self.base = len(self.alpha)
-        self.index = {l: i for i, l in enumerate(self.alpha)}
-        self.diag = [l.row == l.col for l in self.alpha]
-        self.star = [self.index[l.adjoint()] for l in self.alpha]
-        self._eps = [[0]]
-        self._stars = [[0]]
-        self._eta = {}
-
-    # -- codes ------------------------------------------------------------
-
-    def require(self, length: int, width: int = 1) -> None:
-        require_entries(self.base**length * width, f"a table of words of length {length}")
-
-    def code(self, w) -> int:
-        out = 0
-        for l in w:
-            out = out * self.base + self.index[l]
-        return out
-
-    def word(self, length: int, code: int) -> tuple:
-        out = []
-        for _ in range(length):
-            code, r = divmod(code, self.base)
-            out.append(self.alpha[r])
-        return tuple(reversed(out))
-
-    def eps(self, length: int) -> list:
-        """Sorted codes of the words of this length with counit 1."""
-        while len(self._eps) <= length:
-            prev, size = self._eps[-1], self.base ** (len(self._eps) - 1)
-            self._eps.append([h * size + c for h, dg in enumerate(self.diag) if dg for c in prev])
-        return self._eps[length]
-
-    def star_codes(self, length: int) -> list:
-        """code(w*) for every code w of this length."""
-        while len(self._stars) <= length:
-            prev, base = self._stars[-1], self.base
-            self._stars.append([c * base + self.star[h] for h in range(base) for c in prev])
-        return self._stars[length]
-
-    # -- eta through the rho action -----------------------------------------
-
-    def eta(self, eta, length: int) -> list:
-        """Layers 0 .. length of eta, each one `layer_step`: layer m + 1 has
-        the words h w in code order, base**m per head letter h, and the tails
-        w are layer m repeated once per head, over lcm(rho.den den_m,
-        eta den)."""
-        entry = self._eta.get(id(eta))
-        if entry is None:
-            # eta(1) = 0; one column of letter values, its slot 2^0 whatever the width
-            zero = GaussianMatrix.unchecked([[0] for _ in range(eta.n)], [[0] for _ in range(eta.n)], 1, 1)
-            entry = self._eta[id(eta)] = (eta, [zero], letter_slots(eta.numerators[0], 0))
-        _, layers, (eta_re, eta_im) = entry
-        rho, de, base = eta.rep.action, eta.numerators[1], self.base
-        while len(layers) <= length:
-            m = len(layers) - 1
-            self.require(m + 1, eta.n)
-            prev, size = layers[-1], base**m
-            den = lcm(rho.den * prev.den, de)
-            heads = [h for h in range(base) for _ in range(size)]
-            eps = [h * size + c for h in range(base) for c in self.eps(m)]
-            xr, xi = [r * base for r in prev.re], [r * base for r in prev.im]
-            re, im = layer_step(rho, heads, xr, xi, eps, eta_re, eta_im, den // de)
-            layers.append(GaussianMatrix.unchecked(re, im, den, size * base))
-        return layers

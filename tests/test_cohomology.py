@@ -58,9 +58,7 @@ from schurmann import algebra, cocycle, cohomology, words
 from schurmann.cocycle import Cocycle
 from schurmann.errors import InputError
 from schurmann.functional import Functional
-from schurmann.linalg import GaussianMatrix
 from schurmann.representation import Representation, direct_sum_rep
-from schurmann.words import WordTables
 
 
 def unit(d, j, k):
@@ -267,47 +265,15 @@ def test_exhaustive_verification_counts(eta_sym_u2):
     assert checked == 5329
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("which", ["eta1", "zeta1", "eta2"])
-def test_exhaustive_verifier_checks_its_eta_layers_against_the_evaluator(
-    monkeypatch, u2, eta_sym_u2, which, m
-):
-    # on a broken star structure the sweep decides from the eta tables of
-    # eta1, of its dual zeta1 and of eta2; a layer off by a factor would move
-    # its verdict, and the check of the layers up to length 2 against
-    # `cocycle_columns` raises before any decision
-    eta1 = _broken_star_eta(u2, eta_sym_u2, (0, 0))
-    eta2 = Cocycle(eta1.rep, eta1.V, eta1.W)
-    clean = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
-    phi = Primitive(KPairCocycle(eta1, eta2), clean.values, clean.star_values)
-    picked = {
-        "eta1": lambda eta: eta is eta1,
-        "zeta1": lambda eta: eta.rep is eta1.rep.dual,
-        "eta2": lambda eta: eta is eta2,
-    }[which]
-    tables = WordTables.eta
-
-    def scaled(self, eta, length):
-        layers = tables(self, eta, length)
-        if picked(eta):
-            x = layers[m]
-            layers = layers[:m] + [GaussianMatrix.unchecked(x.re, x.im, 2 * x.den, x.cols)] + layers[m + 1 :]
-        return layers
-
-    monkeypatch.setattr(WordTables, "eta", scaled)
-    with pytest.raises(ArithmeticError, match=f"length {m}"):
-        verify_primitive_exhaustive(phi, max_len=2)
-
-
 def test_exhaustive_verifier_builds_no_table_below_length_2(monkeypatch, u2, eta_sym_u2):
     # zeta1 and eta1 share their letter values, so on a broken star
     # structure no pair of words of length <= 1 can fail: every pair is
-    # counted with no eta layer built
+    # counted with no word evaluated
     eta1 = _broken_star_eta(u2, eta_sym_u2, (0, 0))
     clean = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
     phi = Primitive(KPairCocycle(eta1, eta1), clean.values, clean.star_values)
     assert verify_primitive_exhaustive(phi, max_len=2)[1] is not None
-    monkeypatch.setattr(WordTables, "eta", lambda *a: pytest.fail("table built"))
+    monkeypatch.setattr(cohomology, "word_set_values", lambda *a: pytest.fail("words evaluated"))
     assert verify_primitive_exhaustive(phi, max_len=0) == (1, None)
     assert verify_primitive_exhaustive(phi, max_len=1) == (9**2, None)
 
@@ -529,9 +495,9 @@ def test_check_primitive_passes_on_construction(eta_rot_o3):
 
 def test_exhaustive_budget_refused_before_any_table(monkeypatch, eta_sym_u2):
     phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
-    monkeypatch.setattr(WordTables, "eta", lambda *a: pytest.fail("table built"))
-    # 8 letters: the budget of an eta table of words of length 7, 8**7
-    # entries; length 6 fits
+    monkeypatch.setattr(cohomology, "word_set_values", lambda *a: pytest.fail("words evaluated"))
+    # 8 letters: the budget of eta on the words of length 7, 8**7 entries;
+    # length 6 fits
     assert 8**6 <= words.MAX_TABLE_ENTRIES < 8**7
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
         verify_primitive_exhaustive(phi, max_len=7)

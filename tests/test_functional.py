@@ -38,12 +38,12 @@ from schurmann import (
     schurmann_functional,
     su_q3_obstruction,
 )
-from schurmann import functional, words
+from schurmann import cohomology, functional, words
 from schurmann.errors import InputError
 from schurmann.functional import Functional, default_pool_size, default_word_pool
 from schurmann.linalg import GaussianMatrix, psd_check
 from schurmann.representation import Representation
-from schurmann.words import WordTables
+from schurmann.words import word_set_values
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +51,8 @@ def eta_complex_k3():
     """An unvalidated cocycle on k_d, d = 3, n = 2: rho with complex
     off-diagonal blocks over denominators 2 and 3 and diagonal blocks
     diag(1, i), letter values up to 2^70 over denominators 1 to 3.  Every
-    layer of its eta table past the first needs the imaginary product, on
-    numerators far above 64 bits."""
+    word of two letters or more needs the imaginary product, on numerators
+    far above 64 bits."""
 
     def off(j, k):
         return QMatrix([[Qi(j + 1, k - 1) / Qi(2), I], [Qi(k), Qi(j - k, 1) / Qi(3)]])
@@ -64,27 +64,24 @@ def eta_complex_k3():
 
 
 @pytest.fixture(scope="module")
-def recursion_tables(eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
-    """(eta, tables, eta layers) to length 3 for each input."""
+def sweep_values(eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
+    """(eta, the index of every word, eta on every word) up to length 3 for
+    each input, on the word set of the exhaustive sweep."""
     out = []
     for eta in (eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
-        t = WordTables(eta.d)
-        out.append((eta, t, t.eta(eta, 3)))
+        words, ws = cohomology._all_words(eta.d, 3)
+        at = {w: j for j, w in enumerate(words)}
+        out.append((eta, at, word_set_values(ws, eta.rep.action, eta.n, eta.numerators)))
     return out
 
 
 @given(st.data())
-def test_tables_match_recursion(recursion_tables, data):
-    # the codes, the counit and the eta tables against the memoised
-    # recursion, every input in every example (a derandomized draw of one
-    # input can miss one)
-    for eta, t, etas in recursion_tables:
+def test_tables_match_recursion(sweep_values, data):
+    # eta on the sweep's word set against the memoised recursion, every
+    # input in every example (a derandomized draw of one input can miss one)
+    for eta, at, values in sweep_values:
         for w in drawn_words(data, eta.d):
-            m, c = len(w), t.code(w)
-            assert t.word(m, c) == w
-            assert t.star_codes(m)[c] == t.code(tuple(l.adjoint() for l in reversed(w)))
-            assert (c in t.eps(m)) == all(l.row == l.col for l in w)
-            assert QVector(etas[m].column(c)) == eta_word(eta, w, {}), w
+            assert QVector(values.column(at[w])) == eta_word(eta, w, {}), w
 
 
 def test_functional_vanishes_on_relations(eta_sym_u2, u2):
@@ -155,8 +152,8 @@ def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
 
 def test_gram_rows_at_length_three_match_the_evaluator(u2):
     # at max_len = 3 the rows read eta (here also zeta: R_star is adjoint R)
-    # from tables of words of length 3; seeded rows, six of them for words
-    # of length 3, against the sparse evaluator.  An n = 2 carrier over U_2+
+    # on the pool's word set, up to words of length 3; seeded rows, six of
+    # them for words of length 3, against the sparse evaluator.  An n = 2 carrier over U_2+
     # with blocks and letter values over denominators, nothing validated:
     # the Gram entries follow the recursion on the free algebra either way.
     rng = random.Random(15)
@@ -231,28 +228,37 @@ def test_default_pool_size_matches_the_pool():
 
 
 def test_gram_budget_refused_before_the_pool_is_built(monkeypatch, eta_sym_u2):
-    # d = 2 at length 9 has a pool of 699049 words; the check must not build it
+    # the budget is what the Gram holds, its pool's letters and n
+    # coordinates of eta per word: at d = 2 length 5 (2729 words) fits and
+    # length 8 (174761 words) does not, and the check must neither build
+    # nor compile nor evaluate that pool
     psi = schurmann_functional(eta_sym_u2)
+    n = eta_sym_u2.n
+    assert default_pool_size(2, 7) * (7 + n) <= words.MAX_TABLE_ENTRIES < default_pool_size(2, 8) * (8 + n)
+    assert gram_psd_check(psi, max_len=5)
     monkeypatch.setattr(functional, "default_word_pool", lambda *a: pytest.fail("pool built"))
+    monkeypatch.setattr(functional, "word_set", lambda *a: pytest.fail("pool compiled"))
+    monkeypatch.setattr(functional, "word_set_values", lambda *a: pytest.fail("pool evaluated"))
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
-        gram_psd_check(psi, max_len=9)
+        gram_psd_check(psi, max_len=8)
+    # an explicit pool is budgeted by its own size and longest word
+    word = tuple(letters(2)[:2])
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
-        functional.pool_gram_matrix(psi, [()] * (words.MAX_TABLE_ENTRIES // 1000))
+        functional.pool_gram_matrix(psi, [word] * (words.MAX_TABLE_ENTRIES // (2 + n) + 1))
 
 
 def test_gram_check_rechecks_its_core_against_the_letter_recursion(monkeypatch, eta_sym_u2):
-    # the verdict reads the core entries, here on letters, from the eta
-    # tables; with the letters' layer over twice its denominator G = H* H
-    # stays psd, and the recheck through psi's letter values raises
+    # the verdict reads the core entries, here on letters, from eta on the
+    # pool's word set; with those values over twice their denominator G =
+    # H* H stays psd, and the recheck through psi's letter values raises
     psi = schurmann_functional(eta_sym_u2)
-    tables = WordTables.eta
+    evaluate = functional.word_set_values
 
-    def scaled(self, eta, length):
-        layers = tables(self, eta, length)
-        x = layers[1]
-        return layers[:1] + [GaussianMatrix.unchecked(x.re, x.im, 2 * x.den, x.cols)] + layers[2:]
+    def scaled(*args):
+        x = evaluate(*args)
+        return GaussianMatrix.unchecked(x.re, x.im, 2 * x.den, x.cols)
 
-    monkeypatch.setattr(WordTables, "eta", scaled)
+    monkeypatch.setattr(functional, "word_set_values", scaled)
     pool = default_word_pool(2)
     g = functional.pool_gram_matrix(psi, pool)
     assert [len(pool[p]) for p in g.core[0]] == [1] and psd_check(g)

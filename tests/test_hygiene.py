@@ -171,6 +171,6 @@ def test_every_name_the_docs_cite_resolves():
 
 
 def test_the_doc_check_sees_stale_names():
-    assert _resolves("words.layer_step") and _resolves("WordTables.eta") and _resolves("schurmann.cli")
+    assert _resolves("words.layer_step") and _resolves("WordSet.require") and _resolves("schurmann.cli")
     assert not _resolves("words.rho_step")
-    assert not _resolves("WordTables.rho_step") and not _resolves("Nowhere.eta")
+    assert not _resolves("WordSet.rho_step") and not _resolves("Nowhere.eta")
