@@ -4,7 +4,9 @@ A cocycle is stored by its letter values, the grids V[j][k] = eta(u[j,k]) and
 W[j][k] = eta(u*[j,k]) of vectors in the carrier of rho.  Constructors
 validate eta(r) = 0 on every relation of the presentation; vanishing on the
 generating relations forces vanishing on the whole *-ideal, so validated
-cocycles descend to the quotient.
+cocycles descend to the quotient.  Every catalogued presentation is unitary
+(uu* = u*u = 1), so V and rho fix W: `cocycle_from_V` completes it by one
+closed form on every kind.
 
 Elements are evaluated on the suffix closure of their words (the relations
 on `Presentation.relation_words`, compiled once per presentation), by
@@ -122,83 +124,42 @@ def cocycle_general(
     return eta
 
 
-def _block_sums(rep: Representation, V: VGrid):
-    """(R*V)^t and Rbar V^t with operator blocks acting on the value vectors.
+def cocycle_from_V(rep: Representation, V: Sequence[Sequence[QVector]]) -> Cocycle:
+    """Validated cocycle from its unstarred letter values alone.
 
-    (R*V)_jk = sum_p adjoint(R[p][j]) V[p][k]; the bar is the entrywise
-    adjoint of the block, matching the operator-valued conjugate matrix.
+    Premise: the presentation carries the unitarity relations
+    uu*(j,k) = sum_p u[j,p] u*[k,p] - delta_jk and u*u(j,k), as every
+    catalogued kind does.  By the cocycle rule
+    eta(uu*(j,k)) = sum_p R[j][p] W[k][p] + V[j][k], so with X[p][k] = W[k][p]
+    the relations uu* say R X = -V for the block matrix R.  rho(u*u) = 1
+    makes R* R = 1, with block (q, j) of R* the adjoint of R[j][q], so
+    X = -R* V: W[k][q] = -sum_j rho(u*[j,q]) V[j][k] is the only W that
+    can complete V.  `cocycle_general` then checks V and that W on every
+    relation, so a V that extends to no cocycle raises RelationViolation
+    with the labels of the relations it breaks.
     """
-    d = rep.d
-    rstar_v_t = [
+    d, n = rep.d, rep.n
+    grid = _as_vgrid(d, n, V, "V")
+    W = [
         [
-            sum((rep.R_star[p][k].apply(V[p][j]) for p in range(d)), QVector.zero(rep.n))
-            for k in range(d)
+            -sum((rep.R_star[j][q].apply(grid[j][k]) for j in range(d)), QVector.zero(n))
+            for q in range(d)
         ]
-        for j in range(d)
+        for k in range(d)
     ]
-    rbar_v_t = [
-        [
-            sum((rep.R_star[j][p].apply(V[k][p]) for p in range(d)), QVector.zero(rep.n))
-            for k in range(d)
-        ]
-        for j in range(d)
-    ]
-    return rstar_v_t, rbar_v_t
-
-
-def cocycle_unitary_from_V(rep: Representation, V: Sequence[Sequence[QVector]]) -> Cocycle:
-    """Fast path for u_plus: V extends to a cocycle iff (R*V)^t = Rbar V^t,
-    and then W = -Rbar V^t."""
-    if rep.presentation.kind != "u_plus":
-        raise ValueError("cocycle_unitary_from_V requires a u_plus presentation")
-    grid = _as_vgrid(rep.d, rep.n, V, "V")
-    rstar_v_t, rbar_v_t = _block_sums(rep, grid)
-    bad = [
-        (f"(R*V)t vs RbarVt at ({j + 1},{k + 1})", rstar_v_t[j][k] - rbar_v_t[j][k])
-        for j in range(rep.d)
-        for k in range(rep.d)
-        if rstar_v_t[j][k] != rbar_v_t[j][k]
-    ]
-    if bad:
-        raise RelationViolation("unitary cocycle condition", bad)
-    W = [[-rbar_v_t[j][k] for k in range(rep.d)] for j in range(rep.d)]
     return cocycle_general(rep, grid, W)
 
 
-def cocycle_orth_from_V(rep: Representation, V: Sequence[Sequence[QVector]]) -> Cocycle:
-    """Fast path for o_plus: requires (R*V)^t = Rbar V^t = -V, and W = V."""
-    if rep.presentation.kind != "o_plus":
-        raise ValueError("cocycle_orth_from_V requires an o_plus presentation")
-    grid = _as_vgrid(rep.d, rep.n, V, "V")
-    rstar_v_t, rbar_v_t = _block_sums(rep, grid)
-    bad = []
-    for j in range(rep.d):
-        for k in range(rep.d):
-            if rstar_v_t[j][k] != rbar_v_t[j][k]:
-                bad.append(
-                    (f"(R*V)t vs RbarVt at ({j + 1},{k + 1})", rstar_v_t[j][k])
-                )
-            if rbar_v_t[j][k] != -grid[j][k]:
-                bad.append((f"RbarVt vs -V at ({j + 1},{k + 1})", rbar_v_t[j][k]))
-    if bad:
-        raise RelationViolation("orthogonal cocycle condition", bad)
-    return cocycle_general(rep, grid, grid)
-
-
 def gaussian_cocycle(presentation: Presentation, V: Sequence[Sequence[QVector]]) -> Cocycle:
-    """Cocycle for rho = counit * id with W = -V^t, validated against all relations."""
+    """Cocycle for rho = counit * id, where `cocycle_from_V` completes
+    W = -V^t, validated against all relations."""
     if not V or not V[0]:
         raise ValueError("V must be a nonempty grid")
     if not hasattr(V[0][0], "__len__"):
         raise TypeError(
             "V entries must be vectors; for a grid of scalars use scalar_gaussian_cocycle"
         )
-    n = len(V[0][0])
-    rep = counit_rep(presentation, n)
-    d = presentation.d
-    grid = _as_vgrid(d, n, V, "V")
-    W = [[-grid[k][j] for k in range(d)] for j in range(d)]
-    return cocycle_general(rep, grid, W)
+    return cocycle_from_V(counit_rep(presentation, len(V[0][0])), V)
 
 
 def scalar_gaussian_cocycle(presentation: Presentation, M: QMatrix) -> Cocycle:
@@ -218,47 +179,23 @@ class BMatrices:
     b_tilde: QMatrix
 
 
+def _letter_gram(grid: VGrid) -> QMatrix:
+    """sum_p <grid[j][p], grid[k][p]> at (j, k)."""
+    d = len(grid)
+    return QMatrix(
+        [
+            [sum((inner_product(grid[j][p], grid[k][p]) for p in range(d)), ZERO) for k in range(d)]
+            for j in range(d)
+        ],
+        cols=d,
+    )
+
+
 def b_matrices(eta: Cocycle) -> BMatrices:
-    d = eta.d
-    b = QMatrix(
-        [
-            [
-                sum((inner_product(eta.V[j][p], eta.V[k][p]) for p in range(d)), ZERO)
-                for k in range(d)
-            ]
-            for j in range(d)
-        ],
-        cols=d,
-    )
-    bt = QMatrix(
-        [
-            [
-                sum((inner_product(eta.W[j][p], eta.W[k][p]) for p in range(d)), ZERO)
-                for k in range(d)
-            ]
-            for j in range(d)
-        ],
-        cols=d,
-    )
+    b, bt = _letter_gram(eta.V), _letter_gram(eta.W)
     if not (b.is_hermitian() and bt.is_hermitian()):
         raise ArithmeticError("b matrices must be Hermitian")
     return BMatrices(b, bt)
-
-
-def gram_vvstar(V: Sequence[Sequence[QVector]]) -> QMatrix:
-    """(V V*)_jk = sum_p <V[k][p], V[j][p]>; for scalar grids this is
-    sum_p V[j][p] conj(V[k][p])."""
-    d = len(V)
-    return QMatrix(
-        [
-            [
-                sum((inner_product(V[k][p], V[j][p]) for p in range(d)), ZERO)
-                for k in range(d)
-            ]
-            for j in range(d)
-        ],
-        cols=d,
-    )
 
 
 def direct_sum_cocycle(e1: Cocycle, e2: Cocycle) -> Cocycle:
@@ -349,6 +286,15 @@ def is_real_cocycle(
     return True, None
 
 
+def random_coefficient(rng: random.Random) -> Qi:
+    """A small Gaussian rational, real part first, each part p/q with
+    -3 <= p <= 3 and 1 <= q <= 3."""
+    return Qi(
+        rational(rng.randint(-3, 3)) / rng.randint(1, 3),
+        rational(rng.randint(-3, 3)) / rng.randint(1, 3),
+    )
+
+
 @dataclass(frozen=True)
 class CocycleSpace:
     """Exact basis of the space of (V, W) letter-value pairs for a fixed rho."""
@@ -366,10 +312,7 @@ class CocycleSpace:
         V = [[QVector.zero(n) for _ in range(d)] for _ in range(d)]
         W = [[QVector.zero(n) for _ in range(d)] for _ in range(d)]
         for eta in self.basis:
-            c = Qi(
-                rational(rng.randint(-3, 3)) / rng.randint(1, 3),
-                rational(rng.randint(-3, 3)) / rng.randint(1, 3),
-            )
+            c = random_coefficient(rng)
             for j in range(d):
                 for k in range(d):
                     V[j][k] = V[j][k] + eta.V[j][k].scale(c)

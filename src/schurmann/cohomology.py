@@ -480,7 +480,7 @@ def sum_identity_defects(c: TwoCocycle) -> dict:
     return {f"{name}({j + 1},{k + 1})": m[j][k] for j in r for k in r for name, m in diffs.items()}
 
 
-def _matrix_unit(d: int, j: int, k: int, coeff: Qi = ONE) -> QMatrix:
+def matrix_unit(d: int, j: int, k: int, coeff: Qi = ONE) -> QMatrix:
     rows = [[ZERO] * d for _ in range(d)]
     rows[j - 1][k - 1] = coeff
     return QMatrix(rows, cols=d)
@@ -504,14 +504,14 @@ def basis_unitary(presentation: Presentation, l: int = 1) -> dict:
         for n in range(1, d + 1):
             if m == n:
                 continue
-            a = scalar_gaussian_cocycle(presentation, _matrix_unit(d, l, m))
-            b = scalar_gaussian_cocycle(presentation, _matrix_unit(d, l, n))
+            a = scalar_gaussian_cocycle(presentation, matrix_unit(d, l, m))
+            b = scalar_gaussian_cocycle(presentation, matrix_unit(d, l, n))
             out[f"K_{m}_{n}"] = KPairCocycle(a, b)
     for p in range(1, d):
         vp = (
-            _matrix_unit(d, p, p)
-            + _matrix_unit(d, p, p + 1, I)
-            + _matrix_unit(d, p + 1, p + 1)
+            matrix_unit(d, p, p)
+            + matrix_unit(d, p, p + 1, I)
+            + matrix_unit(d, p + 1, p + 1)
         )
         eta = scalar_gaussian_cocycle(presentation, vp)
         out[f"K_p_{p}"] = KPairCocycle(eta, eta)
@@ -535,8 +535,8 @@ def basis_orthogonal(presentation: Presentation) -> dict:
         for m in range(1, d + 1):
             for n in range(m + 1, d + 1):
                 l = min(set(range(1, d + 1)) - {m, n})
-                zm = _matrix_unit(d, l, m) - _matrix_unit(d, m, l)
-                zn = _matrix_unit(d, l, n) - _matrix_unit(d, n, l)
+                zm = matrix_unit(d, l, m) - matrix_unit(d, m, l)
+                zn = matrix_unit(d, l, n) - matrix_unit(d, n, l)
                 a = scalar_gaussian_cocycle(presentation, zm)
                 b = scalar_gaussian_cocycle(presentation, zn)
                 out[f"Khat_{m}_{n}"] = KPairCocycle(a, b)

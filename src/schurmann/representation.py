@@ -142,7 +142,7 @@ def counit_rep(presentation: Presentation, n: int = 1) -> Representation:
 
 
 def sign_rep(presentation: Presentation, n: int = 1) -> Representation:
-    """rho(u[j,k]) = -delta_jk id; valid on the unitarity-only presentations."""
+    """rho(u[j,k]) = -delta_jk id; valid on every kind but su_q at odd d."""
     d = presentation.d
     eye = QMatrix.identity(n).scale(Qi(-1))
     zero = QMatrix.zero(n, n)

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 from .algebra import Element, build_presentation, letters
 from .cocycle import (
     b_matrices,
+    cocycle_from_V,
     cocycle_general,
-    cocycle_orth_from_V,
     direct_sum_cocycle,
     evaluate_cocycle,
     gaussian_cocycle,
-    gram_vvstar,
     pullback_cocycle,
+    random_coefficient,
     reality_pair,
     is_real_cocycle,
     scalar_gaussian_cocycle,
@@ -42,6 +42,7 @@ from .cohomology import (
     coboundary1,
     defect_orthogonal,
     defect_unitary,
+    matrix_unit,
     primitive,
     square_zero_on_letters,
     sum_identity_defects,
@@ -121,27 +122,14 @@ def _rng(config: RunConfig, scenario: str) -> random.Random:
     return random.Random(f"{config.seed}:{scenario}")
 
 
-def _random_qi(rng: random.Random) -> Qi:
-    return Qi(
-        rational(rng.randint(-3, 3)) / rng.randint(1, 3),
-        rational(rng.randint(-3, 3)) / rng.randint(1, 3),
-    )
-
-
 def _random_hermitian(d: int, rng: random.Random) -> QMatrix:
     rows = [[ZERO] * d for _ in range(d)]
     for j in range(d):
         rows[j][j] = Qi(rational(rng.randint(-3, 3)) / rng.randint(1, 3))
         for k in range(j + 1, d):
-            z = _random_qi(rng)
+            z = random_coefficient(rng)
             rows[j][k] = z
             rows[k][j] = z.conj()
-    return QMatrix(rows, cols=d)
-
-
-def _unit(d: int, j: int, k: int, coeff: Qi = ONE) -> QMatrix:
-    rows = [[ZERO] * d for _ in range(d)]
-    rows[j - 1][k - 1] = coeff
     return QMatrix(rows, cols=d)
 
 
@@ -400,7 +388,7 @@ def scenario_c07(config: RunConfig, registry: Registry):
         pres,
         QMatrix([[ZERO, ONE, ONE], [-ONE, ZERO, I], [-ONE, -I, ZERO]], cols=3),
     )
-    gram_g = gram_vvstar(eta_g.V)
+    gram_g = b_matrices(eta_g).b.conj()
     expect_g = QMatrix(
         [[Qi(2), -I, I], [I, Qi(2), ONE], [-I, ONE, Qi(2)]], cols=3
     )
@@ -414,10 +402,10 @@ def scenario_c07(config: RunConfig, registry: Registry):
         1,
     )
     flip = [[I, ONE, -ONE], [ONE, ZERO, ZERO], [-ONE, ZERO, ZERO]]
-    eta_n = cocycle_orth_from_V(
+    eta_n = cocycle_from_V(
         gamma, [[QVector((flip[j][k],)) for k in range(3)] for j in range(3)]
     )
-    gram_n = gram_vvstar(eta_n.V)
+    gram_n = b_matrices(eta_n).b.conj()
     expect_n = QMatrix(
         [[Qi(3), I, -I], [-I, ONE, -ONE], [I, -ONE, ONE]], cols=3
     )
@@ -448,7 +436,7 @@ def scenario_c08(config: RunConfig, registry: Registry):
     admitted = 0
     for i in range(50):
         n = 1 if i % 2 == 0 else 2
-        z = QVector(tuple(_random_qi(rng) for _ in range(n)))
+        z = QVector(tuple(random_coefficient(rng) for _ in range(n)))
         grid = [[QVector.zero(n), z], [-z, QVector.zero(n)]]
         eta = gaussian_cocycle(pres, grid)
         if admits_gf_orth(eta):
@@ -538,14 +526,14 @@ def scenario_c11(config: RunConfig, registry: Registry):
         1
         for m in range(1, 4)
         for n in range(1, 4)
-        if m != n and defect_unitary(basis[f"K_{m}_{n}"]) == _unit(3, m, n)
+        if m != n and defect_unitary(basis[f"K_{m}_{n}"]) == matrix_unit(3, m, n)
     )
     sign = Qi(KP_DEFECT_SIGN)
     diag = sum(
         1
         for p in range(1, 3)
         if defect_unitary(basis[f"K_p_{p}"])
-        == (_unit(3, p, p) - _unit(3, p + 1, p + 1)).scale(sign)
+        == (matrix_unit(3, p, p) - matrix_unit(3, p + 1, p + 1)).scale(sign)
     )
     stacked = QMatrix(
         [
@@ -640,7 +628,7 @@ def scenario_c12(config: RunConfig, registry: Registry):
         for m in range(1, 4)
         for n in range(m + 1, 4)
         if defect_orthogonal(basis3[f"Khat_{m}_{n}"])
-        == _unit(3, m, n) - _unit(3, n, m)
+        == matrix_unit(3, m, n) - matrix_unit(3, n, m)
     )
     pres2 = build_presentation("o_plus", 2)
     basis2 = basis_orthogonal(pres2)

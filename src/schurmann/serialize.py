@@ -7,7 +7,7 @@ elements as [{"coeff": scalar, "word": word}].  Composite objects:
     presentation  {"kind": ..., "d": ..., "q_diag"/"F"/"q" as applicable}
     representation {"presentation": ..., "n": ..., "R": grid of matrices}
     cocycle       {"rep": ..., "V": grid of vectors, "W": grid (optional
-                   where a fast path recovers it)}
+                   on every kind: `cocycle.cocycle_from_V` completes it)}
     functional    cocycle keys plus {"values": ..., "star_values": ...}
     two-cocycle   {"kind": "kpair"|"coboundary"|"combination", ...}
 
@@ -25,12 +25,7 @@ from .algebra import (
     require_relation_budget,
     word_key,
 )
-from .cocycle import (
-    Cocycle,
-    cocycle_general,
-    cocycle_orth_from_V,
-    cocycle_unitary_from_V,
-)
+from .cocycle import Cocycle, cocycle_from_V, cocycle_general
 from .cohomology import (
     CoboundaryCocycle,
     CombinationCocycle,
@@ -199,12 +194,7 @@ def cocycle_from_json(obj) -> Cocycle:
     if "W" in obj:
         W = _grid_from_json(obj["W"], rep.d, "W", vector_from_json)
         return cocycle_general(rep, V, W)
-    kind = rep.presentation.kind
-    if kind == "u_plus":
-        return cocycle_unitary_from_V(rep, V)
-    if kind == "o_plus":
-        return cocycle_orth_from_V(rep, V)
-    raise InputError(f"'W' is required for presentation kind {kind!r}")
+    return cocycle_from_V(rep, V)
 
 
 def functional_to_json(psi: Functional) -> dict:

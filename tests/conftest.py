@@ -19,6 +19,7 @@ from schurmann import (
     gaussian_cocycle,
     letters,
     rational,
+    representation,
 )
 from schurmann import cocycle
 from schurmann.cocycle import Cocycle
@@ -122,6 +123,22 @@ def flat_cocycle(rep, values):
         for s in range(2)
     ]
     return unvalidated_cocycle(rep, *grids)
+
+
+def cycle_rep(presentation):
+    """rho(u[j,k]) = 1 when k = j + 1 mod d, else 0, on C^1: the 3-cycle
+    permutation at d = 3, a block matrix that is neither symmetric in (j, k)
+    nor self-adjoint."""
+    d = presentation.d
+    blocks = [[QMatrix([[ONE if k == (j + 1) % d else ZERO]]) for k in range(d)] for j in range(d)]
+    return representation(presentation, blocks, 1)
+
+
+def phase_rep(presentation):
+    """rho(u[j,k]) = delta_jk diag(i, 1) on C^2, whose blocks are not self-adjoint."""
+    d = presentation.d
+    diag, zero = QMatrix([[I, ZERO], [ZERO, ONE]]), QMatrix.zero(2, 2)
+    return representation(presentation, [[diag if j == k else zero for k in range(d)] for j in range(d)], 2)
 
 
 def scalar_grid(entries):

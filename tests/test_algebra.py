@@ -167,6 +167,22 @@ def test_star_closure_matches_the_former_construction(kind, d, kwargs):
         assert s.star() == r
 
 
+@pytest.mark.parametrize(
+    "kind, d, kwargs", STAR_CASES, ids=[f"{k}{d}-{i}" for i, (k, d, _) in enumerate(STAR_CASES)]
+)
+def test_every_kind_carries_the_unitarity_relations(kind, d, kwargs):
+    # the premise of `cocycle_from_V`: uu* = u*u = 1 entrywise on every kind
+    rels = dict(build_presentation(kind, d, **kwargs).relations)
+    r = range(1, d + 1)
+    for j in r:
+        for k in r:
+            delta = Element.one(d) if j == k else Element.zero(d)
+            row = sum((Element.from_word(d, (Letter(j, p, False), Letter(k, p, True))) for p in r), -delta)
+            col = sum((Element.from_word(d, (Letter(p, j, True), Letter(p, k, False))) for p in r), -delta)
+            assert rels[f"uu*({j},{k})"] == row
+            assert rels[f"u*u({j},{k})"] == col
+
+
 def test_build_presentation_validates():
     with pytest.raises(ValueError):
         build_presentation("nope", 2)

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import refuse_elimination, refuse_evaluation
+from conftest import cycle_rep, refuse_elimination, refuse_evaluation
 from schurmann import (
     KPairCocycle,
+    QMatrix,
+    Qi,
+    ZERO,
     algebra,
     build_presentation,
     coboundary1,
@@ -195,6 +198,32 @@ COC_O2_MAGIC = (
 
 def _s(re, im="0"):
     return {"re": re, "im": im}
+
+
+F_SWAP = QMatrix([[ZERO, Qi(rational("1/2"))], [Qi(2), ZERO]])
+
+# a V that extends to no cocycle, loaded without W: the 3-cycle of U_3+ and
+# the counit of every other kind but K<d> (where every V completes to a
+# cocycle), V a matrix unit, and a relation each one breaks
+BARE_V = {
+    "u_plus": (lambda: cycle_rep(build_presentation("u_plus", 3)), (0, 0), "ubar·ut(1,2)"),
+    "u_q": (lambda: counit_rep(build_presentation("u_q", 2, q_diag=[rational("1/2"), rational(3)])), (0, 1), "q_row(2,1)"),
+    "o_plus": (lambda: counit_rep(build_presentation("o_plus", 2)), (0, 1), "sym(1,2)"),
+    "o_f": (lambda: counit_rep(build_presentation("o_f", 2, F=F_SWAP)), (0, 1), "uF-Fubar(1,1)"),
+    "su_q": (lambda: counit_rep(build_presentation("su_q", 2, q=rational("1/3"))), (0, 0), "det(1,2)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BARE_V))
+def test_validate_names_the_relations_a_bare_V_breaks(run, write, kind):
+    build, at, label = BARE_V[kind]
+    rep = build()
+    V = [[[_s("1" if (j, k) == at else "0")] for k in range(rep.d)] for j in range(rep.d)]
+    path = write("bare_v.json", {"rep": representation_to_json(rep), "V": V})
+    code, out, err = run("validate", "--input", path)
+    assert (code, err) == (1, "")
+    assert out.startswith("cocycle: violated relations\n")
+    assert f"  {label}: " in out
 
 
 def _tampered_rep():

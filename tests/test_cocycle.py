@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    cycle_rep,
     drawn_blocks,
     drawn_elements,
     flat_cocycle,
     oracle_cocycle,
     oracle_rep,
     oracle_violations,
+    phase_rep,
     q,
     qi_scalars,
     qi_vectors,
@@ -57,7 +59,7 @@ from schurmann import (
 )
 from schurmann import algebra, cocycle, linalg, words
 from schurmann.algebra import word_set
-from schurmann.cocycle import cocycle_columns, cocycle_general, cocycle_values
+from schurmann.cocycle import cocycle_columns, cocycle_from_V, cocycle_general, cocycle_values
 from schurmann.representation import rep_values
 
 letters_d2 = st.sampled_from(letters(2))
@@ -293,6 +295,48 @@ def test_direct_sum_concatenates(eta_sym_u2, eta_asym_u2):
     assert evaluate_cocycle(s, a) == evaluate_cocycle(eta_sym_u2, a).direct_sum(
         evaluate_cocycle(eta_asym_u2, a)
     )
+
+
+# -- W completed from V by the unitarity relations ----------------------------
+
+
+@pytest.fixture(scope="session")
+def completion_spaces(every_kind):
+    """Solved cocycle spaces: the counit on n = 1, 2, the sign and counit +
+    sign on every kind (the sign is no representation of su_q at odd d),
+    the 3-cycle on U_3+, K<3> and O_3+ and diag(i, 1) on U_3+."""
+    reps = []
+    for pres in every_kind:
+        reps += [counit_rep(pres, 1), counit_rep(pres, 2)]
+        if pres.kind != "su_q" or pres.d % 2 == 0:
+            reps += [sign_rep(pres), direct_sum_rep(counit_rep(pres), sign_rep(pres))]
+    three = {kind: build_presentation(kind, 3) for kind in ("u_plus", "k_d", "o_plus")}
+    reps += [cycle_rep(pres) for pres in three.values()] + [phase_rep(three["u_plus"])]
+    return [solve_cocycles(rep) for rep in reps]
+
+
+def test_completion_recovers_every_basis_vector(completion_spaces):
+    assert {space.rep.presentation.kind for space in completion_spaces} == set(algebra.PRESENTATION_KINDS)
+    for space in completion_spaces:
+        assert space.basis, space.rep
+        for eta in space.basis:
+            assert cocycle_from_V(space.rep, eta.V) == eta
+
+
+@given(st.data())
+def test_completion_recovers_W_on_drawn_members(completion_spaces, data):
+    for space in completion_spaces:
+        d, n = space.rep.d, space.rep.n
+        coeffs = [data.draw(qi_scalars) for _ in space.basis]
+
+        def combine(grids):
+            return [
+                [sum((g[j][k].scale(c) for c, g in zip(coeffs, grids)), QVector.zero(n)) for k in range(d)]
+                for j in range(d)
+            ]
+
+        V, W = combine([eta.V for eta in space.basis]), combine([eta.W for eta in space.basis])
+        assert cocycle_from_V(space.rep, V).W == tuple(map(tuple, W))
 
 
 # -- the word-set evaluator against the plain recursion ----------------------

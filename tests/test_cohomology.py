@@ -1,6 +1,7 @@
 """2-cocycles, defects, class coordinates, primitives and the verifier."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from conftest import (
     without_deep_recursion,
 )
 from schurmann import (
+    CoboundaryCocycle,
     CombinationCocycle,
     CounitFunctional,
     Element,
@@ -45,6 +47,7 @@ from schurmann import (
     gaussian_cocycle,
     is_normalized,
     letters,
+    normalize,
     primitive,
     rational,
     schurmann_functional,
@@ -150,6 +153,25 @@ def test_coboundary_of_canonical_functional_is_minus_pairing(eta_sym_u2):
     kp = KPairCocycle(eta_sym_u2, eta_sym_u2)
     pairs = [((la,), (lb,)) for la in letters(2) for lb in letters(2)]
     assert c.batch(pairs) == [-v for v in kp.batch(pairs)]
+
+
+def test_normalize_subtracts_the_unit_value(u2, eta_sym_u2, eta_asym_u2):
+    # d(eps)(a, b) = eps(a) eps(b), so normalize(c) = c - c(1, 1) d(eps) is
+    # c(a, b) - c(1, 1) eps(a) eps(b) on every word pair
+    d_eps = CoboundaryCocycle(CounitFunctional(u2))
+    kp = KPairCocycle(eta_sym_u2, eta_asym_u2)
+    words = [w for m in range(3) for w in product(letters(2), repeat=m)]
+    pairs = [(a, b) for a in words for b in words]
+    eps = {w: counit(Element.from_word(2, w)) for w in words}
+    assert d_eps.batch([((), ())]) == [ONE]
+    for c in (d_eps, CombinationCocycle(((ONE, kp), (Qi(2, -1), d_eps)))):
+        unit = c.batch([((), ())])[0]
+        assert not is_normalized(c)
+        normal = normalize(c)
+        assert is_normalized(normal)
+        want = [v - unit * eps[a] * eps[b] for v, (a, b) in zip(c.batch(pairs), pairs)]
+        assert normal.batch(pairs) == want
+    assert is_normalized(kp) and normalize(kp) is kp
 
 
 # -- defects and class coordinates -------------------------------------------

@@ -1,9 +1,11 @@
 """Wire format roundtrips and rejection of malformed input."""
 
 import json
+import random
 
 import pytest
 
+from conftest import cycle_rep
 from schurmann import (
     CoboundaryCocycle,
     CombinationCocycle,
@@ -21,6 +23,7 @@ from schurmann import (
     primitive,
     rational,
     schurmann_functional,
+    solve_cocycles,
 )
 from schurmann.serialize import (
     cocycle_from_json,
@@ -85,6 +88,17 @@ def test_representation_roundtrip(u2):
 
 def test_cocycle_roundtrip(eta_sym_u2):
     assert cocycle_from_json(through_json(cocycle_to_json(eta_sym_u2))) == eta_sym_u2
+
+
+def test_cocycle_without_W_loads_on_every_kind(every_kind):
+    # W is completed from V and rho on every kind, so dropping it from the
+    # wire format loads the same cocycle
+    three = build_presentation("o_plus", 3)
+    for rep in [counit_rep(pres, 2) for pres in every_kind] + [cycle_rep(three)]:
+        eta = solve_cocycles(rep).random_element(random.Random(0))
+        full = through_json(cocycle_to_json(eta))
+        bare = {key: value for key, value in full.items() if key != "W"}
+        assert cocycle_from_json(bare) == cocycle_from_json(full) == eta
 
 
 def test_functional_roundtrip(eta_sym_u2):
