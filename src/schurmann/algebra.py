@@ -27,7 +27,7 @@ from .scalars import ONE, ZERO, Qi, Rational, rational
 
 # The most entries (words times carrier coordinates, Gram matrix cells or
 # relation terms) one table may hold.  At about 100 bytes an entry this keeps
-# one table near 100 MB; every sweep of the verification suite stays below a
+# one table near 100 MB; every table of the verification suite stays below a
 # third of it.
 MAX_TABLE_ENTRIES = 1 << 20
 
@@ -38,6 +38,22 @@ def require_entries(entries: int, what: str) -> None:
         raise InputError(
             f"{what} would hold {entries} entries, above the table budget "
             f"MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+        )
+
+
+# The longest word evaluated on a sample, by `cocycle.is_real_cocycle` and
+# by the recheck of `cohomology.verify_primitive_exhaustive`.  Evaluation
+# runs layer by layer without recursion; the bound keeps a sampled word's
+# numerators, which grow with its length, small.
+MAX_SAMPLED_WORD_LEN = 256
+
+
+def require_word_len(length: int, what: str) -> None:
+    """Refuse, before anything is built, words above the word length budget."""
+    if length > MAX_SAMPLED_WORD_LEN:
+        raise InputError(
+            f"{what} of length up to {length} are above the word length budget "
+            f"MAX_SAMPLED_WORD_LEN = {MAX_SAMPLED_WORD_LEN}"
         )
 
 

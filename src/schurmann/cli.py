@@ -78,6 +78,8 @@ def _load(path):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _detect(obj) -> str:

@@ -24,8 +24,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Letter, Presentation, antipode_element, letters, word_set
-from .errors import InputError, RelationViolation
+from .algebra import (
+    Element,
+    Letter,
+    Presentation,
+    antipode_element,
+    letters,
+    require_word_len,
+    word_set,
+)
+from .errors import RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, inner_product, kernel_basis
 from .representation import (
     GeneratorSubstitution,
@@ -38,11 +46,6 @@ from .scalars import ZERO, Qi, rational
 from .words import columns, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
-
-# The longest word `is_real_cocycle` samples.  Evaluation runs layer by layer
-# without recursion; the bound keeps a sampled word's numerators, which grow
-# with its length, small.
-MAX_SAMPLED_WORD_LEN = 256
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def cocycle_from_V(rep: Representation, V: Sequence[Sequence[QVector]]) -> Cocyc
     grid = _as_vgrid(d, n, V, "V")
     W = [
         [
-            -sum((rep.R_star[j][q].apply(grid[j][k]) for j in range(d)), QVector.zero(n))
+            -sum((rep.image(j + 1, q + 1, True).apply(grid[j][k]) for j in range(d)), QVector.zero(n))
             for q in range(d)
         ]
         for k in range(d)
@@ -258,13 +261,10 @@ def is_real_cocycle(
 
     Requires a Kac presentation (the antipode must exist).  Returns
     (True, None) or (False, (a, b, lhs, rhs)) with the first failing pair.
-    A max_word_len above MAX_SAMPLED_WORD_LEN is refused with InputError.
+    A max_word_len above `algebra.MAX_SAMPLED_WORD_LEN` is refused with
+    InputError.
     """
-    if max_word_len > MAX_SAMPLED_WORD_LEN:
-        raise InputError(
-            f"sampled words of length up to {max_word_len} are above the word length "
-            f"budget MAX_SAMPLED_WORD_LEN = {MAX_SAMPLED_WORD_LEN}"
-        )
+    require_word_len(max_word_len, "sampled words")
     pool: list[Element] = [
         Element.generator(eta.d, l.row, l.col, l.star) for l in letters(eta.d)
     ]

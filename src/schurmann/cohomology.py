@@ -22,13 +22,12 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import Element, Letter, Presentation, WordSet, counit, letters, word_set, words_up_to
+from .algebra import Element, Letter, Presentation, counit, letters, require_word_len
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
-from .linalg import GaussianMatrix, QMatrix, QVector, _paired, _rref, inner_product
+from .linalg import GaussianMatrix, QMatrix, QVector
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
-from .words import require_words, word_set_values
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
 # units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
@@ -78,12 +77,26 @@ class TwoCocycle:
         return _sums(self.batch, [_pair_terms(self, a, b)])[0]
 
 
+def _short_value(eta: Cocycle, w) -> QVector:
+    """eta of a word of at most two letters from the grids, by eta(h l) =
+    rho(h) eta(l) + eps(l) eta(h)."""
+    if not w:
+        return QVector.zero(eta.n)
+    v = eta.letter_value(w[-1])
+    if len(w) == 2:
+        h, l = w
+        v = eta.rep.image(*h).apply(v)
+        if l.row == l.col:
+            v = v + eta.letter_value(h)
+    return v
+
+
 def _pairing_side(eta: Cocycle, ws) -> GaussianMatrix:
-    """eta of every word, one column per word: the empty word and letters
-    from the grids, the distinct longer words on one word set."""
+    """eta of every word, one column per word: the words of at most two
+    letters from the grids, the distinct longer words on one word set."""
     distinct = list(dict.fromkeys(ws))
-    long, short = [w for w in distinct if len(w) > 1], [w for w in distinct if len(w) < 2]
-    vals = [eta.letter_value(w[0]) if w else QVector.zero(eta.n) for w in short]
+    long, short = [w for w in distinct if len(w) > 2], [w for w in distinct if len(w) <= 2]
+    vals = [_short_value(eta, w) for w in short]
     den = lcm(*(z.den for v in vals for z in v))
     re, im = [[] for _ in range(eta.n)], [[] for _ in range(eta.n)]
     if long:
@@ -219,8 +232,9 @@ class LetterFunctional:
         v(w) = sum (sign c(h, t) + eps(t) v(h)),
 
     so `batch` reads c on one batch of cuts.  No check tabulates v: the
-    dense checks read eta alone (`square_zero_on_letters`,
-    `verify_primitive_exhaustive`, `functional.pool_gram_matrix`).
+    dense checks hold by identities of this recursion and recheck it on a
+    few words through `batch` (`square_zero_on_letters`,
+    `verify_primitive_exhaustive`, `functional.gram_psd_check`).
     """
 
     @property
@@ -309,88 +323,54 @@ def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
     return None
 
 
-def _star_pairing(c: KPairCocycle) -> bool:
-    """Whether both cocycles of the pairing live on a representation whose
-    R_star is adjoint R, so that sigma = rho (`Representation.dual`)."""
-    return all(eta.rep.dual is eta.rep for eta in (c.eta1, c.eta2))
-
-
-def _pairing_terms(c: TwoCocycle, coeff: Qi = ONE) -> list:
-    """(coefficient, pairing) for every pairing term of c, the coefficients
-    of nested combinations multiplied out and coboundary terms dropped;
-    TypeError for any other kind of 2-cocycle."""
-    if isinstance(c, KPairCocycle):
-        return [(coeff, c)]
-    if isinstance(c, CoboundaryCocycle):
-        return []
+def _require_identity(c: TwoCocycle) -> None:
+    """TypeError unless c is a pairing, a coboundary or a combination of
+    them, nested or not: the kinds the letter-triple identity covers."""
     if isinstance(c, CombinationCocycle):
-        return [term for k, t in c.terms for term in _pairing_terms(t, coeff * k)]
-    raise TypeError(f"no letter-triple identity for a 2-cocycle of type {type(c).__name__}")
+        for _, t in c.terms:
+            _require_identity(t)
+    elif not isinstance(c, (KPairCocycle, CoboundaryCocycle)):
+        raise TypeError(f"no letter-triple identity for a 2-cocycle of type {type(c).__name__}")
 
 
-def _pairing_triple(d: int, terms: list):
-    """The first letter triple (a, b, x), in code order of a b x, with
-    value = sum k <eta1(a*), (rho(b) - sigma(b)) eta2(x)> over the terms
-    (k, pairing) nonzero, and that value; or None.  rho is eta2's
-    representation and sigma the dual of eta1's."""
-    alpha = letters(d)
-    moved = []
-    for b in alpha:
-        gaps = [(p.eta2.rep.image(*b) - p.eta1.rep.dual.image(*b), p.eta2) for _, p in terms]
-        for x in alpha:
-            ys = [(j, gap.apply(eta2.letter_value(x))) for j, (gap, eta2) in enumerate(gaps)]
-            ys = [(j, y) for j, y in ys if not y.is_zero()]
-            if ys:
-                moved.append((b, x, ys))
-    for a in alpha:
-        lefts = [p.eta1.letter_value(a.adjoint()) for _, p in terms]
-        for b, x, ys in moved:
-            value = sum((terms[j][0] * inner_product(lefts[j], y) for j, y in ys), ZERO)
-            if not value.is_zero():
-                return a, b, x, value
-    return None
+# How many seeded letter triples `square_zero_on_letters` rechecks.
+RECHECK_TRIPLES = 2
 
 
 def square_zero_on_letters(c: TwoCocycle):
-    """Exhaustive degree-2 identity over all letter triples; returns the
-    first violating (a, b, x, value), in code order of a b x, or None.
+    """The degree-2 identity over all letter triples: None by an identity,
+    or the first (a, b, x, value) of its recheck whose value is not 0.
 
-    The identity is decided from the letter grids alone.  On a pairing
-    c(u, v) = <eta1(u*), eta2(v)>, for letters a, b, x, with eta(b x) =
-    rho(b) eta(x) + eps(x) eta(b) and eta(b* a*) = rho(b*) eta(a*) + eps(a)
-    eta(b*), moving rho(b*) across the pairing,
+    The identity holds on every triple of words for every kind of 2-cocycle
+    the package builds.  A coboundary c = d(phi) holds it whatever phi is (d
+    d = 0, since eps is multiplicative on words).  A pairing c(u, v) =
+    <eta1(u*), eta2(v)> holds it because, with eta(b x) = rho(b) eta(x) +
+    eps(x) eta(b) and rho(b*) = adjoint(rho(b)) on a *-representation,
 
-        c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x)
-            = <eta1(a*), (rho(b) - sigma(b)) eta2(x)>,
+        c(a, b x) - c(a b, x) + eps(a) c(b, x) - c(a, b) eps(x) = 0.
 
-    with rho eta2's representation and sigma(l) = adjoint(rho1(l*)) the dual
-    of eta1's (`Representation.dual`): the eps terms cancel.  A coboundary
-    c = d(phi) satisfies the identity on every triple of words, whatever
-    the values of phi (d d = 0): with (d phi)(u, v) = eps(u) phi(v) -
-    phi(u v) + phi(u) eps(v), the left-hand side expands into twelve terms
-    that cancel in pairs, since eps is multiplicative on words: eps(a b) =
-    eps(a) eps(b) and eps(b x) = eps(b) eps(x).  The left-hand side is
-    linear in c, so a combination takes the sum of its terms' values, the
-    coefficients of nested combinations multiplied out (`_pairing_terms`):
-    its coboundary terms add 0, and so do its pairings whose two
-    representations have R_star adjoint R, where sigma = rho.  When no
-    other term is left every triple holds, with nothing evaluated.
-    Otherwise the first nonzero value is rechecked through `batch` on its
-    four pairs, and a mismatch raises ArithmeticError.  Any other kind of
-    2-cocycle raises TypeError (`check_2cocycle` samples it through `batch`).
+    The left-hand side is linear in c, so a combination of them holds it
+    too.  Any other kind of 2-cocycle raises TypeError (`check_2cocycle`
+    samples it through `batch`).  The recheck reads c through `batch`, in
+    one call, on the four pairs of each of RECHECK_TRIPLES seeded letter
+    triples, so a fault in the evaluation of c shows as a witness.
     """
-    require_words(c.d, 3)
-    terms = [(k, p) for k, p in _pairing_terms(c) if not _star_pairing(p)]
-    if not terms:
-        return None
-    found = _pairing_triple(c.d, terms)
-    if found is not None:
-        a, b, x, value = found
-        bx, ab_x, a_bx, ab = c.batch([((b,), (x,)), ((a, b), (x,)), ((a,), (b, x)), ((a,), (b,))])
-        eps_a, eps_x = (ONE if l.row == l.col else ZERO for l in (a, x))
-        if eps_a * bx - ab_x + a_bx - ab * eps_x != value:
-            raise ArithmeticError("a letter triple's pairing value disagrees with batch", found)
-    return found
+    _require_identity(c)
+    rng, alpha = random.Random(0), letters(c.d)
+    triples = [tuple(rng.choice(alpha) for _ in range(3)) for _ in range(RECHECK_TRIPLES)]
+    values = c.batch(
+        [p for a, b, x in triples for p in (((b,), (x,)), ((a, b), (x,)), ((a,), (b, x)), ((a,), (b,)))]
+    )
+    for i, (a, b, x) in enumerate(triples):
+        bx, ab_x, a_bx, ab = values[4 * i : 4 * i + 4]
+        value = a_bx - ab_x
+        if a.row == a.col:
+            value = value + bx
+        if x.row == x.col:
+            value = value - ab
+        if not value.is_zero():
+            return a, b, x, value
+    return None
 
 
 _UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
@@ -638,90 +618,59 @@ def primitive(c: TwoCocycle) -> Primitive:
     return phi
 
 
-def _primitive_witness(phi: Primitive, aw, bw):
-    """Canonical (a, b, d(phi)(a, b), c(a, b)) for a violating word pair."""
-    (got,) = CoboundaryCocycle(phi).batch([(aw, bw)])
-    (want,) = phi.two_cocycle.batch([(aw, bw)])
-    return (aw, bw, got, want)
+# How many seeded word pairs `verify_primitive_exhaustive` rechecks.
+RECHECK_PAIRS = 2
+
+
+def _recheck_pairs(d: int, max_len: int) -> list:
+    """At most RECHECK_PAIRS distinct seeded pairs of words of max_len
+    letters.  The first pair is of diagonal letters alone, so its product
+    has a diagonal prefix of 2 max_len letters: the cuts of the letter
+    recursion reach every letter of it."""
+    rng, alpha = random.Random(max_len), letters(d)
+    diagonal = [l for l in alpha if l.row == l.col]
+    pairs = [tuple(tuple(rng.choice(diagonal) for _ in range(max_len)) for _ in "uv")]
+    for _ in range(RECHECK_PAIRS - 1):
+        pairs.append(tuple(tuple(rng.choice(alpha) for _ in range(max_len)) for _ in "uv"))
+    return list(dict.fromkeys(pairs))
+
+
+def require_sweep_len(max_len: int) -> None:
+    """Refuse a sweep whose recheck products, of 2 max_len letters, are
+    above the word length budget."""
+    require_word_len(2 * max_len, "the sweep's recheck products")
 
 
 def verify_primitive_exhaustive(phi: Primitive, max_len: int = 3):
-    """Check d(phi) = c on every pair of words of length <= max_len, for a
-    pairing c(u, v) = <eta1(u*), eta2(v)>.
+    """d(phi) = c on every pair of words of length <= max_len, for a pairing
+    c(u, v) = <eta1(u*), eta2(v)>: (number of pairs, None) by an identity,
+    or (k, the k-th pair of the recheck) when its recheck fails, as (u, v,
+    d(phi)(u, v), c(u, v)).
 
-    Returns (number of pairs checked, first violating pair or None) in the
-    order of the pairs (u, v) by (length, code) of u, then of v; a violation
-    carries the two words as letter tuples plus the values of d(phi) and c
-    there.  Only pairing 2-cocycles are supported.  A max_len whose eta
-    values, n coordinates of the words of length max_len, would overflow
-    the table budget is refused (InputError) before anything is built, on
-    every representation (`words.require_words`).
+    Unrolled, phi's letter recursion sums over the cuts w = p h t with a
+    diagonal prefix p: phi(w) = sum (-c(h, t) + eps(t) phi(h)).  Take w = u
+    v, split the cuts between u and v and use eta2(t v) = rho(t) eta2(v) +
+    eta2(t) eps(v); with rho(t*) = adjoint(rho(t)) on a *-representation
+    and eta1(u*) = sum over the cuts u = p h t of rho(t*) eta1(h*),
 
-    No value of phi is read.  Unrolled, phi's letter recursion sums over the
-    cuts w = p h t with a diagonal prefix p: phi(w) = sum (-c(h, t) + eps(t)
-    phi(h)).  Take w = u v.  The cuts inside v have p = u p' and add up to
-    eps(u) phi(v).  A cut p h t of u is the cut p h (t v) of w, and eta2(t
-    v) = rho(t) eta2(v) + eta2(t) eps(v); moving rho(t) across the pairing
-    and summing over the cuts of u,
+        phi(u v) = -c(u, v) + eps(v) phi(u) + eps(u) phi(v),
 
-        phi(u v) = -<xi(u), eta2(v)> + eps(v) phi(u) + eps(u) phi(v),
-        xi(u) = sum over the cuts u = p h t of adjoint(rho(t)) eta1(h*),
-
-    so d(phi)(u, v) - c(u, v) = <zeta1(u*) - eta1(u*), eta2(v)> with zeta1(w)
-    = xi(w*): eta1's letter values on the dual of eta2's representation,
-    sigma(l) = adjoint(rho(l*)) (`Representation.dual`), as in
-    `functional.pool_gram_matrix`.  When both representations have R_star
-    adjoint R, zeta1 = eta1 and every pair holds, with nothing evaluated.
-    zeta1 and eta1 share their letter values, so delta(u) = zeta1(u*) -
-    eta1(u*) below is 0 for the empty word and every letter: at max_len <= 1
-    every pair holds with nothing evaluated, and the scan starts at length 2.
-
-    Otherwise every word up to length max_len, in code order, is compiled
-    into one word set (`_all_words`), and eta1, zeta1 and eta2 are read on
-    it by the word-set evaluator, one call each.  A word u fails some pair
-    exactly when delta(u) = zeta1(u*) - eta1(u*) is not orthogonal to the
-    r <= n pivot words of eta2 (the first words whose eta2 values are independent
-    of those before them), so each u costs r inner products.  For the first
-    failing u the words v are scanned in order; the witness is rechecked on
-    the word-set evaluator (`_primitive_witness`), and a recheck whose d(phi)
-    - c differs from <delta(u), eta2(v)> raises ArithmeticError.
+    that is d(phi) = c on every pair of words, whatever phi's letter values.
+    The recheck reads both sides through `batch`, one call each, on the
+    seeded pairs of `_recheck_pairs`, whose products have 2 max_len
+    letters: refused with InputError above `algebra.MAX_SAMPLED_WORD_LEN`
+    before anything is built (`require_sweep_len`).  Only pairing
+    2-cocycles are supported.
     """
     c = phi.two_cocycle
     if not isinstance(c, KPairCocycle):
         raise TypeError("exhaustive verification expects a pairing 2-cocycle")
-    d, n, base = phi.d, c.eta2.n, 2 * phi.d**2
-    require_words(d, max_len, n)
-    if _star_pairing(c) or max_len <= 1:
-        return sum(base**m for m in range(max_len + 1)) ** 2, None
-    words, ws = _all_words(d, max_len)
-    e1 = word_set_values(ws, c.eta1.rep.action, n, c.eta1.numerators)
-    z1 = word_set_values(ws, c.eta2.rep.dual.action, n, c.eta1.numerators)
-    h2 = word_set_values(ws, c.eta2.rep.action, n, c.eta2.numerators)
-    _, pivots = _rref(h2.re, h2.im, len(words))
-    at = {w: j for j, w in enumerate(words)}
-    den = lcm(z1.den, e1.den)
-    f, g = den // z1.den, den // e1.den
-    for iu, u in enumerate(words[1 + base :], 1 + base):
-        s = at[_star_word(u)]
-        xr = [a[s] * f - b[s] * g for a, b in zip(z1.re, e1.re)]
-        xi = [a[s] * f - b[s] * g for a, b in zip(z1.im, e1.im)]
-        if all(_paired(xr, xi, h2.re, h2.im, j) == (0, 0) for j in pivots):
-            continue
-        iv, (re, im) = next(
-            (j, p) for j in range(len(words)) if (p := _paired(xr, xi, h2.re, h2.im, j)) != (0, 0)
-        )
-        witness = _primitive_witness(phi, u, words[iv])
-        if witness[2] - witness[3] != _qi(re, im, den * h2.den):
-            raise ArithmeticError("the sweep's witness disagrees with the word-set evaluator", witness)
-        return iu * len(words) + iv + 1, witness
-    return len(words) ** 2, None
-
-
-def _all_words(d: int, max_len: int) -> tuple[list, WordSet]:
-    """Every word of length <= max_len in code order, and the word set
-    compiled from them, one element per word."""
-    words = list(words_up_to(d, max_len))
-    return words, word_set(d, [Element.from_word(d, w) for w in words])
+    require_sweep_len(max_len)
+    pairs = _recheck_pairs(phi.d, max_len)
+    for k, (pair, got, want) in enumerate(zip(pairs, CoboundaryCocycle(phi).batch(pairs), c.batch(pairs)), 1):
+        if got != want:
+            return k, (*pair, got, want)
+    return sum((2 * phi.d**2) ** m for m in range(max_len + 1)) ** 2, None
 
 
 @dataclass(frozen=True)

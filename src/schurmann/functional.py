@@ -10,11 +10,10 @@ for a selfadjoint offset H, psi(u*[j,k]) = conj(psi(u[j,k])).  Validation
 requires psi(r) = 0 on every relation.
 
 Conditional positivity is checked on a word pool: the Gram matrix
-(psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 is <zeta(w_i), eta(w_j)>
-for a second cocycle zeta that follows eta's recursion (`pool_gram_matrix`),
-so the build reads eta and zeta on the pool's word set, never a value of
-psi.  It is kept as its two n x N factors, and its positivity is decided
-on the s <= 2 n pool words where the stacked factors pivot
+(psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 is <eta(w_i), eta(w_j)>
+(`pool_gram_matrix`), so the build reads eta on the pool's word set, never
+a value of psi.  It is kept as its n x N factor, and its positivity is
+decided on the s <= n pool words where the factor pivots
 (`linalg.psd_check`); those s^2 entries are rechecked against psi's own
 recursion (`gram_psd_check`).
 """
@@ -26,14 +25,14 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Sequence
 
-from .algebra import Element, Presentation, WordSet, all_permutations, letters, word_set
+from .algebra import Element, Presentation, WordSet, all_permutations, letters, require_entries, word_set
 from .cocycle import Cocycle, b_matrices, cocycle_general
 from .cohomology import KPairCocycle, LetterFunctional, _diagonal, _star_word
 from .errors import RelationViolation
 from .linalg import Gram, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
 from .scalars import I, Qi, _qi
-from .words import require_entries, word_set_values
+from .words import word_set_values
 
 
 @dataclass(frozen=True)
@@ -171,11 +170,11 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     a_i = w_i - counit(w_i) 1, decided on the core of `pool_gram_matrix`
     (`linalg.psd_check`).
 
-    The core entries are all the verdict reads, and they come from eta and
-    zeta on the pool's word set.  Each is rechecked as psi(w_p* w_q) -
-    eps(w_q) psi(w_p*) - eps(w_p) psi(w_q) in one `LetterFunctional.batch`
-    call, which reads psi's letter values and the cuts of each word
-    instead: a mismatch raises ArithmeticError.
+    The core entries are all the verdict reads, and they come from eta on
+    the pool's word set.  Each is rechecked as psi(w_p* w_q) - eps(w_q)
+    psi(w_p*) - eps(w_p) psi(w_q) in one `LetterFunctional.batch` call,
+    which reads psi's letter values and the cuts of each word instead: a
+    mismatch raises ArithmeticError.
     """
     if pool is None:
         _require_gram(default_pool_size(psi.d, max_len), max_len, psi.cocycle.n)
@@ -202,43 +201,30 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
 
 def pool_gram_matrix(psi: Functional, pool: Sequence[tuple]) -> Gram:
     """The matrix (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 over a pool,
-    as G_ij = <zeta(w_i), eta(w_j)>: no value of psi is evaluated.
+    as G_ij = <eta(w_i), eta(w_j)>: no value of psi is evaluated.
 
-    Unrolled, the letter recursion of psi sums over the cuts w = p h t with a
-    diagonal prefix p: psi(w) = sum (<eta(h*), eta(t)> + eps(t) psi(h)).
-    Take w = u v.  The cuts inside v have p = u p' and add up to
-    eps(u) psi(v).  A cut p h t of u is the cut p h (t v) of w, and
-    eta(t v) = rho(t) eta(v) + eta(t) eps(v); moving rho(t) across the
-    pairing and summing over the cuts of u,
+    Unrolled, the letter recursion of psi sums over the cuts w = p h t with
+    a diagonal prefix p: psi(w) = sum (<eta(h*), eta(t)> + eps(t) psi(h)).
+    Split the cuts of u v between u and v, as in
+    `cohomology.verify_primitive_exhaustive`; on a *-representation
 
-        psi(u v) = <xi(u), eta(v)> + eps(v) psi(u) + eps(u) psi(v),
-        xi(u) = sum over the cuts u = p h t of adjoint(rho(t)) eta(h*).
+        psi(u v) = <eta(u*), eta(v)> + eps(v) psi(u) + eps(u) psi(v),
 
-    With eps(w*) = eps(w), the entry psi(w_i* w_j) - eps(w_j) psi(w_i*)
-    - eps(w_i) psi(w_j) is <zeta(w_i), eta(w_j)> for zeta(w) = xi(w*): the
-    letter values of psi drop out, and no relation or *-property of rho is
-    used.  zeta follows eta's own recursion, zeta(h w) = sigma(h) zeta(w)
-    + eps(w) eta(h), zeta(1) = 0, under sigma(l) = adjoint(rho(l*)): it is
-    the unvalidated cocycle with eta's letter values on
-    `Representation.dual`, which is eta itself when R_star is adjoint R.
-    A tampered R_star makes sigma differ from rho, so the matrix is in
-    general not Hermitian, and `psd_check` refuses it.
+    and with eps(w*) = eps(w) the entry psi(w_i* w_j) - eps(w_j) psi(w_i*)
+    - eps(w_i) psi(w_j) is <eta(w_i), eta(w_j)>: the letter values of psi
+    drop out.
 
-    The matrix is a `linalg.Gram`, kept as its factors: zeta and eta on the
-    pool, n coordinates by N words each, read by `words.word_set_values` on
+    The matrix is a `linalg.Gram` G = H* H, kept as its factor H: eta on
+    the pool, n coordinates by N words, read by `words.word_set_values` on
     the pool compiled as a word set, one element per word, as numerators
-    over one denominator each (one shared grid when zeta is eta).  So G =
-    Z* H has rank at most n, and `psd_check` decides it on at most 2 n of
-    the N words.  The budget is what the word set and the factors hold, the
-    pool's letters and n coordinates per word, refused before the pool is
-    compiled.
+    over one denominator.  So G has rank at most n.  The budget is what the
+    word set and the factor hold, the pool's letters and n coordinates per
+    word, refused before the pool is compiled.
     """
     eta = psi.cocycle
     _require_gram(len(pool), max(map(len, pool), default=0), eta.n)
-    ws = _pool_words(psi.d, tuple(pool))
-    h = word_set_values(ws, eta.rep.action, eta.n, eta.numerators)
-    dual = eta.rep.dual
-    return Gram(h if dual is eta.rep else word_set_values(ws, dual.action, eta.n, eta.numerators), h)
+    h = word_set_values(_pool_words(psi.d, tuple(pool)), eta.rep.action, eta.n, eta.numerators)
+    return Gram(h, h)
 
 
 def _require_gram(size: int, max_len: int, n: int) -> None:

@@ -2,8 +2,11 @@
 
 A representation is a d x d grid R of n x n matrices over Q(i), with
 rho(u[j,k]) = R[j][k] and rho(u*[j,k]) = adjoint(R[j][k]), extended
-multiplicatively to words and linearly to elements.  Construction is eager:
-every relation of the presentation must evaluate to the zero matrix.
+multiplicatively to words and linearly to elements.  The *-structure is
+part of the type: R is all a representation holds, so rho(w*) =
+adjoint(rho(w)) on every word, and the starred images are computed once per
+representation.  Construction is eager: every relation of the presentation
+must evaluate to the zero matrix.
 
 Elements are evaluated on the suffix closure of their words (the relations
 on `Presentation.relation_words`, compiled once per presentation), by
@@ -14,7 +17,7 @@ the integers, and only then is its value built as a `QMatrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -32,32 +35,24 @@ class Representation:
     presentation: Presentation
     n: int
     R: Grid
-    R_star: Grid = field(repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.presentation.d
 
+    @cached_property
+    def _adjoints(self) -> Grid:
+        return tuple(tuple(m.adjoint() for m in row) for row in self.R)
+
     def image(self, row: int, col: int, star: bool = False) -> QMatrix:
-        """rho of the letter u[row,col] (or u*[row,col]); 1-indexed."""
-        grid = self.R_star if star else self.R
+        """rho of the letter u[row,col], or of u*[row,col], its adjoint; 1-indexed."""
+        grid = self._adjoints if star else self.R
         return grid[row - 1][col - 1]
 
     @cached_property
     def action(self) -> Action:
         """rho of `letters(d)` as numerator rows over one denominator."""
         return action([self.image(*l) for l in letters(self.d)])
-
-    @cached_property
-    def dual(self) -> "Representation":
-        """sigma(l) = adjoint(rho(l*)), unvalidated: the grid of adjoint
-        R_star, its starred grid adjoint R.  The representation itself when
-        the grids agree, as they do whenever R_star is adjoint R."""
-        grid = tuple(tuple(m.adjoint() for m in row) for row in self.R_star)
-        if grid == self.R:
-            return self
-        star = tuple(tuple(m.adjoint() for m in row) for row in self.R)
-        return Representation(self.presentation, self.n, grid, star)
 
 
 def _as_grid(presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n: int) -> Grid:
@@ -108,9 +103,7 @@ def representation(
     if n is None:
         n = blocks[0][0].rows if blocks and blocks[0] else 0
     _require_budget(presentation, n)
-    grid = _as_grid(presentation, blocks, n)
-    star = tuple(tuple(m.adjoint() for m in row) for row in grid)
-    rep = Representation(presentation, n, grid, star)
+    rep = Representation(presentation, n, _as_grid(presentation, blocks, n))
     sums = _values(rep, presentation.relation_words)
     violations = [
         (presentation.relations[e][0], _matrix(sums.column(e), n))
@@ -207,17 +200,13 @@ def pullback_rep(rep: Representation, sub: GeneratorSubstitution) -> Representat
 def gaussian_subspace(rep: Representation) -> list[QVector]:
     """Exact basis of {v : rho(a) v = counit(a) v for all a}.
 
-    Equals the joint kernel of R[j][k] - delta_jk and adjoint(R[j][k]) - delta_jk
-    over all letters.
+    Equals the joint kernel of rho(l) - counit(l) over all letters l.
     """
     n = rep.n
     eye = QMatrix.identity(n)
     rows: list = []
-    for j in range(rep.d):
-        for k in range(rep.d):
-            delta = eye if j == k else QMatrix.zero(n, n)
-            for m in (rep.R[j][k] - delta, rep.R_star[j][k] - delta):
-                rows.extend(m.data)
+    for l in letters(rep.d):
+        rows.extend((rep.image(*l) - (eye if l.row == l.col else QMatrix.zero(n, n))).data)
     if not rows:
         return kernel_basis(QMatrix.identity(n) - QMatrix.identity(n))
     return kernel_basis(QMatrix(rows, cols=n))

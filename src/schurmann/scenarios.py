@@ -44,6 +44,7 @@ from .cohomology import (
     defect_unitary,
     matrix_unit,
     primitive,
+    require_sweep_len,
     square_zero_on_letters,
     sum_identity_defects,
     verify_primitive_exhaustive,
@@ -79,6 +80,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_word_len < 0:
             raise ValueError(f"max_word_len must be >= 0, got {self.max_word_len}")
+        # C13's sweep, refused before any scenario runs
+        require_sweep_len(self.max_word_len)
 
 
 @dataclass(frozen=True)
@@ -736,7 +739,7 @@ def _run_one(sid, fn, config, registry):
     try:
         return fn(config, registry)
     except InputError:
-        # a refused input (a table over budget) is no verdict on the claim
+        # a refused input (a table or a word over budget) is no verdict on the claim
         raise
     except Exception as exc:  # a failing scenario must not halt the suite
         frame = traceback.extract_tb(exc.__traceback__)[-1]

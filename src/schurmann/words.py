@@ -12,10 +12,8 @@ flat lists of head letters and tail numbers); `word_set_values` steps rho
 or eta on it, a whole layer at a time (`layer_step`, one gather pass per
 coordinate pair), then sums each element on the numerators, so a relation
 check is a zero test on integers.  It is the one evaluator of rho and eta:
-the Gram factors (`functional.pool_gram_matrix`) compile their pool as a
-word set, one element per word, and the exhaustive primitive sweep
-(`cohomology.verify_primitive_exhaustive`) every word up to its length.
-Letter values come as columns (`columns`): one for a cocycle, a unit
+the Gram factor (`functional.pool_gram_matrix`) compiles its pool as a
+word set, one element per word.  Letter values come as columns (`columns`): one for a cocycle, a unit
 column per unknown for the cocycle equations, one per basis vector to
 check a solved space.  The columns are packed: all the columns of one word
 and coordinate ride in one int, column v in the slot 2^(W v) (Kronecker
@@ -29,9 +27,7 @@ prototype (a dead end).
 
 No functional or 2-cocycle is tabulated.  Functionals and 2-cocycles
 evaluate their batches of words on word sets, through the cuts of the
-letter recursion (`cohomology.LetterFunctional.batch`), and the dense
-checks read eta alone: on letters (`cohomology.square_zero_on_letters`) or
-on every word up to a length (`require_words` budgets those).
+letter recursion (`cohomology.LetterFunctional.batch`).
 """
 
 from __future__ import annotations
@@ -44,8 +40,7 @@ from math import lcm
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-# MAX_TABLE_ENTRIES stays importable from here, next to the budgets it sets.
-from .algebra import MAX_TABLE_ENTRIES, WordSet, require_entries  # noqa: F401
+from .algebra import WordSet
 from .linalg import GaussianMatrix
 
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -91,12 +86,6 @@ def _decode(raw: bytes, width: int, bound: int) -> list:
     if k >= width or y < 0 or y.bit_length() > width * size or y & high:
         raise ArithmeticError(f"a packed entry is above its layer's bound {bound}")
     return _signed((biased ^ top).to_bytes(len(raw), "little"), width)
-
-
-def require_words(d: int, length: int, width: int = 1) -> None:
-    """Refuse, before anything is built, `width` entries on every word of
-    this length over the 2 d^2 letters above the entry budget."""
-    require_entries((2 * d * d) ** length * width, f"a table of words of length {length}")
 
 
 def _over(values, den: int) -> list:

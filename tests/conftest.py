@@ -105,9 +105,7 @@ def every_kind():
 
 def unvalidated_rep(presentation, blocks, n):
     """A Representation on the grid as given, no relation checked."""
-    grid = tuple(tuple(row) for row in blocks)
-    star = tuple(tuple(m.adjoint() for m in row) for row in grid)
-    return Representation(presentation, n, grid, star)
+    return Representation(presentation, n, tuple(tuple(row) for row in blocks))
 
 
 def unvalidated_cocycle(rep, V, W):

@@ -10,11 +10,26 @@ Run directly for a one-line-per-criterion report:
     python3 tests/test_acceptance.py
 """
 
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from schurmann import RunConfig, format_results, run_all, scenarios
+from schurmann import (
+    CoboundaryCocycle,
+    KPairCocycle,
+    RunConfig,
+    coboundary1,
+    cohomology,
+    format_results,
+    gram_psd_check,
+    primitive,
+    run_all,
+    scenarios,
+    schurmann_functional,
+    square_zero_on_letters,
+    verify_primitive_exhaustive,
+)
 
 CRITERIA = {
     "C01": "canonical generating functionals for random cocycles on the "
@@ -97,6 +112,38 @@ def test_failing_scenario_says_where_it_raised(monkeypatch):
     [result] = run_all(RunConfig())
     assert not result.passed
     assert result.computed == f"RuntimeError: boom (raised at test_acceptance.py:{line})"
+
+
+def test_a_fault_in_the_letter_recursion_fails_c13_or_c14(monkeypatch):
+    # the cuts of phi's and psi's recursion stop after 4 letters, so both
+    # are wrong on words of 5 letters or more, where the products of C13's
+    # recheck at length 3 reach
+    cuts = cohomology._cuts
+    monkeypatch.setattr(cohomology, "_cuts", lambda w: islice(cuts(w), 4))
+    failed = {r.scenario for r in run_all(RunConfig(max_word_len=3)) if not r.passed}
+    assert failed & {"C13", "C14"}
+
+
+def test_each_identity_line_reads_batch(monkeypatch, eta_sym_u2):
+    # C13's sweep and C14's letter-triple and PSD lines hold by identities;
+    # each rechecks them by evaluating through `batch`
+    phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
+    psi = schurmann_functional(eta_sym_u2)
+    calls = []
+    for kind in (KPairCocycle, CoboundaryCocycle, cohomology.LetterFunctional):
+        batch = kind.batch
+        monkeypatch.setattr(
+            kind, "batch", lambda self, xs, batch=batch, name=kind.__name__: calls.append(name) or batch(self, xs)
+        )
+    assert verify_primitive_exhaustive(phi) == (585**2, None)
+    assert {"CoboundaryCocycle", "KPairCocycle"} <= set(calls)
+    for c in (phi.two_cocycle, coboundary1(psi)):
+        calls.clear()
+        assert square_zero_on_letters(c) is None
+        assert calls[0] == type(c).__name__
+    calls.clear()
+    assert gram_psd_check(psi)
+    assert "LetterFunctional" in calls
 
 
 def test_negative_word_length_refused():

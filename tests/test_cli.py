@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports and deterministic output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import cycle_rep, refuse_elimination, refuse_evaluation
 from schurmann import (
+    CounitFunctional,
     KPairCocycle,
     QMatrix,
     Qi,
@@ -19,16 +23,18 @@ from schurmann import (
     coboundary1,
     cocycle,
     counit_rep,
+    primitive,
     rational,
+    scenarios,
     schurmann_functional,
     serialize,
-    words,
 )
 from schurmann.cli import main
 from schurmann.serialize import (
     cocycle_to_json,
     functional_to_json,
     presentation_to_json,
+    primitive_to_json,
     representation_to_json,
     two_cocycle_to_json,
 )
@@ -316,6 +322,126 @@ def test_invalid_json_file(run, tmp_path):
     assert "invalid JSON" in err
 
 
+# every subcommand that reads --input
+INPUT_COMMANDS = [
+    ["validate"],
+    *(["check", what] for what in ("defect", "gf", "h1", "lk", "psd", "real")),
+    ["basis"],
+    ["primitive"],
+    ["class-coords"],
+    ["solve-cocycles"],
+]
+
+
+def _nested_combination(depth):
+    """A `combination` 2-cocycle, one term deep `depth` times, around the
+    coboundary of the counit on U_2+: three JSON levels per term."""
+    inner = json.dumps(two_cocycle_to_json(coboundary1(CounitFunctional(build_presentation("u_plus", 2)))))
+    head = '{"kind": "combination", "terms": [{"coeff": {"re": "1", "im": "0"}, "term": '
+    return head * depth + inner + "}]}" * depth
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, _nested_combination(340)], ids=["brackets", "combination"])
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids="-".join)
+def test_deeply_nested_json_is_an_input_error(run, tmp_path, command, text):
+    # the JSON decoder runs out of recursion depth on these: exit 2 with
+    # the file named, no traceback
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run(*command, "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert f"invalid JSON in {p}: nested too deeply" in err
+
+
+# -- fuzzing every --input subcommand ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(u2, eta_sym_u2):
+    """One valid JSON object of every shape the commands read."""
+    psi = schurmann_functional(eta_sym_u2)
+    kpair = KPairCocycle(eta_sym_u2, eta_sym_u2)
+    return [
+        presentation_to_json(u2),
+        presentation_to_json(build_presentation("k_d", 2)),
+        representation_to_json(counit_rep(u2)),
+        cocycle_to_json(eta_sym_u2),
+        functional_to_json(psi),
+        two_cocycle_to_json(kpair),
+        two_cocycle_to_json(coboundary1(psi)),
+        primitive_to_json(primitive(kpair)),
+    ]
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers(min_value=2**63)
+    | st.integers(max_value=-(2**63))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+_NEST = "\x00nest\x00"
+
+
+def _mutated(data, obj) -> str:
+    """The JSON text of obj with one node replaced by a drawn value (wrong
+    types, huge ints), given a drawn unknown key, or nested in up to
+    100000 lists."""
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    node = _at(obj, path)
+    how = data.draw(st.sampled_from(["replace", "key", "nest"]))
+    if how == "replace":
+        return json.dumps(_replaced(obj, path, data.draw(_json_values)))
+    if how == "key" and isinstance(node, dict):
+        node = dict(node, **{data.draw(st.text(max_size=6)): data.draw(_json_values)})
+        return json.dumps(_replaced(obj, path, node))
+    depth = data.draw(st.sampled_from([1, 2, 100_000]))
+    text = json.dumps(_replaced(obj, path, _NEST))
+    return text.replace(json.dumps(_NEST), "[" * depth + json.dumps(node) + "]" * depth)
+
+
+@given(data=st.data())
+def test_every_input_command_survives_generated_json(tmp_path_factory, fuzz_bases, data):
+    # exit 0, 1 or 2, whatever the file holds: no exception leaves cli.main
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(_mutated(data, data.draw(st.sampled_from(fuzz_bases))))
+    for command in INPUT_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*command, "--input", str(path)])
+        assert code in (0, 1, 2), command
+
+
 def test_wrong_shape_rejected(run, files):
     code, _, err = run("check", "gf", "--input", files["pres_u2"])
     assert code == 2
@@ -419,17 +545,27 @@ def test_negative_word_length_refused(run, files, argv):
     assert "--max-word-len must be >= 0" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["check", "psd", "--input", "psi", "--max-word-len", "9"], ["reproduce-paper", "--max-word-len", "7"]],
-    ids=["psd", "reproduce-paper"],
-)
+@pytest.mark.parametrize("argv", [["check", "psd", "--input", "psi", "--max-word-len", "9"]], ids=["psd"])
 def test_table_budget_refused(run, files, argv):
     argv = [files.get(a, a) for a in argv]
     code, out, err = run(*argv)
     assert code == 2
     assert out == ""
     assert "above the table budget MAX_TABLE_ENTRIES" in err
+
+
+def test_reproduce_paper_word_length_budget_refused(run, monkeypatch):
+    # C13's recheck multiplies two words of --max-word-len letters: 129
+    # gives 258 letters, above MAX_SAMPLED_WORD_LEN = 256, refused before
+    # any scenario runs
+    assert 2 * 128 == algebra.MAX_SAMPLED_WORD_LEN
+    refused = tuple((sid, lambda *a: pytest.fail("built")) for sid, _ in scenarios.SCENARIOS)
+    monkeypatch.setattr(scenarios, "SCENARIOS", refused)
+    code, out, err = run("reproduce-paper", "--max-word-len", "129")
+    assert code == 2
+    assert out == ""
+    assert "the sweep's recheck products of length up to 258" in err
+    assert "above the word length budget MAX_SAMPLED_WORD_LEN = 256" in err
 
 
 def test_real_word_length_budget_refused(run, files, monkeypatch):
@@ -472,7 +608,7 @@ def test_representation_budget_refused_from_json(run, write, monkeypatch):
 def test_su_q_budget_refused_before_build(run, write, monkeypatch, d):
     # d! determinant relations of d! words of d letters: 5!^2 * 5 fits the
     # budget, 6!^2 * 6 does not
-    assert 120**2 * 5 <= words.MAX_TABLE_ENTRIES < 720**2 * 6
+    assert 120**2 * 5 <= algebra.MAX_TABLE_ENTRIES < 720**2 * 6
     monkeypatch.setattr(serialize, "build_presentation", lambda *a, **k: pytest.fail("built"))
     path = write("su_q.json", {"kind": "su_q", "d": d, "q": "1/2"})
     code, out, err = run("validate", "--input", path)
@@ -550,11 +686,12 @@ def test_reproduce_paper_short_pool(run):
 
 
 def test_reproduce_paper_runs_past_the_sweep_length_of_its_old_budget(run):
-    # the sweep is budgeted by its eta tables, words of up to 4 letters, no
-    # longer by tables of words of 8 letters
-    code, out, err = run("reproduce-paper", "--max-word-len", "4")
+    # the sweep builds no table: its pairs hold by an identity and its
+    # recheck reads 16 pairs of 7-letter words, where a table of the words
+    # of length 7 would have held 8^7 entries, above MAX_TABLE_ENTRIES
+    code, out, err = run("reproduce-paper", "--max-word-len", "7")
     assert code == 0, err
-    assert "all 21911761 word pairs of length <= 4" in out
+    assert f"all {sum(8**m for m in range(8)) ** 2} word pairs of length <= 7" in out
     assert out.endswith("51/51 checks passed\n")
 
 

@@ -139,7 +139,7 @@ def test_reality_positive_cases(u2, eta_rot_o3):
 def test_reality_at_the_word_length_budget(eta_rot_o3):
     # a sampled word of the longest allowed length stays below the recursion
     # limit (length 3000 raised RecursionError)
-    word = Element.from_word(3, (Letter(1, 2, False),) * cocycle.MAX_SAMPLED_WORD_LEN)
+    word = Element.from_word(3, (Letter(1, 2, False),) * algebra.MAX_SAMPLED_WORD_LEN)
     assert is_real_cocycle(eta_rot_o3, sample_words=[word]) == (True, None)
 
 
@@ -550,6 +550,6 @@ def test_cocycle_of_a_long_word_matches_recursion(u2):
     vec = [[QVector((q("1/3"), I)), QVector((ZERO, ONE))], [QVector((ONE, ONE)), QVector((I, ZERO))]]
     eta = unvalidated_cocycle(rep, vec, vec)
     diagonal = (Letter(1, 1, False), Letter(2, 2, True))
-    w = tuple(letters(2)[k % 8] for k in range(cocycle.MAX_SAMPLED_WORD_LEN - 4)) + diagonal * 2
+    w = tuple(letters(2)[k % 8] for k in range(algebra.MAX_SAMPLED_WORD_LEN - 4)) + diagonal * 2
     a = Element.from_word(2, w, q("1/2"))
     assert without_deep_recursion(evaluate_cocycle, eta, a) == oracle_cocycle(eta, a)

@@ -1,7 +1,7 @@
 """2-cocycles, defects, class coordinates, primitives and the verifier."""
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,12 +24,10 @@ from schurmann import (
     Element,
     I,
     KPairCocycle,
-    Letter,
     ONE,
     ObstructionError,
     Primitive,
     QMatrix,
-    QVector,
     Qi,
     TwoCocycle,
     ZERO,
@@ -44,7 +42,6 @@ from schurmann import (
     counit_rep,
     defect_orthogonal,
     defect_unitary,
-    gaussian_cocycle,
     is_normalized,
     letters,
     normalize,
@@ -58,7 +55,6 @@ from schurmann import (
     verify_primitive_exhaustive,
 )
 from schurmann import algebra, cocycle, cohomology, words
-from schurmann.cocycle import Cocycle
 from schurmann.errors import InputError
 from schurmann.functional import Functional
 from schurmann.representation import Representation, direct_sum_rep
@@ -112,11 +108,19 @@ def test_square_zero_finds_witness_on_adhoc_bilinear():
     assert val == counit(a) - counit(x)
 
 
-def test_square_zero_pins_broken_star_witness(u2, eta_sym_u2):
-    # pinned value, computed by the per-word letter-triple sweep
-    eta = _broken_star_eta(u2, eta_sym_u2, (0, 0))
-    a = Letter(1, 1, False)
-    assert square_zero_on_letters(KPairCocycle(eta, eta)) == (a, a, a, Qi(-1, -1))
+def test_square_zero_returns_the_first_failing_recheck_triple(monkeypatch, eta_sym_u2):
+    # the identity holds for a pairing, so a witness can only come from its
+    # recheck: a batch that adds 1 on every pair whose first word has two
+    # letters gives -1 on every letter triple, so the first triple of the
+    # recheck is returned with that value
+    c = KPairCocycle(eta_sym_u2, eta_sym_u2)
+    batch = KPairCocycle.batch
+    monkeypatch.setattr(
+        KPairCocycle, "batch", lambda self, pairs: [v + Qi(len(u) == 2) for v, (u, _) in zip(batch(self, pairs), pairs)]
+    )
+    a, b, x, value = square_zero_on_letters(c)
+    assert value == -ONE
+    assert {a, b, x} <= set(letters(2))
 
 
 def test_square_zero_refuses_other_types():
@@ -287,123 +291,45 @@ def test_exhaustive_verification_counts(eta_sym_u2):
     assert checked == 5329
 
 
-def test_exhaustive_verifier_builds_no_table_below_length_2(monkeypatch, u2, eta_sym_u2):
-    # zeta1 and eta1 share their letter values, so on a broken star
-    # structure no pair of words of length <= 1 can fail: every pair is
-    # counted with no word evaluated
-    eta1 = _broken_star_eta(u2, eta_sym_u2, (0, 0))
-    clean = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
-    phi = Primitive(KPairCocycle(eta1, eta1), clean.values, clean.star_values)
-    assert verify_primitive_exhaustive(phi, max_len=2)[1] is not None
-    monkeypatch.setattr(cohomology, "word_set_values", lambda *a: pytest.fail("words evaluated"))
-    assert verify_primitive_exhaustive(phi, max_len=0) == (1, None)
-    assert verify_primitive_exhaustive(phi, max_len=1) == (9**2, None)
-
-
 def test_exhaustive_verifier_needs_a_pairing(eta_sym_u2):
     phi = primitive(coboundary1(schurmann_functional(eta_sym_u2)))
     with pytest.raises(TypeError):
         verify_primitive_exhaustive(phi)
 
 
-def _broken_star_eta(u2, clean_eta, broken):
-    """clean_eta on a carrier whose starred image at grid position `broken`
-    is multiplied by i."""
-    good = clean_eta.rep
-    bad_star = [list(row) for row in good.R_star]
-    j, k = broken
-    bad_star[j][k] = bad_star[j][k].scale(I)
-    rep = Representation(u2, good.n, good.R, tuple(tuple(r) for r in bad_star))
-    return Cocycle(rep, clean_eta.V, clean_eta.W)
-
-
-def _broken_star_sweep(u2, clean_eta, broken):
-    """Sweep the clean primitive against the pairing on the broken carrier."""
-    clean = primitive(KPairCocycle(clean_eta, clean_eta))
-    eta = _broken_star_eta(u2, clean_eta, broken)
-    c = KPairCocycle(eta, eta)
-    return verify_primitive_exhaustive(
-        Primitive(c, clean.values, clean.star_values), max_len=2
-    )
-
-
-def test_exhaustive_verifier_catches_broken_star_structure(u2, eta_sym_u2):
-    # letter-value corruptions extend to counit derivations and cancel in
-    # the coboundary, so the only way to manufacture a violation is to break
-    # the *-compatibility of the representation underneath the pairing
-    assert eta_sym_u2.rep == counit_rep(u2)
-    checked, witness = _broken_star_sweep(u2, eta_sym_u2, (0, 0))
-    assert witness is not None
-    aw, bw, got, want = witness
-    assert checked == 659
-    assert aw == (Letter(1, 1, False), Letter(1, 1, False))
-    assert bw == (Letter(1, 1, False),)
-    assert got != want
-    assert got == Qi(rational(-2))
-    assert want == Qi(rational(-1), rational(1))
-
-
-# the same corruption on wider counit carriers, one scalar grid per
-# coordinate; the expected witnesses were computed by the earlier sweep,
-# which had separate n = 1, n = 2 and general branches
-@pytest.mark.parametrize(
-    "grids, broken, expected",
-    [
-        (
-            ([[ONE, I], [I, ONE]], [[ONE, ZERO], [ZERO, -ONE]]),
-            (0, 0),
-            (659, ((1, 1), (1, 1)), ((1, 1),), Qi(-4), Qi(-2, 2)),
-        ),
-        (
-            (
-                [[ONE, I], [I, ONE]],
-                [[ONE, ZERO], [ZERO, -ONE]],
-                [[Qi(2), ONE], [ONE, ZERO]],
-            ),
-            (1, 1),
-            (878, ((1, 1), (2, 2)), ((1, 1),), Qi(-6), Qi(0, 6)),
-        ),
-    ],
-    ids=["n2", "n3"],
-)
-def test_exhaustive_verifier_catches_broken_star_structure_wide(u2, grids, broken, expected):
-    V = [[QVector(tuple(g[j][k] for g in grids)) for k in range(2)] for j in range(2)]
-    checked, witness = _broken_star_sweep(u2, gaussian_cocycle(u2, V), broken)
-    want_checked, aw, bw, got, want = expected
-    assert checked == want_checked
-    assert witness == (
-        tuple(Letter(*rc, False) for rc in aw),
-        tuple(Letter(*rc, False) for rc in bw),
-        got,
-        want,
-    )
+def test_exhaustive_verifier_catches_a_fault_in_the_recursion(monkeypatch, eta_sym_u2):
+    # phi's recursion cut short after 4 letters: no pair of words of length
+    # <= 2 sees it, and at length 3 the first recheck pair, of diagonal
+    # letters, has a 6-letter product and fails; c(u, v) is rechecked against
+    # the plain recursion of `conftest`
+    phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
+    cuts = cohomology._cuts
+    monkeypatch.setattr(cohomology, "_cuts", lambda w: islice(cuts(w), 4))
+    assert verify_primitive_exhaustive(phi, max_len=2) == (73**2, None)
+    checked, (u, v, got, want) = verify_primitive_exhaustive(phi, max_len=3)
+    assert checked == 1
+    assert len(u) == len(v) == 3 and all(l.row == l.col for l in u + v)
+    assert got != want == oracle_pair(phi.two_cocycle, u, v)
 
 
 def _scalar(rng):
     return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 3))
 
 
-def _broken_star_carriers(pres, rng):
-    """(broken, star): a random grid R, n <= 3, with R_star adjoint R on the
-    star carrier and, on the broken one, adjoint R but at one random cell,
-    multiplied there by a Gaussian unit or an integer.  No relation is
+def _random_carrier(pres, rng):
+    """A random grid R, n <= 3, as a representation with no relation
     checked: the identities behind the sweeps hold on the free *-algebra."""
     d, n = pres.d, rng.randint(1, 3)
     block = lambda: QMatrix([[_scalar(rng) for _ in range(n)] for _ in range(n)])
-    R = tuple(tuple(block() for _ in range(d)) for _ in range(d))
-    star = [[m.adjoint() for m in row] for row in R]
-    good = Representation(pres, n, R, tuple(map(tuple, star)))
-    j, k = rng.randrange(d), rng.randrange(d)
-    star[j][k] = star[j][k].scale(rng.choice([I, -ONE, -I, ZERO, Qi(2), Qi(-3)]))
-    return Representation(pres, n, R, tuple(map(tuple, star))), good
+    return Representation(pres, n, tuple(tuple(block() for _ in range(d)) for _ in range(d)))
 
 
-def _random_pairing(rng, rep1, rep2):
-    """The pairing of a random cocycle on rep1 with one on rep2 whose letter
-    values are half of them 0, so that its span can be a proper subspace."""
-    size = 2 * rep1.d * rep1.d * rep1.n
-    eta1 = flat_cocycle(rep1, [_scalar(rng) for _ in range(size)])
-    eta2 = flat_cocycle(rep2, [rng.choice([ZERO, _scalar(rng)]) for _ in range(size)])
+def _random_pairing(rng, rep):
+    """The pairing of a random cocycle on rep with one whose letter values
+    are half of them 0, so that its span can be a proper subspace."""
+    size = 2 * rep.d * rep.d * rep.n
+    eta1 = flat_cocycle(rep, [_scalar(rng) for _ in range(size)])
+    eta2 = flat_cocycle(rep, [rng.choice([ZERO, _scalar(rng)]) for _ in range(size)])
     return KPairCocycle(eta1, eta2)
 
 
@@ -412,22 +338,17 @@ def _letter_values(rng, d):
     return values, values.transpose()
 
 
-def _broken_star_primitive(pres, rng):
-    """A primitive with random letter values on the pairing of two random
-    cocycles, each on the broken or on the star carrier."""
-    carriers = _broken_star_carriers(pres, rng)
-    c = _random_pairing(rng, rng.choice(carriers), rng.choice(carriers))
-    return Primitive(c, *_letter_values(rng, pres.d))
-
-
 @given(st.randoms(use_true_random=False))
 def test_pairing_sweeps_match_the_table_oracles(u2, o3, rng):
     # every presentation in every example: the sweep's (checked, witness)
-    # and the first letter-triple witness equal those of the plain per-word
-    # sweeps in `conftest`; O_3+ at length 1 only, its full plain sweep at
-    # length 2 taking seconds (one pinned case below)
+    # and the letter-triple verdict equal those of the plain per-word
+    # sweeps in `conftest`, which evaluate every pair and every triple, on
+    # a primitive with random letter values on the pairing of two random
+    # cocycles; O_3+ at length 1 only, its full plain sweep at length 2
+    # taking seconds
     for pres, top in ((build_presentation("k_d", 2), 2), (u2, 2), (o3, 1)):
-        phi = _broken_star_primitive(pres, rng)
+        rep = _random_carrier(pres, rng)
+        phi = Primitive(_random_pairing(rng, rep), *_letter_values(rng, pres.d))
         max_len = rng.randint(1, top)
         got = verify_primitive_exhaustive(phi, max_len=max_len)
         assert got == oracle_verify_primitive_exhaustive(phi, max_len), (pres.kind, max_len)
@@ -435,63 +356,34 @@ def test_pairing_sweeps_match_the_table_oracles(u2, o3, rng):
         assert square_zero_on_letters(c) == oracle_square_zero_on_letters(c), pres.kind
 
 
-def test_pairing_sweep_on_o3_at_length_2_matches_the_plain_sweep(o3):
-    # both cocycles on the broken carrier.  A letter u never fails (zeta1
-    # and eta1 share their letter values), so the witness's u has two
-    # letters: past the 19 words of length <= 1, each against all 343 words
-    rng = random.Random(0)
-    broken, _ = _broken_star_carriers(o3, rng)
-    phi = Primitive(_random_pairing(rng, broken, broken), *_letter_values(rng, 3))
-    checked, witness = verify_primitive_exhaustive(phi, max_len=2)
-    assert checked == 6520 > 19 * 343
-    assert (len(witness[0]), len(witness[1])) == (2, 1)
-    assert (checked, witness) == oracle_verify_primitive_exhaustive(phi, 2)
-
-
 def _two_cocycles_of_every_kind(pres, rng):
     """Coboundaries of a primitive, of a generating functional and of the
-    counit, which hold the identity on every triple, and nested
-    combinations with non-unit Gaussian coefficients of pairings on the
-    broken carrier, on the star one and on both.  The primitive's and the
-    functional's own pairings are on the broken carrier."""
-    broken, star = _broken_star_carriers(pres, rng)
-    on_broken, on_star = _random_pairing(rng, broken, broken), _random_pairing(rng, star, star)
-    mixed = _random_pairing(rng, star, broken)
-    phi = Primitive(on_broken, *_letter_values(rng, pres.d))
-    psi = Functional(on_broken.eta1, *_letter_values(rng, pres.d))
+    counit, and a combination with non-unit Gaussian coefficients of
+    pairings, coboundaries and combinations nested in it, all on one random
+    carrier."""
+    rep = _random_carrier(pres, rng)
+    first, second = _random_pairing(rng, rep), _random_pairing(rng, rep)
+    phi = Primitive(first, *_letter_values(rng, pres.d))
+    psi = Functional(first.eta1, *_letter_values(rng, pres.d))
     coboundaries = [coboundary1(phi), coboundary1(psi), coboundary1(CounitFunctional(pres))]
 
     def k():
         return rng.choice([Qi(2), -I, Qi(1, -3) / Qi(2), Qi(-1, 2)])
 
-    inner = CombinationCocycle(((k(), on_broken), (k(), coboundaries[0]), (k(), mixed)))
-    nested = CombinationCocycle(((k(), on_star), (k(), inner), (k(), coboundaries[1])))
-    flat = CombinationCocycle(((k(), on_star), (k(), on_broken)))
-    return coboundaries + [nested, flat, CombinationCocycle(((k(), nested), (k(), on_broken)))]
+    inner = CombinationCocycle(((k(), first), (k(), coboundaries[0]), (k(), second)))
+    nested = CombinationCocycle(((k(), second), (k(), inner), (k(), coboundaries[1])))
+    return coboundaries + [CombinationCocycle(((k(), nested), (k(), first)))]
 
 
 @given(st.randoms(use_true_random=False))
 def test_square_zero_matches_the_plain_oracle(u2, rng):
-    # every kind of 2-cocycle in every example: the first letter-triple
-    # witness equals that of the plain per-word sweep in `conftest`
+    # every kind of 2-cocycle in every example: the identity's verdict
+    # equals that of the plain per-word sweep in `conftest` over every
+    # letter triple
     for pres in (build_presentation("k_d", 2), u2):
-        cocycles = _two_cocycles_of_every_kind(pres, rng)
-        for c in cocycles:
-            assert square_zero_on_letters(c) == oracle_square_zero_on_letters(c), c
-        assert [square_zero_on_letters(c) for c in cocycles[:3]] == [None] * 3
-
-
-def test_square_zero_evaluates_nothing_without_a_broken_pairing(monkeypatch, u2, eta_sym_u2):
-    # coboundaries and star pairings only: None before any letter is read
-    psi = schurmann_functional(eta_sym_u2)
-    star = KPairCocycle(eta_sym_u2, eta_sym_u2)
-    cob = coboundary1(psi)
-    combo = CombinationCocycle(((Qi(2), star), (-I, CombinationCocycle(((I, cob), (Qi(3), star))))))
-    monkeypatch.setattr(cohomology, "_pairing_triple", lambda *a: pytest.fail("evaluated"))
-    for kind in (KPairCocycle, CombinationCocycle, cohomology.CoboundaryCocycle):
-        monkeypatch.setattr(kind, "batch", lambda *a: pytest.fail("evaluated"))
-    for c in (combo, cob, coboundary1(CounitFunctional(u2)), star):
-        assert square_zero_on_letters(c) is None
+        for c in _two_cocycles_of_every_kind(pres, rng):
+            assert square_zero_on_letters(c) is None
+            assert oracle_square_zero_on_letters(c) is None, c
 
 
 def test_class_coordinates_rebuild_is_enforced(monkeypatch, eta_asym_u2):
@@ -516,18 +408,14 @@ def test_check_primitive_passes_on_construction(eta_rot_o3):
 
 
 def test_exhaustive_budget_refused_before_any_table(monkeypatch, eta_sym_u2):
+    # the budget is the recheck's: its products of 2 max_len letters, up to
+    # MAX_SAMPLED_WORD_LEN = 256; no table is built at any length
     phi = primitive(KPairCocycle(eta_sym_u2, eta_sym_u2))
-    monkeypatch.setattr(cohomology, "word_set_values", lambda *a: pytest.fail("words evaluated"))
-    # 8 letters: the budget of eta on the words of length 7, 8**7 entries;
-    # length 6 fits
-    assert 8**6 <= words.MAX_TABLE_ENTRIES < 8**7
-    with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
-        verify_primitive_exhaustive(phi, max_len=7)
-    # but not for five coordinates, 5 * 8**6 entries
-    eta = flat_cocycle(counit_rep(build_presentation("k_d", 2), 5), [ZERO] * 40)
-    wide = Primitive(KPairCocycle(eta, eta), phi.values, phi.star_values)
-    with pytest.raises(InputError, match="length 6 would hold 1310720 entries"):
-        verify_primitive_exhaustive(wide, max_len=6)
+    assert verify_primitive_exhaustive(phi, max_len=7) == (sum(8**m for m in range(8)) ** 2, None)
+    monkeypatch.setattr(cohomology, "_recheck_pairs", lambda *a: pytest.fail("pairs built"))
+    monkeypatch.setattr(KPairCocycle, "batch", lambda *a: pytest.fail("evaluated"))
+    with pytest.raises(InputError, match="length up to 258 are above the word length budget MAX_SAMPLED_WORD_LEN"):
+        verify_primitive_exhaustive(phi, max_len=129)
 
 
 @pytest.fixture(scope="module")
@@ -627,7 +515,7 @@ def test_functionals_on_a_long_word_match_recursion(eta_sym_u2, k2_pairing_primi
     # a word of MAX_SAMPLED_WORD_LEN diagonal letters evaluates with a few
     # frames of recursion to spare: no recursion runs once per letter
     diagonal = [l for l in letters(2) if l.row == l.col]
-    w = tuple(diagonal[k % 4] for k in range(cocycle.MAX_SAMPLED_WORD_LEN))
+    w = tuple(diagonal[k % 4] for k in range(algebra.MAX_SAMPLED_WORD_LEN))
     coeff = Qi(rational("1/2"), 1)
     a = Element.from_word(2, w, coeff)
     for phi in (schurmann_functional(eta_sym_u2), k2_pairing_primitive):

@@ -15,7 +15,6 @@ from conftest import (
     unvalidated_rep,
 )
 from schurmann import (
-    Cocycle,
     Element,
     I,
     ONE,
@@ -27,7 +26,6 @@ from schurmann import (
     admits_generating_functional,
     build_presentation,
     counit,
-    counit_rep,
     evaluate_functional,
     gaussian_cocycle,
     gram_psd_check,
@@ -38,11 +36,11 @@ from schurmann import (
     schurmann_functional,
     su_q3_obstruction,
 )
-from schurmann import cohomology, functional, words
+from schurmann import algebra, functional
+from schurmann.algebra import word_set, words_up_to
 from schurmann.errors import InputError
 from schurmann.functional import Functional, default_pool_size, default_word_pool
 from schurmann.linalg import GaussianMatrix, psd_check
-from schurmann.representation import Representation
 from schurmann.words import word_set_values
 
 
@@ -66,10 +64,11 @@ def eta_complex_k3():
 @pytest.fixture(scope="module")
 def sweep_values(eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
     """(eta, the index of every word, eta on every word) up to length 3 for
-    each input, on the word set of the exhaustive sweep."""
+    each input, on one word set of all those words."""
     out = []
     for eta in (eta_sym_u2, eta_rot_o3, eta_asym_u2, eta_complex_k3):
-        words, ws = cohomology._all_words(eta.d, 3)
+        words = list(words_up_to(eta.d, 3))
+        ws = word_set(eta.d, [Element.from_word(eta.d, w) for w in words])
         at = {w: j for j, w in enumerate(words)}
         out.append((eta, at, word_set_values(ws, eta.rep.action, eta.n, eta.numerators)))
     return out
@@ -151,8 +150,7 @@ def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
 
 
 def test_gram_rows_at_length_three_match_the_evaluator(u2):
-    # at max_len = 3 the rows read eta (here also zeta: R_star is adjoint R)
-    # on the pool's word set, up to words of length 3; seeded rows, six of
+    # at max_len = 3 the rows read eta on the pool's word set, up to words of length 3; seeded rows, six of
     # them for words of length 3, against the sparse evaluator.  An n = 2 carrier over U_2+
     # with blocks and letter values over denominators, nothing validated:
     # the Gram entries follow the recursion on the free algebra either way.
@@ -179,26 +177,17 @@ def test_gram_rows_at_length_three_match_the_evaluator(u2):
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2)])
-def test_gram_entries_without_a_star_structure(d, n):
-    # R_star drawn apart from R, so sigma(l) = adjoint(rho(l*)) is not rho
-    # and zeta is not eta; letter values of psi with star_values other than
-    # values.conj(); a pool that is not star closed, words of length 0 to 3.
-    # Every entry against the sparse evaluator, nothing validated.
+def test_gram_entries_on_any_pool_and_letter_values(d, n):
+    # a random grid R, letter values of psi with star_values other than
+    # values.conj(), a pool that is not star closed, words of length 0 to
+    # 3.  Every entry against the sparse evaluator, nothing validated.
     rng = random.Random(20 + 10 * d + n)
 
     def scalar():
         return Qi(rng.randint(-3, 3), rng.randint(-3, 3)) / Qi(rng.randint(1, 4))
 
-    def grid():
-        return tuple(
-            tuple(QMatrix([[scalar() for _ in range(n)] for _ in range(n)]) for _ in range(d))
-            for _ in range(d)
-        )
-
-    pres = build_presentation("k_d", d)
-    rep = Representation(pres, n, grid(), grid())
-    assert rep.dual is not rep
-    eta = flat_cocycle(rep, [scalar() for _ in range(2 * d * d * n)])
+    grid = [[QMatrix([[scalar() for _ in range(n)] for _ in range(n)]) for _ in range(d)] for _ in range(d)]
+    eta = flat_cocycle(unvalidated_rep(build_presentation("k_d", d), grid, n), [scalar() for _ in range(2 * d * d * n)])
     alpha = letters(d)
     pool = [()] + [tuple(rng.choice(alpha) for _ in range(m)) for m in (1, 1, 2, 2, 2, 3, 3, 3, 3)]
     assert any(tuple(l.adjoint() for l in reversed(w)) not in pool for w in pool)
@@ -234,7 +223,7 @@ def test_gram_budget_refused_before_the_pool_is_built(monkeypatch, eta_sym_u2):
     # nor compile nor evaluate that pool
     psi = schurmann_functional(eta_sym_u2)
     n = eta_sym_u2.n
-    assert default_pool_size(2, 7) * (7 + n) <= words.MAX_TABLE_ENTRIES < default_pool_size(2, 8) * (8 + n)
+    assert default_pool_size(2, 7) * (7 + n) <= algebra.MAX_TABLE_ENTRIES < default_pool_size(2, 8) * (8 + n)
     assert gram_psd_check(psi, max_len=5)
     monkeypatch.setattr(functional, "default_word_pool", lambda *a: pytest.fail("pool built"))
     monkeypatch.setattr(functional, "word_set", lambda *a: pytest.fail("pool compiled"))
@@ -244,7 +233,7 @@ def test_gram_budget_refused_before_the_pool_is_built(monkeypatch, eta_sym_u2):
     # an explicit pool is budgeted by its own size and longest word
     word = tuple(letters(2)[:2])
     with pytest.raises(InputError, match="MAX_TABLE_ENTRIES"):
-        functional.pool_gram_matrix(psi, [word] * (words.MAX_TABLE_ENTRIES // (2 + n) + 1))
+        functional.pool_gram_matrix(psi, [word] * (algebra.MAX_TABLE_ENTRIES // (2 + n) + 1))
 
 
 def test_gram_check_rechecks_its_core_against_the_letter_recursion(monkeypatch, eta_sym_u2):
@@ -264,20 +253,6 @@ def test_gram_check_rechecks_its_core_against_the_letter_recursion(monkeypatch, 
     assert [len(pool[p]) for p in g.core[0]] == [1] and psd_check(g)
     with pytest.raises(ArithmeticError, match="Gram core entry"):
         gram_psd_check(psi)
-
-
-def test_gram_check_surfaces_broken_star_structure(u2, eta_sym_u2):
-    # a representation whose starred images were tampered with is the one
-    # kind of inconsistency the kernel form cannot absorb: the assembled
-    # matrix stops being hermitian and the psd factorization refuses it
-    psi = schurmann_functional(eta_sym_u2)
-    good = counit_rep(u2)
-    bad_star = [list(row) for row in good.R_star]
-    bad_star[0][0] = bad_star[0][0].scale(-ONE)
-    rep = Representation(u2, 1, good.R, tuple(tuple(r) for r in bad_star))
-    eta = Cocycle(rep, eta_sym_u2.V, eta_sym_u2.W)
-    with pytest.raises(ValueError):
-        gram_psd_check(Functional(eta, psi.values, psi.star_values))
 
 
 def test_lk_report_on_gaussian_functional(eta_sym_u2):

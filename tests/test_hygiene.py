@@ -174,3 +174,4 @@ def test_the_doc_check_sees_stale_names():
     assert _resolves("words.layer_step") and _resolves("WordSet.require") and _resolves("schurmann.cli")
     assert not _resolves("words.rho_step") and not _resolves("cocycle.cocycle_orth_from_V")
     assert not _resolves("WordSet.rho_step") and not _resolves("Nowhere.eta")
+    assert not _resolves("Representation.dual") and not _resolves("words.require_words")

@@ -34,7 +34,7 @@ from schurmann import (
     sign_rep,
 )
 from schurmann import algebra
-from schurmann.cocycle import MAX_SAMPLED_WORD_LEN
+from schurmann.algebra import MAX_SAMPLED_WORD_LEN
 from schurmann.representation import rep_values
 
 
