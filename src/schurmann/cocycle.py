@@ -261,22 +261,22 @@ def is_real_cocycle(
 
     Requires a Kac presentation (the antipode must exist).  Returns
     (True, None) or (False, (a, b, lhs, rhs)) with the first failing pair.
-    A max_word_len above `algebra.MAX_SAMPLED_WORD_LEN` is refused with
-    InputError.
+    At max_word_len 0 only the letters are checked.  A max_word_len above
+    `algebra.MAX_SAMPLED_WORD_LEN` is refused with InputError.
     """
     require_word_len(max_word_len, "sampled words")
     pool: list[Element] = [
         Element.generator(eta.d, l.row, l.col, l.star) for l in letters(eta.d)
     ]
-    if sample_words is None:
+    if sample_words is not None:
+        pool.extend(sample_words)
+    elif max_word_len > 0:
         rng = random.Random(seed)
         alpha = letters(eta.d)
         for _ in range(samples):
             n = rng.randint(1, max_word_len)
             w = tuple(rng.choice(alpha) for _ in range(n))
             pool.append(Element.from_word(eta.d, w))
-    else:
-        pool.extend(sample_words)
     sides = _reality_sides(eta, pool)
     for i, a in enumerate(pool):
         for j, b in enumerate(pool):

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import product, repeat
 from math import lcm
 from operator import add, mul, sub
 
 from .algebra import Element, Letter, Presentation, counit, letters, require_word_len
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
-from .linalg import GaussianMatrix, QMatrix, QVector
+from .linalg import GaussianMatrix, QMatrix, QVector, solve
 from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
 
@@ -287,31 +288,35 @@ def normalize(c: TwoCocycle) -> TwoCocycle:
     return CombinationCocycle(((ONE, c), (-v, correction)))
 
 
+@lru_cache(maxsize=8)
+def _letter_elements(d: int) -> tuple:
+    """Every letter of size d as a one-letter element, in `letters` order."""
+    return tuple(Element.from_word(d, (l,)) for l in letters(d))
+
+
+def _short_word_draws(rng: random.Random, d: int, count: int, size: int) -> list:
+    """count tuples of size elements, each a word of at most two letters
+    (the empty word, a letter or a letter pair) drawn by rng."""
+    alpha = letters(d)
+    pool = [()] + [(l,) for l in alpha] + [(l1, l2) for l1 in alpha for l2 in alpha]
+    return [tuple(Element.from_word(d, rng.choice(pool)) for _ in range(size)) for _ in range(count)]
+
+
 def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
     """Test the degree-2 identity; returns a violating (a, b, x, value) or None.
 
     The default sample takes letter triples (all of them when there are at
     most 1000, a seeded selection otherwise) plus 20 random word triples of
-    length up to 2.
+    length up to 2.  The four pairs of every triple are read in one `batch`.
     """
     d = c.d
     if triples is None:
-        rng = random.Random(seed)
-        alpha = letters(d)
-        els = [Element.from_word(d, (l,)) for l in alpha]
-        triples = []
-        if len(alpha) ** 3 <= 1000:
-            triples.extend((a, b, x) for a in els for b in els for x in els)
+        rng, els = random.Random(seed), _letter_elements(d)
+        if len(els) ** 3 <= 1000:
+            triples = list(product(els, repeat=3))
         else:
-            for _ in range(200):
-                triples.append(tuple(rng.choice(els) for _ in range(3)))
-        pool = [()] + [(l,) for l in alpha] + [
-            (l1, l2) for l1 in alpha for l2 in alpha
-        ]
-        for _ in range(20):
-            triples.append(
-                tuple(Element.from_word(d, rng.choice(pool)) for _ in range(3))
-            )
+            triples = [tuple(rng.choice(els) for _ in range(3)) for _ in range(200)]
+        triples += _short_word_draws(rng, d, 20, 3)
     triples = list(triples)
     pairs = [(p, q) for a, b, x in triples for p, q in ((b, x), (a * b, x), (a, b * x), (a, b))]
     values = iter(_sums(c.batch, [_pair_terms(c, p, q) for p, q in pairs]))
@@ -351,26 +356,13 @@ def square_zero_on_letters(c: TwoCocycle):
 
     The left-hand side is linear in c, so a combination of them holds it
     too.  Any other kind of 2-cocycle raises TypeError (`check_2cocycle`
-    samples it through `batch`).  The recheck reads c through `batch`, in
-    one call, on the four pairs of each of RECHECK_TRIPLES seeded letter
-    triples, so a fault in the evaluation of c shows as a witness.
+    samples it through `batch`).  The recheck is `check_2cocycle` on
+    RECHECK_TRIPLES seeded letter triples, as one-letter elements, so a
+    fault in the evaluation of c shows as a witness.
     """
     _require_identity(c)
-    rng, alpha = random.Random(0), letters(c.d)
-    triples = [tuple(rng.choice(alpha) for _ in range(3)) for _ in range(RECHECK_TRIPLES)]
-    values = c.batch(
-        [p for a, b, x in triples for p in (((b,), (x,)), ((a, b), (x,)), ((a,), (b, x)), ((a,), (b,)))]
-    )
-    for i, (a, b, x) in enumerate(triples):
-        bx, ab_x, a_bx, ab = values[4 * i : 4 * i + 4]
-        value = a_bx - ab_x
-        if a.row == a.col:
-            value = value + bx
-        if x.row == x.col:
-            value = value - ab
-        if not value.is_zero():
-            return a, b, x, value
-    return None
+    rng, els = random.Random(0), _letter_elements(c.d)
+    return check_2cocycle(c, [tuple(rng.choice(els) for _ in range(3)) for _ in range(RECHECK_TRIPLES)])
 
 
 _UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
@@ -555,20 +547,8 @@ def check_primitive(phi: Primitive, pairs=None, seed: int = 0):
     c = phi.two_cocycle
     d = phi.d
     if pairs is None:
-        rng = random.Random(seed)
-        alpha = letters(d)
-        els = [Element.from_word(d, (l,)) for l in alpha]
-        pairs = [(a, b) for a in els for b in els]
-        pool = [()] + [(l,) for l in alpha] + [
-            (l1, l2) for l1 in alpha for l2 in alpha
-        ]
-        for _ in range(24):
-            pairs.append(
-                (
-                    Element.from_word(d, rng.choice(pool)),
-                    Element.from_word(d, rng.choice(pool)),
-                )
-            )
+        els = _letter_elements(d)
+        pairs = list(product(els, repeat=2)) + _short_word_draws(random.Random(seed), d, 24, 2)
     pairs = list(pairs)
     terms = [_pair_terms(c, a, b) for a, b in pairs]
     gots = _sums(CoboundaryCocycle(phi).batch, terms)
@@ -685,45 +665,33 @@ class ClassCoordinates:
 def class_coordinates(c: TwoCocycle) -> ClassCoordinates:
     """Coordinates of [c] with respect to the named basis classes.
 
-    Unitary flavor: coefficient of K_m_n is Delta(c)_mn and the coefficient
-    of K_p_p is KP_DEFECT_SIGN times the p-th partial sum of the diagonal.
-    Orthogonal flavor: coefficient of Khat_m_n is Delta_O(c)_mn, and for
-    d = 2 the coefficient of Kz is Delta_O(c)_12 / 2.  The linear combination
-    of basis defects is checked to reproduce the defect of c exactly.
+    The coefficients x_K, in basis order, are the one solution of
+
+        sum_K x_K Delta(K) = Delta(c)
+
+    over the defects of `basis_unitary` (unitary flavor) or
+    `basis_orthogonal` (orthogonal flavor), one exact `linalg.solve`.  The
+    basis defects are linearly independent, so the solution is unique.
+    ArithmeticError when the system is inconsistent, or when the
+    combination of basis defects does not rebuild the defect of c exactly.
     """
     pres = c.presentation
-    d = pres.d
-    sign = Qi(KP_DEFECT_SIGN)
     if pres.kind == "u_plus":
-        defect = defect_unitary(c)
-        coeffs = {}
-        for m in range(1, d + 1):
-            for n in range(1, d + 1):
-                if m != n:
-                    coeffs[f"K_{m}_{n}"] = defect[m - 1][n - 1]
-        partial = ZERO
-        for p in range(1, d):
-            partial = partial + defect[p - 1][p - 1]
-            coeffs[f"K_p_{p}"] = sign * partial
-        basis = basis_unitary(pres)
-        flavor = "unitary"
+        flavor, dmap, basis = "unitary", defect_unitary, basis_unitary(pres)
     elif pres.kind == "o_plus":
-        defect = defect_orthogonal(c)
-        coeffs = {}
-        if d >= 3:
-            for m in range(1, d + 1):
-                for n in range(m + 1, d + 1):
-                    coeffs[f"Khat_{m}_{n}"] = defect[m - 1][n - 1]
-        elif d == 2:
-            coeffs["Kz"] = defect[0][1] / Qi(2)
-        basis = basis_orthogonal(pres)
-        flavor = "orthogonal"
+        flavor, dmap, basis = "orthogonal", defect_orthogonal, basis_orthogonal(pres)
     else:
         raise ValueError("class coordinates cover u_plus and o_plus")
-    rebuilt = QMatrix.zero(d, d)
-    dmap = defect_unitary if flavor == "unitary" else defect_orthogonal
-    for name, coeff in coeffs.items():
-        rebuilt = rebuilt + dmap(basis[name]).scale(coeff)
+    defect = dmap(c)
+    defects = [dmap(k) for k in basis.values()]
+    entries = [(j, k) for j in range(pres.d) for k in range(pres.d)]
+    m = QMatrix([[dk[j][k] for dk in defects] for j, k in entries], cols=len(defects))
+    x = solve(m, QVector(defect[j][k] for j, k in entries))
+    if x is None:
+        raise ArithmeticError("the defect is not a combination of the basis defects", defect)
+    rebuilt = QMatrix.zero(pres.d, pres.d)
+    for dk, coeff in zip(defects, x):
+        rebuilt = rebuilt + dk.scale(coeff)
     if rebuilt != defect:
         raise ArithmeticError("basis combination does not rebuild the defect", rebuilt, defect)
-    return ClassCoordinates(flavor, coeffs, defect)
+    return ClassCoordinates(flavor, dict(zip(basis, x)), defect)

@@ -14,20 +14,20 @@ Conditional positivity is checked on a word pool: the Gram matrix
 (`pool_gram_matrix`), so the build reads eta on the pool's word set, never
 a value of psi.  It is kept as its n x N factor, and its positivity is
 decided on the s <= n pool words where the factor pivots
-(`linalg.psd_check`); those s^2 entries are rechecked against psi's own
-recursion (`gram_psd_check`).
+(`linalg.psd_check`); those s^2 entries are rechecked as -d(psi)(w_p*, w_q)
+through `cohomology.CoboundaryCocycle`, that is psi's own recursion
+(`gram_psd_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Sequence
 
 from .algebra import Element, Presentation, WordSet, all_permutations, letters, require_entries, word_set
 from .cocycle import Cocycle, b_matrices, cocycle_general
-from .cohomology import KPairCocycle, LetterFunctional, _diagonal, _star_word
+from .cohomology import CoboundaryCocycle, KPairCocycle, LetterFunctional, _star_word
 from .errors import RelationViolation
 from .linalg import Gram, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
@@ -171,10 +171,11 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     (`linalg.psd_check`).
 
     The core entries are all the verdict reads, and they come from eta on
-    the pool's word set.  Each is rechecked as psi(w_p* w_q) - eps(w_q)
-    psi(w_p*) - eps(w_p) psi(w_q) in one `LetterFunctional.batch` call,
-    which reads psi's letter values and the cuts of each word instead: a
-    mismatch raises ArithmeticError.
+    the pool's word set.  The entry at (w_p, w_q) is psi(w_p* w_q) -
+    eps(w_q) psi(w_p*) - eps(w_p) psi(w_q) = -d(psi)(w_p*, w_q), so each is
+    rechecked against one `cohomology.CoboundaryCocycle.batch` call, which
+    reads psi's letter values and the cuts of each word instead: a mismatch
+    raises ArithmeticError.
     """
     if pool is None:
         _require_gram(default_pool_size(psi.d, max_len), max_len, psi.cocycle.n)
@@ -183,16 +184,11 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     verdict = psd_check(g)
     core, re, im = g.core
     words = [pool[p] for p in core]
-    stars = [_star_word(w) for w in words]
-    s, den = len(words), g.z.den * g.h.den
-    values = psi.batch([u + w for u in stars for w in words] + stars + words)
-    for i, j in product(range(s), repeat=2):
-        want = values[i * s + j]
-        if _diagonal(words[j]):
-            want = want - values[s * s + i]
-        if _diagonal(words[i]):
-            want = want - values[s * s + s + j]
-        if _qi(re[i][j], im[i][j], den) != want:
+    at = [(i, j) for i in range(len(words)) for j in range(len(words))]
+    values = CoboundaryCocycle(psi).batch([(_star_word(words[i]), words[j]) for i, j in at])
+    den = g.z.den * g.h.den
+    for (i, j), value in zip(at, values):
+        if _qi(re[i][j], im[i][j], den) != -value:
             raise ArithmeticError(
                 "a Gram core entry disagrees with the letter recursion of psi", words[i], words[j]
             )

@@ -124,6 +124,23 @@ def test_a_fault_in_the_letter_recursion_fails_c13_or_c14(monkeypatch):
     assert failed & {"C13", "C14"}
 
 
+def test_a_fault_in_the_coboundary_fails_c13_and_c14(monkeypatch):
+    # d(phi)(u, v) loses its eps(v) phi(u) term: C13's primitives fail their
+    # pair check, and C14's Gram core recheck, which reads each core entry
+    # as -d(psi)(w_p*, w_q), raises
+    def batch(self, pairs):
+        k = len(pairs)
+        vals = self.phi.batch([wa + wb for wa, wb in pairs] + [wb for _, wb in pairs])
+        return [vals[k + i] - vals[i] if all(l.row == l.col for l in wa) else -vals[i] for i, (wa, _) in enumerate(pairs)]
+
+    monkeypatch.setattr(CoboundaryCocycle, "batch", batch)
+    failed = [r for r in run_all(RunConfig(max_word_len=2)) if not r.passed]
+    assert {r.scenario for r in failed} == {"C13", "C14"}
+    assert any(
+        r.scenario == "C14" and r.computed.startswith("ArithmeticError: ('a Gram core entry disagrees") for r in failed
+    ), [r.computed for r in failed]
+
+
 def test_each_identity_line_reads_batch(monkeypatch, eta_sym_u2):
     # C13's sweep and C14's letter-triple and PSD lines hold by identities;
     # each rechecks them by evaluating through `batch`

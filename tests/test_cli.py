@@ -14,8 +14,11 @@ from hypothesis import given, strategies as st
 from conftest import cycle_rep, refuse_elimination, refuse_evaluation
 from schurmann import (
     CounitFunctional,
+    I,
     KPairCocycle,
+    ONE,
     QMatrix,
+    QVector,
     Qi,
     ZERO,
     algebra,
@@ -23,6 +26,7 @@ from schurmann import (
     coboundary1,
     cocycle,
     counit_rep,
+    gaussian_cocycle,
     primitive,
     rational,
     scenarios,
@@ -41,6 +45,7 @@ from schurmann.serialize import (
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_LEN2 = ROOT / "tests" / "expected" / "reproduce_paper_len2.txt"
+PINNED_SEED1_JSON = ROOT / "tests" / "expected" / "reproduce_paper_seed1_len2.json"
 BENCH_LEN2 = ROOT / "perfbench" / "expected" / "reproduce_paper_len2.txt"
 
 
@@ -472,6 +477,30 @@ def test_check_real_negative_with_witness(run, files):
     assert "u[1,1]" in out and "u[1,2]" in out
 
 
+def _c09_cocycle():
+    """C09's Gaussian cocycle on O_4+, which is not real."""
+    pair = lambda a, b: QVector((a, b))
+    z = ZERO
+    grid = [
+        [pair(z, z), pair(z, z), pair(ONE, z), pair(z, ONE)],
+        [pair(z, z), pair(z, z), pair(I, z), pair(z, -I)],
+        [pair(-ONE, z), pair(-I, z), pair(z, z), pair(z, z)],
+        [pair(z, -ONE), pair(z, I), pair(z, z), pair(z, z)],
+    ]
+    return gaussian_cocycle(build_presentation("o_plus", 4), grid)
+
+
+def test_check_real_on_letters_alone_at_length_0(run, write, eta_rot_o3):
+    # no sampled word at length 0: the letters alone are checked
+    c09 = write("c09.json", cocycle_to_json(_c09_cocycle()))
+    code, out, err = run("check", "real", "--input", c09, "--max-word-len", "0")
+    assert (code, err) == (1, "")
+    assert out == "real: false\nfails at a=(1)·u[1,3], b=(1)·u[2,3]: 1*i != -1*i\n"
+    rot = write("rot.json", cocycle_to_json(eta_rot_o3))
+    code, out, err = run("check", "real", "--input", rot, "--max-word-len", "0")
+    assert (code, out, err) == (0, "real: true\n", "")
+
+
 def test_check_h1_dimension(run, files):
     code, out, _ = run("check", "h1", "--input", files["pres_o3"])
     assert code == 0
@@ -683,6 +712,13 @@ def test_reproduce_paper_short_pool(run):
     assert "FAIL" not in out1
     # the bytes pinned for this run, the same the benchmark pins
     assert out1.encode() == PINNED_LEN2.read_bytes() == BENCH_LEN2.read_bytes()
+
+
+def test_reproduce_paper_json_at_seed_1_is_pinned(run):
+    # every check's expected and computed strings at a second seed
+    code, out, _ = run("reproduce-paper", "--json", "--seed", "1", "--max-word-len", "2")
+    assert code == 0
+    assert out.encode() == PINNED_SEED1_JSON.read_bytes()
 
 
 def test_reproduce_paper_runs_past_the_sweep_length_of_its_old_budget(run):

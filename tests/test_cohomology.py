@@ -47,6 +47,7 @@ from schurmann import (
     normalize,
     primitive,
     rational,
+    scalar_gaussian_cocycle,
     schurmann_functional,
     sign_rep,
     solve_cocycles,
@@ -120,7 +121,7 @@ def test_square_zero_returns_the_first_failing_recheck_triple(monkeypatch, eta_s
     )
     a, b, x, value = square_zero_on_letters(c)
     assert value == -ONE
-    assert {a, b, x} <= set(letters(2))
+    assert {a, b, x} <= {Element.from_word(2, (l,)) for l in letters(2)}
 
 
 def test_square_zero_refuses_other_types():
@@ -387,14 +388,59 @@ def test_square_zero_matches_the_plain_oracle(u2, rng):
 
 
 def test_class_coordinates_rebuild_is_enforced(monkeypatch, eta_asym_u2):
-    # a wrong K_p sign no longer rebuilds the defect; the check is not an
-    # assert, so it also holds under python -O
-    monkeypatch.setattr(cohomology, "KP_DEFECT_SIGN", +1)
+    # a wrong solution of the defect system no longer rebuilds the defect;
+    # the check is not an assert, so it also holds under python -O
+    solve = cohomology.solve
+    monkeypatch.setattr(cohomology, "solve", lambda m, b: -solve(m, b))
     with pytest.raises(ArithmeticError) as exc:
         class_coordinates(KPairCocycle(eta_asym_u2, eta_asym_u2))
     rebuilt, defect = exc.value.args[1:]
     assert defect == QMatrix([[-ONE, ZERO], [ZERO, ONE]])
     assert rebuilt == -defect
+
+
+def test_class_coordinates_refuse_an_inconsistent_system(monkeypatch, eta_asym_u2):
+    monkeypatch.setattr(cohomology, "solve", lambda m, b: None)
+    with pytest.raises(ArithmeticError) as exc:
+        class_coordinates(KPairCocycle(eta_asym_u2, eta_asym_u2))
+    assert exc.value.args[1:] == (QMatrix([[-ONE, ZERO], [ZERO, ONE]]),)
+
+
+@pytest.fixture(scope="module")
+def named_bases():
+    """(basis, a coboundary or None) on u_plus at d = 2, 3 and o_plus at d =
+    2, 3, 4; the coboundary is that of a validated functional."""
+    out = []
+    for d in (2, 3):
+        pres = build_presentation("u_plus", d)
+        h = QMatrix([[Qi(j + k + 1, j - k) for k in range(d)] for j in range(d)])
+        psi = schurmann_functional(scalar_gaussian_cocycle(pres, h))
+        out.append((basis_unitary(pres), coboundary1(psi)))
+    return out + [(basis_orthogonal(build_presentation("o_plus", d)), None) for d in (2, 3, 4)]
+
+
+@given(data=st.data())
+def test_class_coordinates_read_back_drawn_combinations(named_bases, data):
+    # every basis in every example: the coordinates of sum x_K K, plus a
+    # coboundary on u_plus, are the drawn x, in basis order
+    for basis, boundary in named_bases:
+        xs = [data.draw(qi_scalars) for _ in basis]
+        terms = tuple(zip(xs, basis.values()))
+        if boundary is not None:
+            terms += ((data.draw(qi_scalars), boundary),)
+        cc = class_coordinates(CombinationCocycle(terms))
+        assert cc.coefficients == dict(zip(basis, xs))
+        assert list(cc.coefficients) == list(basis)
+
+
+def test_class_coordinates_at_d1_are_empty():
+    # on O_1+ the only Gaussian cocycle is 0, an antisymmetric 1 x 1 matrix
+    for kind, v in (("u_plus", ONE), ("o_plus", ZERO)):
+        pres = build_presentation(kind, 1)
+        eta = scalar_gaussian_cocycle(pres, QMatrix([[v]]))
+        cc = class_coordinates(KPairCocycle(eta, eta))
+        assert cc.coefficients == {}
+        assert cc.defect == QMatrix([[ZERO]])
 
 
 def test_check_primitive_passes_on_construction(eta_rot_o3):
