@@ -14,14 +14,20 @@ Subcommands:
     solve-cocycles    exact basis of the cocycle space of a representation
     reproduce-paper   run the whole verification suite
 
-Every subcommand is a pure function of (input file, seed, max word length),
-so output is byte-identical across runs with the same flags.  Exit codes:
-0 pass, 1 mathematical failure or negative verdict, 2 input error.
+There is one input path.  `_COMMANDS` names each subcommand with its help
+text, the wire shapes its --input may hold and its function; the parser and
+the dispatch are both built from it.  `_input` reads the file once, detects
+its shape, refuses a shape the subcommand does not take and loads it through
+`_LOADERS`, so every subcommand is a pure function of (loaded input, seed,
+max word length) and output is byte-identical across runs with the same
+flags.  Exit codes: 0 pass, 1 mathematical failure, negative verdict or
+failed internal recheck, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -63,23 +69,10 @@ from .serialize import (
     relation_checks,
     representation_from_json,
     two_cocycle_from_json,
+    violation_lines,
 )
 
 _TWO_COCYCLE_KINDS = {"kpair", "coboundary", "combination"}
-
-
-def _load(path):
-    if path is None:
-        raise InputError("this subcommand requires --input FILE")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    except RecursionError:
-        raise InputError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _detect(obj) -> str:
@@ -106,10 +99,34 @@ def _detect(obj) -> str:
     )
 
 
-def _expect(obj, wanted: str):
+_LOADERS = {
+    "presentation": presentation_from_json,
+    "representation": representation_from_json,
+    "cocycle": cocycle_from_json,
+    "functional": functional_from_json,
+    "primitive": primitive_from_json,
+    "two-cocycle": two_cocycle_from_json,
+}
+
+
+def _input(path, shapes):
+    """(shape, loaded object) of the JSON file at path; a shape outside
+    shapes (None: any shape) is refused before anything is loaded."""
+    if path is None:
+        raise InputError("this subcommand requires --input FILE")
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from None
     shape = _detect(obj)
-    if shape != wanted:
-        raise InputError(f"expected a {wanted} file, got a {shape}")
+    if shapes is not None and shape not in shapes:
+        raise InputError(f"expected a {' or '.join(shapes)} file, got a {shape}")
+    return shape, _LOADERS[shape](obj)
 
 
 def _fmt_matrix(m: QMatrix, indent: str = "  ") -> str:
@@ -122,10 +139,6 @@ def _fmt_matrix(m: QMatrix, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def _violation_lines(violations) -> list:
-    return [f"  {lbl}: {val!r}" for lbl, val in violations]
-
-
 def _violation_json(violations) -> list:
     return [
         {
@@ -136,48 +149,25 @@ def _violation_json(violations) -> list:
     ]
 
 
-# -- validate ---------------------------------------------------------------
+# -- subcommands: each takes (args, shape, loaded input) ----------------------
 
 
-def _valid_functional(obj):
-    """The functional in obj, refused with an InputError unless it validates."""
-    return checked_phi(functional_from_json(obj), "functional")
-
-
-def cmd_validate(args):
-    obj = _load(args.input)
-    shape = _detect(obj)
+def cmd_validate(args, shape, obj):
     if shape == "presentation":
-        p = presentation_from_json(obj)
-        lines = [
-            f"presentation: kind={p.kind} d={p.d}, {len(p.relations)} relations",
-            "valid",
-        ]
-        data = {"object": shape, "kind": p.kind, "d": p.d, "valid": True}
-        return 0, lines, data
-    if shape == "representation":
-        rep = representation_from_json(obj)
-        lines = [
-            f"representation: {rep.presentation.kind} d={rep.d}, carrier dimension {rep.n}",
-            "valid",
-        ]
-        data = {"object": shape, "kind": rep.presentation.kind, "d": rep.d, "n": rep.n, "valid": True}
-        return 0, lines, data
-    if shape == "cocycle":
-        eta = cocycle_from_json(obj)
-        lines = [
-            f"cocycle: {eta.presentation.kind} d={eta.d}, carrier dimension {eta.n}",
-            "valid",
-        ]
-        data = {"object": shape, "kind": eta.presentation.kind, "d": eta.d, "n": eta.n, "valid": True}
-        return 0, lines, data
+        lines = [f"presentation: kind={obj.kind} d={obj.d}, {len(obj.relations)} relations", "valid"]
+        return 0, lines, {"object": shape, "kind": obj.kind, "d": obj.d, "valid": True}
+    if shape in ("representation", "cocycle"):
+        kind = obj.presentation.kind
+        lines = [f"{shape}: {kind} d={obj.d}, carrier dimension {obj.n}", "valid"]
+        return 0, lines, {"object": shape, "kind": kind, "d": obj.d, "n": obj.n, "valid": True}
     if shape == "functional":
-        psi = functional_from_json(obj)
-        violations, hermitian = relation_checks(psi)
+        violations, hermitian = relation_checks(obj)
         ok = not violations and hermitian
-        lines = [f"functional: {psi.presentation.kind} d={psi.d}"]
-        lines.extend(problem_lines(violations, hermitian))
-        lines.append("valid" if ok else "INVALID")
+        lines = [
+            f"functional: {obj.presentation.kind} d={obj.d}",
+            *problem_lines(violations, hermitian),
+            "valid" if ok else "INVALID",
+        ]
         data = {
             "object": shape,
             "valid": ok,
@@ -186,32 +176,23 @@ def cmd_validate(args):
         }
         return (0 if ok else 1), lines, data
     if shape == "primitive":
-        phi = primitive_from_json(obj)
-        pres = phi.presentation
-        violations, _ = relation_checks(phi)
-        witness = None if violations else check_primitive(phi, seed=args.seed)
+        violations, _ = relation_checks(obj)
+        witness = None if violations else check_primitive(obj, seed=args.seed)
         ok = not violations and witness is None
-        lines = [f"primitive: {pres.kind} d={phi.d}"]
-        if violations:
-            lines.append("violated relations:")
-            lines.extend(_violation_lines(violations))
+        lines = [f"primitive: {obj.presentation.kind} d={obj.d}", *problem_lines(violations, True)]
         if witness is not None:
             a, b, got, want = witness
             lines.append(f"d(phi) != c at a={a!r}, b={b!r}: {got!r} != {want!r}")
         lines.append("valid" if ok else "INVALID")
         data = {"object": shape, "valid": ok, "violations": _violation_json(violations)}
         return (0 if ok else 1), lines, data
-    # two-cocycle
-    c = two_cocycle_from_json(obj)
-    witness = check_2cocycle(c, seed=args.seed)
+    witness = check_2cocycle(obj, seed=args.seed)
     ok = witness is None
-    lines = [f"2-cocycle: {c.presentation.kind} d={c.d}"]
+    lines = [f"2-cocycle: {obj.presentation.kind} d={obj.d}"]
     data = {"object": shape, "valid": ok}
     if witness is not None:
         a, b, x, val = witness
-        lines.append(
-            f"degree-2 identity fails at a={a!r}, b={b!r}, x={x!r}: {val!r}"
-        )
+        lines.append(f"degree-2 identity fails at a={a!r}, b={b!r}, x={x!r}: {val!r}")
         data["witness"] = {
             "a": element_to_json(a),
             "b": element_to_json(b),
@@ -222,13 +203,7 @@ def cmd_validate(args):
     return (0 if ok else 1), lines, data
 
 
-# -- check ------------------------------------------------------------------
-
-
-def _check_gf(args):
-    obj = _load(args.input)
-    _expect(obj, "cocycle")
-    eta = cocycle_from_json(obj)
+def _check_gf(args, shape, eta):
     kind = eta.presentation.kind
     if kind == "u_plus":
         ok = admits_gf_unitary(eta)
@@ -259,18 +234,15 @@ def _check_gf(args):
         ok, violations = False, exc.violations
     lines = [
         f"gf exists: {str(ok).lower()} (canonical construction "
-        f"{'validates' if ok else 'fails'})"
+        f"{'validates' if ok else 'fails'})",
+        *violation_lines(violations),
     ]
-    lines.extend(_violation_lines(violations))
     data = {"verdict": ok, "violations": _violation_json(violations)}
     return (0 if ok else 1), lines, data
 
 
-def _check_lk(args):
-    obj = _load(args.input)
-    _expect(obj, "functional")
-    psi = _valid_functional(obj)
-    lk = lk_decomposition(psi)
+def _check_lk(args, shape, psi):
+    lk = lk_decomposition(checked_phi(psi, "functional"))
     lines = [
         f"gaussian subspace dimension: {lk.gaussian_dim}",
         f"gaussian part admits gf: {str(lk.gf_exists_g).lower()}",
@@ -286,10 +258,7 @@ def _check_lk(args):
     return (0 if lk.decomposable else 1), lines, data
 
 
-def _check_real(args):
-    obj = _load(args.input)
-    _expect(obj, "cocycle")
-    eta = cocycle_from_json(obj)
+def _check_real(args, shape, eta):
     max_len = args.max_word_len if args.max_word_len is not None else 3
     ok, witness = is_real_cocycle(eta, max_word_len=max_len, seed=args.seed)
     lines = [f"real: {str(ok).lower()}"]
@@ -306,76 +275,45 @@ def _check_real(args):
     return (0 if ok else 1), lines, data
 
 
-def _defect_report(c):
-    """(flavor, defect, flavor check name, check holds) for a 2-cocycle."""
+def _defect(c):
+    """(flavor, defect, name of the flavor check) of a 2-cocycle.  The defect
+    maps raise ArithmeticError rather than return a defect that fails its
+    flavor check, so every defect printed passes it."""
     if c.presentation.kind == "o_plus":
-        m = defect_orthogonal(c)
-        return "orthogonal", m, "antisymmetric", (m + m.transpose()).is_zero()
-    m = defect_unitary(c)
-    return "unitary", m, "trace zero", m.trace().is_zero()
+        return "orthogonal", defect_orthogonal(c), "antisymmetric"
+    return "unitary", defect_unitary(c), "trace zero"
 
 
-def _check_defect(args):
-    obj = _load(args.input)
-    _expect(obj, "two-cocycle")
-    c = two_cocycle_from_json(obj)
-    flavor, m, check_name, check_ok = _defect_report(c)
-    lines = [
-        f"{flavor} defect:",
-        _fmt_matrix(m),
-        f"flavor check ({check_name}): {'pass' if check_ok else 'FAIL'}",
-    ]
+def _check_defect(args, shape, c):
+    flavor, m, check = _defect(c)
+    lines = [f"{flavor} defect:", _fmt_matrix(m), f"flavor check ({check}): pass"]
     data = {
         "flavor": flavor,
         "defect": matrix_to_json(m),
-        "flavor_check": check_name,
-        "flavor_check_pass": check_ok,
+        "flavor_check": check,
+        "flavor_check_pass": True,
     }
-    return (0 if check_ok else 1), lines, data
+    return 0, lines, data
 
 
-def _rep_from(obj):
-    shape = _detect(obj)
-    if shape == "presentation":
-        return counit_rep(presentation_from_json(obj))
-    if shape == "representation":
-        return representation_from_json(obj)
-    raise InputError(f"expected a presentation or representation file, got a {shape}")
+def _cocycle_space(shape, x):
+    """The cocycle space of a representation, or of the counit of a presentation."""
+    return solve_cocycles(counit_rep(x) if shape == "presentation" else x)
 
 
-def _check_h1(args):
-    space = solve_cocycles(_rep_from(_load(args.input)))
-    lines = [f"h1 dimension: {space.dimension}"]
-    return 0, lines, {"dimension": space.dimension}
+def _check_h1(args, shape, x):
+    space = _cocycle_space(shape, x)
+    return 0, [f"h1 dimension: {space.dimension}"], {"dimension": space.dimension}
 
 
-def _check_psd(args):
-    obj = _load(args.input)
-    _expect(obj, "functional")
-    psi = _valid_functional(obj)
+def _check_psd(args, shape, psi):
     max_len = args.max_word_len if args.max_word_len is not None else 2
-    ok = gram_psd_check(psi, max_len=max_len)
+    ok = gram_psd_check(checked_phi(psi, "functional"), max_len=max_len)
     lines = [f"gram matrix over words of length <= {max_len}: psd {str(ok).lower()}"]
     return (0 if ok else 1), lines, {"verdict": ok, "max_word_len": max_len}
 
 
-_CHECKS = {
-    "gf": _check_gf,
-    "lk": _check_lk,
-    "real": _check_real,
-    "defect": _check_defect,
-    "h1": _check_h1,
-    "psd": _check_psd,
-}
-
-
-# -- cohomology commands ----------------------------------------------------
-
-
-def cmd_basis(args):
-    obj = _load(args.input)
-    _expect(obj, "presentation")
-    pres = presentation_from_json(obj)
+def cmd_basis(args, shape, pres):
     if pres.kind == "u_plus":
         basis, flavor = basis_unitary(pres), "unitary"
     elif pres.kind == "o_plus":
@@ -385,18 +323,13 @@ def cmd_basis(args):
     lines = [f"defect basis ({len(basis)} classes):"]
     entries = []
     for label, c in basis.items():
-        _, m, check_name, check_ok = _defect_report(c)
-        lines.append(f"{label}: {flavor} defect")
-        lines.append(_fmt_matrix(m))
-        lines.append(f"flavor check ({check_name}): {'pass' if check_ok else 'FAIL'}")
+        _, m, check = _defect(c)
+        lines += [f"{label}: {flavor} defect", _fmt_matrix(m), f"flavor check ({check}): pass"]
         entries.append({"label": label, "defect": matrix_to_json(m)})
     return 0, lines, {"flavor": flavor, "basis": entries}
 
 
-def cmd_primitive(args):
-    obj = _load(args.input)
-    _expect(obj, "two-cocycle")
-    c = two_cocycle_from_json(obj)
+def cmd_primitive(args, shape, c):
     phi = primitive(c)
     lines = [
         "primitive letter values:",
@@ -407,16 +340,11 @@ def cmd_primitive(args):
     return 0, lines, primitive_to_json(phi)
 
 
-def cmd_class_coords(args):
-    obj = _load(args.input)
-    _expect(obj, "two-cocycle")
-    c = two_cocycle_from_json(obj)
+def cmd_class_coords(args, shape, c):
     cc = class_coordinates(c)
     lines = [f"flavor: {cc.flavor}", "coordinates:"]
-    for label, coeff in cc.coefficients.items():
-        lines.append(f"  {label}: {coeff!r}")
-    lines.append("defect:")
-    lines.append(_fmt_matrix(cc.defect))
+    lines += [f"  {label}: {coeff!r}" for label, coeff in cc.coefficients.items()]
+    lines += ["defect:", _fmt_matrix(cc.defect)]
     data = {
         "flavor": cc.flavor,
         "coordinates": {lbl: scalar_to_json(v) for lbl, v in cc.coefficients.items()},
@@ -425,19 +353,16 @@ def cmd_class_coords(args):
     return 0, lines, data
 
 
-def cmd_solve_cocycles(args):
-    space = solve_cocycles(_rep_from(_load(args.input)))
+def cmd_solve_cocycles(args, shape, x):
+    space = _cocycle_space(shape, x)
     lines = [f"cocycle space dimension: {space.dimension}"]
     for i, eta in enumerate(space.basis):
         lines.append(f"basis[{i}]:")
-        for j in range(eta.d):
-            for k in range(eta.d):
-                if not eta.V[j][k].is_zero():
-                    lines.append(f"  V[{j + 1},{k + 1}] = {eta.V[j][k]!r}")
-        for j in range(eta.d):
-            for k in range(eta.d):
-                if not eta.W[j][k].is_zero():
-                    lines.append(f"  W[{j + 1},{k + 1}] = {eta.W[j][k]!r}")
+        for name, grid in (("V", eta.V), ("W", eta.W)):
+            for j in range(eta.d):
+                for k in range(eta.d):
+                    if not grid[j][k].is_zero():
+                        lines.append(f"  {name}[{j + 1},{k + 1}] = {grid[j][k]!r}")
     data = {
         "dimension": space.dimension,
         "basis": [cocycle_to_json(eta) for eta in space.basis],
@@ -451,29 +376,40 @@ def cmd_reproduce_paper(args):
         max_word_len=args.max_word_len if args.max_word_len is not None else 3,
     )
     results = run_all(config)
-    ok = all(r.passed for r in results)
-    lines = [format_results(results)]
     data = {
         "passed": sum(1 for r in results if r.passed),
         "total": len(results),
-        "results": [
-            {
-                "scenario": r.scenario,
-                "claim": r.claim,
-                "expected": r.expected,
-                "computed": r.computed,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
+        "results": [dataclasses.asdict(r) for r in results],
     }
-    return (0 if ok else 1), lines, data
+    return (0 if data["passed"] == data["total"] else 1), [format_results(results)], data
 
 
-# -- wiring -----------------------------------------------------------------
+# -- wiring -------------------------------------------------------------------
+
+_CHECK = "boolean checks with exact witnesses"
+# a representation, or a presentation read as its counit
+_REP = ("presentation", "representation")
+
+# every subcommand: (help, the shapes its --input may hold, function); None
+# takes any shape, () reads no --input.  "check X" rows are the choices of
+# the one `check` subcommand.
+_COMMANDS = {
+    "validate": ("validate any supported JSON object", None, cmd_validate),
+    "check defect": (_CHECK, ("two-cocycle",), _check_defect),
+    "check gf": (_CHECK, ("cocycle",), _check_gf),
+    "check h1": (_CHECK, _REP, _check_h1),
+    "check lk": (_CHECK, ("functional",), _check_lk),
+    "check psd": (_CHECK, ("functional",), _check_psd),
+    "check real": (_CHECK, ("cocycle",), _check_real),
+    "basis": ("defect basis of a presentation", ("presentation",), cmd_basis),
+    "primitive": ("primitive of a 2-cocycle", ("two-cocycle",), cmd_primitive),
+    "class-coords": ("defect-basis coordinates", ("two-cocycle",), cmd_class_coords),
+    "solve-cocycles": ("basis of the cocycle space", _REP, cmd_solve_cocycles),
+    "reproduce-paper": ("run the verification suite", (), cmd_reproduce_paper),
+}
 
 
-def _add_common(p, needs_input=True):
+def _add_common(p, needs_input):
     if needs_input:
         p.add_argument("--input", metavar="FILE", help="JSON input file")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -497,60 +433,42 @@ def _parser() -> argparse.ArgumentParser:
         "Hochschild cohomology on universal quantum group algebras.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("validate", help="validate any supported JSON object"))
-    checker = sub.add_parser("check", help="boolean checks with exact witnesses")
-    checker.add_argument("what", choices=sorted(_CHECKS))
-    _add_common(checker)
-    _add_common(sub.add_parser("basis", help="defect basis of a presentation"))
-    _add_common(sub.add_parser("primitive", help="primitive of a 2-cocycle"))
-    _add_common(sub.add_parser("class-coords", help="defect-basis coordinates"))
-    _add_common(sub.add_parser("solve-cocycles", help="basis of the cocycle space"))
-    _add_common(
-        sub.add_parser("reproduce-paper", help="run the verification suite"),
-        needs_input=False,
-    )
+    checks = sorted(name.split()[1] for name in _COMMANDS if name.startswith("check "))
+    for name, (text, shapes, _) in _COMMANDS.items():
+        head, _, what = name.partition(" ")
+        if what and what != checks[0]:
+            continue  # one `check` subcommand, added on its first row
+        p = sub.add_parser(head, help=text)
+        if what:
+            p.add_argument("what", choices=checks)
+        _add_common(p, needs_input=shapes != ())
     return ap
 
 
-def _dispatch(args):
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "check":
-        return _CHECKS[args.what](args)
-    if args.command == "basis":
-        return cmd_basis(args)
-    if args.command == "primitive":
-        return cmd_primitive(args)
-    if args.command == "class-coords":
-        return cmd_class_coords(args)
-    if args.command == "solve-cocycles":
-        return cmd_solve_cocycles(args)
-    return cmd_reproduce_paper(args)
+def _run(args):
+    if args.max_word_len is not None and args.max_word_len < 0:
+        raise InputError(f"--max-word-len must be >= 0, got {args.max_word_len}")
+    _, shapes, fn = _COMMANDS[f"{args.command} {args.what}" if "what" in args else args.command]
+    return fn(args, *_input(args.input, shapes)) if shapes != () else fn(args)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.max_word_len is not None and args.max_word_len < 0:
-        print(f"input error: --max-word-len must be >= 0, got {args.max_word_len}", file=sys.stderr)
-        return 2
     try:
-        code, lines, data = _dispatch(args)
-    except InputError as exc:
+        code, lines, data = _run(args)
+    except ValueError as exc:  # InputError is one
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except RelationViolation as exc:
-        print(f"{exc.what}: violated relations")
-        for lbl, val in exc.violations:
-            print(f"  {lbl}: {val!r}")
+        print("\n".join([f"{exc.what}: violated relations", *violation_lines(exc.violations)]))
         return 1
     except ObstructionError as exc:
         print(str(exc))
         print(_fmt_matrix(exc.defect))
         return 1
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except ArithmeticError as exc:
+        print(f"internal check failed: {exc.args[0]}", file=sys.stderr)
+        return 1
     print(json.dumps(data, indent=2) if args.as_json else "\n".join(lines))
     return code
 

@@ -255,9 +255,9 @@ def is_real_cocycle(
     sample_words: Sequence[Element] | None = None,
     max_word_len: int = 3,
     seed: int = 0,
-    samples: int = 12,
 ):
-    """Check <eta(a), eta(b)> = <eta(S(b)*), eta(S(a*))> on letters and samples.
+    """Check <eta(a), eta(b)> = <eta(S(b)*), eta(S(a*))> on the letters and
+    on 12 seeded words of 1 to max_word_len letters (or on sample_words).
 
     Requires a Kac presentation (the antipode must exist).  Returns
     (True, None) or (False, (a, b, lhs, rhs)) with the first failing pair.
@@ -273,7 +273,7 @@ def is_real_cocycle(
     elif max_word_len > 0:
         rng = random.Random(seed)
         alpha = letters(eta.d)
-        for _ in range(samples):
+        for _ in range(12):
             n = rng.randint(1, max_word_len)
             w = tuple(rng.choice(alpha) for _ in range(n))
             pool.append(Element.from_word(eta.d, w))

@@ -458,27 +458,24 @@ def matrix_unit(d: int, j: int, k: int, coeff: Qi = ONE) -> QMatrix:
     return QMatrix(rows, cols=d)
 
 
-def basis_unitary(presentation: Presentation, l: int = 1) -> dict:
+def basis_unitary(presentation: Presentation) -> dict:
     """Pairing cocycles whose defects realize the trace-zero matrix basis.
 
-    K_m_n (m != n) pairs the Gaussian cocycles of the matrix units e_lm and
-    e_ln, so its defect is e_mn.  K_p_p pairs the Gaussian cocycle of
+    K_m_n (m != n) pairs the Gaussian cocycles of the matrix units e_1m and
+    e_1n, so its defect is e_mn.  K_p_p pairs the Gaussian cocycle of
     e_pp + i e_{p,p+1} + e_{p+1,p+1} with itself; its defect is
-    KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).
+    KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  Each cocycle is built once.
     """
     if presentation.kind != "u_plus":
         raise ValueError("the unitary basis lives on a u_plus presentation")
     d = presentation.d
-    if not 1 <= l <= d:
-        raise ValueError("anchor index out of range")
-    out = {}
-    for m in range(1, d + 1):
-        for n in range(1, d + 1):
-            if m == n:
-                continue
-            a = scalar_gaussian_cocycle(presentation, matrix_unit(d, l, m))
-            b = scalar_gaussian_cocycle(presentation, matrix_unit(d, l, n))
-            out[f"K_{m}_{n}"] = KPairCocycle(a, b)
+    first_row = [scalar_gaussian_cocycle(presentation, matrix_unit(d, 1, m)) for m in range(1, d + 1)]
+    out = {
+        f"K_{m + 1}_{n + 1}": KPairCocycle(first_row[m], first_row[n])
+        for m in range(d)
+        for n in range(d)
+        if m != n
+    }
     for p in range(1, d):
         vp = (
             matrix_unit(d, p, p)

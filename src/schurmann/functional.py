@@ -153,7 +153,7 @@ def _default_pool(d: int, max_len: int) -> tuple:
         pool.extend(layer)
     seen = set(pool)
     for w in list(pool):
-        ws = tuple(l.adjoint() for l in reversed(w))
+        ws = _star_word(w)
         if ws not in seen:
             pool.append(ws)
             seen.add(ws)

@@ -207,6 +207,4 @@ def gaussian_subspace(rep: Representation) -> list[QVector]:
     rows: list = []
     for l in letters(rep.d):
         rows.extend((rep.image(*l) - (eye if l.row == l.col else QMatrix.zero(n, n))).data)
-    if not rows:
-        return kernel_basis(QMatrix.identity(n) - QMatrix.identity(n))
     return kernel_basis(QMatrix(rows, cols=n))

@@ -525,24 +525,22 @@ def scenario_c11(config: RunConfig, registry: Registry):
     basis = basis_unitary(pres)
     for name, c in basis.items():
         registry.add_two_cocycle(f"{sid} {name}", c)
+    defects = {name: defect_unitary(c) for name, c in basis.items()}
     off = sum(
         1
         for m in range(1, 4)
         for n in range(1, 4)
-        if m != n and defect_unitary(basis[f"K_{m}_{n}"]) == matrix_unit(3, m, n)
+        if m != n and defects[f"K_{m}_{n}"] == matrix_unit(3, m, n)
     )
     sign = Qi(KP_DEFECT_SIGN)
     diag = sum(
         1
         for p in range(1, 3)
-        if defect_unitary(basis[f"K_p_{p}"])
+        if defects[f"K_p_{p}"]
         == (matrix_unit(3, p, p) - matrix_unit(3, p + 1, p + 1)).scale(sign)
     )
     stacked = QMatrix(
-        [
-            [defect[r][s] for r in range(3) for s in range(3)]
-            for defect in (defect_unitary(c) for c in basis.values())
-        ],
+        [[defect[r][s] for r in range(3) for s in range(3)] for defect in defects.values()],
         cols=9,
     )
     rng = _rng(config, sid)

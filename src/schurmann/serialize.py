@@ -22,7 +22,6 @@ from .algebra import (
     Letter,
     Presentation,
     build_presentation,
-    require_relation_budget,
     word_key,
 )
 from .cocycle import Cocycle, cocycle_from_V, cocycle_general
@@ -145,7 +144,6 @@ def presentation_from_json(obj) -> Presentation:
         q_diag = [rational_from_json(x) for x in obj["q_diag"]]
     F = matrix_from_json(obj["F"]) if "F" in obj else None
     q = rational_from_json(obj["q"]) if "q" in obj else None
-    require_relation_budget(obj["kind"], d)
     try:
         return build_presentation(str(obj["kind"]), d, q_diag=q_diag, F=F, q=q)
     except ValueError as exc:
@@ -224,11 +222,16 @@ def relation_checks(phi):
     return phi.relation_violations(), hermitian
 
 
+def violation_lines(violations) -> list:
+    """One indented `label: value` line per violated relation."""
+    return [f"  {lbl}: {val!r}" for lbl, val in violations]
+
+
 def problem_lines(violations, hermitian) -> list:
     lines = []
     if violations:
         lines.append("violated relations:")
-        lines.extend(f"  {lbl}: {val!r}" for lbl, val in violations)
+        lines.extend(violation_lines(violations))
     if not hermitian:
         lines.append("letter values are not hermitian (star_values != conj(values))")
     return lines

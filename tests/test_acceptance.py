@@ -20,6 +20,7 @@ from schurmann import (
     KPairCocycle,
     RunConfig,
     coboundary1,
+    cocycle,
     cohomology,
     format_results,
     gram_psd_check,
@@ -139,6 +140,31 @@ def test_a_fault_in_the_coboundary_fails_c13_and_c14(monkeypatch):
     assert any(
         r.scenario == "C14" and r.computed.startswith("ArithmeticError: ('a Gram core entry disagrees") for r in failed
     ), [r.computed for r in failed]
+
+
+def test_c11_reads_each_basis_defect_once(monkeypatch):
+    # C11 evaluates the 8 defects of its basis once, and `basis_unitary`
+    # builds one Gaussian cocycle per first-row matrix unit e_1m (3 of them)
+    # plus one per K_p_p (2): its own basis and the one `class_coordinates`
+    # rebuilds take 5 builds each, the 10 random cocycles 10 more
+    calls = {"defect_unitary": 0, "cocycle_from_V": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (scenarios, cohomology):
+        counted(module, "defect_unitary")
+    counted(cocycle, "cocycle_from_V")
+    results = dict(scenarios.SCENARIOS)["C11"](RunConfig(), scenarios.Registry())
+    assert all(r.passed for r in results)
+    # 8 basis defects, 10 coboundaries, 9 in `class_coordinates`, 1 residual
+    assert calls == {"defect_unitary": 28, "cocycle_from_V": 20}
 
 
 def test_each_identity_line_reads_batch(monkeypatch, eta_sym_u2):

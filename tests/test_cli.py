@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from conftest import cycle_rep, refuse_elimination, refuse_evaluation
 from schurmann import (
+    CoboundaryCocycle,
     CounitFunctional,
     I,
     KPairCocycle,
@@ -31,7 +32,6 @@ from schurmann import (
     rational,
     scenarios,
     schurmann_functional,
-    serialize,
 )
 from schurmann.cli import main
 from schurmann.serialize import (
@@ -47,6 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED_LEN2 = ROOT / "tests" / "expected" / "reproduce_paper_len2.txt"
 PINNED_SEED1_JSON = ROOT / "tests" / "expected" / "reproduce_paper_seed1_len2.json"
 BENCH_LEN2 = ROOT / "perfbench" / "expected" / "reproduce_paper_len2.txt"
+PINNED_CLI = ROOT / "tests" / "expected" / "cli_outputs.json"
 
 
 @pytest.fixture
@@ -338,6 +339,29 @@ INPUT_COMMANDS = [
 ]
 
 
+def _cli_outcomes(run, files) -> dict:
+    """[exit code, stdout, stderr] of every --input subcommand on every file
+    of `files`, on a missing --input and on an unreadable path, each plain
+    and with --json."""
+    inputs = [(name, ["--input", path]) for name, path in files.items()]
+    inputs += [("no-input", []), ("unreadable", ["--input", "/does/not/exist.json"])]
+    out = {}
+    for command in INPUT_COMMANDS:
+        for name, flags in inputs:
+            for mode in ([], ["--json"]):
+                out[" ".join([*command, name, *mode])] = list(run(*command, *flags, *mode))
+    return out
+
+
+def test_cli_outputs_are_pinned(run, files):
+    # exit code, stdout and stderr of each run, byte for byte
+    pinned = json.loads(PINNED_CLI.read_text())
+    outcomes = _cli_outcomes(run, files)
+    assert list(outcomes) == list(pinned)
+    for key, outcome in outcomes.items():
+        assert outcome == pinned[key], key
+
+
 def _nested_combination(depth):
     """A `combination` 2-cocycle, one term deep `depth` times, around the
     coboundary of the counit on U_2+: three JSON levels per term."""
@@ -545,6 +569,17 @@ def test_checks_refuse_tampered_functional(run, files, what):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_failed_internal_recheck_exits_1_without_a_traceback(run, files, monkeypatch, as_json):
+    # every value of d(psi) off by one: the Gram core recheck of `check psd`
+    # raises ArithmeticError, reported on stderr with no verdict printed
+    batch = CoboundaryCocycle.batch
+    monkeypatch.setattr(CoboundaryCocycle, "batch", lambda self, pairs: [v + ONE for v in batch(self, pairs)])
+    code, out, err = run("check", "psd", "--input", files["psi"], *(["--json"] if as_json else []))
+    assert (code, out) == (1, "")
+    assert err == "internal check failed: a Gram core entry disagrees with the letter recursion of psi\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["validate"], ["check", "defect"], ["class-coords"], ["primitive"]],
@@ -638,7 +673,8 @@ def test_su_q_budget_refused_before_build(run, write, monkeypatch, d):
     # d! determinant relations of d! words of d letters: 5!^2 * 5 fits the
     # budget, 6!^2 * 6 does not
     assert 120**2 * 5 <= algebra.MAX_TABLE_ENTRIES < 720**2 * 6
-    monkeypatch.setattr(serialize, "build_presentation", lambda *a, **k: pytest.fail("built"))
+    # every kind builds its relations from the unitarity ones first
+    monkeypatch.setattr(algebra, "_quadratic_relations", lambda *a, **k: pytest.fail("built"))
     path = write("su_q.json", {"kind": "su_q", "d": d, "q": "1/2"})
     code, out, err = run("validate", "--input", path)
     assert code == 2
@@ -650,7 +686,8 @@ def test_su_q_budget_refused_before_build(run, write, monkeypatch, d):
 @pytest.mark.parametrize("kind", ["k_d", "u_plus", "u_q", "o_plus", "o_f", "su_q"])
 def test_presentation_budget_refused_from_json(run, write, monkeypatch, kind):
     # about 4 d^3 relation terms: d = 1000 would build for hours
-    monkeypatch.setattr(serialize, "build_presentation", lambda *a, **k: pytest.fail("built"))
+    # every kind builds its relations from the unitarity ones first
+    monkeypatch.setattr(algebra, "_quadratic_relations", lambda *a, **k: pytest.fail("built"))
     code, out, err = run("validate", "--input", write("p.json", {"kind": kind, "d": 1000}))
     assert code == 2
     assert out == ""

@@ -11,7 +11,9 @@ from conftest import (
     flat_cocycle,
     q,
     qi_matrices,
+    qi_scalars,
     scalar_grid,
+    small_rationals,
     unvalidated_rep,
 )
 from schurmann import (
@@ -24,8 +26,13 @@ from schurmann import (
     RelationViolation,
     ZERO,
     admits_generating_functional,
+    admits_gf_orth,
+    admits_gf_unitary,
     build_presentation,
+    cocycle_general,
     counit,
+    counit_rep,
+    direct_sum_rep,
     evaluate_functional,
     gaussian_cocycle,
     gram_psd_check,
@@ -34,6 +41,8 @@ from schurmann import (
     lk_decomposition,
     rational,
     schurmann_functional,
+    sign_rep,
+    solve_cocycles,
     su_q3_obstruction,
 )
 from schurmann import algebra, functional
@@ -253,6 +262,41 @@ def test_gram_check_rechecks_its_core_against_the_letter_recursion(monkeypatch, 
     assert [len(pool[p]) for p in g.core[0]] == [1] and psd_check(g)
     with pytest.raises(ArithmeticError, match="Gram core entry"):
         gram_psd_check(psi)
+
+
+@pytest.fixture(scope="module")
+def criterion_spaces():
+    """Cocycle spaces of the counit on n = 1, 2, the sign representation and
+    their sum on U_2+, U_3+, O_2+, O_3+ and O_4+."""
+    spaces = []
+    for kind, d in (("u_plus", 2), ("u_plus", 3), ("o_plus", 2), ("o_plus", 3), ("o_plus", 4)):
+        pres = build_presentation(kind, d)
+        sign = sign_rep(pres)
+        for rep in (counit_rep(pres, 1), counit_rep(pres, 2), sign, direct_sum_rep(counit_rep(pres), sign)):
+            spaces.append(solve_cocycles(rep))
+    return spaces
+
+
+@given(st.data())
+def test_the_existence_criteria_agree_with_the_construction(criterion_spaces, data):
+    # b_tilde = b^t on U_d+ and b real on O_d+ decide whether eta admits a
+    # generating functional; the canonical construction decides it by
+    # validating psi on the relations.  Each basis cocycle enters with a
+    # real, a complex or no coefficient, so both verdicts occur.
+    space = data.draw(st.sampled_from(criterion_spaces))
+    coeff = st.sampled_from([ZERO]) | small_rationals.map(Qi) | qi_scalars
+    terms = [(data.draw(coeff), eta) for eta in space.basis]
+    d, n = space.rep.d, space.rep.n
+
+    def grid(pick):
+        return [
+            [sum((pick(eta)[j][k].scale(c) for c, eta in terms), QVector.zero(n)) for k in range(d)]
+            for j in range(d)
+        ]
+
+    eta = cocycle_general(space.rep, grid(lambda e: e.V), grid(lambda e: e.W))
+    criterion = admits_gf_unitary if eta.presentation.kind == "u_plus" else admits_gf_orth
+    assert criterion(eta) == (admits_generating_functional(eta) is not None)
 
 
 def test_lk_report_on_gaussian_functional(eta_sym_u2):
