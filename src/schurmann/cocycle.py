@@ -75,7 +75,8 @@ class Cocycle:
         """eta(letter h)_k at h * n + k over `letters(d)`, as one column of
         letter values (`words.columns`): the form that `words.letter_slots`
         packs for `words.layer_step`, on the word sets of
-        `words.word_set_values`."""
+        `words.word_set_values`, and from which a pairing reads its letters
+        (`cohomology._pairing_side`)."""
         return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
 
 
@@ -346,27 +347,26 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     e_k) gives its coefficients: cell v n + k of relation r is that of
     unknown v in coordinate k of eta(r).  The space is the kernel of the rows
     of the relations with a nonzero cell; a second pass with the kernel
-    vectors as columns checks every basis vector on every relation.
+    vectors as columns checks every basis vector on every relation, and the
+    first one that fails raises what `cocycle_general` raises for it.
     """
     d, n = rep.d, rep.n
     width = 2 * d * d * n
-    units = [[(v, 1, 0)] for v in range(width)], 1
-    sums = _relation_sums(rep, units, width, "the cocycle coefficient matrix")
-    kernel = kernel_basis(_coefficient_rows(sums, n, width))
-    if kernel:
-        sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
-        bad = {e: sums.column(e) for e in sums.nonzero_columns()}
-        if bad:
-            # what cocycle_general reports for the first failing basis vector
-            v = min(c // n for row in bad.values() for c, z in enumerate(row) if z)
-            labels = [lbl for lbl, _ in rep.presentation.relations]
-            values = [(labels[e], QVector(row[v * n : (v + 1) * n])) for e, row in bad.items()]
-            raise RelationViolation("cocycle", [(lbl, x) for lbl, x in values if not x.is_zero()])
 
     def grids(vec: QVector) -> list:
         # unknown h n + k is coordinate k of the value of letter h of `letters(d)`
         values = [QVector(vec[i : i + n]) for i in range(0, width, n)]
         return [tuple(tuple(values[s + j * d :][:d]) for j in range(d)) for s in (0, d * d)]
 
+    units = [[(v, 1, 0)] for v in range(width)], 1
+    sums = _relation_sums(rep, units, width, "the cocycle coefficient matrix")
+    kernel = kernel_basis(_coefficient_rows(sums, n, width))
+    if kernel:
+        sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
+        # row v n + k holds coordinate k of basis vector v on every relation
+        failing = [c // n for c, (re, im) in enumerate(zip(sums.re, sums.im)) if any(re) or any(im)]
+        if failing:
+            cocycle_general(rep, *grids(kernel[failing[0]]))
+            raise ArithmeticError("a basis vector fails the check but passes cocycle_general")
     basis = tuple(Cocycle(rep, *grids(vec)) for vec in kernel)
     return CocycleSpace(rep, basis)

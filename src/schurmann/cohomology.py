@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
-from math import lcm
 from operator import add, mul, sub
 
-from .algebra import Element, Letter, Presentation, counit, letters, require_word_len
+from .algebra import Element, Letter, Presentation, counit, letter_index, letters, require_word_len
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, solve
@@ -78,37 +77,26 @@ class TwoCocycle:
         return _sums(self.batch, [_pair_terms(self, a, b)])[0]
 
 
-def _short_value(eta: Cocycle, w) -> QVector:
-    """eta of a word of at most two letters from the grids, by eta(h l) =
-    rho(h) eta(l) + eps(l) eta(h)."""
-    if not w:
-        return QVector.zero(eta.n)
-    v = eta.letter_value(w[-1])
-    if len(w) == 2:
-        h, l = w
-        v = eta.rep.image(*h).apply(v)
-        if l.row == l.col:
-            v = v + eta.letter_value(h)
-    return v
-
-
 def _pairing_side(eta: Cocycle, ws) -> GaussianMatrix:
-    """eta of every word, one column per word: the words of at most two
-    letters from the grids, the distinct longer words on one word set."""
-    distinct = list(dict.fromkeys(ws))
-    long, short = [w for w in distinct if len(w) > 2], [w for w in distinct if len(w) <= 2]
-    vals = [_short_value(eta, w) for w in short]
-    den = lcm(*(z.den for v in vals for z in v))
-    re, im = [[] for _ in range(eta.n)], [[] for _ in range(eta.n)]
+    """eta of every word, one column per word: the empty word is 0, a letter
+    reads its column of `Cocycle.numerators` and the distinct longer words
+    go on one word set (`cocycle_columns`).  The word set's denominator is a
+    multiple of the letter values': layer m + 1 is over lcm(rho.den den_m,
+    den_eta) and every word's coefficient is 1."""
+    n, d, (values, den) = eta.n, eta.d, eta.numerators
+    long = list(dict.fromkeys(w for w in ws if len(w) > 1))
+    short = list(dict.fromkeys(w for w in ws if len(w) <= 1))
+    re, im, f = [[] for _ in range(n)], [[] for _ in range(n)], 1
     if long:
-        values = cocycle_columns(eta, [Element.from_word(eta.d, w) for w in long])
-        den = lcm(den, values.den)
-        f = den // values.den
-        re, im = ([[x * f for x in row] for row in part] for part in (values.re, values.im))
-    for k, (xr, xi) in enumerate(zip(re, im)):
-        zs = [v[k] for v in vals]
-        xr += [z.a * (den // z.den) for z in zs]
-        xi += [z.b * (den // z.den) for z in zs]
+        sums = cocycle_columns(eta, [Element.from_word(d, w) for w in long])
+        re, im, f, den = sums.re, sums.im, sums.den // den, sums.den
+    for w in short:
+        # the cell of a nonzero coordinate is [(column 0, re, im)], of a zero one []
+        h = letter_index(w[0], d) if w else None
+        for k, cell in enumerate(values[h * n : h * n + n] if w else [[]] * n):
+            x, y = cell[0][1:] if cell else (0, 0)
+            re[k].append(x * f)
+            im[k].append(y * f)
     at = {w: j for j, w in enumerate(long + short)}
     picks = [at[w] for w in ws]
     re, im = ([list(map(row.__getitem__, picks)) for row in part] for part in (re, im))
@@ -120,8 +108,9 @@ class KPairCocycle(TwoCocycle):
     """c(a, b) = <eta1(a*), eta2(b)> for two cocycles on the same representation.
 
     A batch reads eta1 of the starred first words and eta2 of the second
-    words, each side on one word set (`_pairing_side`), and pairs them on
-    the numerators, one `Qi` per pair."""
+    words (`_pairing_side`: letters from `Cocycle.numerators`, the longer
+    words of a side on one word set) and pairs them on the numerators, one
+    `Qi` per pair."""
 
     eta1: Cocycle
     eta2: Cocycle

@@ -130,13 +130,14 @@ ONE = Qi(1)
 I = Qi(0, 1)
 
 
-def _format_rational(r: Rational) -> str:
+def rational_to_json(r: Rational) -> str:
+    """Wire form "p/q" of a rational, decimal integer p and q."""
     return f"{r.numerator}/{r.denominator}"
 
 
 def scalar_to_json(z: Qi) -> dict:
     """Wire form {"re": "p/q", "im": "p/q"} with decimal integer p, q."""
-    return {"re": _format_rational(z.re), "im": _format_rational(z.im)}
+    return {"re": rational_to_json(z.re), "im": rational_to_json(z.im)}
 
 
 def scalar_from_json(obj) -> Qi:

@@ -37,11 +37,7 @@ from .errors import InputError
 from .functional import Functional
 from .linalg import QMatrix, QVector
 from .representation import Representation, representation
-from .scalars import Qi, Rational, rational, scalar_from_json, scalar_to_json
-
-
-def rational_to_json(r) -> str:
-    return f"{r.numerator}/{r.denominator}"
+from .scalars import Qi, Rational, rational, rational_to_json, scalar_from_json, scalar_to_json
 
 
 def rational_from_json(text) -> Rational:

@@ -557,6 +557,36 @@ def test_check_primitive_compiles_a_fixed_number_of_word_sets(monkeypatch, k2_pa
     assert counts[0] == counts[1] > 0
 
 
+def test_pairing_reads_two_letter_words_on_the_word_set(monkeypatch, eta_sym_u2):
+    # letters come from the letter values; two-letter words, like all longer
+    # words, go through the one evaluator, one word set per side
+    c = KPairCocycle(eta_sym_u2, eta_sym_u2)
+    alpha = letters(2)
+    letter_pairs = [((h,), (l,)) for h in alpha for l in alpha]
+    word_pairs = [((h, l), (l, h)) for h in alpha for l in alpha]
+    compiled = []
+
+    def counted(*args):
+        compiled.append(1)
+        return algebra.word_set(*args)
+
+    monkeypatch.setattr(cocycle, "word_set", counted)
+    c.batch(letter_pairs)
+    assert len(compiled) == 0
+    want = c.batch(word_pairs)
+    assert len(compiled) == 2
+    evaluate = cocycle.word_set_values
+
+    def shifted(*args):
+        # one more unit in the first cell
+        out = evaluate(*args)
+        out.re[0][0] += out.den
+        return out
+
+    monkeypatch.setattr(cocycle, "word_set_values", shifted)
+    assert c.batch(word_pairs) != want
+
+
 def test_functionals_on_a_long_word_match_recursion(eta_sym_u2, k2_pairing_primitive):
     # a word of MAX_SAMPLED_WORD_LEN diagonal letters evaluates with a few
     # frames of recursion to spare: no recursion runs once per letter
