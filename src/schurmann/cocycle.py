@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from math import lcm
 from typing import Sequence
 
 from .algebra import (
@@ -34,7 +36,7 @@ from .algebra import (
     word_set,
 )
 from .errors import RelationViolation
-from .linalg import GaussianMatrix, QMatrix, QVector, inner_product, kernel_basis
+from .linalg import GaussianMatrix, QMatrix, QVector, _paired, inner_product, kernel_basis
 from .representation import (
     GeneratorSubstitution,
     Representation,
@@ -42,8 +44,8 @@ from .representation import (
     direct_sum_rep,
     pullback_rep,
 )
-from .scalars import ZERO, Qi, rational
-from .words import columns, word_set_values
+from .scalars import Qi, _qi, rational
+from .words import columns, layer_step, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
@@ -78,6 +80,36 @@ class Cocycle:
         `words.word_set_values`, and from which a pairing reads its letters
         (`cohomology._pairing_side`)."""
         return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
+
+
+def letter_numerators(eta: Cocycle) -> tuple[list, list, int]:
+    """(re, im, den) of eta(letter h)_k at h * n + k: `Cocycle.numerators`,
+    whose cell of a nonzero value is [(column 0, re, im)], of a zero one []."""
+    values, den = eta.numerators
+    return [c[0][1] if c else 0 for c in values], [c[0][2] if c else 0 for c in values], den
+
+
+def gaussian_numerators(values: Sequence[Qi]) -> tuple[list, list, int]:
+    """(re, im, den) of `Qi` values over the lcm of their denominators."""
+    den = lcm(*(z.den for z in values))
+    return [z.a * (den // z.den) for z in values], [z.b * (den // z.den) for z in values], den
+
+
+def combination_numerators(coeffs: Sequence[Qi], cols: Sequence, size: int) -> tuple[list, list, int]:
+    """sum_i coeffs[i] cols[i] for numerator columns (re, im, den) of `size` entries."""
+    den = lcm(*(c.den * f for c, (_, _, f) in zip(coeffs, cols)))
+    re, im = [0] * size, [0] * size
+    for c, (xr, xi, f) in zip(coeffs, cols):
+        a, b = c.a * (den // (c.den * f)), c.b * (den // (c.den * f))
+        re = [r + a * x - b * y for r, x, y in zip(re, xr, xi)]
+        im = [s + a * y + b * x for s, x, y in zip(im, xr, xi)]
+    return re, im, den
+
+
+def _grids(d: int, n: int, vec: Sequence[Qi]) -> list:
+    """(V, W) from the letter values at h * n + k over `letters(d)`."""
+    values = [QVector(vec[i : i + n]) for i in range(0, 2 * d * d * n, n)]
+    return [tuple(tuple(values[s + j * d :][:d]) for j in range(d)) for s in (0, d * d)]
 
 
 def _as_vgrid(d: int, n: int, grid: Sequence[Sequence[QVector]], name: str) -> VGrid:
@@ -144,14 +176,18 @@ def cocycle_from_V(rep: Representation, V: Sequence[Sequence[QVector]]) -> Cocyc
     """
     d, n = rep.d, rep.n
     grid = _as_vgrid(d, n, V, "V")
+    # item (k d + q) d + j is u*[j,q], letter (d + j) d + q, applied to V[j][k]
+    items = [(k, q, j) for k in range(d) for q in range(d) for j in range(d)]
+    vr, vi, den = gaussian_numerators([z for k, _, j in items for z in grid[j][k]])
+    x = [vr[l::n] for l in range(n)], [vi[l::n] for l in range(n)]
+    yr, yi = layer_step(rep.action, [(d + j) * d + q for _, q, j in items], *x, (), None, None, 1)
+    den *= rep.action.den
+    # W[k][q] = minus the sum of the d items from (k d + q) d on
     W = [
-        [
-            -sum((rep.image(j + 1, q + 1, True).apply(grid[j][k]) for j in range(d)), QVector.zero(n))
-            for q in range(d)
-        ]
-        for k in range(d)
+        QVector(_qi(-sum(r[i : i + d]), -sum(m[i : i + d]), den) for r, m in zip(yr, yi))
+        for i in range(0, d**3, d)
     ]
-    return cocycle_general(rep, grid, W)
+    return cocycle_general(rep, grid, [W[k * d : (k + 1) * d] for k in range(d)])
 
 
 def gaussian_cocycle(presentation: Presentation, V: Sequence[Sequence[QVector]]) -> Cocycle:
@@ -183,20 +219,16 @@ class BMatrices:
     b_tilde: QMatrix
 
 
-def _letter_gram(grid: VGrid) -> QMatrix:
-    """sum_p <grid[j][p], grid[k][p]> at (j, k)."""
-    d = len(grid)
-    return QMatrix(
-        [
-            [sum((inner_product(grid[j][p], grid[k][p]) for p in range(d)), ZERO) for k in range(d)]
-            for j in range(d)
-        ],
-        cols=d,
-    )
-
-
 def b_matrices(eta: Cocycle) -> BMatrices:
-    b, bt = _letter_gram(eta.V), _letter_gram(eta.W)
+    """Row j of b (of b_tilde) pairs the d n `letter_numerators` of u[j,p]
+    (of u*[j,p]) over p with those of each row k."""
+    d, (re, im, den) = eta.d, letter_numerators(eta)
+    rows = [(re[i : i + d * eta.n], im[i : i + d * eta.n]) for i in range(0, len(re), d * eta.n)]
+    # the coordinate lists of the rows of a block, row k in column k
+    b, bt = (
+        QMatrix([[_qi(*_paired(xr, xi, *ys, k), den * den) for k in range(d)] for xr, xi in block], cols=d)
+        for block, ys in ((g, [list(zip(*part)) for part in zip(*g)]) for g in (rows[:d], rows[d:]))
+    )
     if not (b.is_hermitian() and bt.is_hermitian()):
         raise ArithmeticError("b matrices must be Hermitian")
     return BMatrices(b, bt)
@@ -308,17 +340,11 @@ class CocycleSpace:
         return len(self.basis)
 
     def random_element(self, rng: random.Random) -> Cocycle:
-        """Random Q(i)-combination of the basis with small rational coefficients."""
+        """Random Q(i)-combination of the basis, one `random_coefficient` per basis vector in order."""
         d, n = self.rep.d, self.rep.n
-        V = [[QVector.zero(n) for _ in range(d)] for _ in range(d)]
-        W = [[QVector.zero(n) for _ in range(d)] for _ in range(d)]
-        for eta in self.basis:
-            c = random_coefficient(rng)
-            for j in range(d):
-                for k in range(d):
-                    V[j][k] = V[j][k] + eta.V[j][k].scale(c)
-                    W[j][k] = W[j][k] + eta.W[j][k].scale(c)
-        return cocycle_general(self.rep, V, W)
+        coeffs = [random_coefficient(rng) for _ in self.basis]
+        re, im, den = combination_numerators(coeffs, list(map(letter_numerators, self.basis)), 2 * d * d * n)
+        return cocycle_general(self.rep, *_grids(d, n, list(map(_qi, re, im, repeat(den)))))
 
 
 def _relation_sums(rep: Representation, eta, width: int, what: str) -> GaussianMatrix:
@@ -352,12 +378,6 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     """
     d, n = rep.d, rep.n
     width = 2 * d * d * n
-
-    def grids(vec: QVector) -> list:
-        # unknown h n + k is coordinate k of the value of letter h of `letters(d)`
-        values = [QVector(vec[i : i + n]) for i in range(0, width, n)]
-        return [tuple(tuple(values[s + j * d :][:d]) for j in range(d)) for s in (0, d * d)]
-
     units = [[(v, 1, 0)] for v in range(width)], 1
     sums = _relation_sums(rep, units, width, "the cocycle coefficient matrix")
     kernel = kernel_basis(_coefficient_rows(sums, n, width))
@@ -366,7 +386,7 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
         # row v n + k holds coordinate k of basis vector v on every relation
         failing = [c // n for c, (re, im) in enumerate(zip(sums.re, sums.im)) if any(re) or any(im)]
         if failing:
-            cocycle_general(rep, *grids(kernel[failing[0]]))
+            cocycle_general(rep, *_grids(d, n, kernel[failing[0]]))
             raise ArithmeticError("a basis vector fails the check but passes cocycle_general")
-    basis = tuple(Cocycle(rep, *grids(vec)) for vec in kernel)
+    basis = tuple(Cocycle(rep, *_grids(d, n, vec)) for vec in kernel)
     return CocycleSpace(rep, basis)

@@ -20,10 +20,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
+from math import lcm
 from operator import add, mul, sub
 
 from .algebra import Element, Letter, Presentation, counit, letter_index, letters, require_word_len
-from .cocycle import Cocycle, cocycle_columns, cocycle_general, scalar_gaussian_cocycle
+from .cocycle import Cocycle, cocycle_columns, cocycle_general, combination_numerators, gaussian_numerators
+from .cocycle import letter_numerators, scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, solve
 from .representation import sign_rep
@@ -53,16 +55,36 @@ def _pair_terms(c, a: Element, b: Element) -> list:
 
 
 def _sums(evaluate, termss) -> list:
-    """sum of coeff * value(key) over each list of (key, coeff) terms, with
-    evaluate called once on the distinct keys of all of them."""
+    """sum of coeff * value(key) over each list of (key, coeff) terms, one
+    `Qi` per list, added on the numerators (re, im, den) that evaluate
+    gives for the distinct keys of all of them in one call."""
     keys = list(dict.fromkeys(k for terms in termss for k, _ in terms))
-    at = dict(zip(keys, evaluate(keys)))
-    return [sum((c * at[k] for k, c in terms), ZERO) for terms in termss]
+    re, im, den = evaluate(keys)
+    at = dict(zip(keys, zip(re, im)))
+    f = lcm(*(c.den for terms in termss for _, c in terms))
+    # (c.a + i c.b) (a + i b) for each coefficient c and value (a, b) = at[k], over f den
+    re = [sum((c.a * at[k][0] - c.b * at[k][1]) * (f // c.den) for k, c in terms) for terms in termss]
+    im = [sum((c.a * at[k][1] + c.b * at[k][0]) * (f // c.den) for k, c in terms) for terms in termss]
+    return list(map(_qi, re, im, repeat(f * den)))
 
 
-class TwoCocycle:
-    """Base class: bilinear forms on pairs of algebra elements, evaluated by
-    `batch` on a batch of word pairs."""
+class Batched:
+    """Base class of the 2-cocycles and functionals: `batch_numerators`
+    evaluates a batch of word pairs (or words) to Gaussian-integer
+    numerators over one denominator and `batch` is its `Qi` view.  A
+    subclass defines one of the two: `batch` alone has its values lifted."""
+
+    def batch_numerators(self, keys) -> tuple[list, list, int]:
+        return gaussian_numerators(self.batch(keys))
+
+    def batch(self, keys) -> list:
+        re, im, den = self.batch_numerators(keys)
+        return list(map(_qi, re, im, repeat(den)))
+
+
+class TwoCocycle(Batched):
+    """Base class: bilinear forms on pairs of algebra elements, evaluated on
+    a batch of word pairs."""
 
     presentation: Presentation
 
@@ -70,11 +92,8 @@ class TwoCocycle:
     def d(self) -> int:
         return self.presentation.d
 
-    def batch(self, pairs) -> list:
-        raise NotImplementedError
-
     def value(self, a: Element, b: Element) -> Qi:
-        return _sums(self.batch, [_pair_terms(self, a, b)])[0]
+        return _sums(self.batch_numerators, [_pair_terms(self, a, b)])[0]
 
 
 def _pairing_side(eta: Cocycle, ws) -> GaussianMatrix:
@@ -83,20 +102,20 @@ def _pairing_side(eta: Cocycle, ws) -> GaussianMatrix:
     go on one word set (`cocycle_columns`).  The word set's denominator is a
     multiple of the letter values': layer m + 1 is over lcm(rho.den den_m,
     den_eta) and every word's coefficient is 1."""
-    n, d, (values, den) = eta.n, eta.d, eta.numerators
+    n, d = eta.n, eta.d
+    lr, li, den = letter_numerators(eta)
     long = list(dict.fromkeys(w for w in ws if len(w) > 1))
     short = list(dict.fromkeys(w for w in ws if len(w) <= 1))
     re, im, f = [[] for _ in range(n)], [[] for _ in range(n)], 1
     if long:
         sums = cocycle_columns(eta, [Element.from_word(d, w) for w in long])
         re, im, f, den = sums.re, sums.im, sums.den // den, sums.den
-    for w in short:
-        # the cell of a nonzero coordinate is [(column 0, re, im)], of a zero one []
-        h = letter_index(w[0], d) if w else None
-        for k, cell in enumerate(values[h * n : h * n + n] if w else [[]] * n):
-            x, y = cell[0][1:] if cell else (0, 0)
-            re[k].append(x * f)
-            im[k].append(y * f)
+    # the empty word reads the n zeros appended to the letter values
+    starts = [letter_index(w[0], d) * n if w else len(lr) for w in short]
+    lr, li = [x * f for x in lr] + [0] * n, [y * f for y in li] + [0] * n
+    for k in range(n):
+        re[k] += [lr[h + k] for h in starts]
+        im[k] += [li[h + k] for h in starts]
     at = {w: j for j, w in enumerate(long + short)}
     picks = [at[w] for w in ws]
     re, im = ([list(map(row.__getitem__, picks)) for row in part] for part in (re, im))
@@ -109,8 +128,8 @@ class KPairCocycle(TwoCocycle):
 
     A batch reads eta1 of the starred first words and eta2 of the second
     words (`_pairing_side`: letters from `Cocycle.numerators`, the longer
-    words of a side on one word set) and pairs them on the numerators, one
-    `Qi` per pair."""
+    words of a side on one word set) and pairs them on the numerators, over
+    the product of the two sides' denominators."""
 
     eta1: Cocycle
     eta2: Cocycle
@@ -123,7 +142,7 @@ class KPairCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.eta1.presentation
 
-    def batch(self, pairs) -> list:
+    def batch_numerators(self, pairs) -> tuple[list, list, int]:
         stars = {wa: _star_word(wa) for wa in dict.fromkeys(wa for wa, _ in pairs)}
         x = _pairing_side(self.eta1, [stars[wa] for wa, _ in pairs])
         y = _pairing_side(self.eta2, [wb for _, wb in pairs])
@@ -132,13 +151,13 @@ class KPairCocycle(TwoCocycle):
             # conj(x_k) y_k = (xr yr + xi yi) + i (xr yi - xi yr)
             re = list(map(add, re, map(add, map(mul, xr, yr), map(mul, xi, yi))))
             im = list(map(add, im, map(sub, map(mul, xr, yi), map(mul, xi, yr))))
-        return list(map(_qi, re, im, repeat(x.den * y.den)))
+        return re, im, x.den * y.den
 
 
 @dataclass(frozen=True, eq=False)
 class CoboundaryCocycle(TwoCocycle):
-    """d(phi) for any functional-shaped object with .presentation and
-    .batch; a batch reads phi on u v, v and u in one call."""
+    """d(phi) for a `Batched` functional phi with .presentation; a batch
+    reads phi on u v, v and u in one call."""
 
     phi: object
 
@@ -146,20 +165,13 @@ class CoboundaryCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.phi.presentation
 
-    def batch(self, pairs) -> list:
+    def batch_numerators(self, pairs) -> tuple[list, list, int]:
         k = len(pairs)
-        vals = self.phi.batch(
-            [wa + wb for wa, wb in pairs] + [wb for _, wb in pairs] + [wa for wa, _ in pairs]
-        )
-        out = []
-        for i, (wa, wb) in enumerate(pairs):
-            v = -vals[i]
-            if _diagonal(wa):
-                v = v + vals[k + i]
-            if _diagonal(wb):
-                v = v + vals[2 * k + i]
-            out.append(v)
-        return out
+        words = [wa + wb for wa, wb in pairs] + [wb for _, wb in pairs] + [wa for wa, _ in pairs]
+        re, im, den = self.phi.batch_numerators(words)
+        eps = [(_diagonal(wa), _diagonal(wb)) for wa, wb in pairs]
+        re, im = ([x[k + i] * a + x[2 * k + i] * b - x[i] for i, (a, b) in enumerate(eps)] for x in (re, im))
+        return re, im, den
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,14 +192,13 @@ class CombinationCocycle(TwoCocycle):
     def presentation(self) -> Presentation:
         return self.terms[0][1].presentation
 
-    def batch(self, pairs) -> list:
+    def batch_numerators(self, pairs) -> tuple[list, list, int]:
         coeffs = [coeff for coeff, _ in self.terms]
-        cols = [t.batch(pairs) for _, t in self.terms]
-        return [sum(map(mul, coeffs, vs), ZERO) for vs in zip(*cols)]
+        return combination_numerators(coeffs, [t.batch_numerators(pairs) for _, t in self.terms], len(pairs))
 
 
 @dataclass(frozen=True)
-class CounitFunctional:
+class CounitFunctional(Batched):
     """The counit as a functional, used for the normalizing coboundary."""
 
     presentation: Presentation
@@ -195,8 +206,8 @@ class CounitFunctional:
     def value(self, a: Element) -> Qi:
         return counit(a)
 
-    def batch(self, words) -> list:
-        return [ONE if _diagonal(w) else ZERO for w in words]
+    def batch_numerators(self, words) -> tuple[list, list, int]:
+        return [int(_diagonal(w)) for w in words], [0] * len(words), 1
 
 
 def _cuts(w):
@@ -207,7 +218,7 @@ def _cuts(w):
             return
 
 
-class LetterFunctional:
+class LetterFunctional(Batched):
     """A functional on the free *-algebra fixed by its letter values and
 
         v(h w) = sign c(h, w) + [h diagonal] v(w) + eps(w) v(h),    v(1) = 0,
@@ -221,9 +232,10 @@ class LetterFunctional:
 
         v(w) = sum (sign c(h, t) + eps(t) v(h)),
 
-    so `batch` reads c on one batch of cuts.  No check tabulates v: the
-    dense checks hold by identities of this recursion and recheck it on a
-    few words through `batch` (`square_zero_on_letters`,
+    so `batch_numerators` reads c on one batch of cuts and adds each
+    word's cuts on the numerators.  No check tabulates v: the dense checks
+    hold by identities of this recursion and recheck it on a few words
+    through one batch (`square_zero_on_letters`,
     `verify_primitive_exhaustive`, `functional.gram_psd_check`).
     """
 
@@ -235,31 +247,37 @@ class LetterFunctional:
         grid = self.star_values if l.star else self.values
         return grid[l.row - 1][l.col - 1]
 
-    def batch(self, words) -> list:
+    def batch_numerators(self, words) -> tuple[list, list, int]:
         """v(w) for every word, from c on the distinct cuts of the distinct words."""
-        cuts_of = {w: list(_cuts(w)) for w in words}
-        cuts = list(dict.fromkeys(cut for cs in cuts_of.values() for cut in cs))
-        at = {}
-        for (h, t), first in zip(cuts, self.form.batch([((h,), t) for h, t in cuts])):
-            v = first if self.sign > 0 else -first
-            at[h, t] = (v + self.letter_value(h)) if _diagonal(t) else v
-        sums = {w: sum((at[cut] for cut in cs), ZERO) for w, cs in cuts_of.items()}
-        return [sums[w] for w in words]
+        index = {}
+        ids = {w: [index.setdefault(cut, len(index)) for cut in _cuts(w)] for w in dict.fromkeys(words)}
+        cuts = list(index)
+        re, im, den = self.form.batch_numerators([((h,), t) for h, t in cuts])
+        # the letter values, read at the cuts with a diagonal tail
+        ends = [(i, self.letter_value(h)) for i, (h, t) in enumerate(cuts) if _diagonal(t)]
+        f = lcm(den, *(z.den for _, z in ends))
+        g = f // den * self.sign
+        re, im = [x * g for x in re], [y * g for y in im]
+        for i, z in ends:
+            re[i] += z.a * (f // z.den)
+            im[i] += z.b * (f // z.den)
+        picks = [ids[w] for w in words]
+        return [sum(map(re.__getitem__, p)) for p in picks], [sum(map(im.__getitem__, p)) for p in picks], f
 
     def value(self, a: Element) -> Qi:
         if a.d != self.d:
             raise ValueError(f"ambient size mismatch: element {a.d}, functional {self.d}")
-        return _sums(self.batch, [a.terms.items()])[0]
+        return _sums(self.batch_numerators, [a.terms.items()])[0]
 
     def relation_violations(self) -> list:
         """(label, value) for every relation on which the functional is not 0."""
         rels = self.presentation.relations
-        values = _sums(self.batch, [r.terms.items() for _, r in rels])
+        values = _sums(self.batch_numerators, [r.terms.items() for _, r in rels])
         return [(lbl, val) for (lbl, _), val in zip(rels, values) if not val.is_zero()]
 
 
 def coboundary1(phi) -> CoboundaryCocycle:
-    if not (hasattr(phi, "batch") and hasattr(phi, "presentation")):
+    if not (hasattr(phi, "batch_numerators") and hasattr(phi, "presentation")):
         raise TypeError("coboundary1 expects an evaluable functional")
     return CoboundaryCocycle(phi)
 
@@ -296,7 +314,7 @@ def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
 
     The default sample takes letter triples (all of them when there are at
     most 1000, a seeded selection otherwise) plus 20 random word triples of
-    length up to 2.  The four pairs of every triple are read in one `batch`.
+    length up to 2.  The four pairs of every triple are read in one batch.
     """
     d = c.d
     if triples is None:
@@ -308,7 +326,7 @@ def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
         triples += _short_word_draws(rng, d, 20, 3)
     triples = list(triples)
     pairs = [(p, q) for a, b, x in triples for p, q in ((b, x), (a * b, x), (a, b * x), (a, b))]
-    values = iter(_sums(c.batch, [_pair_terms(c, p, q) for p, q in pairs]))
+    values = iter(_sums(c.batch_numerators, [_pair_terms(c, p, q) for p, q in pairs]))
     for a, b, x in triples:
         bx, ab_x, a_bx, ab = (next(values) for _ in range(4))
         val = counit(a) * bx - ab_x + a_bx - ab * counit(x)
@@ -361,13 +379,15 @@ def _letter_sums(c: TwoCocycle, *patterns) -> list:
     """The d x d matrix of sum_p c(x, y) over the letters (x, y) = f(j, k, p)
     for each pattern f (indices from 1); the distinct letter pairs of all
     patterns are read in one batch."""
-    r = range(1, c.d + 1)
-    keys = list(dict.fromkeys(f(j, k, p) for f in patterns for j in r for k in r for p in r))
-    at = dict(zip(keys, c.batch([((x,), (y,)) for x, y in keys])))
-    return [
-        QMatrix([[sum((at[f(j, k, p)] for p in r), ZERO) for k in r] for j in r], cols=c.d)
-        for f in patterns
-    ]
+    d, r = c.d, range(1, c.d + 1)
+    grid = [f(j, k, p) for f in patterns for j in r for k in r for p in r]
+    keys = list(dict.fromkeys(grid))
+    re, im, den = c.batch_numerators([((x,), (y,)) for x, y in keys])
+    at = dict(zip(keys, zip(re, im)))
+    # entry (j, k) of pattern m sums the d items from ((m d + j) d + k) d on
+    cells = [_qi(*map(sum, zip(*map(at.__getitem__, grid[i : i + d]))), den) for i in range(0, len(grid), d)]
+    rows = [cells[i : i + d] for i in range(0, len(cells), d)]
+    return [QMatrix(rows[m : m + d], cols=d) for m in range(0, len(rows), d)]
 
 
 def _require_normalized(c: TwoCocycle):
@@ -537,8 +557,8 @@ def check_primitive(phi: Primitive, pairs=None, seed: int = 0):
         pairs = list(product(els, repeat=2)) + _short_word_draws(random.Random(seed), d, 24, 2)
     pairs = list(pairs)
     terms = [_pair_terms(c, a, b) for a, b in pairs]
-    gots = _sums(CoboundaryCocycle(phi).batch, terms)
-    for (a, b), got, want in zip(pairs, gots, _sums(c.batch, terms)):
+    gots = _sums(CoboundaryCocycle(phi).batch_numerators, terms)
+    for (a, b), got, want in zip(pairs, gots, _sums(c.batch_numerators, terms)):
         if got != want:
             return (a, b, got, want)
     return None

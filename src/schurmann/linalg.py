@@ -67,9 +67,6 @@ class QVector:
     def scale(self, c: Qi) -> "QVector":
         return QVector(c * a for a in self.entries)
 
-    def conj(self) -> "QVector":
-        return QVector(a.conj() for a in self.entries)
-
     def direct_sum(self, other: "QVector") -> "QVector":
         return QVector(self.entries + other.entries)
 
@@ -89,15 +86,10 @@ def _same_length(x: QVector, y: QVector) -> None:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
-def dot(xs: Sequence[Qi], ys: Sequence[Qi]) -> Qi:
-    """sum x_i y_i over two scalar sequences of equal length, no conjugation."""
-    return sum(map(mul, xs, ys), ZERO)
-
-
 def inner_product(x: QVector, y: QVector) -> Qi:
     """<x, y> = sum conj(x_i) y_i, conjugate-linear in the first argument."""
     _same_length(x, y)
-    return dot(map(Qi.conj, x.entries), y.entries)
+    return sum(map(mul, map(Qi.conj, x.entries), y.entries), ZERO)
 
 
 class QMatrix:
@@ -171,11 +163,6 @@ class QMatrix:
                 row.append(acc)
             out.append(row)
         return QMatrix(out, cols=other.cols)
-
-    def apply(self, v: QVector) -> QVector:
-        if self.cols != len(v):
-            raise ValueError(f"shape mismatch: {self.shape} applied to len {len(v)}")
-        return QVector(dot(row, v.entries) for row in self.data)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(

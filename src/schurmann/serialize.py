@@ -32,6 +32,7 @@ from .cohomology import (
     KPairCocycle,
     Primitive,
     TwoCocycle,
+    is_normalized,
 )
 from .errors import InputError
 from .functional import Functional
@@ -270,6 +271,8 @@ def _phi_from_json(obj):
         return CounitFunctional(presentation_from_json(obj.get("presentation")))
     if kind == "primitive":
         c = two_cocycle_from_json(obj.get("two_cocycle"))
+        if not is_normalized(c):  # the letter recursion needs c(h, 1) = 0
+            raise InputError("2-cocycle must be normalized; apply normalize() first")
         values = matrix_from_json(obj.get("values"))
         star_values = matrix_from_json(obj.get("star_values"))
         if values.shape != (c.d, c.d) or star_values.shape != (c.d, c.d):

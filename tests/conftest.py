@@ -199,6 +199,11 @@ def oracle_star_close(rels):
 # -- the plain recursions: the oracle for the word-set evaluator ---------------
 
 
+def apply(m, v):
+    """The product m v of a QMatrix and a QVector, row by row."""
+    return QVector(sum((a * x for a, x in zip(row, v)), ZERO) for row in m.data)
+
+
 def rho_word(rep, w, memo):
     """rho(h w) = rho(h) rho(w), rho(1) = id; memo maps words to matrices."""
     m = memo.get(w)
@@ -216,7 +221,7 @@ def eta_word(eta, w, memo):
             v = QVector.zero(eta.n)
         else:
             head, tail = w[0], w[1:]
-            v = eta.rep.image(*head).apply(eta_word(eta, tail, memo))
+            v = apply(eta.rep.image(*head), eta_word(eta, tail, memo))
             if all(l.row == l.col for l in tail):
                 v = v + eta.letter_value(head)
         memo[w] = v
@@ -350,6 +355,32 @@ def drawn_words(data, d, count=6):
     alpha = letters(d)
     word = st.lists(st.sampled_from(alpha), max_size=3).map(tuple)
     return data.draw(st.lists(word, min_size=1, max_size=count))
+
+
+# -- the letter-grid formulas on QVectors: oracles for their numerator forms ----
+
+
+def oracle_letter_gram(grid):
+    """sum_p <grid[j][p], grid[k][p]> at (j, k): b on V, b_tilde on W."""
+    r = range(len(grid))
+    return QMatrix([[sum((inner_product(grid[j][p], grid[k][p]) for p in r), ZERO) for k in r] for j in r])
+
+
+def oracle_completed_W(rep, V):
+    """W[k][q] = -sum_j rho(u*[j,q]) V[j][k], the W that completes V."""
+    r = range(rep.d)
+    return tuple(
+        tuple(-sum((apply(rep.image(j + 1, q + 1, True), V[j][k]) for j in r), QVector.zero(rep.n)) for q in r)
+        for k in r
+    )
+
+
+def oracle_combination(coeffs, grids, d, n):
+    """sum_i coeffs[i] grids[i] for d x d grids of vectors of length n, entry by entry."""
+    r = range(d)
+    return tuple(
+        tuple(sum((g[j][k].scale(c) for c, g in zip(coeffs, grids)), QVector.zero(n)) for k in r) for j in r
+    )
 
 
 # -- the plain sweeps: the oracles for the letter-triple and primitive checks --

@@ -18,6 +18,7 @@ from schurmann import (
     I,
     KPairCocycle,
     ONE,
+    Primitive,
     QMatrix,
     QVector,
     Qi,
@@ -573,8 +574,13 @@ def test_checks_refuse_tampered_functional(run, files, what):
 def test_a_failed_internal_recheck_exits_1_without_a_traceback(run, files, monkeypatch, as_json):
     # every value of d(psi) off by one: the Gram core recheck of `check psd`
     # raises ArithmeticError, reported on stderr with no verdict printed
-    batch = CoboundaryCocycle.batch
-    monkeypatch.setattr(CoboundaryCocycle, "batch", lambda self, pairs: [v + ONE for v in batch(self, pairs)])
+    batch = CoboundaryCocycle.batch_numerators
+
+    def shifted(self, pairs):
+        re, im, den = batch(self, pairs)
+        return [v + den for v in re], im, den
+
+    monkeypatch.setattr(CoboundaryCocycle, "batch_numerators", shifted)
     code, out, err = run("check", "psd", "--input", files["psi"], *(["--json"] if as_json else []))
     assert (code, out) == (1, "")
     assert err == "internal check failed: a Gram core entry disagrees with the letter recursion of psi\n"
@@ -593,6 +599,17 @@ def test_tampered_nested_functional_refused_on_load(run, files, argv):
     assert out == ""
     assert "invalid functional in a coboundary 2-cocycle" in err
     assert "uu*(1,1)" in err
+    assert "Traceback" not in err
+
+
+def test_primitive_over_a_non_normalized_2cocycle_refused_on_load(run, write):
+    # d(eps)(1, 1) = 1, so the letter recursion contradicts the letter values
+    # (it gives phi(u[1,1]) = -1 against 0); no verdict may be printed on it
+    zero = QMatrix.zero(2, 2)
+    phi = Primitive(coboundary1(CounitFunctional(build_presentation("k_d", 2))), zero, zero)
+    code, out, err = run("validate", "--input", write("counit_primitive.json", primitive_to_json(phi)))
+    assert (code, out) == (2, "")
+    assert "2-cocycle must be normalized" in err
     assert "Traceback" not in err
 
 

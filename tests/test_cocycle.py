@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    apply,
     cycle_rep,
     drawn_blocks,
     drawn_elements,
     flat_cocycle,
     oracle_cocycle,
+    oracle_combination,
+    oracle_completed_W,
+    oracle_letter_gram,
     oracle_rep,
     oracle_violations,
     phase_rep,
@@ -74,7 +78,7 @@ def test_cocycle_identity(eta_sym_u2, a, b):
     # eta(ab) = rho(a) eta(b) + eta(a) eps(b)
     eta = eta_sym_u2
     lhs = evaluate_cocycle(eta, a * b)
-    rhs = evaluate_rep(eta.rep, a).apply(evaluate_cocycle(eta, b)) + evaluate_cocycle(
+    rhs = apply(evaluate_rep(eta.rep, a), evaluate_cocycle(eta, b)) + evaluate_cocycle(
         eta, a
     ).scale(counit(b))
     assert lhs == rhs
@@ -328,15 +332,42 @@ def test_completion_recovers_W_on_drawn_members(completion_spaces, data):
     for space in completion_spaces:
         d, n = space.rep.d, space.rep.n
         coeffs = [data.draw(qi_scalars) for _ in space.basis]
+        V = oracle_combination(coeffs, [eta.V for eta in space.basis], d, n)
+        W = oracle_combination(coeffs, [eta.W for eta in space.basis], d, n)
+        assert cocycle_from_V(space.rep, V).W == W
 
-        def combine(grids):
-            return [
-                [sum((g[j][k].scale(c) for c, g in zip(coeffs, grids)), QVector.zero(n)) for k in range(d)]
-                for j in range(d)
-            ]
 
-        V, W = combine([eta.V for eta in space.basis]), combine([eta.W for eta in space.basis])
-        assert cocycle_from_V(space.rep, V).W == tuple(map(tuple, W))
+def drawn_carrier(data, pres):
+    """A direct sum of n = 1 to 3 dimensions of the counit, the sign, the
+    3-cycle and diag(i, 1), those of them that are representations of pres."""
+    summands = []
+    for build in (counit_rep, sign_rep, cycle_rep, phase_rep):
+        try:
+            summands.append(build(pres))
+        except RelationViolation:
+            pass
+    rep = data.draw(st.sampled_from(summands))
+    for extra in data.draw(st.lists(st.sampled_from(summands), max_size=2)):
+        if rep.n + extra.n <= 3:
+            rep = direct_sum_rep(rep, extra)
+    return rep
+
+
+@given(st.data())
+def test_letter_grid_arithmetic_matches_the_qvector_oracles(every_kind, data):
+    # random_element, b_matrices and the W of cocycle_from_V work on the
+    # letter values' numerators; the QVector formulas they replaced agree
+    # exactly, with the coefficients drawn in basis order
+    rep = drawn_carrier(data, data.draw(st.sampled_from(every_kind)))
+    space, seed = solve_cocycles(rep), data.draw(st.integers(0, 2**32))
+    eta = space.random_element(random.Random(seed))
+    rng = random.Random(seed)
+    coeffs = [cocycle.random_coefficient(rng) for _ in space.basis]
+    assert eta.V == oracle_combination(coeffs, [b.V for b in space.basis], rep.d, rep.n)
+    assert eta.W == oracle_combination(coeffs, [b.W for b in space.basis], rep.d, rep.n)
+    bm = b_matrices(eta)
+    assert (bm.b, bm.b_tilde) == (oracle_letter_gram(eta.V), oracle_letter_gram(eta.W))
+    assert cocycle_from_V(rep, eta.V).W == oracle_completed_W(rep, eta.V) == eta.W
 
 
 # -- the word-set evaluator against the plain recursion ----------------------

@@ -115,10 +115,13 @@ def test_square_zero_returns_the_first_failing_recheck_triple(monkeypatch, eta_s
     # letters gives -1 on every letter triple, so the first triple of the
     # recheck is returned with that value
     c = KPairCocycle(eta_sym_u2, eta_sym_u2)
-    batch = KPairCocycle.batch
-    monkeypatch.setattr(
-        KPairCocycle, "batch", lambda self, pairs: [v + Qi(len(u) == 2) for v, (u, _) in zip(batch(self, pairs), pairs)]
-    )
+    batch = KPairCocycle.batch_numerators
+
+    def shifted(self, pairs):
+        re, im, den = batch(self, pairs)
+        return [v + den * (len(u) == 2) for v, (u, _) in zip(re, pairs)], im, den
+
+    monkeypatch.setattr(KPairCocycle, "batch_numerators", shifted)
     a, b, x, value = square_zero_on_letters(c)
     assert value == -ONE
     assert {a, b, x} <= {Element.from_word(2, (l,)) for l in letters(2)}

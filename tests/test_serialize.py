@@ -9,10 +9,12 @@ from conftest import cycle_rep
 from schurmann import (
     CoboundaryCocycle,
     CombinationCocycle,
+    CounitFunctional,
     I,
     InputError,
     KPairCocycle,
     ONE,
+    Primitive,
     QMatrix,
     QVector,
     Qi,
@@ -143,6 +145,15 @@ def test_primitive_letter_grids_must_be_d_by_d(eta_sym_u2):
     obj["values"] = [row[:1] for row in obj["values"][:1]]
     with pytest.raises(InputError, match="d x d"):
         primitive_from_json(obj)
+
+
+def test_primitive_over_a_non_normalized_2cocycle_refused():
+    # d(eps)(1, 1) = 1: the letter recursion would give phi(u[1,1]) = -1
+    # against the letter value 0
+    zero = QMatrix.zero(2, 2)
+    phi = Primitive(coboundary1(CounitFunctional(build_presentation("k_d", 2))), zero, zero)
+    with pytest.raises(InputError, match="2-cocycle must be normalized"):
+        primitive_from_json(through_json(primitive_to_json(phi)))
 
 
 def test_malformed_inputs_rejected():
