@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from typing import Sequence
 
@@ -74,19 +74,19 @@ class Cocycle:
 
     @cached_property
     def numerators(self) -> tuple:
-        """eta(letter h)_k at h * n + k over `letters(d)`, as one column of
-        letter values (`words.columns`): the form that `words.letter_slots`
-        packs for `words.layer_step`, on the word sets of
-        `words.word_set_values`, and from which a pairing reads its letters
-        (`cohomology._pairing_side`)."""
-        return columns([[z for l in letters(self.d) for z in self.letter_value(l)]])
+        """eta(letter h)_k at h * n + k over `letters(d)` (V, then W, row by
+        row), one column of letter values (`words.columns`): what
+        `words.letter_slots` packs for `words.word_set_values`."""
+        return columns([[z for grid in (self.V, self.W) for row in grid for v in row for z in v]])
 
-
-def letter_numerators(eta: Cocycle) -> tuple[list, list, int]:
-    """(re, im, den) of eta(letter h)_k at h * n + k: `Cocycle.numerators`,
-    whose cell of a nonzero value is [(column 0, re, im)], of a zero one []."""
-    values, den = eta.numerators
-    return [c[0][1] if c else 0 for c in values], [c[0][2] if c else 0 for c in values], den
+    @cached_property
+    def letter_rows(self) -> tuple[list, list, int]:
+        """`numerators` as (re, im, den), eta(letter h)_k at re[k][h] + i im[k][h]
+        over `letters(d)` and a 0 last for the empty word: the letters of
+        `cohomology._pairing_side`, `b_matrices` and `CocycleSpace.random_element`."""
+        (values, den), n = self.numerators, self.n
+        re, im = ([[c[0][p] if c else 0 for c in values[k::n]] + [0] for k in range(n)] for p in (1, 2))
+        return re, im, den
 
 
 def gaussian_numerators(values: Sequence[Qi]) -> tuple[list, list, int]:
@@ -220,10 +220,10 @@ class BMatrices:
 
 
 def b_matrices(eta: Cocycle) -> BMatrices:
-    """Row j of b (of b_tilde) pairs the d n `letter_numerators` of u[j,p]
-    (of u*[j,p]) over p with those of each row k."""
-    d, (re, im, den) = eta.d, letter_numerators(eta)
-    rows = [(re[i : i + d * eta.n], im[i : i + d * eta.n]) for i in range(0, len(re), d * eta.n)]
+    """Row j of b (of b_tilde) pairs the d n `Cocycle.letter_rows` entries
+    of u[j,p] (of u*[j,p]), p and the coordinate running, with those of each row k."""
+    d, (re, im, den) = eta.d, eta.letter_rows
+    rows = [[[x for r in part for x in r[i : i + d]] for part in (re, im)] for i in range(0, 2 * d * d, d)]
     # the coordinate lists of the rows of a block, row k in column k
     b, bt = (
         QMatrix([[_qi(*_paired(xr, xi, *ys, k), den * den) for k in range(d)] for xr, xi in block], cols=d)
@@ -343,7 +343,10 @@ class CocycleSpace:
         """Random Q(i)-combination of the basis, one `random_coefficient` per basis vector in order."""
         d, n = self.rep.d, self.rep.n
         coeffs = [random_coefficient(rng) for _ in self.basis]
-        re, im, den = combination_numerators(coeffs, list(map(letter_numerators, self.basis)), 2 * d * d * n)
+        rows = [b.letter_rows for b in self.basis]
+        # each basis vector's letter rows read at h * n + k, the empty word's n zeros last
+        cols = [(list(chain(*zip(*re))), list(chain(*zip(*im))), f) for re, im, f in rows]
+        re, im, den = combination_numerators(coeffs, cols, (2 * d * d + 1) * n)
         return cocycle_general(self.rep, *_grids(d, n, list(map(_qi, re, im, repeat(den)))))
 
 

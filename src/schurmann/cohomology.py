@@ -23,9 +23,9 @@ from itertools import product, repeat
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import Element, Letter, Presentation, counit, letter_index, letters, require_word_len
+from .algebra import Element, Letter, Presentation, counit, letters, require_word_len
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, combination_numerators, gaussian_numerators
-from .cocycle import letter_numerators, scalar_gaussian_cocycle
+from .cocycle import scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, solve
 from .representation import sign_rep
@@ -40,7 +40,10 @@ KP_DEFECT_SIGN = -1
 
 def _diagonal(w) -> bool:
     """counit(w) = 1, i.e. every letter of the word is diagonal."""
-    return all(l.row == l.col for l in w)
+    for l in w:
+        if l.row != l.col:
+            return False
+    return True
 
 
 def _star_word(w):
@@ -56,16 +59,22 @@ def _pair_terms(c, a: Element, b: Element) -> list:
 
 def _sums(evaluate, termss) -> list:
     """sum of coeff * value(key) over each list of (key, coeff) terms, one
-    `Qi` per list, added on the numerators (re, im, den) that evaluate
-    gives for the distinct keys of all of them in one call."""
-    keys = list(dict.fromkeys(k for terms in termss for k, _ in terms))
-    re, im, den = evaluate(keys)
-    at = dict(zip(keys, zip(re, im)))
+    `Qi` per list, added on the numerators (re, im, den) that evaluate gives
+    for the distinct keys of all of them in one call, each key hashed once."""
+    index = {}
+    at = [[index.setdefault(k, len(index)) for k, _ in terms] for terms in termss]
+    re, im, den = evaluate(list(index))
     f = lcm(*(c.den for terms in termss for _, c in terms))
-    # (c.a + i c.b) (a + i b) for each coefficient c and value (a, b) = at[k], over f den
-    re = [sum((c.a * at[k][0] - c.b * at[k][1]) * (f // c.den) for k, c in terms) for terms in termss]
-    im = [sum((c.a * at[k][1] + c.b * at[k][0]) * (f // c.den) for k, c in terms) for terms in termss]
-    return list(map(_qi, re, im, repeat(f * den)))
+    out = []
+    for terms, picks in zip(termss, at):
+        # (c.a + i c.b) (x + i y) for each coefficient c and value x + i y, over f den
+        a = b = 0
+        for (_, c), j in zip(terms, picks):
+            x, y, g = re[j], im[j], f // c.den
+            a += (c.a * x - c.b * y) * g
+            b += (c.a * y + c.b * x) * g
+        out.append(_qi(a, b, f * den))
+    return out
 
 
 class Batched:
@@ -96,28 +105,30 @@ class TwoCocycle(Batched):
         return _sums(self.batch_numerators, [_pair_terms(self, a, b)])[0]
 
 
-def _pairing_side(eta: Cocycle, ws) -> GaussianMatrix:
-    """eta of every word, one column per word: the empty word is 0, a letter
-    reads its column of `Cocycle.numerators` and the distinct longer words
-    go on one word set (`cocycle_columns`).  The word set's denominator is a
-    multiple of the letter values': layer m + 1 is over lcm(rho.den den_m,
-    den_eta) and every word's coefficient is 1."""
-    n, d = eta.n, eta.d
-    lr, li, den = letter_numerators(eta)
-    long = list(dict.fromkeys(w for w in ws if len(w) > 1))
-    short = list(dict.fromkeys(w for w in ws if len(w) <= 1))
-    re, im, f = [[] for _ in range(n)], [[] for _ in range(n)], 1
-    if long:
-        sums = cocycle_columns(eta, [Element.from_word(d, w) for w in long])
-        re, im, f, den = sums.re, sums.im, sums.den // den, sums.den
-    # the empty word reads the n zeros appended to the letter values
-    starts = [letter_index(w[0], d) * n if w else len(lr) for w in short]
-    lr, li = [x * f for x in lr] + [0] * n, [y * f for y in li] + [0] * n
-    for k in range(n):
-        re[k] += [lr[h + k] for h in starts]
-        im[k] += [li[h + k] for h in starts]
-    at = {w: j for j, w in enumerate(long + short)}
-    picks = [at[w] for w in ws]
+@lru_cache(maxsize=16)
+def _positions(d: int, starred: bool) -> dict:
+    """The position in a row of `Cocycle.letter_rows` of the empty word (the
+    last, a 0) and of each (l,) of size d: l's or, starred, l's adjoint's."""
+    alpha = letters(d)
+    return {(): len(alpha)} | {(l.adjoint() if starred else l,): h for h, l in enumerate(alpha)}
+
+
+def _pairing_side(eta: Cocycle, ws, starred: bool = False) -> GaussianMatrix:
+    """eta of every word (starred: of its adjoint), a column per word, one
+    gather per coordinate: the empty word and the letters by `_positions`
+    from `Cocycle.letter_rows`, the distinct longer words (starred only here)
+    from one word set (`cocycle_columns`), over a multiple of the letters'
+    denominator: layer m + 1 is over lcm(rho.den den_m, den_eta)."""
+    re, im, den = eta.letter_rows
+    picks = list(map(_positions(eta.d, starred).get, ws))
+    if None in picks:
+        at = {}
+        picks = [at.setdefault(w, len(re[0]) + len(at)) if p is None else p for w, p in zip(ws, picks)]
+        long = [_star_word(w) for w in at] if starred else at
+        sums = cocycle_columns(eta, [Element.from_word(eta.d, w) for w in long])
+        f, den = sums.den // den, sums.den
+        re = [[x * f for x in row] + s for row, s in zip(re, sums.re)]
+        im = [[y * f for y in row] + s for row, s in zip(im, sums.im)]
     re, im = ([list(map(row.__getitem__, picks)) for row in part] for part in (re, im))
     return GaussianMatrix(re, im, den, len(ws))
 
@@ -127,9 +138,9 @@ class KPairCocycle(TwoCocycle):
     """c(a, b) = <eta1(a*), eta2(b)> for two cocycles on the same representation.
 
     A batch reads eta1 of the starred first words and eta2 of the second
-    words (`_pairing_side`: letters from `Cocycle.numerators`, the longer
-    words of a side on one word set) and pairs them on the numerators, over
-    the product of the two sides' denominators."""
+    words (`_pairing_side`: letters by position, a starred (l,) at l's
+    adjoint's, longer words on a word set) and pairs them on the numerators,
+    over the product of the two sides' denominators."""
 
     eta1: Cocycle
     eta2: Cocycle
@@ -143,8 +154,7 @@ class KPairCocycle(TwoCocycle):
         return self.eta1.presentation
 
     def batch_numerators(self, pairs) -> tuple[list, list, int]:
-        stars = {wa: _star_word(wa) for wa in dict.fromkeys(wa for wa, _ in pairs)}
-        x = _pairing_side(self.eta1, [stars[wa] for wa, _ in pairs])
+        x = _pairing_side(self.eta1, [wa for wa, _ in pairs], starred=True)
         y = _pairing_side(self.eta2, [wb for _, wb in pairs])
         re, im = [0] * len(pairs), [0] * len(pairs)
         for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
@@ -249,8 +259,9 @@ class LetterFunctional(Batched):
 
     def batch_numerators(self, words) -> tuple[list, list, int]:
         """v(w) for every word, from c on the distinct cuts of the distinct words."""
-        index = {}
-        ids = {w: [index.setdefault(cut, len(index)) for cut in _cuts(w)] for w in dict.fromkeys(words)}
+        at, index = {}, {}
+        picks = [at.setdefault(w, len(at)) for w in words]
+        ids = [[index.setdefault(cut, len(index)) for cut in _cuts(w)] for w in at]
         cuts = list(index)
         re, im, den = self.form.batch_numerators([((h,), t) for h, t in cuts])
         # the letter values, read at the cuts with a diagonal tail
@@ -261,8 +272,8 @@ class LetterFunctional(Batched):
         for i, z in ends:
             re[i] += z.a * (f // z.den)
             im[i] += z.b * (f // z.den)
-        picks = [ids[w] for w in words]
-        return [sum(map(re.__getitem__, p)) for p in picks], [sum(map(im.__getitem__, p)) for p in picks], f
+        re, im = ([sum(map(x.__getitem__, p)) for p in ids] for x in (re, im))
+        return list(map(re.__getitem__, picks)), list(map(im.__getitem__, picks)), f
 
     def value(self, a: Element) -> Qi:
         if a.d != self.d:
@@ -380,12 +391,12 @@ def _letter_sums(c: TwoCocycle, *patterns) -> list:
     for each pattern f (indices from 1); the distinct letter pairs of all
     patterns are read in one batch."""
     d, r = c.d, range(1, c.d + 1)
-    grid = [f(j, k, p) for f in patterns for j in r for k in r for p in r]
-    keys = list(dict.fromkeys(grid))
-    re, im, den = c.batch_numerators([((x,), (y,)) for x, y in keys])
-    at = dict(zip(keys, zip(re, im)))
+    index = {}
+    at = [index.setdefault(f(j, k, p), len(index)) for f in patterns for j in r for k in r for p in r]
+    re, im, den = c.batch_numerators([((x,), (y,)) for x, y in index])
     # entry (j, k) of pattern m sums the d items from ((m d + j) d + k) d on
-    cells = [_qi(*map(sum, zip(*map(at.__getitem__, grid[i : i + d]))), den) for i in range(0, len(grid), d)]
+    picks = [at[i : i + d] for i in range(0, len(at), d)]
+    cells = [_qi(sum(map(re.__getitem__, p)), sum(map(im.__getitem__, p)), den) for p in picks]
     rows = [cells[i : i + d] for i in range(0, len(cells), d)]
     return [QMatrix(rows[m : m + d], cols=d) for m in range(0, len(rows), d)]
 

@@ -196,9 +196,14 @@ def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[lis
 
 
 def _cells(sums: list, width: int, slot: int, bound: int) -> list:
-    """The `width` slots of every packed sum, one sum after another, joined
-    through bytes and decoded at once (`_decode`, whose size no cache
-    keeps); ArithmeticError if a slot is outside the bound."""
+    """The `width` slots of every packed sum, decoded at once through bytes
+    (`_decode`, whose size no cache keeps), or one column's sums as they
+    are; ArithmeticError if a slot is outside the bound (`_decode`'s test)."""
+    if width == 1:
+        k = bound.bit_length()
+        if k >= slot or min(sums, default=0) < -(1 << k) or max(sums, default=0) >= 1 << k:
+            raise ArithmeticError(f"an entry is above its layer's bound {bound}")
+        return sums
     bias = _ones(width, slot) << (slot - 1)
     try:
         raw = b"".join(
@@ -221,11 +226,12 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     packed, from the bounds of the layers (`_layer_bounds`) and of the
     element sums.  The layers follow one another in one list per
     coordinate, where the terms read them.  Each layer m + 1 is one
-    `layer_step` on layer m read at its tails.  Each element's sum is
-    one product per term and coordinate, and the sums of a coordinate and
-    part are decoded together and checked against their bound
-    (ArithmeticError).  The sums are over ws.den times the last layer's
-    denominator.  A relation holds iff all its cells are 0.
+    `layer_step` on layer m read at its tails.  Each element's sum is one
+    product per term and coordinate; the sums of a coordinate and part are
+    decoded together (one column, alone in slot 0, skips the pack) and
+    checked against their bound (`_cells`, ArithmeticError).  The sums are
+    over ws.den times the last layer's denominator.  A relation holds iff
+    all its cells are 0.
     """
     counit_terms = eta is not None
     if not counit_terms:

@@ -8,13 +8,17 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     canonical_values,
+    drawn_blocks,
     drawn_elements,
     flat_cocycle,
+    oracle_cocycle,
     oracle_functional,
     oracle_pair,
+    oracle_star,
     oracle_square_zero_on_letters,
     oracle_verify_primitive_exhaustive,
     qi_scalars,
+    unvalidated_rep,
     without_deep_recursion,
 )
 from schurmann import (
@@ -28,6 +32,7 @@ from schurmann import (
     ObstructionError,
     Primitive,
     QMatrix,
+    QVector,
     Qi,
     TwoCocycle,
     ZERO,
@@ -588,6 +593,59 @@ def test_pairing_reads_two_letter_words_on_the_word_set(monkeypatch, eta_sym_u2)
 
     monkeypatch.setattr(cocycle, "word_set_values", shifted)
     assert c.batch(word_pairs) != want
+
+
+@given(st.data())
+def test_pairing_sides_read_letters_through_the_position_tables(every_kind, data):
+    # one batch of the empty word, every letter and three-letter words, some
+    # twice, on a carrier of n = 1 to 3: eta of each word unstarred, eta of
+    # its adjoint starred (a starred table that kept (l,) at l would show)
+    for pres in every_kind:
+        d, n = pres.d, data.draw(st.integers(1, 3))
+        rep = unvalidated_rep(pres, drawn_blocks(data, d, n), n)
+        eta = flat_cocycle(rep, data.draw(st.lists(qi_scalars, min_size=2 * d * d * n, max_size=2 * d * d * n)))
+        alpha = letters(d)
+        long = data.draw(st.lists(st.tuples(*[st.sampled_from(alpha)] * 3), min_size=1, max_size=3))
+        ws = data.draw(st.permutations([()] + [(l,) for l in alpha] + long))
+        ws += ws[:3]
+        for starred in (False, True):
+            side = cohomology._pairing_side(eta, ws, starred)
+            elements = [Element.from_word(d, w) for w in ws]
+            want = [oracle_cocycle(eta, oracle_star(a) if starred else a) for a in elements]
+            assert [QVector(side.column(j)) for j in range(len(ws))] == want
+
+
+def test_letter_pairings_star_no_word(monkeypatch, every_kind):
+    # a batch of letter pairs reads both sides through the position tables
+    # and stars no word; a batch with longer words stars each of its
+    # distinct longer first words once
+    starred = []
+    star_word = cohomology._star_word
+    monkeypatch.setattr(cohomology, "_star_word", lambda w: starred.append(w) or star_word(w))
+    for pres in every_kind:
+        space = solve_cocycles(counit_rep(pres, 1))
+        c = KPairCocycle(space.basis[0], space.basis[-1])
+        alpha = letters(pres.d)
+        c.batch([((), ())] + [((h,), (l,)) for h in alpha for l in alpha])
+        assert starred == []
+        c.batch([((h, l), (l,)) for h in alpha[:2] for l in alpha] * 2)
+        assert sorted(starred) == sorted((h, l) for h in alpha[:2] for l in alpha)
+        starred.clear()
+
+
+@given(st.data())
+def test_sums_match_the_plain_sum_of_batch_values(eta_sym_u2, data):
+    # keys repeated within and across the term lists, Gaussian coefficients
+    # over mixed denominators and empty lists, against sum coeff batch(key)
+    # on Qi; the pairing's values are Gaussian, so each cross term counts
+    c = KPairCocycle(eta_sym_u2, eta_sym_u2)
+    alpha = letters(2)
+    pool = [((), ()), ((alpha[0], alpha[5]), (alpha[2],))] + [((h,), (l,)) for h in alpha[:3] for l in alpha[4:6]]
+    terms = st.lists(st.tuples(st.sampled_from(pool), qi_scalars), max_size=6)
+    termss = data.draw(st.lists(terms, max_size=4))
+    termss += [[]] + termss[:1]
+    want = [sum((coeff * c.batch([key])[0] for key, coeff in ts), ZERO) for ts in termss]
+    assert cohomology._sums(c.batch_numerators, termss) == want
 
 
 def test_functionals_on_a_long_word_match_recursion(eta_sym_u2, k2_pairing_primitive):

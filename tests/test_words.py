@@ -6,13 +6,16 @@ Slots are written here from plain lists at the narrowest width and at 64,
 128 and 256 bits, on entries that fill a 64-bit slot to the last bit, need
 128-bit or wider slots, and change sign from slot to slot (borrows and
 carries across slots), and read back; an understated bound, a bound the
-slots cannot hold and a slot past the top are refused.
+slots cannot hold and a slot past the top are refused.  One column is not
+packed: its values equal column 0 of a packed pair.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from schurmann.words import _decode, _width
+from conftest import drawn_blocks, qi_scalars, unvalidated_rep
+from schurmann import ZERO
+from schurmann.words import _decode, _width, columns, word_set_values
 
 TOP = 2**63
 entries = st.one_of(
@@ -61,3 +64,17 @@ def test_decode_guard_refuses_an_understated_bound():
     ):
         with pytest.raises(ArithmeticError, match="above its layer's bound"):
             _decode(raw, width, bound)
+
+
+@given(st.data())
+def test_one_column_equals_column_zero_of_a_packed_pair(u2, o3, data):
+    # the relations of u2 and o3 on one column of random letter values, and
+    # on the same column beside a zero column, packed in two slots
+    for pres in (u2, o3):
+        d, n = pres.d, data.draw(st.integers(1, 2))
+        rep = unvalidated_rep(pres, drawn_blocks(data, d, n), n)
+        vec = data.draw(st.lists(qi_scalars, min_size=2 * d * d * n, max_size=2 * d * d * n))
+        ws = pres.relation_words
+        one = word_set_values(ws, rep.action, n, columns([vec]))
+        two = word_set_values(ws, rep.action, n, columns([vec, [ZERO] * len(vec)]), 2)
+        assert (one.re, one.im, one.den) == (two.re[:n], two.im[:n], two.den)
