@@ -8,6 +8,10 @@ the free orthogonal algebras O_d+ and O_F+ (F Fbar = +-I), and the twisted
 determinant algebras SU_q(d) with 0 < q < 1.  A presentation above the
 table budget is refused from d before anything is built.
 
+The 2 d^2 letters of size d are built once per d (`letter_table`, with each
+letter's position, adjoint and counit); the relation families, the star and
+the word sets read their letters from it and build none.
+
 Sparse elements compile onto the suffix closure of their words (`WordSet`),
 on which `words.word_set_values` evaluates rho and eta; a presentation
 compiles its relations once, on first use.
@@ -108,6 +112,14 @@ class Element:
             if not (1 <= l.row <= d and 1 <= l.col <= d):
                 raise ValueError(f"letter {l!r} out of range for d={d}")
 
+    @staticmethod
+    def _unchecked(d: int, terms: dict[Word, Qi]) -> "Element":
+        """The element of terms the caller knows to be nonzero and in range."""
+        a = object.__new__(Element)
+        object.__setattr__(a, "d", d)
+        object.__setattr__(a, "terms", terms)
+        return a
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -162,13 +174,11 @@ class Element:
         """The *-involution: reverse words, star letters, conjugate coefficients.
 
         It maps in-range words to distinct in-range words and nonzero
-        coefficients to nonzero ones, so the terms are not checked again."""
-        adjoint = _adjoints(self.d).__getitem__
-        terms = {tuple(map(adjoint, w[::-1])): c.conj() for w, c in self.terms.items()}
-        a = object.__new__(Element)
-        object.__setattr__(a, "d", self.d)
-        object.__setattr__(a, "terms", terms)
-        return a
+        coefficients to nonzero ones, so the terms are not checked again;
+        a real coefficient is its own conjugate."""
+        adjoint = letter_table(self.d).adjoint.__getitem__
+        terms = {tuple(map(adjoint, w[::-1])): c.conj() if c.b else c for w, c in self.terms.items()}
+        return Element._unchecked(self.d, terms)
 
     # -- queries ----------------------------------------------------------
 
@@ -238,25 +248,33 @@ def all_permutations(d: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(1, d + 1))]
 
 
-def letters(d: int, starred: bool = True) -> list[Letter]:
-    out = [
-        Letter(j, k, s)
-        for s in ((False, True) if starred else (False,))
-        for j in range(1, d + 1)
-        for k in range(1, d + 1)
-    ]
-    return out
+class LetterTable(NamedTuple):
+    """The letters of size d in `letters(d)` order, u[j,k] (s = 0) or u*[j,k]
+    (s = 1) at `grid[s][j - 1][k - 1]`, each letter's position and adjoint,
+    and whether the letter at each position has counit 1."""
+
+    letters: tuple[Letter, ...]
+    grid: tuple
+    index: dict[Letter, int]
+    adjoint: dict[Letter, Letter]
+    diagonal: tuple[bool, ...]
 
 
 @lru_cache(maxsize=8)
-def _adjoints(d: int) -> dict[Letter, Letter]:
-    """Every letter of size d mapped to its adjoint."""
-    return {l: l.adjoint() for l in letters(d)}
+def letter_table(d: int) -> LetterTable:
+    """The letter table of size d, built once per d."""
+    r = range(1, d + 1)
+    grid = tuple(tuple(tuple(Letter(j, k, s) for k in r) for j in r) for s in (False, True))
+    alpha = tuple(l for half in grid for row in half for l in row)
+    adjoint = {l: grid[not l.star][l.row - 1][l.col - 1] for l in alpha}
+    index = {l: h for h, l in enumerate(alpha)}
+    return LetterTable(alpha, grid, index, adjoint, tuple(l.row == l.col for l in alpha))
 
 
-def letter_index(l: Letter, d: int) -> int:
-    """The position of the letter in `letters(d)`."""
-    return (l.star * d + l.row - 1) * d + l.col - 1
+def letters(d: int, starred: bool = True) -> list[Letter]:
+    """The letters of size d, u[j,k] row by row, then (starred) u*[j,k]."""
+    alpha = letter_table(d).letters
+    return list(alpha if starred else alpha[: d * d])
 
 
 def words_up_to(d: int, max_len: int, starred: bool = True) -> Iterator[Word]:
@@ -301,34 +319,36 @@ class WordSet(NamedTuple):
 def word_set(d: int, elements: Sequence[Element]) -> WordSet:
     """The elements compiled onto the suffix closure of their words."""
     items = [t for a in elements for t in a.terms.items()]
-    by_len: list[set] = [{()}]
-    for w, _ in items:
-        while len(by_len) <= len(w):
-            by_len.append(set())
+    words = [w for w, _ in items]
+    # a word in the closure holds its suffixes: a word adds those up to the first present
+    closure = {(): None}
+    for w in words:
         for k in range(len(w)):
             s = w[k:]
-            if s in by_len[len(s)]:
-                break  # and so are its suffixes
-            by_len[len(s)].add(s)
+            if s in closure:
+                break
+            closure[s] = None
+    by_len = [[] for _ in range(max(map(len, closure)) + 1)]
+    for s in closure:
+        by_len[len(s)].append(s)
+    table = letter_table(d)
+    index, diagonal_letter = table.index, table.diagonal
     # diagonal[number of w]: whether w has counit 1
     number, diagonal = {(): 0}, [True]
     layers, sizes = [], [1]
-    for words in by_len[1:]:
+    for layer in by_len[1:]:
         # (head, tail) tells the words apart, so w itself is never compared
-        keyed = sorted((letter_index(w[0], d), number[w[1:]], w) for w in words)
-        heads = [h for h, _, _ in keyed]
-        tails = [t for _, t, _ in keyed]
+        heads, tails, layer = map(list, zip(*sorted([(index[w[0]], number[w[1:]], w) for w in layer])))
+        number.update(zip(layer, range(len(diagonal), len(diagonal) + len(layer))))
         eps = [i for i, t in enumerate(tails) if diagonal[t]]
-        for _, t, w in keyed:
-            number[w] = len(diagonal)
-            diagonal.append(diagonal[t] and w[0].row == w[0].col)
+        diagonal += [diagonal[t] and diagonal_letter[h] for h, t in zip(heads, tails)]
         layers.append((heads, tails, eps))
-        sizes.append(len(words))
+        sizes.append(len(layer))
     den = lcm(*(c.den for _, c in items))
     re = [c.a * (den // c.den) for _, c in items]
     im = [c.b * (den // c.den) for _, c in items]
-    at = [number[w] for w, _ in items]
-    lengths = [len(w) for w, _ in items]
+    at = list(map(number.__getitem__, words))
+    lengths = list(map(len, words))
     cuts = list(itertools.accumulate((len(a.terms) for a in elements), initial=0))
     starts, ends = cuts[:-1], cuts[1:]
     return WordSet(tuple(layers), tuple(sizes), re, im, at, lengths, starts, ends, den)
@@ -374,6 +394,12 @@ _TRANSPOSE_UNITARITY = (("ubar·ut", False, True), ("ut·ubar", True, False))
 _Q_WEIGHTED = (("q_row", True, False), ("q_col", False, True))
 
 
+# The families build their elements unchecked: the letters come from the table
+# of size d, a relation's words are distinct, and no coefficient is 0 (weights
+# Q_rr / Q_cc > 0, units +-1, twists (-q)^k for q > 0, F's zero entries left out).
+_MINUS_ONE = -ONE
+
+
 def _quadratic_relations(d: int, families, q_diag: Sequence[Rational] | None = None):
     """sum_p w a b - delta_jk for every (j, k), the families interleaved.
 
@@ -386,66 +412,77 @@ def _quadratic_relations(d: int, families, q_diag: Sequence[Rational] | None = N
         weights = [[ONE] * d for _ in range(d)]
     else:
         weights = [[Qi(qr / qc) for qc in q_diag] for qr in q_diag]
+    # line j of u, u* and the weights: the entries [j,p] (row form) or [p,j]
+    # (column form); a reads line j, b line k, the weight the starred letter's
+    grid = letter_table(d).grid
+    forms = []
+    for label, column, star_first in families:
+        lines = [list(zip(*g)) for g in (*grid, weights)] if column else [*grid, weights]
+        forms.append((label, lines[star_first], lines[not star_first], lines[2], star_first))
     rels = []
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            for label, column, star_first in families:
-                terms = {}
-                for p in range(1, d + 1):
-                    a, b = ((p, j), (p, k)) if column else ((j, p), (k, p))
-                    r, c = a if star_first else b
-                    w = weights[r - 1][c - 1]
-                    terms[(Letter(*a, star_first), Letter(*b, not star_first))] = w
+    for j in range(d):
+        for k in range(d):
+            for label, a, b, w, star_first in forms:
+                terms = dict(zip(zip(a[j], b[k]), w[j if star_first else k]))
                 if j == k:
-                    terms[()] = -ONE
-                rels.append((f"{label}({j},{k})", Element(d, terms)))
+                    terms[()] = _MINUS_ONE
+                rels.append((f"{label}({j + 1},{k + 1})", Element._unchecked(d, terms)))
     return rels
 
 
 def _symmetry_relations(d: int) -> list[tuple[str, Element]]:
+    u, u_star = letter_table(d).grid
     return [
-        (f"sym({j},{k})", Element(d, {(Letter(j, k, False),): ONE, (Letter(j, k, True),): -ONE}))
-        for j in range(1, d + 1)
-        for k in range(1, d + 1)
+        (f"sym({j + 1},{k + 1})", Element._unchecked(d, {(u[j][k],): ONE, (u_star[j][k],): _MINUS_ONE}))
+        for j in range(d)
+        for k in range(d)
     ]
 
 
 def _form_relations(d: int, F: QMatrix) -> list[tuple[str, Element]]:
     # entrywise uF = F ubar, i.e. sum_p u[j,p] F[p,k] - sum_p F[j,p] u*[p,k]
+    u, u_star = letter_table(d).grid
+    plus, minus, r = F.data, (-F).data, range(d)
     rels = []
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
+    for j in r:
+        for k in r:
             terms = {}
-            for p in range(1, d + 1):
-                terms[(Letter(j, p, False),)] = F[p - 1][k - 1]
-                terms[(Letter(p, k, True),)] = -F[j - 1][p - 1]
-            rels.append((f"uF-Fubar({j},{k})", Element(d, terms)))
+            for p in r:
+                if plus[p][k]:
+                    terms[(u[j][p],)] = plus[p][k]
+                if plus[j][p]:
+                    terms[(u_star[p][k],)] = minus[j][p]
+            rels.append((f"uF-Fubar({j + 1},{k + 1})", Element._unchecked(d, terms)))
     return rels
 
 
 def _determinant_relations(d: int, q: Rational) -> list[tuple[str, Element]]:
-    def twist(perm) -> Qi:
-        return Qi((-q) ** inversion_count(perm))
-
+    # u[s,t] at columns[t - 1][s - 1]; each permutation's twist built once
+    columns, perms = list(zip(*letter_table(d).grid[0])), all_permutations(d)
+    twists = [Qi((-q) ** inversion_count(perm)) for perm in perms]
+    rows = [[s - 1 for s in sigma] for sigma in perms]
     rels = []
-    for tau in all_permutations(d):
-        terms = {
-            tuple(Letter(s, t, False) for s, t in zip(sigma, tau)): twist(sigma)
-            for sigma in all_permutations(d)
-        }
-        terms[()] = -twist(tau)
-        rels.append((f"det({','.join(map(str, tau))})", Element(d, terms)))
+    for tau, twist in zip(perms, twists):
+        lines = [columns[t - 1] for t in tau]
+        terms = {tuple(map(tuple.__getitem__, lines, row)): tw for row, tw in zip(rows, twists)}
+        terms[()] = -twist
+        rels.append((f"det({','.join(map(str, tau))})", Element._unchecked(d, terms)))
     return rels
 
 
 def _star_close(rels: list[tuple[str, Element]]) -> tuple[tuple[str, Element], ...]:
-    present = {r for _, r in rels}
+    """rels, then each star not yet present, labelled label*: looked up by
+    its words, then compared on coefficients (sym(j,k)* = -sym(j,k) is new)."""
+    present: dict[frozenset, list[Element]] = {}
+    for _, r in rels:
+        present.setdefault(frozenset(r.terms), []).append(r)
     out = list(rels)
     for lbl, r in rels:
         rs = r.star()
-        if rs not in present:
+        same = present.setdefault(frozenset(rs.terms), [])
+        if rs not in same:
             out.append((f"{lbl}*", rs))
-            present.add(rs)
+            same.append(rs)
     return tuple(out)
 
 

@@ -23,7 +23,7 @@ from itertools import product, repeat
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import Element, Letter, Presentation, counit, letters, require_word_len
+from .algebra import Element, Letter, Presentation, counit, letter_table, letters, require_word_len
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, combination_numerators, gaussian_numerators
 from .cocycle import scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
@@ -109,8 +109,8 @@ class TwoCocycle(Batched):
 def _positions(d: int, starred: bool) -> dict:
     """The position in a row of `Cocycle.letter_rows` of the empty word (the
     last, a 0) and of each (l,) of size d: l's or, starred, l's adjoint's."""
-    alpha = letters(d)
-    return {(): len(alpha)} | {(l.adjoint() if starred else l,): h for h, l in enumerate(alpha)}
+    table = letter_table(d)
+    return {(): 2 * d * d} | {(table.adjoint[l] if starred else l,): h for h, l in enumerate(table.letters)}
 
 
 def _pairing_side(eta: Cocycle, ws, starred: bool = False) -> GaussianMatrix:
@@ -386,14 +386,26 @@ def square_zero_on_letters(c: TwoCocycle):
 _UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
 
 
+def _pattern_positions(d: int, letter: str) -> list:
+    """The position in `letters(d)` of a pattern letter, u[a,b] or u*[a,b]
+    with a and b each one of j, k and p, at every (j, k, p) in product order."""
+    row, col = ("jkp".index(x) for x in (letter[-4], letter[-2]))
+    base = d * d if "*" in letter else 0
+    return [base + v[row] * d + v[col] for v in product(range(d), repeat=3)]
+
+
 def _letter_sums(c: TwoCocycle, *patterns) -> list:
-    """The d x d matrix of sum_p c(x, y) over the letters (x, y) = f(j, k, p)
-    for each pattern f (indices from 1); the distinct letter pairs of all
-    patterns are read in one batch."""
-    d, r = c.d, range(1, c.d + 1)
+    """The d x d matrix of sum_p c(x, y) at (j, k) for each pattern "x y",
+    x and y letters such as u*[p,j] (indices from 1); the distinct letter
+    pairs of all patterns are read in one batch, in the order first met."""
+    d, n = c.d, 2 * c.d * c.d
     index = {}
-    at = [index.setdefault(f(j, k, p), len(index)) for f in patterns for j in r for k in r for p in r]
-    re, im, den = c.batch_numerators([((x,), (y,)) for x, y in index])
+    at = []
+    for pattern in patterns:
+        xs, ys = (_pattern_positions(d, letter) for letter in pattern.split())
+        at += [index.setdefault(x * n + y, len(index)) for x, y in zip(xs, ys)]
+    alpha = letter_table(d).letters
+    re, im, den = c.batch_numerators([((alpha[key // n],), (alpha[key % n],)) for key in index])
     # entry (j, k) of pattern m sums the d items from ((m d + j) d + k) d on
     picks = [at[i : i + d] for i in range(0, len(at), d)]
     cells = [_qi(sum(map(re.__getitem__, p)), sum(map(im.__getitem__, p)), den) for p in picks]
@@ -411,11 +423,7 @@ def defect_unitary(c: TwoCocycle) -> QMatrix:
     if c.presentation.kind not in _UNITARY_KINDS:
         raise ValueError("unitary defect needs a unitary-flavored presentation")
     _require_normalized(c)
-    plus, minus = _letter_sums(
-        c,
-        lambda j, k, p: (Letter(p, j, True), Letter(p, k, False)),
-        lambda j, k, p: (Letter(k, p, True), Letter(j, p, False)),
-    )
+    plus, minus = _letter_sums(c, "u*[p,j] u[p,k]", "u*[k,p] u[j,p]")
     m = plus - minus
     if not m.trace().is_zero():
         raise ArithmeticError("unitary defect with nonzero trace", m)
@@ -427,11 +435,7 @@ def defect_orthogonal(c: TwoCocycle) -> QMatrix:
     if c.presentation.kind != "o_plus":
         raise ValueError("orthogonal defect needs an o_plus presentation")
     _require_normalized(c)
-    plus, minus = _letter_sums(
-        c,
-        lambda j, k, p: (Letter(j, p, False), Letter(k, p, False)),
-        lambda j, k, p: (Letter(k, p, False), Letter(j, p, False)),
-    )
+    plus, minus = _letter_sums(c, "u[j,p] u[k,p]", "u[k,p] u[j,p]")
     m = plus - minus
     if not (m + m.transpose()).is_zero():
         raise ArithmeticError("orthogonal defect that is not antisymmetric", m)
@@ -450,22 +454,11 @@ def sum_identity_defects(c: TwoCocycle) -> dict:
     the generator matrix and is computed on o_plus only.
     """
     kind = c.presentation.kind
-    patterns = {
-        "z1": (
-            lambda j, k, p: (Letter(p, j, True), Letter(p, k, False)),
-            lambda j, k, p: (Letter(j, p, False), Letter(k, p, True)),
-        )
-    }
+    patterns = {"z1": ("u*[p,j] u[p,k]", "u[j,p] u*[k,p]")}
     if kind in ("u_plus", "o_plus"):
-        patterns["z2"] = (
-            lambda j, k, p: (Letter(j, p, True), Letter(k, p, False)),
-            lambda j, k, p: (Letter(p, j, False), Letter(p, k, True)),
-        )
+        patterns["z2"] = ("u*[j,p] u[k,p]", "u[p,j] u*[p,k]")
     if kind == "o_plus":
-        patterns["o"] = (
-            lambda j, k, p: (Letter(p, j, False), Letter(p, k, False)),
-            lambda j, k, p: (Letter(j, p, False), Letter(k, p, False)),
-        )
+        patterns["o"] = ("u[p,j] u[p,k]", "u[j,p] u[k,p]")
     sums = iter(_letter_sums(c, *(f for pair in patterns.values() for f in pair)))
     diffs = {name: next(sums) - next(sums) for name in patterns}
     r = range(c.d)
@@ -593,14 +586,14 @@ def primitive(c: TwoCocycle) -> Primitive:
             defect = defect_unitary(c)
             if not defect.is_zero():
                 raise ObstructionError("unitary", defect)
-        (sums,) = _letter_sums(c, lambda j, k, p: (Letter(p, j, True), Letter(p, k, False)))
+        (sums,) = _letter_sums(c, "u*[p,j] u[p,k]")
         values = sums.scale(half)
         star_values = values.transpose()
     elif pres.kind == "o_plus":
         defect = defect_orthogonal(c)
         if not defect.is_zero():
             raise ObstructionError("orthogonal", defect)
-        (sums,) = _letter_sums(c, lambda j, k, p: (Letter(p, j, False), Letter(p, k, False)))
+        (sums,) = _letter_sums(c, "u[p,j] u[p,k]")
         values = sums.scale(half)
         star_values = values
     else:

@@ -22,6 +22,7 @@ from schurmann import (
     representation,
 )
 from schurmann import cocycle
+from schurmann.algebra import Letter, all_permutations, inversion_count
 from schurmann.cocycle import Cocycle
 from schurmann.cohomology import (
     CoboundaryCocycle,
@@ -194,6 +195,93 @@ def oracle_star_close(rels):
             out.append((f"{lbl}*", rs))
             present.add(rs)
     return tuple(out)
+
+
+# -- the former family builders: the oracle for the catalogue -----------------
+# Each builds its letters and checks its terms through the validating
+# constructor; `oracle_presentation` assembles them as the catalogue does.
+
+
+def oracle_quadratic_relations(d, families, q_diag=None):
+    if q_diag is None:
+        weights = [[ONE] * d for _ in range(d)]
+    else:
+        weights = [[Qi(qr / qc) for qc in q_diag] for qr in q_diag]
+    rels = []
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            for label, column, star_first in families:
+                terms = {}
+                for p in range(1, d + 1):
+                    a, b = ((p, j), (p, k)) if column else ((j, p), (k, p))
+                    r, c = a if star_first else b
+                    w = weights[r - 1][c - 1]
+                    terms[(Letter(*a, star_first), Letter(*b, not star_first))] = w
+                if j == k:
+                    terms[()] = -ONE
+                rels.append((f"{label}({j},{k})", Element(d, terms)))
+    return rels
+
+
+def oracle_symmetry_relations(d):
+    return [
+        (f"sym({j},{k})", Element(d, {(Letter(j, k, False),): ONE, (Letter(j, k, True),): -ONE}))
+        for j in range(1, d + 1)
+        for k in range(1, d + 1)
+    ]
+
+
+def oracle_form_relations(d, F):
+    # entrywise uF = F ubar, i.e. sum_p u[j,p] F[p,k] - sum_p F[j,p] u*[p,k]
+    rels = []
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            terms = {}
+            for p in range(1, d + 1):
+                terms[(Letter(j, p, False),)] = F[p - 1][k - 1]
+                terms[(Letter(p, k, True),)] = -F[j - 1][p - 1]
+            rels.append((f"uF-Fubar({j},{k})", Element(d, terms)))
+    return rels
+
+
+def oracle_determinant_relations(d, q):
+    def twist(perm):
+        return Qi((-q) ** inversion_count(perm))
+
+    rels = []
+    for tau in all_permutations(d):
+        terms = {
+            tuple(Letter(s, t, False) for s, t in zip(sigma, tau)): twist(sigma)
+            for sigma in all_permutations(d)
+        }
+        terms[()] = -twist(tau)
+        rels.append((f"det({','.join(map(str, tau))})", Element(d, terms)))
+    return rels
+
+
+# (label, column form, star on the first letter), as in the catalogue
+UNITARITY = (("uu*", False, False), ("u*u", True, True))
+TRANSPOSE_UNITARITY = (("ubar·ut", False, True), ("ut·ubar", True, False))
+Q_WEIGHTED = (("q_row", True, False), ("q_col", False, True))
+
+
+def oracle_presentation(kind, d, q_diag=None, F=None, q=None):
+    """The star-closed relation list of a catalogue presentation, built by
+    the former family builders and the former star closure."""
+    rels = oracle_quadratic_relations(d, UNITARITY)
+    if kind in ("u_plus", "o_plus"):
+        rels += oracle_quadratic_relations(d, TRANSPOSE_UNITARITY)
+    if kind == "o_plus":
+        rels += oracle_symmetry_relations(d)
+    if kind == "u_q":
+        rels += oracle_quadratic_relations(d, Q_WEIGHTED, [rational(x) for x in q_diag])
+    if kind == "o_f":
+        rels += oracle_form_relations(d, F)
+    if kind == "su_q":
+        q = rational(q)
+        rels += oracle_quadratic_relations(d, Q_WEIGHTED, [q ** (2 * (j - d)) for j in range(1, d + 1)])
+        rels += oracle_determinant_relations(d, q)
+    return oracle_star_close(rels)
 
 
 # -- the plain recursions: the oracle for the word-set evaluator ---------------

@@ -1,13 +1,22 @@
 """Free *-algebra elements, the counit, the antipode and the presentations."""
 
 import hashlib
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import oracle_star, oracle_star_close, qi_scalars
+from conftest import oracle_presentation, oracle_star, oracle_star_close, qi_scalars
 from schurmann import algebra
-from schurmann.algebra import MAX_TABLE_ENTRIES, PRESENTATION_KINDS, relation_terms, word_set
+from schurmann.algebra import (
+    MAX_TABLE_ENTRIES,
+    PRESENTATION_KINDS,
+    WordSet,
+    letter_table,
+    relation_terms,
+    word_set,
+)
+from schurmann.cohomology import KPairCocycle, _letter_sums
 from schurmann.errors import InputError
 from schurmann import (
     Element,
@@ -147,6 +156,12 @@ STAR_CASES = (
     + [("u_q", d, {"q_diag": [1] * (d - 1) + [2]}) for d in (2, 3, 4)]
     + [("o_f", d, {"F": _paired_form(d)}) for d in (1, 2, 3, 4)]
     + [("su_q", d, {"q": "1/2"}) for d in (1, 2, 3)]
+    # o_f with a Kac form, a non-Kac form without zero entries and a form
+    # with F conj(F) = -I; su_q at another q
+    + [("o_f", d, {"F": QMatrix.identity(d)}) for d in (2, 3, 4)]
+    + [("o_f", 2, {"F": QMatrix([[Qi(2), Qi(3)], [Qi(-1), Qi(-2)]])})]
+    + [("o_f", 2, {"F": QMatrix([[ZERO, ONE], [-ONE, ZERO]])})]
+    + [("su_q", 3, {"q": "2/3"})]
 )
 
 
@@ -293,3 +308,106 @@ def test_word_set_is_suffix_closed_and_layered():
     halves, thirds = Qi(rational("1/2")), Qi(0, rational("1/3"))
     ws = word_set(2, [Element(2, {(a,): halves}), Element(2, {(b,): thirds})])
     assert (ws.re, ws.im, ws.den) == ([3, 0], [0, 2], 6)
+
+
+@pytest.mark.parametrize(
+    "kind, d, kwargs", STAR_CASES, ids=[f"{k}{d}-{i}" for i, (k, d, _) in enumerate(STAR_CASES)]
+)
+def test_the_catalogue_matches_the_plain_builders(kind, d, kwargs):
+    p = build_presentation(kind, d, **kwargs)
+    expected = oracle_presentation(kind, d, **kwargs)
+    assert [lbl for lbl, _ in p.relations] == [lbl for lbl, _ in expected]
+    for (lbl, r), (_, e) in zip(p.relations, expected):
+        # the words, their exact coefficients and the order they were inserted in
+        assert r.d == d and list(r.terms.items()) == list(e.terms.items()), lbl
+
+
+def _brute_force_word_set(d, elements):
+    """The word set by its definition: every suffix of every word, numbered
+    layer by layer in (head position, tail number) order."""
+    alpha = letters(d)
+    items = [t for a in elements for t in a.terms.items()]
+    closure = {()} | {w[k:] for w, _ in items for k in range(len(w))}
+    number, layers, sizes = {(): 0}, [], [1]
+    for m in range(1, max(map(len, closure)) + 1):
+        layer = sorted((w for w in closure if len(w) == m), key=lambda w: (alpha.index(w[0]), number[w[1:]]))
+        for w in layer:
+            number[w] = len(number)
+        heads = [alpha.index(w[0]) for w in layer]
+        tails = [number[w[1:]] for w in layer]
+        eps = [i for i, w in enumerate(layer) if all(l.row == l.col for l in w[1:])]
+        layers.append((heads, tails, eps))
+        sizes.append(len(layer))
+    den = lcm(*(c.den for _, c in items))
+    ends = [sum(len(a.terms) for a in elements[: e + 1]) for e in range(len(elements))]
+    return WordSet(
+        tuple(layers),
+        tuple(sizes),
+        [int(c.re * den) for _, c in items],
+        [int(c.im * den) for _, c in items],
+        [number[w] for w, _ in items],
+        [len(w) for w, _ in items],
+        [0] + ends[:-1],
+        ends,
+        den,
+    )
+
+
+@given(st.data())
+def test_word_set_matches_the_brute_force_closure(data):
+    d = data.draw(st.integers(1, 3))
+    alpha = letters(d)
+    drawn = data.draw(st.lists(st.lists(st.sampled_from(alpha), max_size=4).map(tuple), min_size=1, max_size=4))
+    # the drawn words, their suffixes and each word with its head replaced:
+    # elements drawn from them repeat words and share suffixes
+    pool = [w[k:] for w in drawn for k in range(len(w) + 1)] + [(l,) + w[1:] for w in drawn if w for l in alpha[:3]]
+    element = st.lists(st.tuples(st.sampled_from(pool), qi_scalars), max_size=5).map(
+        lambda pairs: Element(d, dict(pairs))
+    )
+    elements = data.draw(st.lists(element, min_size=1, max_size=4))
+    assert word_set(d, elements) == _brute_force_word_set(d, elements)
+
+
+def test_the_letter_table():
+    for d in (1, 2, 3):
+        table, r = letter_table(d), range(1, d + 1)
+        assert table.letters == tuple(Letter(j, k, s) for s in (False, True) for j in r for k in r)
+        for h, l in enumerate(table.letters):
+            assert table.grid[l.star][l.row - 1][l.col - 1] is l
+            assert table.index[l] == h and table.diagonal[h] == (l.row == l.col)
+            assert table.adjoint[l] == l.adjoint() and table.adjoint[table.adjoint[l]] is l
+        assert letters(d, starred=False) == list(table.letters[: d * d])
+    # letters hands out a fresh list: changing it leaves the table as it is
+    alpha = letters(2)
+    alpha.reverse()
+    alpha.append(None)
+    assert letters(2) == list(letter_table(2).letters) == [Letter(j, k, s) for s in (False, True) for j in (1, 2) for k in (1, 2)]
+
+
+HOT_PATH_KINDS = [
+    ("k_d", {}),
+    ("u_plus", {}),
+    ("u_q", {"q_diag": [1, 2, 3]}),
+    ("o_plus", {}),
+    ("o_f", {"F": _paired_form(3)}),
+    ("su_q", {"q": "1/2"}),
+]
+LETTER_PATTERNS = ("u*[p,j] u[p,k]", "u*[k,p] u[j,p]", "u[j,p] u*[k,p]", "u[p,j] u[p,k]", "u[j,p] u[k,p]")
+
+
+def test_the_hot_path_builds_no_letter(monkeypatch, eta_sym_u2, eta_rot_o3):
+    pairings = [KPairCocycle(eta, eta) for eta in (eta_sym_u2, eta_rot_o3)]
+    # a first build fills the per-d letter tables
+    for kind, kwargs in HOT_PATH_KINDS:
+        build_presentation(kind, 3, **kwargs)
+    sums = [_letter_sums(c, *LETTER_PATTERNS) for c in pairings]
+    built, new = [], Letter.__new__
+    monkeypatch.setattr(Letter, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
+    for kind, kwargs in HOT_PATH_KINDS:
+        p = build_presentation(kind, 3, **kwargs)
+        word_set(3, [r for _, r in p.relations])
+        assert built == [], kind
+    assert [_letter_sums(c, *LETTER_PATTERNS) for c in pairings] == sums
+    assert built == []
+    # the spy sees a letter that is built
+    assert Letter(1, 2, True).star and built == [(1, 2, True)]
