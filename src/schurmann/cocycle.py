@@ -359,12 +359,15 @@ def _relation_sums(rep: Representation, eta, width: int, what: str) -> GaussianM
 
 def _coefficient_rows(sums: GaussianMatrix, n: int, width: int) -> GaussianMatrix:
     """The rows of the relations with a nonzero cell, coordinate k of a
-    relation being its cells v n + k."""
+    relation being its cells v n + k; real sums give one row of zeros as im."""
     nonzero = sums.nonzero_columns()
-    re, im = (
-        [list(cells[e][k::n]) for e in nonzero for k in range(n)]
-        for cells in (list(zip(*sums.re)), list(zip(*sums.im)))
-    )
+
+    def rows(part: list) -> list:
+        cells = list(zip(*part))
+        return [list(cells[e][k::n]) for e in nonzero for k in range(n)]
+
+    re = rows(sums.re)
+    im = rows(sums.im) if any(map(any, sums.im)) else [[0] * width] * len(re)
     return GaussianMatrix(re, im, sums.den, width)
 
 

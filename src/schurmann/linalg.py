@@ -5,7 +5,8 @@ The inner product is conjugate-linear in the FIRST argument,
 and every routine below is exact.  Kernels, ranks, solves and the PSD
 check run one Gauss-Jordan on Gaussian-integer numerator rows (`_rref`,
 `_row_step`), each distinct row up to sign and content once; a `Qi` is
-built only for a nonzero reduced-form entry that is read back.  A
+built only for a nonzero reduced-form entry that is read back; `_rref`
+never computes a zero imaginary part, so a real matrix costs one part.  A
 `GaussianMatrix` is the grid of such numerators over one denominator: the
 word evaluator's vector layers and word-set values and the coefficient
 matrices are of this type, and `kernel_basis` takes its rows as they are
@@ -237,13 +238,20 @@ def _numerators(rows: Sequence[Sequence[Qi]]) -> tuple[list[list[int]], list[lis
     return re, im
 
 
-def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list]:
+def _row_step(p: int, f: tuple[int, int], x: tuple, y: tuple) -> tuple[list, list | None]:
     """The step of `_rref` and `psd_check`: the row (p x - f y) / g for
     numerator rows x = (re, im) and y, an integer p > 0, a Gaussian integer
     f = (re, im) and g > 0 the integer gcd of the parts of p x - f y.  The
     pivot p is real, so no Gaussian factor (such as 2 + i) that the integer
-    gcd cannot remove piles up in a row."""
+    gcd cannot remove piles up in a row.  An im of None is a zero imaginary
+    part: for x, y and f real only the real part is computed (im None)."""
     (fr, fi), (xr, xi), (yr, yi) = f, x, y
+    if xi is None and yi is None and not fi:
+        re = [p * a - fr * c for a, c in zip(xr, yr)]
+        g = gcd(*re)
+        return ([a // g for a in re] if g > 1 else re), None
+    xi = repeat(0) if xi is None else xi
+    yi = repeat(0) if yi is None else yi
     re = [p * a - fr * c + fi * d for a, c, d in zip(xr, yr, yi)]
     im = [p * b - fr * d - fi * c for b, c, d in zip(xi, yr, yi)]
     g = gcd(*re, *im)
@@ -257,10 +265,12 @@ def _primitive_rows(re: Sequence[list], im: Sequence[list]) -> list[tuple]:
     """The distinct nonzero rows (re[r], im[r]) up to sign and content, in
     order of first occurrence: each divided by the integer gcd of its parts,
     negated if the first nonzero entry of (*re, *im) is negative, zero rows
-    dropped."""
+    dropped.  A row with a zero imaginary part comes back as (re, None),
+    keyed by re alone, which no (twice as long) complex key can equal."""
     seen: dict[tuple, tuple] = {}
     for x, y in zip(re, im):
-        flat = (*x, *y)
+        real = not any(y)
+        flat = tuple(x) if real else (*x, *y)
         g = gcd(*flat)
         if not g:
             continue
@@ -269,7 +279,7 @@ def _primitive_rows(re: Sequence[list], im: Sequence[list]) -> list[tuple]:
         if g != 1:
             flat = tuple(map(g.__rfloordiv__, flat))  # v // g for each v
         if flat not in seen:
-            seen[flat] = (list(flat[: len(x)]), list(flat[len(x) :]))
+            seen[flat] = (list(flat), None) if real else (list(flat[: len(x)]), list(flat[len(x) :]))
     return list(seen.values())
 
 
@@ -281,26 +291,28 @@ def _rref(re: Sequence[list], im: Sequence[list], ncols: int) -> tuple[list[tupl
     nonzero integer changes neither the kernel nor any reduced entry, so the
     rows are first deduplicated up to sign and content and zero rows are
     dropped (`_primitive_rows`): fewer rows than were given may come back,
-    each pivot row first, then the rows eliminated to zero."""
+    each pivot row first, then the rows eliminated to zero.  A zero
+    imaginary part is never computed: a row read as real stays real through
+    steps with real pivot rows, and comes back with an im of zeros."""
     out = _primitive_rows(re, im)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        k = next((k for k in range(r, len(out)) if out[k][0][c] or out[k][1][c]), None)
+        k = next((k for k in range(r, len(out)) if out[k][0][c] or out[k][1] and out[k][1][c]), None)
         if k is None:
             continue
         out[r], out[k] = out[k], out[r]
         y = out[r]
-        pr, pi = y[0][c], y[1][c]
+        pr, pi = y[0][c], y[1][c] if y[1] else 0
         for i, x in enumerate(out):
-            fr, fi = x[0][c], x[1][c]
+            fr, fi = x[0][c], x[1][c] if x[1] else 0
             if i != r and (fr or fi):
                 f = fr * pr + fi * pi, fi * pr - fr * pi
                 out[i] = _row_step(pr * pr + pi * pi, f, x, y)
         pivots.append(c)
         if r + 1 == len(out):
             break
-    return out, pivots
+    return [(x, [0] * len(x) if y is None else y) for x, y in out], pivots
 
 
 def _entry(row: tuple, col: int, pivot: int) -> Qi:
@@ -352,7 +364,8 @@ class GaussianMatrix:
     ints over one positive denominator, `cols` columns (square unless
     given, also with no rows).  Rows index to `Qi`, and `column` reads a
     column as `Qi`.  A vector layer is one row per coordinate and one column
-    per word; word-set values are one column per element."""
+    per word; word-set values are one column per element.  Rows are read,
+    never written in place, so one row of zeros may stand for several."""
 
     __slots__ = ("re", "im", "den", "cols")
 
@@ -390,7 +403,8 @@ class GaussianMatrix:
 
     def nonzero_columns(self) -> list:
         """Indices of the columns with a nonzero entry, in order."""
-        return [j for j, cells in enumerate(zip(*self.re, *self.im)) if any(cells)]
+        rows = chain(self.re, self.im) if any(map(any, self.im)) else self.re
+        return [j for j, cells in enumerate(zip(*rows)) if any(cells)]
 
 
 def _paired(xr, xi, yr, yi, j: int) -> tuple[int, int]:

@@ -25,6 +25,10 @@ decoded at once, every slot checked against the bound (`_decode`,
 ArithmeticError).  Packing along the words instead was slower in a
 prototype (a dead end).
 
+A zero imaginary part is never computed: when rho (`Action.real`), the
+coefficients and the letter values are real, read from the inputs and
+never from a presentation kind, the layers and sums run on the real half.
+
 No functional or 2-cocycle is tabulated.  Functionals and 2-cocycles
 evaluate their batches of words on word sets, through the cuts of the
 letter recursion (`cohomology.LetterFunctional.batch`).
@@ -99,11 +103,12 @@ class Action(NamedTuple):
     every l with rho(h)_kl nonzero for some letter h, (l, the real
     numerators of rho(h)_kl indexed by h, the imaginary ones or None if
     they are all 0): the coefficients that `layer_step` gathers by head
-    letter."""
+    letter; real: every imaginary part above is None."""
 
     den: int
     norm: int
     by_head: list
+    real: bool
 
 
 def action(matrices) -> Action:
@@ -119,7 +124,8 @@ def action(matrices) -> Action:
             im = [image[k][l][1] for image in images]
             if any(re) or any(im):
                 by_head[k].append((l, re, im if any(im) else None))
-    return Action(den, norm, by_head)
+    real = all(ci is None for row in by_head for _, _, ci in row)
+    return Action(den, norm, by_head, real)
 
 
 def columns(vectors) -> tuple:
@@ -153,30 +159,36 @@ def layer_step(rho: Action, heads, xr, xi, eps, eta_re, eta_im, g: int) -> tuple
     caller keeps x over a denominator that rho's multiplies into the
     layer's, or x = 0.  For every coordinate pair (k, l) with a nonzero
     letter image, the tails' coordinate l times rho(h)_kl gathered by head
-    letter (`Action.by_head`) is one product over the layer."""
+    letter (`Action.by_head`) is one product over the layer.  xi = None
+    means x and eta are real, and needs a real rho (else ValueError): the
+    zero imaginary half is never computed, and im comes back None."""
+    real = xi is None
+    if real and not rho.real:
+        raise ValueError("a real x (xi None) needs a real rho")
     re, im = [], []
     n = len(rho.by_head)
     for k, row in enumerate(rho.by_head):
         yr = yi = None
         for l, cr, ci in row:
             c = list(map(cr.__getitem__, heads))
-            pr, pi = map(mul, c, xr[l]), map(mul, c, xi[l])
-            if ci is not None:
-                c = list(map(ci.__getitem__, heads))
-                pr, pi = map(sub, pr, map(mul, c, xi[l])), map(add, pi, map(mul, c, xr[l]))
-            if yr is None:
-                yr, yi = list(pr), list(pi)
-            else:
-                yr, yi = list(map(add, yr, pr)), list(map(add, yi, pi))
+            pr = map(mul, c, xr[l])
+            if not real:
+                pi = map(mul, c, xi[l])
+                if ci is not None:
+                    c = list(map(ci.__getitem__, heads))
+                    pr, pi = map(sub, pr, map(mul, c, xi[l])), map(add, pi, map(mul, c, xr[l]))
+                yi = list(pi) if yi is None else list(map(add, yi, pi))
+            yr = list(pr) if yr is None else list(map(add, yr, pr))
         if yr is None:
-            yr, yi = [0] * len(heads), [0] * len(heads)
+            yr, yi = [0] * len(heads), None if real else [0] * len(heads)
         for i in eps:
             j = heads[i] * n + k
             yr[i] += eta_re[j] * g
-            yi[i] += eta_im[j] * g
+            if not real:
+                yi[i] += eta_im[j] * g
         re.append(yr)
         im.append(yi)
-    return re, im
+    return re, None if real else im
 
 
 def _layer_bounds(ws: WordSet, rho: Action, eta: tuple, start: int) -> tuple[list, list]:
@@ -231,7 +243,9 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     decoded together (one column, alone in slot 0, skips the pack) and
     checked against their bound (`_cells`, ArithmeticError).  The sums are
     over ws.den times the last layer's denominator.  A relation holds iff
-    all its cells are 0.
+    all its cells are 0.  On real rho, coefficients and letter values the
+    zero imaginary half is never computed: the real half is decoded and
+    range-checked as ever, and the imaginary rows are one row of zeros.
     """
     counit_terms = eta is not None
     if not counit_terms:
@@ -250,34 +264,41 @@ def word_set_values(ws: WordSet, rho: Action, n: int, eta=None, width: int = 1) 
     slot = _width(max(bound, *bounds))
     values, de = eta
     eta_re, eta_im = letter_slots(values, slot)
-    if counit_terms:
-        # eta(1) = 0
-        re, im = [[0] for _ in range(n)], [[0] for _ in range(n)]
-    else:
-        # rho(1) e_v = e_v: slot k of coordinate k
-        re, im = [[1 << slot * k] for k in range(n)], [[0] for _ in range(n)]
+    complex_coeffs = any(b)
+    # a packed slot is 0 iff all its columns are (|x| < 2^(W - 1))
+    real = rho.real and not complex_coeffs and not any(eta_im)
+    # eta(1) = 0; rho(1) e_v = e_v: slot k of coordinate k
+    re = [[0] if counit_terms else [1 << slot * k] for k in range(n)]
+    im = None if real else [[0] for _ in range(n)]
     # rho(h) x(w) needs no factor: past layer 1 every layer's denominator is
     # a multiple of de, and under eta the tails of layer 1 (the unit) are 0
     for (heads, tails, eps), layer_den in zip(ws.layers, dens[1:]):
         g = layer_den // de
         xr = [list(map(r.__getitem__, tails)) for r in re]
-        xi = [list(map(r.__getitem__, tails)) for r in im]
+        xi = None if real else [list(map(r.__getitem__, tails)) for r in im]
         yr, yi = layer_step(rho, heads, xr, xi, eps if counit_terms else (), eta_re, eta_im, g)
         for k in range(n):
             re[k] += yr[k]
-            im[k] += yi[k]
+            if not real:
+                im[k] += yi[k]
     # sum the products term by term, then take each element's stretch
-    complex_coeffs = any(b)
     out_re, out_im = [None] * (width * n), [None] * (width * n)
-    for k, (rows_re, rows_im) in enumerate(zip(re, im)):
-        xr, xi = list(map(rows_re.__getitem__, ws.at)), list(map(rows_im.__getitem__, ws.at))
-        pr, pi = map(mul, a, xr), map(mul, a, xi)
-        if complex_coeffs:
-            pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
-        for out, p in ((out_re, pr), (out_im, pi)):
+    for k in range(n):
+        xr = list(map(re[k].__getitem__, ws.at))
+        pr = map(mul, a, xr)
+        parts = [(out_re, pr)]
+        if not real:
+            xi = list(map(im[k].__getitem__, ws.at))
+            pi = map(mul, a, xi)
+            if complex_coeffs:
+                pr, pi = map(sub, pr, map(mul, b, xi)), map(add, pi, map(mul, b, xr))
+            parts = [(out_re, pr), (out_im, pi)]
+        for out, p in parts:
             p = list(accumulate(p, initial=0))
             sums = list(map(sub, map(p.__getitem__, ends), map(p.__getitem__, starts)))
             cells = _cells(sums, width, slot, bound)
             for v in range(width):
                 out[v * n + k] = cells[v::width]
+    if real:
+        out_im = [[0] * len(starts)] * (width * n)
     return GaussianMatrix.unchecked(out_re, out_im, ws.den * den, len(starts))

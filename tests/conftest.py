@@ -65,16 +65,26 @@ small_rationals = st.sampled_from(
 
 qi_scalars = st.builds(Qi, small_rationals, small_rationals)
 
+# the same real parts with a zero imaginary part: the entries of a real arm
+real_scalars = small_rationals.map(Qi)
+
 nonzero_qi = qi_scalars.filter(lambda x: not x.is_zero())
 
 
-def qi_vectors(n):
-    return st.lists(qi_scalars, min_size=n, max_size=n).map(QVector)
+def drawn_entries(data):
+    """qi_scalars, or real_scalars in the real arm: drawn once for a whole
+    grid, element list or set of letter values, so that the real arm is
+    real throughout and reaches the evaluator's real path."""
+    return real_scalars if data.draw(st.booleans()) else qi_scalars
 
 
-def qi_matrices(rows, cols=None):
+def qi_vectors(n, entries=qi_scalars):
+    return st.lists(entries, min_size=n, max_size=n).map(QVector)
+
+
+def qi_matrices(rows, cols=None, entries=qi_scalars):
     cols = rows if cols is None else cols
-    row = st.lists(qi_scalars, min_size=cols, max_size=cols)
+    row = st.lists(entries, min_size=cols, max_size=cols)
     return st.lists(row, min_size=rows, max_size=rows).map(QMatrix)
 
 
@@ -421,21 +431,24 @@ def without_deep_recursion(fn, *args, depth=60):
 
 
 def drawn_elements(data, d, count=4, max_len=4):
-    """Up to count elements of up to three words of up to max_len letters."""
+    """Up to count elements of up to three words of up to max_len letters,
+    their coefficients real in the real arm (`drawn_entries`)."""
     word = st.lists(st.sampled_from(letters(d)), max_size=max_len).map(tuple)
-    element = st.lists(st.tuples(word, qi_scalars), max_size=3).map(
+    element = st.lists(st.tuples(word, drawn_entries(data)), max_size=3).map(
         lambda pairs: Element(d, dict(pairs))
     )
     return data.draw(st.lists(element, min_size=1, max_size=count))
 
 
 def drawn_blocks(data, d, n):
-    """A random grid of n x n blocks, or the counit with one block changed."""
+    """A random grid of n x n blocks, or the counit with one block changed,
+    the drawn blocks real in the real arm (`drawn_entries`)."""
+    matrices = qi_matrices(n, entries=drawn_entries(data))
     if data.draw(st.booleans()):
-        return [[data.draw(qi_matrices(n)) for _ in range(d)] for _ in range(d)]
+        return [[data.draw(matrices) for _ in range(d)] for _ in range(d)]
     blocks = [[QMatrix.identity(n) if j == k else QMatrix.zero(n, n) for k in range(d)] for j in range(d)]
     j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
-    blocks[j][k] = data.draw(qi_matrices(n))
+    blocks[j][k] = data.draw(matrices)
     return blocks
 
 

@@ -11,6 +11,7 @@ from conftest import (
     cycle_rep,
     drawn_blocks,
     drawn_elements,
+    drawn_entries,
     flat_cocycle,
     oracle_cocycle,
     oracle_combination,
@@ -374,15 +375,18 @@ def test_letter_grid_arithmetic_matches_the_qvector_oracles(every_kind, data):
 
 
 def drawn_grids(data, space, n):
-    """Random (V, W) grids, or a member of the cocycle space with one value changed."""
+    """Random (V, W) grids, or a member of the cocycle space with one value
+    changed, the drawn values real in the real arm (`drawn_entries`); the
+    counit's members are real."""
     d = space.rep.d
+    vectors = qi_vectors(n, drawn_entries(data))
     if not space.basis or data.draw(st.booleans()):
-        return [[[data.draw(qi_vectors(n)) for _ in range(d)] for _ in range(d)] for _ in "VW"]
+        return [[[data.draw(vectors) for _ in range(d)] for _ in range(d)] for _ in "VW"]
     eta = data.draw(st.sampled_from(space.basis))
     V, W = [list(map(list, eta.V)), list(map(list, eta.W))]
     grid = data.draw(st.sampled_from([V, W]))
     j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
-    grid[j][k] = data.draw(qi_vectors(n))
+    grid[j][k] = data.draw(vectors)
     return V, W
 
 
@@ -453,7 +457,7 @@ def test_word_set_values_in_columns_match_recursion(every_kind, data):
 
         s = scale()
         rep = unvalidated_rep(pres, [[m.scale(s) for m in row] for row in drawn_blocks(data, d, n)], n)
-        column = st.lists(qi_scalars, min_size=full, max_size=full)
+        column = st.lists(drawn_entries(data), min_size=full, max_size=full)
         vectors = [[z * s for z in data.draw(column)] for s in (scale() for _ in range(width))]
         elements = drawn_elements(data, d, max_len=5) + [Element.one(d)]
         sums = words.word_set_values(

@@ -7,7 +7,7 @@ from math import isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply, q, qi_matrices, qi_scalars, qi_vectors
+from conftest import apply, q, qi_matrices, qi_scalars, qi_vectors, real_scalars
 from schurmann import (
     I,
     ONE,
@@ -80,8 +80,13 @@ def test_gaussian_pivots_keep_numerators_small():
     assert max(abs(v).bit_length() for row in rows for part in row for v in part) <= (
         hadamard.bit_length() + 2
     )
+    # B itself is eliminated on its real part alone, within the same bound
+    real = QMatrix([[Qi(x) for x in row] for row in b])
+    rows, pivots = _rref(*_numerators(real.data), real.cols)
+    assert len(pivots) == 15 and all(im == [0] * 16 for _, im in rows)
+    assert max(abs(v).bit_length() for row, _ in rows for v in row) <= hadamard.bit_length() + 2
     (v,) = kernel_basis(m)
-    assert [v] == kernel_basis(QMatrix([[Qi(x) for x in row] for row in b]))
+    assert [v] == kernel_basis(real)
     assert apply(m, v).is_zero()
     rhs = apply(m, QVector(Qi(j, 1 - j) for j in range(16)))
     assert apply(m, solve(m, rhs)) == rhs
@@ -189,12 +194,20 @@ def reduced_form():
 gaussian_entries = st.one_of(
     st.just(ZERO), qi_scalars, st.sampled_from([Qi(2, 1), Qi(1, 2), Qi(1, -3), Qi(3)])
 )
+# rational entries only, for the real elimination
+real_entries = st.one_of(st.just(ZERO), real_scalars, st.sampled_from([Qi(2), Qi(-3), Qi(5)]))
 
 
 def _drawn_matrix(data):
-    """A random, rank-deficient, zero-row or zero-column r x c matrix, 0 <= r, c <= 5."""
+    """A random, rank-deficient, zero-row, zero-column or real r x c matrix,
+    0 <= r, c <= 5; a real one is random or of rank below min(r, c)."""
     r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
-    kind = data.draw(st.sampled_from(["random", "rank-deficient", "zero row", "zero column"]))
+    kind = data.draw(st.sampled_from(["random", "rank-deficient", "zero row", "zero column", "real"]))
+    if kind == "real":
+        k = data.draw(st.one_of(st.none(), st.integers(0, max(min(r, c) - 1, 0))))
+        if k is not None:
+            return _product(data, r, k, c, real_entries)
+        return QMatrix(data.draw(_grid(r, c, real_entries)), cols=c)
     if kind == "rank-deficient":
         # a product through k < min(r, c) dimensions, or r, c when one is 0
         return _product(data, r, data.draw(st.integers(0, max(min(r, c) - 1, 0))), c)
@@ -208,13 +221,13 @@ def _drawn_matrix(data):
     return QMatrix(a, cols=c)
 
 
-def _grid(r, c):
-    return st.lists(st.lists(gaussian_entries, min_size=c, max_size=c), min_size=r, max_size=r)
+def _grid(r, c, entries=gaussian_entries):
+    return st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
 
 
-def _product(data, r, k, c):
+def _product(data, r, k, c, entries=gaussian_entries):
     """A drawn r x c QMatrix through k inner dimensions."""
-    u, v = (data.draw(_grid(*shape)) for shape in ((r, k), (k, c)))
+    u, v = (data.draw(_grid(*shape, entries)) for shape in ((r, k), (k, c)))
     return QMatrix(u, cols=k) @ QMatrix(v, cols=c)
 
 
@@ -266,10 +279,13 @@ def _oracle_solution(reduced_form, m, b):
 
 
 def _drawn_rhs(data, m):
-    """b drawn freely or as m x, so inconsistent and consistent systems both occur."""
+    """b drawn freely or as m x, so inconsistent and consistent systems both
+    occur; x or b is real in the real arm, so that a real m has real
+    systems of both kinds too."""
+    entries = real_entries if data.draw(st.booleans()) else gaussian_entries
     if data.draw(st.booleans()):
-        return QVector(data.draw(st.lists(gaussian_entries, min_size=m.rows, max_size=m.rows)))
-    return apply(m, QVector(data.draw(st.lists(gaussian_entries, min_size=m.cols, max_size=m.cols))))
+        return QVector(data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
+    return apply(m, QVector(data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))))
 
 
 @settings(max_examples=150)

@@ -13,7 +13,7 @@ packed: its values equal column 0 of a packed pair.
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import drawn_blocks, qi_scalars, unvalidated_rep
+from conftest import drawn_blocks, drawn_entries, unvalidated_rep
 from schurmann import ZERO
 from schurmann.words import _decode, _width, columns, word_set_values
 
@@ -73,7 +73,7 @@ def test_one_column_equals_column_zero_of_a_packed_pair(u2, o3, data):
     for pres in (u2, o3):
         d, n = pres.d, data.draw(st.integers(1, 2))
         rep = unvalidated_rep(pres, drawn_blocks(data, d, n), n)
-        vec = data.draw(st.lists(qi_scalars, min_size=2 * d * d * n, max_size=2 * d * d * n))
+        vec = data.draw(st.lists(drawn_entries(data), min_size=2 * d * d * n, max_size=2 * d * d * n))
         ws = pres.relation_words
         one = word_set_values(ws, rep.action, n, columns([vec]))
         two = word_set_values(ws, rep.action, n, columns([vec, [ZERO] * len(vec)]), 2)
