@@ -14,7 +14,10 @@ eta(h w) = rho(h) eta(w) + eps(w) eta(h) on Gaussian-integer numerators
 (`words.word_set_values`); a relation is violated iff its sum is nonzero on
 the integers, and only then is its value built as a `QVector`.  The same
 evaluator, run on many columns of letter values at once, gives the cocycle
-equations of `solve_cocycles` and checks its basis.
+equations of `solve_cocycles` and checks its basis.  The equations split
+over the diagonal blocks of rho, Z^1(rho_1 + rho_2) = Z^1(rho_1) +
+Z^1(rho_2), so `solve_cocycles` solves each distinct block of rho once and
+checks the merged basis on the whole of rho.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import (
@@ -44,8 +48,8 @@ from .representation import (
     direct_sum_rep,
     pullback_rep,
 )
-from .scalars import Qi, _qi, rational
-from .words import columns, layer_step, word_set_values
+from .scalars import ZERO, Qi, _qi, rational
+from .words import Action, columns, coordinate_blocks, layer_step, restrict, word_set_values
 
 VGrid = tuple[tuple[QVector, ...], ...]
 
@@ -371,6 +375,40 @@ def _coefficient_rows(sums: GaussianMatrix, n: int, width: int) -> GaussianMatri
     return GaussianMatrix(re, im, sums.den, width)
 
 
+def _block_kernel(ws, rho: Action, d: int, m: int) -> list:
+    """The kernel of the cocycle equations of rho on m coordinates: a unit
+    column per unknown through the evaluator, then its coefficient rows."""
+    width = 2 * d * d * m
+    units = [[(v, 1, 0)] for v in range(width)], 1
+    return kernel_basis(_coefficient_rows(word_set_values(ws, rho, m, units, width), m, width))
+
+
+def _action_key(rho: Action) -> tuple:
+    """rho's den and numerators, hashable: equal keys, equal cocycle equations."""
+    return rho.den, tuple(tuple((l, tuple(cr), ci and tuple(ci)) for l, cr, ci in row) for row in rho.by_head)
+
+
+def _merged_kernel(rep: Representation, blocks: list) -> list:
+    """The kernel of the whole coefficient matrix from its diagonal blocks:
+    each distinct restricted action's kernel, once, placed at h n + block[k]
+    for its local unknown h m + k, all sorted by their free column, the last
+    nonzero entry of an RREF kernel vector."""
+    d, n = rep.d, rep.n
+    width, ws, solved, found = 2 * d * d * n, rep.presentation.relation_words, {}, []
+    for block in blocks:
+        rho = restrict(rep.action, block)
+        key = _action_key(rho)
+        if key not in solved:
+            solved[key] = _block_kernel(ws, rho, d, len(block))
+        at = [h * n + k for h in range(2 * d * d) for k in block]
+        for vec in solved[key]:
+            v = [ZERO] * width
+            for i, z in zip(at, vec):
+                v[i] = z
+            found.append((at[max(i for i, z in enumerate(vec) if z)], v))
+    return [v for _, v in sorted(found, key=itemgetter(0))]
+
+
 def solve_cocycles(rep: Representation) -> CocycleSpace:
     """All cocycles for rho, by exact kernel computation in the letter values.
 
@@ -378,15 +416,27 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     evaluator on the unit letter values (column h n + k has eta(letter h) =
     e_k) gives its coefficients: cell v n + k of relation r is that of
     unknown v in coordinate k of eta(r).  The space is the kernel of the rows
-    of the relations with a nonzero cell; a second pass with the kernel
-    vectors as columns checks every basis vector on every relation, and the
-    first one that fails raises what `cocycle_general` raises for it.
+    of the relations with a nonzero cell.  The cocycle identity splits over
+    the diagonal blocks of rho, Z^1(rho_1 + rho_2) = Z^1(rho_1) + Z^1(rho_2)
+    (so Z^1(eps I_n) = Z^1(eps)^n): on the finest blocks
+    (`words.coordinate_blocks`) the matrix is block diagonal up to a column
+    permutation, and its RREF kernel basis is the union of the blocks'
+    taken in free-column order.  So the equations are built and eliminated
+    once per distinct restricted action (`words.restrict`), and a single
+    block is solved on rho itself.  The budget is checked on the whole
+    matrix, n coordinates of 2 d^2 n columns, before any row is built.  A
+    second pass with the kernel vectors as columns, on the whole of rho,
+    checks every basis vector on every relation, and the first one that
+    fails raises what `cocycle_general` raises for it.
     """
     d, n = rep.d, rep.n
-    width = 2 * d * d * n
-    units = [[(v, 1, 0)] for v in range(width)], 1
-    sums = _relation_sums(rep, units, width, "the cocycle coefficient matrix")
-    kernel = kernel_basis(_coefficient_rows(sums, n, width))
+    ws = rep.presentation.relation_words
+    ws.require(n * 2 * d * d * n, "the cocycle coefficient matrix")
+    blocks = coordinate_blocks(rep.action)
+    if len(blocks) == 1:
+        kernel = _block_kernel(ws, rep.action, d, n)
+    else:
+        kernel = _merged_kernel(rep, blocks)
     if kernel:
         sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
         # row v n + k holds coordinate k of basis vector v on every relation

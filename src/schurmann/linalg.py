@@ -266,11 +266,16 @@ def _primitive_rows(re: Sequence[list], im: Sequence[list]) -> list[tuple]:
     order of first occurrence: each divided by the integer gcd of its parts,
     negated if the first nonzero entry of (*re, *im) is negative, zero rows
     dropped.  A row with a zero imaginary part comes back as (re, None),
-    keyed by re alone, which no (twice as long) complex key can equal."""
+    keyed by re alone, which no (twice as long) complex key can equal.  A
+    raw row met before is skipped before its gcd and sign are taken."""
     seen: dict[tuple, tuple] = {}
+    raw: set[tuple] = set()
     for x, y in zip(re, im):
         real = not any(y)
         flat = tuple(x) if real else (*x, *y)
+        if flat in raw:
+            continue
+        raw.add(flat)
         g = gcd(*flat)
         if not g:
             continue

@@ -4,9 +4,11 @@ A representation is a d x d grid R of n x n matrices over Q(i), with
 rho(u[j,k]) = R[j][k] and rho(u*[j,k]) = adjoint(R[j][k]), extended
 multiplicatively to words and linearly to elements.  The *-structure is
 part of the type: R is all a representation holds, so rho(w*) =
-adjoint(rho(w)) on every word, and the starred images are computed once per
-representation.  Construction is eager: every relation of the presentation
-must evaluate to the zero matrix.
+adjoint(rho(w)) on every word.  The evaluator's letter images (`action`)
+take the starred ones as conjugate transposes of R's numerators;
+`image(star=True)` builds each adjoint `QMatrix` once per representation.
+Construction is eager: every relation of the presentation must evaluate to
+the zero matrix.
 
 Elements are evaluated on the suffix closure of their words (the relations
 on `Presentation.relation_words`, compiled once per presentation), by
@@ -51,8 +53,9 @@ class Representation:
 
     @cached_property
     def action(self) -> Action:
-        """rho of `letters(d)` as numerator rows over one denominator."""
-        return action([self.image(*l) for l in letters(self.d)])
+        """rho of `letters(d)` as numerator rows over one denominator, the
+        starred images conjugate transposed on the numerators of R."""
+        return action([m for row in self.R for m in row])
 
 
 def _as_grid(presentation: Presentation, blocks: Sequence[Sequence[QMatrix]], n: int) -> Grid:

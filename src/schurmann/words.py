@@ -112,10 +112,12 @@ class Action(NamedTuple):
 
 
 def action(matrices) -> Action:
-    """The letter images, in the order of `letters(d)`, over one denominator."""
+    """rho on `letters(d)` over one denominator from the images of u[j,k],
+    row by row: the image of u*[j,k] is their adjoint, each taken as the
+    conjugate transpose of the numerators (no adjoint matrix is built)."""
     den = lcm(*(z.den for m in matrices for row in m.data for z in row))
     images = [[_over(row, den) for row in m.data] for m in matrices]
-    norm = max((sum(abs(a) + abs(b) for a, b in row) for image in images for row in image), default=0)
+    images += [[[(a, -b) for a, b in col] for col in zip(*image)] for image in images]
     n = len(images[0]) if images else 0
     by_head = [[] for _ in range(n)]
     for k in range(n):
@@ -124,8 +126,55 @@ def action(matrices) -> Action:
             im = [image[k][l][1] for image in images]
             if any(re) or any(im):
                 by_head[k].append((l, re, im if any(im) else None))
+    return _action(den, by_head)
+
+
+def _action(den: int, by_head: list) -> Action:
+    """The `Action` of by_head over den, its norm and real read off the
+    numerators: norm the largest sum over a row k of |re| + |im| at one h."""
+    norm = max(
+        (
+            sum(abs(cr[h]) + (abs(ci[h]) if ci else 0) for _, cr, ci in row)
+            for row in by_head
+            if row
+            for h in range(len(row[0][1]))
+        ),
+        default=0,
+    )
     real = all(ci is None for row in by_head for _, _, ci in row)
     return Action(den, norm, by_head, real)
+
+
+def coordinate_blocks(rho: Action) -> list[list[int]]:
+    """The finest partition of the coordinates that every letter image
+    respects, each block ascending and the blocks in order of their first
+    coordinate: k and l share a block when some rho(h)_kl is nonzero
+    (`Action.by_head`), closed under chains by a union-find whose root is
+    the least coordinate of its block.  rho is block diagonal on it."""
+    root = list(range(len(rho.by_head)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for k, row in enumerate(rho.by_head):
+        for l, _, _ in row:
+            a, b = sorted((find(k), find(l)))
+            root[b] = a
+    blocks: dict[int, list] = {}
+    for k in range(len(root)):
+        blocks.setdefault(find(k), []).append(k)
+    return list(blocks.values())
+
+
+def restrict(rho: Action, block) -> Action:
+    """rho compressed to the ascending coordinates of block, renumbered 0 ..
+    len(block) - 1, over rho's den with the block's own norm and real: the
+    action of the subrepresentation on them when block is a union of
+    `coordinate_blocks` (a coupling that leaves the block is dropped)."""
+    at = {k: i for i, k in enumerate(block)}
+    return _action(rho.den, [[(at[l], cr, ci) for l, cr, ci in rho.by_head[k] if l in at] for k in block])
 
 
 def columns(vectors) -> tuple:

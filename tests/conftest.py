@@ -13,13 +13,17 @@ from schurmann import (
     QMatrix,
     QVector,
     Qi,
+    RelationViolation,
     ZERO,
     b_matrices,
     build_presentation,
+    counit_rep,
+    direct_sum_rep,
     gaussian_cocycle,
     letters,
     rational,
     representation,
+    sign_rep,
 )
 from schurmann import cocycle
 from schurmann.algebra import Letter, all_permutations, inversion_count
@@ -450,6 +454,22 @@ def drawn_blocks(data, d, n):
     j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
     blocks[j][k] = data.draw(matrices)
     return blocks
+
+
+def drawn_carrier(data, pres):
+    """A direct sum of n = 1 to 3 dimensions of the counit, the sign, the
+    3-cycle and diag(i, 1), those of them that are representations of pres."""
+    summands = []
+    for build in (counit_rep, sign_rep, cycle_rep, phase_rep):
+        try:
+            summands.append(build(pres))
+        except RelationViolation:
+            pass
+    rep = data.draw(st.sampled_from(summands))
+    for extra in data.draw(st.lists(st.sampled_from(summands), max_size=2)):
+        if rep.n + extra.n <= 3:
+            rep = direct_sum_rep(rep, extra)
+    return rep
 
 
 def drawn_words(data, d, count=6):

@@ -10,6 +10,7 @@ from conftest import (
     apply,
     cycle_rep,
     drawn_blocks,
+    drawn_carrier,
     drawn_elements,
     drawn_entries,
     flat_cocycle,
@@ -219,22 +220,30 @@ def tamper(vec, at, by):
 
 
 def test_solver_refuses_a_tampered_kernel(u2, monkeypatch):
-    # vectors 1 and 3 are broken: the error is the one cocycle_general raises
-    # for vector 1, labels and values alike
+    # the counit on n = 2 is two blocks of one action, eliminated once; its
+    # kernel's vectors 1 and 3 are broken, so both embeddings of each are:
+    # block k puts entry h at h n + k, the merge sorts by free column (the
+    # last nonzero entry), and the error is the one cocycle_general raises
+    # for the first broken merged vector, labels and values alike
     rep = counit_rep(u2, 2)
     kernel = linalg.kernel_basis
-    basis = []
+    clean, basis = [], []
 
     def tampered(m):
-        basis.extend(kernel(m))
+        clean.extend(kernel(m))
+        basis.extend(clean)
         basis[1], basis[3] = tamper(basis[1], 0, ONE), tamper(basis[3], 5, I)
         return basis
 
     monkeypatch.setattr(cocycle, "kernel_basis", tampered)
     with pytest.raises(RelationViolation) as exc:
         solve_cocycles(rep)
+    assert len(clean) == 4
+    free = [max(i for i, z in enumerate(vec) if z) for vec in clean]
+    order = sorted((2 * free[j] + k, j, k) for j in range(4) for k in (0, 1))
+    _, j, k = next(item for item in order if item[1] in (1, 3))
     with pytest.raises(RelationViolation) as want:
-        eta = flat_cocycle(rep, list(basis[1]))
+        eta = flat_cocycle(rep, [basis[j][i // 2] if i % 2 == k else ZERO for i in range(16)])
         cocycle_general(rep, eta.V, eta.W)
     assert exc.value.what == want.value.what == "cocycle"
     assert exc.value.violations == want.value.violations
@@ -245,6 +254,22 @@ def test_solver_on_a_zero_dimensional_carrier(every_kind):
     for pres in every_kind:
         space = solve_cocycles(counit_rep(pres, 0))
         assert space.dimension == 0 and space.basis == ()
+
+
+def qi_kernel(rep):
+    """The kernel of the whole coefficient matrix of rep's cocycle equations,
+    one pass on all of rho, its cells read one by one as Qi."""
+    d, n = rep.d, rep.n
+    width = 2 * d * d * n
+    units = [[(v, 1, 0)] for v in range(width)], 1
+    sums = cocycle._relation_sums(rep, units, width, "the cocycle coefficient matrix")
+    rows = [cells[k::n] for cells in map(sums.column, sums.nonzero_columns()) for k in range(n)]
+    return linalg.kernel_basis(QMatrix(rows, cols=width) if rows else QMatrix.zero(0, width))
+
+
+def basis_vectors(space):
+    """Each basis cocycle's letter values at h n + k over `letters(d)`."""
+    return [QVector([z for l in letters(space.rep.d) for z in eta.letter_value(l)]) for eta in space.basis]
 
 
 @given(st.data())
@@ -258,13 +283,91 @@ def test_solver_basis_is_the_kernel_of_the_qi_rows(data):
         a = a.scale(q(f"1/{data.draw(st.integers(1, 9))}"))
         relations.append((f"r{i}", a - Element.one(d).scale(counit(a))))
     rep = counit_rep(algebra.Presentation("k_d", d, tuple(relations), True), n)
-    width = 2 * d * d * n
-    units = [[(v, 1, 0)] for v in range(width)], 1
-    sums = cocycle._relation_sums(rep, units, width, "the cocycle coefficient matrix")
-    rows = [cells[k::n] for cells in map(sums.column, sums.nonzero_columns()) for k in range(n)]
-    kernel = linalg.kernel_basis(QMatrix(rows, cols=width) if rows else QMatrix.zero(0, width))
-    basis = solve_cocycles(rep).basis
-    assert [QVector([z for l in letters(d) for z in eta.letter_value(l)]) for eta in basis] == kernel
+    assert basis_vectors(solve_cocycles(rep)) == qi_kernel(rep)
+
+
+ROTATION = QMatrix([[q("3/5"), q("4/5")], [q("-4/5"), q("3/5")]])
+
+
+def conjugated(rep, s):
+    """The representation s rho s* for a unitary s."""
+    sa = s.adjoint()
+    return representation(rep.presentation, [[s @ m @ sa for m in row] for row in rep.R], rep.n)
+
+
+def permuted(rep, perm):
+    """rep with coordinate k read at perm[k]."""
+    n = len(perm)
+    return conjugated(rep, QMatrix([[ONE if perm[k] == l else ZERO for l in range(n)] for k in range(n)], cols=n))
+
+
+def coupled_reps(pres):
+    """phase_rep turned by ROTATION, one block of two coupled coordinates,
+    and it plus the counit with coordinates 1 and 2 swapped, blocks {0, 2}
+    and {1}; none where phase_rep is no representation of pres."""
+    try:
+        rotated = conjugated(phase_rep(pres), ROTATION)
+    except RelationViolation:
+        return []
+    return [rotated, permuted(direct_sum_rep(rotated, counit_rep(pres)), [0, 2, 1])]
+
+
+def idempotent_rep():
+    """rho(u[1,1]) = [[1, 1], [0, 0]] over d = 1 and the relations u^2 = u
+    and its star: one coupled block whose compressions to its coordinates,
+    1 and 0, are idempotents too."""
+    u, us = Element.generator(1, 1, 1), Element.generator(1, 1, 1, True)
+    pres = algebra.Presentation("k_d", 1, (("idempotent", u * u - u), ("idempotent*", us * us - us)), True)
+    return representation(pres, [[QMatrix([[ONE, ONE], [ZERO, ZERO]])]], 2)
+
+
+@given(st.data())
+def test_solver_basis_is_the_kernel_of_the_whole_matrix(every_kind, data):
+    # solved once per distinct block and merged, against the kernel of the
+    # whole coefficient matrix: drawn carriers and coupled blocks, their
+    # coordinates permuted so that blocks interleave
+    pres = data.draw(st.sampled_from(every_kind))
+    rep, coupled = drawn_carrier(data, pres), coupled_reps(pres)
+    if coupled and data.draw(st.booleans()):
+        rep = data.draw(st.sampled_from(coupled))
+    rep = permuted(rep, data.draw(st.permutations(range(rep.n))))
+    assert basis_vectors(solve_cocycles(rep)) == qi_kernel(rep)
+
+
+def test_solver_on_coupled_and_interleaved_blocks(u2):
+    rotated, interleaved = coupled_reps(u2)
+    assert words.coordinate_blocks(rotated.action) == [[0, 1]]
+    assert words.coordinate_blocks(interleaved.action) == [[0, 2], [1]]
+    assert words.coordinate_blocks(idempotent_rep().action) == [[0, 1]]
+    for rep in (rotated, interleaved, idempotent_rep()):
+        assert basis_vectors(solve_cocycles(rep)) == qi_kernel(rep)
+
+
+def test_solver_eliminates_once_per_distinct_block(every_kind, monkeypatch):
+    # the counit on n = 3 is three equal blocks, counit + sign two distinct ones
+    kernel, widths = linalg.kernel_basis, []
+    monkeypatch.setattr(cocycle, "kernel_basis", lambda m: widths.append(m.cols) or kernel(m))
+    for pres in every_kind:
+        width = 2 * pres.d * pres.d
+        widths.clear()
+        solve_cocycles(counit_rep(pres, 3))
+        assert widths == [width]
+        if pres.kind != "su_q" or pres.d % 2 == 0:
+            widths.clear()
+            solve_cocycles(direct_sum_rep(counit_rep(pres), sign_rep(pres)))
+            assert widths == [width, width]
+
+
+def test_solver_refuses_a_split_coupled_block(monkeypatch):
+    # split into singletons, the block solves rho_00 V_0 = 0 and rho_11 V_1 = 0
+    # with rho_11 = 0: V = e_1 comes out, and the check on the whole of rho
+    # finds eta(u^2 - u) = rho(u) e_1 = e_0
+    rep = idempotent_rep()
+    monkeypatch.setattr(cocycle, "coordinate_blocks", lambda rho: [[k] for k in range(len(rho.by_head))])
+    with pytest.raises(RelationViolation) as exc:
+        solve_cocycles(rep)
+    assert exc.value.what == "cocycle"
+    assert exc.value.violations == [("idempotent", QVector([ONE, ZERO]))]
 
 
 def test_solver_basis_members_validate(o3):
@@ -336,22 +439,6 @@ def test_completion_recovers_W_on_drawn_members(completion_spaces, data):
         V = oracle_combination(coeffs, [eta.V for eta in space.basis], d, n)
         W = oracle_combination(coeffs, [eta.W for eta in space.basis], d, n)
         assert cocycle_from_V(space.rep, V).W == W
-
-
-def drawn_carrier(data, pres):
-    """A direct sum of n = 1 to 3 dimensions of the counit, the sign, the
-    3-cycle and diag(i, 1), those of them that are representations of pres."""
-    summands = []
-    for build in (counit_rep, sign_rep, cycle_rep, phase_rep):
-        try:
-            summands.append(build(pres))
-        except RelationViolation:
-            pass
-    rep = data.draw(st.sampled_from(summands))
-    for extra in data.draw(st.lists(st.sampled_from(summands), max_size=2)):
-        if rep.n + extra.n <= 3:
-            rep = direct_sum_rep(rep, extra)
-    return rep
 
 
 @given(st.data())

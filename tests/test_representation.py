@@ -1,15 +1,19 @@
 """Finite dimensional *-representations and their eager validation."""
 
 import sys
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    cycle_rep,
     drawn_blocks,
+    drawn_carrier,
     drawn_elements,
     oracle_rep,
     oracle_violations,
+    phase_rep,
     q,
     qi_scalars,
     refuse_evaluation,
@@ -33,7 +37,7 @@ from schurmann import (
     representation,
     sign_rep,
 )
-from schurmann import algebra
+from schurmann import algebra, words
 from schurmann.algebra import MAX_SAMPLED_WORD_LEN
 from schurmann.representation import rep_values
 
@@ -212,3 +216,39 @@ def test_rep_of_a_long_word_matches_recursion(u2):
     want = oracle_rep(rep, a)
     assert want != want.transpose()
     assert without_deep_recursion(evaluate_rep, rep, a) == want
+
+
+def oracle_action(rep):
+    """The `words.Action` of rep from its 2 d^2 letter images as
+    `Representation.image` gives them, the starred through
+    `QMatrix.adjoint`, entry by entry over one denominator."""
+    images = [rep.image(*l) for l in letters(rep.d)]
+    den = lcm(*(z.den for m in images for row in m.data for z in row))
+    num = [[[(z.a * (den // z.den), z.b * (den // z.den)) for z in row] for row in m.data] for m in images]
+    norm = max((sum(abs(a) + abs(b) for a, b in row) for m in num for row in m), default=0)
+    by_head = []
+    for k in range(rep.n):
+        row = []
+        for l in range(rep.n):
+            re, im = [m[k][l][0] for m in num], [m[k][l][1] for m in num]
+            if any(re) or any(im):
+                row.append((l, re, im if any(im) else None))
+        by_head.append(row)
+    real = all(ci is None for row in by_head for _, _, ci in row)
+    return words.Action(den, norm, by_head, real)
+
+
+def test_action_equals_the_adjoint_images_on_cycle_and_phase():
+    # phase_rep's blocks diag(i, 1) are not self-adjoint, cycle_rep's grid
+    # is not symmetric in (j, k)
+    u3 = build_presentation("u_plus", 3)
+    for rep in (cycle_rep(u3), phase_rep(u3), direct_sum_rep(phase_rep(u3), cycle_rep(u3))):
+        assert rep.action == oracle_action(rep)
+
+
+@given(st.data())
+def test_action_equals_the_adjoint_images_on_drawn_carriers(every_kind, data):
+    pres = data.draw(st.sampled_from(every_kind))
+    n = data.draw(st.integers(1, 3))
+    for rep in (drawn_carrier(data, pres), unvalidated_rep(pres, drawn_blocks(data, pres.d, n), n)):
+        assert rep.action == oracle_action(rep)
