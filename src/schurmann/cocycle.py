@@ -1,12 +1,13 @@
 """rho-counit cocycles: linear maps eta with eta(ab) = rho(a)eta(b) + eta(a)counit(b).
 
 A cocycle is stored by its letter values, the grids V[j][k] = eta(u[j,k]) and
-W[j][k] = eta(u*[j,k]) of vectors in the carrier of rho.  Constructors
-validate eta(r) = 0 on every relation of the presentation; vanishing on the
-generating relations forces vanishing on the whole *-ideal, so validated
-cocycles descend to the quotient.  Every catalogued presentation is unitary
-(uu* = u*u = 1), so V and rho fix W: `cocycle_from_V` completes it by one
-closed form on every kind.
+W[j][k] = eta(u*[j,k]) of vectors in the carrier of rho.  `cocycle_general`
+checks eta(r) = 0 on every relation; vanishing on the generating relations
+forces vanishing on the whole *-ideal, so checked cocycles descend to the
+quotient.  Direct sums and combinations of checked cocycles on one rho are
+not checked again: their relation values are the parts', summed.  Every
+catalogued presentation is unitary (uu* = u*u = 1), so V and rho fix W:
+`cocycle_from_V` completes it by one closed form on every kind.
 
 Elements are evaluated on the suffix closure of their words (the relations
 on `Presentation.relation_words`, compiled once per presentation), by
@@ -56,6 +57,8 @@ VGrid = tuple[tuple[QVector, ...], ...]
 
 @dataclass(frozen=True)
 class Cocycle:
+    """eta by its letter values V and W, unchecked; `cocycle_general` checks."""
+
     rep: Representation
     V: VGrid
     W: VGrid
@@ -239,13 +242,14 @@ def b_matrices(eta: Cocycle) -> BMatrices:
 
 
 def direct_sum_cocycle(e1: Cocycle, e2: Cocycle) -> Cocycle:
+    """eta_1 + eta_2, unchecked: its relation values are eta_1(r) + eta_2(r)."""
     if e1.presentation != e2.presentation:
         raise ValueError("direct sum requires the same presentation")
-    rep = direct_sum_rep(e1.rep, e2.rep)
-    d = e1.d
-    V = [[e1.V[j][k].direct_sum(e2.V[j][k]) for k in range(d)] for j in range(d)]
-    W = [[e1.W[j][k].direct_sum(e2.W[j][k]) for k in range(d)] for j in range(d)]
-    return cocycle_general(rep, V, W)
+    V, W = (
+        tuple(tuple(map(QVector.direct_sum, *rows)) for rows in zip(g1, g2))
+        for g1, g2 in ((e1.V, e2.V), (e1.W, e2.W))
+    )
+    return Cocycle(direct_sum_rep(e1.rep, e2.rep), V, W)
 
 
 def pullback_cocycle(eta: Cocycle, sub: GeneratorSubstitution) -> Cocycle:
@@ -344,14 +348,15 @@ class CocycleSpace:
         return len(self.basis)
 
     def random_element(self, rng: random.Random) -> Cocycle:
-        """Random Q(i)-combination of the basis, one `random_coefficient` per basis vector in order."""
+        """Random Q(i)-combination of the basis, one `random_coefficient` per
+        basis vector in order; unchecked, as eta(r) is linear in (V, W)."""
         d, n = self.rep.d, self.rep.n
         coeffs = [random_coefficient(rng) for _ in self.basis]
         rows = [b.letter_rows for b in self.basis]
         # each basis vector's letter rows read at h * n + k, the empty word's n zeros last
         cols = [(list(chain(*zip(*re))), list(chain(*zip(*im))), f) for re, im, f in rows]
         re, im, den = combination_numerators(coeffs, cols, (2 * d * d + 1) * n)
-        return cocycle_general(self.rep, *_grids(d, n, list(map(_qi, re, im, repeat(den)))))
+        return Cocycle(self.rep, *_grids(d, n, list(map(_qi, re, im, repeat(den)))))
 
 
 def _relation_sums(rep: Representation, eta, width: int, what: str) -> GaussianMatrix:
@@ -422,21 +427,15 @@ def solve_cocycles(rep: Representation) -> CocycleSpace:
     (`words.coordinate_blocks`) the matrix is block diagonal up to a column
     permutation, and its RREF kernel basis is the union of the blocks'
     taken in free-column order.  So the equations are built and eliminated
-    once per distinct restricted action (`words.restrict`), and a single
-    block is solved on rho itself.  The budget is checked on the whole
-    matrix, n coordinates of 2 d^2 n columns, before any row is built.  A
-    second pass with the kernel vectors as columns, on the whole of rho,
-    checks every basis vector on every relation, and the first one that
-    fails raises what `cocycle_general` raises for it.
+    once per distinct restricted action (`words.restrict`).  The budget is
+    checked on the whole matrix, n coordinates of 2 d^2 n columns, before
+    any row is built.  A second pass with the kernel vectors as columns, on
+    the whole of rho, checks every basis vector on every relation, and the
+    first one that fails raises what `cocycle_general` raises for it.
     """
     d, n = rep.d, rep.n
-    ws = rep.presentation.relation_words
-    ws.require(n * 2 * d * d * n, "the cocycle coefficient matrix")
-    blocks = coordinate_blocks(rep.action)
-    if len(blocks) == 1:
-        kernel = _block_kernel(ws, rep.action, d, n)
-    else:
-        kernel = _merged_kernel(rep, blocks)
+    rep.presentation.relation_words.require(n * 2 * d * d * n, "the cocycle coefficient matrix")
+    kernel = _merged_kernel(rep, coordinate_blocks(rep.action))
     if kernel:
         sums = _relation_sums(rep, columns(kernel), len(kernel), "the cocycle basis check")
         # row v n + k holds coordinate k of basis vector v on every relation

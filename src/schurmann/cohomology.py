@@ -24,7 +24,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .algebra import Element, Letter, Presentation, counit, letter_table, letters, require_word_len
-from .cocycle import Cocycle, cocycle_columns, cocycle_general, combination_numerators, gaussian_numerators
+from .cocycle import Cocycle, cocycle_columns, cocycle_general, combination_numerators
 from .cocycle import scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
 from .linalg import GaussianMatrix, QMatrix, QVector, solve
@@ -78,13 +78,10 @@ def _sums(evaluate, termss) -> list:
 
 
 class Batched:
-    """Base class of the 2-cocycles and functionals: `batch_numerators`
-    evaluates a batch of word pairs (or words) to Gaussian-integer
-    numerators over one denominator and `batch` is its `Qi` view.  A
-    subclass defines one of the two: `batch` alone has its values lifted."""
-
-    def batch_numerators(self, keys) -> tuple[list, list, int]:
-        return gaussian_numerators(self.batch(keys))
+    """Base class of the 2-cocycles and functionals: a subclass's
+    `batch_numerators` evaluates a batch of word pairs (or words) to
+    Gaussian-integer numerators over one denominator, and `batch` is its
+    `Qi` view."""
 
     def batch(self, keys) -> list:
         re, im, den = self.batch_numerators(keys)

@@ -165,10 +165,10 @@ def default_pool_size(d: int, max_len: int) -> int:
     return 2 * sum(d ** (2 * m) for m in range(max_len + 1)) - 1
 
 
-def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len: int = 2) -> bool:
-    """Conditional positivity on a word pool: psd of (psi(a_i* a_j)) with
-    a_i = w_i - counit(w_i) 1, decided on the core of `pool_gram_matrix`
-    (`linalg.psd_check`).
+def gram_psd_check(psi: Functional, max_len: int = 2) -> bool:
+    """Conditional positivity on `default_word_pool(d, max_len)`: psd of
+    (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1, decided on the core of
+    `pool_gram_matrix` (`linalg.psd_check`).
 
     The core entries are all the verdict reads, and they come from eta on
     the pool's word set.  The entry at (w_p, w_q) is psi(w_p* w_q) -
@@ -177,9 +177,8 @@ def gram_psd_check(psi: Functional, pool: Sequence[tuple] | None = None, max_len
     reads psi's letter values and the cuts of each word instead: a mismatch
     raises ArithmeticError.
     """
-    if pool is None:
-        _require_gram(default_pool_size(psi.d, max_len), max_len, psi.cocycle.n)
-        pool = default_word_pool(psi.d, max_len)
+    _require_gram(default_pool_size(psi.d, max_len), max_len, psi.cocycle.n)
+    pool = default_word_pool(psi.d, max_len)
     g = pool_gram_matrix(psi, pool)
     verdict = psd_check(g)
     core, re, im = g.core

@@ -7,8 +7,9 @@ part of the type: R is all a representation holds, so rho(w*) =
 adjoint(rho(w)) on every word.  The evaluator's letter images (`action`)
 take the starred ones as conjugate transposes of R's numerators;
 `image(star=True)` builds each adjoint `QMatrix` once per representation.
-Construction is eager: every relation of the presentation must evaluate to
-the zero matrix.
+`representation()` checks that every relation evaluates to the zero matrix;
+a direct sum of checked summands is not checked again, as (rho_1 +
+rho_2)(r) = rho_1(r) + rho_2(r).
 
 Elements are evaluated on the suffix closure of their words (the relations
 on `Presentation.relation_words`, compiled once per presentation), by
@@ -34,6 +35,8 @@ Grid = tuple[tuple[QMatrix, ...], ...]
 
 @dataclass(frozen=True)
 class Representation:
+    """rho by its letter images R, unchecked; `representation()` checks."""
+
     presentation: Presentation
     n: int
     R: Grid
@@ -150,14 +153,11 @@ def sign_rep(presentation: Presentation, n: int = 1) -> Representation:
 
 
 def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
+    """rho_1 + rho_2, unchecked: its relation values are rho_1(r) + rho_2(r)."""
     if r1.presentation != r2.presentation:
         raise ValueError("direct sum requires the same presentation")
-    d = r1.d
-    blocks = [
-        [QMatrix.block_diag(r1.R[j][k], r2.R[j][k]) for k in range(d)]
-        for j in range(d)
-    ]
-    return representation(r1.presentation, blocks, r1.n + r2.n)
+    R = tuple(tuple(map(QMatrix.block_diag, *rows)) for rows in zip(r1.R, r2.R))
+    return Representation(r1.presentation, r1.n + r2.n, R)
 
 
 @dataclass(frozen=True)

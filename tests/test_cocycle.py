@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -403,6 +404,36 @@ def test_direct_sum_concatenates(eta_sym_u2, eta_asym_u2):
     assert evaluate_cocycle(s, a) == evaluate_cocycle(eta_sym_u2, a).direct_sum(
         evaluate_cocycle(eta_asym_u2, a)
     )
+
+
+@given(st.data())
+def test_assemblies_of_checked_parts_evaluate_nothing(every_kind, data):
+    # direct_sum_rep, direct_sum_cocycle and random_element build through the
+    # unchecked dataclass constructors: a direct sum's relation values are
+    # its summands', and a combination's are linear in its basis's, so each
+    # equals the checking constructor on its own grids.  A spy on the
+    # evaluator, under every name the two modules call it by (the package
+    # attribute schurmann.representation is the function, hence sys.modules),
+    # sees no call from the three.
+    pres = data.draw(st.sampled_from(every_kind))
+    r1, r2 = drawn_carrier(data, pres), drawn_carrier(data, pres)
+    s1, s2 = solve_cocycles(r1), solve_cocycles(r2)
+    rng, calls = random.Random(data.draw(st.integers(0, 2**32))), []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("schurmann.representation", "schurmann.cocycle"):
+            module = sys.modules[name]
+            spy = lambda *args, evaluate=module.word_set_values: calls.append(args) or evaluate(*args)
+            mp.setattr(module, "word_set_values", spy)
+        rep = direct_sum_rep(r1, r2)
+        e1, e2 = s1.random_element(rng), s2.random_element(rng)
+        eta = direct_sum_cocycle(e1, e2)
+    assert calls == []
+    n = r1.n + r2.n
+    assert rep == representation(pres, [list(map(QMatrix.block_diag, *rows)) for rows in zip(r1.R, r2.R)], n)
+    assert rep_values(rep, [r for _, r in pres.relations]) == [QMatrix.zero(n, n)] * len(pres.relations)
+    assert (e1, e2) == (cocycle_general(r1, e1.V, e1.W), cocycle_general(r2, e2.V, e2.W))
+    sums = [[list(map(QVector.direct_sum, *rows)) for rows in zip(g1, g2)] for g1, g2 in ((e1.V, e2.V), (e1.W, e2.W))]
+    assert eta == cocycle_general(rep, *sums)
 
 
 # -- W completed from V by the unitarity relations ----------------------------

@@ -102,8 +102,8 @@ def test_square_zero_finds_witness_on_adhoc_bilinear():
     class FlatPairing(TwoCocycle):
         d = 2
 
-        def batch(self, pairs):
-            return [ONE if len(wa) == 1 and len(wb) == 1 else ZERO for wa, wb in pairs]
+        def batch_numerators(self, pairs):
+            return [int(len(wa) == 1 and len(wb) == 1) for wa, wb in pairs], [0] * len(pairs), 1
 
     with pytest.raises(TypeError):
         square_zero_on_letters(FlatPairing())
