@@ -53,11 +53,6 @@ class Functional(LetterFunctional):
         return KPairCocycle(self.cocycle, self.cocycle)
 
 
-def evaluate_functional(psi: Functional, a: Element) -> Qi:
-    """psi(a), the same as psi.value(a)."""
-    return psi.value(a)
-
-
 def schurmann_functional(eta: Cocycle, H: QMatrix | None = None) -> Functional:
     """The canonical functional for eta with selfadjoint offset H (default 0).
 

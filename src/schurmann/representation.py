@@ -5,8 +5,7 @@ rho(u[j,k]) = R[j][k] and rho(u*[j,k]) = adjoint(R[j][k]), extended
 multiplicatively to words and linearly to elements.  The *-structure is
 part of the type: R is all a representation holds, so rho(w*) =
 adjoint(rho(w)) on every word.  The evaluator's letter images (`action`)
-take the starred ones as conjugate transposes of R's numerators;
-`image(star=True)` builds each adjoint `QMatrix` once per representation.
+take the starred ones as conjugate transposes of R's numerators.
 `representation()` checks that every relation evaluates to the zero matrix;
 a direct sum of checked summands is not checked again, as (rho_1 +
 rho_2)(r) = rho_1(r) + rho_2(r).
@@ -24,9 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Presentation, WordSet, counit, letters, word_set
+from .algebra import Element, Presentation, counit, letters, word_set
 from .errors import RelationViolation
-from .linalg import GaussianMatrix, QMatrix, QVector, kernel_basis
+from .linalg import QMatrix, QVector, kernel_basis
 from .scalars import ONE, ZERO, Qi
 from .words import Action, action, word_set_values
 
@@ -44,15 +43,6 @@ class Representation:
     @property
     def d(self) -> int:
         return self.presentation.d
-
-    @cached_property
-    def _adjoints(self) -> Grid:
-        return tuple(tuple(m.adjoint() for m in row) for row in self.R)
-
-    def image(self, row: int, col: int, star: bool = False) -> QMatrix:
-        """rho of the letter u[row,col], or of u*[row,col], its adjoint; 1-indexed."""
-        grid = self._adjoints if star else self.R
-        return grid[row - 1][col - 1]
 
     @cached_property
     def action(self) -> Action:
@@ -76,10 +66,6 @@ def _matrix(cells: list, n: int) -> QMatrix:
     return QMatrix([[cells[c * n + k] for c in range(n)] for k in range(n)], cols=n)
 
 
-def _values(rep: Representation, ws: WordSet) -> GaussianMatrix:
-    return word_set_values(ws, rep.action, rep.n)
-
-
 def rep_values(rep: Representation, elements: Sequence[Element]) -> list[QMatrix]:
     """rho(a) for every element, on one compiled word set."""
     for a in elements:
@@ -87,7 +73,7 @@ def rep_values(rep: Representation, elements: Sequence[Element]) -> list[QMatrix
             raise ValueError(f"ambient size mismatch: element {a.d}, representation {rep.d}")
     ws = word_set(rep.d, elements)
     ws.require(rep.n * rep.n, f"the values of a representation of dimension {rep.n}")
-    sums = _values(rep, ws)
+    sums = word_set_values(ws, rep.action, rep.n)
     return [_matrix(sums.column(e), rep.n) for e in range(len(elements))]
 
 
@@ -110,7 +96,7 @@ def representation(
         n = blocks[0][0].rows if blocks and blocks[0] else 0
     _require_budget(presentation, n)
     rep = Representation(presentation, n, _as_grid(presentation, blocks, n))
-    sums = _values(rep, presentation.relation_words)
+    sums = word_set_values(presentation.relation_words, rep.action, n)
     violations = [
         (presentation.relations[e][0], _matrix(sums.column(e), n))
         for e in sums.nonzero_columns()
@@ -118,6 +104,12 @@ def representation(
     if violations:
         raise RelationViolation("representation", violations)
     return rep
+
+
+def _diagonal_grid(d: int, block: QMatrix) -> list[list[QMatrix]]:
+    """The d x d grid with block on the diagonal and zero blocks off it."""
+    zero = QMatrix.zero(block.rows, block.cols)
+    return [[block if j == k else zero for k in range(d)] for j in range(d)]
 
 
 def counit_rep(presentation: Presentation, n: int = 1) -> Representation:
@@ -128,28 +120,14 @@ def counit_rep(presentation: Presentation, n: int = 1) -> Representation:
     _require_budget(presentation, n)
     rep = presentation.counit_reps.get(n)
     if rep is None:
-        d = presentation.d
-        eye = QMatrix.identity(n)
-        zero = QMatrix.zero(n, n)
-        rep = representation(
-            presentation,
-            [[eye if j == k else zero for k in range(d)] for j in range(d)],
-            n,
-        )
+        rep = representation(presentation, _diagonal_grid(presentation.d, QMatrix.identity(n)), n)
         presentation.counit_reps[n] = rep
     return rep
 
 
 def sign_rep(presentation: Presentation, n: int = 1) -> Representation:
     """rho(u[j,k]) = -delta_jk id; valid on every kind but su_q at odd d."""
-    d = presentation.d
-    eye = QMatrix.identity(n).scale(Qi(-1))
-    zero = QMatrix.zero(n, n)
-    return representation(
-        presentation,
-        [[eye if j == k else zero for k in range(d)] for j in range(d)],
-        n,
-    )
+    return representation(presentation, _diagonal_grid(presentation.d, QMatrix.identity(n).scale(Qi(-1))), n)
 
 
 def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
@@ -203,11 +181,12 @@ def pullback_rep(rep: Representation, sub: GeneratorSubstitution) -> Representat
 def gaussian_subspace(rep: Representation) -> list[QVector]:
     """Exact basis of {v : rho(a) v = counit(a) v for all a}.
 
-    Equals the joint kernel of rho(l) - counit(l) over all letters l.
+    Equals the joint kernel of rho(l) - counit(l) over all letters l, in
+    `letters(d)` order, each rho(l) read through `rep_values` on the
+    one-letter element l.
     """
-    n = rep.n
-    eye = QMatrix.identity(n)
-    rows: list = []
-    for l in letters(rep.d):
-        rows.extend((rep.image(*l) - (eye if l.row == l.col else QMatrix.zero(n, n))).data)
-    return kernel_basis(QMatrix(rows, cols=n))
+    alpha = letters(rep.d)
+    images = rep_values(rep, [Element.generator(rep.d, *l) for l in alpha])
+    eye = QMatrix.identity(rep.n)
+    rows = [row for l, m in zip(alpha, images) for row in (m - eye if l.row == l.col else m).data]
+    return kernel_basis(QMatrix(rows, cols=rep.n))

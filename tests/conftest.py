@@ -25,7 +25,7 @@ from schurmann import (
     representation,
     sign_rep,
 )
-from schurmann import cocycle
+from schurmann import algebra, cocycle
 from schurmann.algebra import Letter, all_permutations, inversion_count
 from schurmann.cocycle import Cocycle
 from schurmann.cohomology import (
@@ -35,7 +35,7 @@ from schurmann.cohomology import (
     KPairCocycle,
 )
 from schurmann.functional import Functional
-from schurmann.linalg import inner_product
+from schurmann.linalg import inner_product, kernel_basis
 from schurmann.representation import Representation
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -152,6 +152,41 @@ def phase_rep(presentation):
     d = presentation.d
     diag, zero = QMatrix([[I, ZERO], [ZERO, ONE]]), QMatrix.zero(2, 2)
     return representation(presentation, [[diag if j == k else zero for k in range(d)] for j in range(d)], 2)
+
+
+ROTATION = QMatrix([[q("3/5"), q("4/5")], [q("-4/5"), q("3/5")]])
+
+
+def conjugated(rep, s):
+    """The representation s rho s* for a unitary s."""
+    sa = s.adjoint()
+    return representation(rep.presentation, [[s @ m @ sa for m in row] for row in rep.R], rep.n)
+
+
+def permuted(rep, perm):
+    """rep with coordinate k read at perm[k]."""
+    n = len(perm)
+    return conjugated(rep, QMatrix([[ONE if perm[k] == l else ZERO for l in range(n)] for k in range(n)], cols=n))
+
+
+def coupled_reps(pres):
+    """phase_rep turned by ROTATION, one block of two coupled coordinates,
+    and it plus the counit with coordinates 1 and 2 swapped, blocks {0, 2}
+    and {1}; none where phase_rep is no representation of pres."""
+    try:
+        rotated = conjugated(phase_rep(pres), ROTATION)
+    except RelationViolation:
+        return []
+    return [rotated, permuted(direct_sum_rep(rotated, counit_rep(pres)), [0, 2, 1])]
+
+
+def idempotent_rep():
+    """rho(u[1,1]) = [[1, 1], [0, 0]] over d = 1 and the relations u^2 = u
+    and its star: one coupled block whose compressions to its coordinates,
+    1 and 0, are idempotents too."""
+    u, us = Element.generator(1, 1, 1), Element.generator(1, 1, 1, True)
+    pres = algebra.Presentation("k_d", 1, (("idempotent", u * u - u), ("idempotent*", us * us - us)), True)
+    return representation(pres, [[QMatrix([[ONE, ONE], [ZERO, ZERO]])]], 2)
 
 
 def scalar_grid(entries):
@@ -306,11 +341,17 @@ def apply(m, v):
     return QVector(sum((a * x for a, x in zip(row, v)), ZERO) for row in m.data)
 
 
+def letter_image(rep, l):
+    """rho(l) read from R: R[j][k] for u[j,k], and its adjoint for u*[j,k]."""
+    m = rep.R[l.row - 1][l.col - 1]
+    return m.adjoint() if l.star else m
+
+
 def rho_word(rep, w, memo):
     """rho(h w) = rho(h) rho(w), rho(1) = id; memo maps words to matrices."""
     m = memo.get(w)
     if m is None:
-        m = QMatrix.identity(rep.n) if not w else rep.image(*w[0]) @ rho_word(rep, w[1:], memo)
+        m = QMatrix.identity(rep.n) if not w else letter_image(rep, w[0]) @ rho_word(rep, w[1:], memo)
         memo[w] = m
     return m
 
@@ -323,7 +364,7 @@ def eta_word(eta, w, memo):
             v = QVector.zero(eta.n)
         else:
             head, tail = w[0], w[1:]
-            v = apply(eta.rep.image(*head), eta_word(eta, tail, memo))
+            v = apply(letter_image(eta.rep, head), eta_word(eta, tail, memo))
             if all(l.row == l.col for l in tail):
                 v = v + eta.letter_value(head)
         memo[w] = v
@@ -393,6 +434,16 @@ def oracle_functional(phi, w, memo=None):
                 v = v + phi.letter_value(head)
         memo[key] = v
     return v
+
+
+def oracle_gaussian_subspace(rep):
+    """The kernel of rho(l) - counit(l) stacked over the 2 d^2 letters in
+    `letters(d)` order, each starred image taken as R[j][k].adjoint()."""
+    n, rows = rep.n, []
+    for l in letters(rep.d):
+        shift = QMatrix.identity(n) if l.row == l.col else QMatrix.zero(n, n)
+        rows.extend((letter_image(rep, l) - shift).data)
+    return kernel_basis(QMatrix(rows, cols=n))
 
 
 def oracle_violations(obj, evaluate):
@@ -491,7 +542,10 @@ def oracle_completed_W(rep, V):
     """W[k][q] = -sum_j rho(u*[j,q]) V[j][k], the W that completes V."""
     r = range(rep.d)
     return tuple(
-        tuple(-sum((apply(rep.image(j + 1, q + 1, True), V[j][k]) for j in r), QVector.zero(rep.n)) for q in r)
+        tuple(
+            -sum((apply(letter_image(rep, Letter(j + 1, q + 1, True)), V[j][k]) for j in r), QVector.zero(rep.n))
+            for q in r
+        )
         for k in r
     )
 

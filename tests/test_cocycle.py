@@ -9,18 +9,21 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     apply,
+    coupled_reps,
     cycle_rep,
     drawn_blocks,
     drawn_carrier,
     drawn_elements,
     drawn_entries,
     flat_cocycle,
+    idempotent_rep,
     oracle_cocycle,
     oracle_combination,
     oracle_completed_W,
     oracle_letter_gram,
     oracle_rep,
     oracle_violations,
+    permuted,
     phase_rep,
     q,
     qi_scalars,
@@ -285,41 +288,6 @@ def test_solver_basis_is_the_kernel_of_the_qi_rows(data):
         relations.append((f"r{i}", a - Element.one(d).scale(counit(a))))
     rep = counit_rep(algebra.Presentation("k_d", d, tuple(relations), True), n)
     assert basis_vectors(solve_cocycles(rep)) == qi_kernel(rep)
-
-
-ROTATION = QMatrix([[q("3/5"), q("4/5")], [q("-4/5"), q("3/5")]])
-
-
-def conjugated(rep, s):
-    """The representation s rho s* for a unitary s."""
-    sa = s.adjoint()
-    return representation(rep.presentation, [[s @ m @ sa for m in row] for row in rep.R], rep.n)
-
-
-def permuted(rep, perm):
-    """rep with coordinate k read at perm[k]."""
-    n = len(perm)
-    return conjugated(rep, QMatrix([[ONE if perm[k] == l else ZERO for l in range(n)] for k in range(n)], cols=n))
-
-
-def coupled_reps(pres):
-    """phase_rep turned by ROTATION, one block of two coupled coordinates,
-    and it plus the counit with coordinates 1 and 2 swapped, blocks {0, 2}
-    and {1}; none where phase_rep is no representation of pres."""
-    try:
-        rotated = conjugated(phase_rep(pres), ROTATION)
-    except RelationViolation:
-        return []
-    return [rotated, permuted(direct_sum_rep(rotated, counit_rep(pres)), [0, 2, 1])]
-
-
-def idempotent_rep():
-    """rho(u[1,1]) = [[1, 1], [0, 0]] over d = 1 and the relations u^2 = u
-    and its star: one coupled block whose compressions to its coordinates,
-    1 and 0, are idempotents too."""
-    u, us = Element.generator(1, 1, 1), Element.generator(1, 1, 1, True)
-    pres = algebra.Presentation("k_d", 1, (("idempotent", u * u - u), ("idempotent*", us * us - us)), True)
-    return representation(pres, [[QMatrix([[ONE, ONE], [ZERO, ZERO]])]], 2)
 
 
 @given(st.data())

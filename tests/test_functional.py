@@ -33,7 +33,6 @@ from schurmann import (
     counit,
     counit_rep,
     direct_sum_rep,
-    evaluate_functional,
     gaussian_cocycle,
     gram_psd_check,
     hermitianize,
@@ -95,12 +94,12 @@ def test_tables_match_recursion(sweep_values, data):
 def test_functional_vanishes_on_relations(eta_sym_u2, u2):
     psi = schurmann_functional(eta_sym_u2)
     for lbl, r in u2.relations:
-        assert evaluate_functional(psi, r).is_zero(), lbl
+        assert psi.value(r).is_zero(), lbl
 
 
 def test_functional_normalization_and_diagonal(eta_sym_u2):
     psi = schurmann_functional(eta_sym_u2)
-    assert evaluate_functional(psi, Element.one(2)) == ZERO
+    assert psi.value(Element.one(2)) == ZERO
     # psi(u_kk) = -|eta(u_kk)|^2 / 2; here eta(u_11) = (1, i)-row pairing
     assert psi.values == QMatrix([[-ONE, ZERO], [ZERO, -ONE]])
     assert psi.star_values == psi.values.conj()
@@ -118,7 +117,7 @@ def test_selfadjoint_offset_still_validates(eta_sym_u2, u2):
     assert H.is_hermitian()
     psi = schurmann_functional(eta_sym_u2, H)
     for lbl, r in u2.relations:
-        assert evaluate_functional(psi, r).is_zero(), lbl
+        assert psi.value(r).is_zero(), lbl
 
 
 def test_non_hermitian_offset_rejected(eta_sym_u2):
@@ -155,7 +154,7 @@ def test_gram_entries_match_plain_recursion(request, monkeypatch, name):
         shifted.append(e - Element.one(d).scale(counit(e)))
     for i, ai in enumerate(shifted):
         for j, aj in enumerate(shifted):
-            assert m[i][j] == evaluate_functional(psi, ai.star() * aj), (pool[i], pool[j])
+            assert m[i][j] == psi.value(ai.star() * aj), (pool[i], pool[j])
 
 
 def test_gram_rows_at_length_three_match_the_evaluator(u2):
@@ -182,7 +181,7 @@ def test_gram_rows_at_length_three_match_the_evaluator(u2):
         shifted.append(e - Element.one(2).scale(counit(e)))
     deep = [i for i, w in enumerate(pool) if len(w) == 3]
     for i in rng.sample(deep, 6) + rng.sample(range(len(pool)), 3):
-        assert m[i] == [evaluate_functional(psi, shifted[i].star() * aj) for aj in shifted], pool[i]
+        assert m[i] == [psi.value(shifted[i].star() * aj) for aj in shifted], pool[i]
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2)])
@@ -212,7 +211,7 @@ def test_gram_entries_on_any_pool_and_letter_values(d, n):
         m = functional.pool_gram_matrix(psi, pool)
         rows = [m[i] for i in range(len(pool))]
         for i, ai in enumerate(shifted):
-            assert rows[i] == [evaluate_functional(psi, ai.star() * aj) for aj in shifted], pool[i]
+            assert rows[i] == [psi.value(ai.star() * aj) for aj in shifted], pool[i]
         grams.append(rows)
     # the letter values of psi drop out of every entry
     assert grams[0] == grams[1]

@@ -7,18 +7,22 @@ a module-level class is referenced somewhere in the package outside its
 own definition, and every dotted name in backticks in the package's
 docstrings and the README resolves.  A method counts by its name alone, so
 one that shares a name with a live attribute elsewhere escapes the check.
+A fourth check keeps the names that the benchmark's tracer wraps.
 """
 
 import ast
 import importlib
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
 
 import schurmann
+from schurmann import scenarios
 
 PACKAGE = Path(schurmann.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 # documented public names that no module of the package calls
 PUBLIC = {("serialize", "word_from_json")}
 
@@ -175,3 +179,17 @@ def test_the_doc_check_sees_stale_names():
     assert not _resolves("words.rho_step") and not _resolves("cocycle.cocycle_orth_from_V")
     assert not _resolves("WordSet.rho_step") and not _resolves("Nowhere.eta")
     assert not _resolves("Representation.dual") and not _resolves("words.require_words")
+
+
+def test_the_names_the_tracer_wraps_exist():
+    # a traced benchmark run fails on a target the package no longer defines
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, function, *_ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"schurmann.{module}"), function, None)), (module, function)
+    assert [sid for sid, _ in scenarios.SCENARIOS] == [f"C{k:02d}" for k in range(1, 15)]
+    assert all(callable(fn) for _, fn in scenarios.SCENARIOS)
+    # the tracer counts these two lists of C14's second argument
+    registry = scenarios.Registry()
+    assert registry.two_cocycles == [] and registry.functionals == []

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    apply,
+    coupled_reps,
     cycle_rep,
     drawn_blocks,
     drawn_carrier,
     drawn_elements,
+    idempotent_rep,
+    letter_image,
+    oracle_gaussian_subspace,
     oracle_rep,
     oracle_violations,
     phase_rep,
@@ -24,6 +29,7 @@ from schurmann import (
     Element,
     I,
     InputError,
+    Letter,
     ONE,
     QMatrix,
     RelationViolation,
@@ -33,6 +39,7 @@ from schurmann import (
     counit_rep,
     direct_sum_rep,
     evaluate_rep,
+    gaussian_subspace,
     letters,
     representation,
     sign_rep,
@@ -45,9 +52,9 @@ from schurmann.representation import rep_values
 def test_counit_rep_images(u2):
     rep = counit_rep(u2)
     assert rep.n == 1
-    assert rep.image(1, 1) == QMatrix.identity(1)
-    assert rep.image(1, 2).is_zero()
-    assert rep.image(1, 2, star=True).is_zero()
+    assert letter_image(rep, Letter(1, 1, False)) == QMatrix.identity(1)
+    assert letter_image(rep, Letter(1, 2, False)).is_zero()
+    assert letter_image(rep, Letter(1, 2, True)).is_zero()
 
 
 def test_rep_rejects_wrong_blocks(u2):
@@ -121,7 +128,7 @@ def test_rep_on_a_zero_dimensional_carrier(every_kind):
 
 def test_sign_rep_validates(u2):
     rep = sign_rep(u2)
-    assert rep.image(1, 1) == QMatrix([[-ONE]])
+    assert letter_image(rep, Letter(1, 1, False)) == QMatrix([[-ONE]])
     a = Element.generator(2, 1, 1) * Element.generator(2, 1, 1)
     assert evaluate_rep(rep, a) == QMatrix.identity(1)
 
@@ -133,7 +140,7 @@ def test_diagonal_phase_rep(u2):
         [QMatrix.zero(1, 1), QMatrix([[-I]])],
     ]
     rep = representation(u2, blocks)
-    assert rep.image(1, 1, star=True) == QMatrix([[-I]])
+    assert letter_image(rep, Letter(1, 1, True)) == QMatrix([[-I]])
 
 
 letters_d2 = st.sampled_from(letters(2))
@@ -159,7 +166,7 @@ def test_counit_rep_agrees_with_counit(u2, a):
 def test_direct_sum_blocks(u2):
     rep = direct_sum_rep(counit_rep(u2), sign_rep(u2))
     assert rep.n == 2
-    assert rep.image(1, 1) == QMatrix([[ONE, ZERO], [ZERO, -ONE]])
+    assert letter_image(rep, Letter(1, 1, False)) == QMatrix([[ONE, ZERO], [ZERO, -ONE]])
 
 
 def test_rep_relation_labels_name_the_relation(u2):
@@ -219,10 +226,10 @@ def test_rep_of_a_long_word_matches_recursion(u2):
 
 
 def oracle_action(rep):
-    """The `words.Action` of rep from its 2 d^2 letter images as
-    `Representation.image` gives them, the starred through
-    `QMatrix.adjoint`, entry by entry over one denominator."""
-    images = [rep.image(*l) for l in letters(rep.d)]
+    """The `words.Action` of rep from its 2 d^2 letter images read from R,
+    the starred through `QMatrix.adjoint`, entry by entry over one
+    denominator."""
+    images = [letter_image(rep, l) for l in letters(rep.d)]
     den = lcm(*(z.den for m in images for row in m.data for z in row))
     num = [[[(z.a * (den // z.den), z.b * (den // z.den)) for z in row] for row in m.data] for m in images]
     norm = max((sum(abs(a) + abs(b) for a, b in row) for m in num for row in m), default=0)
@@ -252,3 +259,33 @@ def test_action_equals_the_adjoint_images_on_drawn_carriers(every_kind, data):
     n = data.draw(st.integers(1, 3))
     for rep in (drawn_carrier(data, pres), unvalidated_rep(pres, drawn_blocks(data, pres.d, n), n)):
         assert rep.action == oracle_action(rep)
+
+
+def assert_gaussian_subspace(rep):
+    """gaussian_subspace(rep) is the kernel that `oracle_gaussian_subspace`
+    stacks from R, and rho(l) v = counit(l) v on every letter l and basis
+    vector v by the recursion."""
+    basis = gaussian_subspace(rep)
+    assert basis == oracle_gaussian_subspace(rep)
+    memo = {}
+    for l in letters(rep.d):
+        a = Element.generator(rep.d, *l)
+        m = oracle_rep(rep, a, memo)
+        for v in basis:
+            assert apply(m, v) == v.scale(counit(a))
+
+
+@given(st.data())
+def test_gaussian_subspace_on_drawn_carriers(every_kind, data):
+    pres = data.draw(st.sampled_from(every_kind))
+    assert_gaussian_subspace(drawn_carrier(data, pres))
+
+
+def test_gaussian_subspace_on_coupled_and_idempotent_reps(every_kind):
+    # idempotent_rep's relations lack u* u = 1: rho(u) - 1 alone leaves e_0,
+    # rho(u*) - 1 removes it
+    reps = [rep for pres in every_kind for rep in coupled_reps(pres)] + [idempotent_rep()]
+    assert len(reps) > 2
+    for rep in reps:
+        assert_gaussian_subspace(rep)
+    assert gaussian_subspace(idempotent_rep()) == []
