@@ -277,6 +277,12 @@ def letters(d: int, starred: bool = True) -> list[Letter]:
     return list(alpha if starred else alpha[: d * d])
 
 
+@lru_cache(maxsize=8)
+def letter_elements(d: int) -> tuple:
+    """Every letter of size d as a one-letter element, in `letters` order."""
+    return tuple(Element.from_word(d, (l,)) for l in letter_table(d).letters)
+
+
 def words_up_to(d: int, max_len: int, starred: bool = True) -> Iterator[Word]:
     """All words over the letter alphabet, lengths 0..max_len, canonical order."""
     alpha = letters(d, starred=starred)

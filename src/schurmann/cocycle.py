@@ -36,6 +36,7 @@ from .algebra import (
     Letter,
     Presentation,
     antipode_element,
+    letter_elements,
     letters,
     require_word_len,
     word_set,
@@ -306,9 +307,7 @@ def is_real_cocycle(
     `algebra.MAX_SAMPLED_WORD_LEN` is refused with InputError.
     """
     require_word_len(max_word_len, "sampled words")
-    pool: list[Element] = [
-        Element.generator(eta.d, l.row, l.col, l.star) for l in letters(eta.d)
-    ]
+    pool: list[Element] = list(letter_elements(eta.d))
     if sample_words is not None:
         pool.extend(sample_words)
     elif max_word_len > 0:

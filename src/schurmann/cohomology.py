@@ -23,7 +23,7 @@ from itertools import product, repeat
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import Element, Letter, Presentation, counit, letter_table, letters, require_word_len
+from .algebra import Element, Letter, Presentation, counit, letter_elements, letter_table, letters, require_word_len
 from .cocycle import Cocycle, cocycle_columns, cocycle_general, combination_numerators
 from .cocycle import scalar_gaussian_cocycle
 from .errors import ObstructionError, RelationViolation
@@ -303,12 +303,6 @@ def normalize(c: TwoCocycle) -> TwoCocycle:
     return CombinationCocycle(((ONE, c), (-v, correction)))
 
 
-@lru_cache(maxsize=8)
-def _letter_elements(d: int) -> tuple:
-    """Every letter of size d as a one-letter element, in `letters` order."""
-    return tuple(Element.from_word(d, (l,)) for l in letters(d))
-
-
 def _short_word_draws(rng: random.Random, d: int, count: int, size: int) -> list:
     """count tuples of size elements, each a word of at most two letters
     (the empty word, a letter or a letter pair) drawn by rng."""
@@ -326,7 +320,7 @@ def check_2cocycle(c: TwoCocycle, triples=None, seed: int = 0):
     """
     d = c.d
     if triples is None:
-        rng, els = random.Random(seed), _letter_elements(d)
+        rng, els = random.Random(seed), letter_elements(d)
         if len(els) ** 3 <= 1000:
             triples = list(product(els, repeat=3))
         else:
@@ -376,7 +370,7 @@ def square_zero_on_letters(c: TwoCocycle):
     fault in the evaluation of c shows as a witness.
     """
     _require_identity(c)
-    rng, els = random.Random(0), _letter_elements(c.d)
+    rng, els = random.Random(0), letter_elements(c.d)
     return check_2cocycle(c, [tuple(rng.choice(els) for _ in range(3)) for _ in range(RECHECK_TRIPLES)])
 
 
@@ -554,7 +548,7 @@ def check_primitive(phi: Primitive, pairs=None, seed: int = 0):
     c = phi.two_cocycle
     d = phi.d
     if pairs is None:
-        els = _letter_elements(d)
+        els = letter_elements(d)
         pairs = list(product(els, repeat=2)) + _short_word_draws(random.Random(seed), d, 24, 2)
     pairs = list(pairs)
     terms = [_pair_terms(c, a, b) for a, b in pairs]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Element, Presentation, counit, letters, word_set
+from .algebra import Element, Presentation, counit, letter_elements, letters, word_set
 from .errors import RelationViolation
 from .linalg import QMatrix, QVector, kernel_basis
 from .scalars import ONE, ZERO, Qi
@@ -183,10 +183,10 @@ def gaussian_subspace(rep: Representation) -> list[QVector]:
 
     Equals the joint kernel of rho(l) - counit(l) over all letters l, in
     `letters(d)` order, each rho(l) read through `rep_values` on the
-    one-letter element l.
+    one-letter element l from `algebra.letter_elements`.
     """
     alpha = letters(rep.d)
-    images = rep_values(rep, [Element.generator(rep.d, *l) for l in alpha])
+    images = rep_values(rep, letter_elements(rep.d))
     eye = QMatrix.identity(rep.n)
     rows = [row for l, m in zip(alpha, images) for row in (m - eye if l.row == l.col else m).data]
     return kernel_basis(QMatrix(rows, cols=rep.n))

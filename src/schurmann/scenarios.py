@@ -23,7 +23,7 @@ from .cocycle import (
     cocycle_from_V,
     cocycle_general,
     direct_sum_cocycle,
-    evaluate_cocycle,
+    cocycle_values,
     gaussian_cocycle,
     pullback_cocycle,
     random_coefficient,
@@ -100,12 +100,6 @@ class Registry:
     two_cocycles: list = field(default_factory=list)
     functionals: list = field(default_factory=list)
 
-    def add_two_cocycle(self, label, c):
-        self.two_cocycles.append((label, c))
-
-    def add_functional(self, label, psi):
-        self.functionals.append((label, psi))
-
 
 def _fmt(x) -> str:
     if isinstance(x, str):
@@ -166,13 +160,10 @@ def scenario_c01(config: RunConfig, registry: Registry):
     rng = _rng(config, sid)
     plain = 0
     for i in range(20):
-        eta = spaces[i % 3].random_element(rng)
-        try:
-            psi = schurmann_functional(eta)
-        except RelationViolation:
-            continue
-        registry.add_functional(f"{sid} random {i}", psi)
-        plain += 1
+        psi = admits_generating_functional(spaces[i % 3].random_element(rng))
+        if psi is not None:
+            registry.functionals.append(psi)
+            plain += 1
     offset = 0
     for i in range(5):
         eta = spaces[i % 3].random_element(rng)
@@ -180,7 +171,7 @@ def scenario_c01(config: RunConfig, registry: Registry):
             psi = schurmann_functional(eta, _random_hermitian(2, rng))
         except RelationViolation:
             continue
-        registry.add_functional(f"{sid} offset {i}", psi)
+        registry.functionals.append(psi)
         offset += 1
     return [
         _result(
@@ -213,13 +204,12 @@ def scenario_c02(config: RunConfig, registry: Registry):
     )
     generated = 0
     diag_formula = 0
-    for idx, eta in enumerate(space.basis):
-        try:
-            psi = schurmann_functional(eta)
-        except RelationViolation:
+    for eta in space.basis:
+        psi = admits_generating_functional(eta)
+        if psi is None:
             continue
         generated += 1
-        registry.add_functional(f"{sid} basis {idx}", psi)
+        registry.functionals.append(psi)
         if all(
             psi.value(Element.generator(3, k, k))
             == -inner_product(eta.V[k - 1][k - 1], eta.V[k - 1][k - 1]) / Qi(2)
@@ -255,23 +245,15 @@ def scenario_c03(config: RunConfig, registry: Registry):
         _result(sid, "Gaussian cocycle space has dimension 1", 1, space.dimension),
         _result(sid, "each basis cocycle has eta(u_11) = -eta(u_22)", True, mirrored),
     ]
-    validated = False
+    psi = admits_generating_functional(space.basis[0]) if space.basis else None
     form_zero, form_total = 0, 0
-    if space.basis:
-        try:
-            psi = schurmann_functional(space.basis[0])
-        except RelationViolation:
-            psi = None
-        if psi is not None:
-            validated = True
-            registry.add_functional(f"{sid} basis 0", psi)
-            form_rels = [
-                r for lbl, r in pres.relations if lbl.startswith("uF-Fubar")
-            ]
-            form_total = len(form_rels)
-            form_zero = sum(1 for r in form_rels if psi.value(r).is_zero())
+    if psi is not None:
+        registry.functionals.append(psi)
+        form_rels = [r for lbl, r in pres.relations if lbl.startswith("uF-Fubar")]
+        form_total = len(form_rels)
+        form_zero = sum(1 for r in form_rels if psi.value(r).is_zero())
     results.append(
-        _result(sid, "the generating functional validates", True, validated)
+        _result(sid, "the generating functional validates", True, psi is not None)
     )
     results.append(
         _result(
@@ -295,13 +277,9 @@ def scenario_c04(config: RunConfig, registry: Registry):
         ),
     )
     det_rels = pres.determinant_relations()
-    det_zero = sum(1 for _, r in det_rels if evaluate_cocycle(eta, r).is_zero())
+    det_zero = sum(1 for v in cocycle_values(eta, [r for _, r in det_rels]) if v.is_zero())
     report = su_q3_obstruction(eta)
-    rejected = False
-    try:
-        schurmann_functional(eta)
-    except RelationViolation:
-        rejected = True
+    rejected = admits_generating_functional(eta) is None
     dim = solve_cocycles(counit_rep(pres, 1)).dimension
     return [
         _result(
@@ -333,7 +311,7 @@ def scenario_c05(config: RunConfig, registry: Registry):
     bm = b_matrices(total)
     three_eye = QMatrix.identity(2).scale(Qi(3))
     psi = schurmann_functional(total)
-    registry.add_functional(f"{sid} direct sum", psi)
+    registry.functionals.append(psi)
     lk = lk_decomposition(psi)
     return [
         _result(sid, "Gaussian part admits no generating functional", False, admits_gf_unitary(eta_g)),
@@ -365,7 +343,7 @@ def scenario_c06(config: RunConfig, registry: Registry):
     psi = admits_generating_functional(total)
     decomposable = None
     if psi is not None:
-        registry.add_functional(f"{sid} lifted sum", psi)
+        registry.functionals.append(psi)
         decomposable = lk_decomposition(psi).decomposable
     return [
         _result(sid, "both lifted cocycles validate", True, True),
@@ -418,7 +396,7 @@ def scenario_c07(config: RunConfig, registry: Registry):
         [[Qi(5), ZERO, ZERO], [ZERO, Qi(3), ZERO], [ZERO, ZERO, Qi(3)]], cols=3
     )
     psi = schurmann_functional(total)
-    registry.add_functional(f"{sid} direct sum", psi)
+    registry.functionals.append(psi)
     lk = lk_decomposition(psi)
     return [
         _result(sid, "V V* of the Gaussian part matches exactly", expect_g, gram_g),
@@ -473,7 +451,7 @@ def scenario_c09(config: RunConfig, registry: Registry):
     eta = gaussian_cocycle(pres, grid)
     b = b_matrices(eta).b
     psi = schurmann_functional(eta)
-    registry.add_functional(f"{sid} functional", psi)
+    registry.functionals.append(psi)
     real, _witness = is_real_cocycle(eta)
     u23 = Element.generator(4, 2, 3)
     u31 = Element.generator(4, 3, 1)
@@ -523,8 +501,7 @@ def scenario_c11(config: RunConfig, registry: Registry):
     sid = "C11"
     pres = build_presentation("u_plus", 3)
     basis = basis_unitary(pres)
-    for name, c in basis.items():
-        registry.add_two_cocycle(f"{sid} {name}", c)
+    registry.two_cocycles.extend(basis.values())
     defects = {name: defect_unitary(c) for name, c in basis.items()}
     off = sum(
         1
@@ -546,15 +523,14 @@ def scenario_c11(config: RunConfig, registry: Registry):
     rng = _rng(config, sid)
     vanishing = 0
     psi = None
-    for i in range(10):
-        eta = scalar_gaussian_cocycle(pres, _random_hermitian(3, rng))
-        try:
-            psi = schurmann_functional(eta)
-        except RelationViolation:
+    for _ in range(10):
+        drawn = admits_generating_functional(scalar_gaussian_cocycle(pres, _random_hermitian(3, rng)))
+        if drawn is None:
             continue
-        registry.add_functional(f"{sid} random {i}", psi)
+        psi = drawn
+        registry.functionals.append(psi)
         boundary = coboundary1(psi)
-        registry.add_two_cocycle(f"{sid} coboundary {i}", boundary)
+        registry.two_cocycles.append(boundary)
         if defect_unitary(boundary).is_zero():
             vanishing += 1
     combo = CombinationCocycle(
@@ -564,7 +540,7 @@ def scenario_c11(config: RunConfig, registry: Registry):
             (ONE, coboundary1(psi)),
         )
     )
-    registry.add_two_cocycle(f"{sid} combination", combo)
+    registry.two_cocycles.append(combo)
     coords = class_coordinates(combo)
     highlighted = (coords.coefficients["K_1_2"], coords.coefficients["K_p_1"])
     others_zero = all(
@@ -622,8 +598,7 @@ def scenario_c12(config: RunConfig, registry: Registry):
     sid = "C12"
     pres3 = build_presentation("o_plus", 3)
     basis3 = basis_orthogonal(pres3)
-    for name, c in basis3.items():
-        registry.add_two_cocycle(f"{sid} {name}", c)
+    registry.two_cocycles.extend(basis3.values())
     matched = sum(
         1
         for m in range(1, 4)
@@ -633,7 +608,7 @@ def scenario_c12(config: RunConfig, registry: Registry):
     )
     pres2 = build_presentation("o_plus", 2)
     basis2 = basis_orthogonal(pres2)
-    registry.add_two_cocycle(f"{sid} Kz", basis2["Kz"])
+    registry.two_cocycles.append(basis2["Kz"])
     kz_defect = defect_orthogonal(basis2["Kz"])
     expect_kz = QMatrix([[ZERO, Qi(2)], [Qi(-2), ZERO]], cols=2)
     return [
@@ -654,7 +629,7 @@ def scenario_c13(config: RunConfig, registry: Registry):
     for i in range(10):
         space = spaces[i % 3]
         c = KPairCocycle(space.random_element(rng), space.random_element(rng))
-        registry.add_two_cocycle(f"{sid} pair {i}", c)
+        registry.two_cocycles.append(c)
         try:
             phi = primitive(c)
         except (ObstructionError, RelationViolation):
@@ -683,13 +658,13 @@ def scenario_c14(config: RunConfig, registry: Registry):
     n_cocycles = len(registry.two_cocycles)
     square_zero = 0
     zero_sums = 0
-    for _, c in registry.two_cocycles:
+    for c in registry.two_cocycles:
         if square_zero_on_letters(c) is None:
             square_zero += 1
         if all(v.is_zero() for v in sum_identity_defects(c).values()):
             zero_sums += 1
     n_functionals = len(registry.functionals)
-    psd = sum(1 for _, psi in registry.functionals if gram_psd_check(psi))
+    psd = sum(1 for psi in registry.functionals if gram_psd_check(psi))
     return [
         _result(
             sid,

@@ -17,8 +17,10 @@ import pytest
 
 from schurmann import (
     CoboundaryCocycle,
+    Functional,
     KPairCocycle,
     RunConfig,
+    TwoCocycle,
     coboundary1,
     cocycle,
     cohomology,
@@ -142,6 +144,17 @@ def test_a_fault_in_the_coboundary_fails_c13_and_c14(monkeypatch):
     assert any(
         r.scenario == "C14" and r.computed.startswith("ArithmeticError: ('a Gram core entry disagrees") for r in failed
     ), [r.computed for r in failed]
+
+
+def test_the_suite_registers_33_two_cocycles_and_43_functionals():
+    # the counts a traced benchmark run pins; C14 reads the two lists whole
+    config, registry = RunConfig(max_word_len=2), scenarios.Registry()
+    for _, fn in scenarios.SCENARIOS:
+        fn(config, registry)
+    assert len(registry.two_cocycles) == 33
+    assert all(isinstance(c, TwoCocycle) for c in registry.two_cocycles)
+    assert len(registry.functionals) == 43
+    assert all(isinstance(psi, Functional) for psi in registry.functionals)
 
 
 def test_c11_reads_each_basis_defect_once(monkeypatch):

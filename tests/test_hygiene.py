@@ -150,7 +150,7 @@ def _resolves(ref: str) -> bool:
     function) or a name that one of its modules defines."""
     head, *rest = ref.split(".")
     # `__main__` runs the command line on import
-    stems = [stem for stem in _modules() if not _dunder(stem)]
+    stems = [path.stem for path in sorted(PACKAGE.glob("*.py")) if not _dunder(path.stem)]
     modules = [schurmann] + [importlib.import_module(f"schurmann.{stem}") for stem in stems]
     if head == "schurmann":
         obj = schurmann
