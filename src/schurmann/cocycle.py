@@ -147,11 +147,6 @@ def cocycle_values(eta: Cocycle, elements: Sequence[Element]) -> list[QVector]:
     return [QVector(sums.column(e)) for e in range(len(elements))]
 
 
-def evaluate_cocycle(eta: Cocycle, a: Element) -> QVector:
-    """eta(a); words peel from the leftmost letter."""
-    return cocycle_values(eta, [a])[0]
-
-
 def cocycle_general(
     rep: Representation, V: Sequence[Sequence[QVector]], W: Sequence[Sequence[QVector]]
 ) -> Cocycle:

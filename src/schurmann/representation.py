@@ -77,11 +77,6 @@ def rep_values(rep: Representation, elements: Sequence[Element]) -> list[QMatrix
     return [_matrix(sums.column(e), rep.n) for e in range(len(elements))]
 
 
-def evaluate_rep(rep: Representation, a: Element) -> QMatrix:
-    """rho(a) as an n x n matrix; words multiply left to right."""
-    return rep_values(rep, [a])[0]
-
-
 def _require_budget(presentation: Presentation, n: int) -> None:
     what = f"the relation values of a representation of dimension {n}"
     presentation.relation_words.require(n * n, what)

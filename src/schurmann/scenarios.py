@@ -1,8 +1,9 @@
 """Deterministic end-to-end verification scenarios.
 
 Each scenario builds explicit presentations, cocycles, functionals or
-2-cocycles, computes exact values and records them next to the expected
-ones; a result passes only when the two agree exactly.  Scenarios register
+2-cocycles, computes exact values and returns one ``(claim, expected,
+computed)`` row per claim; a row passes only when the two agree exactly.
+``SCENARIOS`` pairs each scenario with its id.  Scenarios register
 the objects they validate, and the final structural scenario re-checks the
 whole registry against the identities every such object must satisfy.
 
@@ -109,12 +110,6 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def _result(scenario: str, claim: str, expected, computed) -> ScenarioResult:
-    return ScenarioResult(
-        scenario, claim, _fmt(expected), _fmt(computed), expected == computed
-    )
-
-
 def _rng(config: RunConfig, scenario: str) -> random.Random:
     return random.Random(f"{config.seed}:{scenario}")
 
@@ -155,9 +150,8 @@ def _u2_pair():
 
 def scenario_c01(config: RunConfig, registry: Registry):
     """K<2>: every cocycle admits a generating functional."""
-    sid = "C01"
     spaces = _k2_spaces()
-    rng = _rng(config, sid)
+    rng = _rng(config, "C01")
     plain = 0
     for i in range(20):
         psi = admits_generating_functional(spaces[i % 3].random_element(rng))
@@ -174,25 +168,18 @@ def scenario_c01(config: RunConfig, registry: Registry):
         registry.functionals.append(psi)
         offset += 1
     return [
-        _result(
-            sid,
+        (
             "20 random cocycles over the three reference representations "
             "admit generating functionals",
             20,
             plain,
         ),
-        _result(
-            sid,
-            "5 random selfadjoint offsets H give valid functionals as well",
-            5,
-            offset,
-        ),
+        ("5 random selfadjoint offsets H give valid functionals as well", 5, offset),
     ]
 
 
 def scenario_c02(config: RunConfig, registry: Registry):
     """U_Q+ with Q = diag(1,2,3): only diagonal Gaussian cocycles, all generating."""
-    sid = "C02"
     pres = build_presentation("u_q", 3, q_diag=(1, 2, 3))
     space = solve_cocycles(counit_rep(pres, 1))
     diagonal = all(
@@ -217,34 +204,19 @@ def scenario_c02(config: RunConfig, registry: Registry):
         ):
             diag_formula += 1
     return [
-        _result(sid, "Gaussian cocycle space has dimension 3", 3, space.dimension),
-        _result(sid, "every basis cocycle is diagonal", True, diagonal),
-        _result(
-            sid,
-            "a generating functional validates on each basis cocycle",
-            space.dimension,
-            generated,
-        ),
-        _result(
-            sid,
-            "psi(u_kk) = -||eta(u_kk)||^2 / 2 on each basis cocycle",
-            space.dimension,
-            diag_formula,
-        ),
+        ("Gaussian cocycle space has dimension 3", 3, space.dimension),
+        ("every basis cocycle is diagonal", True, diagonal),
+        ("a generating functional validates on each basis cocycle", space.dimension, generated),
+        ("psi(u_kk) = -||eta(u_kk)||^2 / 2 on each basis cocycle", space.dimension, diag_formula),
     ]
 
 
 def scenario_c03(config: RunConfig, registry: Registry):
     """O_F+ with F = [[0,1/2],[2,0]]: Gaussian cocycles mirror and generate."""
-    sid = "C03"
     f = QMatrix([[ZERO, Qi("1/2")], [Qi(2), ZERO]], cols=2)
     pres = build_presentation("o_f", 2, F=f)
     space = solve_cocycles(counit_rep(pres, 1))
     mirrored = all(eta.V[0][0] == -eta.V[1][1] for eta in space.basis)
-    results = [
-        _result(sid, "Gaussian cocycle space has dimension 1", 1, space.dimension),
-        _result(sid, "each basis cocycle has eta(u_11) = -eta(u_22)", True, mirrored),
-    ]
     psi = admits_generating_functional(space.basis[0]) if space.basis else None
     form_zero, form_total = 0, 0
     if psi is not None:
@@ -252,23 +224,16 @@ def scenario_c03(config: RunConfig, registry: Registry):
         form_rels = [r for lbl, r in pres.relations if lbl.startswith("uF-Fubar")]
         form_total = len(form_rels)
         form_zero = sum(1 for r in form_rels if psi.value(r).is_zero())
-    results.append(
-        _result(sid, "the generating functional validates", True, psi is not None)
-    )
-    results.append(
-        _result(
-            sid,
-            "psi vanishes on every uF - F ubar relation",
-            form_total,
-            form_zero,
-        )
-    )
-    return results
+    return [
+        ("Gaussian cocycle space has dimension 1", 1, space.dimension),
+        ("each basis cocycle has eta(u_11) = -eta(u_22)", True, mirrored),
+        ("the generating functional validates", True, psi is not None),
+        ("psi vanishes on every uF - F ubar relation", form_total, form_zero),
+    ]
 
 
 def scenario_c04(config: RunConfig, registry: Registry):
     """SU_q(3) at q = 1/2: a valid Gaussian cocycle with no generating functional."""
-    sid = "C04"
     pres = build_presentation("su_q", 3, q="1/2")
     eta = scalar_gaussian_cocycle(
         pres,
@@ -282,30 +247,23 @@ def scenario_c04(config: RunConfig, registry: Registry):
     rejected = admits_generating_functional(eta) is None
     dim = solve_cocycles(counit_rep(pres, 1)).dimension
     return [
-        _result(
-            sid,
+        (
             "eta = diag(-1-i, 1, i) vanishes on all 6 twisted determinant relations",
             (len(det_rels), len(det_rels)),
             (len(det_rels), det_zero),
         ),
-        _result(
-            sid,
+        (
             "obstruction constants differ: C_id and C_(23)",
             (Qi(-2, 1), Qi(-2, -1), False),
-            (
-                report.values[(1, 2, 3)],
-                report.values[(1, 3, 2)],
-                report.constant,
-            ),
+            (report.values[(1, 2, 3)], report.values[(1, 3, 2)], report.constant),
         ),
-        _result(sid, "the generating functional construction rejects eta", True, rejected),
-        _result(sid, "Gaussian cocycle space has dimension 2", 2, dim),
+        ("the generating functional construction rejects eta", True, rejected),
+        ("Gaussian cocycle space has dimension 2", 2, dim),
     ]
 
 
 def scenario_c05(config: RunConfig, registry: Registry):
     """U_2+: no functional for either part, one for the sum, and no splitting."""
-    sid = "C05"
     pres, eta_g, eta_n = _u2_pair()
     total = direct_sum_cocycle(eta_g, eta_n)
     bm = b_matrices(total)
@@ -314,17 +272,16 @@ def scenario_c05(config: RunConfig, registry: Registry):
     registry.functionals.append(psi)
     lk = lk_decomposition(psi)
     return [
-        _result(sid, "Gaussian part admits no generating functional", False, admits_gf_unitary(eta_g)),
-        _result(sid, "anti-Gaussian part admits no generating functional", False, admits_gf_unitary(eta_n)),
-        _result(sid, "the direct sum has B = B~ = 3 I_2", (three_eye, three_eye), (bm.b, bm.b_tilde)),
-        _result(sid, "the direct sum admits a generating functional", True, admits_gf_unitary(total)),
-        _result(sid, "that functional has no Gaussian/non-Gaussian splitting", False, lk.decomposable),
+        ("Gaussian part admits no generating functional", False, admits_gf_unitary(eta_g)),
+        ("anti-Gaussian part admits no generating functional", False, admits_gf_unitary(eta_n)),
+        ("the direct sum has B = B~ = 3 I_2", (three_eye, three_eye), (bm.b, bm.b_tilde)),
+        ("the direct sum admits a generating functional", True, admits_gf_unitary(total)),
+        ("that functional has no Gaussian/non-Gaussian splitting", False, lk.decomposable),
     ]
 
 
 def scenario_c06(config: RunConfig, registry: Registry):
     """U_Q+ with Q = diag(1,1,2) inherits the U_2+ counterexamples."""
-    sid = "C06"
     source = build_presentation("u_q", 3, q_diag=(1, 1, 2))
     target, eta_g, eta_n = _u2_pair()
     images = tuple(
@@ -346,24 +303,19 @@ def scenario_c06(config: RunConfig, registry: Registry):
         registry.functionals.append(psi)
         decomposable = lk_decomposition(psi).decomposable
     return [
-        _result(sid, "both lifted cocycles validate", True, True),
-        _result(
-            sid,
+        ("both lifted cocycles validate", True, True),
+        (
             "neither lifted part admits a generating functional",
             (None, None),
-            (
-                admits_generating_functional(lift_g),
-                admits_generating_functional(lift_n),
-            ),
+            (admits_generating_functional(lift_g), admits_generating_functional(lift_n)),
         ),
-        _result(sid, "the lifted sum admits a generating functional", True, psi is not None),
-        _result(sid, "that functional has no splitting", False, decomposable),
+        ("the lifted sum admits a generating functional", True, psi is not None),
+        ("that functional has no splitting", False, decomposable),
     ]
 
 
 def scenario_c07(config: RunConfig, registry: Registry):
     """O_3+: no functional for either part, one for the sum, and no splitting."""
-    sid = "C07"
     pres = build_presentation("o_plus", 3)
     eta_g = scalar_gaussian_cocycle(
         pres,
@@ -399,21 +351,20 @@ def scenario_c07(config: RunConfig, registry: Registry):
     registry.functionals.append(psi)
     lk = lk_decomposition(psi)
     return [
-        _result(sid, "V V* of the Gaussian part matches exactly", expect_g, gram_g),
-        _result(sid, "Gaussian part admits no generating functional", False, admits_gf_orth(eta_g)),
-        _result(sid, "V V* of the anti-Gaussian part matches exactly", expect_n, gram_n),
-        _result(sid, "anti-Gaussian part admits no generating functional", False, admits_gf_orth(eta_n)),
-        _result(sid, "the direct sum has B = diag(5,3,3)", expect_b, b_total),
-        _result(sid, "the direct sum admits a generating functional", True, admits_gf_orth(total)),
-        _result(sid, "that functional has no splitting", False, lk.decomposable),
+        ("V V* of the Gaussian part matches exactly", expect_g, gram_g),
+        ("Gaussian part admits no generating functional", False, admits_gf_orth(eta_g)),
+        ("V V* of the anti-Gaussian part matches exactly", expect_n, gram_n),
+        ("anti-Gaussian part admits no generating functional", False, admits_gf_orth(eta_n)),
+        ("the direct sum has B = diag(5,3,3)", expect_b, b_total),
+        ("the direct sum admits a generating functional", True, admits_gf_orth(total)),
+        ("that functional has no splitting", False, lk.decomposable),
     ]
 
 
 def scenario_c08(config: RunConfig, registry: Registry):
     """O_2+: every antisymmetric Gaussian cocycle admits a generating functional."""
-    sid = "C08"
     pres = build_presentation("o_plus", 2)
-    rng = _rng(config, sid)
+    rng = _rng(config, "C08")
     admitted = 0
     for i in range(50):
         n = 1 if i % 2 == 0 else 2
@@ -423,8 +374,7 @@ def scenario_c08(config: RunConfig, registry: Registry):
         if admits_gf_orth(eta):
             admitted += 1
     return [
-        _result(
-            sid,
+        (
             "50 random antisymmetric Gaussian cocycles over C^1 and C^2 "
             "all admit generating functionals",
             50,
@@ -435,7 +385,6 @@ def scenario_c08(config: RunConfig, registry: Registry):
 
 def scenario_c09(config: RunConfig, registry: Registry):
     """O_4+: a non-real Gaussian cocycle whose functional is not a trace."""
-    sid = "C09"
     pres = build_presentation("o_plus", 4)
 
     def pair(a, b):
@@ -456,17 +405,11 @@ def scenario_c09(config: RunConfig, registry: Registry):
     u23 = Element.generator(4, 2, 3)
     u31 = Element.generator(4, 3, 1)
     return [
-        _result(sid, "B = 2 I_4", QMatrix.identity(4).scale(Qi(2)), b),
-        _result(sid, "the generating functional validates", True, True),
-        _result(sid, "the cocycle is not real", False, real),
-        _result(
-            sid,
-            "reality fails at (u_23, u_31) with values (i, -i)",
-            (I, -I),
-            reality_pair(eta, u23, u31),
-        ),
-        _result(
-            sid,
+        ("B = 2 I_4", QMatrix.identity(4).scale(Qi(2)), b),
+        ("the generating functional validates", True, True),
+        ("the cocycle is not real", False, real),
+        ("reality fails at (u_23, u_31) with values (i, -i)", (I, -I), reality_pair(eta, u23, u31)),
+        (
             "psi(u_23 u_31) = i differs from psi(u_31 u_23) = -i",
             (I, -I),
             (psi.value(u23 * u31), psi.value(u31 * u23)),
@@ -476,7 +419,6 @@ def scenario_c09(config: RunConfig, registry: Registry):
 
 def scenario_c10(config: RunConfig, registry: Registry):
     """First cohomology dimensions for the free quantum groups."""
-    sid = "C10"
     dims_u = tuple(
         solve_cocycles(counit_rep(build_presentation("u_plus", d), 1)).dimension
         for d in (2, 3)
@@ -486,19 +428,13 @@ def scenario_c10(config: RunConfig, registry: Registry):
         for d in (2, 3, 4)
     )
     return [
-        _result(sid, "U_d+ Gaussian space has dimension d^2 for d = 2, 3", (4, 9), dims_u),
-        _result(
-            sid,
-            "O_d+ Gaussian space has dimension d(d-1)/2 for d = 2, 3, 4",
-            (1, 3, 6),
-            dims_o,
-        ),
+        ("U_d+ Gaussian space has dimension d^2 for d = 2, 3", (4, 9), dims_u),
+        ("O_d+ Gaussian space has dimension d(d-1)/2 for d = 2, 3, 4", (1, 3, 6), dims_o),
     ]
 
 
 def scenario_c11(config: RunConfig, registry: Registry):
     """Second cohomology of U_3+: defects of the pairing basis span sl(3)."""
-    sid = "C11"
     pres = build_presentation("u_plus", 3)
     basis = basis_unitary(pres)
     registry.two_cocycles.extend(basis.values())
@@ -520,7 +456,7 @@ def scenario_c11(config: RunConfig, registry: Registry):
         [[defect[r][s] for r in range(3) for s in range(3)] for defect in defects.values()],
         cols=9,
     )
-    rng = _rng(config, sid)
+    rng = _rng(config, "C11")
     vanishing = 0
     psi = None
     for _ in range(10):
@@ -557,35 +493,20 @@ def scenario_c11(config: RunConfig, registry: Registry):
         )
     )
     return [
-        _result(sid, "defect of K_m_n is e_mn for all 6 off-diagonal pairs", 6, off),
-        _result(
-            sid,
-            f"defect of K_p_p is {KP_DEFECT_SIGN} * (e_pp - e_p+1,p+1) for both p",
-            2,
-            diag,
-        ),
-        _result(
-            sid,
-            "the 8 basis defects are linearly independent, spanning the "
-            "trace-zero matrices",
+        ("defect of K_m_n is e_mn for all 6 off-diagonal pairs", 6, off),
+        (f"defect of K_p_p is {KP_DEFECT_SIGN} * (e_pp - e_p+1,p+1) for both p", 2, diag),
+        (
+            "the 8 basis defects are linearly independent, spanning the trace-zero matrices",
             8,
             rank(stacked),
         ),
-        _result(
-            sid,
-            "the defect of the coboundary of 10 random validated functionals "
-            "vanishes",
-            10,
-            vanishing,
-        ),
-        _result(
-            sid,
+        ("the defect of the coboundary of 10 random validated functionals vanishes", 10, vanishing),
+        (
             "class coordinates of 2 K_1_2 + K_p_1 + coboundary read off exactly",
             (Qi(2), ONE, True),
             (*highlighted, others_zero),
         ),
-        _result(
-            sid,
+        (
             "subtracting the coordinate combination leaves zero defect",
             True,
             defect_unitary(residual).is_zero(),
@@ -595,7 +516,6 @@ def scenario_c11(config: RunConfig, registry: Registry):
 
 def scenario_c12(config: RunConfig, registry: Registry):
     """Second cohomology of O_d+: basis defects realize the antisymmetric matrices."""
-    sid = "C12"
     pres3 = build_presentation("o_plus", 3)
     basis3 = basis_orthogonal(pres3)
     registry.two_cocycles.extend(basis3.values())
@@ -612,16 +532,15 @@ def scenario_c12(config: RunConfig, registry: Registry):
     kz_defect = defect_orthogonal(basis2["Kz"])
     expect_kz = QMatrix([[ZERO, Qi(2)], [Qi(-2), ZERO]], cols=2)
     return [
-        _result(sid, "defect of Khat_m_n is e_mn - e_nm for all 3 pairs", 3, matched),
-        _result(sid, "at d = 2 the anti-Gaussian pair has defect [[0,2],[-2,0]]", expect_kz, kz_defect),
+        ("defect of Khat_m_n is e_mn - e_nm for all 3 pairs", 3, matched),
+        ("at d = 2 the anti-Gaussian pair has defect [[0,2],[-2,0]]", expect_kz, kz_defect),
     ]
 
 
 def scenario_c13(config: RunConfig, registry: Registry):
     """Second cohomology of K<2> vanishes: pairing 2-cocycles are coboundaries."""
-    sid = "C13"
     spaces = _k2_spaces()
-    rng = _rng(config, sid)
+    rng = _rng(config, "C13")
     base = len(letters(2))
     words = sum(base**n for n in range(config.max_word_len + 1))
     built = 0
@@ -641,9 +560,8 @@ def scenario_c13(config: RunConfig, registry: Registry):
         if witness is None and checked == words * words:
             clean += 1
     return [
-        _result(sid, "a primitive exists for 10 random pairing 2-cocycles", 10, built),
-        _result(
-            sid,
+        ("a primitive exists for 10 random pairing 2-cocycles", 10, built),
+        (
             f"each primitive reproduces its 2-cocycle on all {words * words} "
             f"word pairs of length <= {config.max_word_len}",
             10,
@@ -654,7 +572,6 @@ def scenario_c13(config: RunConfig, registry: Registry):
 
 def scenario_c14(config: RunConfig, registry: Registry):
     """Structural identities for every object registered by the suite."""
-    sid = "C14"
     n_cocycles = len(registry.two_cocycles)
     square_zero = 0
     zero_sums = 0
@@ -666,22 +583,19 @@ def scenario_c14(config: RunConfig, registry: Registry):
     n_functionals = len(registry.functionals)
     psd = sum(1 for psi in registry.functionals if gram_psd_check(psi))
     return [
-        _result(
-            sid,
+        (
             f"the degree-2 coboundary identity holds on all letter triples "
             f"for all {n_cocycles} registered 2-cocycles",
             n_cocycles,
             square_zero,
         ),
-        _result(
-            sid,
+        (
             f"the paired unitarity sums cancel exactly for all {n_cocycles} "
             f"registered 2-cocycles",
             n_cocycles,
             zero_sums,
         ),
-        _result(
-            sid,
+        (
             f"the Gram matrix over the short word pool is positive "
             f"semidefinite for all {n_functionals} registered functionals",
             n_functionals,
@@ -708,36 +622,37 @@ SCENARIOS = (
 )
 
 
-def _run_one(sid, fn, config, registry):
-    try:
-        return fn(config, registry)
-    except InputError:
-        # a refused input (a table or a word over budget) is no verdict on the claim
-        raise
-    except Exception as exc:  # a failing scenario must not halt the suite
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        failure = ScenarioResult(
-            sid,
-            "scenario completes without raising",
-            "completion",
-            f"{type(exc).__name__}: {exc} "
-            f"(raised at {os.path.basename(frame.filename)}:{frame.lineno})",
-            False,
-        )
-        return [failure]
-
-
 def run_all(config: RunConfig | None = None) -> list[ScenarioResult]:
     """Run every scenario in table order; deterministic for a fixed config.
 
-    All scenarios register into one registry.  The structural scenario
-    comes last in the table because it consumes that registry.
+    Each scenario returns its ``(claim, expected, computed)`` rows, and the
+    table gives them its id.  All scenarios register into one registry; the
+    structural scenario comes last in the table because it consumes it.
     """
     config = config or RunConfig()
     registry = Registry()
     results = []
     for sid, fn in SCENARIOS:
-        results.extend(_run_one(sid, fn, config, registry))
+        try:
+            results += [
+                ScenarioResult(sid, claim, _fmt(expected), _fmt(computed), expected == computed)
+                for claim, expected, computed in fn(config, registry)
+            ]
+        except InputError:
+            # a refused input (a table or a word over budget) is no verdict on the claim
+            raise
+        except Exception as exc:  # a failing scenario must not halt the suite
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            results.append(
+                ScenarioResult(
+                    sid,
+                    "scenario completes without raising",
+                    "completion",
+                    f"{type(exc).__name__}: {exc} "
+                    f"(raised at {os.path.basename(frame.filename)}:{frame.lineno})",
+                    False,
+                )
+            )
     return results
 
 

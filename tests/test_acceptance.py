@@ -146,6 +146,24 @@ def test_a_fault_in_the_coboundary_fails_c13_and_c14(monkeypatch):
     ), [r.computed for r in failed]
 
 
+def test_each_check_has_its_own_id_and_claim():
+    # five claim texts recur, in C03 and C09, C05 and C07, C06 and C07 (the
+    # pinned output keeps them), so a check is keyed by its id and its claim
+    keys = [(r.scenario, r.claim) for r in run_all(RunConfig(max_word_len=2))]
+    assert len(keys) == 51
+    assert len(set(keys)) == 51
+
+
+def test_every_scenario_returns_claim_rows():
+    # (claim, expected, computed); `run_all` adds the id from the table
+    config, registry = RunConfig(max_word_len=2), scenarios.Registry()
+    for _, fn in scenarios.SCENARIOS:
+        rows = fn(config, registry)
+        assert isinstance(rows, list) and rows
+        for row in rows:
+            assert isinstance(row, tuple) and len(row) == 3 and isinstance(row[0], str)
+
+
 def test_the_suite_registers_33_two_cocycles_and_43_functionals():
     # the counts a traced benchmark run pins; C14 reads the two lists whole
     config, registry = RunConfig(max_word_len=2), scenarios.Registry()
@@ -176,8 +194,8 @@ def test_c11_reads_each_basis_defect_once(monkeypatch):
     for module in (scenarios, cohomology):
         counted(module, "defect_unitary")
     counted(cocycle, "cocycle_from_V")
-    results = dict(scenarios.SCENARIOS)["C11"](RunConfig(), scenarios.Registry())
-    assert all(r.passed for r in results)
+    rows = dict(scenarios.SCENARIOS)["C11"](RunConfig(), scenarios.Registry())
+    assert all(expected == computed for _, expected, computed in rows)
     # 8 basis defects, 10 coboundaries, 9 in `class_coordinates`, 1 residual
     assert calls == {"defect_unitary": 28, "cocycle_from_V": 20}
 

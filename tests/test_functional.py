@@ -298,6 +298,26 @@ def test_the_existence_criteria_agree_with_the_construction(criterion_spaces, da
     assert criterion(eta) == (admits_generating_functional(eta) is not None)
 
 
+def test_the_paper_criteria_agree_with_the_decider_on_every_basis(criterion_spaces):
+    # on U_d+ the H = 0 functional takes the value b_jk - b~_kj on the
+    # relation (ubar u^t)_jk = delta_jk, so it validates iff b~ = b^t; on
+    # O_d+ the sym relations force b~ = b, so the same relation asks that
+    # the Hermitian b be symmetric, that is real
+    rng = random.Random(0)
+    verdicts = {}
+    for space in criterion_spaces:
+        pres = space.rep.presentation
+        if pres.d == 4:
+            continue
+        criterion = admits_gf_unitary if pres.kind == "u_plus" else admits_gf_orth
+        for eta in list(space.basis) + [space.random_element(rng) for _ in range(15)]:
+            verdict = criterion(eta)
+            assert verdict == (admits_generating_functional(eta) is not None)
+            verdicts.setdefault((pres.kind, pres.d), set()).add(verdict)
+    kinds = [("u_plus", 2), ("u_plus", 3), ("o_plus", 2), ("o_plus", 3)]
+    assert verdicts == {key: {False, True} for key in kinds}
+
+
 def test_lk_report_on_gaussian_functional(eta_sym_u2):
     lk = lk_decomposition(schurmann_functional(eta_sym_u2))
     assert lk.gaussian_dim == 1

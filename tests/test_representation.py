@@ -38,7 +38,6 @@ from schurmann import (
     counit,
     counit_rep,
     direct_sum_rep,
-    evaluate_rep,
     gaussian_subspace,
     letters,
     representation,
@@ -130,7 +129,7 @@ def test_sign_rep_validates(u2):
     rep = sign_rep(u2)
     assert letter_image(rep, Letter(1, 1, False)) == QMatrix([[-ONE]])
     a = Element.generator(2, 1, 1) * Element.generator(2, 1, 1)
-    assert evaluate_rep(rep, a) == QMatrix.identity(1)
+    assert rep_values(rep, [a])[0] == QMatrix.identity(1)
 
 
 def test_diagonal_phase_rep(u2):
@@ -153,14 +152,14 @@ elements_d2 = st.lists(
 @given(elements_d2, elements_d2)
 def test_rep_is_star_homomorphism(u2, a, b):
     rep = sign_rep(u2, n=1)
-    assert evaluate_rep(rep, a * b) == evaluate_rep(rep, a) @ evaluate_rep(rep, b)
-    assert evaluate_rep(rep, a.star()) == evaluate_rep(rep, a).adjoint()
+    assert rep_values(rep, [a * b])[0] == rep_values(rep, [a])[0] @ rep_values(rep, [b])[0]
+    assert rep_values(rep, [a.star()])[0] == rep_values(rep, [a])[0].adjoint()
 
 
 @given(elements_d2)
 def test_counit_rep_agrees_with_counit(u2, a):
     rep = counit_rep(u2)
-    assert evaluate_rep(rep, a) == QMatrix([[counit(a)]])
+    assert rep_values(rep, [a])[0] == QMatrix([[counit(a)]])
 
 
 def test_direct_sum_blocks(u2):
@@ -193,7 +192,7 @@ def test_rep_values_match_recursion(every_kind, data):
         memo = {}
         want = [oracle_rep(rep, a, memo) for a in elements]
         assert rep_values(rep, elements) == want
-        assert [evaluate_rep(rep, a) for a in elements] == want
+        assert [rep_values(rep, [a])[0] for a in elements] == want
 
 
 @given(st.data())
@@ -222,7 +221,7 @@ def test_rep_of_a_long_word_matches_recursion(u2):
     a = Element.from_word(2, w, q("1/2"))
     want = oracle_rep(rep, a)
     assert want != want.transpose()
-    assert without_deep_recursion(evaluate_rep, rep, a) == want
+    assert without_deep_recursion(rep_values, rep, [a])[0] == want
 
 
 def oracle_action(rep):
