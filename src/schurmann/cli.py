@@ -34,19 +34,18 @@ import sys
 from .algebra import PRESENTATION_KINDS
 from .cocycle import b_matrices, is_real_cocycle, solve_cocycles
 from .cohomology import (
-    basis_orthogonal,
-    basis_unitary,
+    CLASS_KINDS,
+    FLAVORS,
     check_2cocycle,
     check_primitive,
     class_coordinates,
-    defect_orthogonal,
-    defect_unitary,
+    defect,
+    defect_basis,
     primitive,
 )
 from .errors import InputError, ObstructionError, RelationViolation
 from .functional import (
-    admits_gf_orth,
-    admits_gf_unitary,
+    admits_gf_criterion,
     gram_psd_check,
     lk_decomposition,
     schurmann_functional,
@@ -203,29 +202,30 @@ def cmd_validate(args, shape, obj):
     return (0 if ok else 1), lines, data
 
 
+# The printed names of each defect flavor: the name of the defect's check,
+# and the existence criterion with the (text label, JSON key, matrix) of
+# the two B matrices it compares.  The orthogonal names read b_tilde = b^t
+# as "b real": on o_plus, b_tilde = b and b^t = conj(b).
+_CHECK_NAMES = {"unitary": "trace zero", "orthogonal": "antisymmetric"}
+_CRITERIA = {
+    "unitary": (
+        "b_tilde = b transpose",
+        lambda bm: [("b_tilde", "b_tilde", bm.b_tilde), ("b transpose", "b_transpose", bm.b.transpose())],
+    ),
+    "orthogonal": ("b real", lambda bm: [("b", "b", bm.b), ("conj(b)", "b_conj", bm.b.conj())]),
+}
+
+
 def _check_gf(args, shape, eta):
     kind = eta.presentation.kind
-    if kind == "u_plus":
-        ok = admits_gf_unitary(eta)
-        bm = b_matrices(eta)
-        bt = bm.b.transpose()
-        lines = [f"gf exists: {str(ok).lower()} (criterion: b_tilde = b transpose)"]
+    if kind in CLASS_KINDS:
+        ok = admits_gf_criterion(eta)
+        criterion, sides = _CRITERIA[FLAVORS[kind]]
+        matrices = sides(b_matrices(eta))
+        lines = [f"gf exists: {str(ok).lower()} (criterion: {criterion})"]
         if not ok:
-            lines += ["b_tilde:", _fmt_matrix(bm.b_tilde), "b transpose:", _fmt_matrix(bt)]
-        data = {
-            "verdict": ok,
-            "b_tilde": matrix_to_json(bm.b_tilde),
-            "b_transpose": matrix_to_json(bt),
-        }
-        return (0 if ok else 1), lines, data
-    if kind == "o_plus":
-        ok = admits_gf_orth(eta)
-        bm = b_matrices(eta)
-        bc = bm.b.conj()
-        lines = [f"gf exists: {str(ok).lower()} (criterion: b real)"]
-        if not ok:
-            lines += ["b:", _fmt_matrix(bm.b), "conj(b):", _fmt_matrix(bc)]
-        data = {"verdict": ok, "b": matrix_to_json(bm.b), "b_conj": matrix_to_json(bc)}
+            lines += [line for label, _, m in matrices for line in (f"{label}:", _fmt_matrix(m))]
+        data = {"verdict": ok} | {key: matrix_to_json(m) for _, key, m in matrices}
         return (0 if ok else 1), lines, data
     try:
         schurmann_functional(eta)
@@ -275,17 +275,11 @@ def _check_real(args, shape, eta):
     return (0 if ok else 1), lines, data
 
 
-def _defect(c):
-    """(flavor, defect, name of the flavor check) of a 2-cocycle.  The defect
-    maps raise ArithmeticError rather than return a defect that fails its
-    flavor check, so every defect printed passes it."""
-    if c.presentation.kind == "o_plus":
-        return "orthogonal", defect_orthogonal(c), "antisymmetric"
-    return "unitary", defect_unitary(c), "trace zero"
-
-
 def _check_defect(args, shape, c):
-    flavor, m, check = _defect(c)
+    # `defect` raises ArithmeticError rather than return a matrix that fails
+    # its flavor check, so every defect printed passes it
+    m, flavor = defect(c), FLAVORS[c.presentation.kind]
+    check = _CHECK_NAMES[flavor]
     lines = [f"{flavor} defect:", _fmt_matrix(m), f"flavor check ({check}): pass"]
     data = {
         "flavor": flavor,
@@ -314,16 +308,12 @@ def _check_psd(args, shape, psi):
 
 
 def cmd_basis(args, shape, pres):
-    if pres.kind == "u_plus":
-        basis, flavor = basis_unitary(pres), "unitary"
-    elif pres.kind == "o_plus":
-        basis, flavor = basis_orthogonal(pres), "orthogonal"
-    else:
-        raise InputError("defect basis covers u_plus and o_plus presentations")
+    basis, flavor = defect_basis(pres), FLAVORS[pres.kind]
+    check = _CHECK_NAMES[flavor]
     lines = [f"defect basis ({len(basis)} classes):"]
     entries = []
     for label, c in basis.items():
-        _, m, check = _defect(c)
+        m = defect(c)
         lines += [f"{label}: {flavor} defect", _fmt_matrix(m), f"flavor check ({check}): pass"]
         entries.append({"label": label, "defect": matrix_to_json(m)})
     return 0, lines, {"flavor": flavor, "basis": entries}

@@ -6,12 +6,12 @@ the degree-2 part of the Hochschild complex for the (eps, eps)-bimodule
 structure on the scalars.  Coboundaries are
     (d phi)(a, b) = eps(a) phi(b) - phi(ab) + phi(a) eps(b).
 
-The defect maps send a normalized 2-cocycle to an exact d x d matrix whose
-vanishing characterizes coboundaries on the unitary and orthogonal quotients:
-a trace-zero matrix for the unitary flavor, an antisymmetric matrix for the
-orthogonal one.  Basis families of pairing cocycles hit the standard bases of
-those matrix spaces, and `primitive` rebuilds an explicit functional with
-d(phi) = c whenever the defect vanishes.
+The defect sends a normalized 2-cocycle to an exact d x d matrix, one
+formula on every kind with unitary letters: a trace-zero matrix, which on
+o_plus (u = ubar) is antisymmetric too.  On u_plus and o_plus its vanishing
+characterizes the coboundaries: `defect_basis` names pairing cocycles whose
+defects form a basis of those matrix spaces, and `primitive` rebuilds an
+explicit functional with d(phi) = c whenever the defect vanishes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .representation import sign_rep
 from .scalars import I, ONE, ZERO, Qi, _qi
 
 # Sign relating the defect of the diagonal pairing cocycles K_p to the matrix
-# units: defect_unitary(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
+# units: defect(K_p) = KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  The
 # value is forced by the conjugate-linear-in-the-first-argument pairing; it
 # was computed by brute force once and is pinned by the test suite.
 KP_DEFECT_SIGN = -1
@@ -374,7 +374,9 @@ def square_zero_on_letters(c: TwoCocycle):
     return check_2cocycle(c, [tuple(rng.choice(els) for _ in range(3)) for _ in range(RECHECK_TRIPLES)])
 
 
-_UNITARY_KINDS = ("k_d", "u_plus", "u_q", "su_q")
+# The flavor of the defect on each kind that has one: the unitarity of u
+# makes it trace zero, and on o_plus, where u = ubar, antisymmetric.
+FLAVORS = {"k_d": "unitary", "u_plus": "unitary", "u_q": "unitary", "su_q": "unitary", "o_plus": "orthogonal"}
 
 
 def _pattern_positions(d: int, letter: str) -> list:
@@ -409,26 +411,24 @@ def _require_normalized(c: TwoCocycle):
         raise ValueError("2-cocycle must be normalized; apply normalize() first")
 
 
-def defect_unitary(c: TwoCocycle) -> QMatrix:
-    """Delta(c)_jk = sum_p ( c(u*_pj, u_pk) - c(u*_kp, u_jp) ), trace zero."""
-    if c.presentation.kind not in _UNITARY_KINDS:
+def defect(c: TwoCocycle) -> QMatrix:
+    """Delta(c)_jk = sum_p ( c(u*_pj, u_pk) - c(u*_kp, u_jp) ): trace zero,
+    and antisymmetric on o_plus, or ArithmeticError.
+
+    On o_plus every 2-cocycle the package builds (pairings, coboundaries
+    and their combinations) vanishes on u* - u in its first argument, so
+    Delta(c) is the orthogonal sum_p ( c(u_jp, u_kp) - c(u_kp, u_jp) ) plus
+    the `o` sums of `sum_identity_defects`, which vanish.
+    """
+    flavor = FLAVORS.get(c.presentation.kind)
+    if flavor is None:
         raise ValueError("unitary defect needs a unitary-flavored presentation")
     _require_normalized(c)
     plus, minus = _letter_sums(c, "u*[p,j] u[p,k]", "u*[k,p] u[j,p]")
     m = plus - minus
     if not m.trace().is_zero():
         raise ArithmeticError("unitary defect with nonzero trace", m)
-    return m
-
-
-def defect_orthogonal(c: TwoCocycle) -> QMatrix:
-    """Delta_O(c)_jk = sum_p ( c(u_jp, u_kp) - c(u_kp, u_jp) ), antisymmetric."""
-    if c.presentation.kind != "o_plus":
-        raise ValueError("orthogonal defect needs an o_plus presentation")
-    _require_normalized(c)
-    plus, minus = _letter_sums(c, "u[j,p] u[k,p]", "u[k,p] u[j,p]")
-    m = plus - minus
-    if not (m + m.transpose()).is_zero():
+    if flavor == "orthogonal" and not (m + m.transpose()).is_zero():
         raise ArithmeticError("orthogonal defect that is not antisymmetric", m)
     return m
 
@@ -462,7 +462,7 @@ def matrix_unit(d: int, j: int, k: int, coeff: Qi = ONE) -> QMatrix:
     return QMatrix(rows, cols=d)
 
 
-def basis_unitary(presentation: Presentation) -> dict:
+def _basis_unitary(presentation: Presentation) -> dict:
     """Pairing cocycles whose defects realize the trace-zero matrix basis.
 
     K_m_n (m != n) pairs the Gaussian cocycles of the matrix units e_1m and
@@ -470,8 +470,6 @@ def basis_unitary(presentation: Presentation) -> dict:
     e_pp + i e_{p,p+1} + e_{p+1,p+1} with itself; its defect is
     KP_DEFECT_SIGN * (e_pp - e_{p+1,p+1}).  Each cocycle is built once.
     """
-    if presentation.kind != "u_plus":
-        raise ValueError("the unitary basis lives on a u_plus presentation")
     d = presentation.d
     first_row = [scalar_gaussian_cocycle(presentation, matrix_unit(d, 1, m)) for m in range(1, d + 1)]
     out = {
@@ -491,7 +489,7 @@ def basis_unitary(presentation: Presentation) -> dict:
     return out
 
 
-def basis_orthogonal(presentation: Presentation) -> dict:
+def _basis_orthogonal(presentation: Presentation) -> dict:
     """Pairing cocycles whose defects realize the antisymmetric matrix basis.
 
     For d >= 3, Khat_m_n (m < n) pairs the Gaussian cocycles of Z_lm and
@@ -500,8 +498,6 @@ def basis_orthogonal(presentation: Presentation) -> dict:
     class Kz pairs the two anti-Gaussian cocycles of diag(1, -1) and the
     symmetric flip; its defect is 2 Z_12.
     """
-    if presentation.kind != "o_plus":
-        raise ValueError("the orthogonal basis lives on an o_plus presentation")
     d = presentation.d
     out = {}
     if d >= 3:
@@ -521,6 +517,22 @@ def basis_orthogonal(presentation: Presentation) -> dict:
         eta2 = cocycle_general(rep, z2, z2)
         out["Kz"] = KPairCocycle(eta1, eta2)
     return out
+
+
+# The kinds whose second cohomology the defect classifies, each with the
+# builder of its defect basis.  These alone have a primitive that exists
+# exactly when the defect is 0, and the paper's existence criterion for a
+# generating functional (`functional.admits_gf_criterion`).
+CLASS_KINDS = {"u_plus": _basis_unitary, "o_plus": _basis_orthogonal}
+
+
+def defect_basis(presentation: Presentation) -> dict:
+    """Named pairing cocycles whose defects form a basis of the trace-zero
+    (u_plus) or antisymmetric (o_plus) matrices."""
+    build = CLASS_KINDS.get(presentation.kind)
+    if build is None:
+        raise ValueError("defect basis covers u_plus and o_plus presentations")
+    return build(presentation)
 
 
 @dataclass(frozen=True)
@@ -562,34 +574,26 @@ def check_primitive(phi: Primitive, pairs=None, seed: int = 0):
 def primitive(c: TwoCocycle) -> Primitive:
     """Construct phi with d(phi) = c.
 
-    Unitary flavor (k_d needs no precondition, u_plus needs zero defect):
-        phi(u[j,k]) = phi(u*[k,j]) = 1/2 sum_p c(u*_pj, u_pk).
-    Orthogonal flavor (o_plus, zero defect):
-        phi(u[j,k]) = phi(u*[j,k]) = 1/2 sum_p c(u_pj, u_pk).
-    The letter values are extended by the coboundary recursion and the result
-    is validated on all relations and on sampled pairs.
+    On k_d every normalized 2-cocycle has one; on the `CLASS_KINDS` (u_plus
+    and o_plus) one exists exactly when the defect is 0.  The letter values
+
+        phi(u[j,k]) = phi(u*[k,j]) = 1/2 sum_p c(u*_pj, u_pk)
+
+    are extended by the coboundary recursion, and the result is validated
+    on all relations and on sampled pairs.  On o_plus, where c reads u* as
+    u (see `defect`), a zero defect makes these values symmetric.
     """
     pres = c.presentation
     _require_normalized(c)
-    half = Qi("1/2")
-    if pres.kind in ("k_d", "u_plus"):
-        if pres.kind == "u_plus":
-            defect = defect_unitary(c)
-            if not defect.is_zero():
-                raise ObstructionError("unitary", defect)
-        (sums,) = _letter_sums(c, "u*[p,j] u[p,k]")
-        values = sums.scale(half)
-        star_values = values.transpose()
-    elif pres.kind == "o_plus":
-        defect = defect_orthogonal(c)
-        if not defect.is_zero():
-            raise ObstructionError("orthogonal", defect)
-        (sums,) = _letter_sums(c, "u[p,j] u[p,k]")
-        values = sums.scale(half)
-        star_values = values
-    else:
+    if pres.kind not in ("k_d", *CLASS_KINDS):
         raise ValueError("primitive construction covers k_d, u_plus and o_plus")
-    phi = Primitive(c, values, star_values)
+    if pres.kind in CLASS_KINDS:
+        m = defect(c)
+        if not m.is_zero():
+            raise ObstructionError(FLAVORS[pres.kind], m)
+    (sums,) = _letter_sums(c, "u*[p,j] u[p,k]")
+    values = sums.scale(Qi("1/2"))
+    phi = Primitive(c, values, values.transpose())
     violations = phi.relation_violations()
     if violations:
         raise RelationViolation("primitive", violations)
@@ -670,29 +674,25 @@ def class_coordinates(c: TwoCocycle) -> ClassCoordinates:
 
         sum_K x_K Delta(K) = Delta(c)
 
-    over the defects of `basis_unitary` (unitary flavor) or
-    `basis_orthogonal` (orthogonal flavor), one exact `linalg.solve`.  The
+    over the defects of `defect_basis`, one exact `linalg.solve`.  The
     basis defects are linearly independent, so the solution is unique.
     ArithmeticError when the system is inconsistent, or when the
     combination of basis defects does not rebuild the defect of c exactly.
     """
     pres = c.presentation
-    if pres.kind == "u_plus":
-        flavor, dmap, basis = "unitary", defect_unitary, basis_unitary(pres)
-    elif pres.kind == "o_plus":
-        flavor, dmap, basis = "orthogonal", defect_orthogonal, basis_orthogonal(pres)
-    else:
+    if pres.kind not in CLASS_KINDS:
         raise ValueError("class coordinates cover u_plus and o_plus")
-    defect = dmap(c)
-    defects = [dmap(k) for k in basis.values()]
+    basis = defect_basis(pres)
+    target = defect(c)
+    defects = [defect(k) for k in basis.values()]
     entries = [(j, k) for j in range(pres.d) for k in range(pres.d)]
     m = QMatrix([[dk[j][k] for dk in defects] for j, k in entries], cols=len(defects))
-    x = solve(m, QVector(defect[j][k] for j, k in entries))
+    x = solve(m, QVector(target[j][k] for j, k in entries))
     if x is None:
-        raise ArithmeticError("the defect is not a combination of the basis defects", defect)
+        raise ArithmeticError("the defect is not a combination of the basis defects", target)
     rebuilt = QMatrix.zero(pres.d, pres.d)
     for dk, coeff in zip(defects, x):
         rebuilt = rebuilt + dk.scale(coeff)
-    if rebuilt != defect:
-        raise ArithmeticError("basis combination does not rebuild the defect", rebuilt, defect)
-    return ClassCoordinates(flavor, dict(zip(basis, x)), defect)
+    if rebuilt != target:
+        raise ArithmeticError("basis combination does not rebuild the defect", rebuilt, target)
+    return ClassCoordinates(FLAVORS[pres.kind], dict(zip(basis, x)), target)

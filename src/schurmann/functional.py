@@ -7,7 +7,9 @@ first term +<eta(.*), eta(.)>, so d(psi) is minus that pairing.  The
 canonical letter values are
     psi(u[j,k]) = -1/2 * b_tilde[j][k] + i H[j][k]
 for a selfadjoint offset H, psi(u*[j,k]) = conj(psi(u[j,k])).  Validation
-requires psi(r) = 0 on every relation.
+requires psi(r) = 0 on every relation.  On u_plus and o_plus the paper's
+criterion decides the same from the B matrices alone: some psi exists iff
+b_tilde = b^t (`admits_gf_criterion`).
 
 Conditional positivity is checked on a word pool: the Gram matrix
 (psi(a_i* a_j)) with a_i = w_i - counit(w_i) 1 is <eta(w_i), eta(w_j)>
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from .algebra import Element, Presentation, WordSet, all_permutations, letters, require_entries, word_set
 from .cocycle import Cocycle, b_matrices, cocycle_general
-from .cohomology import CoboundaryCocycle, KPairCocycle, LetterFunctional, _star_word
+from .cohomology import CLASS_KINDS, CoboundaryCocycle, KPairCocycle, LetterFunctional, _star_word
 from .errors import RelationViolation
 from .linalg import Gram, QMatrix, inner_product, psd_check, project_onto_span
 from .representation import counit_rep, gaussian_subspace
@@ -81,20 +83,14 @@ def admits_generating_functional(eta: Cocycle) -> Functional | None:
         return None
 
 
-def admits_gf_unitary(eta: Cocycle) -> bool:
-    """u_plus criterion: a generating functional exists iff b_tilde = b^t."""
-    if eta.presentation.kind != "u_plus":
-        raise ValueError("admits_gf_unitary requires a u_plus presentation")
+def admits_gf_criterion(eta: Cocycle) -> bool:
+    """The criterion on the `cohomology.CLASS_KINDS`: a generating functional
+    exists iff b_tilde = b^t.  On o_plus, eta(u*) = eta(u) gives b_tilde = b,
+    and b^t = conj(b) since b is Hermitian, so there it reads: b is real."""
+    if eta.presentation.kind not in CLASS_KINDS:
+        raise ValueError("admits_gf_criterion requires a u_plus or o_plus presentation")
     bm = b_matrices(eta)
     return bm.b_tilde == bm.b.transpose()
-
-
-def admits_gf_orth(eta: Cocycle) -> bool:
-    """o_plus criterion: a generating functional exists iff b is real."""
-    if eta.presentation.kind != "o_plus":
-        raise ValueError("admits_gf_orth requires an o_plus presentation")
-    bm = b_matrices(eta)
-    return bm.b == bm.b.conj()
 
 
 @dataclass(frozen=True)
@@ -264,11 +260,8 @@ def lk_decomposition(psi: Functional) -> LKReport:
     vn = [[eta.V[j][k] - vg[j][k] for k in range(d)] for j in range(d)]
     wn = [[eta.W[j][k] - wg[j][k] for k in range(d)] for j in range(d)]
     eta_n = cocycle_general(eta.rep, vn, wn)
-    kind = eta.presentation.kind
-    if kind == "u_plus":
-        gf_g, gf_n = admits_gf_unitary(eta_g), admits_gf_unitary(eta_n)
-    elif kind == "o_plus":
-        gf_g, gf_n = admits_gf_orth(eta_g), admits_gf_orth(eta_n)
+    if eta.presentation.kind in CLASS_KINDS:
+        gf_g, gf_n = admits_gf_criterion(eta_g), admits_gf_criterion(eta_n)
     else:
         gf_g = admits_generating_functional(eta_g) is not None
         gf_n = admits_generating_functional(eta_n) is not None

@@ -37,12 +37,10 @@ from .cohomology import (
     KP_DEFECT_SIGN,
     CombinationCocycle,
     KPairCocycle,
-    basis_orthogonal,
-    basis_unitary,
     class_coordinates,
     coboundary1,
-    defect_orthogonal,
-    defect_unitary,
+    defect,
+    defect_basis,
     matrix_unit,
     primitive,
     require_sweep_len,
@@ -53,8 +51,7 @@ from .cohomology import (
 from .errors import InputError, ObstructionError, RelationViolation
 from .functional import (
     admits_generating_functional,
-    admits_gf_orth,
-    admits_gf_unitary,
+    admits_gf_criterion,
     gram_psd_check,
     lk_decomposition,
     schurmann_functional,
@@ -272,10 +269,10 @@ def scenario_c05(config: RunConfig, registry: Registry):
     registry.functionals.append(psi)
     lk = lk_decomposition(psi)
     return [
-        ("Gaussian part admits no generating functional", False, admits_gf_unitary(eta_g)),
-        ("anti-Gaussian part admits no generating functional", False, admits_gf_unitary(eta_n)),
+        ("Gaussian part admits no generating functional", False, admits_gf_criterion(eta_g)),
+        ("anti-Gaussian part admits no generating functional", False, admits_gf_criterion(eta_n)),
         ("the direct sum has B = B~ = 3 I_2", (three_eye, three_eye), (bm.b, bm.b_tilde)),
-        ("the direct sum admits a generating functional", True, admits_gf_unitary(total)),
+        ("the direct sum admits a generating functional", True, admits_gf_criterion(total)),
         ("that functional has no Gaussian/non-Gaussian splitting", False, lk.decomposable),
     ]
 
@@ -352,11 +349,11 @@ def scenario_c07(config: RunConfig, registry: Registry):
     lk = lk_decomposition(psi)
     return [
         ("V V* of the Gaussian part matches exactly", expect_g, gram_g),
-        ("Gaussian part admits no generating functional", False, admits_gf_orth(eta_g)),
+        ("Gaussian part admits no generating functional", False, admits_gf_criterion(eta_g)),
         ("V V* of the anti-Gaussian part matches exactly", expect_n, gram_n),
-        ("anti-Gaussian part admits no generating functional", False, admits_gf_orth(eta_n)),
+        ("anti-Gaussian part admits no generating functional", False, admits_gf_criterion(eta_n)),
         ("the direct sum has B = diag(5,3,3)", expect_b, b_total),
-        ("the direct sum admits a generating functional", True, admits_gf_orth(total)),
+        ("the direct sum admits a generating functional", True, admits_gf_criterion(total)),
         ("that functional has no splitting", False, lk.decomposable),
     ]
 
@@ -371,7 +368,7 @@ def scenario_c08(config: RunConfig, registry: Registry):
         z = QVector(tuple(random_coefficient(rng) for _ in range(n)))
         grid = [[QVector.zero(n), z], [-z, QVector.zero(n)]]
         eta = gaussian_cocycle(pres, grid)
-        if admits_gf_orth(eta):
+        if admits_gf_criterion(eta):
             admitted += 1
     return [
         (
@@ -436,9 +433,9 @@ def scenario_c10(config: RunConfig, registry: Registry):
 def scenario_c11(config: RunConfig, registry: Registry):
     """Second cohomology of U_3+: defects of the pairing basis span sl(3)."""
     pres = build_presentation("u_plus", 3)
-    basis = basis_unitary(pres)
+    basis = defect_basis(pres)
     registry.two_cocycles.extend(basis.values())
-    defects = {name: defect_unitary(c) for name, c in basis.items()}
+    defects = {name: defect(c) for name, c in basis.items()}
     off = sum(
         1
         for m in range(1, 4)
@@ -453,7 +450,7 @@ def scenario_c11(config: RunConfig, registry: Registry):
         == (matrix_unit(3, p, p) - matrix_unit(3, p + 1, p + 1)).scale(sign)
     )
     stacked = QMatrix(
-        [[defect[r][s] for r in range(3) for s in range(3)] for defect in defects.values()],
+        [[m[r][s] for r in range(3) for s in range(3)] for m in defects.values()],
         cols=9,
     )
     rng = _rng(config, "C11")
@@ -467,7 +464,7 @@ def scenario_c11(config: RunConfig, registry: Registry):
         registry.functionals.append(psi)
         boundary = coboundary1(psi)
         registry.two_cocycles.append(boundary)
-        if defect_unitary(boundary).is_zero():
+        if defect(boundary).is_zero():
             vanishing += 1
     combo = CombinationCocycle(
         (
@@ -509,7 +506,7 @@ def scenario_c11(config: RunConfig, registry: Registry):
         (
             "subtracting the coordinate combination leaves zero defect",
             True,
-            defect_unitary(residual).is_zero(),
+            defect(residual).is_zero(),
         ),
     ]
 
@@ -517,19 +514,19 @@ def scenario_c11(config: RunConfig, registry: Registry):
 def scenario_c12(config: RunConfig, registry: Registry):
     """Second cohomology of O_d+: basis defects realize the antisymmetric matrices."""
     pres3 = build_presentation("o_plus", 3)
-    basis3 = basis_orthogonal(pres3)
+    basis3 = defect_basis(pres3)
     registry.two_cocycles.extend(basis3.values())
     matched = sum(
         1
         for m in range(1, 4)
         for n in range(m + 1, 4)
-        if defect_orthogonal(basis3[f"Khat_{m}_{n}"])
+        if defect(basis3[f"Khat_{m}_{n}"])
         == matrix_unit(3, m, n) - matrix_unit(3, n, m)
     )
     pres2 = build_presentation("o_plus", 2)
-    basis2 = basis_orthogonal(pres2)
+    basis2 = defect_basis(pres2)
     registry.two_cocycles.append(basis2["Kz"])
-    kz_defect = defect_orthogonal(basis2["Kz"])
+    kz_defect = defect(basis2["Kz"])
     expect_kz = QMatrix([[ZERO, Qi(2)], [Qi(-2), ZERO]], cols=2)
     return [
         ("defect of Khat_m_n is e_mn - e_nm for all 3 pairs", 3, matched),

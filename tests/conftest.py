@@ -591,3 +591,34 @@ def oracle_verify_primitive_exhaustive(phi, max_len):
         if got != want:
             return i + 1, (a, b, got, want)
     return len(words) ** 2, None
+
+
+# -- the orthogonal letter sums: the oracles for the one defect on o_plus --
+
+
+def _o_sums(c, first, second):
+    """The d x d matrix of sum_p c(x, y) at (j, k), the letters x =
+    first(j, k, p) and y = second(j, k, p) as (row, col) of unstarred
+    letters, each c by the per-word formula of its kind (`oracle_pair`)."""
+    r, memo = range(1, c.d + 1), {}
+
+    def entry(j, k):
+        xs = ((Letter(*first(j, k, p), False),) for p in r)
+        ys = ((Letter(*second(j, k, p), False),) for p in r)
+        return sum((oracle_pair(c, x, y, memo) for x, y in zip(xs, ys)), ZERO)
+
+    return QMatrix([[entry(j, k) for k in r] for j in r])
+
+
+def oracle_orthogonal_defect(c):
+    """Delta_O(c)_jk = sum_p ( c(u_jp, u_kp) - c(u_kp, u_jp) ), the defect of
+    O_d+ read on the unstarred letters alone."""
+    plus = _o_sums(c, lambda j, k, p: (j, p), lambda j, k, p: (k, p))
+    minus = _o_sums(c, lambda j, k, p: (k, p), lambda j, k, p: (j, p))
+    return plus - minus
+
+
+def oracle_orthogonal_primitive(c):
+    """phi(u[j,k]) = phi(u*[j,k]) = 1/2 sum_p c(u_pj, u_pk), the primitive's
+    letter values on O_d+ read on the unstarred letters alone."""
+    return _o_sums(c, lambda j, k, p: (p, j), lambda j, k, p: (p, k)).scale(Qi(rational("1/2")))

@@ -176,11 +176,11 @@ def test_the_suite_registers_33_two_cocycles_and_43_functionals():
 
 
 def test_c11_reads_each_basis_defect_once(monkeypatch):
-    # C11 evaluates the 8 defects of its basis once, and `basis_unitary`
+    # C11 evaluates the 8 defects of its basis once, and `defect_basis`
     # builds one Gaussian cocycle per first-row matrix unit e_1m (3 of them)
     # plus one per K_p_p (2): its own basis and the one `class_coordinates`
     # rebuilds take 5 builds each, the 10 random cocycles 10 more
-    calls = {"defect_unitary": 0, "cocycle_from_V": 0}
+    calls = {"defect": 0, "cocycle_from_V": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -192,12 +192,12 @@ def test_c11_reads_each_basis_defect_once(monkeypatch):
         monkeypatch.setattr(module, name, spy)
 
     for module in (scenarios, cohomology):
-        counted(module, "defect_unitary")
+        counted(module, "defect")
     counted(cocycle, "cocycle_from_V")
     rows = dict(scenarios.SCENARIOS)["C11"](RunConfig(), scenarios.Registry())
     assert all(expected == computed for _, expected, computed in rows)
     # 8 basis defects, 10 coboundaries, 9 in `class_coordinates`, 1 residual
-    assert calls == {"defect_unitary": 28, "cocycle_from_V": 20}
+    assert calls == {"defect": 28, "cocycle_from_V": 20}
 
 
 def test_each_identity_line_reads_batch(monkeypatch, eta_sym_u2):

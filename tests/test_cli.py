@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from conftest import cycle_rep, refuse_elimination, refuse_evaluation
 from schurmann import (
     CoboundaryCocycle,
+    CombinationCocycle,
     CounitFunctional,
     I,
     KPairCocycle,
@@ -31,8 +32,10 @@ from schurmann import (
     gaussian_cocycle,
     primitive,
     rational,
+    scalar_gaussian_cocycle,
     scenarios,
     schurmann_functional,
+    solve_cocycles,
 )
 from schurmann.cli import main
 from schurmann.serialize import (
@@ -49,6 +52,7 @@ PINNED_LEN2 = ROOT / "tests" / "expected" / "reproduce_paper_len2.txt"
 PINNED_SEED1_JSON = ROOT / "tests" / "expected" / "reproduce_paper_seed1_len2.json"
 BENCH_LEN2 = ROOT / "perfbench" / "expected" / "reproduce_paper_len2.txt"
 PINNED_CLI = ROOT / "tests" / "expected" / "cli_outputs.json"
+PINNED_FLAVORS = ROOT / "tests" / "expected" / "cli_flavor_outputs.json"
 
 
 @pytest.fixture
@@ -358,6 +362,68 @@ def test_cli_outputs_are_pinned(run, files):
     # exit code, stdout and stderr of each run, byte for byte
     pinned = json.loads(PINNED_CLI.read_text())
     outcomes = _cli_outcomes(run, files)
+    assert list(outcomes) == list(pinned)
+    for key, outcome in outcomes.items():
+        assert outcome == pinned[key], key
+
+
+@pytest.fixture
+def flavor_files(write, o3, eta_rot_o3):
+    """{command: {name: path}}: O_2+ and O_3+ inputs for the orthogonal
+    branches, and normalized inputs on the kinds that `basis`, `check
+    defect`, `primitive` and `class-coords` refuse."""
+
+    def z(j, k):
+        # e_jk - e_kj at d = 3, indices from 0
+        entry = {(j, k): ONE, (k, j): -ONE}
+        return QMatrix([[entry.get((r, s), ZERO) for s in range(3)] for r in range(3)])
+
+    def pairing(pres):
+        # the first counit cocycle paired with itself
+        eta = solve_cocycles(counit_rep(pres)).basis[0]
+        return KPairCocycle(eta, eta)
+
+    # Khat_1_2 of the orthogonal basis, and C07's Gaussian part
+    khat = KPairCocycle(scalar_gaussian_cocycle(o3, z(2, 0)), scalar_gaussian_cocycle(o3, z(2, 1)))
+    eta_g = scalar_gaussian_cocycle(o3, QMatrix([[ZERO, ONE, ONE], [-ONE, ZERO, I], [-ONE, -I, ZERO]]))
+    boundary = coboundary1(schurmann_functional(eta_rot_o3))
+    uq = build_presentation("u_q", 2, q_diag=[1, 2])
+    of = build_presentation("o_f", 2, F=QMatrix([[ZERO, Qi(rational("1/2"))], [Qi(2), ZERO]]))
+    two_cocycles = {
+        "khat_o3": khat,
+        "boundary_o3": boundary,
+        "kpair_rot_o3": KPairCocycle(eta_rot_o3, eta_rot_o3),
+        "combo_o3": CombinationCocycle(((Qi(2), khat), (ONE, boundary))),
+        "pairing_uq": pairing(uq),
+        "pairing_of": pairing(of),
+    }
+    two_cocycles = {name: write(f"{name}.json", two_cocycle_to_json(c)) for name, c in two_cocycles.items()}
+    presentations = {
+        name: write(f"{name}.json", presentation_to_json(p))
+        for name, p in (("pres_o2", build_presentation("o_plus", 2)), ("pres_uq", uq))
+    }
+    cocycles = {
+        name: write(f"{name}.json", cocycle_to_json(eta)) for name, eta in (("eta_g_o3", eta_g), ("rot_o3", eta_rot_o3))
+    }
+    return {
+        ("check", "gf"): cocycles,
+        ("check", "defect"): two_cocycles,
+        ("basis",): presentations,
+        ("primitive",): two_cocycles,
+        ("class-coords",): two_cocycles,
+    }
+
+
+def test_orthogonal_and_refusal_outputs_are_pinned(run, flavor_files):
+    # exit code, stdout and stderr of the orthogonal branches and of the
+    # kind refusals (exit 2), byte for byte, plain and with --json
+    pinned = json.loads(PINNED_FLAVORS.read_text())
+    outcomes = {
+        " ".join([*command, name, *mode]): list(run(*command, "--input", path, *mode))
+        for command, paths in flavor_files.items()
+        for name, path in paths.items()
+        for mode in ([], ["--json"])
+    }
     assert list(outcomes) == list(pinned)
     for key, outcome in outcomes.items():
         assert outcome == pinned[key], key

@@ -47,8 +47,7 @@ from schurmann import (
     Qi,
     RelationViolation,
     ZERO,
-    admits_gf_orth,
-    admits_gf_unitary,
+    admits_gf_criterion,
     b_matrices,
     build_presentation,
     counit,
@@ -110,9 +109,9 @@ def test_b_matrices_frozen(eta_asym_u2):
 
 
 def test_gf_criteria(eta_asym_u2, eta_sym_u2, eta_rot_o3):
-    assert not admits_gf_unitary(eta_asym_u2)
-    assert admits_gf_unitary(eta_sym_u2)
-    assert admits_gf_orth(eta_rot_o3)
+    assert not admits_gf_criterion(eta_asym_u2)
+    assert admits_gf_criterion(eta_sym_u2)
+    assert admits_gf_criterion(eta_rot_o3)
 
 
 def test_b_matrix_uses_adjoint_not_transpose():
@@ -123,7 +122,7 @@ def test_b_matrix_uses_adjoint_not_transpose():
     bm = b_matrices(eta)
     assert bm.b == QMatrix([[ONE]])
     assert bm.b_tilde == QMatrix([[ONE]])
-    assert admits_gf_unitary(eta)
+    assert admits_gf_criterion(eta)
 
 
 def test_reality_frozen_witness(eta_asym_u2):

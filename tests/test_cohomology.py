@@ -13,6 +13,8 @@ from conftest import (
     flat_cocycle,
     oracle_cocycle,
     oracle_functional,
+    oracle_orthogonal_defect,
+    oracle_orthogonal_primitive,
     oracle_pair,
     oracle_star,
     oracle_square_zero_on_letters,
@@ -36,8 +38,9 @@ from schurmann import (
     Qi,
     TwoCocycle,
     ZERO,
-    basis_orthogonal,
-    basis_unitary,
+    admits_generating_functional,
+    admits_gf_criterion,
+    b_matrices,
     build_presentation,
     check_2cocycle,
     check_primitive,
@@ -45,8 +48,8 @@ from schurmann import (
     coboundary1,
     counit,
     counit_rep,
-    defect_orthogonal,
-    defect_unitary,
+    defect,
+    defect_basis,
     is_normalized,
     letters,
     normalize,
@@ -192,37 +195,37 @@ def test_normalize_subtracts_the_unit_value(u2, eta_sym_u2, eta_asym_u2):
 
 def test_defect_frozen_unitary(eta_asym_u2):
     c = KPairCocycle(eta_asym_u2, eta_asym_u2)
-    m = defect_unitary(c)
+    m = defect(c)
     assert m == QMatrix([[-ONE, ZERO], [ZERO, ONE]])
     assert m.trace().is_zero()
 
 
 def test_coboundary_has_zero_defect(eta_sym_u2):
     psi = schurmann_functional(eta_sym_u2)
-    assert defect_unitary(coboundary1(psi)).is_zero()
+    assert defect(coboundary1(psi)).is_zero()
 
 
 def test_orthogonal_basis_defects():
     o3 = build_presentation("o_plus", 3)
-    basis = basis_orthogonal(o3)
+    basis = defect_basis(o3)
     assert sorted(basis) == ["Khat_1_2", "Khat_1_3", "Khat_2_3"]
     for m in range(1, 4):
         for n in range(m + 1, 4):
-            d = defect_orthogonal(basis[f"Khat_{m}_{n}"])
+            d = defect(basis[f"Khat_{m}_{n}"])
             assert d == unit(3, m, n) - unit(3, n, m)
             assert (d + d.transpose()).is_zero()
 
 
 def test_anti_gaussian_pair_defect_d2():
     o2 = build_presentation("o_plus", 2)
-    kz = basis_orthogonal(o2)["Kz"]
-    assert defect_orthogonal(kz) == QMatrix(
+    kz = defect_basis(o2)["Kz"]
+    assert defect(kz) == QMatrix(
         [[ZERO, Qi(rational(2))], [Qi(rational(-2)), ZERO]]
     )
 
 
 def test_unitary_basis_coordinates_are_indicators(u2):
-    basis = basis_unitary(u2)
+    basis = defect_basis(u2)
     assert sorted(basis) == ["K_1_2", "K_2_1", "K_p_1"]
     for label, c in basis.items():
         cc = class_coordinates(c)
@@ -245,9 +248,7 @@ def test_defect_is_linear(eta_asym_u2, eta_sym_u2, x, y):
     c1 = KPairCocycle(eta_asym_u2, eta_asym_u2)
     c2 = KPairCocycle(eta_sym_u2, eta_sym_u2)
     combo = CombinationCocycle(((x, c1), (y, c2)))
-    assert defect_unitary(combo) == defect_unitary(c1).scale(x) + defect_unitary(
-        c2
-    ).scale(y)
+    assert defect(combo) == defect(c1).scale(x) + defect(c2).scale(y)
 
 
 def test_sum_identity_defects_vanish(eta_sym_u2, eta_rot_o3):
@@ -282,7 +283,7 @@ def test_primitive_obstruction_unitary(eta_asym_u2):
 
 def test_primitive_of_orthogonal_basis_obstructed():
     o3 = build_presentation("o_plus", 3)
-    c = basis_orthogonal(o3)["Khat_1_2"]
+    c = defect_basis(o3)["Khat_1_2"]
     with pytest.raises(ObstructionError) as exc:
         primitive(c)
     assert exc.value.flavor == "orthogonal"
@@ -292,7 +293,7 @@ def test_primitive_of_orthogonal_basis_obstructed():
 def test_exhaustive_verification_counts(eta_sym_u2):
     # the symmetric pairing has zero defect, so a primitive exists
     c = KPairCocycle(eta_sym_u2, eta_sym_u2)
-    assert defect_unitary(c).is_zero()
+    assert defect(c).is_zero()
     phi = primitive(c)
     checked, witness = verify_primitive_exhaustive(phi, max_len=2)
     assert witness is None
@@ -423,8 +424,8 @@ def named_bases():
         pres = build_presentation("u_plus", d)
         h = QMatrix([[Qi(j + k + 1, j - k) for k in range(d)] for j in range(d)])
         psi = schurmann_functional(scalar_gaussian_cocycle(pres, h))
-        out.append((basis_unitary(pres), coboundary1(psi)))
-    return out + [(basis_orthogonal(build_presentation("o_plus", d)), None) for d in (2, 3, 4)]
+        out.append((defect_basis(pres), coboundary1(psi)))
+    return out + [(defect_basis(build_presentation("o_plus", d)), None) for d in (2, 3, 4)]
 
 
 @given(data=st.data())
@@ -441,6 +442,57 @@ def test_class_coordinates_read_back_drawn_combinations(named_bases, data):
         assert list(cc.coefficients) == list(basis)
 
 
+def test_the_o_plus_defect_refuses_a_matrix_that_is_not_antisymmetric():
+    # an unvalidated cocycle with eta(u[1,2]) = 1 and eta(u*[1,2]) = 0 does
+    # not read u* as u, so its pairing's defect has trace zero but is not
+    # antisymmetric
+    eta = flat_cocycle(counit_rep(build_presentation("o_plus", 2)), [ZERO, ONE] + [ZERO] * 6)
+    with pytest.raises(ArithmeticError) as exc:
+        defect(KPairCocycle(eta, eta))
+    assert exc.value.args == ("orthogonal defect that is not antisymmetric", QMatrix([[-ONE, ZERO], [ZERO, ONE]]))
+
+
+# what each kind accepts of the defect, the defect basis, the primitive and
+# the paper's existence criterion; every other call raises ValueError
+CAPABILITIES = {
+    "k_d": {"defect", "primitive"},
+    "u_plus": {"defect", "defect_basis", "primitive", "admits_gf_criterion"},
+    "u_q": {"defect"},
+    "o_plus": {"defect", "defect_basis", "primitive", "admits_gf_criterion"},
+    "o_f": set(),
+    "su_q": {"defect"},
+}
+KIND_ARGS = {
+    "u_q": {"q_diag": [rational("1/2"), rational(3)]},
+    "o_f": {"F": QMatrix([[ZERO, Qi(rational("1/2"))], [Qi(2), ZERO]])},
+    "su_q": {"q": rational("1/3")},
+}
+
+
+@pytest.mark.parametrize("kind", algebra.PRESENTATION_KINDS)
+def test_each_kind_accepts_what_its_cohomology_has(kind):
+    assert set(CAPABILITIES) == set(algebra.PRESENTATION_KINDS)
+    pres = build_presentation(kind, 2, **KIND_ARGS.get(kind, {}))
+    # the zero 2-cocycle d(eps) - d(eps), and a cocycle of the counit
+    c = normalize(coboundary1(CounitFunctional(pres)))
+    eta = solve_cocycles(counit_rep(pres)).basis[0]
+    calls = {
+        "defect": lambda: defect(c),
+        "defect_basis": lambda: defect_basis(pres),
+        "primitive": lambda: primitive(c),
+        "admits_gf_criterion": lambda: admits_gf_criterion(eta),
+    }
+    accepted = set()
+    for name, call in calls.items():
+        try:
+            call()
+            accepted.add(name)
+        except ValueError as exc:
+            # the kind is refused, not the input
+            assert not isinstance(exc, InputError), exc
+    assert accepted == CAPABILITIES[kind]
+
+
 def test_class_coordinates_at_d1_are_empty():
     # on O_1+ the only Gaussian cocycle is 0, an antisymmetric 1 x 1 matrix
     for kind, v in (("u_plus", ONE), ("o_plus", ZERO)):
@@ -451,10 +503,59 @@ def test_class_coordinates_at_d1_are_empty():
         assert cc.defect == QMatrix([[ZERO]])
 
 
+@pytest.fixture(scope="module")
+def orthogonal_inputs():
+    """(cocycles, 2-cocycles) on O_2+, O_3+ and O_4+.  The cocycles are the
+    basis and two seeded combinations of the cocycle space of the counit,
+    the sign, the counit on C^2 and counit + sign.  The 2-cocycles are the
+    defect basis, pairings of those cocycles, the coboundaries of the
+    functionals they admit and a combination of the three sorts."""
+    rng = random.Random(0)
+    out = []
+    for d in (2, 3, 4):
+        pres = build_presentation("o_plus", d)
+        basis = list(defect_basis(pres).values())
+        cocycles, pairings, boundaries = [], [], []
+        eps, sign = counit_rep(pres), sign_rep(pres)
+        for rep in (eps, sign, counit_rep(pres, 2), direct_sum_rep(eps, sign)):
+            space = solve_cocycles(rep)
+            etas = list(space.basis) + [space.random_element(rng) for _ in range(2)] if space.basis else []
+            cocycles += etas
+            pairings += [KPairCocycle(a, b) for a, b in zip(etas, etas[1:] + etas[:1])]
+            boundaries += [coboundary1(psi) for psi in map(admits_generating_functional, etas) if psi is not None]
+        combination = CombinationCocycle(((Qi(2), basis[-1]), (Qi(1, 1), pairings[-1]), (ONE, boundaries[-1])))
+        out.append((cocycles, basis + pairings + boundaries + [combination]))
+    return out
+
+
+def test_the_one_defect_agrees_with_the_orthogonal_formulas(orthogonal_inputs):
+    # every 2-cocycle here vanishes on the relations u* = u of O_d+ in its
+    # first argument, so the unitary letter sums of `defect` and `primitive`
+    # equal the orthogonal ones (conftest), and b_tilde = b^t is b real
+    verdicts, defects = set(), set()
+    for cocycles, two_cocycles in orthogonal_inputs:
+        for eta in cocycles:
+            bm = b_matrices(eta)
+            verdicts.add(admits_gf_criterion(eta))
+            assert admits_gf_criterion(eta) == (bm.b == bm.b.conj())
+        for c in two_cocycles:
+            want = oracle_orthogonal_defect(c)
+            assert defect(c) == want
+            defects.add(want.is_zero())
+            if want.is_zero():
+                phi, values = primitive(c), oracle_orthogonal_primitive(c)
+                assert (phi.values, phi.star_values) == (values, values)
+            else:
+                with pytest.raises(ObstructionError) as exc:
+                    primitive(c)
+                assert (exc.value.flavor, exc.value.defect) == ("orthogonal", want)
+    assert verdicts == defects == {False, True}
+
+
 def test_check_primitive_passes_on_construction(eta_rot_o3):
     c = KPairCocycle(eta_rot_o3, eta_rot_o3)
     # zero defect here, so a primitive exists
-    assert defect_orthogonal(c).is_zero()
+    assert defect(c).is_zero()
     phi = primitive(c)
     assert check_primitive(phi) is None
     checked, witness = verify_primitive_exhaustive(phi, max_len=2)

@@ -26,8 +26,7 @@ from schurmann import (
     RelationViolation,
     ZERO,
     admits_generating_functional,
-    admits_gf_orth,
-    admits_gf_unitary,
+    admits_gf_criterion,
     build_presentation,
     cocycle_general,
     counit,
@@ -294,8 +293,7 @@ def test_the_existence_criteria_agree_with_the_construction(criterion_spaces, da
         ]
 
     eta = cocycle_general(space.rep, grid(lambda e: e.V), grid(lambda e: e.W))
-    criterion = admits_gf_unitary if eta.presentation.kind == "u_plus" else admits_gf_orth
-    assert criterion(eta) == (admits_generating_functional(eta) is not None)
+    assert admits_gf_criterion(eta) == (admits_generating_functional(eta) is not None)
 
 
 def test_the_paper_criteria_agree_with_the_decider_on_every_basis(criterion_spaces):
@@ -309,9 +307,8 @@ def test_the_paper_criteria_agree_with_the_decider_on_every_basis(criterion_spac
         pres = space.rep.presentation
         if pres.d == 4:
             continue
-        criterion = admits_gf_unitary if pres.kind == "u_plus" else admits_gf_orth
         for eta in list(space.basis) + [space.random_element(rng) for _ in range(15)]:
-            verdict = criterion(eta)
+            verdict = admits_gf_criterion(eta)
             assert verdict == (admits_generating_functional(eta) is not None)
             verdicts.setdefault((pres.kind, pres.d), set()).add(verdict)
     kinds = [("u_plus", 2), ("u_plus", 3), ("o_plus", 2), ("o_plus", 3)]
